@@ -35,6 +35,7 @@ from .modules import (
     projective_word,
     realize,
     realize_walk,
+    standard_word,
     zero_morphism,
 )
 from .presentation import has_unbounded_paths, nonzero_path_count, nonzero_paths_from
@@ -42,11 +43,10 @@ from .strings import (
     Letter,
     StringWord,
     Walk,
-    append_candidates,
+    attach_candidates,
     canonical_walk,
     enumerate_strings,
     has_band,
-    prepend_candidates,
     string_word,
     walk_to_text,
     walk_vertices,
@@ -67,26 +67,24 @@ def _letter_pattern_ok(walk, first_inverse):
     return True
 
 
-def is_projective_word(p, walk):
-    """M(C) is projective iff C reads inverse*direct* and both ends sit in a deep."""
-    if not _letter_pattern_ok(walk, first_inverse=True):
+def _is_standard_word(p, walk, projective):
+    """M(C) is projective iff C reads inverse*direct* and both ends sit in a deep,
+    injective iff C reads direct*inverse* and both ends sit on a peak."""
+    if not _letter_pattern_ok(walk, first_inverse=projective):
         return False
-    if prepend_candidates(p, walk, inverse=True):
+    if attach_candidates(p, walk, "left", inverse=projective):
         return False
-    if append_candidates(p, walk, inverse=False):
+    if attach_candidates(p, walk, "right", inverse=not projective):
         return False
     return True
+
+
+def is_projective_word(p, walk):
+    return _is_standard_word(p, walk, projective=True)
 
 
 def is_injective_word(p, walk):
-    """M(C) is injective iff C reads direct*inverse* and both ends sit on a peak."""
-    if not _letter_pattern_ok(walk, first_inverse=False):
-        return False
-    if prepend_candidates(p, walk, inverse=False):
-        return False
-    if append_candidates(p, walk, inverse=True):
-        return False
-    return True
+    return _is_standard_word(p, walk, projective=False)
 
 
 class _Tracked:
@@ -104,23 +102,32 @@ class _Tracked:
         return cls(walk, tuple(next(counter) for _ in range(len(walk.letters) + 1)))
 
 
-def _initial_run(walk, inverse):
-    """Length of the maximal initial run of letters with the given direction."""
+def _end_run(walk, inverse, side):
+    """Length of the maximal run of letters with the given direction at one end."""
     n = 0
-    for l in walk.letters:
+    for l in walk.letters if side == "left" else reversed(walk.letters):
         if l.inverse != inverse:
             break
         n += 1
     return n
 
 
-def _terminal_run(walk, inverse):
-    n = 0
-    for l in reversed(walk.letters):
-        if l.inverse != inverse:
-            break
-        n += 1
-    return n
+def _outer_inverse(direction, side):
+    """Is the letter an addition attaches at this end, or the run a deletion strips, inverse?
+
+    For the sequence ending at M(C) ("end") it is on the left and not on the
+    right; for the sequence starting at M(C) ("start") the other way round.
+    """
+    return direction == ("end" if side == "left" else "start")
+
+
+def _segment(p, tracked, lo, hi):
+    """The tracked subwalk on positions lo..hi-1; one position is a trivial walk."""
+    walk = tracked.walk
+    letters = walk.letters[lo : hi - 1]
+    if letters:
+        return _Tracked(Walk(letters), tracked.tokens[lo:hi])
+    return _Tracked(Walk(basepoint=walk_vertices(p, walk)[lo]), tracked.tokens[lo:hi])
 
 
 class _SideOp:
@@ -154,78 +161,42 @@ def _side_ops(p, walk, direction):
         )
         if len(pool) > 2:
             raise MeshInconsistencyError(f"vertex {v} breaks the two-arrow bound")
-        ops = []
-        for i in range(2):
-            ops.append(_SideOp("add", pool[i]) if i < len(pool) else _SideOp("delete"))
-        return ops[0], ops[1]
-    if direction == "start":
-        left = _unique(prepend_candidates(p, walk, inverse=False), "left hook")
-        right = _unique(append_candidates(p, walk, inverse=True), "right hook")
+        arrows = list(pool) + [None] * (2 - len(pool))
     else:
-        left = _unique(prepend_candidates(p, walk, inverse=True), "left cohook")
-        right = _unique(append_candidates(p, walk, inverse=False), "right cohook")
-    return (
-        _SideOp("add", left) if left else _SideOp("delete"),
-        _SideOp("add", right) if right else _SideOp("delete"),
-    )
+        kind = "hook" if direction == "start" else "cohook"
+        arrows = [
+            _unique(
+                attach_candidates(p, walk, side, _outer_inverse(direction, side)),
+                f"{side} {kind}",
+            )
+            for side in ("left", "right")
+        ]
+    left, right = (_SideOp("add", a) if a else _SideOp("delete") for a in arrows)
+    return left, right
 
 
 def _apply_add(p, tracked, direction, side, arrow, counter):
-    walk, tokens = tracked.walk, tracked.tokens
-    if side == "left":
-        first = Letter(arrow.label, inverse=(direction == "end"))
-        letters = (first,) + walk.letters
-        tokens = (next(counter),) + tokens
-        climb_inverse = direction == "start"
-        cur = Walk(letters)
-        for _ in range(_CLIMB_CAP):
-            cand = _unique(
-                prepend_candidates(p, cur, inverse=climb_inverse), "left climb"
-            )
-            if cand is None:
-                break
-            cur = Walk((Letter(cand.label, climb_inverse),) + cur.letters)
-            tokens = (next(counter),) + tokens
-        else:
-            raise MeshInconsistencyError("left climb did not terminate")
-        return _Tracked(cur, tokens)
-    first = Letter(arrow.label, inverse=(direction == "start"))
-    letters = walk.letters + (first,)
-    tokens = tokens + (next(counter),)
-    climb_inverse = direction == "end"
-    cur = Walk(letters)
+    """Attach the arrow at one end, then climb the maximal run behind it."""
+    first_inverse = _outer_inverse(direction, side)
+    cur = _attach(((Letter(arrow.label, first_inverse),), (next(counter),)), tracked, side)
     for _ in range(_CLIMB_CAP):
-        cand = _unique(append_candidates(p, cur, inverse=climb_inverse), "right climb")
+        cand = _unique(
+            attach_candidates(p, cur.walk, side, inverse=not first_inverse), f"{side} climb"
+        )
         if cand is None:
-            break
-        cur = Walk(cur.letters + (Letter(cand.label, climb_inverse),))
-        tokens = tokens + (next(counter),)
-    else:
-        raise MeshInconsistencyError("right climb did not terminate")
-    return _Tracked(cur, tokens)
+            return cur
+        cur = _attach(((Letter(cand.label, not first_inverse),), (next(counter),)), cur, side)
+    raise MeshInconsistencyError(f"{side} climb did not terminate")
 
 
 def _apply_delete(p, tracked, direction, side):
     """Remove a hook or cohook from one end; None when the whole word would go."""
-    walk, tokens = tracked.walk, tracked.tokens
-    n = len(walk.letters)
-    if side == "left":
-        run = _initial_run(walk, inverse=(direction == "end"))
-        if run >= n:
-            return None
-        rest = walk.letters[run + 1 :]
-        toks = tokens[run + 1 :]
-        if rest:
-            return _Tracked(Walk(rest), toks)
-        return _Tracked(Walk(basepoint=walk_vertices(p, walk)[run + 1]), toks[:1])
-    run = _terminal_run(walk, inverse=(direction == "start"))
+    n = len(tracked.walk.letters)
+    run = _end_run(tracked.walk, _outer_inverse(direction, side), side)
     if run >= n:
         return None
-    rest = walk.letters[: n - run - 1]
-    toks = tokens[: n - run]
-    if rest:
-        return _Tracked(Walk(rest), toks)
-    return _Tracked(Walk(basepoint=walk_vertices(p, walk)[n - run - 1]), toks[:1])
+    lo = run + 1 if side == "left" else 0
+    return _segment(p, tracked, lo, lo + n - run)
 
 
 def _compute_side(p, tracked, direction, side, op, counter):
@@ -238,11 +209,8 @@ def _compute_side(p, tracked, direction, side, op, counter):
     if op.kind == "add":
         res = _apply_add(p, tracked, direction, side, op.arrow, counter)
         added = len(res.walk.letters) - len(tracked.walk.letters)
-        if side == "left":
-            material = (res.walk.letters[:added], res.tokens[:added])
-        else:
-            material = (res.walk.letters[-added:], res.tokens[-added:])
-        return res, material
+        part = slice(None, added) if side == "left" else slice(-added, None)
+        return res, (res.walk.letters[part], res.tokens[part])
     return _apply_delete(p, tracked, direction, side), None
 
 
@@ -281,23 +249,26 @@ def _surgery(p, walk, direction):
     return t, middles, far
 
 
+def _translate_word(p, walk, direction):
+    """Far term of the mesh ending ("end") or starting ("start") at M(walk)."""
+    projective = direction == "end"
+    kind = "projective" if projective else "injective"
+    if _is_standard_word(p, walk, projective):
+        error = IsProjectiveError if projective else IsInjectiveError
+        raise error(f"{walk_to_text(walk)} is {kind}")
+    _, _, far = _surgery(p, walk, direction)
+    if far is None:
+        raise MeshInconsistencyError(f"translate of a non-{kind} word vanished")
+    return far.walk
+
+
 def tau_word(p, walk):
     """Word of the translate (raw orientation); IsProjectiveError on projectives."""
-    if is_projective_word(p, walk):
-        raise IsProjectiveError(f"{walk_to_text(walk)} is projective")
-    _, _, far = _surgery(p, walk, "end")
-    if far is None:
-        raise MeshInconsistencyError("translate of a non-projective word vanished")
-    return far.walk
+    return _translate_word(p, walk, "end")
 
 
 def tau_inverse_word(p, walk):
-    if is_injective_word(p, walk):
-        raise IsInjectiveError(f"{walk_to_text(walk)} is injective")
-    _, _, far = _surgery(p, walk, "start")
-    if far is None:
-        raise MeshInconsistencyError("co-translate of a non-injective word vanished")
-    return far.walk
+    return _translate_word(p, walk, "start")
 
 
 def tau(p, M, field=QQ):
@@ -506,63 +477,26 @@ def ar_sequence(p, M, side, field=None, resolve=None):
     raise ValueError(f"unknown side {side!r}")
 
 
-def rad_projective_arrows(p, v, field, resolve):
-    """Arrows rad-summand -> P(v) with their canonical inclusion matrices."""
-    raw = projective_word(p, v)
+def standard_arrows(p, v, field, resolve, projective):
+    """Irreducible maps at P(v) or I(v), as (source, target, canonical matrix).
+
+    For P(v): the inclusions rad-summand -> P(v).  For I(v): the projections
+    I(v) -> summand of I(v)/soc.  With k the position of the top of P(v) (the
+    socle of I(v)), the summands are the subwalks before and after position k.
+    """
+    raw = standard_word(p, v, projective)
     if raw.is_trivial:
         return []
-    counter = itertools.count()
-    t = _Tracked.fresh(raw, counter)
+    t = _Tracked.fresh(raw, itertools.count())
     n = len(raw.letters)
-    k = _initial_run(raw, inverse=True)
-    segments = []
-    if k > 0:
-        # inverse branch minus its innermost arrow: initial positions 0..k-1
-        segments.append(_Tracked(Walk(raw.letters[: k - 1]) if k > 1 else Walk(basepoint=walk_vertices(p, raw)[0]), t.tokens[:k]))
-    if n - k > 0:
-        segments.append(
-            _Tracked(
-                Walk(raw.letters[k + 1 :]) if n - k > 1 else Walk(basepoint=walk_vertices(p, raw)[k + 1]),
-                t.tokens[k + 1 :],
-            )
-        )
-    proj_piece = _RawPiece(p, t, field, resolve)
+    k = _end_run(raw, inverse=projective, side="left")
+    segments = [_segment(p, t, lo, hi) for lo, hi in ((0, k), (k + 1, n + 1)) if hi > lo]
+    whole = _RawPiece(p, t, field, resolve)
     out = []
     for seg in segments:
         piece = _RawPiece(p, seg, field, resolve)
-        out.append((piece.module, proj_piece.module, _canon_map(p, piece, proj_piece, field)))
-    return out
-
-
-def socle_quotient_arrows(p, v, field, resolve):
-    """Arrows I(v) -> summand of I(v)/soc with canonical projection matrices."""
-    raw = injective_word(p, v)
-    if raw.is_trivial:
-        return []
-    counter = itertools.count()
-    t = _Tracked.fresh(raw, counter)
-    n = len(raw.letters)
-    k = n - _terminal_run(raw, inverse=True)  # peak position: end of the direct run
-    segments = []
-    if k > 0:
-        segments.append(
-            _Tracked(
-                Walk(raw.letters[: k - 1]) if k > 1 else Walk(basepoint=walk_vertices(p, raw)[0]),
-                t.tokens[:k],
-            )
-        )
-    if n - k > 0:
-        segments.append(
-            _Tracked(
-                Walk(raw.letters[k + 1 :]) if n - k > 1 else Walk(basepoint=walk_vertices(p, raw)[n]),
-                t.tokens[k + 1 :],
-            )
-        )
-    inj_piece = _RawPiece(p, t, field, resolve)
-    out = []
-    for seg in segments:
-        piece = _RawPiece(p, seg, field, resolve)
-        out.append((inj_piece.module, piece.module, _canon_map(p, inj_piece, piece, field)))
+        src, dst = (piece, whole) if projective else (whole, piece)
+        out.append((src.module, dst.module, _canon_map(p, src, dst, field)))
     return out
 
 
@@ -696,7 +630,7 @@ def knit(p, field=QQ):
     for n in nodes:
         if n.projective:
             v_top = _projective_top_vertex(p, n.module.word.walk)
-            for src_mod, dst_mod, mor in rad_projective_arrows(p, v_top, field, resolve):
+            for src_mod, _, mor in standard_arrows(p, v_top, field, resolve, projective=True):
                 arrows.append(ARArrow(by_walk[src_mod.word.walk], n.index, mor))
             continue
         seq = ar_sequence(p, n.module, "endingAt", field=field, resolve=resolve)

@@ -51,6 +51,11 @@ def _add_input_args(sp, family_only=False):
 
 def _resolve(args, family_only=False):
     path = None if family_only else getattr(args, "algebra", None)
+    if path and args.family and hasattr(args, "words") and not os.path.isfile(path):
+        # with --family, argparse still fills the optional file slot before
+        # the `words` list: the first path word landed there
+        args.words.insert(0, path)
+        path = None
     if path and args.family:
         raise _UsageError("give a presentation file or --family, not both")
     if args.family:

@@ -13,12 +13,12 @@ from .artheory import (
     ar_sequence,
     is_projective_word,
     knit,
-    rad_projective_arrows,
+    standard_arrows,
     tau_word,
 )
 from .errors import BandFoundError, MeshInconsistencyError
 from .fields import QQ
-from .modules import realize
+from .modules import projective_word, realize
 from .radical import ZERO_DEPTH, RadicalTable
 from .strings import canonical_walk, has_band
 
@@ -256,11 +256,9 @@ def find_tau_arrows(p, quiver=None, candidates=None, field=QQ):
         t_mod = realize(p, t_walk, field)
         if is_projective_word(p, t_walk):
             for v in p.quiver.vertices:
-                from .modules import projective_word
-
                 if canonical_walk(p, projective_word(p, v)) == t_walk:
-                    summands = rad_projective_arrows(
-                        p, v, field, lambda w: realize(p, w, field)
+                    summands = standard_arrows(
+                        p, v, field, lambda w: realize(p, w, field), projective=True
                     )
                     if any(src.word.walk == M.word.walk for src, _, _ in summands):
                         out.append((M, t_mod))

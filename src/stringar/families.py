@@ -141,58 +141,68 @@ def _u_module_words(spec):
     return Walk(ell), (Walk(nn) if nn else None), Walk(ix)
 
 
-def _directed_paths(quiver, length, start=None, end=None):
-    """Arrow paths of the given length, deterministic order."""
+def _paths(quiver, length, node, forward):
+    """Arrow paths of the given length leaving (forward) or entering `node`.
+
+    Each path is listed in arrow order; the order of the list is a depth-first
+    search along arrows_from (forward) or arrows_into from `node`.
+    """
     out = []
 
     def grow(path):
         if len(path) == length:
-            if end is None or path[-1].target == end:
-                out.append(tuple(path))
+            out.append(tuple(path) if forward else tuple(reversed(path)))
             return
-        frontier = quiver.arrows_from(path[-1].target) if path else (
-            quiver.arrows_from(start) if start is not None else list(quiver.arrows)
-        )
+        if forward:
+            frontier = quiver.arrows_from(path[-1].target if path else node)
+        else:
+            frontier = quiver.arrows_into(path[-1].source if path else node)
         for a in frontier:
             path.append(a)
             grow(path)
             path.pop()
 
-    if length == 0:
-        return [()]
     grow([])
     return out
 
 
-def _paths_ending_at(quiver, length, end):
-    """Arrow paths of the given length ending at `end`, deterministic order."""
-    out = []
-
-    def grow(path):
-        if len(path) == length:
-            out.append(tuple(reversed(path)))
-            return
-        tip = path[-1].source if path else end
-        for a in quiver.arrows_into(tip):
-            path.append(a)
-            grow(path)
-            path.pop()
-
-    grow([])
-    return out
+def _path_nodes(quiver, path):
+    """The nodes visited by a nonempty arrow path."""
+    return [quiver.nodes[path[0].source]] + [quiver.nodes[a.target] for a in path]
 
 
-def _chain_with_cycle(phi, rho, exit_arrow, perturb_at):
-    """Morphism chain with the cycle composite added after position perturb_at."""
-    chain = [a.morphism for a in phi] + [exit_arrow.morphism]
+def _chain_with_cycle(path, rho, perturb_at):
+    """Morphism chain of the path with the cycle composite added after position perturb_at."""
+    chain = [a.morphism for a in path]
     rho_comp = compose_chain([a.morphism for a in rho])
     f = chain[perturb_at]
     chain[perturb_at] = f.add(rho_comp.compose(f))
     return chain
 
 
-def _depth_or_none(table, f, src, dst):
-    d = table.depth(f, src, dst)
+def _chain_depths(table, chain, nodes, expected, suffix_ok, prefix_ok):
+    """Depths of the chain, its suffix h_n...h_2 and its prefix h_{n-1}...h_1.
+
+    None unless the whole chain has depth `expected` and the suffix and the
+    prefix pass their checks; the suffix is checked first.
+    """
+    d_total = table.depth(compose_chain(chain), nodes[0], nodes[-1])
+    if d_total != expected:
+        return None
+    d_suffix = table.depth(compose_chain(chain[1:]), nodes[1], nodes[-1])
+    if not suffix_ok(d_suffix):
+        return None
+    d_prefix = table.depth(compose_chain(chain[:-1]), nodes[0], nodes[-2])
+    if not prefix_ok(d_prefix):
+        return None
+    return {
+        "total": d_total,
+        "prefix": _depth_or_none(d_prefix),
+        "suffix": _depth_or_none(d_suffix),
+    }
+
+
+def _depth_or_none(d):
     return None if d == ZERO_DEPTH else d
 
 
@@ -219,14 +229,15 @@ def _witness_uv(spec, quiver, table):
     for l_node in l_candidates:
         cycles = [
             c
-            for c in _directed_paths(quiver, cycle_len, start=l_node.index, end=l_node.index)
+            for c in _paths(quiver, cycle_len, l_node.index, forward=True)
+            if c[-1].target == l_node.index
         ]
         cycles.sort(key=lambda c: (not any(a.source == s_node.index for a in c),))
         if not cycles:
             continue
         for exit_arrow in quiver.arrows_from(l_node.index):
             for rho in cycles:
-                for phi in _paths_ending_at(quiver, phi_len, l_node.index):
+                for phi in _paths(quiver, phi_len, l_node.index, forward=False):
                     w = _assemble_uv(
                         spec, quiver, table, phi, rho, exit_arrow, expected
                     )
@@ -240,20 +251,15 @@ def _witness_uv(spec, quiver, table):
 
 def _assemble_uv(spec, quiver, table, phi, rho, exit_arrow, expected):
     n = spec.n
-    nodes = [quiver.nodes[phi[0].source]] if phi else [quiver.nodes[exit_arrow.source]]
-    for a in phi:
-        nodes.append(quiver.nodes[a.target])
-    nodes.append(quiver.nodes[exit_arrow.target])
-    chain = _chain_with_cycle(phi, rho, exit_arrow, perturb_at=n - 2)
-    total = compose_chain(chain)
-    d_total = table.depth(total, nodes[0], nodes[-1])
-    if d_total != expected:
-        return None
-    prefix = compose_chain(chain[: n - 1])
-    suffix = compose_chain(chain[1:])
-    d_prefix = table.depth(prefix, nodes[0], nodes[-2])
-    d_suffix = table.depth(suffix, nodes[1], nodes[-1])
-    if not (d_prefix <= n - 1 and d_suffix <= n - 1):
+    path = phi + (exit_arrow,)
+    nodes = _path_nodes(quiver, path)
+    chain = _chain_with_cycle(path, rho, perturb_at=n - 2)
+
+    def shallow(d):
+        return d <= n - 1
+
+    depths = _chain_depths(table, chain, nodes, expected, shallow, shallow)
+    if depths is None:
         return None
     m = spec.m
     s_node = quiver.node_of(Walk(basepoint=f"a{m}"))
@@ -264,15 +270,8 @@ def _assemble_uv(spec, quiver, table, phi, rho, exit_arrow, expected):
         "L": quiver.nodes[exit_arrow.source],
         "N": quiver.nodes[exit_arrow.target],
     }
-    rho_nodes = [quiver.nodes[a.source] for a in rho] + [quiver.nodes[rho[-1].target]]
-    phi_nodes = nodes[:-1]
-    depths = {
-        "total": d_total,
-        "prefix": _depth_or_none(table, prefix, nodes[0], nodes[-2]),
-        "suffix": _depth_or_none(table, suffix, nodes[1], nodes[-1]),
-    }
     return FamilyWitness(
-        spec, chain, nodes, phi_nodes, rho_nodes, distinguished,
+        spec, chain, nodes, nodes[:-1], _path_nodes(quiver, rho), distinguished,
         expected, depths, quiver, table,
     )
 
@@ -296,37 +295,18 @@ def _witness_w(spec, quiver, table):
     for rho in rotations:
         b_node = rho[0].source
         for j in range(2, n + 1):  # the cycle sits at chain position j
-            for into in _paths_ending_at(quiver, j - 1, b_node):
-                for out in _directed_paths(quiver, n + 1 - j, start=b_node):
+            for into in _paths(quiver, j - 1, b_node, forward=False):
+                for out in _paths(quiver, n + 1 - j, b_node, forward=True):
                     phi = into + out
-                    if len(phi) != n:
-                        continue
-                    nodes = [quiver.nodes[phi[0].source]]
-                    for a in phi:
-                        nodes.append(quiver.nodes[a.target])
-                    chain = [a.morphism for a in phi]
-                    rho_comp = compose_chain([a.morphism for a in rho])
-                    f = chain[j - 2]
-                    chain[j - 2] = f.add(rho_comp.compose(f))
-                    total = compose_chain(chain)
-                    d_total = table.depth(total, nodes[0], nodes[-1])
-                    if d_total != expected:
-                        continue
-                    suffix = compose_chain(chain[1:])
-                    d_suffix = table.depth(suffix, nodes[1], nodes[-1])
-                    if not (d_suffix >= n):
-                        continue
-                    prefix = compose_chain(chain[:-1])
-                    depths = {
-                        "total": d_total,
-                        "prefix": _depth_or_none(table, prefix, nodes[0], nodes[-2]),
-                        "suffix": _depth_or_none(table, suffix, nodes[1], nodes[-1]),
-                    }
-                    rho_nodes = [quiver.nodes[a.source] for a in rho] + [
-                        quiver.nodes[rho[-1].target]
-                    ]
-                    return FamilyWitness(
-                        spec, chain, nodes, nodes[: j], rho_nodes, {},
-                        expected, depths, quiver, table,
+                    nodes = _path_nodes(quiver, phi)
+                    chain = _chain_with_cycle(phi, rho, perturb_at=j - 2)
+                    depths = _chain_depths(
+                        table, chain, nodes, expected,
+                        suffix_ok=lambda d: d >= n, prefix_ok=lambda d: True,
                     )
+                    if depths is not None:
+                        return FamilyWitness(
+                            spec, chain, nodes, nodes[:j], _path_nodes(quiver, rho), {},
+                            expected, depths, quiver, table,
+                        )
     raise WitnessConstructionError(f"no verified witness chain found for {spec!r}")

@@ -214,12 +214,6 @@ class Mat:
             self.nrows,
         )
 
-    def trace(self):
-        t = self.field.zero()
-        for i in range(min(self.nrows, self.ncols)):
-            t = t + self.rows[i][i]
-        return t
-
     def is_zero(self):
         return all(not a for r in self.rows for a in r)
 
@@ -230,14 +224,8 @@ class Mat:
     def rank(self):
         return len(rref([list(r) for r in self.rows], self.field)[0])
 
-    def is_invertible(self):
-        return self.nrows == self.ncols and self.rank() == self.nrows
-
     def column(self, j):
         return [self.rows[i][j] for i in range(self.nrows)]
-
-    def to_lists(self):
-        return [list(r) for r in self.rows]
 
     def __repr__(self):
         return f"Mat({self.nrows}x{self.ncols})"

@@ -10,8 +10,9 @@ factor.
 from __future__ import annotations
 
 from .errors import CompositionError, NotAStringError, UnknownLabelError
-from .fields import Mat, QQ, Subspace, nullspace, solve
+from .fields import Mat, QQ, nullspace, solve
 from .strings import (
+    Letter,
     StringWord,
     Walk,
     is_string,
@@ -140,70 +141,49 @@ def realize(p, word, field=QQ):
     return StringModule(sw, rep, coord)
 
 
-def _maximal_path_from(p, arrow):
-    """The unique maximal relation-free path starting with the given arrow."""
-    path = [arrow.label]
+def _maximal_path(p, arrow, forward):
+    """The unique maximal relation-free path starting (forward) or ending with the arrow."""
+    path = (arrow.label,)
     while True:
-        end = p.quiver.arrow(path[-1]).target
-        nxt = [
-            b
-            for b in p.quiver.arrows_from(end)
-            if not p.path_in_ideal(tuple(path) + (b.label,))
-        ]
-        if not nxt:
-            return tuple(path)
-        if len(nxt) > 1:
+        if forward:
+            end = p.quiver.arrow(path[-1]).target
+            longer = [path + (b.label,) for b in p.quiver.arrows_from(end)]
+        else:
+            end = p.quiver.arrow(path[0]).source
+            longer = [(b.label,) + path for b in p.quiver.arrows_into(end)]
+        longer = [q for q in longer if not p.path_in_ideal(q)]
+        if not longer:
+            return path
+        if len(longer) > 1:
             raise CompositionError(
                 f"vertex {end} violates unique continuation; not a string algebra"
             )
-        path.append(nxt[0].label)
+        path = longer[0]
 
 
-def _maximal_path_into(p, arrow):
-    """The unique maximal relation-free path ending with the given arrow."""
-    path = [arrow.label]
-    while True:
-        start = p.quiver.arrow(path[0]).source
-        prv = [
-            b
-            for b in p.quiver.arrows_into(start)
-            if not p.path_in_ideal((b.label,) + tuple(path))
-        ]
-        if not prv:
-            return tuple(path)
-        if len(prv) > 1:
-            raise CompositionError(
-                f"vertex {start} violates unique continuation; not a string algebra"
-            )
-        path.insert(0, prv[0].label)
+def standard_word(p, v, projective):
+    """P(v) = M(C1^- C2) or I(v) = M(D1 D2^-).
 
-
-def _direct_letters(labels):
-    from .strings import Letter
-
-    return tuple(Letter(lab) for lab in labels)
+    C1, C2 are the maximal paths out of v, D1, D2 the maximal paths into v;
+    the inverted branch comes first for P(v) and second for I(v).
+    """
+    pool = p.quiver.arrows_from(v) if projective else p.quiver.arrows_into(v)
+    branches = [Walk(Letter(lab) for lab in _maximal_path(p, a, projective)) for a in pool]
+    if not branches:
+        return Walk(basepoint=v)
+    if len(branches) == 1:
+        return branches[0]
+    if projective:
+        return Walk(branches[0].inverse().letters + branches[1].letters)
+    return Walk(branches[0].letters + branches[1].inverse().letters)
 
 
 def projective_word(p, v):
-    """P(v) = M(C1 C2): inverse of one maximal outgoing path, then the other."""
-    branches = [_maximal_path_from(p, a) for a in p.quiver.arrows_from(v)]
-    if not branches:
-        return Walk(basepoint=v)
-    if len(branches) == 1:
-        return Walk(_direct_letters(branches[0]))
-    first = Walk(_direct_letters(branches[0])).inverse()
-    return Walk(first.letters + _direct_letters(branches[1]))
+    return standard_word(p, v, projective=True)
 
 
 def injective_word(p, v):
-    """I(v) = M(D1 D2): one maximal incoming path, then the inverse of the other."""
-    branches = [_maximal_path_into(p, a) for a in p.quiver.arrows_into(v)]
-    if not branches:
-        return Walk(basepoint=v)
-    if len(branches) == 1:
-        return Walk(_direct_letters(branches[0]))
-    second = Walk(_direct_letters(branches[1])).inverse()
-    return Walk(_direct_letters(branches[0]) + second.letters)
+    return standard_word(p, v, projective=False)
 
 
 def standard_module(p, v, kind, field=QQ):
@@ -399,26 +379,18 @@ def compose_chain(fs):
 
 
 def is_isomorphic(M, N):
-    """Exact isomorphism test for representations of the same presentation."""
+    """Exact isomorphism test for indecomposable representations of one presentation.
+
+    Complete for indecomposables: if M and N are isomorphic, Hom(M, N) is
+    isomorphic to End(M), which is local, so the non-isomorphisms form the
+    proper subspace rad End(M).  A basis of Hom(M, N) cannot lie inside a
+    proper subspace, so some basis element is invertible.
+    """
     if M.dims != N.dims:
         return False
     if M.total_dim == 0:
         return True
-    H = hom_basis(M, N)
-    if not H.basis:
-        return False
-    for f in H.basis:
-        if f.is_invertible():
-            return True
-    total = H.basis[0]
-    for f in H.basis[1:]:
-        total = total.add(f)
-    return total.is_invertible()
-
-
-def string_modules_isomorphic(A, B):
-    """Canonical-word equality: the primary isomorphism test for string modules."""
-    return A.word == B.word
+    return any(f.is_invertible() for f in hom_basis(M, N).basis)
 
 
 def _coords_in_basis(field, flat_basis, vec):
@@ -475,9 +447,3 @@ def end_radical(M):
         rad.append(f)
     return rad
 
-
-def morphism_subspace(field, morphisms, flat_dim):
-    s = Subspace(field, flat_dim)
-    for f in morphisms:
-        s.insert(f.flatten())
-    return s

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .artheory import rad_projective_arrows, socle_quotient_arrows
+from .artheory import standard_arrows
 from .errors import BandFoundError, MeshInconsistencyError, NotIrreducibleError
 from .fields import Mat, Subspace, nullspace
 from .modules import end_radical, hom_basis, hom_flat_dim, morphism_from_flat
@@ -349,36 +349,30 @@ def rad_filtration(quiver_or_table, x, y):
     return table.profile(resolve(x), resolve(y))
 
 
-def theta_morphism(quiver, u):
-    """The canonical irreducible I(u) -> I(u)/soc; needs the quotient indecomposable."""
+def _standard_morphism(quiver, u, projective):
     p, field = quiver.p, quiver.field
 
     def resolve(canon):
         return quiver.node_of(canon).module
 
-    arrows = socle_quotient_arrows(p, u, field, resolve)
+    arrows = standard_arrows(p, u, field, resolve, projective)
     if len(arrows) != 1:
+        what = f"rad P({u})" if projective else f"I({u})/soc"
         raise MeshInconsistencyError(
-            f"I({u})/soc is not indecomposable ({len(arrows)} summands)"
+            f"{what} is not indecomposable ({len(arrows)} summands)"
         )
     src, dst, mor = arrows[0]
     return mor, quiver.node_of(src.word), quiver.node_of(dst.word)
+
+
+def theta_morphism(quiver, u):
+    """The canonical irreducible I(u) -> I(u)/soc; needs the quotient indecomposable."""
+    return _standard_morphism(quiver, u, projective=False)
 
 
 def iota_morphism(quiver, u):
     """The canonical irreducible rad P(u) -> P(u); needs the radical indecomposable."""
-    p, field = quiver.p, quiver.field
-
-    def resolve(canon):
-        return quiver.node_of(canon).module
-
-    arrows = rad_projective_arrows(p, u, field, resolve)
-    if len(arrows) != 1:
-        raise MeshInconsistencyError(
-            f"rad P({u}) is not indecomposable ({len(arrows)} summands)"
-        )
-    src, dst, mor = arrows[0]
-    return mor, quiver.node_of(src.word), quiver.node_of(dst.word)
+    return _standard_morphism(quiver, u, projective=True)
 
 
 class CountingQuiver:
@@ -442,39 +436,24 @@ def cg_quiver(p, u, side):
 
 
 def _cg_vertex_ok(p, walk, u, side):
-    if side == "ending":
-        if walk_target(p, walk) != u:
-            return False
-        return walk.is_trivial or not walk.letters[-1].inverse
-    if walk_source(p, walk) != u:
+    ending = side == "ending"
+    if (walk_target if ending else walk_source)(p, walk) != u:
         return False
-    return walk.is_trivial or not walk.letters[0].inverse
+    return walk.is_trivial or not walk.letters[-1 if ending else 0].inverse
 
 
 def _cg_steps(p, walk, side):
+    """Ending side: the reduced walks b^- C; starting side: the reduced walks C b."""
+    ending = side == "ending"
+    v = walk_source(p, walk) if ending else walk_target(p, walk)
     out = []
-    if side == "ending":
-        v = walk_source(p, walk)
-        for b in p.quiver.arrows_from(v):
-            if not walk.is_trivial and walk.letters[0] == Letter(b.label):
-                rest = walk.letters[1:]
-                out.append(
-                    Walk(rest) if rest else Walk(basepoint=p.quiver.arrow(b.label).target)
-                )
-            else:
-                cand = Walk((Letter(b.label, inverse=True),) + walk.letters)
-                if is_string(p, cand):
-                    out.append(cand)
-    else:
-        v = walk_target(p, walk)
-        for b in p.quiver.arrows_from(v):
-            if not walk.is_trivial and walk.letters[-1] == Letter(b.label, inverse=True):
-                rest = walk.letters[:-1]
-                out.append(
-                    Walk(rest) if rest else Walk(basepoint=p.quiver.arrow(b.label).target)
-                )
-            else:
-                cand = Walk(walk.letters + (Letter(b.label),))
-                if is_string(p, cand):
-                    out.append(cand)
+    for b in p.quiver.arrows_from(v):
+        letter = Letter(b.label, inverse=ending)
+        if not walk.is_trivial and walk.letters[0 if ending else -1] == letter.inverted():
+            rest = walk.letters[1:] if ending else walk.letters[:-1]
+            out.append(Walk(rest) if rest else Walk(basepoint=b.target))
+        else:
+            cand = Walk((letter,) + walk.letters if ending else walk.letters + (letter,))
+            if is_string(p, cand):
+                out.append(cand)
     return out

@@ -250,25 +250,19 @@ class StringFlags:
         }
 
 
-def prepend_candidates(p, w, inverse):
-    """Arrows b such that b^{±1}w is a string (b ends resp. starts at the walk source)."""
-    v = walk_source(p, w)
-    pool = p.quiver.arrows_from(v) if inverse else p.quiver.arrows_into(v)
+def attach_candidates(p, w, side, inverse):
+    """Arrows b such that b^{±1}w (side "left") or wb^{±1} (side "right") is a string.
+
+    On the left b ends resp. starts at the walk source, on the right it
+    starts resp. ends at the walk target; arrows come in pool order.
+    """
+    left = side == "left"
+    v = walk_source(p, w) if left else walk_target(p, w)
+    pool = p.quiver.arrows_from(v) if inverse == left else p.quiver.arrows_into(v)
     out = []
     for b in pool:
-        cand = Walk((Letter(b.label, inverse),) + w.letters)
-        if is_string(p, cand):
-            out.append(b)
-    return out
-
-
-def append_candidates(p, w, inverse):
-    """Arrows b such that wb^{±1} is a string (b starts resp. ends at the walk target)."""
-    v = walk_target(p, w)
-    pool = p.quiver.arrows_into(v) if inverse else p.quiver.arrows_from(v)
-    out = []
-    for b in pool:
-        cand = Walk(w.letters + (Letter(b.label, inverse),))
+        letter = (Letter(b.label, inverse),)
+        cand = Walk(letter + w.letters if left else w.letters + letter)
         if is_string(p, cand):
             out.append(b)
     return out
@@ -277,10 +271,10 @@ def append_candidates(p, w, inverse):
 def string_flags(p, word):
     w = word.walk if isinstance(word, StringWord) else word
     return StringFlags(
-        sid=not prepend_candidates(p, w, inverse=True),
-        sop=not prepend_candidates(p, w, inverse=False),
-        eid=not append_candidates(p, w, inverse=False),
-        eop=not append_candidates(p, w, inverse=True),
+        sid=not attach_candidates(p, w, "left", inverse=True),
+        sop=not attach_candidates(p, w, "left", inverse=False),
+        eid=not attach_candidates(p, w, "right", inverse=False),
+        eop=not attach_candidates(p, w, "right", inverse=True),
         d=all(not l.inverse for l in w.letters),
         i=all(l.inverse for l in w.letters),
     )
@@ -315,7 +309,7 @@ def enumerate_strings(p, max_len=None):
             orientations = (w,) if w.is_trivial else (w, w.inverse())
             for o in orientations:
                 for inv in (False, True):
-                    for b in append_candidates(p, o, inverse=inv):
+                    for b in attach_candidates(p, o, "right", inverse=inv):
                         nxt = Walk(o.letters + (Letter(b.label, inv),))
                         canon = canonical_walk(p, nxt)
                         if canon not in seen:
@@ -335,7 +329,7 @@ def _window_strings(p, w):
         for word in words:
             wk = Walk(word)
             for inv in (False, True):
-                for b in append_candidates(p, wk, inverse=inv):
+                for b in attach_candidates(p, wk, "right", inverse=inv):
                     nxt.append(word + (Letter(b.label, inv),))
         words = nxt
     return words
@@ -357,7 +351,7 @@ def has_band(p):
     for n in nodes:
         wk = Walk(n)
         for inv in (False, True):
-            for b in append_candidates(p, wk, inverse=inv):
+            for b in attach_candidates(p, wk, "right", inverse=inv):
                 nxt = n + (Letter(b.label, inv),)
                 succ[index[n]].append(index[nxt[1:]])
     from .presentation import _digraph_has_cycle
@@ -417,7 +411,7 @@ def find_bands(p, max_len):
         for word in words:
             wk = Walk(word)
             for inv in (False, True):
-                for b in append_candidates(p, wk, inverse=inv):
+                for b in attach_candidates(p, wk, "right", inverse=inv):
                     nxt.append(word + (Letter(b.label, inv),))
         words = nxt
         length += 1

@@ -91,6 +91,13 @@ def test_depth_path(capsys, w3_file):
     assert code == 0 and out.strip() == "2"
 
 
+def test_depth_family_matches_file(capsys, w3_file):
+    words = ("e(4)", "b3", "b2 b3")
+    code, out, _ = run(capsys, "depth", "--family", "W", "--n", "3", *words)
+    assert code == 0
+    assert (code, out) == run(capsys, "depth", w3_file, *words)[:2]
+
+
 def test_degree_theta(capsys):
     code, out, _ = run(
         capsys, "degree", "--family", "U", "--m", "2", "--n", "2",
