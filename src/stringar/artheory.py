@@ -552,8 +552,9 @@ class ARQuiver:
             self._from[a.source].append(a)
 
     def node_of(self, word_or_walk):
+        """The node of a string; bad labels and non-strings raise their domain errors."""
         walk = word_or_walk.walk if isinstance(word_or_walk, StringWord) else word_or_walk
-        canon = canonical_walk(self.p, walk)
+        canon = string_word(self.p, walk).walk
         idx = self._by_walk.get(canon)
         if idx is None:
             raise MeshInconsistencyError(f"{walk_to_text(canon)} is not a node")

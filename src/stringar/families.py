@@ -9,6 +9,8 @@ depth before it is returned, so a successful witness is a checked one.
 
 from __future__ import annotations
 
+import functools
+
 from .artheory import knit
 from .errors import WitnessConstructionError
 from .fields import QQ
@@ -171,12 +173,21 @@ def _path_nodes(quiver, path):
     return [quiver.nodes[path[0].source]] + [quiver.nodes[a.target] for a in path]
 
 
-def _chain_with_cycle(path, rho, perturb_at):
+def _perturber():
+    """(rho, arrow) -> f + rho o f for the arrow's map f, each built once per search."""
+    cycle = functools.cache(lambda rho: compose_chain([a.morphism for a in rho]))
+
+    @functools.cache
+    def perturb(rho, arrow):
+        return arrow.morphism.add(cycle(rho).compose(arrow.morphism))
+
+    return perturb
+
+
+def _chain_with_cycle(path, perturb, rho, perturb_at):
     """Morphism chain of the path with the cycle composite added after position perturb_at."""
     chain = [a.morphism for a in path]
-    rho_comp = compose_chain([a.morphism for a in rho])
-    f = chain[perturb_at]
-    chain[perturb_at] = f.add(rho_comp.compose(f))
+    chain[perturb_at] = perturb(rho, path[perturb_at])
     return chain
 
 
@@ -186,13 +197,14 @@ def _chain_depths(table, chain, nodes, expected, suffix_ok, prefix_ok):
     None unless the whole chain has depth `expected` and the suffix and the
     prefix pass their checks; the suffix is checked first.
     """
-    d_total = table.depth(compose_chain(chain), nodes[0], nodes[-1])
+    prefix = compose_chain(chain[:-1])
+    d_total = table.depth(chain[-1].compose(prefix), nodes[0], nodes[-1])
     if d_total != expected:
         return None
     d_suffix = table.depth(compose_chain(chain[1:]), nodes[1], nodes[-1])
     if not suffix_ok(d_suffix):
         return None
-    d_prefix = table.depth(compose_chain(chain[:-1]), nodes[0], nodes[-2])
+    d_prefix = table.depth(prefix, nodes[0], nodes[-2])
     if not prefix_ok(d_prefix):
         return None
     return {
@@ -226,6 +238,7 @@ def _witness_uv(spec, quiver, table):
         ell, _, _ = _u_module_words(spec)
         l_first = quiver.node_of(ell)
         l_candidates = [l_first] + [x for x in l_candidates if x.index != l_first.index]
+    perturb = _perturber()
     for l_node in l_candidates:
         cycles = [
             c
@@ -235,11 +248,12 @@ def _witness_uv(spec, quiver, table):
         cycles.sort(key=lambda c: (not any(a.source == s_node.index for a in c),))
         if not cycles:
             continue
+        phis = _paths(quiver, phi_len, l_node.index, forward=False)
         for exit_arrow in quiver.arrows_from(l_node.index):
             for rho in cycles:
-                for phi in _paths(quiver, phi_len, l_node.index, forward=False):
+                for phi in phis:
                     w = _assemble_uv(
-                        spec, quiver, table, phi, rho, exit_arrow, expected
+                        spec, quiver, table, phi, rho, exit_arrow, expected, perturb
                     )
                     if w is not None:
                         return w
@@ -249,11 +263,11 @@ def _witness_uv(spec, quiver, table):
     )
 
 
-def _assemble_uv(spec, quiver, table, phi, rho, exit_arrow, expected):
+def _assemble_uv(spec, quiver, table, phi, rho, exit_arrow, expected, perturb):
     n = spec.n
     path = phi + (exit_arrow,)
     nodes = _path_nodes(quiver, path)
-    chain = _chain_with_cycle(path, rho, perturb_at=n - 2)
+    chain = _chain_with_cycle(path, perturb, rho, perturb_at=n - 2)
 
     def shallow(d):
         return d <= n - 1
@@ -292,14 +306,16 @@ def _witness_w(spec, quiver, table):
     for cyc in find_three_cycles(quiver):
         for r in range(3):
             rotations.append(cyc[r:] + cyc[:r])
+    perturb = _perturber()
     for rho in rotations:
         b_node = rho[0].source
         for j in range(2, n + 1):  # the cycle sits at chain position j
+            outs = _paths(quiver, n + 1 - j, b_node, forward=True)
             for into in _paths(quiver, j - 1, b_node, forward=False):
-                for out in _paths(quiver, n + 1 - j, b_node, forward=True):
+                for out in outs:
                     phi = into + out
                     nodes = _path_nodes(quiver, phi)
-                    chain = _chain_with_cycle(phi, rho, perturb_at=j - 2)
+                    chain = _chain_with_cycle(phi, perturb, rho, perturb_at=j - 2)
                     depths = _chain_depths(
                         table, chain, nodes, expected,
                         suffix_ok=lambda d: d >= n, prefix_ok=lambda d: True,

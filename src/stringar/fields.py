@@ -356,20 +356,12 @@ class Subspace:
         self.pivots.insert(pos, p)
         return True
 
-    def add_space(self, other):
-        for row in other.rows:
-            self.insert(row)
-        return self
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.n == other.n
             and self.rows == other.rows
         )
-
-    def __le__(self, other):
-        return all(other.contains(r) for r in self.rows)
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of k^{self.n})"

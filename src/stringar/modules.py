@@ -167,6 +167,8 @@ def standard_word(p, v, projective):
     C1, C2 are the maximal paths out of v, D1, D2 the maximal paths into v;
     the inverted branch comes first for P(v) and second for I(v).
     """
+    if v not in p.quiver.vertex_index:
+        raise UnknownLabelError(f"unknown vertex {v!r}")
     pool = p.quiver.arrows_from(v) if projective else p.quiver.arrows_into(v)
     branches = [Walk(Letter(lab) for lab in _maximal_path(p, a, projective)) for a in pool]
     if not branches:
@@ -187,8 +189,6 @@ def injective_word(p, v):
 
 
 def standard_module(p, v, kind, field=QQ):
-    if v not in p.quiver.vertex_index:
-        raise UnknownLabelError(f"unknown vertex {v!r}")
     if kind == "projective":
         return realize(p, projective_word(p, v), field)
     if kind == "injective":

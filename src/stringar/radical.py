@@ -1,13 +1,18 @@
 """Radical powers of the module category, depth, degrees, counting quivers.
 
-All layers live in flattened Hom coordinates per ordered node pair.  The
-primary computation is the definitional recursion
+All layers live in flattened Hom coordinates per ordered node pair.  A
+band-free string algebra is representation-finite, so rad^n(X, Y) is
+spanned by composites of at least n irreducible maps in any characteristic
+(Auslander-Reiten-Smalo, ch. V.7).  The engine spans T_1 = the arrow
+matrices and T_{m+1}(X, Y) = a o T_m(X, Z) over the arrows a: Z -> Y, then
+folds T_m, deepest m first, into one echelon basis per ordered pair whose
+rows carry their depth tag m; the identity joins the diagonal last with
+tag 0.  rad^n is the span of the rows tagged n or more.
 
-    rad^{n+1}(X, Y) = sum over nodes Z of rad(Z, Y) o rad^n(X, Z)
-
-with rad(U, V) = Hom(U, V) for distinct nodes and the endomorphism
-radical on the diagonal.  An independent method spanning composites of
-irreducible arrow matrices along directed paths cross-checks it.
+The definitional recursion rad^{n+1}(X, Y) = sum over Z of
+rad(Z, Y) o rad^n(X, Z), on solved Hom spaces with the endomorphism
+radical on the diagonal, is kept only as the cross-check
+`layers_equal_to_span`.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ import math
 from .artheory import standard_arrows
 from .errors import BandFoundError, MeshInconsistencyError, NotIrreducibleError
 from .fields import Mat, Subspace, nullspace
-from .modules import end_radical, hom_basis, hom_flat_dim, morphism_from_flat
+from .modules import end_radical, hom_basis  # the cross-check only
+from .modules import hom_flat_dim, identity_morphism, morphism_from_flat
 from .strings import (
     Letter,
     Walk,
@@ -36,24 +42,24 @@ ZERO_DEPTH = math.inf  # the zero morphism sits below every radical layer
 class RadicalProfile:
     """The chain Hom = rad^0 >= rad^1 >= ... >= 0 for one ordered node pair."""
 
-    __slots__ = ("source", "target", "layers")
+    __slots__ = ("source", "target", "dims", "_table")
 
-    def __init__(self, source, target, layers):
+    def __init__(self, table, source, target, dims):
+        self._table = table
         self.source = source
         self.target = target
-        self.layers = layers
+        self.dims = dims
 
     @property
-    def dims(self):
-        return [s.dim for s in self.layers]
+    def layers(self):
+        """Every layer as a Subspace, built on demand."""
+        return [self._table.layer(self.source, self.target, n) for n in range(len(self.dims))]
 
     def basis(self, n):
         """The n-th layer as a list of MorphismMatrix (empty beyond the chain)."""
-        if n >= len(self.layers):
-            return []
         return [
             morphism_from_flat(self.source.module.rep, self.target.module.rep, v)
-            for v in self.layers[n].rows
+            for v in self._table.layer(self.source, self.target, n).rows
         ]
 
     def as_dict(self):
@@ -87,79 +93,81 @@ class Degree:
         return f"Degree({self.value} via {self.witness_node.text})"
 
 
+def _reduce(rows, vec):
+    """Subtract each tagged row at its pivot, in insertion order.
+
+    Returns the residue and the tag of the last row used (None if none was).
+    Each row is zero at the pivots of the rows before it, so the residue is
+    zero exactly when vec lies in the span of the rows.
+    """
+    v = list(vec)
+    tag = None
+    for t, p, row in rows:
+        c = v[p]
+        if c:
+            v = [a - c * b for a, b in zip(v, row)]
+            tag = t
+    return v, tag
+
+
+def _append(field, rows, vec, tag):
+    """Add vec to the tagged echelon basis; False if it is already spanned."""
+    v, _ = _reduce(rows, vec)
+    p = next((i for i, a in enumerate(v) if a), None)
+    if p is None:
+        return False
+    inv = field.one() / v[p]
+    rows.append((tag, p, [a * inv for a in v]))
+    return True
+
+
 class RadicalTable:
-    """All radical layers of a knitted AR quiver."""
+    """All radical layers of a knitted AR quiver, one depth-tagged basis per pair."""
 
     def __init__(self, quiver):
         self.quiver = quiver
         self.field = quiver.field
         self.nodes = quiver.nodes
-        self._flat = {}
-        self._hom = {}
         self._layers = {}
-        self._rep_to_node = {}
-        for n in self.nodes:
-            self._rep_to_node[id(n.module.rep)] = n
-        self._build()
+        self._rep_to_node = {id(n.module.rep): n for n in self.nodes}
+        self._tagged = self._build()
 
     # -- construction ------------------------------------------------------
 
-    def _pair_key(self, x, y):
-        return (x.index, y.index)
-
     def _build(self):
-        field = self.field
-        full = {}
-        first = {}
-        for x in self.nodes:
-            for y in self.nodes:
-                H = hom_basis(x.module.rep, y.module.rep)
-                self._hom[self._pair_key(x, y)] = H
-                fd = hom_flat_dim(x.module.rep, y.module.rep)
-                self._flat[self._pair_key(x, y)] = fd
-                full[self._pair_key(x, y)] = Subspace(
-                    field, fd, [f.flatten() for f in H.basis]
-                )
-                if x.index == y.index:
-                    rad = end_radical(x.module.rep)
-                    first[self._pair_key(x, y)] = Subspace(
-                        field, fd, [f.flatten() for f in rad]
-                    )
-                else:
-                    first[self._pair_key(x, y)] = full[self._pair_key(x, y)].copy()
-        layers = {k: [full[k], first[k]] for k in full}
-        current = first
-        while any(not s.is_zero() for s in current.values()):
-            nxt = {}
-            for x in self.nodes:
-                for y in self.nodes:
-                    key = self._pair_key(x, y)
-                    acc = Subspace(self.field, self._flat[key])
-                    for z in self.nodes:
-                        left = current[self._pair_key(x, z)]
-                        right = first[self._pair_key(z, y)]
-                        if left.is_zero() or right.is_zero():
-                            continue
-                        for fv in left.rows:
-                            f = morphism_from_flat(
-                                x.module.rep, z.module.rep, fv
-                            )
-                            for gv in right.rows:
-                                g = morphism_from_flat(
-                                    z.module.rep, y.module.rep, gv
-                                )
-                                acc.insert(g.compose(f).flatten())
-                    nxt[key] = acc
-            for k in layers:
-                layers[k].append(nxt[k])
-            current = nxt
-            if len(layers[next(iter(layers))]) > 4 * sum(
-                n.module.total_dim for n in self.nodes
-            ):
+        """(source index, target index) -> [(tag, pivot, row)] in insertion order."""
+        field, quiver = self.field, self.quiver
+        nxt = {}
+        for a in quiver.arrows:
+            nxt.setdefault((a.source, a.target), []).append(a.morphism.flatten())
+        spans = []  # spans[m - 1]: the nonzero T_m by node pair
+        limit = 4 * sum(n.module.total_dim for n in self.nodes)
+        while True:
+            t = {k: s for k, vs in nxt.items() if (s := Subspace(field, len(vs[0]), vs)).rows}
+            if not t:
+                break
+            spans.append(t)
+            if len(spans) > limit:
                 raise MeshInconsistencyError("radical filtration does not terminate")
-        self._layers = layers
-        # rad^N = 0: index of the first all-zero layer
-        self.nilpotency = len(layers[next(iter(layers))]) - 1
+            nxt = {}
+            for (xi, zi), s in t.items():
+                src, mid = self.nodes[xi].module.rep, self.nodes[zi].module.rep
+                fs = [morphism_from_flat(src, mid, fv) for fv in s.rows]
+                for a in quiver.arrows_from(zi):
+                    nxt.setdefault((xi, a.target), []).extend(
+                        a.morphism.compose(f).flatten() for f in fs
+                    )
+        self.nilpotency = len(spans) + 1  # rad^N = 0 one past the deepest composite
+        tagged = {}
+        for m in range(len(spans), 0, -1):
+            for key, s in spans[m - 1].items():
+                for v in s.rows:
+                    _append(field, tagged.setdefault(key, []), v, m)
+        for x in self.nodes:
+            ident = identity_morphism(x.module.rep).flatten()
+            if not _append(field, tagged.setdefault((x.index, x.index), []), ident, 0):
+                raise MeshInconsistencyError(f"the identity of {x.text} lies in the radical")
+        return tagged
 
     # -- queries -----------------------------------------------------------
 
@@ -172,17 +180,25 @@ class RadicalTable:
                 return cand
         raise MeshInconsistencyError("morphism endpoint is not a node module")
 
+    def _rows(self, x, y):
+        return self._tagged.get((x.index, y.index), ())
+
     def layer(self, x, y, n):
-        chain = self._layers[self._pair_key(x, y)]
-        if n < len(chain):
-            return chain[n]
-        return Subspace(self.field, self._flat[self._pair_key(x, y)])
+        """rad^n(x, y) as a Subspace: the span of the rows tagged n or more."""
+        key = (x.index, y.index, n)
+        s = self._layers.get(key)
+        if s is None:
+            s = self._layers[key] = Subspace(
+                self.field,
+                hom_flat_dim(x.module.rep, y.module.rep),
+                [row for t, _, row in self._rows(x, y) if t >= n],
+            )
+        return s
 
     def profile(self, x, y):
-        return RadicalProfile(x, y, list(self._layers[self._pair_key(x, y)]))
-
-    def hom(self, x, y):
-        return self._hom[self._pair_key(x, y)]
+        tags = [t for t, _, _ in self._rows(x, y)]
+        dims = [sum(1 for t in tags if t >= n) for n in range(self.nilpotency + 1)]
+        return RadicalProfile(self, x, y, dims)
 
     def depth(self, f, source=None, target=None):
         """Largest n with f in rad^n; ZERO_DEPTH for the zero morphism."""
@@ -192,14 +208,9 @@ class RadicalTable:
             raise MeshInconsistencyError("depth of a non-morphism")
         if f.is_zero():
             return ZERO_DEPTH
-        vec = f.flatten()
-        chain = self._layers[self._pair_key(x, y)]
-        d = 0
-        for n in range(1, len(chain)):
-            if chain[n].contains(vec):
-                d = n
-            else:
-                break
+        rest, d = _reduce(self._rows(x, y), f.flatten())
+        if any(rest):
+            raise MeshInconsistencyError(f"{x.text} -> {y.text}: morphism outside the table")
         return d
 
     def degree(self, f, side, bound=None, source=None, target=None):
@@ -269,67 +280,53 @@ class RadicalTable:
                 return morphism_from_flat(src_rep, mid_rep, vec)
         return None
 
-    # -- irreducible-path-span cross-check ----------------------------------
-
-    def span_layers(self):
-        """rad^n as sums of length >= n composites of the arrow matrices."""
-        field = self.field
-        keys = {(x.index, y.index) for x in self.nodes for y in self.nodes}
-        t = {k: Subspace(field, self._flat[k]) for k in keys}
-        for a in self.quiver.arrows:
-            t[(a.source, a.target)].insert(a.morphism.flatten())
-        chains = {k: [] for k in keys}  # chains[k][m-1] = T_m
-        for k in keys:
-            chains[k].append(t[k])
-        while any(not s.is_zero() for s in t.values()):
-            nxt = {k: Subspace(field, self._flat[k]) for k in keys}
-            for (xi, zi), space in t.items():
-                if space.is_zero():
-                    continue
-                x = self.nodes[xi]
-                z = self.nodes[zi]
-                for a in self.quiver.arrows_from(zi):
-                    for fv in space.rows:
-                        f = morphism_from_flat(x.module.rep, z.module.rep, fv)
-                        nxt[(xi, a.target)].insert(a.morphism.compose(f).flatten())
-            for k in keys:
-                chains[k].append(nxt[k])
-            t = nxt
-            if len(chains[next(iter(keys))]) > 4 * sum(
-                n.module.total_dim for n in self.nodes
-            ):
-                raise MeshInconsistencyError("span filtration does not terminate")
-        out = {}
-        for k in keys:
-            x, y = self.nodes[k[0]], self.nodes[k[1]]
-            full = Subspace(
-                field,
-                self._flat[k],
-                [f.flatten() for f in self._hom[k].basis],
-            )
-            layers = [full]
-            chain = chains[k]
-            for n in range(1, len(chain) + 1):
-                acc = Subspace(field, self._flat[k])
-                for m in range(n - 1, len(chain)):
-                    acc.add_space(chain[m])
-                layers.append(acc)
-            out[k] = layers
-        return out
+    # -- definitional-recursion cross-check ------------------------------
 
     def layers_equal_to_span(self):
-        """Exact subspace equality of both computations, all pairs, all n."""
-        span = self.span_layers()
-        for k, chain in self._layers.items():
-            other = chain + []
-            alt = span[k]
-            depth = max(len(other), len(alt))
-            for n in range(depth):
-                a = other[n] if n < len(other) else Subspace(self.field, self._flat[k])
-                b = alt[n] if n < len(alt) else Subspace(self.field, self._flat[k])
-                if a != b:
-                    return False
-        return True
+        """Exact equality with the definitional recursion, all pairs, all n."""
+        layers = zip(range(self.nilpotency + 1), self._recursion_layers())
+        return all(
+            space == self.layer(self.nodes[xi], self.nodes[yi], n)
+            for n, spaces in layers
+            for (xi, yi), space in spaces.items()
+        )
+
+    def _recursion_layers(self):
+        """Yield rad^0, rad^1, ... as {pair: Subspace}, independently of the engine.
+
+        Hom spaces are solved by `hom_basis` and the diagonal's radical comes
+        from `end_radical`; then rad^{n+1}(X, Y) = sum over Z of
+        rad(Z, Y) o rad^n(X, Z).
+        """
+        field, nodes = self.field, self.nodes
+        pairs = [(x, y) for x in nodes for y in nodes]
+
+        def span(x, y, maps):
+            dim = hom_flat_dim(x.module.rep, y.module.rep)
+            return Subspace(field, dim, [f.flatten() for f in maps])
+
+        hom = {
+            (x.index, y.index): span(x, y, hom_basis(x.module.rep, y.module.rep).basis)
+            for x, y in pairs
+        }
+        yield hom
+        current = first = {
+            (x.index, y.index): span(x, x, end_radical(x.module.rep)) if x is y
+            else hom[(x.index, y.index)]
+            for x, y in pairs
+        }
+        while True:
+            yield current
+            nxt = {}
+            for x, y in pairs:
+                acc = nxt[(x.index, y.index)] = span(x, y, [])
+                for z in nodes:
+                    for fv in current[(x.index, z.index)].rows:
+                        f = morphism_from_flat(x.module.rep, z.module.rep, fv)
+                        for gv in first[(z.index, y.index)].rows:
+                            g = morphism_from_flat(z.module.rep, y.module.rep, gv)
+                            acc.insert(g.compose(f).flatten())
+            current = nxt
 
 
 def rad_filtration(quiver_or_table, x, y):
@@ -414,6 +411,7 @@ def cg_quiver(p, u, side):
     """
     if side not in ("ending", "starting"):
         raise ValueError(f"unknown side {side!r}")
+    is_string(p, Walk(basepoint=u))  # an unknown vertex raises UnknownLabelError
     if has_band(p):
         raise BandFoundError("counting quivers need a band-free presentation")
     verts = []

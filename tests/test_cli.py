@@ -150,6 +150,34 @@ def test_domain_error_exit_one(capsys, ex3_file):
     assert "band" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("depth", "zz", "b3"), "[unknown-label] unknown arrow label 'zz'"),
+        (("degree", "--side", "left", "--source", "zz", "--target", "b3"),
+         "[unknown-label] unknown arrow label 'zz'"),
+        (("radical-profile", "e(9)", "b3"), "[unknown-label] unknown vertex '9'"),
+        (("radical-profile", "b1 b2", "b3"),
+         "[not-a-string] b1 b2: subwalk is the relation b1 b2 (letter 0)"),
+        (("degree", "--side", "left", "--theta", "9"), "[unknown-label] unknown vertex '9'"),
+        (("degree", "--side", "right", "--iota", "9"), "[unknown-label] unknown vertex '9'"),
+        (("cg-quiver", "--vertex", "9", "--side", "ending"),
+         "[unknown-label] unknown vertex '9'"),
+    ],
+)
+def test_bad_word_or_vertex_is_a_domain_error(capsys, w3_file, argv, message):
+    code, out, err = run(capsys, argv[0], w3_file, *argv[1:])
+    assert (code, out, err) == (1, "", f"stringar: {message}\n")
+
+
+def test_char_two_audit_and_witness(capsys):
+    code, out, _ = run(capsys, "audit", "--family", "U", "--m", "2", "--n", "2",
+                       "--char", "2", "--samples", "4")
+    assert code == 0 and out.endswith("PASS\n")
+    code, out, _ = run(capsys, "witness", "--family", "W", "--n", "3", "--char", "2")
+    assert code == 0 and "depths: total=6" in out
+
+
 def test_usage_error_exit_three(w3_file):
     with pytest.raises(SystemExit) as exc:
         main(["degree", w3_file])  # --side is required

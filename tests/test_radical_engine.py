@@ -1,0 +1,154 @@
+"""The depth-tagged radical engine against independent computations.
+
+Depths and layer dimensions are checked against the definitional recursion
+(`RadicalTable._recursion_layers`, built on solved Hom spaces), and the
+answers over GF(2) and GF(3) against those over QQ.  Algebras are named by
+their `make_family` parameters.
+"""
+
+import functools
+import itertools
+import random
+
+import pytest
+
+from stringar import (
+    audit_theorems,
+    compose_chain,
+    field_for_characteristic,
+    hom_basis,
+    knit,
+    witness,
+)
+from stringar import radical
+from stringar.families import make_family
+from stringar.radical import ZERO_DEPTH, RadicalTable
+
+FAMILIES = {"W3": ("W", None, 3), "U2_2": ("U", 2, 2), "V2_3": ("V", 2, 3)}
+
+
+def _spec(name):
+    family, m, n = FAMILIES[name]
+    return make_family(family, m=m, n=n)
+
+
+@functools.lru_cache(maxsize=None)
+def _table(name, char):
+    return RadicalTable(knit(_spec(name).presentation, field_for_characteristic(char)))
+
+
+def _profiles(table):
+    return {
+        (x.text, y.text): table.profile(x, y).dims for x in table.nodes for y in table.nodes
+    }
+
+
+def test_witness_w3_over_gf2():
+    w = witness(_spec("W3"), field_for_characteristic(2))
+    assert (len(w.quiver.nodes), len(w.quiver.arrows)) == (12, 16)
+    assert w.depths["total"] == 6
+
+
+def test_audit_u22_over_gf2():
+    report = audit_theorems(_spec("U2_2").presentation, field=field_for_characteristic(2))
+    assert report.passed
+
+
+@pytest.mark.parametrize("char", [2, 3])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_profiles_agree_with_char_zero(name, char):
+    assert _profiles(_table(name, char)) == _profiles(_table(name, 0))
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_layer_zero_is_the_solved_hom_space(name, char):
+    T = _table(name, char)
+    for x in T.nodes:
+        for y in T.nodes:
+            dim = hom_basis(x.module.rep, y.module.rep).dimension
+            assert T.layer(x, y, 0).dim == T.profile(x, y).dims[0] == dim
+
+
+def _composites(quiver):
+    """(source, target, composite) for every path of one to three arrows."""
+    out = []
+    paths = [(a,) for a in quiver.arrows]
+    for _ in range(3):
+        out += [
+            (quiver.nodes[p[0].source], quiver.nodes[p[-1].target],
+             compose_chain([a.morphism for a in p]))
+            for p in paths
+        ]
+        paths = [p + (b,) for p in paths for b in quiver.arrows_from(p[-1].target)]
+    return out
+
+
+@pytest.mark.parametrize("name", ["W3", "U2_2"])
+def test_depth_matches_the_recursion(name):
+    """Composites, and seeded sums of them and of a solved Hom basis.
+
+    The Hom basis mixes deep and shallow layers (composites of at most three
+    arrows reach neither the identity nor the deepest rows).
+    """
+    T = _table(name, 0)
+    layers = list(itertools.islice(T._recursion_layers(), T.nilpotency + 1))
+    rng = random.Random(f"depth:{name}")
+    by_pair = {}
+    for x, y, f in _composites(T.quiver):
+        by_pair.setdefault((x, y), []).append(f)
+    checked = 0
+    for (x, y), fs in by_pair.items():
+        terms = fs + hom_basis(x.module.rep, y.module.rep).basis
+        sums = []
+        for _ in range(4):
+            g = terms[0].scale(T.field.of(rng.randint(-2, 2)))
+            for f in terms[1:]:
+                g = g.add(f.scale(T.field.of(rng.randint(-2, 2))))
+            sums.append(g)
+        for f in fs + sums:
+            vec = f.flatten()
+            inside = [n for n, spaces in enumerate(layers)
+                      if spaces[(x.index, y.index)].contains(vec)]
+            want = ZERO_DEPTH if not any(vec) else max(inside)
+            assert T.depth(f, x, y) == want
+            checked += 1
+    assert checked > 100
+
+
+@pytest.mark.parametrize("name", ["W3", "U2_2"])
+def test_profile_counts_the_layers(name):
+    T = _table(name, 0)
+    for x in T.nodes:
+        for y in T.nodes:
+            dims = T.profile(x, y).dims
+            assert len(dims) == T.nilpotency + 1
+            assert dims == [T.layer(x, y, n).dim for n in range(len(dims))]
+    # the nilpotency index is the first layer that is 0 for every pair
+    assert any(T.profile(x, y).dims[-2] for x in T.nodes for y in T.nodes)
+
+
+def test_engine_solves_no_hom_space(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("the engine must not solve Hom spaces")
+
+    monkeypatch.setattr(radical, "hom_basis", refuse)
+    monkeypatch.setattr(radical, "end_radical", refuse)
+    G = knit(_spec("U2_2").presentation)
+    T = RadicalTable(G)
+    a = G.arrows[0]
+    x, y = G.nodes[a.source], G.nodes[a.target]
+    assert T.depth(a.morphism, x, y) == 1
+    assert T.profile(x, y).dims[1] == T.layer(x, y, 1).dim
+    for side in ("left", "right"):
+        T.degree(a.morphism, side, source=x, target=y)
+
+
+def test_cross_check_sees_a_wrong_tag():
+    T = RadicalTable(knit(_spec("W3").presentation))
+    assert T.layers_equal_to_span()
+    rows = next(rows for rows in T._tagged.values() if rows[0][0] > 1)
+    tag, pivot, row = rows[0]
+    rows[0] = (tag - 1, pivot, row)
+    T._layers.clear()
+    assert not T.layers_equal_to_span()
