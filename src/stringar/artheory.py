@@ -38,7 +38,12 @@ from .modules import (
     standard_word,
     zero_morphism,
 )
-from .presentation import has_unbounded_paths, nonzero_path_count, nonzero_paths_from
+from .presentation import (
+    has_unbounded_paths,
+    nonzero_path_count,
+    nonzero_paths_from,
+    require_string_algebra,
+)
 from .strings import (
     Letter,
     StringWord,
@@ -251,6 +256,7 @@ def _surgery(p, walk, direction):
 
 def _translate_word(p, walk, direction):
     """Far term of the mesh ending ("end") or starting ("start") at M(walk)."""
+    require_string_algebra(p)
     projective = direction == "end"
     kind = "projective" if projective else "injective"
     if _is_standard_word(p, walk, projective):
@@ -611,6 +617,7 @@ class ARQuiver:
 
 def knit(p, field=QQ):
     """Assemble the full AR quiver of a band-free, finite-dimensional presentation."""
+    require_string_algebra(p)
     if has_band(p):
         raise BandFoundError("cannot knit: the presentation has bands")
     if nonzero_path_count(p) == float("inf"):

@@ -19,6 +19,7 @@ from .artheory import (
 from .errors import BandFoundError, MeshInconsistencyError
 from .fields import QQ
 from .modules import projective_word, realize
+from .presentation import require_string_algebra
 from .radical import ZERO_DEPTH, RadicalTable
 from .strings import canonical_walk, has_band
 
@@ -361,6 +362,7 @@ def audit_theorems(p, samples=32, seed=0, field=QQ):
     (C) every 3-cycle carries a block-mono and a block-epi;
     (D) 3-cycles exist iff some irreducible M -> tau M exists.
     """
+    require_string_algebra(p)
     if has_band(p):
         raise BandFoundError("audits need a band-free presentation")
     quiver = knit(p, field)

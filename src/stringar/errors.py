@@ -77,3 +77,7 @@ class WitnessConstructionError(StringAlgebraError):
 
 class NotStringAlgebraError(StringAlgebraError):
     code = "not-string-algebra"
+
+    def __init__(self, message, condition=None):
+        super().__init__(message)
+        self.condition = condition  # the failing presentation.ConditionReport

@@ -191,13 +191,13 @@ def _chain_with_cycle(path, perturb, rho, perturb_at):
     return chain
 
 
-def _chain_depths(table, chain, nodes, expected, suffix_ok, prefix_ok):
+def _chain_depths(table, chain, prefix, nodes, expected, suffix_ok, prefix_ok):
     """Depths of the chain, its suffix h_n...h_2 and its prefix h_{n-1}...h_1.
 
-    None unless the whole chain has depth `expected` and the suffix and the
-    prefix pass their checks; the suffix is checked first.
+    `prefix` is the composite h_{n-1}...h_1, built by the caller.  None unless
+    the whole chain has depth `expected` and the suffix and the prefix pass
+    their checks; the suffix is checked first.
     """
-    prefix = compose_chain(chain[:-1])
     d_total = table.depth(chain[-1].compose(prefix), nodes[0], nodes[-1])
     if d_total != expected:
         return None
@@ -272,7 +272,8 @@ def _assemble_uv(spec, quiver, table, phi, rho, exit_arrow, expected, perturb):
     def shallow(d):
         return d <= n - 1
 
-    depths = _chain_depths(table, chain, nodes, expected, shallow, shallow)
+    prefix = compose_chain(chain[:-1])
+    depths = _chain_depths(table, chain, prefix, nodes, expected, shallow, shallow)
     if depths is None:
         return None
     m = spec.m
@@ -312,12 +313,21 @@ def _witness_w(spec, quiver, table):
         for j in range(2, n + 1):  # the cycle sits at chain position j
             outs = _paths(quiver, n + 1 - j, b_node, forward=True)
             for into in _paths(quiver, j - 1, b_node, forward=False):
+                head = compose_chain(_chain_with_cycle(into, perturb, rho, perturb_at=j - 2))
+                prefixes = {(): head}  # out[:k] -> h_{j-1+k} ... h_1, for this head only
+
+                def prefix(steps):
+                    f = prefixes.get(steps)
+                    if f is None:
+                        f = prefixes[steps] = steps[-1].morphism.compose(prefix(steps[:-1]))
+                    return f
+
                 for out in outs:
                     phi = into + out
                     nodes = _path_nodes(quiver, phi)
                     chain = _chain_with_cycle(phi, perturb, rho, perturb_at=j - 2)
                     depths = _chain_depths(
-                        table, chain, nodes, expected,
+                        table, chain, prefix(out[:-1]), nodes, expected,
                         suffix_ok=lambda d: d >= n, prefix_ok=lambda d: True,
                     )
                     if depths is not None:

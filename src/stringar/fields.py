@@ -54,12 +54,14 @@ class Rationals:
     """Field descriptor for exact rational arithmetic."""
 
     characteristic = 0
+    _zero = Fraction(0)  # shared constants: field elements are never mutated
+    _one = Fraction(1)
 
     def zero(self):
-        return Fraction(0)
+        return self._zero
 
     def one(self):
-        return Fraction(1)
+        return self._one
 
     def of(self, n):
         return Fraction(n)
@@ -88,12 +90,14 @@ class PrimeField:
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.characteristic = p
+        self._zero = FpElement(p, 0)
+        self._one = FpElement(p, 1)
 
     def zero(self):
-        return FpElement(self.p, 0)
+        return self._zero
 
     def one(self):
-        return FpElement(self.p, 1)
+        return self._one
 
     def of(self, n):
         return FpElement(self.p, n)
@@ -122,7 +126,11 @@ def field_for_characteristic(char):
 
 
 class Mat:
-    """Dense matrix over an exact field; treated as immutable after construction."""
+    """Dense matrix over an exact field; treated as immutable after construction.
+
+    The constructor copies and shape-checks its rows.  Arithmetic adopts the
+    rows it has just built through `_adopt`, which does neither.
+    """
 
     __slots__ = ("field", "nrows", "ncols", "rows")
 
@@ -140,9 +148,19 @@ class Mat:
             self.ncols = ncols
 
     @classmethod
+    def _adopt(cls, field, rows, ncols):
+        """Wrap fresh, rectangular rows of width ncols without copying or checking."""
+        m = object.__new__(cls)
+        m.field = field
+        m.rows = rows
+        m.nrows = len(rows)
+        m.ncols = ncols
+        return m
+
+    @classmethod
     def zeros(cls, field, nrows, ncols):
         z = field.zero()
-        return cls(field, [[z] * ncols for _ in range(nrows)], ncols)
+        return cls._adopt(field, [[z] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, field, n):
@@ -173,12 +191,12 @@ class Mat:
                     b = brow[j]
                     if b:
                         orow[j] = orow[j] + a * b
-        return Mat(self.field, out, other.ncols)
+        return Mat._adopt(self.field, out, other.ncols)
 
     def __add__(self, other):
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} + {other.shape}")
-        return Mat(
+        return Mat._adopt(
             self.field,
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
             self.ncols,
@@ -188,7 +206,7 @@ class Mat:
         return self + (-other)
 
     def __neg__(self):
-        return Mat(self.field, [[-a for a in r] for r in self.rows], self.ncols)
+        return Mat._adopt(self.field, [[-a for a in r] for r in self.rows], self.ncols)
 
     def __eq__(self, other):
         return (
@@ -201,7 +219,7 @@ class Mat:
         return hash((self.nrows, self.ncols, tuple(tuple(r) for r in self.rows)))
 
     def scale(self, c):
-        return Mat(self.field, [[c * a for a in r] for r in self.rows], self.ncols)
+        return Mat._adopt(self.field, [[c * a for a in r] for r in self.rows], self.ncols)
 
     @property
     def shape(self):

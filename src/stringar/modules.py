@@ -199,7 +199,12 @@ def standard_module(p, v, kind, field=QQ):
 
 
 class MorphismMatrix:
-    """A representation morphism as one block per vertex."""
+    """A representation morphism as one block per vertex.
+
+    The constructor fills missing blocks and shape-checks each one.  The
+    arithmetic below adopts the complete, correctly shaped block dicts it
+    builds through `_adopt`, which does neither.
+    """
 
     __slots__ = ("source", "target", "blocks")
 
@@ -215,6 +220,15 @@ class MorphismMatrix:
                 raise CompositionError(f"block at {v} has shape {b.shape}")
             self.blocks[v] = b
 
+    @classmethod
+    def _adopt(cls, source, target, blocks):
+        """Wrap a block dict with one correctly shaped block per vertex, unchecked."""
+        f = object.__new__(cls)
+        f.source = source
+        f.target = target
+        f.blocks = blocks
+        return f
+
     def check_intertwining(self):
         for a in self.source.p.quiver.arrows:
             lhs = self.blocks[a.target] * self.source.maps[a.label]
@@ -227,27 +241,29 @@ class MorphismMatrix:
         """self o first (apply `first`, then self)."""
         if first.target.dims != self.source.dims:
             raise CompositionError("composition shape mismatch")
-        return MorphismMatrix(
+        mine = self.blocks
+        return MorphismMatrix._adopt(
             first.source,
             self.target,
-            {v: self.blocks[v] * first.blocks[v] for v in self.blocks},
+            {v: mine[v] * b for v, b in first.blocks.items()},
         )
 
     def add(self, other):
-        return MorphismMatrix(
+        theirs = other.blocks
+        return MorphismMatrix._adopt(
             self.source,
             self.target,
-            {v: self.blocks[v] + other.blocks[v] for v in self.blocks},
+            {v: b + theirs[v] for v, b in self.blocks.items()},
         )
 
     def scale(self, c):
-        return MorphismMatrix(
-            self.source, self.target, {v: self.blocks[v].scale(c) for v in self.blocks}
+        return MorphismMatrix._adopt(
+            self.source, self.target, {v: b.scale(c) for v, b in self.blocks.items()}
         )
 
     def neg(self):
-        return MorphismMatrix(
-            self.source, self.target, {v: -self.blocks[v] for v in self.blocks}
+        return MorphismMatrix._adopt(
+            self.source, self.target, {v: -b for v, b in self.blocks.items()}
         )
 
     def is_zero(self):
@@ -298,13 +314,16 @@ def identity_morphism(M):
 
 
 def morphism_from_flat(M, N, vec):
+    """The morphism M -> N whose `flatten()` is the list vec."""
+    if len(vec) != hom_flat_dim(M, N):
+        raise ValueError(f"flat morphism of length {len(vec)} does not fit Hom(M, N)")
     blocks = {}
     i = 0
     for v in M.p.quiver.vertices:
         r, c = N.dims[v], M.dims[v]
-        blocks[v] = Mat(M.field, [vec[i + k * c : i + (k + 1) * c] for k in range(r)], c)
+        blocks[v] = Mat._adopt(M.field, [vec[i + k * c : i + (k + 1) * c] for k in range(r)], c)
         i += r * c
-    return MorphismMatrix(M, N, blocks)
+    return MorphismMatrix._adopt(M, N, blocks)
 
 
 def hom_flat_dim(M, N):

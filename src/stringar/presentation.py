@@ -13,10 +13,12 @@ and is the canonical order for everything downstream.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .errors import (
     CompositionError,
+    NotStringAlgebraError,
     PresentationSyntaxError,
     UnknownLabelError,
 )
@@ -315,6 +317,25 @@ def validate_string_algebra(p):
     # (3) the ideal is monomial by construction: non-monomial input never parses
     conditions.append(ConditionReport("3", True, None))
     return ValidationReport(conditions)
+
+
+@functools.lru_cache(maxsize=64)
+def _first_failed_condition(p):
+    return next((c for c in validate_string_algebra(p).conditions if not c.passed), None)
+
+
+def require_string_algebra(p):
+    """Raise NotStringAlgebraError, carrying the first failed condition, unless p passes all.
+
+    The entry check of enumerate_strings, knit (and so witness), the
+    translates (tau, tau^-1, ar_sequence) and audit_theorems; cached per
+    presentation.
+    """
+    bad = _first_failed_condition(p)
+    if bad is not None:
+        raise NotStringAlgebraError(
+            f"not a string algebra: condition ({bad.key}) fails: {bad.witness}", bad
+        )
 
 
 def _direct_window(p, window_len):

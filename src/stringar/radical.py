@@ -139,6 +139,12 @@ class RadicalTable:
         field, quiver = self.field, self.quiver
         nxt = {}
         for a in quiver.arrows:
+            # every row is then a composite of morphisms, which depth() relies on
+            if not a.morphism.check_intertwining():
+                raise MeshInconsistencyError(
+                    f"arrow {self.nodes[a.source].text} -> {self.nodes[a.target].text} "
+                    "is not a morphism"
+                )
             nxt.setdefault((a.source, a.target), []).append(a.morphism.flatten())
         spans = []  # spans[m - 1]: the nonzero T_m by node pair
         limit = 4 * sum(n.module.total_dim for n in self.nodes)
@@ -183,15 +189,16 @@ class RadicalTable:
     def _rows(self, x, y):
         return self._tagged.get((x.index, y.index), ())
 
+    def _deep_rows(self, x, y, n):
+        return [row for t, _, row in self._rows(x, y) if t >= n]
+
     def layer(self, x, y, n):
         """rad^n(x, y) as a Subspace: the span of the rows tagged n or more."""
         key = (x.index, y.index, n)
         s = self._layers.get(key)
         if s is None:
             s = self._layers[key] = Subspace(
-                self.field,
-                hom_flat_dim(x.module.rep, y.module.rep),
-                [row for t, _, row in self._rows(x, y) if t >= n],
+                self.field, hom_flat_dim(x.module.rep, y.module.rep), self._deep_rows(x, y, n)
             )
         return s
 
@@ -201,15 +208,21 @@ class RadicalTable:
         return RadicalProfile(self, x, y, dims)
 
     def depth(self, f, source=None, target=None):
-        """Largest n with f in rad^n; ZERO_DEPTH for the zero morphism."""
+        """Largest n with f in rad^n; ZERO_DEPTH for the zero morphism.
+
+        Every row of the table is a morphism (the arrow maps are checked at
+        build) and the rows span Hom(x, y), so f reduces to zero exactly when
+        it is a morphism; the intertwining check runs only on a nonzero residue.
+        """
         x = source or self.node_of_rep(f.source)
         y = target or self.node_of_rep(f.target)
-        if not f.check_intertwining():
-            raise MeshInconsistencyError("depth of a non-morphism")
-        if f.is_zero():
+        vec = f.flatten()
+        if not any(vec):
             return ZERO_DEPTH
-        rest, d = _reduce(self._rows(x, y), f.flatten())
+        rest, d = _reduce(self._rows(x, y), vec)
         if any(rest):
+            if not f.check_intertwining():
+                raise MeshInconsistencyError("depth of a non-morphism")
             raise MeshInconsistencyError(f"{x.text} -> {y.text}: morphism outside the table")
         return d
 
@@ -283,10 +296,19 @@ class RadicalTable:
     # -- definitional-recursion cross-check ------------------------------
 
     def layers_equal_to_span(self):
-        """Exact equality with the definitional recursion, all pairs, all n."""
+        """Exact equality with the definitional recursion, all pairs, all n.
+
+        The engine's rows tagged n or more span rad^n; they equal the
+        recursion's space when the dimensions agree and every row lies in
+        it.  Nothing is added to the `layer` memo.
+        """
+        def same(space, xi, yi, n):
+            rows = self._deep_rows(self.nodes[xi], self.nodes[yi], n)
+            return space.dim == len(rows) and all(map(space.contains, rows))
+
         layers = zip(range(self.nilpotency + 1), self._recursion_layers())
         return all(
-            space == self.layer(self.nodes[xi], self.nodes[yi], n)
+            same(space, xi, yi, n)
             for n, spaces in layers
             for (xi, yi), space in spaces.items()
         )

@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 
 from .errors import BandFoundError, NotAStringError, UnknownLabelError
+from .presentation import require_string_algebra
 
 
 class Letter:
@@ -286,6 +287,7 @@ def enumerate_strings(p, max_len=None):
     Unbounded enumeration demands a band-free presentation, otherwise the
     walk language is infinite and we refuse with BandFoundError.
     """
+    require_string_algebra(p)
     if max_len is None:
         if has_band(p):
             raise BandFoundError(

@@ -1,0 +1,99 @@
+"""Matrix and morphism arithmetic against the checked public constructors.
+
+Products, sums, negatives and scalings adopt the rows they build without
+copying or checking them; here every result is compared with the matrix the
+checked constructor builds from a schoolbook computation, over QQ and GF(3).
+"""
+
+import random
+
+import pytest
+
+from stringar import (
+    QQ,
+    audit_theorems,
+    compose_chain,
+    field_for_characteristic,
+    knit,
+    witness,
+)
+from stringar.families import make_family
+from stringar.fields import Mat
+from stringar.modules import MorphismMatrix
+
+
+def _rand_mat(rng, field, nrows, ncols):
+    return Mat(field, [[field.of(rng.randint(-2, 2)) for _ in range(ncols)]
+                       for _ in range(nrows)], ncols)
+
+
+def _product(field, a, b):
+    rows = [
+        [sum((a.rows[i][k] * b.rows[k][j] for k in range(a.ncols)), field.zero())
+         for j in range(b.ncols)]
+        for i in range(a.nrows)
+    ]
+    return Mat(field, rows, b.ncols)
+
+
+@pytest.mark.parametrize("char", [0, 3])
+def test_mat_arithmetic_equals_the_checked_constructor(char):
+    field = field_for_characteristic(char)
+    rng = random.Random(f"mat:{char}")
+    for _ in range(60):
+        r, k, c = (rng.randint(0, 4) for _ in range(3))
+        a, a2 = _rand_mat(rng, field, r, k), _rand_mat(rng, field, r, k)
+        b = _rand_mat(rng, field, k, c)
+        s = field.of(rng.randint(-2, 2))
+        expected = {
+            "mul": _product(field, a, b),
+            "add": Mat(field, [[x + y for x, y in zip(u, w)]
+                               for u, w in zip(a.rows, a2.rows)], k),
+            "neg": Mat(field, [[-x for x in u] for u in a.rows], k),
+            "scale": Mat(field, [[s * x for x in u] for u in a.rows], k),
+            "zeros": Mat(field, [[field.zero()] * c for _ in range(r)], c),
+        }
+        got = {"mul": a * b, "add": a + a2, "neg": -a, "scale": a.scale(s),
+               "zeros": Mat.zeros(field, r, c)}
+        for name, m in got.items():
+            want = expected[name]
+            assert (m.shape, m.rows) == (want.shape, want.rows), name
+            assert all(len(row) == m.ncols for row in m.rows), name
+            assert not any(row is u for row in m.rows for u in a.rows + a2.rows + b.rows)
+
+
+@pytest.mark.parametrize("char", [0, 3])
+def test_morphism_arithmetic_equals_the_checked_constructor(char):
+    field = field_for_characteristic(char)
+    G = knit(make_family("U", m=2, n=2).presentation, field)
+    rng = random.Random(f"morphism:{char}")
+    pairs = [(a, b) for a in G.arrows for b in G.arrows_from(a.target)]
+    for a, b in pairs:
+        f, g = a.morphism, b.morphism
+        c = field.of(rng.randint(-2, 2))
+        gf = g.compose(f)
+        want = MorphismMatrix(
+            f.source, g.target, {v: _product(field, g.blocks[v], f.blocks[v]) for v in f.blocks}
+        )
+        assert gf == want and gf.flatten() == want.flatten()
+        assert list(gf.blocks) == list(want.blocks)
+        total = gf.add(compose_chain([f, g]).scale(c))
+        want_total = MorphismMatrix(
+            f.source, g.target,
+            {v: Mat(field, [[x + c * x for x in row] for row in want.blocks[v].rows],
+                    want.blocks[v].ncols) for v in want.blocks},
+        )
+        assert total == want_total
+        assert total.check_intertwining()
+
+
+def test_shared_constants_stay_zero_and_one():
+    witness(make_family("W", n=5))
+    gf3 = field_for_characteristic(3)
+    audit_theorems(make_family("U", m=2, n=2).presentation, samples=4, field=gf3)
+    assert QQ.zero() == 0 and QQ.one() == 1
+    assert QQ.zero() is QQ.zero()
+    assert (gf3.zero(), gf3.one()) == (gf3.of(0), gf3.of(1))
+    assert (gf3.zero().v, gf3.one().v) == (0, 1)
+    gf2 = field_for_characteristic(2)
+    assert (gf2.zero().v, gf2.one().v) == (0, 1)

@@ -213,3 +213,46 @@ def test_output_dir_env(capsys, w3_file, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "strings", w3_file, "--output", "census.txt")
     assert code == 0 and out == ""
     assert (tmp_path / "census.txt").read_text().count("\n") == 12
+
+
+# three arrows out of vertex 1 break condition (1)
+THREE_OUT_SOURCE = """\
+algebra BAD
+vertices 1 2 3 4
+arrow a 1 -> 2
+arrow b 1 -> 3
+arrow c 1 -> 4
+"""
+
+
+@pytest.fixture()
+def three_out_file(tmp_path):
+    f = tmp_path / "bad.alg"
+    f.write_text(THREE_OUT_SOURCE)
+    return str(f)
+
+
+@pytest.mark.parametrize("argv", [["strings"], ["knit"], ["audit"], ["tau", "a"]],
+                         ids=lambda argv: argv[0])
+def test_non_string_algebra_is_rejected(capsys, three_out_file, argv):
+    code, out, err = run(capsys, argv[0], three_out_file, *argv[1:])
+    assert (code, out) == (1, "")
+    assert err == (
+        "stringar: [not-string-algebra] not a string algebra: "
+        "condition (1) fails: vertex 1 emits >2 arrows\n"
+    )
+
+
+def test_validate_reports_a_non_string_algebra(capsys, three_out_file):
+    code, out, _ = run(capsys, "validate", three_out_file)
+    assert code == 0
+    assert out == (
+        "algebra BAD\n"
+        "  condition (1): FAIL: vertex 1 emits >2 arrows\n"
+        "  condition (1'): pass\n"
+        "  condition (2): pass\n"
+        "  condition (2'): pass\n"
+        "  condition (3): pass\n"
+        "NOT a string algebra\n"
+        "nonzero paths: 7\n"
+    )

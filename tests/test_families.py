@@ -11,6 +11,7 @@ from stringar import (
     walk_to_text,
 )
 from stringar.families import make_family, witness
+from stringar.radical import RadicalTable
 
 
 def test_make_w3_structure(w3):
@@ -155,3 +156,27 @@ def test_v31_witness_depth_ten():
     w = witness(make_family("V", m=3, n=3))
     assert w.expected_depth == 10 and w.depths["total"] == 10
     assert w.depths["prefix"] <= 2 and w.depths["suffix"] <= 2
+
+
+@pytest.mark.parametrize(
+    "family, m, n, calls, depths",
+    [
+        ("W", None, 3, 72, (6, 2, 5)),
+        ("W", None, 5, 344, (8, 4, 7)),
+        ("U", 3, 3, 5, (9, 2, 2)),
+        ("V", 2, 3, 126, (8, 2, 2)),
+    ],
+)
+def test_witness_search_depth_calls(monkeypatch, family, m, n, calls, depths):
+    """The search tries its candidates in a fixed order: pin its depth() count."""
+    seen = []
+    depth = RadicalTable.depth
+
+    def counted(self, *args, **kw):
+        seen.append(1)
+        return depth(self, *args, **kw)
+
+    monkeypatch.setattr(RadicalTable, "depth", counted)
+    w = witness(make_family(family, m=m, n=n))
+    assert len(seen) == calls
+    assert (w.depths["total"], w.depths["prefix"], w.depths["suffix"]) == depths

@@ -3,13 +3,18 @@ import math
 import pytest
 
 from stringar import (
+    FamilySpec,
     PresentationSyntaxError,
+    audit_theorems,
+    enumerate_strings,
+    knit,
     nonzero_path_count,
     parse_presentation,
     serialize_presentation,
     validate_string_algebra,
+    witness,
 )
-from stringar.errors import CompositionError
+from stringar.errors import CompositionError, NotStringAlgebraError
 
 
 def test_parse_w3_shape(w3):
@@ -124,3 +129,21 @@ def test_validation_is_pure(w3):
     a = validate_string_algebra(w3)
     b = validate_string_algebra(w3)
     assert [c.as_dict() for c in a.conditions] == [c.as_dict() for c in b.conditions]
+
+
+@pytest.mark.parametrize(
+    "src, key",
+    [
+        ("vertices 0 1 2 3\narrow x 0 -> 1\narrow y 0 -> 2\narrow z 0 -> 3\n", "1"),
+        ("vertices 1 2 3 4\narrow g 1 -> 2\narrow d 3 -> 2\narrow b 2 -> 4\n", "2"),
+    ],
+    ids=["three-out", "two-predecessors"],
+)
+def test_entry_points_reject_a_non_string_algebra(src, key):
+    p = parse_presentation(src)
+    spec = FamilySpec("W", None, 3, p)
+    for call in (enumerate_strings, knit, audit_theorems, lambda q: witness(spec)):
+        with pytest.raises(NotStringAlgebraError) as info:
+            call(p)
+        assert info.value.condition.key == key
+        assert not info.value.condition.passed

@@ -21,7 +21,9 @@ from stringar import (
     witness,
 )
 from stringar import radical
+from stringar.errors import MeshInconsistencyError
 from stringar.families import make_family
+from stringar.modules import MorphismMatrix
 from stringar.radical import ZERO_DEPTH, RadicalTable
 
 FAMILIES = {"W3": ("W", None, 3), "U2_2": ("U", 2, 2), "V2_3": ("V", 2, 3)}
@@ -152,3 +154,43 @@ def test_cross_check_sees_a_wrong_tag():
     rows[0] = (tag - 1, pivot, row)
     T._layers.clear()
     assert not T.layers_equal_to_span()
+
+
+def _non_morphism(f):
+    """f with one nonzero block doubled, if that breaks intertwining; else None."""
+    for v, b in f.blocks.items():
+        if b.is_zero():
+            continue
+        g = MorphismMatrix(f.source, f.target, {**f.blocks, v: b.scale(f.source.field.of(2))})
+        if not g.check_intertwining():
+            return g
+    return None
+
+
+def test_depth_rejects_a_non_morphism():
+    T = _table("W3", 0)
+    a = next(a for a in T.quiver.arrows if _non_morphism(a.morphism) is not None)
+    bad = _non_morphism(a.morphism)
+    assert not bad.is_zero()
+    x, y = T.nodes[a.source], T.nodes[a.target]
+    with pytest.raises(MeshInconsistencyError, match="depth of a non-morphism"):
+        T.depth(bad, x, y)
+    with pytest.raises(MeshInconsistencyError, match="depth of a non-morphism"):
+        T.depth(bad)
+
+
+def test_a_corrupted_arrow_map_fails_at_build():
+    G = knit(_spec("U2_2").presentation)
+    arrow = next(a for a in G.arrows if _non_morphism(a.morphism) is not None)
+    arrow.morphism = _non_morphism(arrow.morphism)
+    with pytest.raises(MeshInconsistencyError, match="is not a morphism"):
+        RadicalTable(G)
+
+
+def test_span_check_leaves_the_layer_memo_alone():
+    T = RadicalTable(knit(make_family("W", n=5).presentation))
+    x, y = T.nodes[0], T.nodes[-1]
+    T.layer(x, y, 1)
+    before = dict(T._layers)
+    assert T.layers_equal_to_span()
+    assert T._layers == before

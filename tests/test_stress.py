@@ -4,13 +4,19 @@ Random quivers are trimmed to the two-arrow bounds and relations are added
 greedily until the unique-continuation conditions hold; band-free instances
 then get the full treatment: knitting (which itself verifies every mesh),
 surgery-vs-DTr agreement on every non-projective node, and on the smaller
-ones the radical-layer cross-check.
+ones the radical-layer cross-check; over GF(2) and GF(3) the same
+algebras get the surgery-vs-DTr check and their layer dimensions are
+compared with those over QQ.
 """
 
+import functools
 import random
+
+import pytest
 
 from stringar import (
     RadicalTable,
+    field_for_characteristic,
     has_band,
     is_isomorphic,
     knit,
@@ -68,15 +74,29 @@ def _random_string_algebra(rng, nv, na):
     return p
 
 
-def test_random_band_free_algebras_agree_with_oracle():
+@functools.lru_cache(maxsize=None)
+def _band_free_algebras():
+    """The first eight band-free string algebras of the seeded generator."""
     rng = random.Random(20260809)
-    checked = 0
+    out = []
     trial = 0
-    while checked < 8 and trial < 60:
+    while len(out) < 8 and trial < 60:
         trial += 1
         p = _random_string_algebra(rng, rng.randint(3, 5), rng.randint(3, 6))
-        if not validate_string_algebra(p).is_string_algebra or has_band(p):
-            continue
+        if validate_string_algebra(p).is_string_algebra and not has_band(p):
+            out.append(p)
+    assert len(out) == 8
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _profiles_over_qq(i):
+    T = RadicalTable(knit(_band_free_algebras()[i]))
+    return {(x.text, y.text): T.profile(x, y).dims for x in T.nodes for y in T.nodes}
+
+
+def test_random_band_free_algebras_agree_with_oracle():
+    for p in _band_free_algebras():
         G = knit(p)  # every mesh is verified during knitting
         for n in G.nodes:
             if n.projective:
@@ -84,5 +104,23 @@ def test_random_band_free_algebras_agree_with_oracle():
             assert is_isomorphic(tau(p, n.module).rep, tau_oracle(p, n.module)), n.text
         if len(G.nodes) <= 14:
             assert RadicalTable(G).layers_equal_to_span()
-        checked += 1
-    assert checked == 8
+
+
+@pytest.mark.parametrize("char", [2, 3])
+def test_random_band_free_algebras_over_prime_fields(char):
+    """Surgery against DTr over GF(p), and layer dimensions equal to those over QQ.
+
+    The recursion oracle's trace form needs p > dim End, so the span check
+    stays over QQ (above).
+    """
+    field = field_for_characteristic(char)
+    for i, p in enumerate(_band_free_algebras()):
+        G = knit(p, field)
+        for n in G.nodes:
+            if n.projective:
+                continue
+            translate = tau(p, n.module, field).rep
+            assert is_isomorphic(translate, tau_oracle(p, n.module, field)), n.text
+        T = RadicalTable(G)
+        dims = {(x.text, y.text): T.profile(x, y).dims for x in T.nodes for y in T.nodes}
+        assert dims == _profiles_over_qq(i)
