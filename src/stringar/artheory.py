@@ -395,7 +395,7 @@ class AlmostSplitSequence:
                 raise MeshInconsistencyError("mesh map is not a morphism")
         # left map is a monomorphism into the sum, right map an epimorphism out of it
         for v in lt.dims:
-            stacked = [row for l in self.left_maps for row in l.blocks[v].rows]
+            stacked = [row for l in self.left_maps for row in l.block(v).rows]
             m = Mat(lt.field, stacked, lt.dims[v])
             if m.rank() != lt.dims[v]:
                 raise MeshInconsistencyError("left mesh map not mono")
@@ -403,7 +403,7 @@ class AlmostSplitSequence:
             for i in range(rt.dims[v]):
                 row = []
                 for r in self.right_maps:
-                    row.extend(r.blocks[v].rows[i])
+                    row.extend(r.block(v).rows[i])
                 rows.append(row)
             m = Mat(rt.field, rows, sum(mm.rep.dims[v] for mm in self.middle))
             if m.rank() != rt.dims[v]:
@@ -847,7 +847,7 @@ def _kernel_rep(p, field, morphism):
     basis = {}
     dims = {}
     for v in p.quiver.vertices:
-        vecs = nullspace(morphism.blocks[v]) if src.dims[v] else []
+        vecs = nullspace(morphism.block(v)) if src.dims[v] else []
         basis[v] = vecs
         dims[v] = len(vecs)
     maps = {}
@@ -910,7 +910,7 @@ def tau_oracle(p, M, field=None):
     }
     for j, wj in enumerate(p1.verts):
         gen_v, gen_col = p1.generator_index(j)
-        img = d.blocks[gen_v].column(gen_col)
+        img = d.block(gen_v).column(gen_col)
         for i, vi in enumerate(p0.verts):
             rep_i, paths_i, coord_i = p0.parts[i]
             for path in paths_i:

@@ -8,6 +8,7 @@ family flags (--family/--m/--n), never both.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -86,7 +87,9 @@ def _depth_str(d):
     return "zero" if d == math.inf else str(d)
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argparse tree and the command table; built once, on the first main() call."""
     parser = _Parser(prog="stringar", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -377,6 +380,11 @@ def main(argv=None):
             _emit(args, "\n".join(lines) + "\n")
         return 0
 
+    return parser, commands
+
+
+def main(argv=None):
+    parser, commands = _parser()
     args = parser.parse_args(argv)
     fn = commands[args.command]
     try:

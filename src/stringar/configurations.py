@@ -18,7 +18,7 @@ from .artheory import (
 )
 from .errors import BandFoundError, MeshInconsistencyError
 from .fields import QQ
-from .modules import projective_word, realize
+from .modules import morphism_from_flat, projective_word, realize
 from .presentation import require_string_algebra
 from .radical import ZERO_DEPTH, RadicalTable
 from .strings import canonical_walk, has_band
@@ -77,6 +77,7 @@ def _simple_paths(p, src, length):
 
 def detect_local_patterns(p):
     """All bindings of the six local patterns, side conditions checked literally."""
+    require_string_algebra(p)
     out = []
     q = p.quiver
     loops = [a for a in q.arrows if a.source == a.target]
@@ -374,18 +375,16 @@ def audit_theorems(p, samples=32, seed=0, field=QQ):
             for a3 in quiver.arrows_from(a2.target):
                 triples.append((a1, a2, a3))
 
-    def rand_in_layer(rng, x, y, n):
-        space = table.layer(x, y, n)
-        f = None
-        from .modules import morphism_from_flat, zero_morphism
-
-        f = zero_morphism(x.module.rep, y.module.rep)
+    def perturbed(rng, f, x, y):
+        """f plus one draw from -3..3 per row of rad^2(x, y) times that row."""
+        space = table.layer(x, y, 2)
+        vec, drawn = [field.zero()] * space.n, False
         for row in space.rows:
             c = rng.randint(-3, 3)
             if c:
-                g = morphism_from_flat(x.module.rep, y.module.rep, row)
-                f = f.add(g.scale(field.of(c)))
-        return f
+                c, drawn = field.of(c), True
+                vec = [a + c * b for a, b in zip(vec, row)]
+        return f.add(morphism_from_flat(x.module.rep, y.module.rep, vec)) if drawn else f
 
     a_violations = []
     b_violations = []
@@ -399,10 +398,8 @@ def audit_theorems(p, samples=32, seed=0, field=QQ):
         for s_ix in range(samples):
             hs = []
             for (x, y), arrow in zip(ends, (a1, a2, a3)):
-                h = arrow.morphism
-                if s_ix:  # sample 0 is the bare canonical triple
-                    h = h.add(rand_in_layer(rng, x, y, 2))
-                hs.append(h)
+                # sample 0 is the bare canonical triple
+                hs.append(perturbed(rng, arrow.morphism, x, y) if s_ix else arrow.morphism)
             h21 = hs[1].compose(hs[0])
             h32 = hs[2].compose(hs[1])
             total = hs[2].compose(h21)

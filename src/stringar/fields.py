@@ -235,10 +235,6 @@ class Mat:
     def is_zero(self):
         return all(not a for r in self.rows for a in r)
 
-    def flatten(self):
-        """Row-major entry list."""
-        return [a for r in self.rows for a in r]
-
     def rank(self):
         return len(rref([list(r) for r in self.rows], self.field)[0])
 

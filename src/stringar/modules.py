@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from .errors import CompositionError, NotAStringError, UnknownLabelError
 from .fields import Mat, QQ, nullspace, solve
+from .presentation import require_string_algebra
 from .strings import (
     Letter,
     StringWord,
@@ -23,12 +24,16 @@ from .strings import (
 
 
 class Representation:
-    """Vertex dimensions plus one (target-dim x source-dim) matrix per arrow."""
+    """Vertex dimensions plus one (target-dim x source-dim) matrix per arrow.
+
+    `support` is the set of vertices with nonzero dimension.
+    """
 
     def __init__(self, p, field, dims, maps):
         self.p = p
         self.field = field
         self.dims = {v: dims.get(v, 0) for v in p.quiver.vertices}
+        self.support = frozenset(v for v, d in self.dims.items() if d)
         self.maps = {}
         for a in p.quiver.arrows:
             m = maps.get(a.label)
@@ -131,7 +136,8 @@ def realize_walk(p, walk, field=QQ):
 
 
 def realize(p, word, field=QQ):
-    """Realize the canonical representative of a string."""
+    """Realize the canonical representative of a string; p must be a string algebra."""
+    require_string_algebra(p)
     if isinstance(word, StringWord):
         walk = word.walk
     else:
@@ -199,11 +205,13 @@ def standard_module(p, v, kind, field=QQ):
 
 
 class MorphismMatrix:
-    """A representation morphism as one block per vertex.
+    """A representation morphism, stored as its blocks on the common support.
 
-    The constructor fills missing blocks and shape-checks each one.  The
-    arithmetic below adopts the complete, correctly shaped block dicts it
-    builds through `_adopt`, which does neither.
+    `blocks` maps each vertex where both source and target are nonzero, in
+    vertex order, to its block; every other block has no entries and is not
+    stored (`block(v)` builds it).  The constructor shape-checks the block
+    of every vertex and keeps the common support.  The arithmetic below
+    adopts the block dicts it builds through `_adopt`, which does neither.
     """
 
     __slots__ = ("source", "target", "blocks")
@@ -213,40 +221,55 @@ class MorphismMatrix:
         self.target = target
         self.blocks = {}
         for v in source.p.quiver.vertices:
+            shape = (target.dims[v], source.dims[v])
             b = blocks.get(v)
-            if b is None:
-                b = Mat.zeros(source.field, target.dims[v], source.dims[v])
-            if b.shape != (target.dims[v], source.dims[v]):
+            if b is not None and b.shape != shape:
                 raise CompositionError(f"block at {v} has shape {b.shape}")
-            self.blocks[v] = b
+            if shape[0] and shape[1]:
+                self.blocks[v] = b if b is not None else Mat.zeros(source.field, *shape)
 
     @classmethod
     def _adopt(cls, source, target, blocks):
-        """Wrap a block dict with one correctly shaped block per vertex, unchecked."""
+        """Wrap a block dict holding exactly the common support, unchecked."""
         f = object.__new__(cls)
         f.source = source
         f.target = target
         f.blocks = blocks
         return f
 
+    def block(self, v):
+        """The block at vertex v; an empty Mat off the common support."""
+        b = self.blocks.get(v)
+        if b is None:
+            b = Mat.zeros(self.source.field, self.target.dims[v], self.source.dims[v])
+        return b
+
     def check_intertwining(self):
         for a in self.source.p.quiver.arrows:
-            lhs = self.blocks[a.target] * self.source.maps[a.label]
-            rhs = self.target.maps[a.label] * self.blocks[a.source]
+            lhs = self.block(a.target) * self.source.maps[a.label]
+            rhs = self.target.maps[a.label] * self.block(a.source)
             if lhs != rhs:
                 return False
         return True
 
     def compose(self, first):
-        """self o first (apply `first`, then self)."""
+        """self o first (apply `first`, then self).
+
+        Multiplies only where all three modules are nonzero; where only the
+        middle one is zero the block is zero.
+        """
         if first.target.dims != self.source.dims:
             raise CompositionError("composition shape mismatch")
-        mine = self.blocks
-        return MorphismMatrix._adopt(
-            first.source,
-            self.target,
-            {v: mine[v] * b for v, b in first.blocks.items()},
-        )
+        src, tgt = first.source, self.target
+        mine, theirs = self.blocks, first.blocks
+        blocks = {}
+        for v in _common_support(src, tgt):
+            b = theirs.get(v)
+            blocks[v] = (
+                mine[v] * b if b is not None
+                else Mat.zeros(src.field, tgt.dims[v], src.dims[v])
+            )
+        return MorphismMatrix._adopt(src, tgt, blocks)
 
     def add(self, other):
         theirs = other.blocks
@@ -269,26 +292,29 @@ class MorphismMatrix:
     def is_zero(self):
         return all(b.is_zero() for b in self.blocks.values())
 
+    def _blocks_everywhere(self):
+        return (self.block(v) for v in self.source.p.quiver.vertices)
+
     def is_mono(self):
-        return all(b.rank() == b.ncols for b in self.blocks.values())
+        return all(b.rank() == b.ncols for b in self._blocks_everywhere())
 
     def is_epi(self):
-        return all(b.rank() == b.nrows for b in self.blocks.values())
+        return all(b.rank() == b.nrows for b in self._blocks_everywhere())
 
     def is_invertible(self):
-        return all(b.nrows == b.ncols and b.rank() == b.nrows for b in self.blocks.values())
+        return all(
+            b.nrows == b.ncols and b.rank() == b.nrows for b in self._blocks_everywhere()
+        )
 
     def flatten(self):
-        out = []
-        for v in self.source.p.quiver.vertices:
-            out.extend(self.blocks[v].flatten())
-        return out
+        """Row-major entries of every block in vertex order; absent blocks have none."""
+        return [a for b in self.blocks.values() for r in b.rows for a in r]
 
     def as_dict(self):
         f = self.source.field
         return {
-            v: [[f.to_str(x) for x in row] for row in self.blocks[v].rows]
-            for v in self.blocks
+            v: [[f.to_str(x) for x in row] for row in self.block(v).rows]
+            for v in self.source.p.quiver.vertices
         }
 
     def __eq__(self, other):
@@ -303,13 +329,19 @@ class MorphismMatrix:
         return f"MorphismMatrix({self.source.dim_vector()} -> {self.target.dim_vector()})"
 
 
+def _common_support(M, N):
+    """The vertices where both M and N are nonzero, in vertex order."""
+    theirs = N.support
+    return [v for v, d in M.dims.items() if d and v in theirs]
+
+
 def zero_morphism(M, N):
     return MorphismMatrix(M, N, {})
 
 
 def identity_morphism(M):
     return MorphismMatrix(
-        M, M, {v: Mat.identity(M.field, d) for v, d in M.dims.items()}
+        M, M, {v: Mat.identity(M.field, M.dims[v]) for v in M.support}
     )
 
 
@@ -319,7 +351,7 @@ def morphism_from_flat(M, N, vec):
         raise ValueError(f"flat morphism of length {len(vec)} does not fit Hom(M, N)")
     blocks = {}
     i = 0
-    for v in M.p.quiver.vertices:
+    for v in _common_support(M, N):
         r, c = N.dims[v], M.dims[v]
         blocks[v] = Mat._adopt(M.field, [vec[i + k * c : i + (k + 1) * c] for k in range(r)], c)
         i += r * c

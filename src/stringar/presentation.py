@@ -327,9 +327,9 @@ def _first_failed_condition(p):
 def require_string_algebra(p):
     """Raise NotStringAlgebraError, carrying the first failed condition, unless p passes all.
 
-    The entry check of enumerate_strings, knit (and so witness), the
-    translates (tau, tau^-1, ar_sequence) and audit_theorems; cached per
-    presentation.
+    The entry check of enumerate_strings, realize, knit (and so witness),
+    the translates (tau, tau^-1, ar_sequence), detect_local_patterns and
+    audit_theorems; cached per presentation.
     """
     bad = _first_failed_condition(p)
     if bad is not None:

@@ -73,7 +73,7 @@ def test_morphism_arithmetic_equals_the_checked_constructor(char):
         c = field.of(rng.randint(-2, 2))
         gf = g.compose(f)
         want = MorphismMatrix(
-            f.source, g.target, {v: _product(field, g.blocks[v], f.blocks[v]) for v in f.blocks}
+            f.source, g.target, {v: _product(field, g.block(v), f.block(v)) for v in f.blocks}
         )
         assert gf == want and gf.flatten() == want.flatten()
         assert list(gf.blocks) == list(want.blocks)

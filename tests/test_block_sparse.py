@@ -1,0 +1,204 @@
+"""Block-sparse morphisms against a dense per-vertex schoolbook oracle.
+
+A morphism stores its blocks only on the common support of source and
+target.  Here every operation is recomputed on dense blocks, one per vertex
+of the quiver, empty ones included, and compared with the stored result.
+"""
+
+import random
+
+import pytest
+
+from stringar import field_for_characteristic, knit, witness
+from stringar.errors import CompositionError
+from stringar.families import make_family
+from stringar.fields import Mat, rref
+from stringar.modules import (
+    MorphismMatrix,
+    hom_flat_dim,
+    identity_morphism,
+    morphism_from_flat,
+)
+
+ALGEBRAS = [("W", {"n": 3}), ("U", {"m": 2, "n": 2}), ("V", {"m": 2, "n": 3})]
+CHARS = [0, 2, 3]
+
+
+@pytest.fixture(scope="module", params=[(f, kw, c) for f, kw in ALGEBRAS for c in CHARS],
+                ids=lambda a: f"{a[0]}{''.join(map(str, a[1].values()))}-char{a[2]}")
+def quiver(request):
+    fam, kw, char = request.param
+    return knit(make_family(fam, **kw).presentation, field_for_characteristic(char))
+
+
+def _vertices(f):
+    return f.source.p.quiver.vertices
+
+
+def _support(source, target):
+    return [v for v in source.p.quiver.vertices if source.dims[v] and target.dims[v]]
+
+
+def _dense(f):
+    """{vertex: rows} for every vertex, with the shape the dims give."""
+    out = {}
+    for v in _vertices(f):
+        b = f.block(v)
+        assert b.shape == (f.target.dims[v], f.source.dims[v])
+        if v not in f.blocks:
+            assert 0 in b.shape
+        out[v] = b.rows
+    return out
+
+
+def _mul(field, a, b, inner, ncols):
+    return [
+        [sum((r[k] * b[k][j] for k in range(inner)), field.zero()) for j in range(ncols)]
+        for r in a
+    ]
+
+
+def _oracle_compose(g, f):
+    field, dg, df = f.source.field, _dense(g), _dense(f)
+    return {v: _mul(field, dg[v], df[v], f.target.dims[v], f.source.dims[v])
+            for v in _vertices(f)}
+
+
+def _rank(field, rows):
+    return len(rref([list(r) for r in rows], field)[0]) if rows else 0
+
+
+def _oracle_flags(f):
+    field, d = f.source.field, _dense(f)
+    ranks = {v: _rank(field, d[v]) for v in d}
+    src, tgt = f.source.dims, f.target.dims
+    return {
+        "mono": all(ranks[v] == src[v] for v in d),
+        "epi": all(ranks[v] == tgt[v] for v in d),
+        "invertible": all(src[v] == tgt[v] == ranks[v] for v in d),
+    }
+
+
+def _oracle_intertwines(f):
+    field, d = f.source.field, _dense(f)
+    for a in f.source.p.quiver.arrows:
+        s, t = a.source, a.target
+        lhs = _mul(field, d[t], f.source.maps[a.label].rows, f.source.dims[t], f.source.dims[s])
+        rhs = _mul(field, f.target.maps[a.label].rows, d[s], f.target.dims[s], f.source.dims[s])
+        if lhs != rhs:
+            return False
+    return True
+
+
+def _check_against_oracle(f, dense, c):
+    field = f.source.field
+    assert list(f.blocks) == _support(f.source, f.target)
+    assert _dense(f) == dense
+    assert f.flatten() == [x for v in _vertices(f) for r in dense[v] for x in r]
+    assert f.as_dict() == {v: [[field.to_str(x) for x in r] for r in dense[v]]
+                           for v in _vertices(f)}
+    flags = _oracle_flags(f)
+    assert (f.is_mono(), f.is_epi(), f.is_invertible()) == (
+        flags["mono"], flags["epi"], flags["invertible"]
+    )
+    assert f.check_intertwining() == _oracle_intertwines(f)
+    assert f.is_zero() == (not any(x for v in dense for r in dense[v] for x in r))
+    pairs = [
+        (f.add(f.scale(c)), {v: [[x + c * x for x in r] for r in dense[v]] for v in dense}),
+        (f.scale(c), {v: [[c * x for x in r] for r in dense[v]] for v in dense}),
+        (f.neg(), {v: [[-x for x in r] for r in dense[v]] for v in dense}),
+    ]
+    for got, want in pairs:
+        assert list(got.blocks) == list(f.blocks)
+        assert _dense(got) == want
+    assert f == MorphismMatrix(f.source, f.target, {v: Mat(field, dense[v], f.source.dims[v])
+                                                     for v in dense})
+    zero = f.add(f.neg())
+    assert zero.is_zero() and (zero == f) == f.is_zero()
+
+
+def test_arrow_pairs_and_triples_match_the_dense_oracle(quiver):
+    field = quiver.field
+    rng = random.Random(f"sparse:{field}")
+    checked = 0
+    for a in quiver.arrows:
+        f = a.morphism
+        _check_against_oracle(f, _dense(f), field.of(rng.randint(-2, 2)))
+        for b in quiver.arrows_from(a.target):
+            g = b.morphism
+            gf = g.compose(f)
+            _check_against_oracle(gf, _oracle_compose(g, f), field.of(rng.randint(-2, 2)))
+            for c in quiver.arrows_from(b.target):
+                h = c.morphism
+                want = _oracle_compose(h, gf)
+                _check_against_oracle(h.compose(gf), want, field.of(rng.randint(-2, 2)))
+                assert h.compose(g).compose(f) == h.compose(gf)
+                checked += 1
+    assert checked > 0
+
+
+def test_identities_are_invertible_and_compose_to_themselves(quiver):
+    for x in quiver.nodes:
+        ident = identity_morphism(x.module.rep)
+        assert list(ident.blocks) == _support(ident.source, ident.target)
+        assert ident.is_invertible() and ident.is_mono() and ident.is_epi()
+        for a in quiver.arrows_from(x.index):
+            assert a.morphism.compose(ident) == a.morphism
+            assert a.morphism.is_invertible() is False
+
+
+def test_flat_morphisms_store_the_common_support(quiver):
+    field = quiver.field
+    rng = random.Random(f"flat:{field}")
+    for x in quiver.nodes:
+        for y in quiver.nodes:
+            M, N = x.module.rep, y.module.rep
+            n = hom_flat_dim(M, N)
+            vec = [field.of(rng.randint(-2, 2)) for _ in range(n)]
+            f = morphism_from_flat(M, N, vec)
+            assert list(f.blocks) == _support(M, N)
+            assert f.flatten() == vec
+            # one-entry block maps: an arrow leaving the common support can break them
+            for i in range(n):
+                unit = morphism_from_flat(M, N, [field.one() if j == i else field.zero()
+                                                 for j in range(n)])
+                assert unit.check_intertwining() == _oracle_intertwines(unit)
+
+
+def test_constructor_checks_the_shape_off_the_support():
+    G = knit(make_family("W", n=3).presentation)
+    f = G.arrows[0].morphism
+    absent = [v for v in _vertices(f) if v not in f.blocks]
+    v = absent[0]
+    r, c = f.target.dims[v], f.source.dims[v]
+    wrong = Mat.zeros(f.source.field, r + 1, c) if c else Mat.zeros(f.source.field, r, c + 1)
+    with pytest.raises(CompositionError):
+        MorphismMatrix(f.source, f.target, {**f.blocks, v: wrong})
+    kept = MorphismMatrix(f.source, f.target, {**f.blocks, v: f.block(v)})
+    assert list(kept.blocks) == list(f.blocks) and kept == f
+
+
+def test_witness_search_multiplies_no_empty_block(monkeypatch):
+    """compose multiplies only where source, middle and target are all nonzero."""
+    inside, empty, products = [False], [], [0]
+    mul, compose = Mat.__mul__, MorphismMatrix.compose
+
+    def counted_mul(a, b):
+        if inside[0]:
+            products[0] += 1
+            if 0 in a.shape or 0 in b.shape:
+                empty.append((a.shape, b.shape))
+        return mul(a, b)
+
+    def flagged_compose(self, first):
+        inside[0] = True
+        try:
+            return compose(self, first)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(Mat, "__mul__", counted_mul)
+    monkeypatch.setattr(MorphismMatrix, "compose", flagged_compose)
+    w = witness(make_family("W", n=5))
+    assert w.depths["total"] == 8
+    assert products[0] > 0 and empty == []

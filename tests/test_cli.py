@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from stringar.cli import main
 from tests.conftest import EX3_SOURCE, W3_SOURCE
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @pytest.fixture()
@@ -232,8 +239,12 @@ def three_out_file(tmp_path):
     return str(f)
 
 
-@pytest.mark.parametrize("argv", [["strings"], ["knit"], ["audit"], ["tau", "a"]],
-                         ids=lambda argv: argv[0])
+@pytest.mark.parametrize(
+    "argv",
+    [["strings"], ["knit"], ["audit"], ["tau", "a"], ["module", "a"], ["hom", "a", "b"],
+     ["detect"]],
+    ids=lambda argv: argv[0],
+)
 def test_non_string_algebra_is_rejected(capsys, three_out_file, argv):
     code, out, err = run(capsys, argv[0], three_out_file, *argv[1:])
     assert (code, out) == (1, "")
@@ -256,3 +267,31 @@ def test_validate_reports_a_non_string_algebra(capsys, three_out_file):
         "NOT a string algebra\n"
         "nonzero paths: 7\n"
     )
+
+
+def test_consecutive_calls_match_fresh_runs(w3_file):
+    """The parser is built once per process; later calls answer as a fresh process does."""
+    calls = [
+        ["hom", w3_file],  # usage error: the target word is missing
+        ["strings", w3_file, "--max-len", "2"],
+        ["hom", w3_file, "e(4)", "b3", "--json"],
+    ]
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    codes = []
+    for argv in calls:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        fresh = subprocess.run(
+            [sys.executable, "-m", "stringar.cli", *argv],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert (code, out.getvalue(), err.getvalue()) == (
+            fresh.returncode, fresh.stdout, fresh.stderr
+        ), argv
+        codes.append(code)
+    assert codes == [3, 0, 0]
+    assert json.loads(out.getvalue())["dimension"] == 1
