@@ -17,7 +17,7 @@ import sys
 from .artheory import knit, tau, tau_orbit
 from .configurations import audit_theorems, detect_local_patterns
 from .errors import StringAlgebraError
-from .families import make_family, witness
+from .families import make_family, require_witness_parameters, witness
 from .fields import field_for_characteristic
 from .modules import compose_chain, hom_basis, realize
 from .presentation import (
@@ -37,6 +37,14 @@ class _Parser(argparse.ArgumentParser):
 
 class _UsageError(Exception):
     pass
+
+
+def _checked(fn, *args, **kw):
+    """Call fn on command-line parameters; the ValueError it raises is a usage error."""
+    try:
+        return fn(*args, **kw)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _add_input_args(sp, family_only=False):
@@ -60,7 +68,7 @@ def _resolve(args, family_only=False):
     if path and args.family:
         raise _UsageError("give a presentation file or --family, not both")
     if args.family:
-        return make_family(args.family, m=args.m, n=args.n).presentation
+        return _checked(make_family, args.family, m=args.m, n=args.n).presentation
     if not path:
         raise _UsageError("no input: give a presentation file or --family")
     with open(path, "r", encoding="utf-8") as fh:
@@ -366,7 +374,8 @@ def _parser():
     def _witness(args, p, field):
         if not args.family:
             raise StringAlgebraError("witness needs --family")
-        spec = make_family(args.family, m=args.m, n=args.n)
+        spec = _checked(make_family, args.family, m=args.m, n=args.n)
+        _checked(require_witness_parameters, spec)
         w = witness(spec, field)
         if args.json:
             _emit_json(args, w.as_dict())
@@ -388,7 +397,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     fn = commands[args.command]
     try:
-        field = field_for_characteristic(args.char)
+        field = _checked(field_for_characteristic, args.char)
         p = _resolve(args, family_only=(args.command in ("family", "witness")))
         return fn(args, p, field)
     except _UsageError as exc:

@@ -143,23 +143,16 @@ def _u_module_words(spec):
     return Walk(ell), (Walk(nn) if nn else None), Walk(ix)
 
 
-def _paths(quiver, length, node, forward):
-    """Arrow paths of the given length leaving (forward) or entering `node`.
-
-    Each path is listed in arrow order; the order of the list is a depth-first
-    search along arrows_from (forward) or arrows_into from `node`.
-    """
+def _cycles(quiver, length, node):
+    """Arrow paths of the given length from `node` back to it, depth-first along arrows_from."""
     out = []
 
     def grow(path):
         if len(path) == length:
-            out.append(tuple(path) if forward else tuple(reversed(path)))
+            if path[-1].target == node:
+                out.append(tuple(path))
             return
-        if forward:
-            frontier = quiver.arrows_from(path[-1].target if path else node)
-        else:
-            frontier = quiver.arrows_into(path[-1].source if path else node)
-        for a in frontier:
+        for a in quiver.arrows_from(path[-1].target if path else node):
             path.append(a)
             grow(path)
             path.pop()
@@ -168,36 +161,95 @@ def _paths(quiver, length, node, forward):
     return out
 
 
+def _live_paths(quiver, table, node, length, after=None):
+    """(path, composite) for each arrow path of `length` with a nonzero composite.
+
+    Without `after`, the paths enter `node` and the composite is the plain
+    one; with after=(start, f), they leave `node` and the composite starts
+    with f: start -> node.  Paths come depth-first along arrows_into or
+    arrows_from, each listed in arrow order.  A branch is cut before
+    composing when Hom between the composite's ends is zero, and after
+    composing when the composite is zero: more arrows leave a zero map zero.
+    """
+    path = []
+
+    def grow(f):
+        if len(path) == length:
+            yield (tuple(path) if after else tuple(reversed(path))), f
+            return
+        if after:
+            for a in quiver.arrows_from(path[-1].target if path else node):
+                if table.reaches(after[0], a.target):
+                    yield from visit(a, a.morphism.compose(f))
+        else:
+            for a in quiver.arrows_into(path[-1].source if path else node):
+                if table.reaches(a.source, node):
+                    yield from visit(a, f.compose(a.morphism) if path else a.morphism)
+
+    def visit(a, g):
+        if not g.is_zero():
+            path.append(a)
+            yield from grow(g)
+            path.pop()
+
+    return grow(after[1] if after else None)
+
+
 def _path_nodes(quiver, path):
     """The nodes visited by a nonempty arrow path."""
     return [quiver.nodes[path[0].source]] + [quiver.nodes[a.target] for a in path]
 
 
 def _perturber():
-    """(rho, arrow) -> f + rho o f for the arrow's map f, each built once per search."""
+    """(rho, f) -> f + rho o f for a map f into the cycle's node.
+
+    Each cycle is composed once per search.  f + rho o f = (1 + rho) o f and
+    1 + rho is invertible (rho is radical), so the result is zero exactly
+    when f is: a path's plain composite decides a zero prefix for every rho.
+    """
     cycle = functools.cache(lambda rho: compose_chain([a.morphism for a in rho]))
 
-    @functools.cache
-    def perturb(rho, arrow):
-        return arrow.morphism.add(cycle(rho).compose(arrow.morphism))
+    def perturb(rho, f):
+        return f.add(cycle(rho).compose(f))
 
     return perturb
 
 
-def _chain_with_cycle(path, perturb, rho, perturb_at):
-    """Morphism chain of the path with the cycle composite added after position perturb_at."""
-    chain = [a.morphism for a in path]
-    chain[perturb_at] = perturb(rho, path[perturb_at])
-    return chain
+def _plain_deep(table, expected):
+    """path -> whether the plain composite of the path lies in rad^expected.
 
-
-def _chain_depths(table, chain, prefix, nodes, expected, suffix_ok, prefix_ok):
-    """Depths of the chain, its suffix h_n...h_2 and its prefix h_{n-1}...h_1.
-
-    `prefix` is the composite h_{n-1}...h_1, built by the caller.  None unless
-    the whole chain has depth `expected` and the suffix and the prefix pass
-    their checks; the suffix is checked first.
+    A candidate's composite is the plain one plus a composite through the
+    cycle of `expected` arrows, which lies in rad^expected.  That layer is a
+    subspace, so the sum has depth `expected` only if the plain composite
+    lies in it too (the zero map does).  Each path is tested once, whatever
+    the cycle.
     """
+
+    @functools.cache
+    def composite(path):
+        f = path[-1].morphism
+        return f if len(path) == 1 else f.compose(composite(path[:-1]))
+
+    @functools.cache
+    def deep(path):
+        x, y = table.nodes[path[0].source], table.nodes[path[-1].target]
+        return table.depth(composite(path), x, y) >= expected
+
+    return deep
+
+
+def _chain_depths(table, perturb, rho, path, perturb_at, prefix, expected, suffix_ok, prefix_ok):
+    """The path's chain with the cycle added after position perturb_at, checked.
+
+    `prefix` is the composite h_{n-1}...h_1 of that chain, built by the
+    caller.  Returns (chain, nodes, depths) with the depths of the chain, its
+    suffix h_n...h_2 and its prefix; None unless the whole chain has depth
+    `expected` and the suffix and the prefix pass their checks.  The suffix
+    is checked first.
+    """
+    chain = [a.morphism for a in path]
+    chain[perturb_at] = perturb(rho, chain[perturb_at])
+    nodes = _path_nodes(table.quiver, path)
     d_total = table.depth(chain[-1].compose(prefix), nodes[0], nodes[-1])
     if d_total != expected:
         return None
@@ -207,18 +259,34 @@ def _chain_depths(table, chain, prefix, nodes, expected, suffix_ok, prefix_ok):
     d_prefix = table.depth(prefix, nodes[0], nodes[-2])
     if not prefix_ok(d_prefix):
         return None
-    return {
+    depths = {
         "total": d_total,
         "prefix": _depth_or_none(d_prefix),
         "suffix": _depth_or_none(d_suffix),
     }
+    return chain, nodes, depths
 
 
 def _depth_or_none(d):
     return None if d == ZERO_DEPTH else d
 
 
+def require_witness_parameters(spec):
+    """Raise ValueError unless the family has witness chains: W(n) needs n >= 3."""
+    if spec.family == "W" and spec.n < 3:
+        raise ValueError("W-family witness chains need n >= 3")
+
+
 def witness(spec, field=QQ):
+    """A verified witness chain of the family; see _witness_w and _witness_uv.
+
+    The search tries the candidates of a fixed order and returns the first
+    that passes `_chain_depths`.  Before composing anything it skips only
+    candidates that provably fail: an end pair with rad^expected = 0, a
+    partial composite that is zero (or whose Hom space is), and a path whose
+    plain composite is shallower than `expected` (see _plain_deep).
+    """
+    require_witness_parameters(spec)
     p = spec.presentation
     quiver = knit(p, field)
     table = RadicalTable(quiver)
@@ -239,55 +307,51 @@ def _witness_uv(spec, quiver, table):
         l_first = quiver.node_of(ell)
         l_candidates = [l_first] + [x for x in l_candidates if x.index != l_first.index]
     perturb = _perturber()
-    for l_node in l_candidates:
-        cycles = [
-            c
-            for c in _paths(quiver, cycle_len, l_node.index, forward=True)
-            if c[-1].target == l_node.index
-        ]
-        cycles.sort(key=lambda c: (not any(a.source == s_node.index for a in c),))
-        if not cycles:
-            continue
-        phis = _paths(quiver, phi_len, l_node.index, forward=False)
-        for exit_arrow in quiver.arrows_from(l_node.index):
-            for rho in cycles:
-                for phi in phis:
-                    w = _assemble_uv(
-                        spec, quiver, table, phi, rho, exit_arrow, expected, perturb
-                    )
-                    if w is not None:
-                        return w
-    raise WitnessConstructionError(
-        f"no verified witness chain found for {spec!r}; "
-        "flagging as an open discrepancy"
-    )
-
-
-def _assemble_uv(spec, quiver, table, phi, rho, exit_arrow, expected, perturb):
-    n = spec.n
-    path = phi + (exit_arrow,)
-    nodes = _path_nodes(quiver, path)
-    chain = _chain_with_cycle(path, perturb, rho, perturb_at=n - 2)
+    plain_deep = _plain_deep(table, expected)
 
     def shallow(d):
         return d <= n - 1
 
-    prefix = compose_chain(chain[:-1])
-    depths = _chain_depths(table, chain, prefix, nodes, expected, shallow, shallow)
-    if depths is None:
-        return None
-    m = spec.m
-    s_node = quiver.node_of(Walk(basepoint=f"a{m}"))
-    distinguished = {
-        "P": _std_node(quiver, spec.presentation, f"a{m}", "projective"),
-        "S": s_node,
-        "I": _std_node(quiver, spec.presentation, f"a{m}", "injective"),
-        "L": quiver.nodes[exit_arrow.source],
-        "N": quiver.nodes[exit_arrow.target],
-    }
-    return FamilyWitness(
-        spec, chain, nodes, nodes[:-1], _path_nodes(quiver, rho), distinguished,
-        expected, depths, quiver, table,
+    for l_node in l_candidates:
+        li = l_node.index
+        cycles = _cycles(quiver, cycle_len, li)
+        cycles.sort(key=lambda c: (not any(a.source == s_node.index for a in c),))
+        if not cycles:
+            continue
+        phis = list(_live_paths(quiver, table, li, phi_len))
+        heads = {}  # (rho, phi) -> the perturbed composite of phi, for every exit arrow
+        for exit_arrow in quiver.arrows_from(li):
+            passing = [
+                (phi, plain) for phi, plain in phis
+                if table.reaches(phi[0].source, exit_arrow.target, expected)
+                and plain_deep(phi + (exit_arrow,))
+            ]
+            for rho in cycles:
+                for phi, plain in passing:
+                    prefix = heads.get((rho, phi))
+                    if prefix is None:
+                        prefix = heads[rho, phi] = perturb(rho, plain)
+                    hit = _chain_depths(
+                        table, perturb, rho, phi + (exit_arrow,), n - 2, prefix, expected,
+                        shallow, shallow,
+                    )
+                    if hit is not None:
+                        chain, nodes, depths = hit
+                        v = f"a{m}"
+                        distinguished = {
+                            "P": _std_node(quiver, spec.presentation, v, "projective"),
+                            "S": s_node,
+                            "I": _std_node(quiver, spec.presentation, v, "injective"),
+                            "L": l_node,
+                            "N": quiver.nodes[exit_arrow.target],
+                        }
+                        return FamilyWitness(
+                            spec, chain, nodes, nodes[:-1], _path_nodes(quiver, rho),
+                            distinguished, expected, depths, quiver, table,
+                        )
+    raise WitnessConstructionError(
+        f"no verified witness chain found for {spec!r}; "
+        "flagging as an open discrepancy"
     )
 
 
@@ -300,39 +364,37 @@ def _witness_w(spec, quiver, table):
     from .configurations import find_three_cycles
 
     n = spec.n
-    if n < 3:
-        raise ValueError("W-family witness chains need n >= 3")
     expected = n + 3
     rotations = []
     for cyc in find_three_cycles(quiver):
         for r in range(3):
             rotations.append(cyc[r:] + cyc[:r])
     perturb = _perturber()
+    plain_deep = _plain_deep(table, expected)
+    intos = functools.cache(lambda b_node, k: list(_live_paths(quiver, table, b_node, k)))
     for rho in rotations:
         b_node = rho[0].source
         for j in range(2, n + 1):  # the cycle sits at chain position j
-            outs = _paths(quiver, n + 1 - j, b_node, forward=True)
-            for into in _paths(quiver, j - 1, b_node, forward=False):
-                head = compose_chain(_chain_with_cycle(into, perturb, rho, perturb_at=j - 2))
-                prefixes = {(): head}  # out[:k] -> h_{j-1+k} ... h_1, for this head only
-
-                def prefix(steps):
-                    f = prefixes.get(steps)
-                    if f is None:
-                        f = prefixes[steps] = steps[-1].morphism.compose(prefix(steps[:-1]))
-                    return f
-
-                for out in outs:
-                    phi = into + out
-                    nodes = _path_nodes(quiver, phi)
-                    chain = _chain_with_cycle(phi, perturb, rho, perturb_at=j - 2)
-                    depths = _chain_depths(
-                        table, chain, prefix(out[:-1]), nodes, expected,
-                        suffix_ok=lambda d: d >= n, prefix_ok=lambda d: True,
-                    )
-                    if depths is not None:
-                        return FamilyWitness(
-                            spec, chain, nodes, nodes[:j], _path_nodes(quiver, rho), {},
-                            expected, depths, quiver, table,
+            for into, plain in intos(b_node, j - 1):
+                start = into[0].source
+                mids = _live_paths(
+                    quiver, table, b_node, n - j, after=(start, perturb(rho, plain))
+                )
+                for mid, prefix in mids:  # prefix: h_{n-1} ... h_1
+                    for last in quiver.arrows_from(mid[-1].target if mid else b_node):
+                        if not table.reaches(start, last.target, expected):
+                            continue
+                        path = into + mid + (last,)
+                        if not plain_deep(path):
+                            continue
+                        hit = _chain_depths(
+                            table, perturb, rho, path, j - 2, prefix, expected,
+                            suffix_ok=lambda d: d >= n, prefix_ok=lambda d: True,
                         )
+                        if hit is not None:
+                            chain, nodes, depths = hit
+                            return FamilyWitness(
+                                spec, chain, nodes, nodes[:j], _path_nodes(quiver, rho), {},
+                                expected, depths, quiver, table,
+                            )
     raise WitnessConstructionError(f"no verified witness chain found for {spec!r}")

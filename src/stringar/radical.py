@@ -189,6 +189,15 @@ class RadicalTable:
     def _rows(self, x, y):
         return self._tagged.get((x.index, y.index), ())
 
+    def reaches(self, xi, yi, n=0):
+        """True when rad^n(x, y) != 0, for node indices xi, yi; n=0 asks Hom(x, y) != 0.
+
+        `_build` appends each pair's rows deepest tag first, so the first stored
+        row carries the pair's largest tag and one lookup decides.
+        """
+        rows = self._tagged.get((xi, yi))
+        return bool(rows) and rows[0][0] >= n
+
     def _deep_rows(self, x, y, n):
         return [row for t, _, row in self._rows(x, y) if t >= n]
 

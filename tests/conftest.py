@@ -36,6 +36,14 @@ relation a a
 """
 
 
+# the benchmark's ladder inputs, by make_family parameters
+LADDER = {
+    "W3": ("W", None, 3), "W5": ("W", None, 5), "W7": ("W", None, 7), "W9": ("W", None, 9),
+    "U2_2": ("U", 2, 2), "U3_3": ("U", 3, 3), "U4_4": ("U", 4, 4),
+    "V2_3": ("V", 2, 3), "V3_4": ("V", 3, 4),
+}
+
+
 @pytest.fixture(scope="session")
 def w3():
     return parse_presentation(W3_SOURCE)

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from stringar import families
 from stringar.cli import main
 from tests.conftest import EX3_SOURCE, W3_SOURCE
 
@@ -189,6 +190,22 @@ def test_usage_error_exit_three(w3_file):
     with pytest.raises(SystemExit) as exc:
         main(["degree", w3_file])  # --side is required
     assert exc.value.code == 3
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("witness", "--family", "W", "--n", "2"), "W-family witness chains need n >= 3"),
+        (("witness", "--family", "U", "--m", "2"), "the U family needs m, n >= 2"),
+        (("family", "--family", "W", "--n", "0"), "the W family needs n >= 2"),
+        (("knit", "--family", "W", "--n", "3", "--char", "4"), "4 is not prime"),
+    ],
+    ids=["witness-W2", "witness-U-no-n", "family-W0", "knit-char4"],
+)
+def test_bad_parameters_are_usage_errors(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(families, "knit", lambda *a: pytest.fail("knitted a rejected input"))
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (3, "", f"stringar: usage error: {message}\n")
 
 
 def test_missing_input_exit_three(capsys):

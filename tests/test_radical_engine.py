@@ -25,6 +25,7 @@ from stringar.errors import MeshInconsistencyError
 from stringar.families import make_family
 from stringar.modules import MorphismMatrix
 from stringar.radical import ZERO_DEPTH, RadicalTable
+from tests.conftest import LADDER
 
 FAMILIES = {"W3": ("W", None, 3), "U2_2": ("U", 2, 2), "V2_3": ("V", 2, 3)}
 
@@ -194,3 +195,18 @@ def test_span_check_leaves_the_layer_memo_alone():
     before = dict(T._layers)
     assert T.layers_equal_to_span()
     assert T._layers == before
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_first_row_carries_the_largest_tag(name):
+    """`reaches` reads one row per pair; that is sound only under this invariant."""
+    family, m, n = LADDER[name]
+    table = RadicalTable(knit(make_family(family, m=m, n=n).presentation))
+    for rows in table._tagged.values():
+        assert rows and rows[0][0] == max(t for t, _, _ in rows)
+    for x in table.nodes:
+        for y in table.nodes:
+            dims = table.profile(x, y).dims
+            assert [table.reaches(x.index, y.index, k) for k in range(len(dims))] == [
+                d > 0 for d in dims
+            ]
