@@ -47,6 +47,12 @@ def _checked(fn, *args, **kw):
         raise _UsageError(str(exc)) from None
 
 
+def _at_least(low, flag, value):
+    """Reject a count below low (None means no count given) as a usage error."""
+    if value is not None and value < low:
+        raise _UsageError(f"{flag} must be at least {low}, got {value}")
+
+
 def _add_input_args(sp, family_only=False):
     if not family_only:
         sp.add_argument("algebra", nargs="?", help="presentation file path")
@@ -135,6 +141,7 @@ def _parser():
 
     @cmd("strings", help="enumerate canonical strings")
     def _strings(args, p, field):
+        _at_least(0, "--max-len", args.max_len)
         words = enumerate_strings(p, max_len=args.max_len)
         if args.json:
             _emit_json(args, {"strings": [walk_to_text(w.walk) for w in words]})
@@ -146,6 +153,7 @@ def _parser():
 
     @cmd("bands", help="canonical band words up to a length bound")
     def _bands(args, p, field):
+        _at_least(0, "--max-len", args.max_len)
         bands = find_bands(p, args.max_len)
         if args.json:
             _emit_json(args, {"bands": [walk_to_text(b) for b in bands]})
@@ -183,6 +191,7 @@ def _parser():
 
     @cmd("tau-orbit", help="iterated translates with DTr verification")
     def _tau_orbit(args, p, field):
+        _at_least(0, "--steps", args.steps)
         M = realize(p, walk_from_text(args.word), field)
         orbit = tau_orbit(p, M, args.steps, field)
         payload = {
@@ -294,7 +303,7 @@ def _parser():
             f = arrows[0].morphism
         else:
             raise StringAlgebraError("give --theta V, --iota V, or --source/--target")
-        deg = T.degree(f, args.side, bound=args.bound, source=src, target=dst)
+        deg = _checked(T.degree, f, args.side, bound=args.bound, source=src, target=dst)
         payload = {
             "side": args.side,
             "value": None if not deg.is_finite else deg.value,
@@ -351,6 +360,7 @@ def _parser():
 
     @cmd("audit", help="run the four structure audits")
     def _audit(args, p, field):
+        _at_least(1, "--samples", args.samples)
         report = audit_theorems(p, samples=args.samples, seed=args.seed, field=field)
         if args.json:
             _emit_json(args, report.as_dict())

@@ -2,8 +2,11 @@
 
 Everything downstream (homomorphism spaces, radical layers, the DTr
 oracle) reduces to rank/kernel/echelon computations on small dense
-matrices.  Entries are `fractions.Fraction` in characteristic 0 or
-`FpElement` mod p; both support +,-,*,/ so the code below is generic.
+matrices.  In characteristic 0 an entry is a Python `int` when it is
+integral and a `fractions.Fraction` otherwise; mod p it is an
+`FpElement`.  All of these support +, -, * and == exactly, so the code
+below is generic.  Division is the one exception (`int / int` is a
+float), so nothing divides directly: a pivot is inverted by `field.inv`.
 """
 
 from __future__ import annotations
@@ -50,24 +53,38 @@ class FpElement:
         return f"{self.v} (mod {self.p})"
 
 
+def _exact(q):
+    """The Fraction q as an int when it is integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
 class Rationals:
-    """Field descriptor for exact rational arithmetic."""
+    """Field descriptor for exact rational arithmetic.
+
+    An element is an `int` when it is integral and a `Fraction` otherwise,
+    so the integer matrices of string modules never reach `Fraction` code.
+    Sums and products of Fractions may still be integral Fractions; they
+    compare, hash and print like the equal int.  Divide only through `inv`.
+    """
 
     characteristic = 0
-    _zero = Fraction(0)  # shared constants: field elements are never mutated
-    _one = Fraction(1)
 
     def zero(self):
-        return self._zero
+        return 0
 
     def one(self):
-        return self._one
+        return 1
 
     def of(self, n):
-        return Fraction(n)
+        return n if type(n) is int else _exact(Fraction(n))
 
     def parse(self, s):
-        return Fraction(s)
+        return _exact(Fraction(s))
+
+    def inv(self, x):
+        if x == 1 or x == -1:
+            return x
+        return _exact(1 / Fraction(x))
 
     def to_str(self, x):
         return str(x)
@@ -104,6 +121,9 @@ class PrimeField:
 
     def parse(self, s):
         return FpElement(self.p, int(s))
+
+    def inv(self, x):
+        return self._one / x
 
     def to_str(self, x):
         return str(x.v)
@@ -265,7 +285,7 @@ def rref(rows, field):
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = field.one() / rows[r][c]
+        inv = field.inv(rows[r][c])
         rows[r] = [x * inv for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
@@ -359,7 +379,7 @@ class Subspace:
         p = next((i for i, a in enumerate(v) if a), None)
         if p is None:
             return False
-        inv = self.field.one() / v[p]
+        inv = self.field.inv(v[p])
         v = [a * inv for a in v]
         for i in range(len(self.rows)):
             if self.rows[i][p]:

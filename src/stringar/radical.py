@@ -116,7 +116,7 @@ def _append(field, rows, vec, tag):
     p = next((i for i, a in enumerate(v) if a), None)
     if p is None:
         return False
-    inv = field.one() / v[p]
+    inv = field.inv(v[p])
     rows.append((tag, p, [a * inv for a in v]))
     return True
 
@@ -385,9 +385,11 @@ def _standard_morphism(quiver, u, projective):
 
     arrows = standard_arrows(p, u, field, resolve, projective)
     if len(arrows) != 1:
+        # a vertex choice from the caller, not a broken invariant
         what = f"rad P({u})" if projective else f"I({u})/soc"
-        raise MeshInconsistencyError(
-            f"{what} is not indecomposable ({len(arrows)} summands)"
+        name = f"{what} -> P({u})" if projective else f"I({u}) -> {what}"
+        raise NotIrreducibleError(
+            f"{name} is not irreducible: {what} has {len(arrows)} indecomposable summands"
         )
     src, dst, mor = arrows[0]
     return mor, quiver.node_of(src.word), quiver.node_of(dst.word)

@@ -199,13 +199,55 @@ def test_usage_error_exit_three(w3_file):
         (("witness", "--family", "U", "--m", "2"), "the U family needs m, n >= 2"),
         (("family", "--family", "W", "--n", "0"), "the W family needs n >= 2"),
         (("knit", "--family", "W", "--n", "3", "--char", "4"), "4 is not prime"),
+        (("audit", "--family", "W", "--n", "3", "--samples", "0"),
+         "--samples must be at least 1, got 0"),
+        (("audit", "--family", "W", "--n", "3", "--samples", "-1"),
+         "--samples must be at least 1, got -1"),
+        (("tau-orbit", "--family", "W", "--n", "3", "e(2)", "--steps", "-1"),
+         "--steps must be at least 0, got -1"),
+        (("strings", "--family", "W", "--n", "3", "--max-len", "-1"),
+         "--max-len must be at least 0, got -1"),
+        (("bands", "--family", "W", "--n", "3", "--max-len", "-1"),
+         "--max-len must be at least 0, got -1"),
     ],
-    ids=["witness-W2", "witness-U-no-n", "family-W0", "knit-char4"],
+    ids=["witness-W2", "witness-U-no-n", "family-W0", "knit-char4", "audit-samples0",
+         "audit-samples-1", "tau-orbit-steps-1", "strings-max-len-1", "bands-max-len-1"],
 )
 def test_bad_parameters_are_usage_errors(capsys, monkeypatch, argv, message):
     monkeypatch.setattr(families, "knit", lambda *a: pytest.fail("knitted a rejected input"))
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (3, "", f"stringar: usage error: {message}\n")
+
+
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_degree_bound_below_nilpotency_is_a_usage_error(capsys, bound):
+    code, out, err = run(
+        capsys, "degree", "--family", "U", "--m", "2", "--n", "2",
+        "--theta", "a2", "--side", "left", "--bound", bound,
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        f"stringar: usage error: degree bound {bound} is below the nilpotency index 7; "
+        "no witness found, result inconclusive\n"
+    )
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--iota", "1"), "rad P(1) -> P(1) is not irreducible: rad P(1) has 2"),
+        (("--iota", "x"), "rad P(x) -> P(x) is not irreducible: rad P(x) has 0"),
+        (("--theta", "x"), "I(x) -> I(x)/soc is not irreducible: I(x)/soc has 2"),
+        (("--theta", "1"), "I(1) -> I(1)/soc is not irreducible: I(1)/soc has 0"),
+    ],
+)
+def test_reducible_standard_map_is_a_domain_error(capsys, side, argv, message):
+    code, out, err = run(
+        capsys, "degree", "--family", "U", "--m", "2", "--n", "2", *argv, "--side", side
+    )
+    assert (code, out) == (1, "")
+    assert err == f"stringar: [not-irreducible] {message} indecomposable summands\n"
 
 
 def test_missing_input_exit_three(capsys):
