@@ -9,6 +9,11 @@ inverses.  Middle terms apply one end's operation, the far term applies
 both; additions are applied before deletions and deletions inspect the
 current word, which is what makes single-middle meshes come out right.
 
+The mesh maps and the standard arrows at projectives are graph maps along
+the token positions two surgery pieces share, written directly in the
+canonical modules' coordinates.  A mesh is checked exact, then non-split
+by its words (Miyata).
+
 An independent DTr oracle (minimal projective presentation, transpose
 over the opposite quiver, linear dual) guards the surgery.
 """
@@ -29,12 +34,10 @@ from .modules import (
     MorphismMatrix,
     Representation,
     StringModule,
-    identity_morphism,
     injective_word,
     is_isomorphic,
     projective_word,
     realize,
-    realize_walk,
     standard_word,
     zero_morphism,
 )
@@ -289,33 +292,28 @@ def tau_inverse(p, M, field=QQ):
 
 
 class _RawPiece:
-    """A tracked walk, its raw realization, and the hop to the canonical module."""
+    """A tracked walk and its canonical module, with the walk's positions in its coordinates.
 
-    __slots__ = ("tracked", "rep", "coord", "module", "to_canon", "from_canon")
+    `coord[j]` is the (vertex, index) basis vector of `module` at position j
+    of the tracked walk: `module.basis` when the walk is canonical, its
+    reverse when the canonical walk is the inverse.  The resolver validates
+    the string, since a walk is a string iff its inverse is.
+    """
 
-    def __init__(self, p, tracked, field, resolve):
+    __slots__ = ("tracked", "module", "coord")
+
+    def __init__(self, p, tracked, resolve):
         self.tracked = tracked
-        self.rep, self.coord = realize_walk(p, tracked.walk, field)
         self.module = resolve(canonical_walk(p, tracked.walk))
-        n = len(tracked.walk.letters)
         canon = self.module.word.walk
         if canon == tracked.walk:
-            perm = list(range(n + 1))
+            self.coord = self.module.basis
         elif canon == tracked.walk.inverse() or tracked.walk.is_trivial:
-            perm = [n - j for j in range(n + 1)]
+            self.coord = self.module.basis[::-1]
         else:
             raise MeshInconsistencyError("canonical form mismatch")
-        fwd = {v: Mat.zeros(field, self.module.rep.dims[v], self.rep.dims[v]) for v in p.quiver.vertices}
-        one = field.one()
-        for j in range(n + 1):
-            v, c_raw = self.coord[j]
-            v2, c_canon = self.module.basis[perm[j]]
-            if v != v2:
-                raise MeshInconsistencyError("canonical relabeling mismatch")
-            fwd[v].rows[c_canon][c_raw] = one
-        self.to_canon = MorphismMatrix(self.rep, self.module.rep, fwd)
-        bwd = {v: m.transpose() for v, m in fwd.items()}
-        self.from_canon = MorphismMatrix(self.module.rep, self.rep, bwd)
+        if [v for v, _ in self.coord] != walk_vertices(p, tracked.walk):
+            raise MeshInconsistencyError("canonical relabeling mismatch")
 
 
 def _segment_offset(small, big):
@@ -326,33 +324,27 @@ def _segment_offset(small, big):
     return None
 
 
-def _graph_map(p, src, dst, field):
-    """Inclusion or projection between raw pieces whose tokens nest."""
+def _graph_map(src, dst):
+    """Inclusion or projection between pieces whose tokens nest, in canonical coordinates.
+
+    The smaller piece's tokens are a run of the bigger one's; the map sends
+    each shared position's basis vector of src to that of dst.
+    """
     off = _segment_offset(src.tracked, dst.tracked)
-    one = field.one()
     if off is not None:
-        blocks = {v: Mat.zeros(field, dst.rep.dims[v], src.rep.dims[v]) for v in p.quiver.vertices}
-        for j in range(len(src.tracked.tokens)):
-            v, c_src = src.coord[j]
-            v2, c_dst = dst.coord[off + j]
-            assert v == v2
-            blocks[v].rows[c_dst][c_src] = one
-        return MorphismMatrix(src.rep, dst.rep, blocks)
-    off = _segment_offset(dst.tracked, src.tracked)
-    if off is None:
-        raise MeshInconsistencyError("mesh words do not nest")
-    blocks = {v: Mat.zeros(field, dst.rep.dims[v], src.rep.dims[v]) for v in p.quiver.vertices}
-    for j in range(len(dst.tracked.tokens)):
-        v, c_dst = dst.coord[j]
-        v2, c_src = src.coord[off + j]
+        pairs = zip(src.coord, dst.coord[off:])
+    else:
+        off = _segment_offset(dst.tracked, src.tracked)
+        if off is None:
+            raise MeshInconsistencyError("mesh words do not nest")
+        pairs = zip(src.coord[off:], dst.coord)
+    s, t = src.module.rep, dst.module.rep
+    blocks = {v: Mat.zeros(s.field, t.dims[v], s.dims[v]) for v in s.support & t.support}
+    one = s.field.one()
+    for (v, col), (v2, row) in pairs:
         assert v == v2
-        blocks[v].rows[c_dst][c_src] = one
-    return MorphismMatrix(src.rep, dst.rep, blocks)
-
-
-def _canon_map(p, src_piece, dst_piece, field):
-    raw = _graph_map(p, src_piece, dst_piece, field)
-    return dst_piece.to_canon.compose(raw.compose(src_piece.from_canon))
+        blocks[v].rows[row][col] = one
+    return MorphismMatrix(s, t, blocks)
 
 
 class AlmostSplitSequence:
@@ -412,20 +404,9 @@ class AlmostSplitSequence:
             raise MeshInconsistencyError("almost split sequence splits")
 
     def _splits(self):
-        """Is there a retraction h (a morphism!) with sum h_i o l_i = id?"""
-        from .modules import hom_basis
-
-        lt = self.left_term.rep
-        field = lt.field
-        columns = []
-        for l, m in zip(self.left_maps, self.middle):
-            for e in hom_basis(m.rep, lt).basis:
-                columns.append(e.compose(l).flatten())
-        target = identity_morphism(lt).flatten()
-        if not columns:
-            return not any(target)
-        mat = Mat(field, [list(row) for row in zip(*columns)], len(columns))
-        return solve(mat, target) is not None
+        """An exact sequence splits iff its middle is the sum of its ends (Miyata);
+        string modules are isomorphic iff their words agree (Butler-Ringel)."""
+        return {m.word for m in self.middle} == {self.left_term.word, self.right_term.word}
 
     def __repr__(self):
         mids = " (+) ".join(walk_to_text(m.word.walk) for m in self.middle)
@@ -435,18 +416,18 @@ class AlmostSplitSequence:
         )
 
 
-def _mesh_from_left(p, left_walk, field, resolve):
+def _mesh_from_left(p, left_walk, resolve):
     """The almost split sequence starting at M(left_walk)."""
     if is_injective_word(p, left_walk):
         raise IsInjectiveError(f"{walk_to_text(left_walk)} is injective")
     t, mids, far = _surgery(p, left_walk, "start")
     if far is None or not mids:
         raise MeshInconsistencyError("degenerate mesh")
-    left_piece = _RawPiece(p, t, field, resolve)
-    far_piece = _RawPiece(p, far, field, resolve)
-    mid_pieces = [_RawPiece(p, m, field, resolve) for m in mids]
-    left_maps = [_canon_map(p, left_piece, m, field) for m in mid_pieces]
-    right_maps = [_canon_map(p, m, far_piece, field) for m in mid_pieces]
+    left_piece = _RawPiece(p, t, resolve)
+    far_piece = _RawPiece(p, far, resolve)
+    mid_pieces = [_RawPiece(p, m, resolve) for m in mids]
+    left_maps = [_graph_map(left_piece, m) for m in mid_pieces]
+    right_maps = [_graph_map(m, far_piece) for m in mid_pieces]
     return AlmostSplitSequence(
         left_piece.module,
         [m.module for m in mid_pieces],
@@ -474,16 +455,16 @@ def ar_sequence(p, M, side, field=None, resolve=None):
     resolve = resolve or _default_resolver(p, field)
     if side == "endingAt":
         left = tau_word(p, word.walk)
-        seq = _mesh_from_left(p, left, field, resolve)
+        seq = _mesh_from_left(p, left, resolve)
         if seq.right_term.word != string_word(p, word.walk):
             raise MeshInconsistencyError("translate round trip failed")
         return seq
     if side == "startingAt":
-        return _mesh_from_left(p, word.walk, field, resolve)
+        return _mesh_from_left(p, word.walk, resolve)
     raise ValueError(f"unknown side {side!r}")
 
 
-def standard_arrows(p, v, field, resolve, projective):
+def standard_arrows(p, v, resolve, projective):
     """Irreducible maps at P(v) or I(v), as (source, target, canonical matrix).
 
     For P(v): the inclusions rad-summand -> P(v).  For I(v): the projections
@@ -497,12 +478,12 @@ def standard_arrows(p, v, field, resolve, projective):
     n = len(raw.letters)
     k = _end_run(raw, inverse=projective, side="left")
     segments = [_segment(p, t, lo, hi) for lo, hi in ((0, k), (k + 1, n + 1)) if hi > lo]
-    whole = _RawPiece(p, t, field, resolve)
+    whole = _RawPiece(p, t, resolve)
     out = []
     for seg in segments:
-        piece = _RawPiece(p, seg, field, resolve)
+        piece = _RawPiece(p, seg, resolve)
         src, dst = (piece, whole) if projective else (whole, piece)
-        out.append((src.module, dst.module, _canon_map(p, src, dst, field)))
+        out.append((src.module, dst.module, _graph_map(src, dst)))
     return out
 
 
@@ -638,7 +619,7 @@ def knit(p, field=QQ):
     for n in nodes:
         if n.projective:
             v_top = _projective_top_vertex(p, n.module.word.walk)
-            for src_mod, _, mor in standard_arrows(p, v_top, field, resolve, projective=True):
+            for src_mod, _, mor in standard_arrows(p, v_top, resolve, projective=True):
                 arrows.append(ARArrow(by_walk[src_mod.word.walk], n.index, mor))
             continue
         seq = ar_sequence(p, n.module, "endingAt", field=field, resolve=resolve)
@@ -690,7 +671,7 @@ class OrbitResult:
         return f"OrbitResult({len(self.modules)} modules{tail})"
 
 
-def tau_orbit(p, M, k, field=None, verify=True):
+def tau_orbit(p, M, k, field=None):
     """[M, tau M, ...] for up to k steps; stops early when a projective appears.
 
     Every surgery step is cross-checked against the DTr oracle.
@@ -702,12 +683,10 @@ def tau_orbit(p, M, k, field=None, verify=True):
         if is_projective_word(p, cur.word.walk):
             return OrbitResult(out, True, len(out) - 1)
         nxt = tau(p, cur, field)
-        if verify:
-            oracle = tau_oracle(p, cur, field)
-            if not is_isomorphic(nxt.rep, oracle):
-                raise MeshInconsistencyError(
-                    f"surgery and DTr disagree at {walk_to_text(cur.word.walk)}"
-                )
+        if not is_isomorphic(nxt.rep, tau_oracle(p, cur, field)):
+            raise MeshInconsistencyError(
+                f"surgery and DTr disagree at {walk_to_text(cur.word.walk)}"
+            )
         out.append(nxt)
         cur = nxt
     return OrbitResult(out, False, len(out) - 1)

@@ -260,7 +260,7 @@ def find_tau_arrows(p, quiver=None, candidates=None, field=QQ):
             for v in p.quiver.vertices:
                 if canonical_walk(p, projective_word(p, v)) == t_walk:
                     summands = standard_arrows(
-                        p, v, field, lambda w: realize(p, w, field), projective=True
+                        p, v, lambda w: realize(p, w, field), projective=True
                     )
                     if any(src.word.walk == M.word.walk for src, _, _ in summands):
                         out.append((M, t_mod))
@@ -362,7 +362,11 @@ def audit_theorems(p, samples=32, seed=0, field=QQ):
     (B) every triple composite of depth >= 4 has depth >= 6;
     (C) every 3-cycle carries a block-mono and a block-epi;
     (D) 3-cycles exist iff some irreducible M -> tau M exists.
+
+    samples < 1 is a ValueError: an audit that draws nothing passes vacuously.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     require_string_algebra(p)
     if has_band(p):
         raise BandFoundError("audits need a band-free presentation")

@@ -9,14 +9,13 @@ factor.
 
 from __future__ import annotations
 
-from .errors import CompositionError, NotAStringError, UnknownLabelError
+from .errors import CompositionError, UnknownLabelError
 from .fields import Mat, QQ, nullspace, solve
 from .presentation import require_string_algebra
 from .strings import (
     Letter,
     StringWord,
     Walk,
-    is_string,
     string_word,
     walk_to_text,
     walk_vertices,
@@ -109,15 +108,18 @@ class StringModule:
         return f"StringModule({walk_to_text(self.word.walk)})"
 
 
-def realize_walk(p, walk, field=QQ):
-    """Realize an exact walk (no canonicalization); the mesh machinery needs this."""
-    chk = is_string(p, walk)
-    if not chk:
-        raise NotAStringError(f"{walk_to_text(walk)}: {chk.reason}")
-    verts = walk_vertices(p, walk)
+def realize(p, word, field=QQ):
+    """Realize the canonical representative of a string; p must be a string algebra.
+
+    The module's `basis[j]` is the (vertex, index within the vertex block)
+    of the walk's position z_j.
+    """
+    require_string_algebra(p)
+    sw = string_word(p, word.walk if isinstance(word, StringWord) else word)
+    walk = sw.walk
     dims = {}
-    coord = []  # position -> (vertex, coordinate within the vertex block)
-    for v in verts:
+    coord = []
+    for v in walk_vertices(p, walk):
         c = dims.get(v, 0)
         coord.append((v, c))
         dims[v] = c + 1
@@ -131,20 +133,7 @@ def realize_walk(p, walk, field=QQ):
         _, col = coord[src_pos]
         _, row = coord[dst_pos]
         maps[letter.arrow].rows[row][col] = one
-    rep = Representation(p, field, dims, maps)
-    return rep, coord
-
-
-def realize(p, word, field=QQ):
-    """Realize the canonical representative of a string; p must be a string algebra."""
-    require_string_algebra(p)
-    if isinstance(word, StringWord):
-        walk = word.walk
-    else:
-        walk = word
-    sw = string_word(p, walk)
-    rep, coord = realize_walk(p, sw.walk, field)
-    return StringModule(sw, rep, coord)
+    return StringModule(sw, Representation(p, field, dims, maps), coord)
 
 
 def _maximal_path(p, arrow, forward):

@@ -378,12 +378,10 @@ def rad_filtration(quiver_or_table, x, y):
 
 
 def _standard_morphism(quiver, u, projective):
-    p, field = quiver.p, quiver.field
-
     def resolve(canon):
         return quiver.node_of(canon).module
 
-    arrows = standard_arrows(p, u, field, resolve, projective)
+    arrows = standard_arrows(quiver.p, u, resolve, projective)
     if len(arrows) != 1:
         # a vertex choice from the caller, not a broken invariant
         what = f"rad P({u})" if projective else f"I({u})/soc"

@@ -1,6 +1,10 @@
+import hashlib
+import json
+
 import pytest
 
 from stringar import (
+    AlmostSplitSequence,
     IsInjectiveError,
     IsProjectiveError,
     ar_sequence,
@@ -17,7 +21,15 @@ from stringar import (
     walk_from_text,
     walk_to_text,
 )
+from stringar import artheory, modules
 from stringar.artheory import is_injective_word, is_projective_word
+from stringar.errors import MeshInconsistencyError
+from stringar.families import make_family
+from stringar.fields import field_for_characteristic
+from stringar.modules import identity_morphism, zero_morphism
+from tests.conftest import LADDER
+from tests.oracles.split_oracle import splits
+from tests.test_stress import _band_free_algebras
 
 
 def test_tau_simples_w3(w3):
@@ -231,3 +243,76 @@ def test_ar_sequence_sides_agree(w3):
     assert down.left_term.word == up.left_term.word
     assert [m.word for m in down.middle] == [m.word for m in up.middle]
     assert down.right_term.word == up.right_term.word
+
+
+def test_split_sequence_is_rejected(w3):
+    L = standard_module(w3, "3", "simple")
+    R = standard_module(w3, "2", "simple")
+    left_maps = [identity_morphism(L.rep), zero_morphism(L.rep, R.rep)]
+    assert splits(L, [L, R], left_maps)
+    with pytest.raises(MeshInconsistencyError, match="almost split sequence splits"):
+        AlmostSplitSequence(
+            L, [L, R], R, left_maps, [zero_morphism(L.rep, R.rep), identity_morphism(R.rep)]
+        )
+
+
+def test_corrupted_right_map_is_rejected(w3_quiver):
+    for seq in w3_quiver.meshes.values():
+        right_maps = [zero_morphism(seq.middle[0].rep, seq.right_term.rep)] + seq.right_maps[1:]
+        with pytest.raises(MeshInconsistencyError):
+            AlmostSplitSequence(
+                seq.left_term, seq.middle, seq.right_term, list(seq.left_maps), right_maps
+            )
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_word_split_test_agrees_with_the_retraction_oracle(
+    char, w3, loop_in, u21, u22, u31, v21
+):
+    field = field_for_characteristic(char)
+    ladder = [make_family(f, m=m, n=n).presentation for f, m, n in LADDER.values()]
+    for p in [w3, loop_in, u21, u22, u31, v21, *_band_free_algebras(), *ladder]:
+        for seq in knit(p, field).meshes.values():
+            assert seq._splits() is splits(seq.left_term, seq.middle, seq.left_maps) is False
+
+
+def test_knit_makes_no_dense_hom_solve(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("knit solved a linear system")
+
+    monkeypatch.setattr(modules, "hom_basis", refuse)
+    monkeypatch.setattr(modules, "solve", refuse)
+    monkeypatch.setattr(artheory, "solve", refuse)
+    assert len(knit(make_family("W", n=5).presentation).meshes) > 0
+
+
+# sha256 of knit's JSON and of every arrow map and mesh map, over QQ, GF(2) and
+# GF(3): a changed entry or sign in any map fails here
+KNIT_DIGESTS = {
+    "W3": ("e6ccff8ad0b98222", "e1a8005d77002cec", "1ea9988cbd383da8"),
+    "W5": ("b17299474cf64b5e", "c8b8b1f7741f391a", "bdeb140089513226"),
+    "W7": ("9af83ebd3ba50f67", "176e1226600f0a59", "4b10fd331d47e6c7"),
+    "W9": ("1a670f05926427d9", "23cc41c0bc5b1932", "5dddc1def8dbbf33"),
+    "U2_2": ("18e02452f8553710", "3597d8b5c0631179", "43884e50fef4bfdc"),
+    "U3_3": ("af71ab5c7602ae5c", "384ebcb765048077", "d3a1a249148cf698"),
+    "U4_4": ("890600b30b8f3b46", "afa07cfe0b3a44f9", "cf2654e1af3cbad4"),
+    "V2_3": ("ef7421a538e27440", "77862707ccf0b20d", "84f174795bf4e59e"),
+    "V3_4": ("b21251b65304c93a", "8eb46c345d73cc26", "d0bcd4f392f505e7"),
+}
+
+
+@pytest.mark.parametrize("char_ix, char", enumerate([0, 2, 3]), ids=["QQ", "GF2", "GF3"])
+@pytest.mark.parametrize("name", list(LADDER))
+def test_knit_maps_match_pinned_digests(name, char_ix, char):
+    family, m, n = LADDER[name]
+    q = knit(make_family(family, m=m, n=n).presentation, field_for_characteristic(char))
+    payload = {
+        "quiver": q.to_json(),
+        "arrows": [a.morphism.as_dict() for a in q.arrows],
+        "meshes": [
+            [f.as_dict() for f in seq.left_maps + seq.right_maps]
+            for _, seq in sorted(q.meshes.items())
+        ],
+    }
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    assert digest[:16] == KNIT_DIGESTS[name][char_ix]

@@ -145,6 +145,12 @@ def test_audit_deterministic(w3):
     assert a != c  # the seed is actually consumed
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_audit_rejects_a_sample_count_below_one(w3, samples):
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        audit_theorems(w3, samples=samples)
+
+
 def test_audit_banded_raises(ex3):
     with pytest.raises(BandFoundError):
         audit_theorems(ex3, samples=2, seed=0)
