@@ -12,10 +12,12 @@ current word, which is what makes single-middle meshes come out right.
 The mesh maps and the standard arrows at projectives are graph maps along
 the token positions two surgery pieces share, written directly in the
 canonical modules' coordinates.  A mesh is checked exact, then non-split
-by its words (Miyata).
+by its words (Miyata); `knit` and each step of `tau_orbit` rest on that
+check.
 
-An independent DTr oracle (minimal projective presentation, transpose
-over the opposite quiver, linear dual) guards the surgery.
+The independent DTr computation (minimal projective presentation,
+transpose over the opposite quiver, linear dual) is the test oracle for
+the surgery; no engine path calls it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import itertools
 
 from .errors import (
     BandFoundError,
-    InfiniteDimensionalError,
     IsInjectiveError,
     IsProjectiveError,
     MeshInconsistencyError,
@@ -35,16 +36,14 @@ from .modules import (
     Representation,
     StringModule,
     injective_word,
-    is_isomorphic,
     projective_word,
     realize,
     standard_word,
     zero_morphism,
 )
 from .presentation import (
-    has_unbounded_paths,
-    nonzero_path_count,
     nonzero_paths_from,
+    require_finite_dimensional,
     require_string_algebra,
 )
 from .strings import (
@@ -260,6 +259,7 @@ def _surgery(p, walk, direction):
 def _translate_word(p, walk, direction):
     """Far term of the mesh ending ("end") or starting ("start") at M(walk)."""
     require_string_algebra(p)
+    require_finite_dimensional(p, "translate")
     projective = direction == "end"
     kind = "projective" if projective else "injective"
     if _is_standard_word(p, walk, projective):
@@ -460,6 +460,7 @@ def ar_sequence(p, M, side, field=None, resolve=None):
             raise MeshInconsistencyError("translate round trip failed")
         return seq
     if side == "startingAt":
+        require_finite_dimensional(p, "translate")  # "endingAt" checks in tau_word
         return _mesh_from_left(p, word.walk, resolve)
     raise ValueError(f"unknown side {side!r}")
 
@@ -601,8 +602,7 @@ def knit(p, field=QQ):
     require_string_algebra(p)
     if has_band(p):
         raise BandFoundError("cannot knit: the presentation has bands")
-    if nonzero_path_count(p) == float("inf"):
-        raise InfiniteDimensionalError("cannot knit: infinitely many nonzero paths")
+    require_finite_dimensional(p, "knit")
     words = enumerate_strings(p)
     resolve = _default_resolver(p, field)
     modules = [resolve(w.walk) for w in words]
@@ -674,21 +674,18 @@ class OrbitResult:
 def tau_orbit(p, M, k, field=None):
     """[M, tau M, ...] for up to k steps; stops early when a projective appears.
 
-    Every surgery step is cross-checked against the DTr oracle.
+    Each step is checked the way `knit` checks a mesh: the almost split
+    sequence ending at the current module is verified, and its right term
+    must be that module again; its left term is the next one.
     """
+    require_finite_dimensional(p, "translate")
     field = field or M.rep.field
+    resolve = _default_resolver(p, field)
     out = [M]
-    cur = M
     for _ in range(k):
-        if is_projective_word(p, cur.word.walk):
+        if is_projective_word(p, out[-1].word.walk):
             return OrbitResult(out, True, len(out) - 1)
-        nxt = tau(p, cur, field)
-        if not is_isomorphic(nxt.rep, tau_oracle(p, cur, field)):
-            raise MeshInconsistencyError(
-                f"surgery and DTr disagree at {walk_to_text(cur.word.walk)}"
-            )
-        out.append(nxt)
-        cur = nxt
+        out.append(ar_sequence(p, out[-1], "endingAt", field, resolve).left_term)
     return OrbitResult(out, False, len(out) - 1)
 
 
@@ -860,8 +857,7 @@ def tau_oracle(p, M, field=None):
     """DTr: minimal presentation, transpose over the opposite quiver, dualize."""
     rep = M.rep if isinstance(M, StringModule) else M
     field = field or rep.field
-    if has_unbounded_paths(p):
-        raise InfiniteDimensionalError("DTr needs a finite-dimensional algebra")
+    require_finite_dimensional(p, "run DTr")
     p0, cover = _cover(p, field, rep)
     K, kbasis = _kernel_rep(p, field, cover)
     if K.total_dim == 0:

@@ -8,6 +8,7 @@ family flags (--family/--m/--n), never both.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -53,6 +54,15 @@ def _at_least(low, flag, value):
         raise _UsageError(f"{flag} must be at least {low}, got {value}")
 
 
+@contextlib.contextmanager
+def _file_errors(verb, path):
+    """A file that cannot be read or written (missing, a directory, not UTF-8) is a usage error."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UsageError(f"cannot {verb} {path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
 def _add_input_args(sp, family_only=False):
     if not family_only:
         sp.add_argument("algebra", nargs="?", help="presentation file path")
@@ -77,8 +87,9 @@ def _resolve(args, family_only=False):
         return _checked(make_family, args.family, m=args.m, n=args.n).presentation
     if not path:
         raise _UsageError("no input: give a presentation file or --family")
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_presentation(fh.read())
+    with _file_errors("read", path), open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    return parse_presentation(text)
 
 
 def _emit(args, text):
@@ -87,7 +98,7 @@ def _emit(args, text):
         base = os.environ.get("STRINGAR_OUTPUT_DIR")
         if base and not os.path.isabs(path):
             path = os.path.join(base, path)
-        with open(path, "w", encoding="utf-8") as fh:
+        with _file_errors("write", path), open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -189,7 +200,7 @@ def _parser():
 
     _tau.parser.add_argument("word")
 
-    @cmd("tau-orbit", help="iterated translates with DTr verification")
+    @cmd("tau-orbit", help="iterated translates, each checked by its almost split sequence")
     def _tau_orbit(args, p, field):
         _at_least(0, "--steps", args.steps)
         M = realize(p, walk_from_text(args.word), field)

@@ -75,139 +75,104 @@ def _simple_paths(p, src, length):
     return out
 
 
+class _Reading:
+    """Arrows read forward, or backward (forward in the opposite algebra).
+
+    Read backward, Q1, loop-out and Q3 are Q2, loop-in and Q4: each condition
+    keeps its truth value, and its words swap ends.
+    """
+
+    def __init__(self, p, forward):
+        q = p.quiver
+        self.p, self.forward = p, forward
+        self.ahead = q.arrows_from if forward else q.arrows_into
+        self.behind = q.arrows_into if forward else q.arrows_from
+        self.far = (lambda a: a.target) if forward else (lambda a: a.source)
+        self.ids = ("Q1", "loop-out", "Q3") if forward else ("Q2", "loop-in", "Q4")
+        words = "exit|continuations|approaches|into|target|receives" if forward else (
+            "entry|approaches|continuations|out of|source|emits")
+        self.words = dict(zip(("link", "onward", "back", "into", "end", "gets"), words.split("|")))
+
+    def say(self, text, *pair):
+        """The condition's words, prefixed by "first then second" read in this direction."""
+        if pair:
+            text = " then ".join(pair if self.forward else pair[::-1]) + " " + text
+        return text.format(**self.words)
+
+    def ideal(self, *runs):
+        """Whether the runs (labels or label tuples), joined in reading order, lie in the ideal."""
+        runs = runs if self.forward else runs[::-1]
+        return self.p.path_in_ideal(sum(((r,) if isinstance(r, str) else r for r in runs), ()))
+
+
 def detect_local_patterns(p):
     """All bindings of the six local patterns, side conditions checked literally."""
     require_string_algebra(p)
     out = []
     q = p.quiver
+    readings = (_Reading(p, True), _Reading(p, False))
     loops = [a for a in q.arrows if a.source == a.target]
     plain = [a for a in q.arrows if a.source != a.target]
 
+    # a loop next to a bridge arrow: the two flavours split on loop-then-bridge
     for al in loops:
         a_v = al.source
-        for be in q.arrows_from(a_v):
-            if be.source == be.target:
-                continue
-            x = be.target
-            # loop with an outgoing bridge: the two flavor split is on alpha*beta
-            extra_at_a = [
-                c for c in q.arrows if a_v in (c.source, c.target) and c not in (al, be)
-            ]
-            conds = [
-                ("some power of the loop lies in the ideal", _relation_is_loop_power(p, al.label)),
-                ("loop then bridge lies in the ideal", p.path_in_ideal((al.label, be.label))),
-                ("bridge continuations die", all(
-                    p.path_in_ideal((be.label, d.label)) for d in q.arrows_from(x)
-                )),
-                ("no other arrows at the loop vertex", not extra_at_a),
-                ("bridge is the only arrow into its target", q.arrows_into(x) == [be]),
-            ]
-            if _all_pass(conds):
-                out.append(PatternMatch("Q1", {"a": a_v, "x": x}, conds))
-            conds = [
-                ("loop squared lies in the ideal", p.path_in_ideal((al.label, al.label))),
-                ("loop then bridge survives", not p.path_in_ideal((al.label, be.label))),
-                ("no other arrows into the loop vertex", q.arrows_into(a_v) == [al]),
-                ("bridge continuations die", all(
-                    p.path_in_ideal((be.label, d.label)) for d in q.arrows_from(x)
-                )),
-                ("bridge is the only arrow into its target", q.arrows_into(x) == [be]),
-            ]
-            if _all_pass(conds):
-                out.append(PatternMatch("loop-out", {"1": a_v, "2": x}, conds))
-        for be in q.arrows_into(a_v):
-            if be.source == be.target:
-                continue
-            x = be.source
-            extra_at_a = [
-                c for c in q.arrows if a_v in (c.source, c.target) and c not in (al, be)
-            ]
-            conds = [
-                ("some power of the loop lies in the ideal", _relation_is_loop_power(p, al.label)),
-                ("bridge then loop lies in the ideal", p.path_in_ideal((be.label, al.label))),
-                ("bridge approaches die", all(
-                    p.path_in_ideal((d.label, be.label)) for d in q.arrows_into(x)
-                )),
-                ("no other arrows at the loop vertex", not extra_at_a),
-                ("bridge is the only arrow out of its source", q.arrows_from(x) == [be]),
-            ]
-            if _all_pass(conds):
-                out.append(PatternMatch("Q2", {"a": a_v, "x": x}, conds))
-            conds = [
-                ("loop squared lies in the ideal", p.path_in_ideal((al.label, al.label))),
-                ("bridge then loop survives", not p.path_in_ideal((be.label, al.label))),
-                ("no other arrows out of the loop vertex", q.arrows_from(a_v) == [al]),
-                ("bridge approaches die", all(
-                    p.path_in_ideal((d.label, be.label)) for d in q.arrows_into(x)
-                )),
-                ("bridge is the only arrow out of its source", q.arrows_from(x) == [be]),
-            ]
-            if _all_pass(conds):
-                out.append(PatternMatch("loop-in", {"1": a_v, "2": x}, conds))
+        for r in readings:
+            for be in r.ahead(a_v):
+                if be.source == be.target:
+                    continue
+                x = r.far(be)
+                extra = [c for c in q.arrows if a_v in (c.source, c.target) and c not in (al, be)]
+                dies = (r.say("bridge {onward} die"),
+                        all(r.ideal(be.label, d.label) for d in r.ahead(x)))
+                only = (r.say("bridge is the only arrow {into} its {end}"), r.behind(x) == [be])
+                conds = [
+                    ("some power of the loop lies in the ideal", _relation_is_loop_power(p, al.label)),
+                    (r.say("lies in the ideal", "loop", "bridge"), r.ideal(al.label, be.label)),
+                    dies,
+                    ("no other arrows at the loop vertex", not extra),
+                    only,
+                ]
+                if _all_pass(conds):
+                    out.append(PatternMatch(r.ids[0], {"a": a_v, "x": x}, conds))
+                conds = [
+                    ("loop squared lies in the ideal", p.path_in_ideal((al.label, al.label))),
+                    (r.say("survives", "loop", "bridge"), not r.ideal(al.label, be.label)),
+                    (r.say("no other arrows {into} the loop vertex"), r.behind(a_v) == [al]),
+                    dies,
+                    only,
+                ]
+                if _all_pass(conds):
+                    out.append(PatternMatch(r.ids[1], {"1": a_v, "2": x}, conds))
 
     # parallel-route patterns: a shortcut arrow next to a longer route
     for alpha in plain:
         one, z = alpha.source, alpha.target
         for m in range(1, len(q.arrows) + 1):
             for route in _simple_paths(p, one, m):
-                if alpha.label in route:
+                hops = [(q.arrow(lab).source, q.arrow(lab).target) for lab in route]
+                if alpha.label in route or hops[-1][1] != z or any(s == z for s, _ in hops):
                     continue
-                if p.quiver.arrow(route[-1]).target != z:
-                    continue
-                if any(p.quiver.arrow(lab).source == z for lab in route):
-                    continue
-                for be in q.arrows_from(z):
-                    a_v = be.target
-                    if a_v in {one, z} or any(
-                        a_v in (q.arrow(lab).source, q.arrow(lab).target) for lab in route
-                    ):
-                        continue
-                    conds = [
-                        ("shortcut then exit lies in the ideal", p.path_in_ideal((alpha.label, be.label))),
-                        ("route then exit survives", not p.path_in_ideal(route + (be.label,))),
-                        ("exit continuations die", all(
-                            p.path_in_ideal(route + (be.label, d.label))
-                            for d in q.arrows_from(a_v)
-                        )),
-                        ("route approaches die", all(
-                            p.path_in_ideal((l.label,) + route) for l in q.arrows_into(one)
-                        )),
-                        ("exit target receives nothing else", q.arrows_into(a_v) == [be]),
-                    ]
-                    if _all_pass(conds):
-                        out.append(
-                            PatternMatch(
-                                "Q3",
-                                {"1": one, "z": z, "a": a_v, "route": list(route), "m": m},
-                                conds,
-                            )
-                        )
-                for be in q.arrows_into(one):
-                    a_v = be.source
-                    if a_v in {one, z} or any(
-                        a_v in (q.arrow(lab).source, q.arrow(lab).target) for lab in route
-                    ):
-                        continue
-                    conds = [
-                        ("entry then shortcut lies in the ideal", p.path_in_ideal((be.label, alpha.label))),
-                        ("entry then route survives", not p.path_in_ideal((be.label,) + route)),
-                        ("entry approaches die", all(
-                            p.path_in_ideal((d.label, be.label) + route)
-                            for d in q.arrows_into(a_v)
-                        )),
-                        ("route continuations die", all(
-                            p.path_in_ideal(route + (l.label,)) for l in q.arrows_from(z)
-                        )),
-                        ("entry source emits nothing else", q.arrows_from(a_v) == [be]),
-                    ]
-                    if _all_pass(conds):
-                        out.append(
-                            PatternMatch(
-                                "Q4",
-                                {"1": z, "z": one, "a": a_v, "route": list(route), "m": m},
-                                conds,
-                            )
-                        )
+                touched = {one, z}.union(*hops)
+                for r in readings:
+                    start, end = (one, z) if r.forward else (z, one)
+                    for be in r.ahead(end):
+                        a_v = r.far(be)
+                        if a_v in touched:
+                            continue
+                        conds = [
+                            (r.say("lies in the ideal", "shortcut", "{link}"),
+                             r.ideal(alpha.label, be.label)),
+                            (r.say("survives", "route", "{link}"), not r.ideal(route, be.label)),
+                            (r.say("{link} {onward} die"),
+                             all(r.ideal(route, be.label, d.label) for d in r.ahead(a_v))),
+                            (r.say("route {back} die"),
+                             all(r.ideal(l.label, route) for l in r.behind(start))),
+                            (r.say("{link} {end} {gets} nothing else"), r.behind(a_v) == [be]),
+                        ]
+                        if _all_pass(conds):
+                            binding = {"1": start, "z": end, "a": a_v, "route": list(route), "m": m}
+                            out.append(PatternMatch(r.ids[2], binding, conds))
     return out
 
 

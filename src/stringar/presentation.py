@@ -18,6 +18,7 @@ import math
 
 from .errors import (
     CompositionError,
+    InfiniteDimensionalError,
     NotStringAlgebraError,
     PresentationSyntaxError,
     UnknownLabelError,
@@ -280,39 +281,22 @@ def validate_string_algebra(p):
     """Check the five string-algebra conditions; failures are data, not errors."""
     q = p.quiver
     conditions = []
-
-    bad = next((v for v in q.vertices if len(q.arrows_from(v)) > 2), None)
-    conditions.append(
-        ConditionReport("1", bad is None, None if bad is None else f"vertex {bad} emits >2 arrows")
-    )
-    bad = next((v for v in q.vertices if len(q.arrows_into(v)) > 2), None)
-    conditions.append(
-        ConditionReport("1'", bad is None, None if bad is None else f"vertex {bad} receives >2 arrows")
-    )
-
-    witness2 = None
-    for beta in q.arrows:
-        preds = [
-            g.label
-            for g in q.arrows_into(beta.source)
-            if not p.path_in_ideal((g.label, beta.label))
-        ]
-        if len(preds) > 1:
-            witness2 = f"arrow {beta.label} admits predecessors {', '.join(preds)}"
-            break
-    conditions.append(ConditionReport("2", witness2 is None, witness2))
-
-    witness2p = None
-    for gamma in q.arrows:
-        succs = [
-            b.label
-            for b in q.arrows_from(gamma.target)
-            if not p.path_in_ideal((gamma.label, b.label))
-        ]
-        if len(succs) > 1:
-            witness2p = f"arrow {gamma.label} admits successors {', '.join(succs)}"
-            break
-    conditions.append(ConditionReport("2'", witness2p is None, witness2p))
+    # each primed condition is the unprimed one over the opposite quiver
+    for key, arrows_at, verb in (
+        ("1", q.arrows_from, "emits"), ("1'", q.arrows_into, "receives")
+    ):
+        bad = next((v for v in q.vertices if len(arrows_at(v)) > 2), None)
+        witness = None if bad is None else f"vertex {bad} {verb} >2 arrows"
+        conditions.append(ConditionReport(key, bad is None, witness))
+    for key, step, noun in (("2", -1, "predecessors"), ("2'", 1, "successors")):
+        witness = None
+        for a in q.arrows:
+            nbrs = q.arrows_from(a.target) if step == 1 else q.arrows_into(a.source)
+            live = [b.label for b in nbrs if not p.path_in_ideal((a.label, b.label)[::step])]
+            if len(live) > 1:
+                witness = f"arrow {a.label} admits {noun} {', '.join(live)}"
+                break
+        conditions.append(ConditionReport(key, witness is None, witness))
 
     # (3) the ideal is monomial by construction: non-monomial input never parses
     conditions.append(ConditionReport("3", True, None))
@@ -356,8 +340,9 @@ def _direct_window(p, window_len):
     return paths
 
 
+@functools.lru_cache(maxsize=64)
 def has_unbounded_paths(p):
-    """True iff relation-free direct paths of unbounded length exist.
+    """True iff relation-free direct paths of unbounded length exist; cached.
 
     Windows of length max(relation length, 1) form a finite graph whose
     walks are exactly the long relation-free paths; a cycle there pumps.
@@ -377,6 +362,16 @@ def has_unbounded_paths(p):
                 continue
             succ[index[n]].append(index[cand[1:]])
     return _digraph_has_cycle(succ)
+
+
+def require_finite_dimensional(p, action):
+    """Raise InfiniteDimensionalError unless p is finite-dimensional.
+
+    The entry check of knit, the translates (tau, tau^-1, ar_sequence,
+    tau_orbit) and the DTr oracle.
+    """
+    if has_unbounded_paths(p):
+        raise InfiniteDimensionalError(f"cannot {action}: infinitely many nonzero paths")
 
 
 def _digraph_has_cycle(succ):

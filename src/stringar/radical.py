@@ -259,31 +259,20 @@ class RadicalTable:
         )
 
     def _degree_witness(self, f, x, y, z, m, side):
-        field = self.field
-        if side == "left":
-            V = self.layer(z, x, m)
-            deeper = self.layer(z, x, m + 1)
-            far = self.layer(z, y, m + 2)
-            src_rep, mid_rep = z.module.rep, x.module.rep
-
-            def compose(g):
-                return f.compose(g)
-
-        elif side == "right":
-            V = self.layer(y, z, m)
-            deeper = self.layer(y, z, m + 1)
-            far = self.layer(x, z, m + 2)
-            src_rep, mid_rep = y.module.rep, z.module.rep
-
-            def compose(g):
-                return g.compose(f)
-
-        else:
+        """A g: Z -> X (left) or Y -> Z (right) in rad^m \\ rad^{m+1} with
+        f o g (left) or g o f (right) in rad^{m+2}; None if there is none."""
+        if side not in ("left", "right"):
             raise ValueError(f"unknown side {side!r}")
+        left = side == "left"
+        src, mid = (z, x) if left else (y, z)
+        V = self.layer(src, mid, m)
+        deeper = self.layer(src, mid, m + 1)
+        far = self.layer(z, y, m + 2) if left else self.layer(x, z, m + 2)
         if V.is_zero():
             return None
+        field, src_rep, mid_rep = self.field, src.module.rep, mid.module.rep
         morphs = [morphism_from_flat(src_rep, mid_rep, v) for v in V.rows]
-        residues = [far.reduce(compose(g).flatten()) for g in morphs]
+        residues = [far.reduce((f.compose(g) if left else g.compose(f)).flatten()) for g in morphs]
         if not any(any(r) for r in residues):
             coeff_basis = [
                 [field.one() if i == j else field.zero() for j in range(len(morphs))]

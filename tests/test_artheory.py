@@ -23,7 +23,7 @@ from stringar import (
 )
 from stringar import artheory, modules
 from stringar.artheory import is_injective_word, is_projective_word
-from stringar.errors import MeshInconsistencyError
+from stringar.errors import InfiniteDimensionalError, MeshInconsistencyError
 from stringar.families import make_family
 from stringar.fields import field_for_characteristic
 from stringar.modules import identity_morphism, zero_morphism
@@ -316,3 +316,41 @@ def test_knit_maps_match_pinned_digests(name, char_ix, char):
     }
     digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
     assert digest[:16] == KNIT_DIGESTS[name][char_ix]
+
+
+@pytest.mark.parametrize("char", [0, 2, 3], ids=["QQ", "GF2", "GF3"])
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_tau_agrees_with_dtr_on_the_ladder(name, char):
+    """Surgery against the DTr oracle on every non-projective node."""
+    fam, m, n = LADDER[name]
+    p, field = make_family(fam, m=m, n=n).presentation, field_for_characteristic(char)
+    for sw in enumerate_strings(p):
+        if not is_projective_word(p, sw.walk):
+            M = realize(p, sw, field)
+            assert is_isomorphic(tau(p, M, field).rep, tau_oracle(p, M, field)), sw
+
+
+def test_tau_orbit_makes_no_oracle_call(monkeypatch, w3, ex3):
+    def refuse(*args):
+        raise AssertionError("tau_orbit called an oracle")
+
+    monkeypatch.setattr(artheory, "tau_oracle", refuse)
+    monkeypatch.setattr(modules, "is_isomorphic", refuse)
+    monkeypatch.setattr(modules, "hom_basis", refuse)
+    u22 = make_family("U", m=2, n=2).presentation
+    for p, max_len in ((w3, None), (ex3, 3), (u22, None)):
+        for sw in enumerate_strings(p, max_len=max_len):
+            tau_orbit(p, realize(p, sw), 4)
+
+
+def test_translates_need_a_finite_dimensional_algebra():
+    p = parse_presentation("vertices 1 2\narrow a 1 -> 1\narrow b 1 -> 2\nrelation a b\n")
+    M = realize(p, walk_from_text("b"))
+    calls = [
+        lambda: tau(p, M), lambda: tau_inverse(p, M), lambda: tau_orbit(p, M, 1),
+        lambda: ar_sequence(p, M, "endingAt"), lambda: ar_sequence(p, M, "startingAt"),
+        lambda: tau_oracle(p, M),
+    ]
+    for call in calls:
+        with pytest.raises(InfiniteDimensionalError, match="infinitely many nonzero paths"):
+            call()

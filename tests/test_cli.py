@@ -354,3 +354,50 @@ def test_consecutive_calls_match_fresh_runs(w3_file):
         codes.append(code)
     assert codes == [3, 0, 0]
     assert json.loads(out.getvalue())["dimension"] == 1
+
+
+# a loop with no relation on itself: finite-dimensional only away from vertex 1
+INFINITE_SOURCE = """\
+vertices 1 2
+arrow a 1 -> 1
+arrow b 1 -> 2
+relation a b
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["tau", "b"], ["tau", "a"], ["tau-orbit", "b", "--steps", "2"],
+     ["tau-orbit", "e(2)", "--steps", "1"]],
+    ids=lambda argv: " ".join(argv),
+)
+def test_translates_need_a_finite_dimensional_algebra(capsys, tmp_path, argv):
+    f = tmp_path / "inf.alg"
+    f.write_text(INFINITE_SOURCE)
+    code, out, err = run(capsys, argv[0], str(f), *argv[1:])
+    assert (code, out) == (1, "")
+    assert err == "stringar: [infinite-dimensional] cannot translate: infinitely many nonzero paths\n"
+
+
+def test_unreadable_presentation_is_a_usage_error(capsys, tmp_path):
+    missing = str(tmp_path / "nonexist.alg")
+    code, out, err = run(capsys, "module", missing, "a")
+    assert (code, out) == (3, "")
+    assert err == f"stringar: usage error: cannot read {missing}: No such file or directory\n"
+    bad = tmp_path / "latin1.alg"
+    bad.write_bytes(b"algebra \xe9\nvertices 1\n")
+    code, out, err = run(capsys, "validate", str(bad))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"stringar: usage error: cannot read {bad}: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
+    code, _, err = run(capsys, "strings", str(tmp_path))
+    assert (code, err) == (3, f"stringar: usage error: cannot read {tmp_path}: Is a directory\n")
+
+
+def test_unwritable_output_is_a_usage_error(capsys, w3_file, tmp_path):
+    target = str(tmp_path / "nonexistent" / "x")
+    code, out, err = run(capsys, "knit", w3_file, "--output", target)
+    assert (code, out) == (3, "")
+    assert err == f"stringar: usage error: cannot write {target}: No such file or directory\n"
+    code, _, err = run(capsys, "knit", w3_file, "--output", str(tmp_path))
+    assert (code, err) == (3, f"stringar: usage error: cannot write {tmp_path}: Is a directory\n")

@@ -74,6 +74,34 @@ def _random_string_algebra(rng, nv, na):
     return p
 
 
+def random_presentations(seed, count):
+    """Small presentations, string algebras or not: 1-5 vertices, 2-6 arrows.
+
+    Half come from the generator above; the other half keep up to four
+    random relations of length 2 or 3 as drawn, so some fail a condition.
+    """
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        nv, na = rng.randint(1, 5), rng.randint(2, 6)
+        if rng.random() < 0.5:
+            out.append(_random_string_algebra(rng, nv, na))
+            continue
+        verts = [str(i) for i in range(1, nv + 1)]
+        q = Quiver(verts, [Arrow(f"a{i}", rng.choice(verts), rng.choice(verts)) for i in range(na)])
+        rels = []
+        for _ in range(rng.randint(0, 4)):
+            path = [rng.choice(q.arrows)]
+            for _ in range(rng.randint(1, 2)):
+                nxt = q.arrows_from(path[-1].target)
+                if nxt:
+                    path.append(rng.choice(nxt))
+            if len(path) > 1:
+                rels.append(tuple(a.label for a in path))
+        out.append(AlgebraPresentation(q, rels))
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def _band_free_algebras():
     """The first eight band-free string algebras of the seeded generator."""
