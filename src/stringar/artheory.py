@@ -23,6 +23,7 @@ the surgery; no engine path calls it.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 from .errors import (
     BandFoundError,
@@ -365,8 +366,6 @@ class AlmostSplitSequence:
     def verify(self):
         if not 1 <= len(self.middle) <= 2:
             raise MeshInconsistencyError(f"{len(self.middle)} middle terms")
-        if len(self.middle) == 2 and self.middle[0].word == self.middle[1].word:
-            raise MeshInconsistencyError("isomorphic middle terms")
         lt, rt = self.left_term.rep, self.right_term.rep
         for v in lt.dims:
             if lt.dims[v] + rt.dims[v] != sum(m.rep.dims[v] for m in self.middle):
@@ -391,13 +390,10 @@ class AlmostSplitSequence:
             m = Mat(lt.field, stacked, lt.dims[v])
             if m.rank() != lt.dims[v]:
                 raise MeshInconsistencyError("left mesh map not mono")
-            rows = []
-            for i in range(rt.dims[v]):
-                row = []
-                for r in self.right_maps:
-                    row.extend(r.block(v).rows[i])
-                rows.append(row)
-            m = Mat(rt.field, rows, sum(mm.rep.dims[v] for mm in self.middle))
+            side_by_side = [
+                [x for r in self.right_maps for x in r.block(v).rows[i]] for i in range(rt.dims[v])
+            ]
+            m = Mat(rt.field, side_by_side, sum(mm.rep.dims[v] for mm in self.middle))
             if m.rank() != rt.dims[v]:
                 raise MeshInconsistencyError("right mesh map not epi")
         if self._splits():
@@ -405,8 +401,12 @@ class AlmostSplitSequence:
 
     def _splits(self):
         """An exact sequence splits iff its middle is the sum of its ends (Miyata);
-        string modules are isomorphic iff their words agree (Butler-Ringel)."""
-        return {m.word for m in self.middle} == {self.left_term.word, self.right_term.word}
+        string modules are isomorphic iff their words agree (Butler-Ringel).
+        The middle terms are compared as a multiset: over an algebra with
+        parallel arrows both may be the same module."""
+        return Counter(m.word for m in self.middle) == Counter(
+            [self.left_term.word, self.right_term.word]
+        )
 
     def __repr__(self):
         mids = " (+) ".join(walk_to_text(m.word.walk) for m in self.middle)

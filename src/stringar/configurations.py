@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 
 from .artheory import (
+    _projective_top_vertex,
     ar_sequence,
     is_projective_word,
     knit,
@@ -18,7 +19,7 @@ from .artheory import (
 )
 from .errors import BandFoundError, MeshInconsistencyError
 from .fields import QQ
-from .modules import morphism_from_flat, projective_word, realize
+from .modules import morphism_from_flat, realize
 from .presentation import require_string_algebra
 from .radical import ZERO_DEPTH, RadicalTable
 from .strings import canonical_walk, has_band
@@ -75,6 +76,15 @@ def _simple_paths(p, src, length):
     return out
 
 
+# the words of a condition that swap ends when the arrows are read backward
+_WORDS = {
+    True: {"link": "exit", "onward": "continuations", "back": "approaches",
+           "into": "into", "end": "target", "gets": "receives"},
+    False: {"link": "entry", "onward": "approaches", "back": "continuations",
+            "into": "out of", "end": "source", "gets": "emits"},
+}
+
+
 class _Reading:
     """Arrows read forward, or backward (forward in the opposite algebra).
 
@@ -89,9 +99,7 @@ class _Reading:
         self.behind = q.arrows_into if forward else q.arrows_from
         self.far = (lambda a: a.target) if forward else (lambda a: a.source)
         self.ids = ("Q1", "loop-out", "Q3") if forward else ("Q2", "loop-in", "Q4")
-        words = "exit|continuations|approaches|into|target|receives" if forward else (
-            "entry|approaches|continuations|out of|source|emits")
-        self.words = dict(zip(("link", "onward", "back", "into", "end", "gets"), words.split("|")))
+        self.words = _WORDS[forward]
 
     def say(self, text, *pair):
         """The condition's words, prefixed by "first then second" read in this direction."""
@@ -150,10 +158,11 @@ def detect_local_patterns(p):
         one, z = alpha.source, alpha.target
         for m in range(1, len(q.arrows) + 1):
             for route in _simple_paths(p, one, m):
-                hops = [(q.arrow(lab).source, q.arrow(lab).target) for lab in route]
-                if alpha.label in route or hops[-1][1] != z or any(s == z for s, _ in hops):
+                # the vertices the route reaches after `one`; it must reach z only at its end
+                stops = [q.arrow(lab).target for lab in route]
+                if alpha.label in route or stops[-1] != z or z in stops[:-1]:
                     continue
-                touched = {one, z}.union(*hops)
+                touched = {one, *stops}
                 for r in readings:
                     start, end = (one, z) if r.forward else (z, one)
                     for be in r.ahead(end):
@@ -222,14 +231,10 @@ def find_tau_arrows(p, quiver=None, candidates=None, field=QQ):
         t_walk = canonical_walk(p, tau_word(p, M.word.walk))
         t_mod = realize(p, t_walk, field)
         if is_projective_word(p, t_walk):
-            for v in p.quiver.vertices:
-                if canonical_walk(p, projective_word(p, v)) == t_walk:
-                    summands = standard_arrows(
-                        p, v, lambda w: realize(p, w, field), projective=True
-                    )
-                    if any(src.word.walk == M.word.walk for src, _, _ in summands):
-                        out.append((M, t_mod))
-                    break
+            v = _projective_top_vertex(p, t_walk)
+            summands = standard_arrows(p, v, lambda w: realize(p, w, field), projective=True)
+            if any(src.word.walk == M.word.walk for src, _, _ in summands):
+                out.append((M, t_mod))
             continue
         seq = ar_sequence(p, t_mod, "endingAt", field=field)
         if any(mid.word.walk == M.word.walk for mid in seq.middle):
@@ -358,11 +363,7 @@ def audit_theorems(p, samples=32, seed=0, field=QQ):
     a_violations = []
     b_violations = []
     for t_ix, (a1, a2, a3) in enumerate(triples):
-        ends = [
-            (quiver.nodes[a1.source], quiver.nodes[a1.target]),
-            (quiver.nodes[a2.source], quiver.nodes[a2.target]),
-            (quiver.nodes[a3.source], quiver.nodes[a3.target]),
-        ]
+        ends = [(quiver.nodes[a.source], quiver.nodes[a.target]) for a in (a1, a2, a3)]
         rng = random.Random(f"{seed}:{t_ix}")
         for s_ix in range(samples):
             hs = []

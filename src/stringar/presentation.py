@@ -288,11 +288,14 @@ def validate_string_algebra(p):
         bad = next((v for v in q.vertices if len(arrows_at(v)) > 2), None)
         witness = None if bad is None else f"vertex {bad} {verb} >2 arrows"
         conditions.append(ConditionReport(key, bad is None, witness))
-    for key, step, noun in (("2", -1, "predecessors"), ("2'", 1, "successors")):
+    # (2) and (2'): at most one arrow b before (after) each arrow a keeps the path b a (a b)
+    for key, neighbours, path, noun in (
+        ("2", lambda a: q.arrows_into(a.source), lambda a, b: (b.label, a.label), "predecessors"),
+        ("2'", lambda a: q.arrows_from(a.target), lambda a, b: (a.label, b.label), "successors"),
+    ):
         witness = None
         for a in q.arrows:
-            nbrs = q.arrows_from(a.target) if step == 1 else q.arrows_into(a.source)
-            live = [b.label for b in nbrs if not p.path_in_ideal((a.label, b.label)[::step])]
+            live = [b.label for b in neighbours(a) if not p.path_in_ideal(path(a, b))]
             if len(live) > 1:
                 witness = f"arrow {a.label} admits {noun} {', '.join(live)}"
                 break

@@ -35,6 +35,15 @@ arrow b 2 -> 1
 relation a a
 """
 
+# two parallel arrows: bands, and meshes whose two middle terms are one module
+KRONECKER_SOURCE = """\
+algebra KRON
+vertices 1 2
+arrow a 1 -> 2
+arrow b 1 -> 2
+"""
+
+
 
 # the benchmark's ladder inputs, by make_family parameters
 LADDER = {

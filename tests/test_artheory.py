@@ -27,7 +27,7 @@ from stringar.errors import InfiniteDimensionalError, MeshInconsistencyError
 from stringar.families import make_family
 from stringar.fields import field_for_characteristic
 from stringar.modules import identity_morphism, zero_morphism
-from tests.conftest import LADDER
+from tests.conftest import KRONECKER_SOURCE, LADDER
 from tests.oracles.split_oracle import splits
 from tests.test_stress import _band_free_algebras
 
@@ -337,10 +337,29 @@ def test_tau_orbit_makes_no_oracle_call(monkeypatch, w3, ex3):
     monkeypatch.setattr(artheory, "tau_oracle", refuse)
     monkeypatch.setattr(modules, "is_isomorphic", refuse)
     monkeypatch.setattr(modules, "hom_basis", refuse)
-    u22 = make_family("U", m=2, n=2).presentation
-    for p, max_len in ((w3, None), (ex3, 3), (u22, None)):
+    u22, kron = make_family("U", m=2, n=2).presentation, parse_presentation(KRONECKER_SOURCE)
+    for p, max_len in ((w3, None), (ex3, 3), (u22, None), (kron, 4)):
         for sw in enumerate_strings(p, max_len=max_len):
             tau_orbit(p, realize(p, sw), 4)
+
+
+def test_mesh_may_have_two_equal_middle_terms():
+    """Over parallel arrows the mesh ending at the simple injective S(1) has
+    middle term I(2) (+) I(2); it is exact and does not split."""
+    p = parse_presentation(KRONECKER_SOURCE)
+    seq = ar_sequence(p, realize(p, walk_from_text("e(1)")), "endingAt")
+    assert [walk_to_text(m.word.walk) for m in seq.middle] == ["a b^-", "a b^-"]
+    assert walk_to_text(seq.left_term.word.walk) == "a b^- a b^-"
+
+
+@pytest.mark.parametrize("char", [0, 2, 3], ids=["QQ", "GF2", "GF3"])
+def test_tau_orbit_over_parallel_arrows_agrees_with_dtr(char):
+    """Preprojective and preinjective orbits of the Kronecker algebra, step by step."""
+    p, field = parse_presentation(KRONECKER_SOURCE), field_for_characteristic(char)
+    for sw in enumerate_strings(p, max_len=4):
+        orbit = tau_orbit(p, realize(p, sw, field), 3, field)
+        for M, tM in zip(orbit.modules, orbit.modules[1:]):
+            assert is_isomorphic(tM.rep, tau_oracle(p, M, field)), walk_to_text(sw.walk)
 
 
 def test_translates_need_a_finite_dimensional_algebra():

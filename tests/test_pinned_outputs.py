@@ -28,7 +28,7 @@ from stringar.presentation import (
     validate_string_algebra,
 )
 from stringar.strings import enumerate_strings, has_band, walk_to_text
-from tests.conftest import EX3_SOURCE, W3_SOURCE
+from tests.conftest import EX3_SOURCE, KRONECKER_SOURCE, W3_SOURCE
 from tests.test_stress import random_presentations
 
 
@@ -37,8 +37,9 @@ def _digest(obj):
 
 
 def _presentation(name):
-    if name in ("W3", "EX3"):
-        return parse_presentation(W3_SOURCE if name == "W3" else EX3_SOURCE)
+    sources = {"W3": W3_SOURCE, "EX3": EX3_SOURCE, "KRON": KRONECKER_SOURCE}
+    if name in sources:
+        return parse_presentation(sources[name])
     fam, nums = name[0], [int(x) for x in name[1:].split("_")]
     if fam == "W":
         return make_family("W", n=nums[0]).presentation
@@ -85,7 +86,7 @@ def test_validate_is_pinned():
     assert validate_digest() == VALIDATE_DIGEST
 
 
-ORBIT_ALGEBRAS = ["W3", "U2_2", "EX3", "V2_3", "U3_3"]
+ORBIT_ALGEBRAS = ["W3", "U2_2", "EX3", "V2_3", "U3_3", "KRON"]
 
 
 def orbit_digest(name, char):
@@ -159,6 +160,9 @@ ORBIT_DIGESTS = {
     "U3_3@0": "89857b888dd38275e729aa616dcd97dc18585abb986aa4a5f0230f9e1821f5c2",
     "U3_3@2": "89857b888dd38275e729aa616dcd97dc18585abb986aa4a5f0230f9e1821f5c2",
     "U3_3@3": "89857b888dd38275e729aa616dcd97dc18585abb986aa4a5f0230f9e1821f5c2",
+    "KRON@0": "479fc0cdbbf9a0a6e66fe3b15c7e81ac0d53ba670afaa4089ee154889bcf40dc",
+    "KRON@2": "479fc0cdbbf9a0a6e66fe3b15c7e81ac0d53ba670afaa4089ee154889bcf40dc",
+    "KRON@3": "479fc0cdbbf9a0a6e66fe3b15c7e81ac0d53ba670afaa4089ee154889bcf40dc",
 }
 DEGREE_DIGESTS = {
     "W3": "57a705de383bc06d4a829cf097687ecedfd5e81e42fce41836d4c2ddebdfeaed",
