@@ -602,7 +602,6 @@ def knit(p, field=QQ):
     require_string_algebra(p)
     if has_band(p):
         raise BandFoundError("cannot knit: the presentation has bands")
-    require_finite_dimensional(p, "knit")
     words = enumerate_strings(p)
     resolve = _default_resolver(p, field)
     modules = [resolve(w.walk) for w in words]

@@ -370,8 +370,8 @@ def has_unbounded_paths(p):
 def require_finite_dimensional(p, action):
     """Raise InfiniteDimensionalError unless p is finite-dimensional.
 
-    The entry check of knit, the translates (tau, tau^-1, ar_sequence,
-    tau_orbit) and the DTr oracle.
+    The entry check of the translates (tau, tau^-1, ar_sequence, tau_orbit)
+    and the DTr oracle.
     """
     if has_unbounded_paths(p):
         raise InfiniteDimensionalError(f"cannot {action}: infinitely many nonzero paths")

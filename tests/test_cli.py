@@ -379,6 +379,14 @@ def test_translates_need_a_finite_dimensional_algebra(capsys, tmp_path, argv):
     assert err == "stringar: [infinite-dimensional] cannot translate: infinitely many nonzero paths\n"
 
 
+def test_knit_on_an_infinite_dimensional_algebra_finds_its_band(capsys, tmp_path):
+    f = tmp_path / "inf.alg"
+    f.write_text(INFINITE_SOURCE)
+    code, out, err = run(capsys, "knit", str(f))
+    assert (code, out) == (1, "")
+    assert err == "stringar: [band-found] cannot knit: the presentation has bands\n"
+
+
 def test_unreadable_presentation_is_a_usage_error(capsys, tmp_path):
     missing = str(tmp_path / "nonexist.alg")
     code, out, err = run(capsys, "module", missing, "a")

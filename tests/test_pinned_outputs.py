@@ -15,9 +15,9 @@ import os
 
 import pytest
 
-from stringar import cli
+from stringar import cli, configurations
 from stringar.artheory import tau_orbit
-from stringar.configurations import detect_local_patterns
+from stringar.configurations import audit_theorems, detect_local_patterns
 from stringar.errors import StringAlgebraError
 from stringar.families import make_family
 from stringar.fields import field_for_characteristic
@@ -29,7 +29,7 @@ from stringar.presentation import (
 )
 from stringar.strings import enumerate_strings, has_band, walk_to_text
 from tests.conftest import EX3_SOURCE, KRONECKER_SOURCE, W3_SOURCE
-from tests.test_stress import random_presentations
+from tests.test_stress import _band_free_algebras, random_presentations
 
 
 def _digest(obj):
@@ -141,6 +141,59 @@ def test_degree_json_is_pinned(name, tmp_path, monkeypatch):
     assert degree_digest(name, tmp_path, monkeypatch) == DEGREE_DIGESTS[name]
 
 
+AUDIT_ALGEBRAS = ["W3", "W5", "U2_2", "U3_4", "V2_3"] + [f"S{i}" for i in range(8)]
+AUDIT_GRID = [(seed, samples) for seed in (0, 1, 2) for samples in (1, 5, 32)]
+
+
+def _audit_presentation(name):
+    if name.startswith("S"):
+        return _band_free_algebras()[int(name[1:])]
+    return _presentation(name)
+
+
+def _share_quivers(monkeypatch):
+    """Knit and tabulate each algebra once; every audit of it reuses both."""
+    monkeypatch.setattr(configurations, "knit", functools.lru_cache(maxsize=None)(configurations.knit))
+    monkeypatch.setattr(
+        configurations, "RadicalTable", functools.lru_cache(maxsize=None)(configurations.RadicalTable)
+    )
+
+
+def audit_digest(name, char, monkeypatch):
+    """`audit_theorems(...).as_dict()` for seeds 0-2 and samples 1, 5 and 32."""
+    _share_quivers(monkeypatch)
+    p, field = _audit_presentation(name), field_for_characteristic(char)
+    return _digest([audit_theorems(p, samples=n, seed=s, field=field).as_dict() for s, n in AUDIT_GRID])
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
+@pytest.mark.parametrize("name", AUDIT_ALGEBRAS)
+def test_audits_are_pinned(name, char, monkeypatch):
+    assert audit_digest(name, char, monkeypatch) == AUDIT_DIGESTS[f"{name}@{char}"]
+
+
+def audit_cli_digest(name, monkeypatch):
+    """`audit --json` through the CLI over QQ, GF(2), GF(3) and GF(5), same grid."""
+    _share_quivers(monkeypatch)
+    fam, nums = name[0], [int(x) for x in name[1:].split("_")]
+    sizes = ["--n", str(nums[0])] if fam == "W" else ["--m", str(nums[0]), "--n", str(nums[1])]
+    outputs = []
+    for char in (0, 2, 3, 5):
+        for seed, samples in AUDIT_GRID:
+            argv = ["audit", "--family", fam, *sizes, "--char", str(char), "--seed", str(seed),
+                    "--samples", str(samples), "--json"]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = cli.main(argv)
+            outputs.append([rc, out.getvalue(), err.getvalue()])
+    return _digest(outputs)
+
+
+@pytest.mark.parametrize("name", AUDIT_ALGEBRAS[:5])
+def test_audit_json_is_pinned(name, monkeypatch):
+    assert audit_cli_digest(name, monkeypatch) == AUDIT_CLI_DIGESTS[name]
+
+
 # captured before the refactor
 DETECT_DIGEST = "bc81a2a3539924cf3e5fa88347df18358507ac34aa262a7317020f8cac4f86ea"
 VALIDATE_DIGEST = "08177cf819143711e41401366770f1c5e0a6e753e14d5606621e5efa825610de"
@@ -170,4 +223,66 @@ DEGREE_DIGESTS = {
     "U2_2": "44000d65944f597112b76c01e2cc0ab03b0504af521e9689775e80c6c0993204",
     "U3_3": "f0a385fdbcd87f283a0510e93e4e2cab8ddaba4dd1a953a7f6b45e4acd1024a0",
     "V2_3": "1e3d7aaf60564f43c0b382af1809d7160ea7a2d625d5d26546f19a70f58a59c7",
+}
+# captured with the per-sample audit loop, before each distinct draw was evaluated once
+AUDIT_DIGESTS = {
+    "W3@0": "f071dce99ebd45bc5168da7d314a1b5ad6fa4f101f922d2ef1f28d77576fe338",
+    "W3@2": "f071dce99ebd45bc5168da7d314a1b5ad6fa4f101f922d2ef1f28d77576fe338",
+    "W3@3": "f071dce99ebd45bc5168da7d314a1b5ad6fa4f101f922d2ef1f28d77576fe338",
+    "W3@5": "f071dce99ebd45bc5168da7d314a1b5ad6fa4f101f922d2ef1f28d77576fe338",
+    "W5@0": "6066d0d0e9f6b4edd91ec04498f2739781c9c5021ef0348de539c74c30c4db38",
+    "W5@2": "6066d0d0e9f6b4edd91ec04498f2739781c9c5021ef0348de539c74c30c4db38",
+    "W5@3": "6066d0d0e9f6b4edd91ec04498f2739781c9c5021ef0348de539c74c30c4db38",
+    "W5@5": "6066d0d0e9f6b4edd91ec04498f2739781c9c5021ef0348de539c74c30c4db38",
+    "U2_2@0": "a3664a582cc67d1d0e9cb15edc26cd9dfd9cb6e558f1773300184a342a691111",
+    "U2_2@2": "a3664a582cc67d1d0e9cb15edc26cd9dfd9cb6e558f1773300184a342a691111",
+    "U2_2@3": "a3664a582cc67d1d0e9cb15edc26cd9dfd9cb6e558f1773300184a342a691111",
+    "U2_2@5": "a3664a582cc67d1d0e9cb15edc26cd9dfd9cb6e558f1773300184a342a691111",
+    "U3_4@0": "3956cd5ffc3bea570fe00d4bee8784a375544b623417a0f8da4ede006004f351",
+    "U3_4@2": "3956cd5ffc3bea570fe00d4bee8784a375544b623417a0f8da4ede006004f351",
+    "U3_4@3": "3956cd5ffc3bea570fe00d4bee8784a375544b623417a0f8da4ede006004f351",
+    "U3_4@5": "3956cd5ffc3bea570fe00d4bee8784a375544b623417a0f8da4ede006004f351",
+    "V2_3@0": "cd1b637a3fb3235f6efe494d111d6c0361131e429870670e0e90c751263d5277",
+    "V2_3@2": "cd1b637a3fb3235f6efe494d111d6c0361131e429870670e0e90c751263d5277",
+    "V2_3@3": "cd1b637a3fb3235f6efe494d111d6c0361131e429870670e0e90c751263d5277",
+    "V2_3@5": "cd1b637a3fb3235f6efe494d111d6c0361131e429870670e0e90c751263d5277",
+    "S0@0": "4f042d587e3e27eddfc642cbb3f9f0cc243de5a137aa4d7c15f604426a95ebc6",
+    "S0@2": "4f042d587e3e27eddfc642cbb3f9f0cc243de5a137aa4d7c15f604426a95ebc6",
+    "S0@3": "4f042d587e3e27eddfc642cbb3f9f0cc243de5a137aa4d7c15f604426a95ebc6",
+    "S0@5": "4f042d587e3e27eddfc642cbb3f9f0cc243de5a137aa4d7c15f604426a95ebc6",
+    "S1@0": "5347fd6d37e106fa0f32905530141836137bf950a7da0a9b3ddb18bac7dc650a",
+    "S1@2": "5347fd6d37e106fa0f32905530141836137bf950a7da0a9b3ddb18bac7dc650a",
+    "S1@3": "5347fd6d37e106fa0f32905530141836137bf950a7da0a9b3ddb18bac7dc650a",
+    "S1@5": "5347fd6d37e106fa0f32905530141836137bf950a7da0a9b3ddb18bac7dc650a",
+    "S2@0": "ada69e39986a2b68657e4f4eed6397fa78b0de8481be7ad18d9050457e39d9d1",
+    "S2@2": "ada69e39986a2b68657e4f4eed6397fa78b0de8481be7ad18d9050457e39d9d1",
+    "S2@3": "ada69e39986a2b68657e4f4eed6397fa78b0de8481be7ad18d9050457e39d9d1",
+    "S2@5": "ada69e39986a2b68657e4f4eed6397fa78b0de8481be7ad18d9050457e39d9d1",
+    "S3@0": "9a3c03cc9e9182b4d49c0b73fff14420469f9556353df79528a87ade149ac9ff",
+    "S3@2": "9a3c03cc9e9182b4d49c0b73fff14420469f9556353df79528a87ade149ac9ff",
+    "S3@3": "9a3c03cc9e9182b4d49c0b73fff14420469f9556353df79528a87ade149ac9ff",
+    "S3@5": "9a3c03cc9e9182b4d49c0b73fff14420469f9556353df79528a87ade149ac9ff",
+    "S4@0": "266af3607162b769efcd6a934e391fd9990deb3e9d409d8b31252611d1aaac95",
+    "S4@2": "266af3607162b769efcd6a934e391fd9990deb3e9d409d8b31252611d1aaac95",
+    "S4@3": "266af3607162b769efcd6a934e391fd9990deb3e9d409d8b31252611d1aaac95",
+    "S4@5": "266af3607162b769efcd6a934e391fd9990deb3e9d409d8b31252611d1aaac95",
+    "S5@0": "54c877c6ecfbd6ea87d069529e286e94bc8e4cee12989bfded2190dcd13e660a",
+    "S5@2": "54c877c6ecfbd6ea87d069529e286e94bc8e4cee12989bfded2190dcd13e660a",
+    "S5@3": "54c877c6ecfbd6ea87d069529e286e94bc8e4cee12989bfded2190dcd13e660a",
+    "S5@5": "54c877c6ecfbd6ea87d069529e286e94bc8e4cee12989bfded2190dcd13e660a",
+    "S6@0": "45901260ad68f47adf8a34f227db29312e5d06d4b468558bca8b0431afcd80f0",
+    "S6@2": "45901260ad68f47adf8a34f227db29312e5d06d4b468558bca8b0431afcd80f0",
+    "S6@3": "45901260ad68f47adf8a34f227db29312e5d06d4b468558bca8b0431afcd80f0",
+    "S6@5": "45901260ad68f47adf8a34f227db29312e5d06d4b468558bca8b0431afcd80f0",
+    "S7@0": "2dc4ef37281ddace2986dacb6b8bcdf9477a14289ac4149a25992cca9e82b014",
+    "S7@2": "2dc4ef37281ddace2986dacb6b8bcdf9477a14289ac4149a25992cca9e82b014",
+    "S7@3": "2dc4ef37281ddace2986dacb6b8bcdf9477a14289ac4149a25992cca9e82b014",
+    "S7@5": "2dc4ef37281ddace2986dacb6b8bcdf9477a14289ac4149a25992cca9e82b014",
+}
+AUDIT_CLI_DIGESTS = {
+    "W3": "5407518c7e13327a4b5043964f9d83275eb93feb8829783a3532fbb3582809e0",
+    "W5": "f0eae7b33bf6b87d5f2989cd424af16082940122d63eca22fdd845aaeb49e4df",
+    "U2_2": "85f7d2326ff5ff58c95fcd71bf9c45ae5abe9634fc811b9c49fee227ef45c6c2",
+    "U3_4": "4dceba83f0e8bab103ba3bc887f1575f54f73162da9cd8a75428014216aec536",
+    "V2_3": "97c2908c2041261c81e15c3ed69a0ef58dc6b0936fd138de49017d9a5625367d",
 }

@@ -1,0 +1,115 @@
+"""The draw-keyed audit against the per-sample loop it replaced.
+
+`audit_theorems` evaluates each distinct perturbation once; the oracle in
+`tests/oracles/sampled_audit.py` recomposes every sample.  Both must give
+the same counterexamples in the same order with the same sample indices,
+also when a fake depth forces violations (audits never fail on string
+algebras, so the recording path is otherwise never taken).
+"""
+
+import functools
+import hashlib
+import json
+
+import pytest
+
+from stringar import configurations
+from stringar.artheory import knit
+from stringar.configurations import audit_theorems
+from stringar.families import make_family
+from stringar.fields import field_for_characteristic
+from stringar.modules import MorphismMatrix
+from stringar.presentation import validate_string_algebra
+from stringar.radical import ZERO_DEPTH, RadicalTable
+from stringar.strings import has_band
+from tests.oracles.sampled_audit import sampled_audit
+from tests.test_stress import random_presentations
+
+A, B = "A-no-shallow-triple-at-6", "B-depth-4-implies-6"
+
+
+@functools.lru_cache(maxsize=None)
+def _generated_band_free():
+    """The first ten band-free string algebras among the seeded presentations."""
+    out = [
+        p for p in random_presentations(20261018, 400)
+        if validate_string_algebra(p).is_string_algebra and not has_band(p)
+    ]
+    return tuple(out[:10])
+
+
+def _counterexamples(report):
+    return report.audits[A]["counterexamples"], report.audits[B]["counterexamples"]
+
+
+@pytest.mark.parametrize("char", [0, 2, 3], ids=["QQ", "GF2", "GF3"])
+def test_draw_keyed_audit_matches_the_per_sample_loop(char):
+    field = field_for_characteristic(char)
+    assert len(_generated_band_free()) == 10
+    for p in _generated_band_free():
+        for seed in (0, 1):
+            report = audit_theorems(p, samples=5, seed=seed, field=field)
+            a, b, _ = sampled_audit(p, 5, seed, field)
+            assert _counterexamples(report) == (a, b)
+
+
+def _fake_depth(self, f, source=None, target=None):
+    """A depth in 0..7 or ZERO_DEPTH that depends only on f's entries and its ends."""
+    text = repr((f.flatten(), source.index, target.index))
+    d = int(hashlib.sha256(text.encode()).hexdigest()[:8], 16) % 9
+    return ZERO_DEPTH if d == 8 else d
+
+
+def _forced_presentation(name):
+    if name.startswith("G"):
+        return _generated_band_free()[int(name[1:])]
+    fam, m, n = name[0], int(name[1]), int(name[3])
+    return make_family(fam, m=m, n=n).presentation
+
+
+FORCED = [("U2_2", 3), ("V2_3", 0), ("V2_3", 2), ("G3", 2)]
+
+
+@pytest.mark.parametrize("name,char", FORCED)
+def test_forced_violations_match_the_oracle_and_the_pin(name, char, monkeypatch):
+    monkeypatch.setattr(RadicalTable, "depth", _fake_depth)
+    p, field = _forced_presentation(name), field_for_characteristic(char)
+    report = audit_theorems(p, samples=5, seed=1, field=field)
+    a, b, _ = sampled_audit(p, 5, 1, field)
+    assert a and b
+    assert _counterexamples(report) == (a, b)
+    text = json.dumps(report.as_dict(), sort_keys=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == FORCED_DIGESTS[f"{name}@{char}"]
+
+
+@pytest.mark.parametrize("name,char", [("U3_4", 0), ("V2_3", 3)])
+def test_sampling_composes_once_per_distinct_key(name, char, monkeypatch):
+    """At most one compose per distinct triple draw and one per distinct pair draw."""
+    p, field = _forced_presentation(name), field_for_characteristic(char)
+    _, _, draws = sampled_audit(p, 32, 0, field)
+    quiver = knit(p, field)
+    table = RadicalTable(quiver)
+    monkeypatch.setattr(configurations, "knit", lambda p, field: quiver)
+    monkeypatch.setattr(configurations, "RadicalTable", lambda quiver: table)
+    calls = []
+    compose = MorphismMatrix.compose
+
+    def counted(self, other):
+        calls.append(1)
+        return compose(self, other)
+
+    monkeypatch.setattr(MorphismMatrix, "compose", counted)
+    report = audit_theorems(p, samples=32, seed=0, field=field)
+    triples = set(draws)
+    pairs = {k[:2] for k in triples} | {k[1:] for k in triples}
+    assert len(draws) == 32 * report.stats["triples"]
+    assert 0 < len(calls) <= len(triples) + len(pairs) < len(draws)
+
+
+# captured with the per-sample loop, before each distinct draw was evaluated once
+FORCED_DIGESTS = {
+    "U2_2@3": "dcaad5780ed6566b4d636407847c755da67214e504c375a1661260881ee6c473",
+    "V2_3@0": "d42ee39273a01aed45211290b72f36f703be3d131727d2028173bc228c5270c0",
+    "V2_3@2": "70596bf7cbfe820757c218a26570232082f3bd2657d5c29db6e6531f11c2dbca",
+    "G3@2": "e35714dccb6554986265be95b61d0f7630e4d2c4ba8f6ac6ae89dce4c7e46c11",
+}

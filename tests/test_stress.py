@@ -24,7 +24,7 @@ from stringar import (
     tau_oracle,
     validate_string_algebra,
 )
-from stringar.presentation import AlgebraPresentation, Arrow, Quiver
+from stringar.presentation import AlgebraPresentation, Arrow, Quiver, has_unbounded_paths
 
 
 def _random_string_algebra(rng, nv, na):
@@ -100,6 +100,17 @@ def random_presentations(seed, count):
                 rels.append(tuple(a.label for a in path))
         out.append(AlgebraPresentation(q, rels))
     return out
+
+
+def test_unbounded_paths_imply_a_band():
+    """A string algebra with unbounded nonzero paths has a relation-free cycle,
+    which is a band, so `knit` needs no finite-dimension check after `has_band`."""
+    strings = [
+        p for p in random_presentations(20261018, 3000) if validate_string_algebra(p).is_string_algebra
+    ]
+    unbounded = [p for p in strings if has_unbounded_paths(p)]
+    assert len(unbounded) > 100
+    assert all(has_band(p) for p in unbounded)
 
 
 @functools.lru_cache(maxsize=None)
