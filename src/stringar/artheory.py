@@ -805,7 +805,7 @@ def _cover(p, field, M):
             img = images[prefix]
             m = M.maps[last]
             images[path] = [
-                sum((m.rows[i][j] * img[j] for j in range(m.ncols)), field.zero())
+                field.of(sum(m.rows[i][j] * img[j] for j in range(m.ncols)))
                 for i in range(m.nrows)
             ]
         for path in paths:
@@ -833,10 +833,7 @@ def _kernel_rep(p, field, morphism):
             tmat = Mat(field, [list(col) for col in zip(*basis[t])], dims[t]) if dims[t] else Mat.zeros(field, src.dims[t], 0)
             for j, vec in enumerate(basis[s]):
                 img = [
-                    sum(
-                        (src.maps[a.label].rows[i][k] * vec[k] for k in range(src.dims[s])),
-                        field.zero(),
-                    )
+                    field.of(sum(src.maps[a.label].rows[i][k] * vec[k] for k in range(src.dims[s])))
                     for i in range(src.dims[t])
                 ]
                 if dims[t] == 0:
@@ -964,4 +961,4 @@ def _apply_op_path_morphism(pop, field, p0_op, i, p1_op, j, rpath, coeff, out_bl
         assert end == endq
         row = p1_op.offsets[j][end] + coord_j[target][1]
         col = p0_op.offsets[i][end] + coord_i[q][1]
-        out_blocks[end].rows[row][col] = out_blocks[end].rows[row][col] + coeff
+        out_blocks[end].rows[row][col] = field.of(out_blocks[end].rows[row][col] + coeff)

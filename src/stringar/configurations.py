@@ -18,7 +18,7 @@ from .artheory import (
     tau_word,
 )
 from .errors import BandFoundError, MeshInconsistencyError
-from .fields import QQ
+from .fields import QQ, combination
 from .modules import morphism_from_flat, realize
 from .presentation import require_string_algebra
 from .radical import ZERO_DEPTH, RadicalTable
@@ -335,7 +335,10 @@ def audit_theorems(p, samples=32, seed=0, field=QQ):
 
     A and B read sampled irreducibles a + r, r drawn in rad^2.  Each distinct
     draw (arrow index and coefficients) is built, composed and reduced once per
-    audit; the report is the same as recomposing every sample.
+    audit; the report is the same as recomposing every sample.  A triple whose
+    three arrows have no rad^2 row draws nothing: every sample is the bare
+    triple, so it gets no random generator, is evaluated once, and a violation
+    is reported for every sample index.
     samples < 1 is a ValueError: an audit that draws nothing passes vacuously.
     """
     if samples < 1:
@@ -356,6 +359,8 @@ def audit_theorems(p, samples=32, seed=0, field=QQ):
     ends = [(quiver.nodes[a.source], quiver.nodes[a.target]) for a in arrows]
     rad2 = [table.layer(x, y, 2).rows for x, y in ends]
     maps, composites, depths = {}, {}, {}
+    zero = field.zero()
+    draw = [field.of(c) for c in range(-3, 4)]  # draw[rng.randrange(7)] is randint(-3, 3)
 
     def perturbed(key):
         """Arrow i plus each coefficient times its rad^2 row, for key = (i, coefficients)."""
@@ -363,10 +368,7 @@ def audit_theorems(p, samples=32, seed=0, field=QQ):
             i, cs = key
             f = arrows[i].morphism
             if any(cs):
-                vec = [field.zero()] * len(rad2[i][0])
-                for c, row in zip(cs, rad2[i]):
-                    if c:
-                        vec = [a + c * b for a, b in zip(vec, row)]
+                vec = combination(field, cs, rad2[i])
                 f = f.add(morphism_from_flat(f.source, f.target, vec))
             maps[key] = f
         return maps[key]
@@ -378,37 +380,45 @@ def audit_theorems(p, samples=32, seed=0, field=QQ):
             composites[k1, k2] = h, table.depth(h, ends[k1[0]][0], ends[k2[0]][1])
         return composites[k1, k2]
 
+    def evaluate(key):
+        """The depths d21, d32, dtot of a triple key, and the violated audit's list or None."""
+        if key not in depths:
+            k1, k2, k3 = key
+            h21, d21 = pair(k1, k2)
+            total = perturbed(k3).compose(h21)
+            dtot = table.depth(total, ends[k1[0]][0], ends[k3[0]][1])
+            d32 = pair(k2, k3)[1]
+            shallow = dtot == 6 and d21 <= 2 and d32 <= 2
+            hit = a_violations if shallow else b_violations if 4 <= dtot < 6 else None
+            depths[key] = d21, d32, dtot, hit
+        return depths[key]
+
     a_violations = []
     b_violations = []
     for t_ix, triple in enumerate(triples):
-        rng = random.Random(f"{seed}:{t_ix}")
-        for s_ix in range(samples):
+        if any(rad2[i] for i in triple):
+            rng = random.Random(f"{seed}:{t_ix}")
             # one draw from -3..3 per rad^2 row; sample 0 is the bare canonical triple
-            key = tuple(
-                (i, tuple(field.of(rng.randint(-3, 3)) if s_ix else field.zero() for _ in rad2[i]))
-                for i in triple
+            keys = (
+                tuple((i, tuple(draw[rng.randrange(7)] if s_ix else zero for _ in rad2[i]))
+                      for i in triple)
+                for s_ix in range(samples)
             )
-            if key not in depths:
-                k1, k2, k3 = key
-                h21, d21 = pair(k1, k2)
-                total = perturbed(k3).compose(h21)
-                dtot = table.depth(total, ends[k1[0]][0], ends[k3[0]][1])
-                depths[key] = d21, pair(k2, k3)[1], dtot
-            d21, d32, dtot = depths[key]
-            shallow = dtot == 6 and d21 <= 2 and d32 <= 2
-            if not shallow and not 4 <= dtot < 6:
+        else:
+            # nothing to draw: the bare triple is every sample, evaluated once
+            bare = tuple((i, ()) for i in triple)
+            keys = [bare] * samples if evaluate(bare)[-1] is not None else ()
+        for s_ix, key in enumerate(keys):
+            *ds, hit = evaluate(key)
+            if hit is None:
                 continue
             (x, _), (y, _), (z, w) = (ends[i] for i in triple)
-            spot = {
+            pair12, pair23, total = (None if d == ZERO_DEPTH else d for d in ds)
+            hit.append({
                 "triple": [x.text, y.text, z.text, w.text],
                 "sample": s_ix,
-                "depths": {
-                    "pair12": None if d21 == ZERO_DEPTH else d21,
-                    "pair23": None if d32 == ZERO_DEPTH else d32,
-                    "total": None if dtot == ZERO_DEPTH else dtot,
-                },
-            }
-            (a_violations if shallow else b_violations).append(spot)
+                "depths": {"pair12": pair12, "pair23": pair23, "total": total},
+            })
 
     cycles = find_three_cycles(quiver)
     c_violations = []

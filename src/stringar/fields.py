@@ -3,10 +3,11 @@
 Everything downstream (homomorphism spaces, radical layers, the DTr
 oracle) reduces to rank/kernel/echelon computations on small dense
 matrices.  In characteristic 0 an entry is a Python `int` when it is
-integral and a `fractions.Fraction` otherwise; mod p it is an
-`FpElement`.  All of these support +, -, * and == exactly, so the code
-below is generic.  Division is the one exception (`int / int` is a
-float), so nothing divides directly: a pivot is inverted by `field.inv`.
+integral and a `fractions.Fraction` otherwise; mod p it is an `int` in
+[0, p), and each accumulated row is reduced with `% p` once, inline on
+`field.characteristic`.  Division is the exception (`int / int` is a float),
+so nothing divides directly: a pivot is inverted by `field.inv`.  Plain ints
+do not know their field, so `Mat` and `MorphismMatrix` refuse to mix two.
 """
 
 from __future__ import annotations
@@ -14,51 +15,44 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-class FpElement:
-    """An element of the prime field Z/pZ."""
-
-    __slots__ = ("p", "v")
-
-    def __init__(self, p, v):
-        self.p = p
-        self.v = v % p
-
-    def __add__(self, other):
-        return FpElement(self.p, self.v + other.v)
-
-    def __sub__(self, other):
-        return FpElement(self.p, self.v - other.v)
-
-    def __mul__(self, other):
-        return FpElement(self.p, self.v * other.v)
-
-    def __truediv__(self, other):
-        if other.v % other.p == 0:
-            raise ZeroDivisionError("division by zero in F_p")
-        return FpElement(self.p, self.v * pow(other.v, -1, other.p))
-
-    def __neg__(self):
-        return FpElement(self.p, -self.v)
-
-    def __eq__(self, other):
-        return isinstance(other, FpElement) and self.p == other.p and self.v == other.v
-
-    def __hash__(self):
-        return hash((self.p, self.v))
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __repr__(self):
-        return f"{self.v} (mod {self.p})"
-
-
 def _exact(q):
     """The Fraction q as an int when it is integral."""
     return q.numerator if q.denominator == 1 else q
 
 
-class Rationals:
+def scaled_row(row, c, char):
+    """c * row over the field of characteristic char; a Fraction c gives ints where integral."""
+    if char:
+        return [a * c % char for a in row]
+    if type(c) is Fraction:
+        return [_exact(a * c) for a in row]
+    return [a * c for a in row]
+
+
+def combination(field, coeffs, rows):
+    """The sum of c * row over the pairs of coeffs and rows, reduced once; rows nonempty."""
+    vec = [field.zero()] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c:
+            vec = [a + c * b for a, b in zip(vec, row)]
+    char = field.characteristic
+    return [a % char for a in vec] if char else vec
+
+
+class _Field:
+    """What both descriptors share: 0 and 1 are ints, an element prints as `str`."""
+
+    def zero(self):
+        return 0
+
+    def one(self):
+        return 1
+
+    def to_str(self, x):
+        return str(x)
+
+
+class Rationals(_Field):
     """Field descriptor for exact rational arithmetic.
 
     An element is an `int` when it is integral and a `Fraction` otherwise,
@@ -68,12 +62,6 @@ class Rationals:
     """
 
     characteristic = 0
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
 
     def of(self, n):
         return n if type(n) is int else _exact(Fraction(n))
@@ -86,9 +74,6 @@ class Rationals:
             return x
         return _exact(1 / Fraction(x))
 
-    def to_str(self, x):
-        return str(x)
-
     def __eq__(self, other):
         return isinstance(other, Rationals)
 
@@ -99,34 +84,24 @@ class Rationals:
         return "QQ"
 
 
-class PrimeField:
-    """Field descriptor for Z/pZ, p prime."""
+class PrimeField(_Field):
+    """Field descriptor for Z/pZ, p prime; an element is an `int` in [0, p)."""
 
     def __init__(self, p):
         if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
             raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.characteristic = p
-        self._zero = FpElement(p, 0)
-        self._one = FpElement(p, 1)
-
-    def zero(self):
-        return self._zero
-
-    def one(self):
-        return self._one
+        self.p = self.characteristic = p
 
     def of(self, n):
-        return FpElement(self.p, n)
+        return n % self.p
 
     def parse(self, s):
-        return FpElement(self.p, int(s))
+        return int(s) % self.p
 
     def inv(self, x):
-        return self._one / x
-
-    def to_str(self, x):
-        return str(x.v)
+        if not x % self.p:
+            raise ZeroDivisionError("division by zero in F_p")
+        return pow(x, -1, self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and self.p == other.p
@@ -191,14 +166,14 @@ class Mat:
     def from_int_rows(cls, field, rows, ncols=None):
         return cls(field, [[field.of(x) for x in r] for r in rows], ncols)
 
-    def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
-
     def __mul__(self, other):
+        field = self.field
+        if other.field is not field and other.field != field:
+            raise ValueError(f"field mismatch {field!r} * {other.field!r}")
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
-        z = self.field.zero()
-        out = [[z] * other.ncols for _ in range(self.nrows)]
+        char = field.characteristic
+        out = [[0] * other.ncols for _ in range(self.nrows)]
         for i in range(self.nrows):
             srow = self.rows[i]
             orow = out[i]
@@ -211,35 +186,44 @@ class Mat:
                     b = brow[j]
                     if b:
                         orow[j] = orow[j] + a * b
-        return Mat._adopt(self.field, out, other.ncols)
+        if char:
+            out = [[x % char for x in r] for r in out]
+        return Mat._adopt(field, out, other.ncols)
 
     def __add__(self, other):
+        field = self.field
+        if other.field is not field and other.field != field:
+            raise ValueError(f"field mismatch {field!r} + {other.field!r}")
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} + {other.shape}")
-        return Mat._adopt(
-            self.field,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            self.ncols,
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
+        char, pairs = field.characteristic, zip(self.rows, other.rows)
+        if char:
+            rows = [[(a + b) % char for a, b in zip(r1, r2)] for r1, r2 in pairs]
+        else:
+            rows = [[a + b for a, b in zip(r1, r2)] for r1, r2 in pairs]
+        return Mat._adopt(field, rows, self.ncols)
 
     def __neg__(self):
-        return Mat._adopt(self.field, [[-a for a in r] for r in self.rows], self.ncols)
+        return self.scale(-1)
 
     def __eq__(self, other):
         return (
             isinstance(other, Mat)
             and self.shape == other.shape
             and self.rows == other.rows
+            and (self.field is other.field or self.field == other.field)
         )
 
     def __hash__(self):
         return hash((self.nrows, self.ncols, tuple(tuple(r) for r in self.rows)))
 
     def scale(self, c):
-        return Mat._adopt(self.field, [[c * a for a in r] for r in self.rows], self.ncols)
+        char = self.field.characteristic
+        if char:
+            rows = [[c * a % char for a in r] for r in self.rows]
+        else:
+            rows = [[c * a for a in r] for r in self.rows]
+        return Mat._adopt(self.field, rows, self.ncols)
 
     @property
     def shape(self):
@@ -274,7 +258,7 @@ def rref(rows, field):
     pivots = []
     if not rows:
         return pivots, rows
-    ncols = len(rows[0])
+    char, ncols = field.characteristic, len(rows[0])
     r = 0
     for c in range(ncols):
         pr = None
@@ -286,11 +270,15 @@ def rref(rows, field):
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = field.inv(rows[r][c])
-        rows[r] = [x * inv for x in rows[r]]
+        rows[r] = prow = scaled_row(rows[r], inv, char)
+        exact = type(inv) is Fraction  # then QQ rows can hold integral Fractions: make them ints
         for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if i != r and f:
+                row = [a - f * b for a, b in zip(rows[i], prow)]
+                if char or exact or type(f) is Fraction:
+                    row = [a % char for a in row] if char else [_exact(a) for a in row]
+                rows[i] = row
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -305,13 +293,13 @@ def nullspace(mat):
     pivots, rows = rref(rows, field)
     pivot_set = set(pivots)
     free = [c for c in range(mat.ncols) if c not in pivot_set]
-    z, o = field.zero(), field.one()
+    char, z, o = field.characteristic, field.zero(), field.one()
     basis = []
     for fc in free:
         v = [z] * mat.ncols
         v[fc] = o
         for i, pc in enumerate(pivots):
-            v[pc] = -rows[i][fc]
+            v[pc] = -rows[i][fc] % char if char else -rows[i][fc]
         basis.append(v)
     return basis
 
@@ -362,13 +350,13 @@ class Subspace:
         return not self.rows
 
     def reduce(self, vec):
-        """Residue of vec modulo the subspace."""
-        v = list(vec)
+        """Residue of vec modulo the subspace; mod p, each pivot entry is reduced, then the rest."""
+        char, v = self.field.characteristic, list(vec)
         for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                f = v[p]
+            f = v[p] % char if char else v[p]
+            if f:
                 v = [a - f * b for a, b in zip(v, row)]
-        return v
+        return [a % char for a in v] if char else v
 
     def contains(self, vec):
         return not any(self.reduce(vec))
@@ -379,12 +367,15 @@ class Subspace:
         p = next((i for i, a in enumerate(v) if a), None)
         if p is None:
             return False
-        inv = self.field.inv(v[p])
-        v = [a * inv for a in v]
+        char, inv = self.field.characteristic, self.field.inv(v[p])
+        v, exact = scaled_row(v, inv, char), type(inv) is Fraction
         for i in range(len(self.rows)):
-            if self.rows[i][p]:
-                f = self.rows[i][p]
-                self.rows[i] = [a - f * b for a, b in zip(self.rows[i], v)]
+            f = self.rows[i][p]
+            if f:
+                row = [a - f * b for a, b in zip(self.rows[i], v)]
+                if char or exact or type(f) is Fraction:
+                    row = [a % char for a in row] if char else [_exact(a) for a in row]
+                self.rows[i] = row
         pos = next((i for i, q in enumerate(self.pivots) if q > p), len(self.pivots))
         self.rows.insert(pos, v)
         self.pivots.insert(pos, p)

@@ -10,7 +10,7 @@ factor.
 from __future__ import annotations
 
 from .errors import CompositionError, UnknownLabelError
-from .fields import Mat, QQ, nullspace, solve
+from .fields import Mat, QQ, combination, nullspace, solve
 from .presentation import require_string_algebra
 from .strings import (
     Letter,
@@ -51,7 +51,6 @@ class Representation:
 
     def path_action(self, labels):
         """Matrix of the path a_1...a_k acting first-arrow-first."""
-        q = self.p.quiver
         if not labels:
             raise ValueError("path action needs a nonempty path")
         m = self.maps[labels[0]]
@@ -234,7 +233,10 @@ class MorphismMatrix:
         return b
 
     def check_intertwining(self):
+        src, tgt = self.source.dims, self.target.dims
         for a in self.source.p.quiver.arrows:
+            if not (tgt[a.target] and src[a.source]):
+                continue  # both sides are empty matrices
             lhs = self.block(a.target) * self.source.maps[a.label]
             rhs = self.target.maps[a.label] * self.block(a.source)
             if lhs != rhs:
@@ -250,6 +252,8 @@ class MorphismMatrix:
         if first.target.dims != self.source.dims:
             raise CompositionError("composition shape mismatch")
         src, tgt = first.source, self.target
+        if src.field is not tgt.field:
+            _same_field(src, tgt)
         mine, theirs = self.blocks, first.blocks
         blocks = {}
         for v in _common_support(src, tgt):
@@ -261,6 +265,8 @@ class MorphismMatrix:
         return MorphismMatrix._adopt(src, tgt, blocks)
 
     def add(self, other):
+        if self.source.field is not other.source.field:
+            _same_field(self.source, other.source)
         theirs = other.blocks
         return MorphismMatrix._adopt(
             self.source,
@@ -318,6 +324,12 @@ class MorphismMatrix:
         return f"MorphismMatrix({self.source.dim_vector()} -> {self.target.dim_vector()})"
 
 
+def _same_field(M, N):
+    """Plain-int scalars cannot tell GF(3) from GF(5), so the maps must say it."""
+    if M.field != N.field:
+        raise CompositionError(f"cannot combine maps over {M.field!r} and {N.field!r}")
+
+
 def _common_support(M, N):
     """The vertices where both M and N are nonzero, in vertex order."""
     theirs = N.support
@@ -369,7 +381,7 @@ def hom_basis(M, N):
     if M.p != N.p or M.field != N.field:
         raise CompositionError("Hom spaces need a common presentation and field")
     field = M.field
-    q = M.p.quiver
+    char, q = field.characteristic, M.p.quiver
     offsets = {}
     total = 0
     for v in q.vertices:
@@ -388,16 +400,15 @@ def hom_basis(M, N):
                 for k in range(M.dims[t]):
                     c = Msrc.rows[k][j]
                     if c:
-                        row[offsets[t] + i * M.dims[t] + k] = row[
-                            offsets[t] + i * M.dims[t] + k
-                        ] + c
+                        idx = offsets[t] + i * M.dims[t] + k
+                        row[idx] = row[idx] + c
                 # (N_a * B_s)[i][j]: coefficient of B_s[k][j] is N_a[i][k]
                 for k in range(N.dims[s]):
                     c = Ntgt.rows[i][k]
                     if c:
                         idx = offsets[s] + k * M.dims[s] + j
                         row[idx] = row[idx] - c
-                rows.append(row)
+                rows.append([a % char for a in row] if char else row)
     if total == 0:
         return HomBasis(M, N, [])
     if not rows:
@@ -469,7 +480,7 @@ def end_radical(M):
             for i in range(n):
                 if coords[i]:
                     t = t + coords[i] * prod_coords[i][m][m]
-        return t
+        return field.of(t)
 
     gram = []
     for i in range(n):
@@ -478,12 +489,5 @@ def end_radical(M):
             row.append(left_mult_trace(prod_coords[i][j]))
         gram.append(row)
     ker = nullspace(Mat(field, gram, n).transpose())
-    rad = []
-    for coeffs in ker:
-        f = zero_morphism(M, M)
-        for c, e in zip(coeffs, E.basis):
-            if c:
-                f = f.add(e.scale(c))
-        rad.append(f)
-    return rad
+    return [morphism_from_flat(M, M, combination(field, coeffs, flat)) for coeffs in ker]
 

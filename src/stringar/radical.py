@@ -21,7 +21,7 @@ import math
 
 from .artheory import standard_arrows
 from .errors import BandFoundError, MeshInconsistencyError, NotIrreducibleError
-from .fields import Mat, Subspace, nullspace
+from .fields import Mat, Subspace, combination, nullspace, scaled_row
 from .modules import end_radical, hom_basis  # the cross-check only
 from .modules import hom_flat_dim, identity_morphism, morphism_from_flat
 from .strings import (
@@ -93,31 +93,32 @@ class Degree:
         return f"Degree({self.value} via {self.witness_node.text})"
 
 
-def _reduce(rows, vec):
+def _reduce(rows, vec, char):
     """Subtract each tagged row at its pivot, in insertion order.
 
     Returns the residue and the tag of the last row used (None if none was).
     Each row is zero at the pivots of the rows before it, so the residue is
-    zero exactly when vec lies in the span of the rows.
+    zero exactly when vec lies in the span of the rows.  In characteristic
+    char > 0 each pivot entry is reduced on the way and the residue once.
     """
     v = list(vec)
     tag = None
     for t, p, row in rows:
-        c = v[p]
+        c = v[p] % char if char else v[p]
         if c:
             v = [a - c * b for a, b in zip(v, row)]
             tag = t
-    return v, tag
+    return ([a % char for a in v] if char else v), tag
 
 
 def _append(field, rows, vec, tag):
     """Add vec to the tagged echelon basis; False if it is already spanned."""
-    v, _ = _reduce(rows, vec)
+    char = field.characteristic
+    v, _ = _reduce(rows, vec, char)
     p = next((i for i, a in enumerate(v) if a), None)
     if p is None:
         return False
-    inv = field.inv(v[p])
-    rows.append((tag, p, [a * inv for a in v]))
+    rows.append((tag, p, scaled_row(v, field.inv(v[p]), char)))
     return True
 
 
@@ -228,7 +229,7 @@ class RadicalTable:
         vec = f.flatten()
         if not any(vec):
             return ZERO_DEPTH
-        rest, d = _reduce(self._rows(x, y), vec)
+        rest, d = _reduce(self._rows(x, y), vec, self.field.characteristic)
         if any(rest):
             if not f.check_intertwining():
                 raise MeshInconsistencyError("depth of a non-morphism")
@@ -283,10 +284,7 @@ class RadicalTable:
             mat = Mat(field, [list(c) for c in cols], len(morphs))
             coeff_basis = nullspace(mat)
         for coeffs in coeff_basis:
-            vec = [field.zero()] * len(V.rows[0])
-            for c, row in zip(coeffs, V.rows):
-                if c:
-                    vec = [a + c * b for a, b in zip(vec, row)]
+            vec = combination(field, coeffs, V.rows)
             if any(vec) and not deeper.contains(vec):
                 return morphism_from_flat(src_rep, mid_rep, vec)
         return None

@@ -3,6 +3,8 @@
 Products, sums, negatives and scalings adopt the rows they build without
 copying or checking them; here every result is compared with the matrix the
 checked constructor builds from a schoolbook computation, over QQ and GF(3).
+The schoolbook results are plain Python arithmetic, each entry then reduced
+into the field by `field.of`.
 """
 
 import random
@@ -17,6 +19,7 @@ from stringar import (
     knit,
     witness,
 )
+from stringar.errors import CompositionError
 from stringar.families import make_family
 from stringar.fields import Mat
 from stringar.modules import MorphismMatrix
@@ -29,7 +32,7 @@ def _rand_mat(rng, field, nrows, ncols):
 
 def _product(field, a, b):
     rows = [
-        [sum((a.rows[i][k] * b.rows[k][j] for k in range(a.ncols)), field.zero())
+        [field.of(sum(a.rows[i][k] * b.rows[k][j] for k in range(a.ncols)))
          for j in range(b.ncols)]
         for i in range(a.nrows)
     ]
@@ -47,10 +50,10 @@ def test_mat_arithmetic_equals_the_checked_constructor(char):
         s = field.of(rng.randint(-2, 2))
         expected = {
             "mul": _product(field, a, b),
-            "add": Mat(field, [[x + y for x, y in zip(u, w)]
+            "add": Mat(field, [[field.of(x + y) for x, y in zip(u, w)]
                                for u, w in zip(a.rows, a2.rows)], k),
-            "neg": Mat(field, [[-x for x in u] for u in a.rows], k),
-            "scale": Mat(field, [[s * x for x in u] for u in a.rows], k),
+            "neg": Mat(field, [[field.of(-x) for x in u] for u in a.rows], k),
+            "scale": Mat(field, [[field.of(s * x) for x in u] for u in a.rows], k),
             "zeros": Mat(field, [[field.zero()] * c for _ in range(r)], c),
         }
         got = {"mul": a * b, "add": a + a2, "neg": -a, "scale": a.scale(s),
@@ -80,7 +83,7 @@ def test_morphism_arithmetic_equals_the_checked_constructor(char):
         total = gf.add(compose_chain([f, g]).scale(c))
         want_total = MorphismMatrix(
             f.source, g.target,
-            {v: Mat(field, [[x + c * x for x in row] for row in want.blocks[v].rows],
+            {v: Mat(field, [[field.of(x + c * x) for x in row] for row in want.blocks[v].rows],
                     want.blocks[v].ncols) for v in want.blocks},
         )
         assert total == want_total
@@ -94,6 +97,33 @@ def test_shared_constants_stay_zero_and_one():
     assert QQ.zero() == 0 and QQ.one() == 1
     assert QQ.zero() is QQ.zero()
     assert (gf3.zero(), gf3.one()) == (gf3.of(0), gf3.of(1))
-    assert (gf3.zero().v, gf3.one().v) == (0, 1)
+    assert (gf3.zero(), gf3.one()) == (0, 1)
     gf2 = field_for_characteristic(2)
-    assert (gf2.zero().v, gf2.one().v) == (0, 1)
+    assert (gf2.zero(), gf2.one()) == (0, 1)
+
+
+@pytest.mark.parametrize("chars", [(3, 5), (0, 3)], ids=["GF3xGF5", "QQxGF3"])
+def test_operands_over_two_fields_are_refused(chars):
+    """Plain-int scalars cannot tell the fields apart, so the containers must."""
+    one, other = (knit(make_family("W", n=3).presentation, field_for_characteristic(char))
+                  for char in chars)
+    for G, H in ((one, other), (other, one)):
+        # arrow i then arrow j, composable; the same arrows of H over the other field
+        pairs = [(i, G.arrows.index(b)) for i, a in enumerate(G.arrows)
+                 for b in G.arrows_from(a.target)]
+        assert pairs
+        for i, j in pairs:
+            f = G.arrows[i].morphism
+            with pytest.raises(CompositionError, match="cannot combine"):
+                H.arrows[j].morphism.compose(f)
+            with pytest.raises(CompositionError, match="cannot combine"):
+                f.add(H.arrows[i].morphism)
+    a, b = (Mat(field_for_characteristic(char), [[1, 2], [0, 1]], 2) for char in chars)
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match="field mismatch"):
+            x * y
+        with pytest.raises(ValueError, match="field mismatch"):
+            x + y
+        assert x != y
+    assert a * a == Mat(a.field, [[1, a.field.of(4)], [0, 1]], 2)
+    assert a == Mat(field_for_characteristic(chars[0]), [[1, 2], [0, 1]], 2)

@@ -53,7 +53,7 @@ def _dense(f):
 
 def _mul(field, a, b, inner, ncols):
     return [
-        [sum((r[k] * b[k][j] for k in range(inner)), field.zero()) for j in range(ncols)]
+        [field.of(sum(r[k] * b[k][j] for k in range(inner))) for j in range(ncols)]
         for r in a
     ]
 
@@ -104,9 +104,9 @@ def _check_against_oracle(f, dense, c):
     assert f.check_intertwining() == _oracle_intertwines(f)
     assert f.is_zero() == (not any(x for v in dense for r in dense[v] for x in r))
     pairs = [
-        (f.add(f.scale(c)), {v: [[x + c * x for x in r] for r in dense[v]] for v in dense}),
-        (f.scale(c), {v: [[c * x for x in r] for r in dense[v]] for v in dense}),
-        (f.neg(), {v: [[-x for x in r] for r in dense[v]] for v in dense}),
+        (f.add(f.scale(c)), {v: [[field.of(x + c * x) for x in r] for r in dense[v]] for v in dense}),
+        (f.scale(c), {v: [[field.of(c * x) for x in r] for r in dense[v]] for v in dense}),
+        (f.neg(), {v: [[field.of(-x) for x in r] for r in dense[v]] for v in dense}),
     ]
     for got, want in pairs:
         assert list(got.blocks) == list(f.blocks)

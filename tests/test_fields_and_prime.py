@@ -12,8 +12,11 @@ from stringar import (
     realize,
     walk_from_text,
 )
+from stringar import radical
+from stringar.artheory import tau_oracle
 from stringar.families import make_family
-from stringar.fields import Mat, QQ, PrimeField, Subspace, nullspace, rref, solve
+from stringar.fields import Mat, QQ, PrimeField, Subspace, combination, nullspace, rref, solve
+from stringar.modules import end_radical, hom_basis
 from stringar.radical import RadicalTable
 from tests.conftest import LADDER
 
@@ -53,8 +56,10 @@ def test_subspace_rref_is_canonical():
 def test_prime_field_arithmetic():
     F = PrimeField(7)
     x = F.of(3)
-    assert (x * x).v == 2
-    assert (x / F.of(5)).v == (3 * pow(5, -1, 7)) % 7
+    assert F.of(x * x) == 2
+    assert F.of(x * F.inv(F.of(5))) == (3 * pow(5, -1, 7)) % 7
+    assert [F.of(-1), F.of(10), F.parse("-8"), F.inv(6)] == [6, 3, 6, 6]
+    assert {type(y) for y in (x, F.zero(), F.one(), F.parse("9"), F.inv(3))} == {int}
     with pytest.raises(ValueError):
         PrimeField(6)
 
@@ -72,7 +77,7 @@ def test_rationals_are_ints_when_integral():
     with pytest.raises(ZeroDivisionError):
         QQ.inv(0)
     F = PrimeField(7)
-    assert F.inv(F.of(3)) * F.of(3) == F.one()
+    assert F.of(F.inv(F.of(3)) * F.of(3)) == F.one()
     with pytest.raises(ZeroDivisionError):
         F.inv(F.zero())
 
@@ -85,6 +90,52 @@ def test_integer_input_is_reduced_without_floats():
     x = solve(Mat.from_int_rows(QQ, [[2, 0], [0, 3]]), [1, 1])
     assert x == [Fraction(1, 2), Fraction(1, 3)]
     assert not any(isinstance(a, float) for a in [*s.rows[0], *rows[0], *rows[1], *x])
+
+
+def test_fraction_pivots_leave_integral_entries_as_ints():
+    """A row scaled by a Fraction inverse, or eliminated with it, keeps ints where integral."""
+    _, rows = rref([[2, 1], [4, 3]], QQ)
+    s = Subspace(QQ, 2, [[2, 1], [4, 3]])
+    t = Subspace(QQ, 3, [[2, 4, 1], [0, 3, 6]])
+    tagged = []
+    for tag, vec in enumerate([[3, 0, 6], [0, 2, 1]]):
+        radical._append(QQ, tagged, vec, tag)
+    assert rows == s.rows == [[1, 0], [0, 1]]
+    assert t.rows == [[1, 0, Fraction(-7, 2)], [0, 1, 2]]
+    assert [row for _, _, row in tagged] == [[1, 0, 2], [0, 1, Fraction(1, 2)]]
+    entries = [x for m in (rows, s.rows, t.rows, [r for _, _, r in tagged]) for r in m for x in r]
+    assert {type(x) for x in entries if x == int(x)} == {int}
+
+
+def test_prime_field_residues_are_reduced():
+    """1 - 2 * 2 = -3 is zero in GF(3): a residue must come back as 0, not -3."""
+    F = PrimeField(3)
+    s = Subspace(F, 2, [[1, 2]])
+    assert s.reduce([2, 1]) == [0, 0] and s.contains([2, 1])
+    assert not s.insert([2, 1]) and s.rows == [[1, 2]]
+    assert radical._reduce([(1, 0, [1, 2])], [2, 1], 3) == ([0, 0], 1)
+    assert not radical._append(F, [(1, 0, [1, 2])], [2, 1], 0)
+    assert combination(F, [2, 2], [[1, 2], [2, 2]]) == [0, 2]
+    assert combination(QQ, [2, Fraction(1, 2)], [[1, 2], [2, 2]]) == [3, 5]
+
+
+@pytest.mark.parametrize("char", [2, 3, 5])
+def test_prime_field_entries_are_ints_below_p(char):
+    """Every stored scalar over GF(p) is an int in [0, p): the reductions reach every site."""
+    field = field_for_characteristic(char)
+    p = make_family("U", m=2, n=2).presentation
+    T = RadicalTable(knit(p, field))
+    M = T.nodes[5].module
+    matrices = [b for a in T.quiver.arrows for b in a.morphism.blocks.values()]
+    matrices += list(tau_oracle(p, M, field).maps.values())
+    entries = [x for m in matrices for r in m.rows for x in r]
+    entries += [x for rows in T._tagged.values() for _, _, row in rows for x in row]
+    entries += [x for f in end_radical(M.rep) for x in f.flatten()]
+    entries += [x for f in hom_basis(M.rep, T.nodes[7].module.rep).basis for x in f.flatten()]
+    degrees = [T.degree(a.morphism, side) for a in T.quiver.arrows for side in ("left", "right")]
+    entries += [x for d in degrees if d.is_finite for x in d.witness.flatten()]
+    assert any(d.is_finite for d in degrees)
+    assert entries and all(type(x) is int and 0 <= x < char for x in entries)
 
 
 def _division_scopes(tree):
@@ -110,7 +161,7 @@ def test_only_the_field_inverses_divide():
         for path in sorted(SRC.glob("*.py"))
         for scope in _division_scopes(ast.parse(path.read_text(encoding="utf-8")))
     ]
-    assert found == [("fields.py", "Rationals.inv"), ("fields.py", "PrimeField.inv")]
+    assert found == [("fields.py", "Rationals.inv")]
 
 
 @pytest.mark.parametrize("name", list(LADDER))

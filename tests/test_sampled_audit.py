@@ -10,6 +10,7 @@ algebras, so the recording path is otherwise never taken).
 import functools
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -54,8 +55,15 @@ def test_draw_keyed_audit_matches_the_per_sample_loop(char):
 
 
 def _fake_depth(self, f, source=None, target=None):
-    """A depth in 0..7 or ZERO_DEPTH that depends only on f's entries and its ends."""
-    text = repr((f.flatten(), source.index, target.index))
+    """A depth in 0..7 or ZERO_DEPTH that depends only on f's entries and its ends.
+
+    An entry is hashed as `field.to_str` gives it, with " (mod p)" over GF(p):
+    the text the pins below were captured with.
+    """
+    field = f.source.field
+    mod = f" (mod {field.characteristic})" if field.characteristic else ""
+    entries = ", ".join(field.to_str(x) + mod for x in f.flatten())
+    text = f"([{entries}], {source.index}, {target.index})"
     d = int(hashlib.sha256(text.encode()).hexdigest()[:8], 16) % 9
     return ZERO_DEPTH if d == 8 else d
 
@@ -104,6 +112,54 @@ def test_sampling_composes_once_per_distinct_key(name, char, monkeypatch):
     pairs = {k[:2] for k in triples} | {k[1:] for k in triples}
     assert len(draws) == 32 * report.stats["triples"]
     assert 0 < len(calls) <= len(triples) + len(pairs) < len(draws)
+
+
+def _draw_free(p, field):
+    """The triples (as node texts, in audit order) whose three arrows have no rad^2 row."""
+    quiver = knit(p, field)
+    table = RadicalTable(quiver)
+    ends = [(quiver.nodes[a.source], quiver.nodes[a.target]) for a in quiver.arrows]
+    triples = [
+        (a1, a2, a3)
+        for a1 in quiver.arrows
+        for a2 in quiver.arrows_from(a1.target)
+        for a3 in quiver.arrows_from(a2.target)
+    ]
+    rad2 = {id(a): table.layer(x, y, 2).rows for a, (x, y) in zip(quiver.arrows, ends)}
+    texts = [[quiver.nodes[a.source].text for a in t] + [quiver.nodes[t[2].target].text]
+             for t in triples]
+    return [text for t, text in zip(triples, texts) if not any(rad2[id(a)] for a in t)], triples
+
+
+def test_only_triples_with_draws_seed_a_generator(monkeypatch):
+    p, field = _forced_presentation("U3_4"), field_for_characteristic(0)
+    free, triples = _draw_free(p, field)
+    seeds = []
+
+    class Counted(random.Random):
+        def __init__(self, seed):
+            seeds.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(configurations.random, "Random", Counted)
+    report = audit_theorems(p, samples=32, seed=0, field=field)
+    assert report.passed and report.stats["triples"] == len(triples) == 104
+    assert len(seeds) == len(triples) - len(free) == 19
+    assert len(set(seeds)) == len(seeds)
+
+
+@pytest.mark.parametrize("family,m,n,char", [("V", 2, 3, 0), ("W", None, 5, 3)])
+def test_a_violating_draw_free_triple_reports_every_sample(family, m, n, char, monkeypatch):
+    """A fake depth of 5 everywhere breaks B on every sample of every triple."""
+    monkeypatch.setattr(RadicalTable, "depth", lambda self, f, source=None, target=None: 5)
+    p, field = make_family(family, m=m, n=n).presentation, field_for_characteristic(char)
+    free, triples = _draw_free(p, field)
+    report = audit_theorems(p, samples=4, seed=3, field=field)
+    a, b, _ = sampled_audit(p, 4, 3, field)
+    assert _counterexamples(report) == (a, b) == ([], b)
+    assert len(b) == 4 * len(triples) and free
+    for text in free:
+        assert [s["sample"] for s in b if s["triple"] == text] == [0, 1, 2, 3]
 
 
 # captured with the per-sample loop, before each distinct draw was evaluated once
