@@ -66,7 +66,6 @@ from .radical import (
     ZERO_DEPTH,
     cg_quiver,
     iota_morphism,
-    rad_filtration,
     theta_morphism,
 )
 from .strings import (

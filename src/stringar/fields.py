@@ -2,12 +2,14 @@
 
 Everything downstream (homomorphism spaces, radical layers, the DTr
 oracle) reduces to rank/kernel/echelon computations on small dense
-matrices.  In characteristic 0 an entry is a Python `int` when it is
-integral and a `fractions.Fraction` otherwise; mod p it is an `int` in
-[0, p), and each accumulated row is reduced with `% p` once, inline on
-`field.characteristic`.  Division is the exception (`int / int` is a float),
-so nothing divides directly: a pivot is inverted by `field.inv`.  Plain ints
-do not know their field, so `Mat` and `MorphismMatrix` refuse to mix two.
+matrices.  One elimination, `rref`, does them all: `Subspace`, `Mat.rank`,
+`nullspace` and `solve` rest on it.  In characteristic 0 an entry is a
+Python `int` when it is integral and a `fractions.Fraction` otherwise; mod
+p it is an `int` in [0, p), and each accumulated row is reduced with `% p`
+once, inline on `field.characteristic`.  Division is the exception
+(`int / int` is a float), so nothing divides directly: a pivot is inverted
+by `field.inv`.  Plain ints do not know their field, so `Mat` and
+`MorphismMatrix` refuse to mix two.
 """
 
 from __future__ import annotations
@@ -162,10 +164,6 @@ class Mat:
         z, o = field.zero(), field.one()
         return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
 
-    @classmethod
-    def from_int_rows(cls, field, rows, ncols=None):
-        return cls(field, [[field.of(x) for x in r] for r in rows], ncols)
-
     def __mul__(self, other):
         field = self.field
         if other.field is not field and other.field != field:
@@ -270,8 +268,12 @@ def rref(rows, field):
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = field.inv(rows[r][c])
-        rows[r] = prow = scaled_row(rows[r], inv, char)
-        exact = type(inv) is Fraction  # then QQ rows can hold integral Fractions: make them ints
+        prow = scaled_row(rows[r], inv, char)
+        # over QQ, arithmetic with a Fraction can give an integral Fraction: make those ints
+        exact = not char and any(type(a) is Fraction for a in prow)
+        if exact and type(inv) is not Fraction:
+            prow = [_exact(a) for a in prow]
+        rows[r] = prow
         for i in range(len(rows)):
             f = rows[i][c]
             if i != r and f:
@@ -331,10 +333,7 @@ class Subspace:
     def __init__(self, field, n, vectors=()):
         self.field = field
         self.n = n
-        self.rows = []
-        self.pivots = []
-        for v in vectors:
-            self.insert(v)
+        self.pivots, self.rows = rref([list(v) for v in vectors], field)
 
     def copy(self):
         s = Subspace(self.field, self.n)
@@ -364,21 +363,9 @@ class Subspace:
     def insert(self, vec):
         """Add a vector; returns True if the dimension grew."""
         v = self.reduce(vec)
-        p = next((i for i, a in enumerate(v) if a), None)
-        if p is None:
+        if not any(v):
             return False
-        char, inv = self.field.characteristic, self.field.inv(v[p])
-        v, exact = scaled_row(v, inv, char), type(inv) is Fraction
-        for i in range(len(self.rows)):
-            f = self.rows[i][p]
-            if f:
-                row = [a - f * b for a, b in zip(self.rows[i], v)]
-                if char or exact or type(f) is Fraction:
-                    row = [a % char for a in row] if char else [_exact(a) for a in row]
-                self.rows[i] = row
-        pos = next((i for i, q in enumerate(self.pivots) if q > p), len(self.pivots))
-        self.rows.insert(pos, v)
-        self.pivots.insert(pos, p)
+        self.pivots, self.rows = rref(self.rows + [v], self.field)
         return True
 
     def __eq__(self, other):

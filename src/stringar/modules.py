@@ -49,21 +49,6 @@ class Representation:
     def total_dim(self):
         return sum(self.dims.values())
 
-    def path_action(self, labels):
-        """Matrix of the path a_1...a_k acting first-arrow-first."""
-        if not labels:
-            raise ValueError("path action needs a nonempty path")
-        m = self.maps[labels[0]]
-        for lab in labels[1:]:
-            m = self.maps[lab] * m
-        return m
-
-    def check_relations(self):
-        for rel in self.p.relations:
-            if not self.path_action(rel).is_zero():
-                return False
-        return True
-
     def __eq__(self, other):
         return (
             isinstance(other, Representation)

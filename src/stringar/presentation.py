@@ -14,6 +14,7 @@ and is the canonical order for everything downstream.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 from .errors import (
@@ -130,21 +131,13 @@ class AlgebraPresentation:
         self.relations = tuple(
             r
             for r in rels
-            if not any(s != r and _is_factor(s, r) for s in rels)
+            if not any(s != r and _first_factor((s,), r) for s in rels)
         )
         self._max_rel_len = max((len(r) for r in self.relations), default=0)
 
     def path_in_ideal(self, labels):
         """True iff the path contains some relation as a contiguous factor."""
-        labels = tuple(labels)
-        for rel in self.relations:
-            k = len(rel)
-            if k > len(labels):
-                continue
-            for i in range(len(labels) - k + 1):
-                if labels[i : i + k] == rel:
-                    return True
-        return False
+        return _first_factor(self.relations, tuple(labels)) is not None
 
     @property
     def max_relation_length(self):
@@ -165,9 +158,15 @@ class AlgebraPresentation:
         return f"AlgebraPresentation({self.name!r})"
 
 
-def _is_factor(s, r):
-    k = len(s)
-    return any(r[i : i + k] == s for i in range(len(r) - k + 1))
+def _first_factor(relations, labels):
+    """(offset, relation) for the first relation, in the given order, that is a
+    contiguous factor of the label tuple, at its leftmost offset; None if none is."""
+    for rel in relations:
+        k = len(rel)
+        for i in range(len(labels) - k + 1):
+            if labels[i : i + k] == rel:
+                return i, rel
+    return None
 
 
 def parse_presentation(text):
@@ -325,62 +324,42 @@ def require_string_algebra(p):
         )
 
 
-def _direct_window(p, window_len):
-    """All relation-free direct paths of a given length, as label tuples."""
+def _grow_path(p, path):
+    """path b for each arrow b out of the end of path that keeps it relation-free, in order."""
     q = p.quiver
-    if window_len == 0:
-        return [()]
-    paths = [(a.label,) for a in q.arrows]
-    for _ in range(window_len - 1):
-        nxt = []
-        for path in paths:
-            last = q.arrow(path[-1])
-            for b in q.arrows_from(last.target):
-                cand = path + (b.label,)
-                if not p.path_in_ideal(cand):
-                    nxt.append(cand)
-        paths = nxt
-    return paths
+    out = []
+    for b in q.arrows_from(q.arrow(path[-1]).target):
+        cand = path + (b.label,)
+        if not p.path_in_ideal(cand):
+            out.append(cand)
+    return out
 
 
-@functools.lru_cache(maxsize=64)
-def has_unbounded_paths(p):
-    """True iff relation-free direct paths of unbounded length exist; cached.
+def _layers(words, grow):
+    """words, then each next layer grown from the last by grow, until a layer is empty."""
+    while words:
+        yield words
+        words = [longer for word in words for longer in grow(word)]
 
-    Windows of length max(relation length, 1) form a finite graph whose
-    walks are exactly the long relation-free paths; a cycle there pumps.
+
+def _pumps(p, words, grow):
+    """True iff growing the one-letter words by grow reaches every length.
+
+    The one finiteness argument, for direct paths and for strings: every
+    factor either kind of word forbids (two letters that do not compose, a
+    backtrack, a relation or its inverse) has at most w + 1 letters, where
+    w = max(longest relation, 2) - 1.  So a word of length at least w is
+    allowed iff each factor of length w + 1 is, that is iff it is a walk in
+    the finite graph on the allowed words of length w (the windows) with an
+    edge n -> longer[1:] for each longer in grow(n).  Arbitrarily long words
+    are arbitrarily long walks, which exist iff the graph has a cycle.
     """
-    w = max(p.max_relation_length - 1, 1)
-    nodes = _direct_window(p, w)
-    if not nodes:
-        return False
-    index = {n: i for i, n in enumerate(nodes)}
-    succ = [[] for _ in nodes]
-    q = p.quiver
-    for n in nodes:
-        last = q.arrow(n[-1])
-        for b in q.arrows_from(last.target):
-            cand = n + (b.label,)
-            if p.path_in_ideal(cand):
-                continue
-            succ[index[n]].append(index[cand[1:]])
-    return _digraph_has_cycle(succ)
-
-
-def require_finite_dimensional(p, action):
-    """Raise InfiniteDimensionalError unless p is finite-dimensional.
-
-    The entry check of the translates (tau, tau^-1, ar_sequence, tau_orbit)
-    and the DTr oracle.
-    """
-    if has_unbounded_paths(p):
-        raise InfiniteDimensionalError(f"cannot {action}: infinitely many nonzero paths")
-
-
-def _digraph_has_cycle(succ):
-    n = len(succ)
-    color = [0] * n  # 0 unseen, 1 on stack, 2 done
-    for start in range(n):
+    w = max(p.max_relation_length, 2) - 1
+    windows = next(itertools.islice(_layers(words, grow), w - 1, None), [])
+    index = {n: i for i, n in enumerate(windows)}
+    succ = [[index[longer[1:]] for longer in grow(n)] for n in windows]
+    color = [0] * len(succ)  # 0 unseen, 1 on stack, 2 done
+    for start in range(len(succ)):
         if color[start]:
             continue
         stack = [(start, iter(succ[start]))]
@@ -402,27 +381,33 @@ def _digraph_has_cycle(succ):
     return False
 
 
+@functools.lru_cache(maxsize=64)
+def has_unbounded_paths(p):
+    """True iff relation-free direct paths of unbounded length exist; cached.
+
+    Decided by _pumps over windows of max(longest relation, 2) - 1 arrows.
+    """
+    return _pumps(p, [(a.label,) for a in p.quiver.arrows], functools.partial(_grow_path, p))
+
+
+def require_finite_dimensional(p, action):
+    """Raise InfiniteDimensionalError unless p is finite-dimensional.
+
+    The entry check of the translates (tau, tau^-1, ar_sequence, tau_orbit)
+    and the DTr oracle.
+    """
+    if has_unbounded_paths(p):
+        raise InfiniteDimensionalError(f"cannot {action}: infinitely many nonzero paths")
+
+
 def nonzero_paths_from(p, v):
     """Relation-free paths starting at v, each a label tuple, by (length, order).
 
     The caller must know the count is finite (see has_unbounded_paths).
     """
-    q = p.quiver
-    out = [()]
-    layer = [()]
-    start = {(): v}
-    while layer:
-        nxt = []
-        for path in layer:
-            end = start[path] if not path else q.arrow(path[-1]).target
-            for b in q.arrows_from(end):
-                cand = path + (b.label,)
-                if not p.path_in_ideal(cand):
-                    nxt.append(cand)
-                    start[cand] = v
-        out.extend(nxt)
-        layer = nxt
-    return out
+    first = [(a.label,) for a in p.quiver.arrows_from(v)]
+    layers = _layers(first, functools.partial(_grow_path, p))
+    return [()] + [path for layer in layers for path in layer]
 
 
 def nonzero_path_count(p):

@@ -274,16 +274,7 @@ class RadicalTable:
         field, src_rep, mid_rep = self.field, src.module.rep, mid.module.rep
         morphs = [morphism_from_flat(src_rep, mid_rep, v) for v in V.rows]
         residues = [far.reduce((f.compose(g) if left else g.compose(f)).flatten()) for g in morphs]
-        if not any(any(r) for r in residues):
-            coeff_basis = [
-                [field.one() if i == j else field.zero() for j in range(len(morphs))]
-                for i in range(len(morphs))
-            ]
-        else:
-            cols = list(zip(*residues))
-            mat = Mat(field, [list(c) for c in cols], len(morphs))
-            coeff_basis = nullspace(mat)
-        for coeffs in coeff_basis:
+        for coeffs in nullspace(Mat(field, zip(*residues), len(morphs))):
             vec = combination(field, coeffs, V.rows)
             if any(vec) and not deeper.contains(vec):
                 return morphism_from_flat(src_rep, mid_rep, vec)
@@ -345,23 +336,6 @@ class RadicalTable:
                             g = morphism_from_flat(z.module.rep, y.module.rep, gv)
                             acc.insert(g.compose(f).flatten())
             current = nxt
-
-
-def rad_filtration(quiver_or_table, x, y):
-    """Radical profile of an ordered node pair; accepts words, walks or nodes."""
-    table = (
-        quiver_or_table
-        if isinstance(quiver_or_table, RadicalTable)
-        else RadicalTable(quiver_or_table)
-    )
-    quiver = table.quiver
-
-    def resolve(obj):
-        if hasattr(obj, "index"):
-            return obj
-        return quiver.node_of(obj)
-
-    return table.profile(resolve(x), resolve(y))
 
 
 def _standard_morphism(quiver, u, projective):

@@ -10,10 +10,12 @@ the letter order (arrow declaration order, direct before inverse).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import re
 
 from .errors import BandFoundError, NotAStringError, UnknownLabelError
-from .presentation import require_string_algebra
+from .presentation import _first_factor, _layers, _pumps, require_string_algebra
 
 
 class Letter:
@@ -148,7 +150,7 @@ def is_string(p, w):
         labels = tuple(l.arrow for l in w.letters[i:j])
         if inv:
             labels = tuple(reversed(labels))
-        hit = _first_relation_factor(p, labels)
+        hit = _first_factor(p.relations, labels)
         if hit is not None:
             off, rel = hit
             idx = i + off if not inv else i + (len(labels) - off - len(rel))
@@ -156,15 +158,6 @@ def is_string(p, w):
             return StringCheck(False, f"subwalk is the {kind} {' '.join(rel)}", idx)
         i = j
     return StringCheck(True)
-
-
-def _first_relation_factor(p, labels):
-    for rel in p.relations:
-        k = len(rel)
-        for i in range(len(labels) - k + 1):
-            if labels[i : i + k] == rel:
-                return i, rel
-    return None
 
 
 def letter_key(p, letter):
@@ -281,6 +274,29 @@ def string_flags(p, word):
     )
 
 
+def _letters(p):
+    """The one-letter strings as letter tuples: each arrow, then its inverse."""
+    return [(Letter(a.label, inv),) for a in p.quiver.arrows for inv in (False, True)]
+
+
+def _grow(p, word):
+    """The strings word l for a letter l: direct letters first, each kind in pool order."""
+    w = Walk(word)
+    return [
+        word + (Letter(b.label, inv),)
+        for inv in (False, True)
+        for b in attach_candidates(p, w, "right", inv)
+    ]
+
+
+def _string_layers(p):
+    """The strings of length 1, 2, ... as letter tuples, both orientations, one list per length.
+
+    Each string's prefixes are strings, so every string of a length is found.
+    """
+    return _layers(_letters(p), functools.partial(_grow, p))
+
+
 def enumerate_strings(p, max_len=None):
     """All canonical strings up to max_len, in (length, lex) order.
 
@@ -293,72 +309,17 @@ def enumerate_strings(p, max_len=None):
             raise BandFoundError(
                 "unbounded string enumeration on a presentation with bands"
             )
-    seen = set()
-    out = []
-    frontier = []
-    for v in p.quiver.vertices:
-        w = Walk(basepoint=v)
-        seen.add(w)
-        out.append(StringWord(w))
-        frontier.append(w)
-    length = 0
-    while frontier and (max_len is None or length < max_len):
-        length += 1
-        layer = set()
-        for w in frontier:
-            # extend both orientations rightward: every longer string arises
-            # from some string by attaching one letter at one end
-            orientations = (w,) if w.is_trivial else (w, w.inverse())
-            for o in orientations:
-                for inv in (False, True):
-                    for b in attach_candidates(p, o, "right", inverse=inv):
-                        nxt = Walk(o.letters + (Letter(b.label, inv),))
-                        canon = canonical_walk(p, nxt)
-                        if canon not in seen:
-                            seen.add(canon)
-                            layer.add(canon)
-        out.extend(StringWord(c) for c in sorted(layer, key=lambda c: walk_key(p, c)))
-        frontier = sorted(layer, key=lambda c: walk_key(p, c))
-    out.sort(key=lambda sw: walk_key(p, sw.walk))
+    out = [StringWord(Walk(basepoint=v)) for v in p.quiver.vertices]
+    lengths = itertools.count() if max_len is None else range(max_len)
+    for _, words in zip(lengths, _string_layers(p)):  # zip stops before growing past max_len
+        canon = {canonical_walk(p, Walk(word)) for word in words}
+        out.extend(StringWord(c) for c in sorted(canon, key=lambda c: walk_key(p, c)))
     return out
 
 
-def _window_strings(p, w):
-    """All strings of length exactly w, as letter tuples (both orientations)."""
-    words = [(Letter(a.label, inv),) for a in p.quiver.arrows for inv in (False, True)]
-    for _ in range(w - 1):
-        nxt = []
-        for word in words:
-            wk = Walk(word)
-            for inv in (False, True):
-                for b in attach_candidates(p, wk, "right", inverse=inv):
-                    nxt.append(word + (Letter(b.label, inv),))
-        words = nxt
-    return words
-
-
 def has_band(p):
-    """Exact band-existence test via a cycle in the letter-window graph.
-
-    Windows of length max(relation length, 2) − 1 see every forbidden
-    factor (relations, their inverses, backtracks), so arbitrarily long
-    strings exist iff the window graph has a cycle, iff a band exists.
-    """
-    w = max(p.max_relation_length, 2) - 1
-    nodes = _window_strings(p, w)
-    if not nodes:
-        return False
-    index = {n: i for i, n in enumerate(nodes)}
-    succ = [[] for _ in nodes]
-    for n in nodes:
-        wk = Walk(n)
-        for inv in (False, True):
-            for b in attach_candidates(p, wk, "right", inverse=inv):
-                nxt = n + (Letter(b.label, inv),)
-                succ[index[n]].append(index[nxt[1:]])
-    from .presentation import _digraph_has_cycle
-
-    return _digraph_has_cycle(succ)
+    """Exact band-existence test: a band exists iff strings of every length do (see _pumps)."""
+    return _pumps(p, _letters(p), functools.partial(_grow, p))
 
 
 def _rotations(letters):
@@ -400,23 +361,11 @@ def canonical_band(p, letters):
 def find_bands(p, max_len):
     """Canonical band words of length <= max_len, sorted."""
     found = {}
-    words = [(Letter(a.label, inv),) for a in p.quiver.arrows for inv in (False, True)]
-    length = 1
-    while words and length <= max_len:
+    for _, words in zip(range(max_len), _string_layers(p)):
         for word in words:
             if _is_band(p, word):
                 band = canonical_band(p, word)
                 found[band.letters] = band
-        if length == max_len:
-            break
-        nxt = []
-        for word in words:
-            wk = Walk(word)
-            for inv in (False, True):
-                for b in attach_candidates(p, wk, "right", inverse=inv):
-                    nxt.append(word + (Letter(b.label, inv),))
-        words = nxt
-        length += 1
     return sorted(found.values(), key=lambda w: walk_key(p, w))
 
 

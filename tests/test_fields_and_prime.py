@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "stringar"
 
 
 def test_rref_rank_kernel():
-    m = Mat.from_int_rows(QQ, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    m = Mat(QQ, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     assert m.rank() == 2
     ker = nullspace(m)
     assert len(ker) == 1
@@ -34,10 +35,10 @@ def test_rref_rank_kernel():
 
 
 def test_solve_consistent_and_inconsistent():
-    m = Mat.from_int_rows(QQ, [[1, 1], [0, 1]])
+    m = Mat(QQ, [[1, 1], [0, 1]])
     x = solve(m, [Fraction(3), Fraction(1)])
     assert x == [Fraction(2), Fraction(1)]
-    m2 = Mat.from_int_rows(QQ, [[1, 1], [2, 2]])
+    m2 = Mat(QQ, [[1, 1], [2, 2]])
     assert solve(m2, [Fraction(1), Fraction(3)]) is None
 
 
@@ -87,7 +88,7 @@ def test_integer_input_is_reduced_without_floats():
     assert s.rows == [[1, Fraction(1, 2)]]
     pivots, rows = rref([[2, 1], [4, 3]], QQ)
     assert (pivots, rows) == ([0, 1], [[1, 0], [0, 1]])
-    x = solve(Mat.from_int_rows(QQ, [[2, 0], [0, 3]]), [1, 1])
+    x = solve(Mat(QQ, [[2, 0], [0, 3]]), [1, 1])
     assert x == [Fraction(1, 2), Fraction(1, 3)]
     assert not any(isinstance(a, float) for a in [*s.rows[0], *rows[0], *rows[1], *x])
 
@@ -105,6 +106,33 @@ def test_fraction_pivots_leave_integral_entries_as_ints():
     assert [row for _, _, row in tagged] == [[1, 0, 2], [0, 1, Fraction(1, 2)]]
     entries = [x for m in (rows, s.rows, t.rows, [r for _, _, r in tagged]) for r in m for x in r]
     assert {type(x) for x in entries if x == int(x)} == {int}
+
+
+def _integral_fractions(rows):
+    return [x for r in rows for x in r if type(x) is Fraction and x.denominator == 1]
+
+
+def test_subspace_keeps_no_integral_fraction_built_or_inserted():
+    """The constructor and `insert` both store `rref` rows: ints where integral,
+    also when a row holding Fractions is scaled by an int or eliminated by one."""
+    built = Subspace(QQ, 3, [[2, 0, 1], [2, 1, 3]])
+    grown = Subspace(QQ, 3, [[2, 0, 1]])
+    assert grown.insert([2, 1, 3])
+    halves = Subspace(QQ, 3, [[2, 1, 0]])
+    assert halves.insert([1, 0, 1])  # the residue [0, -1/2, 1] is scaled by the int -2
+    assert built.rows == grown.rows == [[1, 0, Fraction(1, 2)], [0, 1, 2]]
+    assert halves.rows == [[1, 0, 1], [0, 1, -2]]
+    pairs = [(built, grown)]
+    rng = random.Random(7)
+    for _ in range(500):
+        n = rng.randint(2, 5)
+        vecs = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 5))]
+        one_by_one = Subspace(QQ, n)
+        for v in vecs:
+            one_by_one.insert(v)
+        pairs.append((Subspace(QQ, n, vecs), one_by_one))
+    assert all(a.rows == b.rows for a, b in pairs)
+    assert not _integral_fractions([r for a, b in pairs for r in a.rows + b.rows] + halves.rows)
 
 
 def test_prime_field_residues_are_reduced():

@@ -23,11 +23,14 @@ from stringar.families import make_family
 from stringar.fields import field_for_characteristic
 from stringar.modules import realize
 from stringar.presentation import (
+    has_unbounded_paths,
+    nonzero_path_count,
+    nonzero_paths_from,
     parse_presentation,
     serialize_presentation,
     validate_string_algebra,
 )
-from stringar.strings import enumerate_strings, has_band, walk_to_text
+from stringar.strings import enumerate_strings, find_bands, has_band, walk_to_text
 from tests.conftest import EX3_SOURCE, KRONECKER_SOURCE, W3_SOURCE
 from tests.test_stress import _band_free_algebras, random_presentations
 
@@ -84,6 +87,29 @@ def test_detect_is_pinned():
 
 def test_validate_is_pinned():
     assert validate_digest() == VALIDATE_DIGEST
+
+
+def word_layer_digest():
+    """The word layer on the string algebras among the first 800 generated
+    presentations: bands, unbounded paths, strings (length at most 4 where
+    there are bands), bands up to length 6, the path count and, where it is
+    finite, the paths from each vertex."""
+    out = []
+    for p in _generated()[:800]:
+        if not validate_string_algebra(p).is_string_algebra:
+            continue
+        banded, unbounded = has_band(p), has_unbounded_paths(p)
+        strings = enumerate_strings(p, max_len=4 if banded else None)
+        paths = None if unbounded else [nonzero_paths_from(p, v) for v in p.quiver.vertices]
+        out.append([
+            banded, unbounded, [walk_to_text(w.walk) for w in strings],
+            [walk_to_text(b) for b in find_bands(p, 6)], str(nonzero_path_count(p)), paths,
+        ])
+    return _digest(out)
+
+
+def test_word_layer_is_pinned():
+    assert word_layer_digest() == WORD_LAYER_DIGEST
 
 
 ORBIT_ALGEBRAS = ["W3", "U2_2", "EX3", "V2_3", "U3_3", "KRON"]
@@ -197,6 +223,8 @@ def test_audit_json_is_pinned(name, monkeypatch):
 # captured before the refactor
 DETECT_DIGEST = "bc81a2a3539924cf3e5fa88347df18358507ac34aa262a7317020f8cac4f86ea"
 VALIDATE_DIGEST = "08177cf819143711e41401366770f1c5e0a6e753e14d5606621e5efa825610de"
+# captured while strings and direct paths were still grown by separate loops
+WORD_LAYER_DIGEST = "8504eed75f36c429ef4da1ba048841703e097305b4cba1f83fad0f0c61257472"
 ORBIT_DIGESTS = {
     "W3@0": "3343a7a0ba251bece093d3a858f3bdd91dae8cf0daa8827d038d0cf3b84ac4a8",
     "W3@2": "3343a7a0ba251bece093d3a858f3bdd91dae8cf0daa8827d038d0cf3b84ac4a8",

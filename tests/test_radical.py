@@ -200,10 +200,9 @@ def test_corollary_depth_four_implies_six(w3_quiver, w3_table):
                     assert d >= 6
 
 
-def test_rad_filtration_wrapper(w3_quiver, w3_table):
-    from stringar import rad_filtration
-
-    prof = rad_filtration(w3_table, walk_from_text("b2"), walk_from_text("a b1"))
+def test_profile_of_a_node_pair(w3_quiver, w3_table):
+    x, y = w3_quiver.node_of(walk_from_text("b2")), w3_quiver.node_of(walk_from_text("a b1"))
+    prof = w3_table.profile(x, y)
     assert prof.dims[0] == 1
     basis6 = prof.basis(6)
     assert len(basis6) == 1

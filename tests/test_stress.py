@@ -17,6 +17,7 @@ import pytest
 from stringar import (
     RadicalTable,
     field_for_characteristic,
+    find_bands,
     has_band,
     is_isomorphic,
     knit,
@@ -102,15 +103,52 @@ def random_presentations(seed, count):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _generated_string_algebras(count):
+    """The string algebras among the first `count` presentations of the seeded generator."""
+    return tuple(
+        p for p in random_presentations(20261018, count) if validate_string_algebra(p).is_string_algebra
+    )
+
+
 def test_unbounded_paths_imply_a_band():
     """A string algebra with unbounded nonzero paths has a relation-free cycle,
     which is a band, so `knit` needs no finite-dimension check after `has_band`."""
-    strings = [
-        p for p in random_presentations(20261018, 3000) if validate_string_algebra(p).is_string_algebra
-    ]
-    unbounded = [p for p in strings if has_unbounded_paths(p)]
+    unbounded = [p for p in _generated_string_algebras(3000) if has_unbounded_paths(p)]
     assert len(unbounded) > 100
     assert all(has_band(p) for p in unbounded)
+
+
+def test_window_graph_band_test_agrees_with_band_search():
+    algebras = _generated_string_algebras(800)[:400]
+    banded = [has_band(p) for p in algebras]
+    assert 100 < sum(banded) < 300
+    assert banded == [bool(find_bands(p, 8)) for p in algebras]
+
+
+def _relation_free_paths(p, length):
+    """Every relation-free direct path with `length` arrows, grown arrow by arrow."""
+    paths = [(a.label,) for a in p.quiver.arrows]
+    for _ in range(length - 1):
+        paths = [
+            path + (b.label,)
+            for path in paths
+            for b in p.quiver.arrows_from(p.quiver.arrow(path[-1]).target)
+            if not p.path_in_ideal(path + (b.label,))
+        ]
+    return paths
+
+
+def test_unbounded_paths_agree_with_a_long_path():
+    """Paths are unbounded iff one is longer than the window graph can hold without
+    a repeated window: (number of windows) + (window length) arrows."""
+    algebras = _generated_string_algebras(800)
+    found = []
+    for p in algebras:
+        w = max(p.max_relation_length, 2) - 1
+        found.append(bool(_relation_free_paths(p, len(_relation_free_paths(p, w)) + w)))
+    assert 50 < sum(found) < len(algebras)
+    assert found == [has_unbounded_paths(p) for p in algebras]
 
 
 @functools.lru_cache(maxsize=None)
