@@ -273,23 +273,31 @@ def _translate_word(p, walk, direction):
 
 
 def tau_word(p, walk):
-    """Word of the translate (raw orientation); IsProjectiveError on projectives."""
+    """Word of the translate (raw orientation).
+
+    NotAStringError unless the walk is a string; IsProjectiveError on projectives.
+    """
+    require_string_algebra(p)
+    string_word(p, walk)
     return _translate_word(p, walk, "end")
 
 
 def tau_inverse_word(p, walk):
+    """Word of the inverse translate; NotAStringError, IsInjectiveError likewise."""
+    require_string_algebra(p)
+    string_word(p, walk)
     return _translate_word(p, walk, "start")
 
 
 def tau(p, M, field=QQ):
-    """Translate of a string module by word surgery."""
+    """Translate of a string module (or StringWord, already a string) by word surgery."""
     word = M.word if isinstance(M, StringModule) else M
-    return realize(p, tau_word(p, word.walk), field)
+    return realize(p, _translate_word(p, word.walk, "end"), field)
 
 
 def tau_inverse(p, M, field=QQ):
     word = M.word if isinstance(M, StringModule) else M
-    return realize(p, tau_inverse_word(p, word.walk), field)
+    return realize(p, _translate_word(p, word.walk, "start"), field)
 
 
 class _RawPiece:
@@ -454,13 +462,13 @@ def ar_sequence(p, M, side, field=None, resolve=None):
     field = field or (M.rep.field if isinstance(M, StringModule) else QQ)
     resolve = resolve or _default_resolver(p, field)
     if side == "endingAt":
-        left = tau_word(p, word.walk)
+        left = _translate_word(p, word.walk, "end")
         seq = _mesh_from_left(p, left, resolve)
         if seq.right_term.word != string_word(p, word.walk):
             raise MeshInconsistencyError("translate round trip failed")
         return seq
     if side == "startingAt":
-        require_finite_dimensional(p, "translate")  # "endingAt" checks in tau_word
+        require_finite_dimensional(p, "translate")  # "endingAt" checks in _translate_word
         return _mesh_from_left(p, word.walk, resolve)
     raise ValueError(f"unknown side {side!r}")
 
@@ -605,10 +613,10 @@ def knit(p, field=QQ):
     words = enumerate_strings(p)
     resolve = _default_resolver(p, field)
     modules = [resolve(w.walk) for w in words]
-    proj_walks = {canonical_walk(p, projective_word(p, v)) for v in p.quiver.vertices}
+    proj_tops = _projective_tops(p)
     inj_walks = {canonical_walk(p, injective_word(p, v)) for v in p.quiver.vertices}
     nodes = [
-        ARNode(i, m, m.word.walk in proj_walks, m.word.walk in inj_walks)
+        ARNode(i, m, m.word.walk in proj_tops, m.word.walk in inj_walks)
         for i, m in enumerate(modules)
     ]
     by_walk = {n.module.word.walk: n.index for n in nodes}
@@ -617,7 +625,7 @@ def knit(p, field=QQ):
     meshes = {}
     for n in nodes:
         if n.projective:
-            v_top = _projective_top_vertex(p, n.module.word.walk)
+            v_top = proj_tops[n.module.word.walk]
             for src_mod, _, mor in standard_arrows(p, v_top, resolve, projective=True):
                 arrows.append(ARArrow(by_walk[src_mod.word.walk], n.index, mor))
             continue
@@ -639,11 +647,9 @@ def knit(p, field=QQ):
     return quiver
 
 
-def _projective_top_vertex(p, canon_walk):
-    for v in p.quiver.vertices:
-        if canonical_walk(p, projective_word(p, v)) == canon_walk:
-            return v
-    raise MeshInconsistencyError("projective word without a vertex")
+def _projective_tops(p):
+    """{canonical walk of P(v): v} over the vertices v."""
+    return {canonical_walk(p, projective_word(p, v)): v for v in p.quiver.vertices}
 
 
 def _check_mesh_symmetry(quiver):

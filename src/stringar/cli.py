@@ -104,17 +104,31 @@ def _emit(args, text):
         sys.stdout.write(text)
 
 
-def _emit_json(args, payload):
-    _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _quiver_and_table(p, field):
+    G = knit(p, field)
+    return G, RadicalTable(G)
 
 
-def _depth_str(d):
-    return "zero" if d == math.inf else str(d)
+def _first_arrow(G, a, b):
+    """The canonical arrow a -> b between two nodes: the first one knitted."""
+    arrows = G.arrows_between(a.index, b.index)
+    if not arrows:
+        raise StringAlgebraError(f"no arrow {a.text} -> {b.text}")
+    return arrows[0].morphism
+
+
+def _lines(*lines):
+    return "".join(line + "\n" for line in lines)
 
 
 @functools.cache
 def _parser():
-    """The argparse tree and the command table; built once, on the first main() call."""
+    """The argparse tree and the command table; built once, on the first main() call.
+
+    A command returns (payload, text) or, for audit, (payload, text, exit code).
+    The payload is what --json prints, or None where the command prints text
+    only; either may be a function of no arguments, called only if printed.
+    """
     parser = _Parser(prog="stringar", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -133,70 +147,51 @@ def _parser():
     @cmd("validate", help="check the five string-algebra conditions")
     def _validate(args, p, field):
         report = validate_string_algebra(p)
-        if args.json:
-            _emit_json(args, report.as_dict())
-        else:
-            lines = [f"algebra {p.name or '(unnamed)'}"]
-            for c in report.conditions:
-                state = "pass" if c.passed else f"FAIL: {c.witness}"
-                lines.append(f"  condition ({c.key}): {state}")
-            lines.append(
-                "string algebra" if report.is_string_algebra else "NOT a string algebra"
-            )
+
+        def text():
             count = nonzero_path_count(p)
-            lines.append(
-                f"nonzero paths: {'infinite' if count == math.inf else count}"
+            return _lines(
+                f"algebra {p.name or '(unnamed)'}",
+                *(
+                    f"  condition ({c.key}): {'pass' if c.passed else f'FAIL: {c.witness}'}"
+                    for c in report.conditions
+                ),
+                "string algebra" if report.is_string_algebra else "NOT a string algebra",
+                f"nonzero paths: {'infinite' if count == math.inf else count}",
             )
-            _emit(args, "\n".join(lines) + "\n")
-        return 0
+
+        return report.as_dict, text
 
     @cmd("strings", help="enumerate canonical strings")
     def _strings(args, p, field):
         _at_least(0, "--max-len", args.max_len)
-        words = enumerate_strings(p, max_len=args.max_len)
-        if args.json:
-            _emit_json(args, {"strings": [walk_to_text(w.walk) for w in words]})
-        else:
-            _emit(args, "\n".join(walk_to_text(w.walk) for w in words) + "\n")
-        return 0
+        words = [walk_to_text(w.walk) for w in enumerate_strings(p, max_len=args.max_len)]
+        return {"strings": words}, "\n".join(words) + "\n"
 
     _strings.parser.add_argument("--max-len", type=int, default=None)
 
     @cmd("bands", help="canonical band words up to a length bound")
     def _bands(args, p, field):
         _at_least(0, "--max-len", args.max_len)
-        bands = find_bands(p, args.max_len)
-        if args.json:
-            _emit_json(args, {"bands": [walk_to_text(b) for b in bands]})
-        else:
-            _emit(args, "".join(walk_to_text(b) + "\n" for b in bands))
-        return 0
+        bands = [walk_to_text(b) for b in find_bands(p, args.max_len)]
+        return {"bands": bands}, _lines(*bands)
 
     _bands.parser.add_argument("--max-len", type=int, required=True)
 
     @cmd("module", help="realize a string module")
     def _module(args, p, field):
         M = realize(p, walk_from_text(args.word), field)
-        if args.json:
-            _emit_json(args, {"word": walk_to_text(M.word.walk), **M.rep.as_dict()})
-        else:
-            dims = " ".join(
-                f"{v}:{M.rep.dims[v]}" for v in p.quiver.vertices if M.rep.dims[v]
-            )
-            _emit(args, f"{walk_to_text(M.word.walk)}  dims {dims}\n")
-        return 0
+        word = walk_to_text(M.word.walk)
+        dims = " ".join(f"{v}:{M.rep.dims[v]}" for v in p.quiver.vertices if M.rep.dims[v])
+        return lambda: {"word": word, **M.rep.as_dict()}, f"{word}  dims {dims}\n"
 
     _module.parser.add_argument("word", help="walk text, e.g. 'b1 b2^- a' or 'e(v)'")
 
     @cmd("tau", help="translate of a string module")
     def _tau(args, p, field):
-        M = realize(p, walk_from_text(args.word), field)
-        t = tau(p, M, field)
-        if args.json:
-            _emit_json(args, {"word": walk_to_text(t.word.walk), "dims": t.rep.dims})
-        else:
-            _emit(args, walk_to_text(t.word.walk) + "\n")
-        return 0
+        t = tau(p, realize(p, walk_from_text(args.word), field), field)
+        word = walk_to_text(t.word.walk)
+        return {"word": word, "dims": t.rep.dims}, word + "\n"
 
     _tau.parser.add_argument("word")
 
@@ -205,16 +200,10 @@ def _parser():
         _at_least(0, "--steps", args.steps)
         M = realize(p, walk_from_text(args.word), field)
         orbit = tau_orbit(p, M, args.steps, field)
-        payload = {
-            "orbit": [walk_to_text(m.word.walk) for m in orbit.modules],
-            "stoppedAtProjective": orbit.hit_projective,
-        }
-        if args.json:
-            _emit_json(args, payload)
-        else:
-            tail = "  [stopped: projective]" if orbit.hit_projective else ""
-            _emit(args, " -> ".join(payload["orbit"]) + tail + "\n")
-        return 0
+        words = [walk_to_text(m.word.walk) for m in orbit.modules]
+        tail = "  [stopped: projective]" if orbit.hit_projective else ""
+        payload = {"orbit": words, "stoppedAtProjective": orbit.hit_projective}
+        return payload, " -> ".join(words) + tail + "\n"
 
     _tau_orbit.parser.add_argument("word")
     _tau_orbit.parser.add_argument("--steps", type=int, required=True)
@@ -223,17 +212,15 @@ def _parser():
     def _knit(args, p, field):
         G = knit(p, field)
         if args.dot:
-            _emit(args, G.to_dot())
-        elif args.json:
-            _emit_json(args, G.to_json())
-        else:
-            lines = [f"{len(G.nodes)} nodes, {len(G.arrows)} arrows"]
-            for a in G.arrows:
-                lines.append(f"  {G.nodes[a.source].text} -> {G.nodes[a.target].text}")
-            for x, tx in sorted(G.tau_pairs.items()):
-                lines.append(f"  tau({G.nodes[x].text}) = {G.nodes[tx].text}")
-            _emit(args, "\n".join(lines) + "\n")
-        return 0
+            return None, G.to_dot()
+        return G.to_json, lambda: _lines(
+            f"{len(G.nodes)} nodes, {len(G.arrows)} arrows",
+            *(f"  {G.nodes[a.source].text} -> {G.nodes[a.target].text}" for a in G.arrows),
+            *(
+                f"  tau({G.nodes[x].text}) = {G.nodes[tx].text}"
+                for x, tx in sorted(G.tau_pairs.items())
+            ),
+        )
 
     _knit.parser.add_argument("--dot", action="store_true", help="emit DOT")
 
@@ -242,65 +229,42 @@ def _parser():
         M = realize(p, walk_from_text(args.source), field)
         N = realize(p, walk_from_text(args.target), field)
         H = hom_basis(M.rep, N.rep)
-        if args.json:
-            _emit_json(
-                args,
-                {
-                    "dimension": H.dimension,
-                    "basis": [f.as_dict() for f in H.basis],
-                },
-            )
-        else:
-            _emit(args, f"dim Hom = {H.dimension}\n")
-        return 0
+        return (
+            lambda: {"dimension": H.dimension, "basis": [f.as_dict() for f in H.basis]},
+            f"dim Hom = {H.dimension}\n",
+        )
 
     _hom.parser.add_argument("source")
     _hom.parser.add_argument("target")
 
     @cmd("radical-profile", help="radical layer dimensions for a node pair")
     def _radical_profile(args, p, field):
-        G = knit(p, field)
-        T = RadicalTable(G)
+        G, T = _quiver_and_table(p, field)
         x = G.node_of(walk_from_text(args.source))
         y = G.node_of(walk_from_text(args.target))
         prof = T.profile(x, y)
-        if args.json:
-            _emit_json(args, prof.as_dict())
-        else:
-            dims = " ".join(str(d) for d in prof.dims)
-            _emit(args, f"{x.text} -> {y.text}: {dims}\n")
-        return 0
+        return prof.as_dict, f"{x.text} -> {y.text}: {' '.join(str(d) for d in prof.dims)}\n"
 
     _radical_profile.parser.add_argument("source")
     _radical_profile.parser.add_argument("target")
 
     @cmd("depth", help="depth of the composite of canonical arrows along a node path")
     def _depth(args, p, field):
-        G = knit(p, field)
-        T = RadicalTable(G)
+        G, T = _quiver_and_table(p, field)
         nodes = [G.node_of(walk_from_text(w)) for w in args.words]
         if len(nodes) < 2:
             raise StringAlgebraError("depth needs a path of at least two nodes")
-        chain = []
-        for a, b in zip(nodes, nodes[1:]):
-            arrows = G.arrows_between(a.index, b.index)
-            if not arrows:
-                raise StringAlgebraError(f"no arrow {a.text} -> {b.text}")
-            chain.append(arrows[0].morphism)
-        comp = compose_chain(chain)
+        comp = compose_chain([_first_arrow(G, a, b) for a, b in zip(nodes, nodes[1:])])
         d = T.depth(comp, nodes[0], nodes[-1])
-        if args.json:
-            _emit_json(args, {"depth": None if d == math.inf else d})
-        else:
-            _emit(args, _depth_str(d) + "\n")
-        return 0
+        if d == math.inf:
+            return {"depth": None}, "zero\n"
+        return {"depth": d}, f"{d}\n"
 
     _depth.parser.add_argument("words", nargs="+")
 
     @cmd("degree", help="left/right degree of an irreducible morphism")
     def _degree(args, p, field):
-        G = knit(p, field)
-        T = RadicalTable(G)
+        G, T = _quiver_and_table(p, field)
         if args.theta:
             f, src, dst = theta_morphism(G, args.theta)
         elif args.iota:
@@ -308,25 +272,17 @@ def _parser():
         elif args.source and args.target:
             src = G.node_of(walk_from_text(args.source))
             dst = G.node_of(walk_from_text(args.target))
-            arrows = G.arrows_between(src.index, dst.index)
-            if not arrows:
-                raise StringAlgebraError(f"no arrow {src.text} -> {dst.text}")
-            f = arrows[0].morphism
+            f = _first_arrow(G, src, dst)
         else:
             raise StringAlgebraError("give --theta V, --iota V, or --source/--target")
         deg = _checked(T.degree, f, args.side, bound=args.bound, source=src, target=dst)
         payload = {
             "side": args.side,
-            "value": None if not deg.is_finite else deg.value,
+            "value": deg.value if deg.is_finite else None,
             "finite": deg.is_finite,
             "witnessNode": deg.witness_node.text if deg.witness_node else None,
         }
-        if args.json:
-            _emit_json(args, payload)
-        else:
-            val = "infinite" if not deg.is_finite else str(deg.value)
-            _emit(args, f"d_{args.side[0]} = {val}\n")
-        return 0
+        return payload, f"d_{args.side[0]} = {deg.value if deg.is_finite else 'infinite'}\n"
 
     _degree.parser.add_argument("--side", choices=["left", "right"], required=True)
     _degree.parser.add_argument("--theta", help="vertex u for I(u) -> I(u)/soc")
@@ -338,18 +294,12 @@ def _parser():
     @cmd("cg-quiver", help="counting quiver over strings at a vertex")
     def _cg(args, p, field):
         q = cg_quiver(p, args.vertex, args.side)
-        if args.json:
-            _emit_json(args, q.as_dict())
-        else:
-            lines = [f"{q.order} vertices"]
-            for w in q.vertex_walks:
-                lines.append("  " + walk_to_text(w))
-            for i, j in q.arrows:
-                lines.append(
-                    f"  {walk_to_text(q.vertex_walks[i])} -> {walk_to_text(q.vertex_walks[j])}"
-                )
-            _emit(args, "\n".join(lines) + "\n")
-        return 0
+        words = [walk_to_text(w) for w in q.vertex_walks]
+        return q.as_dict, _lines(
+            f"{q.order} vertices",
+            *("  " + w for w in words),
+            *(f"  {words[i]} -> {words[j]}" for i, j in q.arrows),
+        )
 
     _cg.parser.add_argument("--vertex", required=True)
     _cg.parser.add_argument("--side", choices=["ending", "starting"], required=True)
@@ -357,39 +307,26 @@ def _parser():
     @cmd("detect", help="detect the local translate-arrow patterns")
     def _detect(args, p, field):
         matches = detect_local_patterns(p)
-        if args.json:
-            _emit_json(args, {"matches": [m.as_dict() for m in matches]})
-        else:
-            if not matches:
-                _emit(args, "no pattern matches\n")
-            else:
-                _emit(
-                    args,
-                    "".join(f"{m.pattern_id}: {m.binding}\n" for m in matches),
-                )
-        return 0
+        text = "".join(f"{m.pattern_id}: {m.binding}\n" for m in matches)
+        return lambda: {"matches": [m.as_dict() for m in matches]}, text or "no pattern matches\n"
 
     @cmd("audit", help="run the four structure audits")
     def _audit(args, p, field):
         _at_least(1, "--samples", args.samples)
         report = audit_theorems(p, samples=args.samples, seed=args.seed, field=field)
-        if args.json:
-            _emit_json(args, report.as_dict())
-        else:
-            lines = [f"audits on {report.algebra or '(unnamed)'}"]
-            for name, a in report.audits.items():
-                lines.append(f"  {name}: {'pass' if a['passed'] else 'FAIL'}")
-            lines.append("PASS" if report.passed else "FAIL")
-            _emit(args, "\n".join(lines) + "\n")
-        return 0 if report.passed else 2
+        text = _lines(
+            f"audits on {report.algebra or '(unnamed)'}",
+            *(f"  {k}: {'pass' if a['passed'] else 'FAIL'}" for k, a in report.audits.items()),
+            "PASS" if report.passed else "FAIL",
+        )
+        return report.as_dict, text, 0 if report.passed else 2
 
     _audit.parser.add_argument("--samples", type=int, default=32)
     _audit.parser.add_argument("--seed", type=int, default=0)
 
     @cmd("family", help="print a family presentation")
     def _family(args, p, field):
-        _emit(args, serialize_presentation(p))
-        return 0
+        return None, serialize_presentation(p)
 
     @cmd("witness", help="build and verify a deep-composite witness chain")
     def _witness(args, p, field):
@@ -398,17 +335,12 @@ def _parser():
         spec = _checked(make_family, args.family, m=args.m, n=args.n)
         _checked(require_witness_parameters, spec)
         w = witness(spec, field)
-        if args.json:
-            _emit_json(args, w.as_dict())
-        else:
-            lines = [
-                f"{args.family} witness: expected depth {w.expected_depth}, verified",
-                "  chain: " + " -> ".join(n.text for n in w.node_path),
-                f"  depths: total={w.depths['total']} prefix={w.depths['prefix']} "
-                f"suffix={w.depths['suffix']}",
-            ]
-            _emit(args, "\n".join(lines) + "\n")
-        return 0
+        return w.as_dict, _lines(
+            f"{args.family} witness: expected depth {w.expected_depth}, verified",
+            "  chain: " + " -> ".join(n.text for n in w.node_path),
+            f"  depths: total={w.depths['total']} prefix={w.depths['prefix']} "
+            f"suffix={w.depths['suffix']}",
+        )
 
     return parser, commands
 
@@ -416,11 +348,17 @@ def _parser():
 def main(argv=None):
     parser, commands = _parser()
     args = parser.parse_args(argv)
-    fn = commands[args.command]
     try:
         field = _checked(field_for_characteristic, args.char)
         p = _resolve(args, family_only=(args.command in ("family", "witness")))
-        return fn(args, p, field)
+        payload, text, *code = commands[args.command](args, p, field)
+        if args.json and payload is not None:
+            payload = payload() if callable(payload) else payload
+            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        elif callable(text):
+            text = text()
+        _emit(args, text)
+        return code[0] if code else 0
     except _UsageError as exc:
         sys.stderr.write(f"stringar: usage error: {exc}\n")
         return 3

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 
 from .artheory import (
-    _projective_top_vertex,
+    _projective_tops,
     ar_sequence,
     is_projective_word,
     knit,
@@ -225,14 +225,16 @@ def find_tau_arrows(p, quiver=None, candidates=None, field=QQ):
         return out
     if candidates is None:
         raise ValueError("need a knitted quiver or candidate modules")
+    tops = _projective_tops(p)
     for M in candidates:
         if is_projective_word(p, M.word.walk):
             continue
         t_walk = canonical_walk(p, tau_word(p, M.word.walk))
         t_mod = realize(p, t_walk, field)
-        if is_projective_word(p, t_walk):
-            v = _projective_top_vertex(p, t_walk)
-            summands = standard_arrows(p, v, lambda w: realize(p, w, field), projective=True)
+        if t_walk in tops:
+            summands = standard_arrows(
+                p, tops[t_walk], lambda w: realize(p, w, field), projective=True
+            )
             if any(src.word.walk == M.word.walk for src, _, _ in summands):
                 out.append((M, t_mod))
             continue
@@ -274,17 +276,14 @@ def path_class(quiver, node_indices):
                 f"{quiver.nodes[a].text} -> {quiver.nodes[b].text} is not an arrow"
             )
 
-    def tau_of(i):
-        return quiver.tau_pairs.get(i)
-
     sectional = all(
-        tau_of(idx[j]) != idx[j - 2] or tau_of(idx[j]) is None
+        quiver.tau_of(idx[j]) != idx[j - 2] or quiver.tau_of(idx[j]) is None
         for j in range(2, len(idx))
     )
 
     def presectional_range(lo, hi):
         for i in range(lo + 1, hi):
-            if tau_of(idx[i + 1]) == idx[i - 1]:
+            if quiver.tau_of(idx[i + 1]) == idx[i - 1]:
                 if len(quiver.arrows_between(idx[i - 1], idx[i])) < 2:
                     return False
         return True
@@ -294,12 +293,12 @@ def path_class(quiver, node_indices):
     lap = (
         n >= 2
         and presectional_range(0, n - 1)
-        and tau_of(idx[n]) == idx[n - 2]
+        and quiver.tau_of(idx[n]) == idx[n - 2]
     )
     rap = (
         n >= 2
         and presectional_range(1, n)
-        and tau_of(idx[2]) == idx[0]
+        and quiver.tau_of(idx[2]) == idx[0]
     )
     return PathClass(sectional, presectional, lap, rap)
 

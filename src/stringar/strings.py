@@ -317,8 +317,12 @@ def enumerate_strings(p, max_len=None):
     return out
 
 
+@functools.lru_cache(maxsize=64)
 def has_band(p):
-    """Exact band-existence test: a band exists iff strings of every length do (see _pumps)."""
+    """Exact band-existence test: a band exists iff strings of every length do (see _pumps).
+
+    Cached per presentation, like has_unbounded_paths.
+    """
     return _pumps(p, _letters(p), functools.partial(_grow, p))
 
 

@@ -4,10 +4,12 @@ import json
 import pytest
 
 from stringar import (
+    AlgebraPresentation,
     AlmostSplitSequence,
     IsInjectiveError,
     IsProjectiveError,
     ar_sequence,
+    audit_theorems,
     enumerate_strings,
     is_isomorphic,
     knit,
@@ -21,9 +23,9 @@ from stringar import (
     walk_from_text,
     walk_to_text,
 )
-from stringar import artheory, modules
-from stringar.artheory import is_injective_word, is_projective_word
-from stringar.errors import InfiniteDimensionalError, MeshInconsistencyError
+from stringar import artheory, modules, strings
+from stringar.artheory import is_injective_word, is_projective_word, tau_inverse_word, tau_word
+from stringar.errors import InfiniteDimensionalError, MeshInconsistencyError, NotAStringError
 from stringar.families import make_family
 from stringar.fields import field_for_characteristic
 from stringar.modules import identity_morphism, zero_morphism
@@ -373,3 +375,29 @@ def test_translates_need_a_finite_dimensional_algebra():
     for call in calls:
         with pytest.raises(InfiniteDimensionalError, match="infinitely many nonzero paths"):
             call()
+
+
+@pytest.mark.parametrize("translate", [tau_word, tau_inverse_word])
+@pytest.mark.parametrize("text", ["b1 b1^-", "b2 b1", "b1 b2"])
+def test_translates_reject_walks_that_are_not_strings(w3, translate, text):
+    """Not reduced, letters that do not compose, a relation: none is a string."""
+    with pytest.raises(NotAStringError):
+        translate(w3, walk_from_text(text))
+
+
+def test_knit_and_audit_search_for_bands_once(monkeypatch):
+    """has_band is cached: knit, then audit_theorems (which knits again) search once."""
+    calls = []
+    pumps = strings._pumps
+
+    def counted(*args):
+        calls.append(args)
+        return pumps(*args)
+
+    monkeypatch.setattr(strings, "_pumps", counted)
+    w = make_family("W", n=3).presentation
+    p = AlgebraPresentation(w.quiver, w.relations, name="W3, not yet searched")
+    knit(p)
+    assert len(calls) == 1
+    audit_theorems(p, samples=1)
+    assert len(calls) == 1

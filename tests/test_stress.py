@@ -40,6 +40,13 @@ def _random_string_algebra(rng, nv, na):
         arrows.append(Arrow(f"r{i}", s, t))
     q = Quiver(verts, arrows)
     rels = []
+
+    def add(rel):
+        # a relation listed twice means path_in_ideal missed it; the loop below would never end
+        assert rel not in rels, f"path_in_ideal missed the relation {rel}"
+        rels.append(rel)
+        return AlgebraPresentation(q, rels)
+
     p = AlgebraPresentation(q, rels)
     changed = True
     while changed:
@@ -50,8 +57,7 @@ def _random_string_algebra(rng, nv, na):
                 if not p.path_in_ideal((g.label, b.label))
             ]
             if len(preds) > 1:
-                rels.append((rng.choice(preds).label, b.label))
-                p = AlgebraPresentation(q, rels)
+                p = add((rng.choice(preds).label, b.label))
                 changed = True
         for g in arrows:
             succs = [
@@ -59,8 +65,7 @@ def _random_string_algebra(rng, nv, na):
                 if not p.path_in_ideal((g.label, b.label))
             ]
             if len(succs) > 1:
-                rels.append((g.label, rng.choice(succs).label))
-                p = AlgebraPresentation(q, rels)
+                p = add((g.label, rng.choice(succs).label))
                 changed = True
     for _ in range(rng.randint(0, 2)):
         cands = [
@@ -70,8 +75,7 @@ def _random_string_algebra(rng, nv, na):
             if not p.path_in_ideal((a.label, b.label))
         ]
         if cands:
-            rels.append(rng.choice(cands))
-            p = AlgebraPresentation(q, rels)
+            p = add(rng.choice(cands))
     return p
 
 
