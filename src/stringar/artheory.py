@@ -31,7 +31,7 @@ from .errors import (
     IsProjectiveError,
     MeshInconsistencyError,
 )
-from .fields import Mat, QQ, Subspace, nullspace, solve
+from .fields import Mat, QQ, Subspace, nullspace, rref, solve
 from .modules import (
     MorphismMatrix,
     Representation,
@@ -40,7 +40,6 @@ from .modules import (
     projective_word,
     realize,
     standard_word,
-    zero_morphism,
 )
 from .presentation import (
     nonzero_paths_from,
@@ -55,6 +54,7 @@ from .strings import (
     canonical_walk,
     enumerate_strings,
     has_band,
+    require_string,
     string_word,
     walk_to_text,
     walk_vertices,
@@ -77,7 +77,10 @@ def _letter_pattern_ok(walk, first_inverse):
 
 def _is_standard_word(p, walk, projective):
     """M(C) is projective iff C reads inverse*direct* and both ends sit in a deep,
-    injective iff C reads direct*inverse* and both ends sit on a peak."""
+    injective iff C reads direct*inverse* and both ends sit on a peak.
+
+    The walk must be a string (see `attach_candidates`); this is not checked.
+    """
     if not _letter_pattern_ok(walk, first_inverse=projective):
         return False
     if attach_candidates(p, walk, "left", inverse=projective):
@@ -88,11 +91,13 @@ def _is_standard_word(p, walk, projective):
 
 
 def is_projective_word(p, walk):
-    return _is_standard_word(p, walk, projective=True)
+    """Is M(walk) projective?  NotAStringError unless the walk is a string."""
+    return _is_standard_word(p, require_string(p, walk), projective=True)
 
 
 def is_injective_word(p, walk):
-    return _is_standard_word(p, walk, projective=False)
+    """Is M(walk) injective?  NotAStringError unless the walk is a string."""
+    return _is_standard_word(p, require_string(p, walk), projective=False)
 
 
 class _Tracked:
@@ -378,10 +383,11 @@ class AlmostSplitSequence:
         for v in lt.dims:
             if lt.dims[v] + rt.dims[v] != sum(m.rep.dims[v] for m in self.middle):
                 raise MeshInconsistencyError("middle dimension mismatch")
-        comp = zero_morphism(lt, rt)
+        comp = None  # the zero map until the first r o l
         for l, r in zip(self.left_maps, self.right_maps):
-            comp = comp.add(r.compose(l))
-        if not comp.is_zero():
+            rl = r.compose(l)
+            comp = rl if comp is None else comp.add(rl)
+        if comp is not None and not comp.is_zero():
             if len(self.middle) == 2:
                 self.right_maps[1] = self.right_maps[1].neg()
                 comp = self.right_maps[0].compose(self.left_maps[0]).add(
@@ -392,18 +398,20 @@ class AlmostSplitSequence:
         for f in self.left_maps + self.right_maps:
             if not f.check_intertwining():
                 raise MeshInconsistencyError("mesh map is not a morphism")
-        # left map is a monomorphism into the sum, right map an epimorphism out of it
+        # left map is a monomorphism into the sum, right map an epimorphism out of it;
+        # off the end term's support the condition holds vacuously.  rref works in
+        # place, so it ranks copies of the maps' rows.
+        field = lt.field
         for v in lt.dims:
-            stacked = [row for l in self.left_maps for row in l.block(v).rows]
-            m = Mat(lt.field, stacked, lt.dims[v])
-            if m.rank() != lt.dims[v]:
-                raise MeshInconsistencyError("left mesh map not mono")
-            side_by_side = [
-                [x for r in self.right_maps for x in r.block(v).rows[i]] for i in range(rt.dims[v])
-            ]
-            m = Mat(rt.field, side_by_side, sum(mm.rep.dims[v] for mm in self.middle))
-            if m.rank() != rt.dims[v]:
-                raise MeshInconsistencyError("right mesh map not epi")
+            if v in lt.support:
+                stacked = [list(row) for l in self.left_maps for row in l.block(v).rows]
+                if len(rref(stacked, field)[0]) != lt.dims[v]:
+                    raise MeshInconsistencyError("left mesh map not mono")
+            if v in rt.support:
+                blocks = [r.block(v).rows for r in self.right_maps]
+                side_by_side = [[x for rows in blocks for x in rows[i]] for i in range(rt.dims[v])]
+                if len(rref(side_by_side, field)[0]) != rt.dims[v]:
+                    raise MeshInconsistencyError("right mesh map not epi")
         if self._splits():
             raise MeshInconsistencyError("almost split sequence splits")
 
@@ -426,7 +434,7 @@ class AlmostSplitSequence:
 
 def _mesh_from_left(p, left_walk, resolve):
     """The almost split sequence starting at M(left_walk)."""
-    if is_injective_word(p, left_walk):
+    if _is_standard_word(p, left_walk, projective=False):
         raise IsInjectiveError(f"{walk_to_text(left_walk)} is injective")
     t, mids, far = _surgery(p, left_walk, "start")
     if far is None or not mids:
@@ -464,7 +472,7 @@ def ar_sequence(p, M, side, field=None, resolve=None):
     if side == "endingAt":
         left = _translate_word(p, word.walk, "end")
         seq = _mesh_from_left(p, left, resolve)
-        if seq.right_term.word != string_word(p, word.walk):
+        if seq.right_term.word.walk != canonical_walk(p, word.walk):  # word is a string
             raise MeshInconsistencyError("translate round trip failed")
         return seq
     if side == "startingAt":
@@ -688,7 +696,7 @@ def tau_orbit(p, M, k, field=None):
     resolve = _default_resolver(p, field)
     out = [M]
     for _ in range(k):
-        if is_projective_word(p, out[-1].word.walk):
+        if _is_standard_word(p, out[-1].word.walk, projective=True):
             return OrbitResult(out, True, len(out) - 1)
         out.append(ar_sequence(p, out[-1], "endingAt", field, resolve).left_term)
     return OrbitResult(out, False, len(out) - 1)

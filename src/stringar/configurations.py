@@ -10,9 +10,9 @@ from __future__ import annotations
 import random
 
 from .artheory import (
+    _is_standard_word,
     _projective_tops,
     ar_sequence,
-    is_projective_word,
     knit,
     standard_arrows,
     tau_word,
@@ -227,7 +227,7 @@ def find_tau_arrows(p, quiver=None, candidates=None, field=QQ):
         raise ValueError("need a knitted quiver or candidate modules")
     tops = _projective_tops(p)
     for M in candidates:
-        if is_projective_word(p, M.word.walk):
+        if _is_standard_word(p, M.word.walk, projective=True):
             continue
         t_walk = canonical_walk(p, tau_word(p, M.word.walk))
         t_mod = realize(p, t_walk, field)

@@ -348,6 +348,78 @@ def hom_flat_dim(M, N):
     return sum(N.dims[v] * M.dims[v] for v in M.p.quiver.vertices)
 
 
+def flat_offsets(M, N):
+    """({vertex: index of its block's first entry}, length) of the flat coordinates of Hom(M, N)."""
+    offsets, i = {}, 0
+    for v in _common_support(M, N):
+        offsets[v] = i
+        i += N.dims[v] * M.dims[v]
+    return offsets, i
+
+
+def row_runs(g):
+    """g's nonzero block rows by vertex, as runs (first row i0, rows n, column k0, a).
+
+    A run of single-entry rows is (i0, n, k0, a): row i0 + j holds a in
+    column k0 + j.  A row with more entries is (i, 1, None, its (column,
+    coefficient) nonzeros).  Zero rows are left out.
+    """
+    out = {}
+    for v, b in g.blocks.items():
+        runs = out[v] = []
+        for i, row in enumerate(b.rows):
+            terms = [(k, a) for k, a in enumerate(row) if a]
+            if len(terms) > 1:
+                runs.append((i, 1, None, terms))
+            elif terms:
+                (k, a), last = terms[0], runs[-1] if runs else (None, 0, None, None)
+                i0, n, k0, a0 = last
+                if k0 is not None and (i0 + n, k0 + n, a0) == (i, k, a):
+                    runs[-1] = (i0, n + 1, k0, a)
+                else:
+                    runs.append((i, 1, k, a))
+    return out
+
+
+def flat_compose(g, M, vecs, runs, source_offsets, target_offsets):
+    """[flatten(g o morphism_from_flat(M, g.source, vec)) for vec in vecs], building neither.
+
+    `runs` is `row_runs(g)`, and the offsets are the `flat_offsets` of
+    Hom(M, g.source) and of Hom(M, g.target).  At each vertex v the
+    product's row i is the sum of a * (row k of f's block) over the
+    nonzeros (k, a) of g's row i, and row k of f's block is a slice of vec.
+    So a run of single-entry rows fills one stretch of the output with one
+    slice, copied or scaled, a row with more entries sums scaled slices,
+    and everything else stays zero.  Mod p a vector is reduced once, when a
+    coefficient or a sum can leave [0, p).
+    """
+    (src, _), (dst, size) = source_offsets, target_offsets
+    outs = [[0] * size for _ in vecs]
+    reduce = False
+    for v, vruns in runs.items():
+        o = dst.get(v)
+        if o is None:  # M is zero at v
+            continue
+        c, base = M.dims[v], src[v]
+        for i, n, k0, a0 in vruns:
+            lo, length = o + i * c, n * c
+            if a0 == 1:  # unit rows: one slice copy
+                s = base + k0 * c
+                for vec, out in zip(vecs, outs):
+                    out[lo : lo + length] = vec[s : s + length]
+                continue
+            reduce = True
+            terms = a0 if k0 is None else [(k0, a0)]
+            for vec, out in zip(vecs, outs):
+                seg = [0] * length
+                for k, a in terms:
+                    s = base + k * c
+                    seg = [x + a * y for x, y in zip(seg, vec[s : s + length])]
+                out[lo : lo + length] = seg
+    char = g.source.field.characteristic
+    return [[x % char for x in out] for out in outs] if char and reduce else outs
+
+
 class HomBasis:
     __slots__ = ("source", "target", "basis", "dimension")
 

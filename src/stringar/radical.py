@@ -9,6 +9,14 @@ folds T_m, deepest m first, into one echelon basis per ordered pair whose
 rows carry their depth tag m; the identity joins the diagonal last with
 tag 0.  rad^n is the span of the rows tagged n or more.
 
+`_build` composes in flat coordinates: each arrow map's block rows are
+cut once into runs of (column, coefficient) nonzeros (`row_runs`), the
+flat block offsets of Hom(X, Z) and Hom(X, Y) are found once per level
+and node pair, and `flat_compose` assembles a o f from slices of f's
+flat vector, summing where a row has several nonzeros, so no morphism is
+built.  It equals flatten(a.compose(morphism_from_flat(...))) exactly,
+for any blocks; the arrow maps are checked to be morphisms first.
+
 The definitional recursion rad^{n+1}(X, Y) = sum over Z of
 rad(Z, Y) o rad^n(X, Z), on solved Hom spaces with the endomorphism
 radical on the diagonal, is kept only as the cross-check
@@ -23,7 +31,14 @@ from .artheory import standard_arrows
 from .errors import BandFoundError, MeshInconsistencyError, NotIrreducibleError
 from .fields import Mat, Subspace, combination, nullspace, scaled_row
 from .modules import end_radical, hom_basis  # the cross-check only
-from .modules import hom_flat_dim, identity_morphism, morphism_from_flat
+from .modules import (
+    flat_compose,
+    flat_offsets,
+    hom_flat_dim,
+    identity_morphism,
+    morphism_from_flat,
+    row_runs,
+)
 from .strings import (
     Letter,
     Walk,
@@ -137,18 +152,22 @@ class RadicalTable:
 
     def _build(self):
         """(source index, target index) -> [(tag, pivot, row)] in insertion order."""
-        field, quiver = self.field, self.quiver
+        field, quiver, nodes = self.field, self.quiver, self.nodes
         nxt = {}
+        layouts = {}  # the flat_offsets of Hom(x, y) for the pairs (x, y) of nxt
+        out_arrows = {n.index: [] for n in nodes}  # z -> [(y, arrow map z -> y, its row_runs)]
         for a in quiver.arrows:
             # every row is then a composite of morphisms, which depth() relies on
             if not a.morphism.check_intertwining():
                 raise MeshInconsistencyError(
-                    f"arrow {self.nodes[a.source].text} -> {self.nodes[a.target].text} "
-                    "is not a morphism"
+                    f"arrow {nodes[a.source].text} -> {nodes[a.target].text} is not a morphism"
                 )
-            nxt.setdefault((a.source, a.target), []).append(a.morphism.flatten())
+            key = (a.source, a.target)
+            nxt.setdefault(key, []).append(a.morphism.flatten())
+            layouts[key] = flat_offsets(nodes[a.source].module.rep, nodes[a.target].module.rep)
+            out_arrows[a.source].append((a.target, a.morphism, row_runs(a.morphism)))
         spans = []  # spans[m - 1]: the nonzero T_m by node pair
-        limit = 4 * sum(n.module.total_dim for n in self.nodes)
+        limit = 4 * sum(n.module.total_dim for n in nodes)
         while True:
             t = {k: s for k, vs in nxt.items() if (s := Subspace(field, len(vs[0]), vs)).rows}
             if not t:
@@ -156,13 +175,15 @@ class RadicalTable:
             spans.append(t)
             if len(spans) > limit:
                 raise MeshInconsistencyError("radical filtration does not terminate")
-            nxt = {}
+            nxt, known, layouts = {}, layouts, {}
             for (xi, zi), s in t.items():
-                src, mid = self.nodes[xi].module.rep, self.nodes[zi].module.rep
-                fs = [morphism_from_flat(src, mid, fv) for fv in s.rows]
-                for a in quiver.arrows_from(zi):
-                    nxt.setdefault((xi, a.target), []).extend(
-                        a.morphism.compose(f).flatten() for f in fs
+                src, src_offsets = nodes[xi].module.rep, known[(xi, zi)]
+                for yi, g, runs in out_arrows[zi]:
+                    dst_offsets = layouts.get((xi, yi))
+                    if dst_offsets is None:
+                        dst_offsets = layouts[(xi, yi)] = flat_offsets(src, nodes[yi].module.rep)
+                    nxt.setdefault((xi, yi), []).extend(
+                        flat_compose(g, src, s.rows, runs, src_offsets, dst_offsets)
                     )
         self.nilpotency = len(spans) + 1  # rad^N = 0 one past the deepest composite
         tagged = {}
@@ -170,7 +191,7 @@ class RadicalTable:
             for key, s in spans[m - 1].items():
                 for v in s.rows:
                     _append(field, tagged.setdefault(key, []), v, m)
-        for x in self.nodes:
+        for x in nodes:
             ident = identity_morphism(x.module.rep).flatten()
             if not _append(field, tagged.setdefault((x.index, x.index), []), ident, 0):
                 raise MeshInconsistencyError(f"the identity of {x.text} lies in the radical")

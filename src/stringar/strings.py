@@ -172,11 +172,19 @@ def walk_key(p, w):
 
 
 def canonical_walk(p, w):
-    """Lexicographic minimum of the walk and its inverse."""
-    if w.is_trivial:
-        return w
-    inv = w.inverse()
-    return w if walk_key(p, w) <= walk_key(p, inv) else inv
+    """Lexicographic minimum of the walk and its inverse under `walk_key`.
+
+    Both have the same length, so the first letter where they differ
+    decides; letter i of the inverse is letter n - 1 - i inverted.
+    """
+    letters, index = w.letters, p.quiver.arrow_index
+    n = len(letters)
+    for i in range(n):
+        a, b = letters[i], letters[n - 1 - i]
+        ka, kb = (index[a.arrow], a.inverse), (index[b.arrow], not b.inverse)
+        if ka != kb:
+            return w if ka < kb else w.inverse()
+    return w
 
 
 class StringWord:
@@ -201,12 +209,17 @@ class StringWord:
         return f"StringWord({walk_to_text(self.walk)})"
 
 
-def string_word(p, walk):
-    """Validate and canonicalize a walk into a StringWord."""
+def require_string(p, walk):
+    """The walk itself; NotAStringError (UnknownLabelError on a bad label) unless it is a string."""
     chk = is_string(p, walk)
     if not chk:
         raise NotAStringError(f"{walk_to_text(walk)}: {chk.reason} (letter {chk.index})")
-    return StringWord(canonical_walk(p, walk))
+    return walk
+
+
+def string_word(p, walk):
+    """Validate and canonicalize a walk into a StringWord."""
+    return StringWord(canonical_walk(p, require_string(p, walk)))
 
 
 def canonicalize(p, word):
@@ -247,23 +260,43 @@ class StringFlags:
 def attach_candidates(p, w, side, inverse):
     """Arrows b such that b^{±1}w (side "left") or wb^{±1} (side "right") is a string.
 
-    On the left b ends resp. starts at the walk source, on the right it
-    starts resp. ends at the walk target; arrows come in pool order.
+    The walk w must already be a string; this is not checked.  On the left b
+    ends resp. starts at the walk source, on the right it starts resp. ends
+    at the walk target, so the letters concatenate; arrows come in pool
+    order.  Only two things can then go wrong, both next to the new letter:
+    it undoes the adjacent letter, or a relation factor runs through it.
+    Such a factor lies in the new letter's one-direction run, within the
+    longest relation's length of the new letter, so one factor search on
+    that window decides.
     """
     left = side == "left"
     v = walk_source(p, w) if left else walk_target(p, w)
     pool = p.quiver.arrows_from(v) if inverse == left else p.quiver.arrows_into(v)
+    if not pool:
+        return []
+    near = w.letters if left else w.letters[::-1]  # read away from the new letter
+    run = []
+    for l in near[: max(p.max_relation_length - 1, 0)]:
+        if l.inverse != inverse:
+            break
+        run.append(l.arrow)
+    new_first = left != inverse  # in path order, the new letter opens the window
+    if not new_first:
+        run.reverse()
+    adjacent = near[0] if near else None
     out = []
     for b in pool:
-        letter = (Letter(b.label, inverse),)
-        cand = Walk(letter + w.letters if left else w.letters + letter)
-        if is_string(p, cand):
+        if adjacent is not None and adjacent.arrow == b.label and adjacent.inverse != inverse:
+            continue  # b^{±1} would undo the adjacent letter
+        window = (b.label, *run) if new_first else (*run, b.label)
+        if _first_factor(p.relations, window) is None:
             out.append(b)
     return out
 
 
 def string_flags(p, word):
-    w = word.walk if isinstance(word, StringWord) else word
+    """Which ends of a string can still grow; NotAStringError unless it is a string."""
+    w = word.walk if isinstance(word, StringWord) else require_string(p, word)
     return StringFlags(
         sid=not attach_candidates(p, w, "left", inverse=True),
         sop=not attach_candidates(p, w, "left", inverse=False),

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -28,7 +29,7 @@ from stringar.artheory import is_injective_word, is_projective_word, tau_inverse
 from stringar.errors import InfiniteDimensionalError, MeshInconsistencyError, NotAStringError
 from stringar.families import make_family
 from stringar.fields import field_for_characteristic
-from stringar.modules import identity_morphism, zero_morphism
+from stringar.modules import hom_flat_dim, identity_morphism, morphism_from_flat, zero_morphism
 from tests.conftest import KRONECKER_SOURCE, LADDER
 from tests.oracles.split_oracle import splits
 from tests.test_stress import _band_free_algebras
@@ -401,3 +402,183 @@ def test_knit_and_audit_search_for_bands_once(monkeypatch):
     assert len(calls) == 1
     audit_theorems(p, samples=1)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("predicate", [is_projective_word, is_injective_word])
+@pytest.mark.parametrize("text", ["b1 b1^-", "b2 b1", "b1 b2"])
+def test_shape_predicates_reject_walks_that_are_not_strings(w3, predicate, text):
+    """The end checks assume a string; a walk that is not one is refused, not classified."""
+    with pytest.raises(NotAStringError):
+        predicate(w3, walk_from_text(text))
+
+
+# --- one corrupted mesh per message of AlmostSplitSequence.verify -----------
+
+
+def _verify_message(seq, middle=None, left_maps=None, right_maps=None):
+    """The message verify raises on the mesh with the given parts swapped in, or None."""
+    try:
+        AlmostSplitSequence(
+            seq.left_term,
+            list(middle or seq.middle),
+            seq.right_term,
+            list(left_maps or seq.left_maps),
+            list(right_maps or seq.right_maps),
+        )
+    except MeshInconsistencyError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.fixture(scope="module", params=["W3", "S0"])
+def corruptible(request):
+    """The knitted meshes of W(3) and of the first band-free stress algebra."""
+    p = make_family("W", n=3).presentation if request.param == "W3" else _band_free_algebras()[0]
+    meshes = list(knit(p).meshes.values())
+    assert any(seq.alpha == 2 for seq in meshes)
+    return meshes
+
+
+def test_verify_reports_a_middle_dimension_mismatch(corruptible):
+    for seq in corruptible:
+        R = seq.right_term.rep
+        message = _verify_message(
+            seq, [seq.right_term], [zero_morphism(seq.left_term.rep, R)], [identity_morphism(R)]
+        )
+        assert message == "middle dimension mismatch"
+
+
+def _bumped_right_maps(seq):
+    """Each right-map list with one flat entry of one right map raised by one."""
+    for i, r in enumerate(seq.right_maps):
+        field = r.source.field
+        for j in range(hom_flat_dim(r.source, r.target)):
+            vec = r.flatten()
+            vec[j] = field.of(vec[j] + 1)
+            bumped = morphism_from_flat(r.source, r.target, vec)
+            yield i, [*seq.right_maps[:i], bumped, *seq.right_maps[i + 1:]]
+
+
+def _composite_is_zero(left_maps, right_maps, signs):
+    terms = [r.compose(l) for l, r in zip(left_maps, right_maps)]
+    comp = terms[0]
+    for sign, term in zip(signs[1:], terms[1:]):
+        comp = comp.add(term if sign > 0 else term.neg())
+    return comp.is_zero()
+
+
+def test_verify_reports_a_nonzero_composite_and_a_non_morphism(corruptible):
+    """A bumped entry of a right map: a composite that stays nonzero under either
+    sign, else a map that no longer intertwines, names its own check."""
+    seen = set()
+    for seq in corruptible:
+        for i, right_maps in _bumped_right_maps(seq):
+            sign_choices = [(1, 1), (1, -1)] if seq.alpha == 2 else [(1,)]
+            if not any(_composite_is_zero(seq.left_maps, right_maps, s) for s in sign_choices):
+                want = "mesh composite is not zero"
+            elif not right_maps[i].check_intertwining():
+                want = "mesh map is not a morphism"
+            else:
+                continue
+            assert _verify_message(seq, right_maps=right_maps) == want
+            seen.add(want)
+    assert seen == {"mesh composite is not zero", "mesh map is not a morphism"}
+
+
+def test_verify_reports_a_left_map_that_is_not_mono(corruptible):
+    for seq in corruptible:
+        zeros = [zero_morphism(seq.left_term.rep, m.rep) for m in seq.middle]
+        assert _verify_message(seq, left_maps=zeros) == "left mesh map not mono"
+
+
+def test_verify_reports_a_right_map_that_is_not_epi(corruptible):
+    for seq in corruptible:
+        zeros = [zero_morphism(m.rep, seq.right_term.rep) for m in seq.middle]
+        assert _verify_message(seq, right_maps=zeros) == "right mesh map not epi"
+
+
+def test_verify_leaves_the_mesh_maps_alone(corruptible):
+    """The rank checks eliminate on copies: re-verifying changes no map."""
+    for seq in corruptible:
+        before = [f.flatten() for f in seq.left_maps + seq.right_maps]
+        seq.verify()
+        assert [f.flatten() for f in seq.left_maps + seq.right_maps] == before
+
+
+
+# --- knit's and ar_sequence's own checks still fire --------------------------
+
+
+def _patch_meshes(monkeypatch, replace):
+    """Make knit see replace(module, seq) in place of each mesh ar_sequence builds."""
+    real = artheory.ar_sequence
+
+    def patched(p, M, side, field=None, resolve=None):
+        return replace(M, real(p, M, side, field=field, resolve=resolve))
+
+    monkeypatch.setattr(artheory, "ar_sequence", patched)
+
+
+def _mesh(seq, **parts):
+    """The parts of a mesh knit reads after verify, some swapped."""
+    return SimpleNamespace(
+        **{"left_term": seq.left_term, "middle": seq.middle, "right_maps": seq.right_maps, **parts}
+    )
+
+
+def test_ar_sequence_round_trip_fires(monkeypatch, w3):
+    """The mesh built from the translate must end at the module it started from."""
+    x, y = [n for n in knit(w3).nodes if not n.projective][:2]
+    real = artheory._translate_word
+
+    def swapped(p, walk, direction):
+        return real(p, y.word.walk if walk == x.word.walk else walk, direction)
+
+    monkeypatch.setattr(artheory, "_translate_word", swapped)
+    with pytest.raises(MeshInconsistencyError, match="translate round trip failed"):
+        ar_sequence(w3, x.module, "endingAt")
+
+
+def test_knit_rejects_a_translate_on_an_injective(monkeypatch, w3):
+    G = knit(w3)
+    x = next(n for n in G.nodes if not n.projective)
+    injective = next(n for n in G.nodes if n.injective)
+    _patch_meshes(monkeypatch, lambda M, seq: _mesh(seq, left_term=injective.module)
+                  if M.word == x.word else seq)
+    with pytest.raises(MeshInconsistencyError, match="translate landed on an injective"):
+        knit(w3)
+
+
+def test_knit_rejects_two_nodes_with_one_translate(monkeypatch, w3):
+    G = knit(w3)
+    x, y = [n for n in G.nodes if not n.projective][:2]
+    tau_x = G.meshes[x.index].left_term
+    _patch_meshes(monkeypatch, lambda M, seq: _mesh(seq, left_term=tau_x)
+                  if M.word == y.word else seq)
+    with pytest.raises(MeshInconsistencyError, match="translate pairing is not injective"):
+        knit(w3)
+
+
+def test_knit_rejects_a_translate_pairing_that_misses_a_node(monkeypatch, w3):
+    """A node wrongly taken for a projective gets no translate, so one non-injective
+    node is nobody's translate."""
+    x = next(n for n in knit(w3).nodes if not n.projective)
+    real = artheory._projective_tops
+    monkeypatch.setattr(artheory, "_projective_tops", lambda p: {**real(p), x.word.walk: "1"})
+    with pytest.raises(MeshInconsistencyError, match="translate pairing is not onto"):
+        knit(w3)
+
+
+def test_knit_rejects_meshes_that_are_not_symmetric(monkeypatch, w3):
+    """One middle term counted twice: two arrows into the node, one out of its translate."""
+    G = knit(w3)
+    x = next(n for n in G.nodes if not n.projective and G.meshes[n.index].alpha == 1)
+
+    def doubled(M, seq):
+        if M.word != x.word:
+            return seq
+        return _mesh(seq, middle=seq.middle * 2, right_maps=seq.right_maps * 2)
+
+    _patch_meshes(monkeypatch, doubled)
+    with pytest.raises(MeshInconsistencyError, match="mesh symmetry fails at"):
+        knit(w3)

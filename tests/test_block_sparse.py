@@ -6,18 +6,23 @@ of the quiver, empty ones included, and compared with the stored result.
 """
 
 import random
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from stringar import field_for_characteristic, knit, witness
+from stringar import field_for_characteristic, hom_basis, knit, witness
 from stringar.errors import CompositionError
 from stringar.families import make_family
 from stringar.fields import Mat, rref
 from stringar.modules import (
     MorphismMatrix,
+    flat_compose,
+    flat_offsets,
     hom_flat_dim,
     identity_morphism,
     morphism_from_flat,
+    row_runs,
 )
 
 ALGEBRAS = [("W", {"n": 3}), ("U", {"m": 2, "n": 2}), ("V", {"m": 2, "n": 3})]
@@ -202,3 +207,88 @@ def test_witness_search_multiplies_no_empty_block(monkeypatch):
     w = witness(make_family("W", n=5))
     assert w.depths["total"] == 8
     assert products[0] > 0 and empty == []
+
+
+def _maps_to_act_with(quiver, rng):
+    """Per arrow map g: Z -> Y, g itself, a scaling, every Hom(Z, Y) basis element h
+    and g + h, and two sparse random block maps Z -> Y (morphisms or not): rows with
+    two or more nonzeros, non-unit coefficients and repeated columns, on top of the
+    graph maps' unit rows."""
+    field = quiver.field
+    out = []
+    for a in quiver.arrows:
+        g = a.morphism
+        out += [g, g.scale(field.of(rng.choice([-1, 2, 3])))]
+        for h in hom_basis(g.source, g.target).basis:
+            out += [h, g.add(h)]
+        for _ in range(2):
+            n = hom_flat_dim(g.source, g.target)
+            vec = [field.of(rng.choice([0, 0, 0, 1, 1, -1, 2])) for _ in range(n)]
+            out.append(morphism_from_flat(g.source, g.target, vec))
+    return out
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
+@pytest.mark.parametrize("family, kw", [("W", {"n": 3}), ("U", {"m": 2, "n": 2})])
+def test_flat_compose_is_compose_in_flat_coordinates(family, kw, char):
+    """flat_compose(g, M, vecs) is flatten(g o morphism_from_flat(M, g.source, vec)),
+    for seeded random vectors, Fractions included over QQ."""
+    field = field_for_characteristic(char)
+    quiver = knit(make_family(family, **kw).presentation, field)
+    rng = random.Random(f"flat-compose:{family}:{char}")
+
+    def entry():
+        if char or rng.random() < 0.5:
+            return field.of(rng.randint(-4, 4))
+        return field.of(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+
+    maps = _maps_to_act_with(quiver, rng)
+    summed = [g for g in maps
+              if any(k is None for runs in row_runs(g).values() for _, _, k, _ in runs)]
+    assert summed, "no map with a row of two nonzeros"
+    checked = 0
+    for g in maps:
+        runs = row_runs(g)
+        for x in quiver.nodes:
+            M = x.module.rep
+            vecs = [[entry() for _ in range(hom_flat_dim(M, g.source))] for _ in range(3)]
+            want = [g.compose(morphism_from_flat(M, g.source, v)).flatten() for v in vecs]
+            offsets = flat_offsets(M, g.source), flat_offsets(M, g.target)
+            got = flat_compose(g, M, vecs, runs, *offsets)
+            assert got == want
+            checked += any(map(any, want))
+    assert checked > 100
+
+
+def test_row_runs_rebuild_the_rows():
+    """Expanding each run (row i0 + j has row i0's terms, columns moved on by j) gives
+    back every nonzero row, on seeded random blocks made of unit rows, shifted and
+    repeated rows, zero rows and dense rows."""
+    field = field_for_characteristic(0)
+    rng = random.Random("row-runs")
+    for _ in range(300):
+        ncols = rng.randint(1, 6)
+        rows = []
+        for _ in range(rng.randint(1, 8)):
+            kind = rng.random()
+            if kind < 0.3 and rows:
+                prev = rows[-1]
+                rows.append(list(prev) if rng.random() < 0.5 else [0] + prev[:-1])
+            elif kind < 0.6:
+                row = [0] * ncols
+                row[rng.randrange(ncols)] = rng.choice([1, 1, -1, 2])
+                rows.append(row)
+            elif kind < 0.7:
+                rows.append([0] * ncols)
+            else:
+                rows.append([rng.choice([0, 0, 1, -1, 2]) for _ in range(ncols)])
+        runs = row_runs(SimpleNamespace(blocks={"v": Mat(field, rows)}))["v"]
+        rebuilt = [[0] * ncols for _ in rows]
+        for i0, n, k0, a in runs:
+            if k0 is None:
+                assert n == 1 and len(a) > 1
+                for k, b in a:
+                    rebuilt[i0][k] = b
+            for j in range(n if k0 is not None else 0):
+                rebuilt[i0 + j][k0 + j] = a
+        assert rebuilt == rows

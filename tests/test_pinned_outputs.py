@@ -221,6 +221,28 @@ def test_audit_json_is_pinned(name, monkeypatch):
 
 
 # captured before the refactor
+def table_digest(name, char):
+    """Every stored row of RadicalTable, with its tag and pivot, per node pair."""
+    from stringar import RadicalTable, knit
+
+    p = _band_free_algebras()[int(name[1:])] if name.startswith("S") else _presentation(name)
+    T = RadicalTable(knit(p, field_for_characteristic(char)))
+    rows = {f"{xi},{yi}": [[t, pv, [str(x) for x in row]] for t, pv, row in T._tagged[(xi, yi)]]
+            for xi, yi in sorted(T._tagged)}
+    return _digest([T.nilpotency, rows])
+
+
+TABLE_ALGEBRAS = ["W3", "W5", "W7", "W9", "U2_2", "U3_3", "U4_4", "V2_3", "V3_4",
+                  "S0", "S1", "S2", "S3", "S4", "S5", "S6", "S7"]
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_radical_table_rows_are_pinned(char):
+    """The table's rows, captured while _build still composed MorphismMatrix objects."""
+    got = {name: table_digest(name, char)[:16] for name in TABLE_ALGEBRAS}
+    assert got == TABLE_DIGESTS
+
+
 DETECT_DIGEST = "bc81a2a3539924cf3e5fa88347df18358507ac34aa262a7317020f8cac4f86ea"
 VALIDATE_DIGEST = "08177cf819143711e41401366770f1c5e0a6e753e14d5606621e5efa825610de"
 # captured while strings and direct paths were still grown by separate loops
@@ -313,4 +335,26 @@ AUDIT_CLI_DIGESTS = {
     "U2_2": "85f7d2326ff5ff58c95fcd71bf9c45ae5abe9634fc811b9c49fee227ef45c6c2",
     "U3_4": "4dceba83f0e8bab103ba3bc887f1575f54f73162da9cd8a75428014216aec536",
     "V2_3": "97c2908c2041261c81e15c3ed69a0ef58dc6b0936fd138de49017d9a5625367d",
+}
+
+
+# the same over QQ, GF(2) and GF(3): every stored entry on these inputs is 0 or 1
+TABLE_DIGESTS = {
+    "W3": "4989d19c2ea7bcd8",
+    "W5": "08c9602c67b2b688",
+    "W7": "d4e143dac476fc3c",
+    "W9": "1449721b42adfc3e",
+    "U2_2": "4d41ee28938627ae",
+    "U3_3": "737f55eb2d2119b7",
+    "U4_4": "3be885ebf0aed478",
+    "V2_3": "b128b414d2652912",
+    "V3_4": "932c68f77b4a879e",
+    "S0": "813b52e44cfabd0c",
+    "S1": "5503331f92eeb47d",
+    "S2": "83cccd5019714100",
+    "S3": "4f2d316a1b9840a2",
+    "S4": "eb65f408be3a77bd",
+    "S5": "5433036432ba807c",
+    "S6": "4f19b4dcba39d7d3",
+    "S7": "1d1cd4edabf56c00",
 }

@@ -147,6 +147,23 @@ def test_engine_solves_no_hom_space(monkeypatch):
         T.degree(a.morphism, side, source=x, target=y)
 
 
+@pytest.mark.parametrize("char", [0, 3])
+def test_table_build_builds_no_composite_morphism(monkeypatch, char):
+    """_build composes in flat coordinates: no MorphismMatrix.compose and no
+    morphism_from_flat while the table is built.  What it builds is pinned by the
+    digests of test_pinned_outputs."""
+    G = knit(_spec("V2_3").presentation, field_for_characteristic(char))
+
+    def refuse(*_):
+        raise AssertionError("the build made a morphism")
+
+    with monkeypatch.context() as m:
+        m.setattr(MorphismMatrix, "compose", refuse)
+        m.setattr(radical, "morphism_from_flat", refuse)
+        T = RadicalTable(G)
+    assert T.nilpotency > 2
+
+
 def test_cross_check_sees_a_wrong_tag():
     T = RadicalTable(knit(_spec("W3").presentation))
     assert T.layers_equal_to_span()

@@ -11,14 +11,18 @@ from stringar import (
     find_bands,
     has_band,
     is_string,
+    make_family,
     parse_presentation,
     string_flags,
     string_word,
     walk_from_text,
     walk_to_text,
 )
-from stringar.errors import UnknownLabelError
-from stringar.strings import canonical_walk, walk_key
+from stringar.errors import NotAStringError, UnknownLabelError
+from stringar.strings import attach_candidates, canonical_walk, walk_key
+from tests.conftest import LADDER
+from tests.oracles import whole_word_strings
+from tests.test_stress import _generated_string_algebras
 
 
 def test_is_string_backtrack_not_reduced(w3):
@@ -200,3 +204,66 @@ def test_walk_text_roundtrip(w3):
 def test_enumeration_order_is_by_length_then_lex(w3):
     keys = [walk_key(w3, sw.walk) for sw in enumerate_strings(w3)]
     assert keys == sorted(keys)
+
+
+def _extension_cases(p, words):
+    """(walk, side, inverse) for every word and its inverse, both sides, both directions."""
+    for sw in words:
+        for w in dict.fromkeys((sw.walk, sw.walk.inverse())):
+            for side in ("left", "right"):
+                for inverse in (False, True):
+                    yield w, side, inverse
+
+
+def _labels(arrows):
+    return [b.label for b in arrows]
+
+
+def test_run_local_extension_agrees_with_the_whole_word_check():
+    """The run-local `attach_candidates` against the whole-word oracle: every
+    canonical string of the ladder, W(12), U(6,6), V(5,6), and up to length 5
+    of the string algebras among the seeded generated presentations."""
+    params = [*LADDER.values(), ("W", None, 12), ("U", 6, 6), ("V", 5, 6)]
+    inputs = [(make_family(f, m=m, n=n).presentation, None) for f, m, n in params]
+    inputs += [(p, 5) for p in _generated_string_algebras(3000)]
+    cases = 0
+    for p, max_len in inputs:
+        for w, side, inverse in _extension_cases(p, enumerate_strings(p, max_len)):
+            got = _labels(attach_candidates(p, w, side, inverse))
+            want = _labels(whole_word_strings.attach_candidates(p, w, side, inverse))
+            assert got == want, (p, w, side, inverse)
+            cases += 1
+    assert cases > 70000
+
+
+@pytest.mark.parametrize("text", ["b1 b2", "b2 b1", "b1 b1^-", "b2^- b1^-"])
+def test_string_flags_reject_walks_that_are_not_strings(w3, text):
+    with pytest.raises(NotAStringError):
+        string_flags(w3, walk_from_text(text))
+
+
+def test_string_flags_keep_the_orientation_of_a_walk(w3):
+    # a walk (not a StringWord) is read as given, not canonicalised
+    flags = string_flags(w3, walk_from_text("b1^- a^-"))
+    inverse = string_flags(w3, walk_from_text("a b1"))
+    assert (flags.starts_in_deep, flags.starts_on_peak) == (
+        inverse.ends_in_deep, inverse.ends_on_peak
+    )
+    assert flags.is_inverse and not flags.is_direct
+
+
+def test_canonical_walk_is_the_walk_key_minimum():
+    """The first differing letter decides, as the whole walk_key comparison does;
+    a walk equal to its inverse is its own canonical form.  Seeded random walks,
+    strings or not, over the ladder's W(5) and the generated string algebras."""
+    rng = random.Random("canonical-walk")
+    for p in [make_family("W", n=5).presentation, *_generated_string_algebras(400)]:
+        letters = [Letter(a.label, inv) for a in p.quiver.arrows for inv in (False, True)]
+        for _ in range(40):
+            w = Walk(rng.choice(letters) for _ in range(rng.randint(1, 6)))
+            inv = w.inverse()
+            want = w if walk_key(p, w) <= walk_key(p, inv) else inv
+            assert canonical_walk(p, w) == want
+            assert canonical_walk(p, inv) == want
+        palindrome = Walk((letters[0], letters[0].inverted()))
+        assert canonical_walk(p, palindrome) is palindrome
