@@ -383,18 +383,13 @@ class AlmostSplitSequence:
         for v in lt.dims:
             if lt.dims[v] + rt.dims[v] != sum(m.rep.dims[v] for m in self.middle):
                 raise MeshInconsistencyError("middle dimension mismatch")
-        comp = None  # the zero map until the first r o l
-        for l, r in zip(self.left_maps, self.right_maps):
-            rl = r.compose(l)
-            comp = rl if comp is None else comp.add(rl)
-        if comp is not None and not comp.is_zero():
-            if len(self.middle) == 2:
-                self.right_maps[1] = self.right_maps[1].neg()
-                comp = self.right_maps[0].compose(self.left_maps[0]).add(
-                    self.right_maps[1].compose(self.left_maps[1])
-                )
-            if not comp.is_zero():
+        # r_1 l_1 + r_2 l_2 must vanish; with two middles it may instead vanish
+        # once r_2 is negated, that is when r_1 l_1 == r_2 l_2.
+        rls = [r.compose(l) for l, r in zip(self.left_maps, self.right_maps)]
+        if rls and not (rls[0] if len(rls) == 1 else rls[0].add(rls[1])).is_zero():
+            if len(self.middle) != 2 or rls[0] != rls[1]:
                 raise MeshInconsistencyError("mesh composite is not zero")
+            self.right_maps[1] = self.right_maps[1].neg()
         for f in self.left_maps + self.right_maps:
             if not f.check_intertwining():
                 raise MeshInconsistencyError("mesh map is not a morphism")

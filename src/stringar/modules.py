@@ -9,6 +9,8 @@ factor.
 
 from __future__ import annotations
 
+import functools
+
 from .errors import CompositionError, UnknownLabelError
 from .fields import Mat, QQ, combination, nullspace, solve
 from .presentation import require_string_algebra
@@ -48,6 +50,14 @@ class Representation:
     @property
     def total_dim(self):
         return sum(self.dims.values())
+
+    @functools.cached_property
+    def actions(self):
+        """{arrow label: [(row, col, coeff)]}, the nonzero entries of each arrow's matrix."""
+        return {
+            lab: [(i, j, a) for i, row in enumerate(m.rows) for j, a in enumerate(row) if a]
+            for lab, m in self.maps.items()
+        }
 
     def __eq__(self, other):
         return (
@@ -218,14 +228,39 @@ class MorphismMatrix:
         return b
 
     def check_intertwining(self):
-        src, tgt = self.source.dims, self.target.dims
+        """f_t M(a) == M'(a) f_s for every arrow a: s -> t, entry by entry.
+
+        Both sides are summed into one difference per entry (i, j) from the
+        nonzeros of the arrow actions and the stored blocks; an absent block
+        or an action with no nonzeros adds nothing.
+        """
+        if self.source.field is not self.target.field:
+            _same_field(self.source, self.target)
+        src_actions, tgt_actions = self.source.actions, self.target.actions
+        blocks, char = self.blocks, self.source.field.characteristic
         for a in self.source.p.quiver.arrows:
-            if not (tgt[a.target] and src[a.source]):
-                continue  # both sides are empty matrices
-            lhs = self.block(a.target) * self.source.maps[a.label]
-            rhs = self.target.maps[a.label] * self.block(a.source)
-            if lhs != rhs:
-                return False
+            f_t, f_s = blocks.get(a.target), blocks.get(a.source)
+            lhs = src_actions[a.label] if f_t is not None else ()
+            rhs = tgt_actions[a.label] if f_s is not None else ()
+            if not (lhs or rhs):
+                continue
+            diff = {}
+            if lhs:  # (f_t M(a))[i][j] += f_t[i][k] c for each M(a)[k][j] = c
+                rows = f_t.rows
+                for k, j, c in lhs:
+                    for i, row in enumerate(rows):
+                        x = row[k]
+                        if x:
+                            diff[i, j] = diff.get((i, j), 0) + x * c
+            if rhs:  # (M'(a) f_s)[i][j] += c f_s[k][j] for each M'(a)[i][k] = c
+                rows = f_s.rows
+                for i, k, c in rhs:
+                    for j, x in enumerate(rows[k]):
+                        if x:
+                            diff[i, j] = diff.get((i, j), 0) - c * x
+            for d in diff.values():
+                if d % char if char else d:
+                    return False
         return True
 
     def compose(self, first):

@@ -9,13 +9,19 @@ folds T_m, deepest m first, into one echelon basis per ordered pair whose
 rows carry their depth tag m; the identity joins the diagonal last with
 tag 0.  rad^n is the span of the rows tagged n or more.
 
-`_build` composes in flat coordinates: each arrow map's block rows are
-cut once into runs of (column, coefficient) nonzeros (`row_runs`), the
-flat block offsets of Hom(X, Z) and Hom(X, Y) are found once per level
-and node pair, and `flat_compose` assembles a o f from slices of f's
-flat vector, summing where a row has several nonzeros, so no morphism is
-built.  It equals flatten(a.compose(morphism_from_flat(...))) exactly,
-for any blocks; the arrow maps are checked to be morphisms first.
+Each source X is built on its own, the first time a query reads it: the
+recursion never changes X.  `nilpotency`, `profile` and `degree` read
+every source.  Each T_m(X, Y) is kept in RREF, which is canonical, so a
+pair's rows do not depend on the order of the builds.
+
+Composites are formed in flat coordinates: each arrow map's block rows
+are cut once into runs of (column, coefficient) nonzeros (`row_runs`),
+and `flat_compose` assembles a o f from slices of f's flat vector,
+summing where a row has several nonzeros, so no morphism is built.  It
+equals flatten(a.compose(morphism_from_flat(...))) exactly, for any
+blocks; the arrow maps are checked to be morphisms when the table is
+made.  An arrow whose rows all sit off X's support composes to zero with
+every map from X and is skipped.
 
 The definitional recursion rad^{n+1}(X, Y) = sum over Z of
 rad(Z, Y) o rad^n(X, Z), on solved Hom spaces with the endomorphism
@@ -35,7 +41,6 @@ from .modules import (
     flat_compose,
     flat_offsets,
     hom_flat_dim,
-    identity_morphism,
     morphism_from_flat,
     row_runs,
 )
@@ -138,64 +143,107 @@ def _append(field, rows, vec, tag):
 
 
 class RadicalTable:
-    """All radical layers of a knitted AR quiver, one depth-tagged basis per pair."""
+    """All radical layers of a knitted AR quiver, one depth-tagged basis per pair.
+
+    `_source(x)` builds the rows of every pair (x, .) when a query first
+    reads x; `nilpotency` and `_tagged` build every source.
+    """
 
     def __init__(self, quiver):
         self.quiver = quiver
         self.field = quiver.field
-        self.nodes = quiver.nodes
+        self.nodes = nodes = quiver.nodes
         self._layers = {}
-        self._rep_to_node = {id(n.module.rep): n for n in self.nodes}
-        self._tagged = self._build()
-
-    # -- construction ------------------------------------------------------
-
-    def _build(self):
-        """(source index, target index) -> [(tag, pivot, row)] in insertion order."""
-        field, quiver, nodes = self.field, self.quiver, self.nodes
-        nxt = {}
-        layouts = {}  # the flat_offsets of Hom(x, y) for the pairs (x, y) of nxt
-        out_arrows = {n.index: [] for n in nodes}  # z -> [(y, arrow map z -> y, its row_runs)]
+        self._rep_to_node = {id(n.module.rep): n for n in nodes}
+        self._pair_rows = {}  # (source index, target index) -> [(tag, pivot, row)], deepest first
+        self._levels = {}  # built source index -> its number of nonzero T_m
+        self._nilpotency = None  # set once every source is built
+        self._limit = 4 * sum(n.module.total_dim for n in nodes)
+        # z -> [(y, arrow map z -> y, its row_runs, the vertices where it has a row)]
+        self._out = {n.index: [] for n in nodes}
         for a in quiver.arrows:
             # every row is then a composite of morphisms, which depth() relies on
             if not a.morphism.check_intertwining():
                 raise MeshInconsistencyError(
                     f"arrow {nodes[a.source].text} -> {nodes[a.target].text} is not a morphism"
                 )
-            key = (a.source, a.target)
-            nxt.setdefault(key, []).append(a.morphism.flatten())
-            layouts[key] = flat_offsets(nodes[a.source].module.rep, nodes[a.target].module.rep)
-            out_arrows[a.source].append((a.target, a.morphism, row_runs(a.morphism)))
-        spans = []  # spans[m - 1]: the nonzero T_m by node pair
-        limit = 4 * sum(n.module.total_dim for n in nodes)
+            runs = row_runs(a.morphism)
+            rows_at = frozenset(v for v, r in runs.items() if r)
+            self._out[a.source].append((a.target, a.morphism, runs, rows_at))
+
+    # -- construction ------------------------------------------------------
+
+    def _source(self, xi):
+        """Store the tagged rows of every pair (x, y), x the node of index xi.
+
+        Raises before storing anything, so a failed source stays unbuilt.
+        """
+        field, nodes = self.field, self.nodes
+        src = nodes[xi].module.rep
+        support = src.support
+        layouts = {}  # y -> flat_offsets of Hom(x, y)
+        live = {}  # z -> the arrows out of z with a row on x's support
+        nxt = {}
+        for yi, g, _, _ in self._out[xi]:
+            nxt.setdefault(yi, []).append(g.flatten())
+            layouts[yi] = flat_offsets(src, nodes[yi].module.rep)
+        spans = []  # spans[m - 1]: the nonzero T_m(x, y) by y
         while True:
-            t = {k: s for k, vs in nxt.items() if (s := Subspace(field, len(vs[0]), vs)).rows}
+            t = {}
+            for k, vs in nxt.items():
+                s = Subspace(field, len(vs[0]), vs)
+                if s.rows:
+                    t[k] = s
             if not t:
                 break
             spans.append(t)
-            if len(spans) > limit:
+            if len(spans) > self._limit:
                 raise MeshInconsistencyError("radical filtration does not terminate")
-            nxt, known, layouts = {}, layouts, {}
-            for (xi, zi), s in t.items():
-                src, src_offsets = nodes[xi].module.rep, known[(xi, zi)]
-                for yi, g, runs in out_arrows[zi]:
-                    dst_offsets = layouts.get((xi, yi))
+            nxt = {}
+            for zi, s in t.items():
+                arrows = live.get(zi)
+                if arrows is None:
+                    arrows = live[zi] = [
+                        (yi, g, runs) for yi, g, runs, rows_at in self._out[zi]
+                        if not support.isdisjoint(rows_at)
+                    ]
+                src_offsets = layouts[zi]
+                for yi, g, runs in arrows:
+                    dst_offsets = layouts.get(yi)
                     if dst_offsets is None:
-                        dst_offsets = layouts[(xi, yi)] = flat_offsets(src, nodes[yi].module.rep)
-                    nxt.setdefault((xi, yi), []).extend(
+                        dst_offsets = layouts[yi] = flat_offsets(src, nodes[yi].module.rep)
+                    nxt.setdefault(yi, []).extend(
                         flat_compose(g, src, s.rows, runs, src_offsets, dst_offsets)
                     )
-        self.nilpotency = len(spans) + 1  # rad^N = 0 one past the deepest composite
         tagged = {}
         for m in range(len(spans), 0, -1):
-            for key, s in spans[m - 1].items():
+            for yi, s in spans[m - 1].items():
+                rows = tagged.setdefault((xi, yi), [])
                 for v in s.rows:
-                    _append(field, tagged.setdefault(key, []), v, m)
-        for x in nodes:
-            ident = identity_morphism(x.module.rep).flatten()
-            if not _append(field, tagged.setdefault((x.index, x.index), []), ident, 0):
-                raise MeshInconsistencyError(f"the identity of {x.text} lies in the radical")
-        return tagged
+                    _append(field, rows, v, m)
+        one, zero = field.one(), field.zero()  # the identity's flat vector, block by block
+        ident = [one if i == j else zero
+                 for d in src.dims.values() for i in range(d) for j in range(d)]
+        if not _append(field, tagged.setdefault((xi, xi), []), ident, 0):
+            raise MeshInconsistencyError(f"the identity of {nodes[xi].text} lies in the radical")
+        self._pair_rows.update(tagged)
+        self._levels[xi] = len(spans)
+
+    @property
+    def nilpotency(self):
+        """rad^N = 0 one past the deepest composite; builds every source."""
+        if self._nilpotency is None:
+            for x in self.nodes:
+                if x.index not in self._levels:
+                    self._source(x.index)
+            self._nilpotency = max(self._levels.values(), default=0) + 1
+        return self._nilpotency
+
+    @property
+    def _tagged(self):
+        """(source index, target index) -> [(tag, pivot, row)], every source built."""
+        self.nilpotency  # builds every source
+        return self._pair_rows
 
     # -- queries -----------------------------------------------------------
 
@@ -208,20 +256,23 @@ class RadicalTable:
                 return cand
         raise MeshInconsistencyError("morphism endpoint is not a node module")
 
-    def _rows(self, x, y):
-        return self._tagged.get((x.index, y.index), ())
+    def _rows(self, xi, yi):
+        """The tagged rows of the pair of node indices (xi, yi), source xi built first."""
+        if xi not in self._levels:
+            self._source(xi)
+        return self._pair_rows.get((xi, yi), ())
 
     def reaches(self, xi, yi, n=0):
         """True when rad^n(x, y) != 0, for node indices xi, yi; n=0 asks Hom(x, y) != 0.
 
-        `_build` appends each pair's rows deepest tag first, so the first stored
-        row carries the pair's largest tag and one lookup decides.
+        `_source` appends each pair's rows deepest tag first, so the first
+        stored row carries the pair's largest tag and one lookup decides.
         """
-        rows = self._tagged.get((xi, yi))
+        rows = self._rows(xi, yi)
         return bool(rows) and rows[0][0] >= n
 
     def _deep_rows(self, x, y, n):
-        return [row for t, _, row in self._rows(x, y) if t >= n]
+        return [row for t, _, row in self._rows(x.index, y.index) if t >= n]
 
     def layer(self, x, y, n):
         """rad^n(x, y) as a Subspace: the span of the rows tagged n or more."""
@@ -234,7 +285,7 @@ class RadicalTable:
         return s
 
     def profile(self, x, y):
-        tags = [t for t, _, _ in self._rows(x, y)]
+        tags = [t for t, _, _ in self._rows(x.index, y.index)]
         dims = [sum(1 for t in tags if t >= n) for n in range(self.nilpotency + 1)]
         return RadicalProfile(self, x, y, dims)
 
@@ -242,15 +293,16 @@ class RadicalTable:
         """Largest n with f in rad^n; ZERO_DEPTH for the zero morphism.
 
         Every row of the table is a morphism (the arrow maps are checked at
-        build) and the rows span Hom(x, y), so f reduces to zero exactly when
-        it is a morphism; the intertwining check runs only on a nonzero residue.
+        construction) and the rows span Hom(x, y), so f reduces to zero exactly
+        when it is a morphism; the intertwining check runs only on a nonzero
+        residue.
         """
         x = source or self.node_of_rep(f.source)
         y = target or self.node_of_rep(f.target)
         vec = f.flatten()
         if not any(vec):
             return ZERO_DEPTH
-        rest, d = _reduce(self._rows(x, y), vec, self.field.characteristic)
+        rest, d = _reduce(self._rows(x.index, y.index), vec, self.field.characteristic)
         if any(rest):
             if not f.check_intertwining():
                 raise MeshInconsistencyError("depth of a non-morphism")

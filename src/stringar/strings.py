@@ -19,11 +19,14 @@ from .presentation import _first_factor, _layers, _pumps, require_string_algebra
 
 
 class Letter:
-    __slots__ = ("arrow", "inverse")
+    """One arrow, read forwards or inverted; never mutated, so its hash is kept."""
+
+    __slots__ = ("arrow", "inverse", "_hash")
 
     def __init__(self, arrow, inverse=False):
         self.arrow = arrow
         self.inverse = inverse
+        self._hash = hash((arrow, inverse))
 
     def inverted(self):
         return Letter(self.arrow, not self.inverse)
@@ -36,16 +39,19 @@ class Letter:
         )
 
     def __hash__(self):
-        return hash((self.arrow, self.inverse))
+        return self._hash
 
     def __repr__(self):
         return f"{self.arrow}^-" if self.inverse else self.arrow
 
 
 class Walk:
-    """A possibly-trivial walk; trivial walks carry an explicit basepoint."""
+    """A possibly-trivial walk; trivial walks carry an explicit basepoint.
 
-    __slots__ = ("letters", "basepoint")
+    Walks are never mutated, so the hash is computed once, at construction.
+    """
+
+    __slots__ = ("letters", "basepoint", "_hash")
 
     def __init__(self, letters=(), basepoint=None):
         self.letters = tuple(letters)
@@ -55,6 +61,7 @@ class Walk:
             if basepoint is None:
                 raise ValueError("a trivial walk needs a basepoint")
             self.basepoint = basepoint
+        self._hash = hash((self.letters, self.basepoint))
 
     def __len__(self):
         return len(self.letters)
@@ -76,7 +83,7 @@ class Walk:
         )
 
     def __hash__(self):
-        return hash((self.letters, self.basepoint))
+        return self._hash
 
     def __repr__(self):
         return f"Walk({walk_to_text(self)})"

@@ -118,6 +118,9 @@ def test_operands_over_two_fields_are_refused(chars):
                 H.arrows[j].morphism.compose(f)
             with pytest.raises(CompositionError, match="cannot combine"):
                 f.add(H.arrows[i].morphism)
+            mixed = MorphismMatrix(f.source, H.arrows[i].morphism.target, f.blocks)
+            with pytest.raises(CompositionError, match="cannot combine"):
+                mixed.check_intertwining()
     a, b = (Mat(field_for_characteristic(char), [[1, 2], [0, 1]], 2) for char in chars)
     for x, y in ((a, b), (b, a)):
         with pytest.raises(ValueError, match="field mismatch"):

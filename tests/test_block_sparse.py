@@ -15,6 +15,7 @@ from stringar import field_for_characteristic, hom_basis, knit, witness
 from stringar.errors import CompositionError
 from stringar.families import make_family
 from stringar.fields import Mat, rref
+from stringar.radical import RadicalTable
 from stringar.modules import (
     MorphismMatrix,
     flat_compose,
@@ -292,3 +293,41 @@ def test_row_runs_rebuild_the_rows():
             for j in range(n if k0 is not None else 0):
                 rebuilt[i0 + j][k0 + j] = a
         assert rebuilt == rows
+
+
+def _maps_to_check(quiver, rng):
+    """Arrow maps, mesh maps, and arrow maps perturbed by seeded rad^2 terms."""
+    field, table = quiver.field, RadicalTable(quiver)
+    maps = [a.morphism for a in quiver.arrows]
+    for seq in quiver.meshes.values():
+        maps += seq.left_maps + seq.right_maps
+    for a in quiver.arrows:
+        x, y = quiver.nodes[a.source], quiver.nodes[a.target]
+        for row in table.layer(x, y, 2).rows:
+            c = field.of(rng.choice([-1, 1, 2]))
+            maps.append(a.morphism.add(morphism_from_flat(x.module.rep, y.module.rep, row).scale(c)))
+    return maps
+
+
+def test_check_intertwining_matches_the_dense_oracle(quiver):
+    """On every map of `_maps_to_check` and on each of its one-entry corruptions
+    (one flat entry moved by 1), morphisms and non-morphisms alike.  Over GF(p)
+    an entry moved by p, left unreduced, names the same morphism."""
+    field = quiver.field
+    char = field.characteristic
+    maps = _maps_to_check(quiver, random.Random(f"intertwine:{field}"))
+    verdicts = set()
+    for f in maps:
+        assert f.check_intertwining() and _oracle_intertwines(f)
+        vec = f.flatten()
+        for j in range(len(vec)):
+            bumped = list(vec)
+            bumped[j] = field.of(bumped[j] + 1)
+            g = morphism_from_flat(f.source, f.target, bumped)
+            verdict = g.check_intertwining()
+            assert verdict == _oracle_intertwines(g)
+            verdicts.add(verdict)
+            if char:
+                bumped[j] = vec[j] + char
+                assert morphism_from_flat(f.source, f.target, bumped).check_intertwining()
+    assert len(maps) > len(quiver.arrows) and verdicts == {True, False}

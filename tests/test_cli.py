@@ -7,8 +7,10 @@ import sys
 
 import pytest
 
-from stringar import families
+from stringar import families, knit, parse_presentation
 from stringar.cli import main
+from stringar.radical import RadicalTable
+from stringar.strings import walk_from_text
 from tests.conftest import EX3_SOURCE, W3_SOURCE
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -97,6 +99,22 @@ def test_radical_profile(capsys, w3_file):
 def test_depth_path(capsys, w3_file):
     code, out, _ = run(capsys, "depth", w3_file, "e(4)", "b3", "b2 b3")
     assert code == 0 and out.strip() == "2"
+
+
+def test_depth_builds_only_the_first_source(capsys, monkeypatch, w3_file):
+    """depth reads rad(x, y) for the path's ends, so only x's rows are built."""
+    built, build = [], RadicalTable._source
+
+    def recorded(self, xi):
+        built.append(self.nodes[xi].text)
+        return build(self, xi)
+
+    monkeypatch.setattr(RadicalTable, "_source", recorded)
+    words = ("e(4)", "b3", "b2 b3")
+    code, out, _ = run(capsys, "depth", w3_file, *words)
+    assert code == 0 and out.strip() == "2"
+    first = knit(parse_presentation(W3_SOURCE)).node_of(walk_from_text(words[0]))
+    assert built == [first.text]
 
 
 def test_depth_family_matches_file(capsys, w3_file):

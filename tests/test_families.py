@@ -316,3 +316,12 @@ def test_large_witnesses_match_the_unpruned_search(family, m, n, depths, chain, 
     assert (w.depths["total"], w.depths["prefix"], w.depths["suffix"]) == depths
     assert [x.text for x in w.node_path] == chain
     assert [x.text for x in w.rho_nodes] == rho
+
+
+def test_witness_w9_builds_fewer_than_half_the_sources():
+    """The search reads the table through queries, so only the sources they
+    read are built."""
+    w = witness(make_family("W", n=9))
+    assert w.depths["total"] == 12
+    built, nodes = len(w.table._levels), len(w.quiver.nodes)
+    assert 0 < built < nodes / 2

@@ -9,6 +9,7 @@ their `make_family` parameters.
 import functools
 import itertools
 import random
+import re
 
 import pytest
 
@@ -23,7 +24,7 @@ from stringar import (
 from stringar import radical
 from stringar.errors import MeshInconsistencyError
 from stringar.families import make_family
-from stringar.modules import MorphismMatrix
+from stringar.modules import MorphismMatrix, identity_morphism
 from stringar.radical import ZERO_DEPTH, RadicalTable
 from tests.conftest import LADDER
 
@@ -149,9 +150,9 @@ def test_engine_solves_no_hom_space(monkeypatch):
 
 @pytest.mark.parametrize("char", [0, 3])
 def test_table_build_builds_no_composite_morphism(monkeypatch, char):
-    """_build composes in flat coordinates: no MorphismMatrix.compose and no
-    morphism_from_flat while the table is built.  What it builds is pinned by the
-    digests of test_pinned_outputs."""
+    """The table composes in flat coordinates: no MorphismMatrix.compose and no
+    morphism_from_flat while its sources are built.  What it builds is pinned by
+    the digests of test_pinned_outputs."""
     G = knit(_spec("V2_3").presentation, field_for_characteristic(char))
 
     def refuse(*_):
@@ -161,7 +162,7 @@ def test_table_build_builds_no_composite_morphism(monkeypatch, char):
         m.setattr(MorphismMatrix, "compose", refuse)
         m.setattr(radical, "morphism_from_flat", refuse)
         T = RadicalTable(G)
-    assert T.nilpotency > 2
+        assert T.nilpotency > 2  # builds every source
 
 
 def test_cross_check_sees_a_wrong_tag():
@@ -227,3 +228,51 @@ def test_first_row_carries_the_largest_tag(name):
             assert [table.reaches(x.index, y.index, k) for k in range(len(dims))] == [
                 d > 0 for d in dims
             ]
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_sources_built_in_any_order_give_the_complete_table(name, char):
+    """Queries read some sources in a shuffled order; each builds its source
+    only, and the rows seen equal those of a table built in full."""
+    family, m, n = LADDER[name]
+    quiver = knit(make_family(family, m=m, n=n).presentation, field_for_characteristic(char))
+    complete = RadicalTable(quiver)._tagged
+    T = RadicalTable(quiver)
+    assert T._levels == {} and T._pair_rows == {}
+    rng = random.Random(f"lazy:{name}:{char}")
+    order = [x.index for x in T.nodes]
+    rng.shuffle(order)
+    queried = order[: max(2, len(order) // 3)]
+    for k, xi in enumerate(queried):
+        x, y = T.nodes[xi], rng.choice(T.nodes)
+        if k % 3 == 0:
+            T.reaches(xi, y.index, 1)
+        elif k % 3 == 1:
+            T.layer(x, y, 1)
+        else:
+            T.depth(identity_morphism(x.module.rep), x, x)
+        assert set(T._levels) == set(queried[: k + 1])
+        assert set(T._pair_rows) == {key for key in complete if key[0] in T._levels}
+        for key, rows in T._pair_rows.items():
+            assert rows == complete[key]
+    assert T._tagged == complete
+    assert set(T._levels) == {x.index for x in T.nodes}
+
+
+def test_errors_of_a_source_raise_from_the_query_that_builds_it(monkeypatch):
+    """The filtration limit and the identity check run per source: a query
+    that reads a source raises them, and the source stays unbuilt."""
+    G = knit(_spec("W3").presentation)
+    T = RadicalTable(G)
+    x = G.nodes[G.arrows[0].source]
+    T._limit = 0
+    with pytest.raises(MeshInconsistencyError, match="radical filtration does not terminate"):
+        T.reaches(x.index, x.index)
+    assert x.index not in T._levels
+    T = RadicalTable(G)
+    monkeypatch.setattr(radical, "_append", lambda field, rows, vec, tag: bool(tag))
+    message = re.escape(f"the identity of {x.text} lies in the radical")
+    with pytest.raises(MeshInconsistencyError, match=message):
+        T.depth(G.arrows[0].morphism, x, G.nodes[G.arrows[0].target])
+    assert T._levels == {}
