@@ -31,7 +31,7 @@ from .errors import (
     IsProjectiveError,
     MeshInconsistencyError,
 )
-from .fields import Mat, QQ, Subspace, nullspace, rref, solve
+from .fields import Mat, QQ, Subspace, entry_rank, nullspace, solve
 from .modules import (
     MorphismMatrix,
     Representation,
@@ -342,7 +342,9 @@ def _graph_map(src, dst):
     """Inclusion or projection between pieces whose tokens nest, in canonical coordinates.
 
     The smaller piece's tokens are a run of the bigger one's; the map sends
-    each shared position's basis vector of src to that of dst.
+    each shared position's basis vector of src to that of dst: its nonzeros
+    are one 1 per shared position, at one vertex (`_RawPiece` checks each
+    position's vertex against its walk).
     """
     off = _segment_offset(src.tracked, dst.tracked)
     if off is not None:
@@ -353,12 +355,8 @@ def _graph_map(src, dst):
             raise MeshInconsistencyError("mesh words do not nest")
         pairs = zip(src.coord[off:], dst.coord)
     s, t = src.module.rep, dst.module.rep
-    blocks = {v: Mat.zeros(s.field, t.dims[v], s.dims[v]) for v in s.support & t.support}
     one = s.field.one()
-    for (v, col), (v2, row) in pairs:
-        assert v == v2
-        blocks[v].rows[row][col] = one
-    return MorphismMatrix(s, t, blocks)
+    return MorphismMatrix._adopt(s, t, nonzeros=[(v, row, col, one) for (v, col), (_, row) in pairs])
 
 
 class AlmostSplitSequence:
@@ -380,7 +378,7 @@ class AlmostSplitSequence:
         if not 1 <= len(self.middle) <= 2:
             raise MeshInconsistencyError(f"{len(self.middle)} middle terms")
         lt, rt = self.left_term.rep, self.right_term.rep
-        for v in lt.dims:
+        for v in lt.support.union(rt.support, *(m.rep.support for m in self.middle)):
             if lt.dims[v] + rt.dims[v] != sum(m.rep.dims[v] for m in self.middle):
                 raise MeshInconsistencyError("middle dimension mismatch")
         # r_1 l_1 + r_2 l_2 must vanish; with two middles it may instead vanish
@@ -393,20 +391,19 @@ class AlmostSplitSequence:
         for f in self.left_maps + self.right_maps:
             if not f.check_intertwining():
                 raise MeshInconsistencyError("mesh map is not a morphism")
-        # left map is a monomorphism into the sum, right map an epimorphism out of it;
-        # off the end term's support the condition holds vacuously.  rref works in
-        # place, so it ranks copies of the maps' rows.
+        # left map is a monomorphism into the sum, right map an epimorphism out of it:
+        # [l_1; l_2] and [r_1 r_2] are block diagonal over the vertices, so each must
+        # have the end term's dimension as rank (entry_rank counts it from the
+        # nonzeros; middle term k's coordinates are keyed by k).
         field = lt.field
-        for v in lt.dims:
-            if v in lt.support:
-                stacked = [list(row) for l in self.left_maps for row in l.block(v).rows]
-                if len(rref(stacked, field)[0]) != lt.dims[v]:
-                    raise MeshInconsistencyError("left mesh map not mono")
-            if v in rt.support:
-                blocks = [r.block(v).rows for r in self.right_maps]
-                side_by_side = [[x for rows in blocks for x in rows[i]] for i in range(rt.dims[v])]
-                if len(rref(side_by_side, field)[0]) != rt.dims[v]:
-                    raise MeshInconsistencyError("right mesh map not epi")
+        left = [((k, v, i), (v, j), a)
+                for k, f in enumerate(self.left_maps) for v, i, j, a in f.nonzeros]
+        if entry_rank(field, left) != lt.total_dim:
+            raise MeshInconsistencyError("left mesh map not mono")
+        right = [((v, i), (k, v, j), a)
+                 for k, f in enumerate(self.right_maps) for v, i, j, a in f.nonzeros]
+        if entry_rank(field, right) != rt.total_dim:
+            raise MeshInconsistencyError("right mesh map not epi")
         if self._splits():
             raise MeshInconsistencyError("almost split sequence splits")
 

@@ -288,6 +288,28 @@ def rref(rows, field):
     return pivots, [row for row in rows[:r]]
 
 
+def entry_rank(field, entries):
+    """The rank of a matrix given by its nonzeros (row key, column key, coefficient).
+
+    When no row holds two nonzeros, the nonzero columns have disjoint row
+    supports, so they are independent and the rank is their number.  Dually,
+    when no column holds two, the rank is the number of nonzero rows.  Else
+    `rref` ranks the nonzero rows, cut to the nonzero columns: zero rows and
+    columns do not change a rank.
+    """
+    rows = {i for i, _, _ in entries}
+    cols = {j for _, j, _ in entries}
+    if len(rows) == len(entries):
+        return len(cols)
+    if len(cols) == len(entries):
+        return len(rows)
+    col_of = {j: k for k, j in enumerate(cols)}
+    dense = {i: [0] * len(cols) for i in rows}
+    for i, j, a in entries:
+        dense[i][col_of[j]] = a
+    return len(rref(list(dense.values()), field)[0])
+
+
 def nullspace(mat):
     """Canonical kernel basis of a Mat (unit value at each free column)."""
     field = mat.field

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 
 from .errors import CompositionError, UnknownLabelError
-from .fields import Mat, QQ, combination, nullspace, solve
+from .fields import Mat, QQ, combination, entry_rank, nullspace, solve
 from .presentation import require_string_algebra
 from .strings import (
     Letter,
@@ -27,7 +27,8 @@ from .strings import (
 class Representation:
     """Vertex dimensions plus one (target-dim x source-dim) matrix per arrow.
 
-    `support` is the set of vertices with nonzero dimension.
+    `support` is the set of vertices with nonzero dimension.  The arrows given
+    no map share one zero matrix per shape: no map is written once made.
     """
 
     def __init__(self, p, field, dims, maps):
@@ -35,16 +36,16 @@ class Representation:
         self.field = field
         self.dims = {v: dims.get(v, 0) for v in p.quiver.vertices}
         self.support = frozenset(v for v, d in self.dims.items() if d)
-        self.maps = {}
+        self.maps, zeros = {}, {}
         for a in p.quiver.arrows:
+            shape = (self.dims[a.target], self.dims[a.source])
             m = maps.get(a.label)
             if m is None:
-                m = Mat.zeros(field, self.dims[a.target], self.dims[a.source])
-            if m.shape != (self.dims[a.target], self.dims[a.source]):
-                raise CompositionError(
-                    f"map for arrow {a.label} has shape {m.shape}, expected "
-                    f"({self.dims[a.target]}, {self.dims[a.source]})"
-                )
+                if shape not in zeros:
+                    zeros[shape] = Mat.zeros(field, *shape)
+                m = zeros[shape]
+            elif m.shape != shape:
+                raise CompositionError(f"map for arrow {a.label} has shape {m.shape}, expected {shape}")
             self.maps[a.label] = m
 
     @property
@@ -53,11 +54,16 @@ class Representation:
 
     @functools.cached_property
     def actions(self):
-        """{arrow label: [(row, col, coeff)]}, the nonzero entries of each arrow's matrix."""
-        return {
-            lab: [(i, j, a) for i, row in enumerate(m.rows) for j, a in enumerate(row) if a]
-            for lab, m in self.maps.items()
-        }
+        """({(t, k): [(a, j, c)]}, {(s, j): [(a, k, c)]}): each nonzero c = M(a)[k][j]
+        of an arrow a: s -> t, by its row at t and by its column at s."""
+        at_row, at_col = {}, {}
+        for a in self.p.quiver.arrows:
+            for k, row in enumerate(self.maps[a.label].rows):
+                for j, c in enumerate(row):
+                    if c:
+                        at_row.setdefault((a.target, k), []).append((a.label, j, c))
+                        at_col.setdefault((a.source, j), []).append((a.label, k, c))
+        return at_row, at_col
 
     def __eq__(self, other):
         return (
@@ -117,15 +123,13 @@ def realize(p, word, field=QQ):
         c = dims.get(v, 0)
         coord.append((v, c))
         dims[v] = c + 1
-    maps = {
-        a.label: Mat.zeros(field, dims.get(a.target, 0), dims.get(a.source, 0))
-        for a in p.quiver.arrows
-    }
+    maps = {}
     one = field.one()
     for i, letter in enumerate(walk.letters, start=1):
         src_pos, dst_pos = (i, i - 1) if letter.inverse else (i - 1, i)
-        _, col = coord[src_pos]
-        _, row = coord[dst_pos]
+        (s, col), (t, row) = coord[src_pos], coord[dst_pos]
+        if letter.arrow not in maps:
+            maps[letter.arrow] = Mat.zeros(field, dims[t], dims[s])
         maps[letter.arrow].rows[row][col] = one
     return StringModule(sw, Representation(p, field, dims, maps), coord)
 
@@ -188,37 +192,56 @@ def standard_module(p, v, kind, field=QQ):
 
 
 class MorphismMatrix:
-    """A representation morphism, stored as its blocks on the common support.
+    """A representation morphism, held as its blocks, its nonzeros, or both.
 
     `blocks` maps each vertex where both source and target are nonzero, in
-    vertex order, to its block; every other block has no entries and is not
-    stored (`block(v)` builds it).  The constructor shape-checks the block
-    of every vertex and keeps the common support.  The arithmetic below
-    adopts the block dicts it builds through `_adopt`, which does neither.
+    vertex order, to its block (`block(v)` builds the others, which have no
+    entries).  `nonzeros` lists the entries (vertex, row, column, coefficient)
+    that are not zero, in no fixed order.  A map made in one form derives the
+    other on first read, so neither is written once made.  The constructor
+    shape-checks the blocks; `_adopt` wraps what the arithmetic builds,
+    unchecked.  All arithmetic reads and makes nonzeros, so the graph maps
+    `knit` makes never build a block.
     """
 
-    __slots__ = ("source", "target", "blocks")
+    __slots__ = ("source", "target", "_blocks", "_nz")
 
     def __init__(self, source, target, blocks):
         self.source = source
         self.target = target
-        self.blocks = {}
+        self._nz = None
+        self._blocks = {}
         for v in source.p.quiver.vertices:
             shape = (target.dims[v], source.dims[v])
             b = blocks.get(v)
             if b is not None and b.shape != shape:
                 raise CompositionError(f"block at {v} has shape {b.shape}")
             if shape[0] and shape[1]:
-                self.blocks[v] = b if b is not None else Mat.zeros(source.field, *shape)
+                self._blocks[v] = b if b is not None else Mat.zeros(source.field, *shape)
 
     @classmethod
-    def _adopt(cls, source, target, blocks):
-        """Wrap a block dict holding exactly the common support, unchecked."""
+    def _adopt(cls, source, target, blocks=None, nonzeros=None):
+        """Wrap a block dict holding exactly the common support, or nonzeros, unchecked."""
         f = object.__new__(cls)
-        f.source = source
-        f.target = target
-        f.blocks = blocks
+        f.source, f.target, f._blocks, f._nz = source, target, blocks, nonzeros
         return f
+
+    @property
+    def blocks(self):
+        if self._blocks is None:
+            s, t = self.source, self.target
+            blocks = {v: Mat.zeros(s.field, t.dims[v], s.dims[v]) for v in _common_support(s, t)}
+            for v, i, j, a in self._nz:
+                blocks[v].rows[i][j] = a
+            self._blocks = blocks
+        return self._blocks
+
+    @property
+    def nonzeros(self):
+        if self._nz is None:
+            self._nz = [(v, i, j, a) for v, b in self._blocks.items()
+                        for i, row in enumerate(b.rows) for j, a in enumerate(row) if a]
+        return self._nz
 
     def block(self, v):
         """The block at vertex v; an empty Mat off the common support."""
@@ -230,100 +253,78 @@ class MorphismMatrix:
     def check_intertwining(self):
         """f_t M(a) == M'(a) f_s for every arrow a: s -> t, entry by entry.
 
-        Both sides are summed into one difference per entry (i, j) from the
-        nonzeros of the arrow actions and the stored blocks; an absent block
-        or an action with no nonzeros adds nothing.
+        Both sides are summed into one difference per entry (a, i, j) in one
+        pass over the map's nonzeros x = f_v[i][k]: x meets M(a)'s row k for
+        each arrow a into v, and M'(a)'s column i for each arrow a out of v.
         """
         if self.source.field is not self.target.field:
             _same_field(self.source, self.target)
-        src_actions, tgt_actions = self.source.actions, self.target.actions
-        blocks, char = self.blocks, self.source.field.characteristic
-        for a in self.source.p.quiver.arrows:
-            f_t, f_s = blocks.get(a.target), blocks.get(a.source)
-            lhs = src_actions[a.label] if f_t is not None else ()
-            rhs = tgt_actions[a.label] if f_s is not None else ()
-            if not (lhs or rhs):
-                continue
-            diff = {}
-            if lhs:  # (f_t M(a))[i][j] += f_t[i][k] c for each M(a)[k][j] = c
-                rows = f_t.rows
-                for k, j, c in lhs:
-                    for i, row in enumerate(rows):
-                        x = row[k]
-                        if x:
-                            diff[i, j] = diff.get((i, j), 0) + x * c
-            if rhs:  # (M'(a) f_s)[i][j] += c f_s[k][j] for each M'(a)[i][k] = c
-                rows = f_s.rows
-                for i, k, c in rhs:
-                    for j, x in enumerate(rows[k]):
-                        if x:
-                            diff[i, j] = diff.get((i, j), 0) - c * x
-            for d in diff.values():
-                if d % char if char else d:
-                    return False
-        return True
+        at_row, at_col = self.source.actions[0], self.target.actions[1]
+        diff = {}
+        for v, i, k, x in self.nonzeros:
+            for a, j, c in at_row.get((v, k), ()):  # (f_t M(a))[i][j] += x M(a)[k][j]
+                diff[a, i, j] = diff.get((a, i, j), 0) + x * c
+            for a, r, c in at_col.get((v, i), ()):  # (M'(a) f_s)[r][k] -= M'(a)[r][i] x
+                diff[a, r, k] = diff.get((a, r, k), 0) - c * x
+        return not _entries(diff, self.source.field)
 
     def compose(self, first):
-        """self o first (apply `first`, then self).
-
-        Multiplies only where all three modules are nonzero; where only the
-        middle one is zero the block is zero.
-        """
+        """self o first (apply `first`, then self): first's nonzero (v, k, j) meets
+        self's nonzeros (v, i, k) on the middle coordinate (v, k)."""
         if first.target.dims != self.source.dims:
             raise CompositionError("composition shape mismatch")
         src, tgt = first.source, self.target
         if src.field is not tgt.field:
             _same_field(src, tgt)
-        mine, theirs = self.blocks, first.blocks
-        blocks = {}
-        for v in _common_support(src, tgt):
-            b = theirs.get(v)
-            blocks[v] = (
-                mine[v] * b if b is not None
-                else Mat.zeros(src.field, tgt.dims[v], src.dims[v])
-            )
-        return MorphismMatrix._adopt(src, tgt, blocks)
+        by_middle, acc = {}, {}
+        for v, i, k, b in self.nonzeros:
+            by_middle.setdefault((v, k), []).append((i, b))
+        for v, k, j, a in first.nonzeros:
+            for i, b in by_middle.get((v, k), ()):
+                acc[v, i, j] = acc.get((v, i, j), 0) + b * a
+        return MorphismMatrix._adopt(src, tgt, nonzeros=_entries(acc, src.field))
 
     def add(self, other):
         if self.source.field is not other.source.field:
             _same_field(self.source, other.source)
-        theirs = other.blocks
-        return MorphismMatrix._adopt(
-            self.source,
-            self.target,
-            {v: b + theirs[v] for v, b in self.blocks.items()},
-        )
+        if self.source.dims != other.source.dims or self.target.dims != other.target.dims:
+            raise CompositionError("sum of maps between different modules")
+        acc = _by_position(self.nonzeros)
+        for v, i, j, a in other.nonzeros:
+            acc[v, i, j] = acc.get((v, i, j), 0) + a
+        return MorphismMatrix._adopt(self.source, self.target, nonzeros=_entries(acc, self.source.field))
 
     def scale(self, c):
-        return MorphismMatrix._adopt(
-            self.source, self.target, {v: b.scale(c) for v, b in self.blocks.items()}
-        )
+        acc = {(v, i, j): c * a for v, i, j, a in self.nonzeros}
+        return MorphismMatrix._adopt(self.source, self.target, nonzeros=_entries(acc, self.source.field))
 
     def neg(self):
-        return MorphismMatrix._adopt(
-            self.source, self.target, {v: -b for v, b in self.blocks.items()}
-        )
+        return self.scale(-1)
 
     def is_zero(self):
-        return all(b.is_zero() for b in self.blocks.values())
+        return not self.nonzeros
 
-    def _blocks_everywhere(self):
-        return (self.block(v) for v in self.source.p.quiver.vertices)
+    def rank(self):
+        """The sum of the blocks' ranks, counted from the nonzeros by `entry_rank`."""
+        return entry_rank(self.source.field, [((v, i), (v, j), a) for v, i, j, a in self.nonzeros])
 
     def is_mono(self):
-        return all(b.rank() == b.ncols for b in self._blocks_everywhere())
+        return self.rank() == self.source.total_dim
 
     def is_epi(self):
-        return all(b.rank() == b.nrows for b in self._blocks_everywhere())
+        return self.rank() == self.target.total_dim
 
     def is_invertible(self):
-        return all(
-            b.nrows == b.ncols and b.rank() == b.nrows for b in self._blocks_everywhere()
-        )
+        return self.source.dims == self.target.dims and self.is_mono()
 
     def flatten(self):
         """Row-major entries of every block in vertex order; absent blocks have none."""
-        return [a for b in self.blocks.values() for r in b.rows for a in r]
+        dims = self.source.dims
+        offsets, size = flat_offsets(self.source, self.target)
+        out = [0] * size
+        for v, i, j, a in self.nonzeros:
+            out[offsets[v] + i * dims[v] + j] = a
+        return out
 
     def as_dict(self):
         f = self.source.field
@@ -337,11 +338,23 @@ class MorphismMatrix:
             isinstance(other, MorphismMatrix)
             and self.source.dims == other.source.dims
             and self.target.dims == other.target.dims
-            and self.blocks == other.blocks
+            and _by_position(self.nonzeros) == _by_position(other.nonzeros)
         )
 
     def __repr__(self):
         return f"MorphismMatrix({self.source.dim_vector()} -> {self.target.dim_vector()})"
+
+
+def _entries(acc, field):
+    """The nonzeros (*key, x) of a dict of sums x by key, reduced mod p."""
+    char = field.characteristic
+    if char:
+        return [(*key, x % char) for key, x in acc.items() if x % char]
+    return [(*key, x) for key, x in acc.items() if x]
+
+
+def _by_position(nonzeros):
+    return {(v, i, j): a for v, i, j, a in nonzeros}
 
 
 def _same_field(M, N):
@@ -393,26 +406,30 @@ def flat_offsets(M, N):
 
 
 def row_runs(g):
-    """g's nonzero block rows by vertex, as runs (first row i0, rows n, column k0, a).
+    """g's nonzero rows by vertex, as runs (first row i0, rows n, column k0, a).
 
     A run of single-entry rows is (i0, n, k0, a): row i0 + j holds a in
     column k0 + j.  A row with more entries is (i, 1, None, its (column,
-    coefficient) nonzeros).  Zero rows are left out.
+    coefficient) nonzeros).  Read from `g.nonzeros`, rows and columns in
+    order; a vertex with no nonzero is left out.
     """
+    rows = {}
+    for v, i, k, a in g.nonzeros:
+        rows.setdefault(v, {}).setdefault(i, []).append((k, a))
     out = {}
-    for v, b in g.blocks.items():
+    for v, terms_at in rows.items():
         runs = out[v] = []
-        for i, row in enumerate(b.rows):
-            terms = [(k, a) for k, a in enumerate(row) if a]
+        for i in sorted(terms_at):
+            terms = sorted(terms_at[i])
             if len(terms) > 1:
                 runs.append((i, 1, None, terms))
-            elif terms:
-                (k, a), last = terms[0], runs[-1] if runs else (None, 0, None, None)
-                i0, n, k0, a0 = last
-                if k0 is not None and (i0 + n, k0 + n, a0) == (i, k, a):
-                    runs[-1] = (i0, n + 1, k0, a)
-                else:
-                    runs.append((i, 1, k, a))
+                continue
+            (k, a), last = terms[0], runs[-1] if runs else (None, 0, None, None)
+            i0, n, k0, a0 = last
+            if k0 is not None and (i0 + n, k0 + n, a0) == (i, k, a):
+                runs[-1] = (i0, n + 1, k0, a)
+            else:
+                runs.append((i, 1, k, a))
     return out
 
 

@@ -54,6 +54,7 @@ class Quiver:
     def __init__(self, vertices, arrows):
         self.vertices = tuple(vertices)
         self.arrows = tuple(arrows)
+        self._hash = hash((self.vertices, self.arrows))  # the cached checks hash it often
         if len(set(self.vertices)) != len(self.vertices):
             raise PresentationSyntaxError("duplicate vertex identifier")
         labels = [a.label for a in self.arrows]
@@ -93,7 +94,7 @@ class Quiver:
         )
 
     def __hash__(self):
-        return hash((self.vertices, self.arrows))
+        return self._hash
 
     def __repr__(self):
         return f"Quiver({len(self.vertices)} vertices, {len(self.arrows)} arrows)"

@@ -14,8 +14,8 @@ recursion never changes X.  `nilpotency`, `profile` and `degree` read
 every source.  Each T_m(X, Y) is kept in RREF, which is canonical, so a
 pair's rows do not depend on the order of the builds.
 
-Composites are formed in flat coordinates: each arrow map's block rows
-are cut once into runs of (column, coefficient) nonzeros (`row_runs`),
+Composites are formed in flat coordinates: each arrow map's nonzeros
+are cut once into runs of rows (`row_runs`),
 and `flat_compose` assembles a o f from slices of f's flat vector,
 summing where a row has several nonzeros, so no morphism is built.  It
 equals flatten(a.compose(morphism_from_flat(...))) exactly, for any

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from stringar import field_for_characteristic, hom_basis, knit, witness
+from stringar import audit_theorems, field_for_characteristic, hom_basis, knit, witness
 from stringar.errors import CompositionError
 from stringar.families import make_family
 from stringar.fields import Mat, rref
@@ -184,30 +184,32 @@ def test_constructor_checks_the_shape_off_the_support():
     assert list(kept.blocks) == list(f.blocks) and kept == f
 
 
-def test_witness_search_multiplies_no_empty_block(monkeypatch):
-    """compose multiplies only where source, middle and target are all nonzero."""
-    inside, empty, products = [False], [], [0]
-    mul, compose = Mat.__mul__, MorphismMatrix.compose
+def test_compose_multiplies_no_block(monkeypatch):
+    """compose joins nonzeros: in the witness search and in an audit, whose
+    perturbed maps start dense, it multiplies no block and builds none."""
+    composed, made = [0], []
+    mul, zeros, compose = Mat.__mul__, Mat.zeros.__func__, MorphismMatrix.compose
 
     def counted_mul(a, b):
-        if inside[0]:
-            products[0] += 1
-            if 0 in a.shape or 0 in b.shape:
-                empty.append((a.shape, b.shape))
+        made.append(("mul", a.shape, b.shape))
         return mul(a, b)
 
-    def flagged_compose(self, first):
-        inside[0] = True
-        try:
-            return compose(self, first)
-        finally:
-            inside[0] = False
+    def counted_zeros(cls, field, nrows, ncols):
+        made.append(("zeros", nrows, ncols))
+        return zeros(cls, field, nrows, ncols)
 
-    monkeypatch.setattr(Mat, "__mul__", counted_mul)
-    monkeypatch.setattr(MorphismMatrix, "compose", flagged_compose)
+    def watched_compose(self, first):
+        composed[0] += 1
+        with monkeypatch.context() as m:
+            m.setattr(Mat, "__mul__", counted_mul)
+            m.setattr(Mat, "zeros", classmethod(counted_zeros))
+            return compose(self, first)
+
+    monkeypatch.setattr(MorphismMatrix, "compose", watched_compose)
     w = witness(make_family("W", n=5))
     assert w.depths["total"] == 8
-    assert products[0] > 0 and empty == []
+    assert audit_theorems(make_family("W", n=5).presentation, samples=8).passed
+    assert composed[0] > 100 and made == []
 
 
 def _maps_to_act_with(quiver, rng):
@@ -264,9 +266,9 @@ def test_flat_compose_is_compose_in_flat_coordinates(family, kw, char):
 def test_row_runs_rebuild_the_rows():
     """Expanding each run (row i0 + j has row i0's terms, columns moved on by j) gives
     back every nonzero row, on seeded random blocks made of unit rows, shifted and
-    repeated rows, zero rows and dense rows."""
+    repeated rows, zero rows and dense rows, their nonzeros listed in random order."""
     field = field_for_characteristic(0)
-    rng = random.Random("row-runs")
+    rng, order = random.Random("row-runs"), random.Random("row-runs:order")
     for _ in range(300):
         ncols = rng.randint(1, 6)
         rows = []
@@ -283,7 +285,9 @@ def test_row_runs_rebuild_the_rows():
                 rows.append([0] * ncols)
             else:
                 rows.append([rng.choice([0, 0, 1, -1, 2]) for _ in range(ncols)])
-        runs = row_runs(SimpleNamespace(blocks={"v": Mat(field, rows)}))["v"]
+        nonzeros = [("v", i, k, a) for i, row in enumerate(rows) for k, a in enumerate(row) if a]
+        order.shuffle(nonzeros)
+        runs = row_runs(SimpleNamespace(nonzeros=nonzeros)).get("v", [])
         rebuilt = [[0] * ncols for _ in rows]
         for i0, n, k0, a in runs:
             if k0 is None:
