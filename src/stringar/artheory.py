@@ -23,7 +23,6 @@ the surgery; no engine path calls it.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 
 from .errors import (
     BandFoundError,
@@ -311,7 +310,8 @@ class _RawPiece:
     `coord[j]` is the (vertex, index) basis vector of `module` at position j
     of the tracked walk: `module.basis` when the walk is canonical, its
     reverse when the canonical walk is the inverse.  The resolver validates
-    the string, since a walk is a string iff its inverse is.
+    the string (a walk is a string iff its inverse is) and the basis's
+    vertices (an inverse walk visits them in reverse).
     """
 
     __slots__ = ("tracked", "module", "coord")
@@ -326,8 +326,6 @@ class _RawPiece:
             self.coord = self.module.basis[::-1]
         else:
             raise MeshInconsistencyError("canonical form mismatch")
-        if [v for v, _ in self.coord] != walk_vertices(p, tracked.walk):
-            raise MeshInconsistencyError("canonical relabeling mismatch")
 
 
 def _segment_offset(small, big):
@@ -412,9 +410,8 @@ class AlmostSplitSequence:
         string modules are isomorphic iff their words agree (Butler-Ringel).
         The middle terms are compared as a multiset: over an algebra with
         parallel arrows both may be the same module."""
-        return Counter(m.word for m in self.middle) == Counter(
-            [self.left_term.word, self.right_term.word]
-        )
+        ends = [self.left_term.word, self.right_term.word]
+        return [m.word for m in self.middle] in (ends, ends[::-1])
 
     def __repr__(self):
         mids = " (+) ".join(walk_to_text(m.word.walk) for m in self.middle)
@@ -450,7 +447,9 @@ def _default_resolver(p, field):
 
     def resolve(canon_walk):
         if canon_walk not in cache:
-            cache[canon_walk] = realize(p, canon_walk, field)
+            module = cache[canon_walk] = realize(p, canon_walk, field)
+            if [v for v, _ in module.basis] != walk_vertices(p, module.word.walk):
+                raise MeshInconsistencyError("canonical relabeling mismatch")
         return cache[canon_walk]
 
     return resolve

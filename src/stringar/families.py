@@ -161,38 +161,45 @@ def _cycles(quiver, length, node):
     return out
 
 
-def _live_paths(quiver, table, node, length, after=None):
-    """(path, composite) for each arrow path of `length` with a nonzero composite.
+def _into_paths(quiver, node):
+    """k -> [(path, composite)] for the paths of k arrows into `node` with a nonzero
+    composite, memoised: those of k - 1 extended at their start along arrows_into,
+    in depth-first order.  No Hom lookup: a nonzero composite shows Hom is nonzero."""
 
-    Without `after`, the paths enter `node` and the composite is the plain
-    one; with after=(start, f), they leave `node` and the composite starts
-    with f: start -> node.  Paths come depth-first along arrows_into or
-    arrows_from, each listed in arrow order.  A branch is cut before
-    composing when Hom between the composite's ends is zero, and after
-    composing when the composite is zero: more arrows leave a zero map zero.
+    @functools.cache
+    def paths(k):
+        out = []
+        for path, f in paths(k - 1) if k > 1 else [((), None)]:
+            for a in quiver.arrows_into(path[0].source if path else node):
+                g = f.compose(a.morphism) if path else a.morphism
+                if not g.is_zero():
+                    out.append(((a,) + path, g))
+        return out
+
+    return paths
+
+
+def _forward_paths(quiver, node, keep, f):
+    """(path, a_{k-1} ... a_1 f) for each path a_1 ... a_k from `node`, k = len(keep) - 1,
+    whose i-th arrow ends in keep[i] and whose composite up to a_{k-1} is nonzero;
+    depth-first along arrows_from, a branch cut before composing when it leaves `keep`.
     """
     path = []
 
-    def grow(f):
-        if len(path) == length:
-            yield (tuple(path) if after else tuple(reversed(path))), f
-            return
-        if after:
-            for a in quiver.arrows_from(path[-1].target if path else node):
-                if table.reaches(after[0], a.target):
-                    yield from visit(a, a.morphism.compose(f))
-        else:
-            for a in quiver.arrows_into(path[-1].source if path else node):
-                if table.reaches(a.source, node):
-                    yield from visit(a, f.compose(a.morphism) if path else a.morphism)
+    def grow(g):
+        for a in quiver.arrows_from(path[-1].target if path else node):
+            if a.target not in keep[len(path) + 1]:
+                continue
+            if len(path) == len(keep) - 2:
+                yield (*path, a), g
+                continue
+            h = a.morphism.compose(g)
+            if not h.is_zero():
+                path.append(a)
+                yield from grow(h)
+                path.pop()
 
-    def visit(a, g):
-        if not g.is_zero():
-            path.append(a)
-            yield from grow(g)
-            path.pop()
-
-    return grow(after[1] if after else None)
+    return grow(f)
 
 
 def _path_nodes(quiver, path):
@@ -282,8 +289,8 @@ def witness(spec, field=QQ):
 
     The search tries the candidates of a fixed order and returns the first
     that passes `_chain_depths`.  Before composing anything it skips only
-    candidates that provably fail: an end pair with rad^expected = 0, a
-    partial composite that is zero (or whose Hom space is), and a path whose
+    candidates that provably fail: no end y ahead with rad^expected(x, y) != 0,
+    a partial composite that is zero (or whose Hom space is), and a path whose
     plain composite is shallower than `expected` (see _plain_deep).
     """
     require_witness_parameters(spec)
@@ -318,7 +325,7 @@ def _witness_uv(spec, quiver, table):
         cycles.sort(key=lambda c: (not any(a.source == s_node.index for a in c),))
         if not cycles:
             continue
-        phis = list(_live_paths(quiver, table, li, phi_len))
+        phis = _into_paths(quiver, li)(phi_len)
         heads = {}  # (rho, phi) -> the perturbed composite of phi, for every exit arrow
         for exit_arrow in quiver.arrows_from(li):
             passing = [
@@ -371,30 +378,44 @@ def _witness_w(spec, quiver, table):
             rotations.append(cyc[r:] + cyc[:r])
     perturb = _perturber()
     plain_deep = _plain_deep(table, expected)
-    intos = functools.cache(lambda b_node, k: list(_live_paths(quiver, table, b_node, k)))
+    intos = functools.cache(lambda b_node: _into_paths(quiver, b_node))
+
+    @functools.cache
+    def layers(b_node):  # layers(b)[i]: the nodes i < n arrows past b
+        out = [{b_node}]
+        while len(out) < n:
+            out.append({a.target for z in out[-1] for a in quiver.arrows_from(z)})
+        return out
+
+    @functools.cache
+    def kept(start, b_node, steps):
+        """keep[i]: the nodes i arrows past b_node, with Hom(start, .) != 0, on a
+        path of `steps` arrows to a y with rad^expected(start, y) != 0."""
+        keep = [{y for y in layers(b_node)[steps] if table.reaches(start, y, expected)}]
+        for layer in layers(b_node)[steps - 1::-1]:
+            keep.append({a.source for y in keep[-1] for a in quiver.arrows_into(y)
+                         if a.source in layer and table.reaches(start, a.source)})
+        return keep[::-1]
+
     for rho in rotations:
         b_node = rho[0].source
         for j in range(2, n + 1):  # the cycle sits at chain position j
-            for into, plain in intos(b_node, j - 1):
+            for into, plain in intos(b_node)(j - 1):
                 start = into[0].source
-                mids = _live_paths(
-                    quiver, table, b_node, n - j, after=(start, perturb(rho, plain))
-                )
-                for mid, prefix in mids:  # prefix: h_{n-1} ... h_1
-                    for last in quiver.arrows_from(mid[-1].target if mid else b_node):
-                        if not table.reaches(start, last.target, expected):
-                            continue
-                        path = into + mid + (last,)
-                        if not plain_deep(path):
-                            continue
-                        hit = _chain_depths(
-                            table, perturb, rho, path, j - 2, prefix, expected,
-                            suffix_ok=lambda d: d >= n, prefix_ok=lambda d: True,
+                keep = kept(start, b_node, n - j + 1)
+                if not keep[0]:  # no candidate through this into-path passes
+                    continue
+                tails = _forward_paths(quiver, b_node, keep, perturb(rho, plain))
+                for tail, prefix in tails:  # tail: h_j ... h_n; prefix: h_{n-1} ... h_1
+                    path = into + tail
+                    hit = plain_deep(path) and _chain_depths(
+                        table, perturb, rho, path, j - 2, prefix, expected,
+                        suffix_ok=lambda d: d >= n, prefix_ok=lambda d: True,
+                    )
+                    if hit:
+                        chain, nodes, depths = hit
+                        return FamilyWitness(
+                            spec, chain, nodes, nodes[:j], _path_nodes(quiver, rho), {},
+                            expected, depths, quiver, table,
                         )
-                        if hit is not None:
-                            chain, nodes, depths = hit
-                            return FamilyWitness(
-                                spec, chain, nodes, nodes[:j], _path_nodes(quiver, rho), {},
-                                expected, depths, quiver, table,
-                            )
     raise WitnessConstructionError(f"no verified witness chain found for {spec!r}")

@@ -201,15 +201,16 @@ class MorphismMatrix:
     other on first read, so neither is written once made.  The constructor
     shape-checks the blocks; `_adopt` wraps what the arithmetic builds,
     unchecked.  All arithmetic reads and makes nonzeros, so the graph maps
-    `knit` makes never build a block.
+    `knit` makes never build a block.  Since a map is never written, it also
+    keeps what `compose` joins on and its `check_intertwining` verdict.
     """
 
-    __slots__ = ("source", "target", "_blocks", "_nz")
+    __slots__ = ("source", "target", "_blocks", "_nz", "_by_middle", "_verdict")
 
     def __init__(self, source, target, blocks):
         self.source = source
         self.target = target
-        self._nz = None
+        self._nz = self._by_middle = self._verdict = None
         self._blocks = {}
         for v in source.p.quiver.vertices:
             shape = (target.dims[v], source.dims[v])
@@ -224,6 +225,7 @@ class MorphismMatrix:
         """Wrap a block dict holding exactly the common support, or nonzeros, unchecked."""
         f = object.__new__(cls)
         f.source, f.target, f._blocks, f._nz = source, target, blocks, nonzeros
+        f._by_middle = f._verdict = None
         return f
 
     @property
@@ -259,6 +261,11 @@ class MorphismMatrix:
         """
         if self.source.field is not self.target.field:
             _same_field(self.source, self.target)
+        if self._verdict is None:
+            self._verdict = self._intertwines()
+        return self._verdict
+
+    def _intertwines(self):
         at_row, at_col = self.source.actions[0], self.target.actions[1]
         diff = {}
         for v, i, k, x in self.nonzeros:
@@ -276,9 +283,11 @@ class MorphismMatrix:
         src, tgt = first.source, self.target
         if src.field is not tgt.field:
             _same_field(src, tgt)
-        by_middle, acc = {}, {}
-        for v, i, k, b in self.nonzeros:
-            by_middle.setdefault((v, k), []).append((i, b))
+        if self._by_middle is None:
+            self._by_middle = {}
+            for v, i, k, b in self.nonzeros:
+                self._by_middle.setdefault((v, k), []).append((i, b))
+        by_middle, acc = self._by_middle, {}
         for v, k, j, a in first.nonzeros:
             for i, b in by_middle.get((v, k), ()):
                 acc[v, i, j] = acc.get((v, i, j), 0) + b * a

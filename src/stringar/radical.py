@@ -35,7 +35,7 @@ import math
 
 from .artheory import standard_arrows
 from .errors import BandFoundError, MeshInconsistencyError, NotIrreducibleError
-from .fields import Mat, Subspace, combination, nullspace, scaled_row
+from .fields import Mat, Subspace, combination, nullspace, rref, scaled_row
 from .modules import end_radical, hom_basis  # the cross-check only
 from .modules import (
     flat_compose,
@@ -142,6 +142,16 @@ def _append(field, rows, vec, tag):
     return True
 
 
+def _span_rows(field, vecs):
+    """The RREF basis of the span of vecs, as `Subspace` gives it: `_append` leaves
+    echelon rows with unit pivots, so `rref` runs only on two or more."""
+    rows = []
+    for v in vecs:
+        _append(field, rows, v, None)
+    rows = [row for _, _, row in rows]
+    return rref(rows, field)[1] if len(rows) > 1 else rows
+
+
 class RadicalTable:
     """All radical layers of a knitted AR quiver, one depth-tagged basis per pair.
 
@@ -187,20 +197,20 @@ class RadicalTable:
         for yi, g, _, _ in self._out[xi]:
             nxt.setdefault(yi, []).append(g.flatten())
             layouts[yi] = flat_offsets(src, nodes[yi].module.rep)
-        spans = []  # spans[m - 1]: the nonzero T_m(x, y) by y
+        spans = []  # spans[m - 1]: the RREF rows of each nonzero T_m(x, y), by y
         while True:
             t = {}
             for k, vs in nxt.items():
-                s = Subspace(field, len(vs[0]), vs)
-                if s.rows:
-                    t[k] = s
+                rows = _span_rows(field, vs)
+                if rows:
+                    t[k] = rows
             if not t:
                 break
             spans.append(t)
             if len(spans) > self._limit:
                 raise MeshInconsistencyError("radical filtration does not terminate")
             nxt = {}
-            for zi, s in t.items():
+            for zi, rows in t.items():
                 arrows = live.get(zi)
                 if arrows is None:
                     arrows = live[zi] = [
@@ -213,13 +223,13 @@ class RadicalTable:
                     if dst_offsets is None:
                         dst_offsets = layouts[yi] = flat_offsets(src, nodes[yi].module.rep)
                     nxt.setdefault(yi, []).extend(
-                        flat_compose(g, src, s.rows, runs, src_offsets, dst_offsets)
+                        flat_compose(g, src, rows, runs, src_offsets, dst_offsets)
                     )
         tagged = {}
         for m in range(len(spans), 0, -1):
-            for yi, s in spans[m - 1].items():
+            for yi, level in spans[m - 1].items():
                 rows = tagged.setdefault((xi, yi), [])
-                for v in s.rows:
+                for v in level:
                     _append(field, rows, v, m)
         one, zero = field.one(), field.zero()  # the identity's flat vector, block by block
         ident = [one if i == j else zero

@@ -582,3 +582,29 @@ def test_knit_rejects_meshes_that_are_not_symmetric(monkeypatch, w3):
     _patch_meshes(monkeypatch, doubled)
     with pytest.raises(MeshInconsistencyError, match="mesh symmetry fails at"):
         knit(w3)
+
+
+@pytest.mark.parametrize("name", [*LADDER, "S0-S7"])
+def test_an_inverse_walk_visits_the_vertices_in_reverse(name):
+    """Why the resolver checks a module's coordinates once: a piece whose walk
+    is the inverse of the canonical one reads them in reverse."""
+    if name in LADDER:
+        family, m, n = LADDER[name]
+        algebras = [make_family(family, m=m, n=n).presentation]
+    else:
+        algebras = _band_free_algebras()
+    for p in algebras:
+        for sw in enumerate_strings(p):
+            w = sw.walk
+            assert strings.walk_vertices(p, w.inverse()) == strings.walk_vertices(p, w)[::-1]
+
+
+def test_the_resolver_rejects_coordinates_off_the_walk(monkeypatch, w3):
+    def relabeled(p, walk, field):
+        module = realize(p, walk, field)
+        module.basis = module.basis[::-1]
+        return module
+
+    monkeypatch.setattr(artheory, "realize", relabeled)
+    with pytest.raises(MeshInconsistencyError, match="canonical relabeling mismatch"):
+        knit(w3)

@@ -13,6 +13,7 @@ from stringar import (
 from stringar import families, knit
 from stringar.families import make_family, witness
 from stringar.fields import field_for_characteristic
+from stringar.modules import MorphismMatrix, compose_chain
 from stringar.radical import RadicalTable
 from tests.conftest import LADDER
 from tests.oracles import unpruned_witness
@@ -318,10 +319,36 @@ def test_large_witnesses_match_the_unpruned_search(family, m, n, depths, chain, 
     assert [x.text for x in w.rho_nodes] == rho
 
 
-def test_witness_w9_builds_fewer_than_half_the_sources():
+def test_witness_w9_builds_fewer_than_half_the_sources(monkeypatch):
     """The search reads the table through queries, so only the sources they
-    read are built."""
-    w = witness(make_family("W", n=9))
+    read are built; it composes only what a candidate that can pass reads."""
+    spec = make_family("W", n=9)
+    quiver = knit(spec.presentation)
+    table = RadicalTable(quiver)
+    composes = []
+    compose = MorphismMatrix.compose
+
+    def counted(self, first):
+        composes.append(1)
+        return compose(self, first)
+
+    monkeypatch.setattr(MorphismMatrix, "compose", counted)
+    w = families._witness_w(spec, quiver, table)
     assert w.depths["total"] == 12
     built, nodes = len(w.table._levels), len(w.quiver.nodes)
-    assert 0 < built < nodes / 2
+    assert 0 < built <= 14 < nodes / 2
+    assert 0 < len(composes) <= 150
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_into_paths_are_the_depth_first_live_paths(name):
+    """Each length extends the last, in the order of a depth-first walk along
+    arrows_into, and keeps exactly the paths with a nonzero composite."""
+    family, m, n = LADDER[name]
+    quiver = knit(make_family(family, m=m, n=n).presentation)
+    for x in quiver.nodes:
+        paths = families._into_paths(quiver, x.index)
+        for k in range(1, 6):
+            every = unpruned_witness._paths(quiver, k, x.index, forward=False)
+            live = [(p, compose_chain([a.morphism for a in p])) for p in every]
+            assert paths(k) == [(p, f) for p, f in live if not f.is_zero()]

@@ -23,10 +23,12 @@ from stringar import (
 )
 from stringar import radical
 from stringar.errors import MeshInconsistencyError
+from stringar.fields import Subspace
 from stringar.families import make_family
 from stringar.modules import MorphismMatrix, identity_morphism
 from stringar.radical import ZERO_DEPTH, RadicalTable
 from tests.conftest import LADDER
+from tests.test_stress import _band_free_algebras
 
 FAMILIES = {"W3": ("W", None, 3), "U2_2": ("U", 2, 2), "V2_3": ("V", 2, 3)}
 
@@ -276,3 +278,56 @@ def test_errors_of_a_source_raise_from_the_query_that_builds_it(monkeypatch):
     with pytest.raises(MeshInconsistencyError, match=message):
         T.depth(G.arrows[0].morphism, x, G.nodes[G.arrows[0].target])
     assert T._levels == {}
+
+
+def test_the_table_checks_only_the_arrows_that_knit_left_unchecked(monkeypatch):
+    """verify checked every mesh right map, and a map keeps its verdict; so
+    the table runs the intertwining body only for the standard arrows at
+    projectives, and a second table runs it for none."""
+    G = knit(make_family("W", n=12).presentation)
+    checked = []
+    body = MorphismMatrix._intertwines
+
+    def recorded(f):
+        checked.append(f)
+        return body(f)
+
+    monkeypatch.setattr(MorphismMatrix, "_intertwines", recorded)
+    RadicalTable(G)
+    at_projectives = [a.morphism for a in G.arrows if G.nodes[a.target].projective]
+    assert 0 < len(at_projectives) < len(G.arrows)
+    assert sorted(map(id, checked)) == sorted(map(id, at_projectives))
+    checked.clear()
+    RadicalTable(G)
+    assert checked == []
+
+
+@pytest.mark.parametrize("char", [0, 3])
+def test_level_rows_are_the_rref_of_their_span(char):
+    """Two independent vectors leave two echelon rows that are not yet reduced,
+    so the level builder must run rref to give the RREF of Subspace."""
+    field = field_for_characteristic(char)
+    vecs = [[2, 4, 1, 0], [1, 1, 1, 1]]
+    assert radical._span_rows(field, vecs) == Subspace(field, 4, vecs).rows
+    assert radical._span_rows(field, vecs + [[3, 5, 2, 1]]) == Subspace(field, 4, vecs).rows
+    assert radical._span_rows(field, [[0, 2, 0, 0], [0, 1, 0, 0]]) == [[0, 1, 0, 0]]
+    assert radical._span_rows(field, [[0, 0, 0, 0]]) == []
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_knitted_levels_of_two_rows_are_rref(monkeypatch, char):
+    """S3 has levels T_m(x, y) of dimension 2: each level the table keeps is
+    the RREF basis of its span."""
+    field = field_for_characteristic(char)
+    span_rows = radical._span_rows
+    dims = []
+
+    def checked(field, vecs):
+        rows = span_rows(field, vecs)
+        assert rows == Subspace(field, len(vecs[0]), vecs).rows
+        dims.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(radical, "_span_rows", checked)
+    assert RadicalTable(knit(_band_free_algebras()[3], field)).nilpotency
+    assert max(dims) >= 2
