@@ -354,7 +354,7 @@ def _graph_map(src, dst):
         pairs = zip(src.coord[off:], dst.coord)
     s, t = src.module.rep, dst.module.rep
     one = s.field.one()
-    return MorphismMatrix._adopt(s, t, nonzeros=[(v, row, col, one) for (v, col), (_, row) in pairs])
+    return MorphismMatrix._adopt(s, t, [(v, row, col, one) for (v, col), (_, row) in pairs])
 
 
 class AlmostSplitSequence:

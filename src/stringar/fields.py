@@ -3,13 +3,15 @@
 Everything downstream (homomorphism spaces, radical layers, the DTr
 oracle) reduces to rank/kernel/echelon computations on small dense
 matrices.  One elimination, `rref`, does them all: `Subspace`, `Mat.rank`,
-`nullspace` and `solve` rest on it.  In characteristic 0 an entry is a
-Python `int` when it is integral and a `fractions.Fraction` otherwise; mod
-p it is an `int` in [0, p), and each accumulated row is reduced with `% p`
-once, inline on `field.characteristic`.  Division is the exception
-(`int / int` is a float), so nothing divides directly: a pivot is inverted
-by `field.inv`.  Plain ints do not know their field, so `Mat` and
-`MorphismMatrix` refuse to mix two.
+`entry_rank`, `nullspace` and `solve` rest on it.  `Mat` is only the dense
+matrix that elimination reads; maps are composed on their nonzeros (see
+`modules.MorphismMatrix`).  In characteristic 0 an entry is a Python `int`
+when it is integral and a `fractions.Fraction` otherwise; mod p it is an
+`int` in [0, p), and each accumulated row is reduced with `% p` once,
+inline on `field.characteristic`.  Division is the exception (`int / int`
+is a float), so nothing divides directly: a pivot is inverted by
+`field.inv`.  Plain ints do not know their field, so a `MorphismMatrix`
+refuses to mix two, and `Mat`s over two fields are never equal.
 """
 
 from __future__ import annotations
@@ -125,8 +127,10 @@ def field_for_characteristic(char):
 class Mat:
     """Dense matrix over an exact field; treated as immutable after construction.
 
-    The constructor copies and shape-checks its rows.  Arithmetic adopts the
-    rows it has just built through `_adopt`, which does neither.
+    It holds what elimination reads: the matrices `nullspace` and `solve`
+    take, a representation's arrow maps, and the blocks a morphism writes
+    out for output and the DTr oracle.  There is no matrix arithmetic.  The
+    constructor copies and shape-checks its rows.
     """
 
     __slots__ = ("field", "nrows", "ncols", "rows")
@@ -145,64 +149,11 @@ class Mat:
             self.ncols = ncols
 
     @classmethod
-    def _adopt(cls, field, rows, ncols):
-        """Wrap fresh, rectangular rows of width ncols without copying or checking."""
-        m = object.__new__(cls)
-        m.field = field
-        m.rows = rows
-        m.nrows = len(rows)
-        m.ncols = ncols
-        return m
-
-    @classmethod
     def zeros(cls, field, nrows, ncols):
-        z = field.zero()
-        return cls._adopt(field, [[z] * ncols for _ in range(nrows)], ncols)
-
-    @classmethod
-    def identity(cls, field, n):
-        z, o = field.zero(), field.one()
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
-
-    def __mul__(self, other):
-        field = self.field
-        if other.field is not field and other.field != field:
-            raise ValueError(f"field mismatch {field!r} * {other.field!r}")
-        if self.ncols != other.nrows:
-            raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
-        char = field.characteristic
-        out = [[0] * other.ncols for _ in range(self.nrows)]
-        for i in range(self.nrows):
-            srow = self.rows[i]
-            orow = out[i]
-            for k in range(self.ncols):
-                a = srow[k]
-                if not a:
-                    continue
-                brow = other.rows[k]
-                for j in range(other.ncols):
-                    b = brow[j]
-                    if b:
-                        orow[j] = orow[j] + a * b
-        if char:
-            out = [[x % char for x in r] for r in out]
-        return Mat._adopt(field, out, other.ncols)
-
-    def __add__(self, other):
-        field = self.field
-        if other.field is not field and other.field != field:
-            raise ValueError(f"field mismatch {field!r} + {other.field!r}")
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} + {other.shape}")
-        char, pairs = field.characteristic, zip(self.rows, other.rows)
-        if char:
-            rows = [[(a + b) % char for a, b in zip(r1, r2)] for r1, r2 in pairs]
-        else:
-            rows = [[a + b for a, b in zip(r1, r2)] for r1, r2 in pairs]
-        return Mat._adopt(field, rows, self.ncols)
-
-    def __neg__(self):
-        return self.scale(-1)
+        m = object.__new__(cls)
+        m.field, m.nrows, m.ncols = field, nrows, ncols
+        m.rows = [[field.zero()] * ncols for _ in range(nrows)]
+        return m
 
     def __eq__(self, other):
         return (
@@ -211,17 +162,6 @@ class Mat:
             and self.rows == other.rows
             and (self.field is other.field or self.field == other.field)
         )
-
-    def __hash__(self):
-        return hash((self.nrows, self.ncols, tuple(tuple(r) for r in self.rows)))
-
-    def scale(self, c):
-        char = self.field.characteristic
-        if char:
-            rows = [[c * a % char for a in r] for r in self.rows]
-        else:
-            rows = [[c * a for a in r] for r in self.rows]
-        return Mat._adopt(self.field, rows, self.ncols)
 
     @property
     def shape(self):
@@ -233,9 +173,6 @@ class Mat:
             [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
             self.nrows,
         )
-
-    def is_zero(self):
-        return all(not a for r in self.rows for a in r)
 
     def rank(self):
         return len(rref([list(r) for r in self.rows], self.field)[0])

@@ -5,6 +5,11 @@ visited vertices; every letter's arrow carries the position at its source
 endpoint to the one at its target endpoint, all other actions are zero.
 Relations annihilate automatically because a string contains no relation
 factor.
+
+A morphism is kept as its nonzeros only (`MorphismMatrix`).  Hom spaces are
+solved in flat coordinates, every block row-major in vertex order;
+`morphism_from_flat` and `flat_compose` read and make flat vectors
+straight from the nonzeros, with no block built.
 """
 
 from __future__ import annotations
@@ -192,64 +197,53 @@ def standard_module(p, v, kind, field=QQ):
 
 
 class MorphismMatrix:
-    """A representation morphism, held as its blocks, its nonzeros, or both.
+    """A representation morphism, kept as its nonzeros.
 
-    `blocks` maps each vertex where both source and target are nonzero, in
-    vertex order, to its block (`block(v)` builds the others, which have no
-    entries).  `nonzeros` lists the entries (vertex, row, column, coefficient)
-    that are not zero, in no fixed order.  A map made in one form derives the
-    other on first read, so neither is written once made.  The constructor
-    shape-checks the blocks; `_adopt` wraps what the arithmetic builds,
-    unchecked.  All arithmetic reads and makes nonzeros, so the graph maps
-    `knit` makes never build a block.  Since a map is never written, it also
-    keeps what `compose` joins on and its `check_intertwining` verdict.
+    `nonzeros` lists the entries (vertex, row, column, coefficient) that are
+    not zero, in no fixed order; all arithmetic reads and makes them, so the
+    graph maps `knit` makes never build a block.  `blocks` (each vertex
+    where both source and target are nonzero, in vertex order) and
+    `block(v)` write the dense blocks out on each read, for output, the DTr
+    oracle and tests.  The constructor takes blocks and checks them; `_adopt`
+    wraps the nonzeros the arithmetic builds, unchecked.  Since a map is
+    never written, it also keeps what `compose` joins on and its
+    `check_intertwining` verdict.
     """
 
-    __slots__ = ("source", "target", "_blocks", "_nz", "_by_middle", "_verdict")
+    __slots__ = ("source", "target", "nonzeros", "_by_middle", "_verdict")
 
     def __init__(self, source, target, blocks):
-        self.source = source
-        self.target = target
-        self._nz = self._by_middle = self._verdict = None
-        self._blocks = {}
-        for v in source.p.quiver.vertices:
-            shape = (target.dims[v], source.dims[v])
-            b = blocks.get(v)
-            if b is not None and b.shape != shape:
+        field, dims, nonzeros = source.field, source.dims, []
+        for v, b in blocks.items():
+            if v not in dims:
+                raise CompositionError(f"block at unknown vertex {v!r}")
+            if b.shape != (target.dims[v], dims[v]):
                 raise CompositionError(f"block at {v} has shape {b.shape}")
-            if shape[0] and shape[1]:
-                self._blocks[v] = b if b is not None else Mat.zeros(source.field, *shape)
+            if b.field is not field and b.field != field:
+                raise CompositionError(f"block at {v} is over {b.field!r}, not {field!r}")
+            nonzeros += [(v, i, j, a) for i, row in enumerate(b.rows) for j, a in enumerate(row) if a]
+        self.source, self.target, self.nonzeros = source, target, nonzeros
+        self._by_middle = self._verdict = None
 
     @classmethod
-    def _adopt(cls, source, target, blocks=None, nonzeros=None):
-        """Wrap a block dict holding exactly the common support, or nonzeros, unchecked."""
+    def _adopt(cls, source, target, nonzeros):
+        """Wrap a list of nonzeros (vertex, row, column, coefficient), unchecked."""
         f = object.__new__(cls)
-        f.source, f.target, f._blocks, f._nz = source, target, blocks, nonzeros
+        f.source, f.target, f.nonzeros = source, target, nonzeros
         f._by_middle = f._verdict = None
         return f
 
     @property
     def blocks(self):
-        if self._blocks is None:
-            s, t = self.source, self.target
-            blocks = {v: Mat.zeros(s.field, t.dims[v], s.dims[v]) for v in _common_support(s, t)}
-            for v, i, j, a in self._nz:
-                blocks[v].rows[i][j] = a
-            self._blocks = blocks
-        return self._blocks
-
-    @property
-    def nonzeros(self):
-        if self._nz is None:
-            self._nz = [(v, i, j, a) for v, b in self._blocks.items()
-                        for i, row in enumerate(b.rows) for j, a in enumerate(row) if a]
-        return self._nz
+        """{vertex: block} on the common support, in vertex order."""
+        return {v: self.block(v) for v in _common_support(self.source, self.target)}
 
     def block(self, v):
         """The block at vertex v; an empty Mat off the common support."""
-        b = self.blocks.get(v)
-        if b is None:
-            b = Mat.zeros(self.source.field, self.target.dims[v], self.source.dims[v])
+        b = Mat.zeros(self.source.field, self.target.dims[v], self.source.dims[v])
+        for w, i, j, a in self.nonzeros:
+            if w == v:
+                b.rows[i][j] = a
         return b
 
     def check_intertwining(self):
@@ -291,7 +285,7 @@ class MorphismMatrix:
         for v, k, j, a in first.nonzeros:
             for i, b in by_middle.get((v, k), ()):
                 acc[v, i, j] = acc.get((v, i, j), 0) + b * a
-        return MorphismMatrix._adopt(src, tgt, nonzeros=_entries(acc, src.field))
+        return MorphismMatrix._adopt(src, tgt, _entries(acc, src.field))
 
     def add(self, other):
         if self.source.field is not other.source.field:
@@ -301,11 +295,11 @@ class MorphismMatrix:
         acc = _by_position(self.nonzeros)
         for v, i, j, a in other.nonzeros:
             acc[v, i, j] = acc.get((v, i, j), 0) + a
-        return MorphismMatrix._adopt(self.source, self.target, nonzeros=_entries(acc, self.source.field))
+        return MorphismMatrix._adopt(self.source, self.target, _entries(acc, self.source.field))
 
     def scale(self, c):
         acc = {(v, i, j): c * a for v, i, j, a in self.nonzeros}
-        return MorphismMatrix._adopt(self.source, self.target, nonzeros=_entries(acc, self.source.field))
+        return MorphismMatrix._adopt(self.source, self.target, _entries(acc, self.source.field))
 
     def neg(self):
         return self.scale(-1)
@@ -379,26 +373,24 @@ def _common_support(M, N):
 
 
 def zero_morphism(M, N):
-    return MorphismMatrix(M, N, {})
+    return MorphismMatrix._adopt(M, N, [])
 
 
 def identity_morphism(M):
-    return MorphismMatrix(
-        M, M, {v: Mat.identity(M.field, M.dims[v]) for v in M.support}
-    )
+    one = M.field.one()
+    return MorphismMatrix._adopt(M, M, [(v, i, i, one) for v, d in M.dims.items() for i in range(d)])
 
 
 def morphism_from_flat(M, N, vec):
-    """The morphism M -> N whose `flatten()` is the list vec."""
-    if len(vec) != hom_flat_dim(M, N):
+    """The morphism M -> N whose `flatten()` is the list vec: its nonzero entries."""
+    offsets, size = flat_offsets(M, N)
+    if len(vec) != size:
         raise ValueError(f"flat morphism of length {len(vec)} does not fit Hom(M, N)")
-    blocks = {}
-    i = 0
-    for v in _common_support(M, N):
-        r, c = N.dims[v], M.dims[v]
-        blocks[v] = Mat._adopt(M.field, [vec[i + k * c : i + (k + 1) * c] for k in range(r)], c)
-        i += r * c
-    return MorphismMatrix._adopt(M, N, blocks)
+    nonzeros = []
+    for v, o in offsets.items():
+        c = M.dims[v]
+        nonzeros += [(v, *divmod(k, c), a) for k, a in enumerate(vec[o : o + N.dims[v] * c]) if a]
+    return MorphismMatrix._adopt(M, N, nonzeros)
 
 
 def hom_flat_dim(M, N):
@@ -414,69 +406,34 @@ def flat_offsets(M, N):
     return offsets, i
 
 
-def row_runs(g):
-    """g's nonzero rows by vertex, as runs (first row i0, rows n, column k0, a).
-
-    A run of single-entry rows is (i0, n, k0, a): row i0 + j holds a in
-    column k0 + j.  A row with more entries is (i, 1, None, its (column,
-    coefficient) nonzeros).  Read from `g.nonzeros`, rows and columns in
-    order; a vertex with no nonzero is left out.
-    """
-    rows = {}
-    for v, i, k, a in g.nonzeros:
-        rows.setdefault(v, {}).setdefault(i, []).append((k, a))
-    out = {}
-    for v, terms_at in rows.items():
-        runs = out[v] = []
-        for i in sorted(terms_at):
-            terms = sorted(terms_at[i])
-            if len(terms) > 1:
-                runs.append((i, 1, None, terms))
-                continue
-            (k, a), last = terms[0], runs[-1] if runs else (None, 0, None, None)
-            i0, n, k0, a0 = last
-            if k0 is not None and (i0 + n, k0 + n, a0) == (i, k, a):
-                runs[-1] = (i0, n + 1, k0, a)
-            else:
-                runs.append((i, 1, k, a))
-    return out
-
-
-def flat_compose(g, M, vecs, runs, source_offsets, target_offsets):
+def flat_compose(g, M, vecs, source_offsets, target_offsets):
     """[flatten(g o morphism_from_flat(M, g.source, vec)) for vec in vecs], building neither.
 
-    `runs` is `row_runs(g)`, and the offsets are the `flat_offsets` of
-    Hom(M, g.source) and of Hom(M, g.target).  At each vertex v the
-    product's row i is the sum of a * (row k of f's block) over the
-    nonzeros (k, a) of g's row i, and row k of f's block is a slice of vec.
-    So a run of single-entry rows fills one stretch of the output with one
-    slice, copied or scaled, a row with more entries sums scaled slices,
-    and everything else stays zero.  Mod p a vector is reduced once, when a
-    coefficient or a sum can leave [0, p).
+    The offsets are the `flat_offsets` of Hom(M, g.source) and of Hom(M,
+    g.target).  At each vertex v the product's row i is the sum of a * (row
+    k of f's block) over g's nonzeros (v, i, k, a), and row k of f's block
+    is a slice of vec.  So a unit entry that is the first write to its row
+    copies one slice, any other entry adds a scaled slice, and rows that no
+    nonzero reaches stay zero.  Mod p each vector is reduced once, at the
+    end, when a scaled add has run.
     """
     (src, _), (dst, size) = source_offsets, target_offsets
     outs = [[0] * size for _ in vecs]
-    reduce = False
-    for v, vruns in runs.items():
+    written, reduce = set(), False
+    for v, i, k, a in g.nonzeros:
         o = dst.get(v)
         if o is None:  # M is zero at v
             continue
-        c, base = M.dims[v], src[v]
-        for i, n, k0, a0 in vruns:
-            lo, length = o + i * c, n * c
-            if a0 == 1:  # unit rows: one slice copy
-                s = base + k0 * c
-                for vec, out in zip(vecs, outs):
-                    out[lo : lo + length] = vec[s : s + length]
-                continue
-            reduce = True
-            terms = a0 if k0 is None else [(k0, a0)]
+        c = M.dims[v]
+        lo, s = o + i * c, src[v] + k * c
+        if a == 1 and lo not in written:
             for vec, out in zip(vecs, outs):
-                seg = [0] * length
-                for k, a in terms:
-                    s = base + k * c
-                    seg = [x + a * y for x, y in zip(seg, vec[s : s + length])]
-                out[lo : lo + length] = seg
+                out[lo : lo + c] = vec[s : s + c]
+        else:
+            reduce = True
+            for vec, out in zip(vecs, outs):
+                out[lo : lo + c] = [x + a * y for x, y in zip(out[lo : lo + c], vec[s : s + c])]
+        written.add(lo)
     char = g.source.field.characteristic
     return [[x % char for x in out] for out in outs] if char and reduce else outs
 

@@ -14,14 +14,12 @@ recursion never changes X.  `nilpotency`, `profile` and `degree` read
 every source.  Each T_m(X, Y) is kept in RREF, which is canonical, so a
 pair's rows do not depend on the order of the builds.
 
-Composites are formed in flat coordinates: each arrow map's nonzeros
-are cut once into runs of rows (`row_runs`),
-and `flat_compose` assembles a o f from slices of f's flat vector,
-summing where a row has several nonzeros, so no morphism is built.  It
-equals flatten(a.compose(morphism_from_flat(...))) exactly, for any
-blocks; the arrow maps are checked to be morphisms when the table is
-made.  An arrow whose rows all sit off X's support composes to zero with
-every map from X and is skipped.
+Composites are formed in flat coordinates: `flat_compose` assembles
+a o f from slices of f's flat vector, one per nonzero of the arrow map,
+so no morphism is built.  It equals flatten(a.compose(morphism_from_flat(
+...))) exactly, for any map a; the arrow maps are checked to be
+morphisms when the table is made.  An arrow whose nonzeros all sit off
+X's support composes to zero with every map from X and is skipped.
 
 The definitional recursion rad^{n+1}(X, Y) = sum over Z of
 rad(Z, Y) o rad^n(X, Z), on solved Hom spaces with the endomorphism
@@ -37,13 +35,7 @@ from .artheory import standard_arrows
 from .errors import BandFoundError, MeshInconsistencyError, NotIrreducibleError
 from .fields import Mat, Subspace, combination, nullspace, rref, scaled_row
 from .modules import end_radical, hom_basis  # the cross-check only
-from .modules import (
-    flat_compose,
-    flat_offsets,
-    hom_flat_dim,
-    morphism_from_flat,
-    row_runs,
-)
+from .modules import flat_compose, flat_offsets, hom_flat_dim, morphism_from_flat
 from .strings import (
     Letter,
     Walk,
@@ -169,7 +161,7 @@ class RadicalTable:
         self._levels = {}  # built source index -> its number of nonzero T_m
         self._nilpotency = None  # set once every source is built
         self._limit = 4 * sum(n.module.total_dim for n in nodes)
-        # z -> [(y, arrow map z -> y, its row_runs, the vertices where it has a row)]
+        # z -> [(y, arrow map z -> y, the vertices where it has a nonzero)]
         self._out = {n.index: [] for n in nodes}
         for a in quiver.arrows:
             # every row is then a composite of morphisms, which depth() relies on
@@ -177,9 +169,8 @@ class RadicalTable:
                 raise MeshInconsistencyError(
                     f"arrow {nodes[a.source].text} -> {nodes[a.target].text} is not a morphism"
                 )
-            runs = row_runs(a.morphism)
-            rows_at = frozenset(v for v, r in runs.items() if r)
-            self._out[a.source].append((a.target, a.morphism, runs, rows_at))
+            rows_at = frozenset(v for v, *_ in a.morphism.nonzeros)
+            self._out[a.source].append((a.target, a.morphism, rows_at))
 
     # -- construction ------------------------------------------------------
 
@@ -194,7 +185,7 @@ class RadicalTable:
         layouts = {}  # y -> flat_offsets of Hom(x, y)
         live = {}  # z -> the arrows out of z with a row on x's support
         nxt = {}
-        for yi, g, _, _ in self._out[xi]:
+        for yi, g, _ in self._out[xi]:
             nxt.setdefault(yi, []).append(g.flatten())
             layouts[yi] = flat_offsets(src, nodes[yi].module.rep)
         spans = []  # spans[m - 1]: the RREF rows of each nonzero T_m(x, y), by y
@@ -214,16 +205,16 @@ class RadicalTable:
                 arrows = live.get(zi)
                 if arrows is None:
                     arrows = live[zi] = [
-                        (yi, g, runs) for yi, g, runs, rows_at in self._out[zi]
+                        (yi, g) for yi, g, rows_at in self._out[zi]
                         if not support.isdisjoint(rows_at)
                     ]
                 src_offsets = layouts[zi]
-                for yi, g, runs in arrows:
+                for yi, g in arrows:
                     dst_offsets = layouts.get(yi)
                     if dst_offsets is None:
                         dst_offsets = layouts[yi] = flat_offsets(src, nodes[yi].module.rep)
                     nxt.setdefault(yi, []).extend(
-                        flat_compose(g, src, rows, runs, src_offsets, dst_offsets)
+                        flat_compose(g, src, rows, src_offsets, dst_offsets)
                     )
         tagged = {}
         for m in range(len(spans), 0, -1):

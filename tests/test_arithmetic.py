@@ -1,10 +1,10 @@
-"""Matrix and morphism arithmetic against the checked public constructors.
+"""Morphism arithmetic against the checked public constructor.
 
-Products, sums, negatives and scalings adopt the rows they build without
-copying or checking them; here every result is compared with the matrix the
-checked constructor builds from a schoolbook computation, over QQ and GF(3).
-The schoolbook results are plain Python arithmetic, each entry then reduced
-into the field by `field.of`.
+Compositions and sums adopt the nonzeros they build without checking
+them; here every result is compared with the map the checked constructor
+builds from schoolbook blocks, over QQ and GF(3).  The schoolbook results
+are plain Python arithmetic, each entry then reduced into the field by
+`field.of`.
 """
 
 import random
@@ -25,11 +25,6 @@ from stringar.fields import Mat
 from stringar.modules import MorphismMatrix
 
 
-def _rand_mat(rng, field, nrows, ncols):
-    return Mat(field, [[field.of(rng.randint(-2, 2)) for _ in range(ncols)]
-                       for _ in range(nrows)], ncols)
-
-
 def _product(field, a, b):
     rows = [
         [field.of(sum(a.rows[i][k] * b.rows[k][j] for k in range(a.ncols)))
@@ -37,32 +32,6 @@ def _product(field, a, b):
         for i in range(a.nrows)
     ]
     return Mat(field, rows, b.ncols)
-
-
-@pytest.mark.parametrize("char", [0, 3])
-def test_mat_arithmetic_equals_the_checked_constructor(char):
-    field = field_for_characteristic(char)
-    rng = random.Random(f"mat:{char}")
-    for _ in range(60):
-        r, k, c = (rng.randint(0, 4) for _ in range(3))
-        a, a2 = _rand_mat(rng, field, r, k), _rand_mat(rng, field, r, k)
-        b = _rand_mat(rng, field, k, c)
-        s = field.of(rng.randint(-2, 2))
-        expected = {
-            "mul": _product(field, a, b),
-            "add": Mat(field, [[field.of(x + y) for x, y in zip(u, w)]
-                               for u, w in zip(a.rows, a2.rows)], k),
-            "neg": Mat(field, [[field.of(-x) for x in u] for u in a.rows], k),
-            "scale": Mat(field, [[field.of(s * x) for x in u] for u in a.rows], k),
-            "zeros": Mat(field, [[field.zero()] * c for _ in range(r)], c),
-        }
-        got = {"mul": a * b, "add": a + a2, "neg": -a, "scale": a.scale(s),
-               "zeros": Mat.zeros(field, r, c)}
-        for name, m in got.items():
-            want = expected[name]
-            assert (m.shape, m.rows) == (want.shape, want.rows), name
-            assert all(len(row) == m.ncols for row in m.rows), name
-            assert not any(row is u for row in m.rows for u in a.rows + a2.rows + b.rows)
 
 
 @pytest.mark.parametrize("char", [0, 3])
@@ -88,6 +57,12 @@ def test_morphism_arithmetic_equals_the_checked_constructor(char):
         )
         assert total == want_total
         assert total.check_intertwining()
+    for _ in range(60):  # Mat.zeros: fresh rows of the shape asked for
+        r, c = rng.randint(0, 4), rng.randint(0, 4)
+        zeros, other = Mat.zeros(field, r, c), Mat.zeros(field, r, c)
+        want = Mat(field, [[field.zero()] * c for _ in range(r)], c)
+        assert (zeros.shape, zeros.rows) == (want.shape, want.rows) and zeros == want
+        assert not any(row is u for row in zeros.rows for u in other.rows)
 
 
 def test_shared_constants_stay_zero_and_one():
@@ -123,10 +98,5 @@ def test_operands_over_two_fields_are_refused(chars):
                 mixed.check_intertwining()
     a, b = (Mat(field_for_characteristic(char), [[1, 2], [0, 1]], 2) for char in chars)
     for x, y in ((a, b), (b, a)):
-        with pytest.raises(ValueError, match="field mismatch"):
-            x * y
-        with pytest.raises(ValueError, match="field mismatch"):
-            x + y
         assert x != y
-    assert a * a == Mat(a.field, [[1, a.field.of(4)], [0, 1]], 2)
     assert a == Mat(field_for_characteristic(chars[0]), [[1, 2], [0, 1]], 2)

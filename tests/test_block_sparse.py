@@ -1,14 +1,14 @@
-"""Block-sparse morphisms against a dense per-vertex schoolbook oracle.
+"""Morphisms kept as their nonzeros against a dense per-vertex schoolbook oracle.
 
-A morphism stores its blocks only on the common support of source and
-target.  Here every operation is recomputed on dense blocks, one per vertex
-of the quiver, empty ones included, and compared with the stored result.
+A morphism keeps only its nonzeros; `blocks` writes out the blocks of the
+common support of source and target, `block(v)` any vertex's.  Here every
+operation is recomputed on dense blocks, one per vertex of the quiver,
+empty ones included, and compared with the result.
 """
 
 import random
+import re
 from fractions import Fraction
-from types import SimpleNamespace
-
 import pytest
 
 from stringar import audit_theorems, field_for_characteristic, hom_basis, knit, witness
@@ -23,7 +23,6 @@ from stringar.modules import (
     hom_flat_dim,
     identity_morphism,
     morphism_from_flat,
-    row_runs,
 )
 
 ALGEBRAS = [("W", {"n": 3}), ("U", {"m": 2, "n": 2}), ("V", {"m": 2, "n": 3})]
@@ -184,25 +183,48 @@ def test_constructor_checks_the_shape_off_the_support():
     assert list(kept.blocks) == list(f.blocks) and kept == f
 
 
+def test_constructor_refuses_a_block_at_an_unknown_vertex():
+    G = knit(make_family("W", n=3).presentation)
+    f = G.arrows[0].morphism
+    assert "zz" not in f.source.dims
+    with pytest.raises(CompositionError, match="unknown vertex 'zz'"):
+        MorphismMatrix(f.source, f.target, {"zz": Mat(f.source.field, [[5]], 1)})
+    with pytest.raises(CompositionError, match="unknown vertex 'zz'"):
+        MorphismMatrix(f.source, f.target, {**f.blocks, "zz": Mat(f.source.field, [[5]], 1)})
+
+
+@pytest.mark.parametrize("chars", [(0, 3), (3, 0), (3, 5)])
+def test_constructor_refuses_a_block_over_another_field(chars):
+    """A block over a field other than the source's would lose its field."""
+    own, other = map(field_for_characteristic, chars)
+    f = knit(make_family("W", n=3).presentation, own).arrows[0].morphism
+    v = next(iter(f.blocks))
+    foreign = Mat(other, f.block(v).rows, f.source.dims[v])
+    with pytest.raises(CompositionError, match=re.escape(f"over {other!r}, not {own!r}")):
+        MorphismMatrix(f.source, f.target, {**f.blocks, v: foreign})
+    same = Mat(field_for_characteristic(chars[0]), f.block(v).rows, f.source.dims[v])
+    assert MorphismMatrix(f.source, f.target, {**f.blocks, v: same}) == f
+
+
 def test_compose_multiplies_no_block(monkeypatch):
     """compose joins nonzeros: in the witness search and in an audit, whose
-    perturbed maps start dense, it multiplies no block and builds none."""
+    perturbed maps come from flat vectors, it builds no block."""
     composed, made = [0], []
-    mul, zeros, compose = Mat.__mul__, Mat.zeros.__func__, MorphismMatrix.compose
-
-    def counted_mul(a, b):
-        made.append(("mul", a.shape, b.shape))
-        return mul(a, b)
+    zeros, init, compose = Mat.zeros.__func__, Mat.__init__, MorphismMatrix.compose
 
     def counted_zeros(cls, field, nrows, ncols):
         made.append(("zeros", nrows, ncols))
         return zeros(cls, field, nrows, ncols)
 
+    def counted_init(self, field, rows, ncols=None):
+        made.append(("init", ncols))
+        init(self, field, rows, ncols)
+
     def watched_compose(self, first):
         composed[0] += 1
         with monkeypatch.context() as m:
-            m.setattr(Mat, "__mul__", counted_mul)
             m.setattr(Mat, "zeros", classmethod(counted_zeros))
+            m.setattr(Mat, "__init__", counted_init)
             return compose(self, first)
 
     monkeypatch.setattr(MorphismMatrix, "compose", watched_compose)
@@ -214,9 +236,10 @@ def test_compose_multiplies_no_block(monkeypatch):
 
 def _maps_to_act_with(quiver, rng):
     """Per arrow map g: Z -> Y, g itself, a scaling, every Hom(Z, Y) basis element h
-    and g + h, and two sparse random block maps Z -> Y (morphisms or not): rows with
-    two or more nonzeros, non-unit coefficients and repeated columns, on top of the
-    graph maps' unit rows."""
+    and g + h, two sparse random block maps Z -> Y (morphisms or not), and maps whose
+    nonzeros list a row's entries in a set order: a non-unit entry before a unit
+    one, and two unit entries.  So rows hold two or more nonzeros, non-unit
+    coefficients and repeated columns, on top of the graph maps' unit rows."""
     field = quiver.field
     out = []
     for a in quiver.arrows:
@@ -228,14 +251,32 @@ def _maps_to_act_with(quiver, rng):
             n = hom_flat_dim(g.source, g.target)
             vec = [field.of(rng.choice([0, 0, 0, 1, 1, -1, 2])) for _ in range(n)]
             out.append(morphism_from_flat(g.source, g.target, vec))
+        for v in _support(g.source, g.target):
+            rows, cols = g.target.dims[v], g.source.dims[v]
+            if cols < 2:
+                continue
+            i, (k0, k1) = rng.randrange(rows), rng.sample(range(cols), 2)
+            for first in {field.of(rng.choice([2, -1, 3])), field.one()} - {0}:
+                nonzeros = [(v, i, k0, first), (v, i, k1, field.one())]
+                out.append(MorphismMatrix._adopt(g.source, g.target, nonzeros))
     return out
+
+
+def _row_orders(g):
+    """{(vertex, row): the coefficients of the row's nonzeros, in g.nonzeros order}."""
+    rows = {}
+    for v, i, _, a in g.nonzeros:
+        rows.setdefault((v, i), []).append(a)
+    return rows.values()
 
 
 @pytest.mark.parametrize("char", [0, 2, 3, 5])
 @pytest.mark.parametrize("family, kw", [("W", {"n": 3}), ("U", {"m": 2, "n": 2})])
 def test_flat_compose_is_compose_in_flat_coordinates(family, kw, char):
     """flat_compose(g, M, vecs) is flatten(g o morphism_from_flat(M, g.source, vec)),
-    for seeded random vectors, Fractions included over QQ."""
+    for seeded random vectors, Fractions included over QQ.  The maps g include
+    rows of two nonzeros, rows whose unit entry is not their first nonzero and
+    rows with two unit entries."""
     field = field_for_characteristic(char)
     quiver = knit(make_family(family, **kw).presentation, field)
     rng = random.Random(f"flat-compose:{family}:{char}")
@@ -246,57 +287,21 @@ def test_flat_compose_is_compose_in_flat_coordinates(family, kw, char):
         return field.of(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
 
     maps = _maps_to_act_with(quiver, rng)
-    summed = [g for g in maps
-              if any(k is None for runs in row_runs(g).values() for _, _, k, _ in runs)]
-    assert summed, "no map with a row of two nonzeros"
+    rows = [r for g in maps for r in _row_orders(g)]
+    assert any(len(r) > 1 for r in rows), "no map with a row of two nonzeros"
+    assert any(r[0] != 1 and 1 in r[1:] for r in rows) or char == 2, "no late unit entry"
+    assert any(r.count(1) > 1 for r in rows), "no row with two unit entries"
     checked = 0
     for g in maps:
-        runs = row_runs(g)
         for x in quiver.nodes:
             M = x.module.rep
             vecs = [[entry() for _ in range(hom_flat_dim(M, g.source))] for _ in range(3)]
             want = [g.compose(morphism_from_flat(M, g.source, v)).flatten() for v in vecs]
             offsets = flat_offsets(M, g.source), flat_offsets(M, g.target)
-            got = flat_compose(g, M, vecs, runs, *offsets)
+            got = flat_compose(g, M, vecs, *offsets)
             assert got == want
             checked += any(map(any, want))
     assert checked > 100
-
-
-def test_row_runs_rebuild_the_rows():
-    """Expanding each run (row i0 + j has row i0's terms, columns moved on by j) gives
-    back every nonzero row, on seeded random blocks made of unit rows, shifted and
-    repeated rows, zero rows and dense rows, their nonzeros listed in random order."""
-    field = field_for_characteristic(0)
-    rng, order = random.Random("row-runs"), random.Random("row-runs:order")
-    for _ in range(300):
-        ncols = rng.randint(1, 6)
-        rows = []
-        for _ in range(rng.randint(1, 8)):
-            kind = rng.random()
-            if kind < 0.3 and rows:
-                prev = rows[-1]
-                rows.append(list(prev) if rng.random() < 0.5 else [0] + prev[:-1])
-            elif kind < 0.6:
-                row = [0] * ncols
-                row[rng.randrange(ncols)] = rng.choice([1, 1, -1, 2])
-                rows.append(row)
-            elif kind < 0.7:
-                rows.append([0] * ncols)
-            else:
-                rows.append([rng.choice([0, 0, 1, -1, 2]) for _ in range(ncols)])
-        nonzeros = [("v", i, k, a) for i, row in enumerate(rows) for k, a in enumerate(row) if a]
-        order.shuffle(nonzeros)
-        runs = row_runs(SimpleNamespace(nonzeros=nonzeros)).get("v", [])
-        rebuilt = [[0] * ncols for _ in rows]
-        for i0, n, k0, a in runs:
-            if k0 is None:
-                assert n == 1 and len(a) > 1
-                for k, b in a:
-                    rebuilt[i0][k] = b
-            for j in range(n if k0 is not None else 0):
-                rebuilt[i0 + j][k0 + j] = a
-        assert rebuilt == rows
 
 
 def _maps_to_check(quiver, rng):

@@ -9,6 +9,7 @@ equations entry by entry.
 """
 
 import functools
+from collections import Counter
 
 import pytest
 
@@ -17,7 +18,7 @@ from stringar import fields
 from stringar.errors import CompositionError, MeshInconsistencyError
 from stringar.families import make_family
 from stringar.fields import entry_rank, rref
-from stringar.modules import MorphismMatrix, morphism_from_flat, row_runs
+from stringar.modules import MorphismMatrix, morphism_from_flat
 from stringar.radical import RadicalTable
 from tests.conftest import LADDER
 from tests.test_artheory import _bumped_right_maps
@@ -96,12 +97,14 @@ def _oracle_ranks(f):
 
 @pytest.mark.parametrize("name", [*LADDER, "W12", "U5_5", "V4_5", *STRESS])
 def test_knit_makes_every_map_as_its_nonzeros(name):
-    """No block is built, and each map has at most one nonzero, ±1, per row and column."""
+    """Each map has at most one nonzero, ±1, per row and column, and the checked
+    constructor gives back the same nonzeros from the map's blocks."""
     G = knit(_presentation(name))
     maps = _knit_maps(G)
     assert maps
     for f in maps:
-        assert f._blocks is None and f._nz is not None
+        copy = MorphismMatrix(f.source, f.target, f.blocks)
+        assert copy == f and Counter(copy.nonzeros) == Counter(f.nonzeros)
         rows = [(v, i) for v, i, _, _ in f.nonzeros]
         cols = [(v, j) for v, _, j, _ in f.nonzeros]
         assert len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
@@ -111,13 +114,13 @@ def test_knit_makes_every_map_as_its_nonzeros(name):
 @pytest.mark.parametrize("char", [0, 2, 3, 5])
 @pytest.mark.parametrize("name", [*LADDER, *STRESS])
 def test_arithmetic_on_nonzeros_matches_the_dense_oracle(name, char):
-    """compose, neg, is_zero, check_intertwining, flatten and row_runs of every
+    """compose, neg, is_zero, check_intertwining, flatten and the blocks of every
     knit map (and of each map with its first nonzero's sign flipped) equal the
     dense results; compose over every arrow pair and every mesh's r_k o l_k."""
     G = _quiver(name, char)
     field = G.field
     maps = _knit_maps(G)
-    flipped = [MorphismMatrix._adopt(f.source, f.target, nonzeros=[
+    flipped = [MorphismMatrix._adopt(f.source, f.target, [
         (v, i, j, field.of(-a)) if n == 0 else (v, i, j, a)
         for n, (v, i, j, a) in enumerate(f.nonzeros)]) for f in maps if f.nonzeros]
     for f in maps + flipped:
@@ -128,7 +131,7 @@ def test_arithmetic_on_nonzeros_matches_the_dense_oracle(name, char):
         assert f.is_zero() == (not any(flat)) and f.add(f.neg()).is_zero()
         assert f.check_intertwining() == _oracle_intertwines(f)
         copy = MorphismMatrix(f.source, f.target, f.blocks)
-        assert copy._nz is None and row_runs(f) == row_runs(copy)
+        assert copy == f and Counter(copy.nonzeros) == Counter(f.nonzeros)
     verdicts = {f.check_intertwining() for f in flipped}
     assert verdicts == {True} if char == 2 else False in verdicts  # -1 == 1 mod 2
     pairs = [(b.morphism, a.morphism) for a in G.arrows for b in G.arrows_from(a.target)]

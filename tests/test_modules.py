@@ -35,16 +35,22 @@ def test_realize_p1_dims(w3):
     assert walk_to_text(M.word.walk) == "b1^- a b1"
 
 
+def _product(a, b, ncols):
+    """The schoolbook product of two lists of rows, b's of length ncols."""
+    return [[sum(x * b[k][j] for k, x in enumerate(row)) for j in range(ncols)] for row in a]
+
+
 def test_realize_total_dim_is_length_plus_one(w3, u22):
     for p in (w3, u22):
         for sw in enumerate_strings(p):
             M = realize(p, sw)
             assert M.total_dim == len(sw.walk) + 1
             for rel in p.relations:  # each relation acts as zero, first arrow first
-                action = M.rep.maps[rel[0]]
+                first = M.rep.maps[rel[0]]
+                action = first.rows
                 for label in rel[1:]:
-                    action = M.rep.maps[label] * action
-                assert action.is_zero()
+                    action = _product(M.rep.maps[label].rows, action, first.ncols)
+                assert not any(map(any, action))
 
 
 def test_realize_inverse_word_isomorphic(w3):

@@ -178,11 +178,11 @@ def test_cross_check_sees_a_wrong_tag():
 
 
 def _non_morphism(f):
-    """f with one nonzero block doubled, if that breaks intertwining; else None."""
-    for v, b in f.blocks.items():
-        if b.is_zero():
-            continue
-        g = MorphismMatrix(f.source, f.target, {**f.blocks, v: b.scale(f.source.field.of(2))})
+    """f with its nonzeros at one vertex doubled, if that breaks intertwining; else None."""
+    field = f.source.field
+    for v in dict.fromkeys(w for w, *_ in f.nonzeros):
+        g = MorphismMatrix._adopt(f.source, f.target, [
+            (w, i, j, field.of(2 * a) if w == v else a) for w, i, j, a in f.nonzeros])
         if not g.check_intertwining():
             return g
     return None
