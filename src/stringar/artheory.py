@@ -62,31 +62,19 @@ from .strings import (
 _CLIMB_CAP = 10000
 
 
-def _letter_pattern_ok(walk, first_inverse):
-    """True iff the letters read (inverse*)(direct*) or its flip."""
-    seen_second = False
-    for l in walk.letters:
-        if l.inverse == first_inverse and not seen_second:
-            continue
-        if l.inverse == first_inverse and seen_second:
-            return False
-        seen_second = True
-    return True
-
-
 def _is_standard_word(p, walk, projective):
     """M(C) is projective iff C reads inverse*direct* and both ends sit in a deep,
     injective iff C reads direct*inverse* and both ends sit on a peak.
 
     The walk must be a string (see `attach_candidates`); this is not checked.
+    The letters read that way iff the two end runs cover them.
     """
-    if not _letter_pattern_ok(walk, first_inverse=projective):
-        return False
-    if attach_candidates(p, walk, "left", inverse=projective):
-        return False
-    if attach_candidates(p, walk, "right", inverse=not projective):
-        return False
-    return True
+    runs = _end_run(walk, projective, "left") + _end_run(walk, not projective, "right")
+    return (
+        runs == len(walk.letters)
+        and not attach_candidates(p, walk, "left", inverse=projective)
+        and not attach_candidates(p, walk, "right", inverse=not projective)
+    )
 
 
 def is_projective_word(p, walk):
@@ -142,16 +130,6 @@ def _segment(p, tracked, lo, hi):
     return _Tracked(Walk(basepoint=walk_vertices(p, walk)[lo]), tracked.tokens[lo:hi])
 
 
-class _SideOp:
-    """One end's surgery operation: either ("add", arrow) or ("delete", None)."""
-
-    __slots__ = ("kind", "arrow")
-
-    def __init__(self, kind, arrow=None):
-        self.kind = kind
-        self.arrow = arrow
-
-
 def _unique(cands, what):
     if len(cands) > 1:
         raise MeshInconsistencyError(f"ambiguous {what}: {[a.label for a in cands]}")
@@ -159,7 +137,8 @@ def _unique(cands, what):
 
 
 def _side_ops(p, walk, direction):
-    """Decide each end's operation for the mesh in the given direction.
+    """Each end's operation for the mesh in the given direction, left then
+    right: the arrow an addition attaches there, or None for a deletion.
 
     direction "start": the sequence starting at M(walk) (hooks are added).
     direction "end":   the sequence ending at M(walk) (cohooks are added).
@@ -173,18 +152,15 @@ def _side_ops(p, walk, direction):
         )
         if len(pool) > 2:
             raise MeshInconsistencyError(f"vertex {v} breaks the two-arrow bound")
-        arrows = list(pool) + [None] * (2 - len(pool))
-    else:
-        kind = "hook" if direction == "start" else "cohook"
-        arrows = [
-            _unique(
-                attach_candidates(p, walk, side, _outer_inverse(direction, side)),
-                f"{side} {kind}",
-            )
-            for side in ("left", "right")
-        ]
-    left, right = (_SideOp("add", a) if a else _SideOp("delete") for a in arrows)
-    return left, right
+        return [*pool, None, None][:2]
+    kind = "hook" if direction == "start" else "cohook"
+    return [
+        _unique(
+            attach_candidates(p, walk, side, _outer_inverse(direction, side)),
+            f"{side} {kind}",
+        )
+        for side in ("left", "right")
+    ]
 
 
 def _apply_add(p, tracked, direction, side, arrow, counter):
@@ -211,15 +187,16 @@ def _apply_delete(p, tracked, direction, side):
     return _segment(p, tracked, lo, lo + n - run)
 
 
-def _compute_side(p, tracked, direction, side, op, counter):
-    """One end's operation; returns (middle word or None, added material or None).
+def _compute_side(p, tracked, direction, side, arrow, counter):
+    """One end's operation (see `_side_ops`); returns (middle word or None, added
+    material, or None for a deletion).
 
     Material is the (letters, tokens) pair of the newly attached positions;
     sharing it between the middle and the far term keeps token identities
     consistent across the mesh.
     """
-    if op.kind == "add":
-        res = _apply_add(p, tracked, direction, side, op.arrow, counter)
+    if arrow is not None:
+        res = _apply_add(p, tracked, direction, side, arrow, counter)
         added = len(res.walk.letters) - len(tracked.walk.letters)
         part = slice(None, added) if side == "left" else slice(-added, None)
         return res, (res.walk.letters[part], res.tokens[part])
@@ -234,13 +211,14 @@ def _attach(material, tracked, side):
 
 
 def _far_term(p, tracked, direction, sides):
-    """Both ends' operations; additions first, deletions read the current word."""
+    """Both ends' operations, as (side, material or None); additions first,
+    deletions read the current word."""
     cur = tracked
-    for side, op, material in sides:
-        if op.kind == "add":
+    for side, material in sides:
+        if material is not None:
             cur = _attach(material, cur, side)
-    for side, op, _ in sides:
-        if op.kind == "delete":
+    for side, material in sides:
+        if material is None:
             if cur is None:
                 return None
             cur = _apply_delete(p, cur, direction, side)
@@ -251,12 +229,10 @@ def _surgery(p, walk, direction):
     """All pieces of the mesh on the given side of M(walk)."""
     counter = itertools.count()
     t = _Tracked.fresh(walk, counter)
-    op_l, op_r = _side_ops(p, walk, direction)
-    mid_l, mat_l = _compute_side(p, t, direction, "left", op_l, counter)
-    mid_r, mat_r = _compute_side(p, t, direction, "right", op_r, counter)
-    far = _far_term(
-        p, t, direction, (("left", op_l, mat_l), ("right", op_r, mat_r))
-    )
+    add_l, add_r = _side_ops(p, walk, direction)
+    mid_l, mat_l = _compute_side(p, t, direction, "left", add_l, counter)
+    mid_r, mat_r = _compute_side(p, t, direction, "right", add_r, counter)
+    far = _far_term(p, t, direction, (("left", mat_l), ("right", mat_r)))
     middles = [m for m in (mid_l, mid_r) if m is not None]
     return t, middles, far
 
@@ -309,9 +285,10 @@ class _RawPiece:
 
     `coord[j]` is the (vertex, index) basis vector of `module` at position j
     of the tracked walk: `module.basis` when the walk is canonical, its
-    reverse when the canonical walk is the inverse.  The resolver validates
-    the string (a walk is a string iff its inverse is) and the basis's
-    vertices (an inverse walk visits them in reverse).
+    reverse when the canonical walk is the inverse.  `realize` validates the
+    string (a walk is a string iff its inverse is) and builds the basis
+    along the canonical walk's vertices, which an inverse walk visits in
+    reverse.
     """
 
     __slots__ = ("tracked", "module", "coord")
@@ -446,11 +423,10 @@ def _default_resolver(p, field):
     cache = {}
 
     def resolve(canon_walk):
-        if canon_walk not in cache:
+        module = cache.get(canon_walk)
+        if module is None:
             module = cache[canon_walk] = realize(p, canon_walk, field)
-            if [v for v, _ in module.basis] != walk_vertices(p, module.word.walk):
-                raise MeshInconsistencyError("canonical relabeling mismatch")
-        return cache[canon_walk]
+        return module
 
     return resolve
 
@@ -705,20 +681,15 @@ def path_representation(p, v, field):
         end = v if not path else p.quiver.arrow(path[-1]).target
         coord[path] = (end, dims.get(end, 0))
         dims[end] = dims.get(end, 0) + 1
-    maps = {
-        a.label: Mat.zeros(field, dims.get(a.target, 0), dims.get(a.source, 0))
-        for a in p.quiver.arrows
-    }
-    one = field.one()
+    nonzeros = []
     for path in paths:
         end = v if not path else p.quiver.arrow(path[-1]).target
         for a in p.quiver.arrows_from(end):
             ext = path + (a.label,)
             if ext in coord:
-                _, col = coord[path]
-                _, row = coord[ext]
-                maps[a.label].rows[row][col] = one
-    return Representation(p, field, dims, maps), paths, coord
+                nonzeros.append((a.label, coord[ext][1], coord[path][1], field.one()))
+    dims = {u: dims.get(u, 0) for u in p.quiver.vertices}
+    return Representation._adopt(p, field, dims, nonzeros), paths, coord
 
 
 def opposite_presentation(p):
@@ -746,19 +717,12 @@ class _ProjSum:
             self.offsets.append({v: dims[v] for v in p.quiver.vertices})
             for v in p.quiver.vertices:
                 dims[v] += rep.dims[v]
-        maps = {}
-        for a in p.quiver.arrows:
-            m = Mat.zeros(field, dims[a.target], dims[a.source])
-            for rep_ix, (rep, _, _) in enumerate(self.parts):
-                off_t = self.offsets[rep_ix][a.target]
-                off_s = self.offsets[rep_ix][a.source]
-                block = rep.maps[a.label]
-                for i in range(block.nrows):
-                    for j in range(block.ncols):
-                        if block.rows[i][j]:
-                            m.rows[off_t + i][off_s + j] = block.rows[i][j]
-            maps[a.label] = m
-        self.rep = Representation(p, field, dims, maps)
+        nonzeros = []
+        for (rep, _, _), off in zip(self.parts, self.offsets):
+            for a, k, j, c in rep.nonzeros:
+                x = p.quiver.arrow(a)
+                nonzeros.append((a, off[x.target] + k, off[x.source] + j, c))
+        self.rep = Representation._adopt(p, field, dims, nonzeros)
 
     def generator_index(self, part_ix):
         """Flat column of the trivial path of part part_ix at its start vertex."""
@@ -776,7 +740,7 @@ def _column_space(field, mat):
 
 def _top_lifts(rep):
     """For each vertex, unit-vector lifts of a basis of the top (deterministic)."""
-    field = rep.field
+    field, maps = rep.field, rep.maps
     lifts = []
     for v in rep.p.quiver.vertices:
         d = rep.dims[v]
@@ -784,7 +748,7 @@ def _top_lifts(rep):
             continue
         rad = Subspace(field, d)
         for a in rep.p.quiver.arrows_into(v):
-            m = rep.maps[a.label]
+            m = maps[a.label]
             for j in range(m.ncols):
                 rad.insert(m.column(j))
         for i in range(d):
@@ -797,7 +761,7 @@ def _top_lifts(rep):
 
 def _cover(p, field, M):
     """Minimal projective cover P0 -> M as a (_ProjSum, MorphismMatrix) pair."""
-    lifts = _top_lifts(M)
+    lifts, maps = _top_lifts(M), M.maps
     psum = _ProjSum(p, field, [v for v, _ in lifts])
     blocks = {v: Mat.zeros(field, M.dims[v], psum.rep.dims[v]) for v in p.quiver.vertices}
     for part_ix, (v, unit) in enumerate(lifts):
@@ -808,7 +772,7 @@ def _cover(p, field, M):
                 continue
             prefix, last = path[:-1], path[-1]
             img = images[prefix]
-            m = M.maps[last]
+            m = maps[last]
             images[path] = [
                 field.of(sum(m.rows[i][j] * img[j] for j in range(m.ncols)))
                 for i in range(m.nrows)
@@ -823,7 +787,7 @@ def _cover(p, field, M):
 
 def _kernel_rep(p, field, morphism):
     """Kernel of a morphism as a representation plus per-vertex basis columns."""
-    src = morphism.source
+    src, src_maps = morphism.source, morphism.source.maps
     basis = {}
     dims = {}
     for v in p.quiver.vertices:
@@ -838,7 +802,7 @@ def _kernel_rep(p, field, morphism):
             tmat = Mat(field, [list(col) for col in zip(*basis[t])], dims[t]) if dims[t] else Mat.zeros(field, src.dims[t], 0)
             for j, vec in enumerate(basis[s]):
                 img = [
-                    field.of(sum(src.maps[a.label].rows[i][k] * vec[k] for k in range(src.dims[s])))
+                    field.of(sum(src_maps[a.label].rows[i][k] * vec[k] for k in range(src.dims[s])))
                     for i in range(src.dims[t])
                 ]
                 if dims[t] == 0:
@@ -935,12 +899,12 @@ def tau_oracle(p, M, field=None):
         img_rank = solver.ncols - tr_dims[v]
         return sol[img_rank:]
 
-    tau_maps = {}
+    tau_maps, op_maps = {}, p1_op.rep.maps
     for a in p.quiver.arrows:
         # the op arrow with label a maps fibers at e(a) to fibers at s(a)
         src_v, dst_v = a.target, a.source
         m = Mat.zeros(field, tr_dims[dst_v], tr_dims[src_v])
-        op_map = p1_op.rep.maps[a.label]
+        op_map = op_maps[a.label]
         for k, unit_ix in enumerate(tr_sections[src_v]):
             col = op_map.column(unit_ix)
             proj = project(dst_v, col)

@@ -144,18 +144,23 @@ def _u_module_words(spec):
 
 
 def _cycles(quiver, length, node):
-    """Arrow paths of the given length from `node` back to it, depth-first along arrows_from."""
+    """Arrow paths of the given length from `node` back to it, depth-first along arrows_from;
+    each step goes only to nodes in back[k], those with a path of the k arrows left to `node`."""
+    back = [{node}]
+    for _ in range(length - 1):
+        back.append({a.source for x in back[-1] for a in quiver.arrows_into(x)})
     out = []
 
     def grow(path):
         if len(path) == length:
-            if path[-1].target == node:
-                out.append(tuple(path))
+            out.append(tuple(path))
             return
+        live = back[length - len(path) - 1]
         for a in quiver.arrows_from(path[-1].target if path else node):
-            path.append(a)
-            grow(path)
-            path.pop()
+            if a.target in live:
+                path.append(a)
+                grow(path)
+                path.pop()
 
     grow([])
     return out

@@ -2,10 +2,10 @@
 
 Everything downstream (homomorphism spaces, radical layers, the DTr
 oracle) reduces to rank/kernel/echelon computations on small dense
-matrices.  One elimination, `rref`, does them all: `Subspace`, `Mat.rank`,
+matrices.  One elimination, `rref`, does them all: `Subspace`,
 `entry_rank`, `nullspace` and `solve` rest on it.  `Mat` is only the dense
-matrix that elimination reads; maps are composed on their nonzeros (see
-`modules.MorphismMatrix`).  In characteristic 0 an entry is a Python `int`
+matrix that elimination reads; maps and modules are kept as their nonzeros
+(see `modules`).  In characteristic 0 an entry is a Python `int`
 when it is integral and a `fractions.Fraction` otherwise; mod p it is an
 `int` in [0, p), and each accumulated row is reduced with `% p` once,
 inline on `field.characteristic`.  Division is the exception (`int / int`
@@ -128,9 +128,9 @@ class Mat:
     """Dense matrix over an exact field; treated as immutable after construction.
 
     It holds what elimination reads: the matrices `nullspace` and `solve`
-    take, a representation's arrow maps, and the blocks a morphism writes
-    out for output and the DTr oracle.  There is no matrix arithmetic.  The
-    constructor copies and shape-checks its rows.
+    take, and the arrow maps and blocks that a representation and a
+    morphism write out for output and the DTr oracle.  There is no matrix
+    arithmetic.  The constructor copies and shape-checks its rows.
     """
 
     __slots__ = ("field", "nrows", "ncols", "rows")
@@ -173,9 +173,6 @@ class Mat:
             [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
             self.nrows,
         )
-
-    def rank(self):
-        return len(rref([list(r) for r in self.rows], self.field)[0])
 
     def column(self, j):
         return [self.rows[i][j] for i in range(self.nrows)]

@@ -2,19 +2,20 @@
 
 A walk c_1...c_n is realized on basis positions z_0..z_n lying over the
 visited vertices; every letter's arrow carries the position at its source
-endpoint to the one at its target endpoint, all other actions are zero.
-Relations annihilate automatically because a string contains no relation
-factor.
+endpoint to the one at its target endpoint, all other actions are zero
+(Butler-Ringel).  Relations annihilate automatically because a string
+contains no relation factor.  So a string module is kept as its letter
+actions, one nonzero per letter (`Representation.nonzeros`); its dense
+arrow matrices are written out only on request.
 
 A morphism is kept as its nonzeros only (`MorphismMatrix`).  Hom spaces are
-solved in flat coordinates, every block row-major in vertex order;
-`morphism_from_flat` and `flat_compose` read and make flat vectors
-straight from the nonzeros, with no block built.
+solved in flat coordinates, every block row-major in vertex order, with
+equations read from the modules' nonzeros; `morphism_from_flat` and
+`flat_compose` read and make flat vectors straight from the nonzeros, with
+no block built.
 """
 
 from __future__ import annotations
-
-import functools
 
 from .errors import CompositionError, UnknownLabelError
 from .fields import Mat, QQ, combination, entry_rank, nullspace, solve
@@ -30,45 +31,62 @@ from .strings import (
 
 
 class Representation:
-    """Vertex dimensions plus one (target-dim x source-dim) matrix per arrow.
+    """Vertex dimensions plus the nonzeros of the arrow actions.
 
-    `support` is the set of vertices with nonzero dimension.  The arrows given
-    no map share one zero matrix per shape: no map is written once made.
+    `nonzeros` lists the entries (arrow, row, column, coefficient) of the
+    (target-dim x source-dim) arrow matrices that are not zero, in no fixed
+    order; `actions` indexes them when the module is made.  The constructor
+    takes dense `Mat`s (arrows given none act as zero) and converts them
+    once; `_adopt` wraps nonzeros, unchecked.  `maps` writes the dense
+    matrices out on each read, for output, the DTr oracle and tests.
+    `support` is the set of vertices with nonzero dimension.
     """
 
     def __init__(self, p, field, dims, maps):
-        self.p = p
-        self.field = field
-        self.dims = {v: dims.get(v, 0) for v in p.quiver.vertices}
-        self.support = frozenset(v for v, d in self.dims.items() if d)
-        self.maps, zeros = {}, {}
+        dims = {v: dims.get(v, 0) for v in p.quiver.vertices}
+        nonzeros = []
         for a in p.quiver.arrows:
-            shape = (self.dims[a.target], self.dims[a.source])
-            m = maps.get(a.label)
+            m, shape = maps.get(a.label), (dims[a.target], dims[a.source])
             if m is None:
-                if shape not in zeros:
-                    zeros[shape] = Mat.zeros(field, *shape)
-                m = zeros[shape]
-            elif m.shape != shape:
+                continue
+            if m.shape != shape:
                 raise CompositionError(f"map for arrow {a.label} has shape {m.shape}, expected {shape}")
-            self.maps[a.label] = m
+            nonzeros += [(a.label, k, j, c) for k, row in enumerate(m.rows) for j, c in enumerate(row) if c]
+        self._set(p, field, dims, nonzeros)
+
+    @classmethod
+    def _adopt(cls, p, field, dims, nonzeros):
+        """Wrap nonzeros (arrow, row, column, coefficient); dims lists every vertex, in order."""
+        rep = object.__new__(cls)
+        rep._set(p, field, dims, nonzeros)
+        return rep
+
+    def _set(self, p, field, dims, nonzeros):
+        """`actions` is ({(t, k): [(a, j, c)]}, {(s, j): [(a, k, c)]}): each nonzero
+        c = M(a)[k][j] of an arrow a: s -> t, by its row at t and by its column at s."""
+        self.p, self.field, self.dims, self.nonzeros = p, field, dims, nonzeros
+        self.support = frozenset(v for v, d in dims.items() if d)
+        at_row, at_col, arrow = {}, {}, p.quiver.arrow_by_label
+        for a, k, j, c in nonzeros:
+            x = arrow[a]
+            at_row.setdefault((x.target, k), []).append((a, j, c))
+            at_col.setdefault((x.source, j), []).append((a, k, c))
+        self.actions = at_row, at_col
+
+    @property
+    def maps(self):
+        """{arrow label: dense Mat}, written out from the nonzeros."""
+        out = {
+            a.label: Mat.zeros(self.field, self.dims[a.target], self.dims[a.source])
+            for a in self.p.quiver.arrows
+        }
+        for a, k, j, c in self.nonzeros:
+            out[a].rows[k][j] = c
+        return out
 
     @property
     def total_dim(self):
         return sum(self.dims.values())
-
-    @functools.cached_property
-    def actions(self):
-        """({(t, k): [(a, j, c)]}, {(s, j): [(a, k, c)]}): each nonzero c = M(a)[k][j]
-        of an arrow a: s -> t, by its row at t and by its column at s."""
-        at_row, at_col = {}, {}
-        for a in self.p.quiver.arrows:
-            for k, row in enumerate(self.maps[a.label].rows):
-                for j, c in enumerate(row):
-                    if c:
-                        at_row.setdefault((a.target, k), []).append((a.label, j, c))
-                        at_col.setdefault((a.source, j), []).append((a.label, k, c))
-        return at_row, at_col
 
     def __eq__(self, other):
         return (
@@ -76,7 +94,7 @@ class Representation:
             and self.p == other.p
             and self.field == other.field
             and self.dims == other.dims
-            and all(self.maps[a.label] == other.maps[a.label] for a in self.p.quiver.arrows)
+            and _by_position(self.nonzeros) == _by_position(other.nonzeros)
         )
 
     def __repr__(self):
@@ -117,26 +135,22 @@ def realize(p, word, field=QQ):
     """Realize the canonical representative of a string; p must be a string algebra.
 
     The module's `basis[j]` is the (vertex, index within the vertex block)
-    of the walk's position z_j.
+    of the walk's position z_j; each letter gives one nonzero, a 1 from the
+    position at its arrow's source to the one at its target.
     """
     require_string_algebra(p)
     sw = string_word(p, word.walk if isinstance(word, StringWord) else word)
     walk = sw.walk
-    dims = {}
+    dims = dict.fromkeys(p.quiver.vertices, 0)
     coord = []
     for v in walk_vertices(p, walk):
-        c = dims.get(v, 0)
-        coord.append((v, c))
-        dims[v] = c + 1
-    maps = {}
-    one = field.one()
+        coord.append((v, dims[v]))
+        dims[v] += 1
+    one, nonzeros = field.one(), []
     for i, letter in enumerate(walk.letters, start=1):
-        src_pos, dst_pos = (i, i - 1) if letter.inverse else (i - 1, i)
-        (s, col), (t, row) = coord[src_pos], coord[dst_pos]
-        if letter.arrow not in maps:
-            maps[letter.arrow] = Mat.zeros(field, dims[t], dims[s])
-        maps[letter.arrow].rows[row][col] = one
-    return StringModule(sw, Representation(p, field, dims, maps), coord)
+        (_, col), (_, row) = (coord[i], coord[i - 1]) if letter.inverse else (coord[i - 1], coord[i])
+        nonzeros.append((letter.arrow, row, col, one))
+    return StringModule(sw, Representation._adopt(p, field, dims, nonzeros), coord)
 
 
 def _maximal_path(p, arrow, forward):
@@ -452,45 +466,40 @@ class HomBasis:
 
 
 def hom_basis(M, N):
-    """Solve the intertwining equations; canonical reduced-echelon kernel basis."""
+    """Solve the intertwining equations; canonical reduced-echelon kernel basis.
+
+    The unknowns are the flat coordinates of Hom(M, N).  For an arrow
+    a: s -> t, the equation at entry (i, j) of f_t M(a) - N(a) f_s reads
+    each nonzero c = M(a)[k][j] as the coefficient c of f_t[i][k], and each
+    nonzero c = N(a)[i][k] as the coefficient -c of f_s[k][j]; only the
+    equations some nonzero reaches are written.
+    """
     if M.p != N.p or M.field != N.field:
         raise CompositionError("Hom spaces need a common presentation and field")
     field = M.field
-    char, q = field.characteristic, M.p.quiver
-    offsets = {}
-    total = 0
-    for v in q.vertices:
-        offsets[v] = total
-        total += N.dims[v] * M.dims[v]
-
-    rows = []
-    z = field.zero()
-    for a in q.arrows:
-        s, t = a.source, a.target
-        Msrc, Ntgt = M.maps[a.label], N.maps[a.label]
-        for i in range(N.dims[t]):
-            for j in range(M.dims[s]):
-                row = [z] * total
-                # (B_t * M_a)[i][j]: coefficient of B_t[i][k] is M_a[k][j]
-                for k in range(M.dims[t]):
-                    c = Msrc.rows[k][j]
-                    if c:
-                        idx = offsets[t] + i * M.dims[t] + k
-                        row[idx] = row[idx] + c
-                # (N_a * B_s)[i][j]: coefficient of B_s[k][j] is N_a[i][k]
-                for k in range(N.dims[s]):
-                    c = Ntgt.rows[i][k]
-                    if c:
-                        idx = offsets[s] + k * M.dims[s] + j
-                        row[idx] = row[idx] - c
-                rows.append([a % char for a in row] if char else row)
+    offsets, total = flat_offsets(M, N)
     if total == 0:
         return HomBasis(M, N, [])
-    if not rows:
-        mat = Mat.zeros(field, 1, total)
-    else:
-        mat = Mat(field, rows, total)
-    basis = [morphism_from_flat(M, N, vec) for vec in nullspace(mat)]
+    arrow, eqs = M.p.quiver.arrow_by_label, {}
+    for a, k, j, c in M.nonzeros:
+        t = arrow[a].target
+        o, d = offsets.get(t), M.dims[t]  # o is None only when N is zero at t
+        for i in range(N.dims[t]):
+            eq = eqs.setdefault((a, i, j), {})
+            eq[o + i * d + k] = eq.get(o + i * d + k, 0) + c
+    for a, i, k, c in N.nonzeros:
+        s = arrow[a].source
+        o, d = offsets.get(s), M.dims[s]  # o is None only when M is zero at s
+        for j in range(d):
+            eq = eqs.setdefault((a, i, j), {})
+            eq[o + k * d + j] = eq.get(o + k * d + j, 0) - c
+    char, rows = field.characteristic, []
+    for eq in eqs.values():
+        row = [0] * total
+        for x, c in eq.items():
+            row[x] = c % char if char else c
+        rows.append(row)
+    basis = [morphism_from_flat(M, N, vec) for vec in nullspace(Mat(field, rows, total))]
     return HomBasis(M, N, basis)
 
 

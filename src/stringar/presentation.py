@@ -135,6 +135,7 @@ class AlgebraPresentation:
             if not any(s != r and _first_factor((s,), r) for s in rels)
         )
         self._max_rel_len = max((len(r) for r in self.relations), default=0)
+        self.end_candidates = {}  # strings.attach_candidates, memoised by string end
 
     def path_in_ideal(self, labels):
         """True iff the path contains some relation as a contiguous factor."""

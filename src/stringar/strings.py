@@ -6,6 +6,10 @@ A string is a reduced walk none of whose direct subwalks, nor their
 inverses, lies in the relation ideal.  The canonical representative of
 a string is the lexicographic minimum of the walk and its inverse under
 the letter order (arrow declaration order, direct before inverse).
+
+Letters are interned, so walks compare and hash their letters by identity;
+whether a letter attaches at a string end is decided once per end window
+and memoised on the presentation (`attach_candidates`).
 """
 
 from __future__ import annotations
@@ -18,28 +22,36 @@ from .errors import BandFoundError, NotAStringError, UnknownLabelError
 from .presentation import _first_factor, _layers, _pumps, require_string_algebra
 
 
+_LETTERS = {}  # arrow label -> (its direct letter, its inverse letter)
+
+
 class Letter:
-    """One arrow, read forwards or inverted; never mutated, so its hash is kept."""
+    """One arrow, read forwards or inverted, interned: one object per (arrow, direction).
 
-    __slots__ = ("arrow", "inverse", "_hash")
+    Identity is equality, so tuples of letters compare and hash in C.  Both
+    letters of an arrow are made together and stored as one pair by
+    `dict.setdefault`, so callers that race to make them still share one
+    pair; `inverted` returns the stored partner, and pickling or copying a
+    letter interns it again.
+    """
 
-    def __init__(self, arrow, inverse=False):
-        self.arrow = arrow
-        self.inverse = inverse
-        self._hash = hash((arrow, inverse))
+    __slots__ = ("arrow", "inverse", "_inverted")
+
+    def __new__(cls, arrow, inverse=False):
+        pair = _LETTERS.get(arrow)
+        if pair is None:
+            direct, inv = object.__new__(cls), object.__new__(cls)
+            direct.arrow = inv.arrow = arrow
+            direct.inverse, inv.inverse = False, True
+            direct._inverted, inv._inverted = inv, direct
+            pair = _LETTERS.setdefault(arrow, (direct, inv))
+        return pair[inverse]
 
     def inverted(self):
-        return Letter(self.arrow, not self.inverse)
+        return self._inverted
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Letter)
-            and self.arrow == other.arrow
-            and self.inverse == other.inverse
-        )
-
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        return Letter, (self.arrow, self.inverse)
 
     def __repr__(self):
         return f"{self.arrow}^-" if self.inverse else self.arrow
@@ -144,7 +156,7 @@ def is_string(p, w):
     for i in range(len(w.letters) - 1):
         if letter_target(p, w.letters[i]) != letter_source(p, w.letters[i + 1]):
             return StringCheck(False, "letters do not concatenate", i)
-        if w.letters[i + 1] == w.letters[i].inverted():
+        if w.letters[i + 1] is w.letters[i].inverted():
             return StringCheck(False, "not reduced", i)
     # relation factors live inside maximal one-direction runs
     i = 0
@@ -274,16 +286,21 @@ def attach_candidates(p, w, side, inverse):
     it undoes the adjacent letter, or a relation factor runs through it.
     Such a factor lies in the new letter's one-direction run, within the
     longest relation's length of the new letter, so one factor search on
-    that window decides.
+    that window decides.  The answer thus depends only on the end's vertex
+    (read from its letters, or the basepoint of a trivial walk) and its
+    max(max_relation_length - 1, 1) letters, and is memoised on the
+    presentation under them, as a tuple.
     """
-    left = side == "left"
+    left, letters, k = side == "left", w.letters, max(p.max_relation_length - 1, 1)
+    key = (left, inverse, w.basepoint, letters[:k] if left else letters[-k:])
+    out = p.end_candidates.get(key)
+    if out is not None:
+        return out
     v = walk_source(p, w) if left else walk_target(p, w)
     pool = p.quiver.arrows_from(v) if inverse == left else p.quiver.arrows_into(v)
-    if not pool:
-        return []
-    near = w.letters if left else w.letters[::-1]  # read away from the new letter
+    near = letters if left else letters[::-1]  # read away from the new letter
     run = []
-    for l in near[: max(p.max_relation_length - 1, 0)]:
+    for l in near[:k]:  # k exceeds max_relation_length - 1 only when no relation exists
         if l.inverse != inverse:
             break
         run.append(l.arrow)
@@ -298,7 +315,7 @@ def attach_candidates(p, w, side, inverse):
         window = (b.label, *run) if new_first else (*run, b.label)
         if _first_factor(p.relations, window) is None:
             out.append(b)
-    return out
+    return p.end_candidates.setdefault(key, tuple(out))
 
 
 def string_flags(p, word):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 from types import SimpleNamespace
 
@@ -32,7 +33,7 @@ from stringar.fields import field_for_characteristic
 from stringar.modules import hom_flat_dim, identity_morphism, morphism_from_flat, zero_morphism
 from tests.conftest import KRONECKER_SOURCE, LADDER
 from tests.oracles.split_oracle import splits
-from tests.test_stress import _band_free_algebras
+from tests.test_stress import _band_free_algebras, _ladder_or_stress
 
 
 def test_tau_simples_w3(w3):
@@ -586,25 +587,27 @@ def test_knit_rejects_meshes_that_are_not_symmetric(monkeypatch, w3):
 
 @pytest.mark.parametrize("name", [*LADDER, "S0-S7"])
 def test_an_inverse_walk_visits_the_vertices_in_reverse(name):
-    """Why the resolver checks a module's coordinates once: a piece whose walk
-    is the inverse of the canonical one reads them in reverse."""
-    if name in LADDER:
-        family, m, n = LADDER[name]
-        algebras = [make_family(family, m=m, n=n).presentation]
-    else:
-        algebras = _band_free_algebras()
-    for p in algebras:
+    """Why a piece whose walk is the inverse of the canonical one reads the
+    module's coordinates in reverse."""
+    for p in _ladder_or_stress(name):
         for sw in enumerate_strings(p):
             w = sw.walk
             assert strings.walk_vertices(p, w.inverse()) == strings.walk_vertices(p, w)[::-1]
 
 
-def test_the_resolver_rejects_coordinates_off_the_walk(monkeypatch, w3):
-    def relabeled(p, walk, field):
-        module = realize(p, walk, field)
-        module.basis = module.basis[::-1]
-        return module
-
-    monkeypatch.setattr(artheory, "realize", relabeled)
-    with pytest.raises(MeshInconsistencyError, match="canonical relabeling mismatch"):
-        knit(w3)
+@pytest.mark.parametrize("name", [*LADDER, "S0-S7"])
+def test_a_module_basis_lies_along_its_walk(name):
+    """On every node, `realize` puts position j of the canonical walk over the
+    walk's vertex j, numbered within its vertex in walk order; the reversed
+    coordinates that `_RawPiece` gives the inverse walk lie along that walk."""
+    for p in _ladder_or_stress(name):
+        resolve = artheory._default_resolver(p, field_for_characteristic(0))
+        for sw in enumerate_strings(p):
+            M = resolve(sw.walk)
+            verts = strings.walk_vertices(p, M.word.walk)
+            assert [v for v, _ in M.basis] == verts
+            assert [i for v, i in M.basis] == [verts[:j].count(v) for j, v in enumerate(verts)]
+            for walk in (sw.walk, sw.walk.inverse()):
+                piece = artheory._RawPiece(p, artheory._Tracked.fresh(walk, itertools.count()), resolve)
+                assert piece.module is M
+                assert [v for v, _ in piece.coord] == strings.walk_vertices(p, walk)

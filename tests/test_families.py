@@ -352,3 +352,23 @@ def test_into_paths_are_the_depth_first_live_paths(name):
             every = unpruned_witness._paths(quiver, k, x.index, forward=False)
             live = [(p, compose_chain([a.morphism for a in p])) for p in every]
             assert paths(k) == [(p, f) for p, f in live if not f.is_zero()]
+
+
+CYCLE_INPUTS = {k: v for k, v in LADDER.items() if v[0] != "W"}
+CYCLE_INPUTS.update(V4_5=("V", 4, 5), V5_6=("V", 5, 6))
+
+
+@pytest.mark.parametrize("family, m, n", CYCLE_INPUTS.values(), ids=list(CYCLE_INPUTS))
+def test_pruned_cycles_are_the_unpruned_closed_paths(family, m, n):
+    """The cycles through each node, pruned by backward layers, are the closed
+    arrow paths of the unpruned depth-first listing, in its order: the
+    ladder's U and V inputs, V(4,5) and V(5,6)."""
+    quiver = knit(make_family(family, m=m, n=n).presentation)
+    length = 2 * m + (1 if family == "V" else 0)
+    closed = 0
+    for x in quiver.nodes:
+        every = unpruned_witness._paths(quiver, length, x.index, forward=True)
+        want = [c for c in every if c[-1].target == x.index]
+        assert families._cycles(quiver, length, x.index) == want
+        closed += len(want)
+    assert closed

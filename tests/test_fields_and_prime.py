@@ -26,7 +26,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "stringar"
 
 def test_rref_rank_kernel():
     m = Mat(QQ, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-    assert m.rank() == 2
+    assert len(rref([list(r) for r in m.rows], QQ)[0]) == 2
     ker = nullspace(m)
     assert len(ker) == 1
     for row in m.rows:

@@ -13,7 +13,11 @@ from stringar import (
     walk_from_text,
     walk_to_text,
 )
-from stringar.modules import identity_morphism, zero_morphism
+from stringar.fields import Mat, field_for_characteristic
+from stringar.modules import Representation, identity_morphism, zero_morphism
+from stringar.strings import walk_vertices
+from tests.conftest import LADDER
+from tests.test_stress import _ladder_or_stress
 
 
 def test_realize_trivial_simple(w3):
@@ -175,3 +179,32 @@ def test_representation_json_dump(w3):
     assert payload["dims"] == {"1": 2, "2": 2, "3": 0, "4": 0}
     assert json.dumps(payload)  # serializable
     assert payload["maps"]["a"] == [["0", "0"], ["1", "0"]] or payload["maps"]["a"]
+
+
+def _dense_realization(p, walk, field):
+    """A string module as dense arrow matrices, one Mat per arrow, written letter by letter."""
+    dims, coord = {v: 0 for v in p.quiver.vertices}, []
+    for v in walk_vertices(p, walk):
+        coord.append((v, dims[v]))
+        dims[v] += 1
+    maps = {a.label: Mat.zeros(field, dims[a.target], dims[a.source]) for a in p.quiver.arrows}
+    for i, letter in enumerate(walk.letters, start=1):
+        src, dst = (i, i - 1) if letter.inverse else (i - 1, i)
+        maps[letter.arrow].rows[coord[dst][1]][coord[src][1]] = field.one()
+    return dims, maps
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+@pytest.mark.parametrize("name", [*LADDER, "S0-S7"])
+def test_the_dense_view_is_the_dense_realization(name, char):
+    """A string module keeps one nonzero per letter; the matrices `maps`
+    writes out are those of the dense realization, and the checked
+    constructor given them makes an equal module."""
+    field = field_for_characteristic(char)
+    for p in _ladder_or_stress(name):
+        for sw in enumerate_strings(p):
+            M = realize(p, sw, field)
+            dims, maps = _dense_realization(p, M.word.walk, field)
+            assert M.rep.dims == dims and M.rep.maps == maps
+            assert len(M.rep.nonzeros) == len(M.word.walk)
+            assert Representation(p, field, dims, maps) == M.rep

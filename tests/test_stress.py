@@ -21,11 +21,13 @@ from stringar import (
     has_band,
     is_isomorphic,
     knit,
+    make_family,
     tau,
     tau_oracle,
     validate_string_algebra,
 )
 from stringar.presentation import AlgebraPresentation, Arrow, Quiver, has_unbounded_paths
+from tests.conftest import LADDER
 
 
 def _random_string_algebra(rng, nv, na):
@@ -168,6 +170,14 @@ def _band_free_algebras():
             out.append(p)
     assert len(out) == 8
     return tuple(out)
+
+
+def _ladder_or_stress(name):
+    """The presentation of a LADDER entry, or S0-S7 (`_band_free_algebras`) for any other name."""
+    if name in LADDER:
+        family, m, n = LADDER[name]
+        return [make_family(family, m=m, n=n).presentation]
+    return _band_free_algebras()
 
 
 @functools.lru_cache(maxsize=None)

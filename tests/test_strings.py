@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -226,14 +228,57 @@ def test_run_local_extension_agrees_with_the_whole_word_check():
     params = [*LADDER.values(), ("W", None, 12), ("U", 6, 6), ("V", 5, 6)]
     inputs = [(make_family(f, m=m, n=n).presentation, None) for f, m, n in params]
     inputs += [(p, 5) for p in _generated_string_algebras(3000)]
-    cases = 0
+    cases = warm = 0
     for p, max_len in inputs:
         for w, side, inverse in _extension_cases(p, enumerate_strings(p, max_len)):
+            memo = len(p.end_candidates)
             got = _labels(attach_candidates(p, w, side, inverse))
             want = _labels(whole_word_strings.attach_candidates(p, w, side, inverse))
             assert got == want, (p, w, side, inverse)
             cases += 1
-    assert cases > 70000
+            warm += len(p.end_candidates) == memo  # answered by another walk's entry
+    assert cases > 70000 and warm > cases // 2
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_a_warm_end_entry_serves_another_walk_with_that_end(name):
+    """Growing a string at its left end leaves its right end's window as it
+    was, so the longer walk reuses the shorter one's memoised answer."""
+    family, m, n = LADDER[name]
+    p = make_family(family, m=m, n=n).presentation
+    reused = 0
+    for sw in enumerate_strings(p):
+        for inverse in (False, True):
+            for b in attach_candidates(p, sw.walk, "left", inverse):
+                longer = Walk((Letter(b.label, inverse), *sw.walk.letters))
+                for right in (False, True):
+                    p.end_candidates.clear()
+                    first = attach_candidates(p, sw.walk, "right", right)
+                    if len(sw.walk) >= max(p.max_relation_length - 1, 1):  # same right window
+                        assert attach_candidates(p, longer, "right", right) is first
+                        reused += 1
+                    want = whole_word_strings.attach_candidates(p, longer, "right", right)
+                    assert _labels(attach_candidates(p, longer, "right", right)) == _labels(want)
+    assert reused
+
+
+def test_letters_are_interned():
+    a = Letter("a", True)
+    assert a is Letter("a", True) and a is not Letter("a")
+    assert a.inverted() is Letter("a") and a.inverted().inverted() is a
+    assert Letter("a") is Letter("a", False)
+
+
+def test_pickle_and_copy_keep_one_letter():
+    """A letter that comes back from pickle or deepcopy is the interned one, so
+    a walk that comes back is equal, with an equal hash."""
+    w = walk_from_text("b1 b2^- a")
+    for back in (pickle.loads(pickle.dumps(w)), copy.deepcopy(w), copy.copy(w)):
+        assert back == w and hash(back) == hash(w)
+        assert all(x is y for x, y in zip(back.letters, w.letters))
+    for letter in w.letters:
+        assert pickle.loads(pickle.dumps(letter)) is letter
+        assert copy.deepcopy(letter) is letter and copy.copy(letter) is letter
 
 
 @pytest.mark.parametrize("text", ["b1 b2", "b2 b1", "b1 b1^-", "b2^- b1^-"])
