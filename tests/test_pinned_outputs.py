@@ -243,6 +243,36 @@ def test_radical_table_rows_are_pinned(char):
     assert got == TABLE_DIGESTS
 
 
+def knit_map_digest(name, char):
+    """`knit(...).to_json()`, then every arrow map and every mesh's left and
+    right maps as their sorted nonzeros, keyed by node words.  Row spaces
+    (`table_digest`) do not see a sign or a permuted coordinate; these do."""
+    from stringar import knit
+
+    q = knit(_audit_presentation(name), field_for_characteristic(char))
+    word = lambda i: q.nodes[i].text
+
+    def entries(f):
+        return sorted([v, i, j, q.field.to_str(a)] for v, i, j, a in f.nonzeros)
+
+    arrows = [[word(a.source), word(a.target), entries(a.morphism)] for a in q.arrows]
+    meshes = {
+        word(x): [[walk_to_text(m.word.walk), entries(l), entries(r)]
+                  for m, l, r in zip(seq.middle, seq.left_maps, seq.right_maps)]
+        for x, seq in sorted(q.meshes.items())
+    }
+    return _digest([q.to_json(), arrows, meshes])
+
+
+KNIT_MAP_CASES = [(name, char) for char in (0, 3) for name in TABLE_ALGEBRAS] + [("W24", 0)]
+
+
+@pytest.mark.parametrize("name, char", KNIT_MAP_CASES)
+def test_knit_maps_are_pinned(name, char):
+    """Captured while knit still located shared positions by identity tokens."""
+    assert knit_map_digest(name, char)[:16] == KNIT_MAP_DIGESTS[f"{name}@{char}"]
+
+
 DETECT_DIGEST = "bc81a2a3539924cf3e5fa88347df18358507ac34aa262a7317020f8cac4f86ea"
 VALIDATE_DIGEST = "08177cf819143711e41401366770f1c5e0a6e753e14d5606621e5efa825610de"
 # captured while strings and direct paths were still grown by separate loops
@@ -357,4 +387,43 @@ TABLE_DIGESTS = {
     "S5": "5433036432ba807c",
     "S6": "4f19b4dcba39d7d3",
     "S7": "1d1cd4edabf56c00",
+}
+
+# captured while knit still located shared positions by identity tokens
+KNIT_MAP_DIGESTS = {
+    "W3@0": "010ad0eb7d6ed31f",
+    "W5@0": "80101cfcd47ca4d3",
+    "W7@0": "461a6fb589357142",
+    "W9@0": "50f396a7a56403c2",
+    "U2_2@0": "5fbff5a083205401",
+    "U3_3@0": "56ac482de0fde4c1",
+    "U4_4@0": "04b3f3fc5d1bee33",
+    "V2_3@0": "f6a837c51cdec767",
+    "V3_4@0": "cef813191d364aeb",
+    "S0@0": "90812697c8c92728",
+    "S1@0": "fd6a1e334936be11",
+    "S2@0": "d9c1832068ece33a",
+    "S3@0": "9e5690a6c0d1a615",
+    "S4@0": "78dd84ac3b84042b",
+    "S5@0": "7658329ec0236b8c",
+    "S6@0": "d3f6b873951ed19a",
+    "S7@0": "5b02da856ae242f5",
+    "W3@3": "c51b1225216bce99",
+    "W5@3": "6a3598f7f1bdaac1",
+    "W7@3": "267adea5ce94c341",
+    "W9@3": "3c852817bd26f2b7",
+    "U2_2@3": "3c358038eee88e4a",
+    "U3_3@3": "6fc6a7955c95a918",
+    "U4_4@3": "b6e85d56cf933067",
+    "V2_3@3": "fe4cbefd0930c79e",
+    "V3_4@3": "e7b09bf261c9e05a",
+    "S0@3": "fe45fc51959e924c",
+    "S1@3": "b27b362d2f0a8bd1",
+    "S2@3": "7be6594f8e085821",
+    "S3@3": "33d798d276dc9d63",
+    "S4@3": "424dcfb5e0a13cb0",
+    "S5@3": "f9ba11b33db141d2",
+    "S6@3": "0984550cdc0b9d7d",
+    "S7@3": "6084902eae1ce1a3",
+    "W24@0": "204f9d1f1f2cf8ee",
 }
