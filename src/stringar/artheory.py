@@ -9,11 +9,13 @@ inverses.  Middle terms apply one end's operation, the far term applies
 both; additions are applied before deletions and deletions inspect the
 current word, which is what makes single-middle meshes come out right.
 
-The mesh maps and the standard arrows at projectives are graph maps along
-the token positions two surgery pieces share, written directly in the
-canonical modules' coordinates.  A mesh is checked exact, then non-split
-by its words (Miyata); `knit` and each step of `tau_orbit` rest on that
-check.
+Surgery only adds and strips letters at the two ends, so the pieces of a
+mesh are runs of one line of positions: a piece is a pair (walk, start),
+its position j lying at start + j.  The mesh maps and the standard arrows
+at projectives are graph maps along the positions two pieces share,
+written directly in the canonical modules' coordinates.  A mesh is
+checked exact, then non-split by its words (Miyata); `knit` and each step
+of `tau_orbit` rest on that check.
 
 The independent DTr computation (minimal projective presentation,
 transpose over the opposite quiver, linear dual) is the test oracle for
@@ -21,8 +23,6 @@ the surgery; no engine path calls it.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .errors import (
     BandFoundError,
@@ -87,21 +87,6 @@ def is_injective_word(p, walk):
     return _is_standard_word(p, require_string(p, walk), projective=False)
 
 
-class _Tracked:
-    """A walk whose positions carry identity tokens across surgery steps."""
-
-    __slots__ = ("walk", "tokens")
-
-    def __init__(self, walk, tokens):
-        self.walk = walk
-        self.tokens = tuple(tokens)
-        assert len(self.tokens) == len(walk.letters) + 1
-
-    @classmethod
-    def fresh(cls, walk, counter):
-        return cls(walk, tuple(next(counter) for _ in range(len(walk.letters) + 1)))
-
-
 def _end_run(walk, inverse, side):
     """Length of the maximal run of letters with the given direction at one end."""
     n = 0
@@ -121,13 +106,12 @@ def _outer_inverse(direction, side):
     return direction == ("end" if side == "left" else "start")
 
 
-def _segment(p, tracked, lo, hi):
-    """The tracked subwalk on positions lo..hi-1; one position is a trivial walk."""
-    walk = tracked.walk
+def _segment(p, piece, lo, hi):
+    """The run of a piece on its positions lo..hi-1; one position is a trivial walk."""
+    walk, start = piece
     letters = walk.letters[lo : hi - 1]
-    if letters:
-        return _Tracked(Walk(letters), tracked.tokens[lo:hi])
-    return _Tracked(Walk(basepoint=walk_vertices(p, walk)[lo]), tracked.tokens[lo:hi])
+    sub = Walk(letters) if letters else Walk(basepoint=walk_vertices(p, walk)[lo])
+    return sub, start + lo
 
 
 def _unique(cands, what):
@@ -163,62 +147,62 @@ def _side_ops(p, walk, direction):
     ]
 
 
-def _apply_add(p, tracked, direction, side, arrow, counter):
+def _apply_add(p, piece, direction, side, arrow):
     """Attach the arrow at one end, then climb the maximal run behind it."""
     first_inverse = _outer_inverse(direction, side)
-    cur = _attach(((Letter(arrow.label, first_inverse),), (next(counter),)), tracked, side)
+    cur = _attach((Letter(arrow.label, first_inverse),), piece, side)
     for _ in range(_CLIMB_CAP):
         cand = _unique(
-            attach_candidates(p, cur.walk, side, inverse=not first_inverse), f"{side} climb"
+            attach_candidates(p, cur[0], side, inverse=not first_inverse), f"{side} climb"
         )
         if cand is None:
             return cur
-        cur = _attach(((Letter(cand.label, not first_inverse),), (next(counter),)), cur, side)
+        cur = _attach((Letter(cand.label, not first_inverse),), cur, side)
     raise MeshInconsistencyError(f"{side} climb did not terminate")
 
 
-def _apply_delete(p, tracked, direction, side):
+def _apply_delete(p, piece, direction, side):
     """Remove a hook or cohook from one end; None when the whole word would go."""
-    n = len(tracked.walk.letters)
-    run = _end_run(tracked.walk, _outer_inverse(direction, side), side)
+    walk = piece[0]
+    n = len(walk.letters)
+    run = _end_run(walk, _outer_inverse(direction, side), side)
     if run >= n:
         return None
     lo = run + 1 if side == "left" else 0
-    return _segment(p, tracked, lo, lo + n - run)
+    return _segment(p, piece, lo, lo + n - run)
 
 
-def _compute_side(p, tracked, direction, side, arrow, counter):
-    """One end's operation (see `_side_ops`); returns (middle word or None, added
-    material, or None for a deletion).
+def _compute_side(p, piece, direction, side, arrow):
+    """One end's operation (see `_side_ops`); returns (middle piece or None, the
+    letters it attached, or None for a deletion).
 
-    Material is the (letters, tokens) pair of the newly attached positions;
-    sharing it between the middle and the far term keeps token identities
-    consistent across the mesh.
+    The far term attaches the same letters at the same positions.
     """
     if arrow is not None:
-        res = _apply_add(p, tracked, direction, side, arrow, counter)
-        added = len(res.walk.letters) - len(tracked.walk.letters)
-        part = slice(None, added) if side == "left" else slice(-added, None)
-        return res, (res.walk.letters[part], res.tokens[part])
-    return _apply_delete(p, tracked, direction, side), None
+        res = _apply_add(p, piece, direction, side, arrow)
+        letters = res[0].letters
+        added = len(letters) - len(piece[0].letters)
+        return res, letters[:added] if side == "left" else letters[-added:]
+    return _apply_delete(p, piece, direction, side), None
 
 
-def _attach(material, tracked, side):
-    letters, tokens = material
+def _attach(letters, piece, side):
+    """Letters attached at one end; on the left they take the positions before start."""
+    walk, start = piece
     if side == "left":
-        return _Tracked(Walk(letters + tracked.walk.letters), tokens + tracked.tokens)
-    return _Tracked(Walk(tracked.walk.letters + letters), tracked.tokens + tokens)
+        return Walk(letters + walk.letters), start - len(letters)
+    return Walk(walk.letters + letters), start
 
 
-def _far_term(p, tracked, direction, sides):
-    """Both ends' operations, as (side, material or None); additions first,
+def _far_term(p, piece, direction, sides):
+    """Both ends' operations, as (side, letters or None); additions first,
     deletions read the current word."""
-    cur = tracked
-    for side, material in sides:
-        if material is not None:
-            cur = _attach(material, cur, side)
-    for side, material in sides:
-        if material is None:
+    cur = piece
+    for side, letters in sides:
+        if letters is not None:
+            cur = _attach(letters, cur, side)
+    for side, letters in sides:
+        if letters is None:
             if cur is None:
                 return None
             cur = _apply_delete(p, cur, direction, side)
@@ -227,12 +211,11 @@ def _far_term(p, tracked, direction, sides):
 
 def _surgery(p, walk, direction):
     """All pieces of the mesh on the given side of M(walk)."""
-    counter = itertools.count()
-    t = _Tracked.fresh(walk, counter)
+    t = (walk, 0)
     add_l, add_r = _side_ops(p, walk, direction)
-    mid_l, mat_l = _compute_side(p, t, direction, "left", add_l, counter)
-    mid_r, mat_r = _compute_side(p, t, direction, "right", add_r, counter)
-    far = _far_term(p, t, direction, (("left", mat_l), ("right", mat_r)))
+    mid_l, new_l = _compute_side(p, t, direction, "left", add_l)
+    mid_r, new_r = _compute_side(p, t, direction, "right", add_r)
+    far = _far_term(p, t, direction, (("left", new_l), ("right", new_r)))
     middles = [m for m in (mid_l, mid_r) if m is not None]
     return t, middles, far
 
@@ -249,7 +232,7 @@ def _translate_word(p, walk, direction):
     _, _, far = _surgery(p, walk, direction)
     if far is None:
         raise MeshInconsistencyError(f"translate of a non-{kind} word vanished")
-    return far.walk
+    return far[0]
 
 
 def tau_word(p, walk):
@@ -281,57 +264,43 @@ def tau_inverse(p, M, field=QQ):
 
 
 class _RawPiece:
-    """A tracked walk and its canonical module, with the walk's positions in its coordinates.
+    """A surgery piece (walk, start) and its canonical module, with the walk's
+    positions in the module's coordinates.
 
     `coord[j]` is the (vertex, index) basis vector of `module` at position j
-    of the tracked walk: `module.basis` when the walk is canonical, its
-    reverse when the canonical walk is the inverse.  `realize` validates the
-    string (a walk is a string iff its inverse is) and builds the basis
-    along the canonical walk's vertices, which an inverse walk visits in
-    reverse.
+    of the walk, that is at `start + j` on the mesh's line: `module.basis`
+    when `canonical_walk` returns the walk itself, its reverse when it
+    returns the inverse.  The resolver returns the module of the canonical
+    walk it is given (a test pins this for both resolvers); `realize`
+    validates the string (a walk is a string iff its inverse is) and builds
+    the basis along the canonical walk's vertices, which an inverse walk
+    visits in reverse.
     """
 
-    __slots__ = ("tracked", "module", "coord")
+    __slots__ = ("start", "module", "coord")
 
-    def __init__(self, p, tracked, resolve):
-        self.tracked = tracked
-        self.module = resolve(canonical_walk(p, tracked.walk))
-        canon = self.module.word.walk
-        if canon == tracked.walk:
-            self.coord = self.module.basis
-        elif canon == tracked.walk.inverse() or tracked.walk.is_trivial:
-            self.coord = self.module.basis[::-1]
-        else:
-            raise MeshInconsistencyError("canonical form mismatch")
-
-
-def _segment_offset(small, big):
-    ns, nb = len(small.tokens), len(big.tokens)
-    for off in range(nb - ns + 1):
-        if big.tokens[off : off + ns] == small.tokens:
-            return off
-    return None
+    def __init__(self, p, resolve, walk, start):
+        canon = canonical_walk(p, walk)
+        self.start, self.module = start, resolve(canon)
+        self.coord = self.module.basis if canon is walk else self.module.basis[::-1]
 
 
 def _graph_map(src, dst):
-    """Inclusion or projection between pieces whose tokens nest, in canonical coordinates.
+    """Inclusion or projection between pieces whose position ranges nest, in
+    canonical coordinates.
 
-    The smaller piece's tokens are a run of the bigger one's; the map sends
-    each shared position's basis vector of src to that of dst: its nonzeros
-    are one 1 per shared position, at one vertex (`_RawPiece` checks each
-    position's vertex against its walk).
+    Position j of src is position j + src.start - dst.start of dst; the map
+    sends each shared position's basis vector of src to that of dst: its
+    nonzeros are one 1 per shared position, at one vertex (a test checks
+    each position's vertex against its walk).
     """
-    off = _segment_offset(src.tracked, dst.tracked)
-    if off is not None:
-        pairs = zip(src.coord, dst.coord[off:])
-    else:
-        off = _segment_offset(dst.tracked, src.tracked)
-        if off is None:
-            raise MeshInconsistencyError("mesh words do not nest")
-        pairs = zip(src.coord[off:], dst.coord)
+    off = src.start - dst.start
+    a, b = (src.coord, dst.coord[off:]) if off >= 0 else (src.coord[-off:], dst.coord)
+    if min(len(a), len(b)) != min(len(src.coord), len(dst.coord)):
+        raise MeshInconsistencyError("mesh words do not nest")
     s, t = src.module.rep, dst.module.rep
     one = s.field.one()
-    return MorphismMatrix._adopt(s, t, [(v, row, col, one) for (v, col), (_, row) in pairs])
+    return MorphismMatrix._adopt(s, t, [(v, row, col, one) for (v, col), (_, row) in zip(a, b)])
 
 
 class AlmostSplitSequence:
@@ -405,9 +374,9 @@ def _mesh_from_left(p, left_walk, resolve):
     t, mids, far = _surgery(p, left_walk, "start")
     if far is None or not mids:
         raise MeshInconsistencyError("degenerate mesh")
-    left_piece = _RawPiece(p, t, resolve)
-    far_piece = _RawPiece(p, far, resolve)
-    mid_pieces = [_RawPiece(p, m, resolve) for m in mids]
+    left_piece = _RawPiece(p, resolve, *t)
+    far_piece = _RawPiece(p, resolve, *far)
+    mid_pieces = [_RawPiece(p, resolve, *m) for m in mids]
     left_maps = [_graph_map(left_piece, m) for m in mid_pieces]
     right_maps = [_graph_map(m, far_piece) for m in mid_pieces]
     return AlmostSplitSequence(
@@ -458,14 +427,13 @@ def standard_arrows(p, v, resolve, projective):
     raw = standard_word(p, v, projective)
     if raw.is_trivial:
         return []
-    t = _Tracked.fresh(raw, itertools.count())
     n = len(raw.letters)
     k = _end_run(raw, inverse=projective, side="left")
-    segments = [_segment(p, t, lo, hi) for lo, hi in ((0, k), (k + 1, n + 1)) if hi > lo]
-    whole = _RawPiece(p, t, resolve)
+    segments = [_segment(p, (raw, 0), lo, hi) for lo, hi in ((0, k), (k + 1, n + 1)) if hi > lo]
+    whole = _RawPiece(p, resolve, raw, 0)
     out = []
     for seg in segments:
-        piece = _RawPiece(p, seg, resolve)
+        piece = _RawPiece(p, resolve, *seg)
         src, dst = (piece, whole) if projective else (whole, piece)
         out.append((src.module, dst.module, _graph_map(src, dst)))
     return out

@@ -386,15 +386,6 @@ def _common_support(M, N):
     return [v for v, d in M.dims.items() if d and v in theirs]
 
 
-def zero_morphism(M, N):
-    return MorphismMatrix._adopt(M, N, [])
-
-
-def identity_morphism(M):
-    one = M.field.one()
-    return MorphismMatrix._adopt(M, M, [(v, i, i, one) for v, d in M.dims.items() for i in range(d)])
-
-
 def morphism_from_flat(M, N, vec):
     """The morphism M -> N whose `flatten()` is the list vec: its nonzero entries."""
     offsets, size = flat_offsets(M, N)

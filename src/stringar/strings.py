@@ -209,11 +209,10 @@ def canonical_walk(p, w):
 class StringWord:
     """A validated canonical string."""
 
-    __slots__ = ("walk", "canonical")
+    __slots__ = ("walk",)
 
-    def __init__(self, walk, canonical=True):
+    def __init__(self, walk):
         self.walk = walk
-        self.canonical = canonical
 
     def __len__(self):
         return len(self.walk)

@@ -7,7 +7,8 @@ linear system over the bases of those Hom spaces.
 """
 
 from stringar.fields import Mat, solve
-from stringar.modules import hom_basis, identity_morphism
+from stringar.modules import hom_basis
+from tests.morphisms import identity_morphism
 
 
 def splits(left_term, middle, left_maps):

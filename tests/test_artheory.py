@@ -25,13 +25,19 @@ from stringar import (
     walk_from_text,
     walk_to_text,
 )
-from stringar import artheory, modules, strings
+from stringar import artheory, modules, radical, strings
 from stringar.artheory import is_injective_word, is_projective_word, tau_inverse_word, tau_word
-from stringar.errors import InfiniteDimensionalError, MeshInconsistencyError, NotAStringError
+from stringar.errors import (
+    InfiniteDimensionalError,
+    MeshInconsistencyError,
+    NotAStringError,
+    NotIrreducibleError,
+)
 from stringar.families import make_family
 from stringar.fields import field_for_characteristic
-from stringar.modules import hom_flat_dim, identity_morphism, morphism_from_flat, zero_morphism
+from stringar.modules import hom_flat_dim, morphism_from_flat
 from tests.conftest import KRONECKER_SOURCE, LADDER
+from tests.morphisms import identity_morphism, zero_morphism
 from tests.oracles.split_oracle import splits
 from tests.test_stress import _band_free_algebras, _ladder_or_stress
 
@@ -608,6 +614,123 @@ def test_a_module_basis_lies_along_its_walk(name):
             assert [v for v, _ in M.basis] == verts
             assert [i for v, i in M.basis] == [verts[:j].count(v) for j, v in enumerate(verts)]
             for walk in (sw.walk, sw.walk.inverse()):
-                piece = artheory._RawPiece(p, artheory._Tracked.fresh(walk, itertools.count()), resolve)
+                piece = artheory._RawPiece(p, resolve, walk, 0)
                 assert piece.module is M
                 assert [v for v, _ in piece.coord] == strings.walk_vertices(p, walk)
+
+
+@pytest.mark.parametrize("name", [*LADDER, "S0-S7"])
+def test_both_resolvers_return_the_module_of_the_walk_they_are_given(name, monkeypatch):
+    """`_RawPiece` reads a piece's orientation from `canonical_walk` alone, so
+    the module a resolver returns must have that canonical walk as its word:
+    knit's (`_default_resolver`) and the one `radical._standard_morphism`
+    builds on a knitted quiver."""
+    seen = []
+
+    def spy(p, v, resolve, projective):
+        seen.append(resolve)
+        return artheory.standard_arrows(p, v, resolve, projective)
+
+    monkeypatch.setattr(radical, "standard_arrows", spy)
+    for p in _ladder_or_stress(name):
+        q = knit(p)
+        seen.clear()
+        for u in p.quiver.vertices:
+            for standard in (radical.iota_morphism, radical.theta_morphism):
+                try:
+                    standard(q, u)
+                except NotIrreducibleError:
+                    pass
+        resolvers = [seen[0], artheory._default_resolver(p, field_for_characteristic(0))]
+        for sw in enumerate_strings(p):
+            for walk in (sw.walk, sw.walk.inverse()):
+                canon = strings.canonical_walk(p, walk)
+                for resolve in resolvers:
+                    assert resolve(canon).word.walk == canon
+
+
+@pytest.mark.parametrize("name", [*LADDER, "S0-S7"])
+def test_the_pieces_of_a_mesh_lie_on_one_line(name):
+    """Surgery places every piece of a mesh, in both directions, on the line
+    of positions of the word it starts from (that word at start 0): two
+    pieces agree on the vertex at each position they share and on the letter
+    between two shared positions.  In a mesh (direction "start") the left
+    term and the far term nest in each middle term or contain it."""
+    for p in _ladder_or_stress(name):
+        for sw in enumerate_strings(p):
+            for direction in ("start", "end"):
+                if artheory._is_standard_word(p, sw.walk, projective=direction == "end"):
+                    continue
+                t, mids, far = artheory._surgery(p, sw.walk, direction)
+                assert t == (sw.walk, 0) and far is not None
+                lines = []
+                for walk, start in [t, *mids, far]:
+                    verts = strings.walk_vertices(p, walk)
+                    lines.append(({start + j: v for j, v in enumerate(verts)},
+                                  {start + j: l for j, l in enumerate(walk.letters)}))
+                for (va, la), (vb, lb) in itertools.combinations(lines, 2):
+                    assert all(va[x] == vb[x] for x in va.keys() & vb.keys())
+                    assert all(la[x] is lb[x] for x in la.keys() & lb.keys())
+                if direction == "start":
+                    for m in mids:
+                        for other in (t, far):
+                            a, b = set(_positions(m)), set(_positions(other))
+                            assert a <= b or b <= a
+
+
+def _positions(piece):
+    walk, start = piece
+    return range(start, start + len(walk.letters) + 1)
+
+
+def _walk_piece(name):
+    """The longest string of a ladder algebra, its resolver and its piece at start 0."""
+    family, m, n = LADDER[name]
+    p = make_family(family, m=m, n=n).presentation
+    walk = max((sw.walk for sw in enumerate_strings(p)), key=len)
+    resolve = artheory._default_resolver(p, field_for_characteristic(0))
+    return p, walk, resolve
+
+
+@pytest.mark.parametrize("name", ["W5", "U3_3", "V3_4"])
+@pytest.mark.parametrize("inverse", [False, True], ids=["canonical", "inverse"])
+def test_a_graph_map_reads_shared_positions_at_both_extreme_offsets(name, inverse):
+    """A run of `size` positions of a walk, cut by `_segment` at offset 0 or at
+    the length difference, maps into the whole walk and the whole walk onto
+    it: position j of the run goes to position lo + j of the walk, over the
+    walk's vertex there, both ways round."""
+    p, walk, resolve = _walk_piece(name)
+    walk = walk.inverse() if inverse else walk
+    verts = strings.walk_vertices(p, walk)
+    whole = artheory._RawPiece(p, resolve, walk, 0)
+    n = len(verts)
+    assert n >= 4
+    one = field_for_characteristic(0).one()
+    for size in range(1, n + 1):
+        for lo in (0, n - size):
+            run = artheory._RawPiece(p, resolve, *artheory._segment(p, (walk, 0), lo, lo + size))
+            assert run.start == lo
+            shared = [(run.coord[j], whole.coord[lo + j], verts[lo + j]) for j in range(size)]
+            assert all(r[0] == w[0] == v for r, w, v in shared)
+            into = artheory._graph_map(run, whole)
+            onto = artheory._graph_map(whole, run)
+            assert sorted(into.nonzeros) == sorted((v, w[1], r[1], one) for r, w, v in shared)
+            assert sorted(onto.nonzeros) == sorted((v, r[1], w[1], one) for r, w, v in shared)
+
+
+@pytest.mark.parametrize("name", ["W5", "U3_3", "V3_4"])
+def test_a_graph_map_refuses_disjoint_and_crossing_ranges(name):
+    """Pieces whose position ranges neither nest nor coincide share no graph
+    map: the same walk one position along crosses it, and a walk placed
+    after its last position, or far off, is disjoint from it."""
+    p, walk, resolve = _walk_piece(name)
+    n = len(walk.letters) + 1
+    whole = artheory._RawPiece(p, resolve, walk, 0)
+    head = artheory._segment(p, (walk, 0), 0, 2)[0]
+    crossing = [(walk, 1), (walk, -1), (head, n - 1), (head, -1)]
+    disjoint = [(walk, n), (walk, -n), (head, n), (head, -2), (head, 100)]
+    for piece in crossing + disjoint:
+        other = artheory._RawPiece(p, resolve, *piece)
+        for src, dst in ((whole, other), (other, whole)):
+            with pytest.raises(MeshInconsistencyError, match="mesh words do not nest"):
+                artheory._graph_map(src, dst)

@@ -21,9 +21,9 @@ from stringar.modules import (
     flat_compose,
     flat_offsets,
     hom_flat_dim,
-    identity_morphism,
     morphism_from_flat,
 )
+from tests.morphisms import identity_morphism
 
 ALGEBRAS = [("W", {"n": 3}), ("U", {"m": 2, "n": 2}), ("V", {"m": 2, "n": 3})]
 CHARS = [0, 2, 3]

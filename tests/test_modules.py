@@ -14,9 +14,10 @@ from stringar import (
     walk_to_text,
 )
 from stringar.fields import Mat, field_for_characteristic
-from stringar.modules import Representation, identity_morphism, zero_morphism
+from stringar.modules import Representation
 from stringar.strings import walk_vertices
 from tests.conftest import LADDER
+from tests.morphisms import identity_morphism, zero_morphism
 from tests.test_stress import _ladder_or_stress
 
 

@@ -16,8 +16,8 @@ from stringar import (
     walk_to_text,
 )
 from stringar.errors import NotIrreducibleError
-from stringar.modules import identity_morphism, zero_morphism
 from stringar.radical import RadicalTable
+from tests.morphisms import identity_morphism, zero_morphism
 
 
 def _arrow(G, src, dst):

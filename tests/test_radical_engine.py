@@ -25,9 +25,10 @@ from stringar import radical
 from stringar.errors import MeshInconsistencyError
 from stringar.fields import Subspace
 from stringar.families import make_family
-from stringar.modules import MorphismMatrix, identity_morphism
+from stringar.modules import MorphismMatrix
 from stringar.radical import ZERO_DEPTH, RadicalTable
 from tests.conftest import LADDER
+from tests.morphisms import identity_morphism
 from tests.test_stress import _band_free_algebras
 
 FAMILIES = {"W3": ("W", None, 3), "U2_2": ("U", 2, 2), "V2_3": ("V", 2, 3)}
