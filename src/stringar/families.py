@@ -1,10 +1,11 @@
 """The three named algebra families and their deep-composite witnesses.
 
 Witness chains are assembled from canonical irreducible matrices of the
-knitted quiver: a sectional approach path into a module L, a cycle at L
-through the relevant simple, and one exit arrow; the middle morphism gets
-the cycle added on top.  Every candidate is verified by exact radical
-depth before it is returned, so a successful witness is a checked one.
+knitted quiver by one search for all three families: a path into an anchor
+module (a three-cycle's node for W, a module L for U and V), a cycle at the
+anchor, and a path out of it; the last map into the anchor gets the cycle
+added on top.  Every candidate is verified by exact radical depth before it
+is returned, so a successful witness is a checked one.
 """
 
 from __future__ import annotations
@@ -131,16 +132,14 @@ class FamilyWitness:
         }
 
 
-def _u_module_words(spec):
-    """Distinguished walks of U(m, n-1) straight from their definitions."""
-    m, n = spec.m, spec.n
-    g = lambda i: Letter(f"g{i}")
-    b = lambda i: Letter(f"b{i}")
-    gbar1 = tuple(g(i) for i in range(1, m))  # g1 ... g_{m-1}
-    ell = (g(m),) + tuple(Letter(f"b{i}", True) for i in range(n - 1, 0, -1)) + gbar1
-    nn = tuple(Letter(f"b{i}", True) for i in range(n - 2, 0, -1)) + gbar1
-    ix = tuple(b(i) for i in range(1, n)) + (Letter(f"g{m}", True),)
-    return Walk(ell), (Walk(nn) if nn else None), Walk(ix)
+def _ell_walk(m, betas):
+    """The distinguished L of U(m, n-1) (betas = n - 1) or V(m, n-2) (betas = n - 2),
+    straight from its definition: g_m b_betas^- ... b_1^- g_1 ... g_{m-1}."""
+    return Walk(
+        (Letter(f"g{m}"),)
+        + tuple(Letter(f"b{i}", True) for i in range(betas, 0, -1))
+        + tuple(Letter(f"g{i}") for i in range(1, m))
+    )
 
 
 def _cycles(quiver, length, node):
@@ -290,7 +289,7 @@ def require_witness_parameters(spec):
 
 
 def witness(spec, field=QQ):
-    """A verified witness chain of the family; see _witness_w and _witness_uv.
+    """A verified witness chain of the family; see _search.
 
     The search tries the candidates of a fixed order and returns the first
     that passes `_chain_depths`.  Before composing anything it skips only
@@ -299,96 +298,53 @@ def witness(spec, field=QQ):
     plain composite is shallower than `expected` (see _plain_deep).
     """
     require_witness_parameters(spec)
-    p = spec.presentation
-    quiver = knit(p, field)
-    table = RadicalTable(quiver)
-    if spec.family in ("U", "V"):
-        return _witness_uv(spec, quiver, table)
-    return _witness_w(spec, quiver, table)
+    quiver = knit(spec.presentation, field)
+    return _search(spec, quiver, RadicalTable(quiver))
 
 
-def _witness_uv(spec, quiver, table):
-    m, n = spec.m, spec.n
-    expected = n + 2 * m + (1 if spec.family == "V" else 0)
-    cycle_len = expected - n
-    phi_len = n - 1
-    s_node = quiver.node_of(Walk(basepoint=f"a{m}"))
-    l_candidates = list(quiver.nodes)
-    if spec.family == "U":
-        ell, _, _ = _u_module_words(spec)
-        l_first = quiver.node_of(ell)
-        l_candidates = [l_first] + [x for x in l_candidates if x.index != l_first.index]
-    perturb = _perturber()
-    plain_deep = _plain_deep(table, expected)
+def _search(spec, quiver, table):
+    """The first chain, in a fixed order, that passes `_chain_depths`.
 
-    def shallow(d):
-        return d <= n - 1
-
-    for l_node in l_candidates:
-        li = l_node.index
-        cycles = _cycles(quiver, cycle_len, li)
-        cycles.sort(key=lambda c: (not any(a.source == s_node.index for a in c),))
-        if not cycles:
-            continue
-        phis = _into_paths(quiver, li)(phi_len)
-        heads = {}  # (rho, phi) -> the perturbed composite of phi, for every exit arrow
-        for exit_arrow in quiver.arrows_from(li):
-            passing = [
-                (phi, plain) for phi, plain in phis
-                if table.reaches(phi[0].source, exit_arrow.target, expected)
-                and plain_deep(phi + (exit_arrow,))
-            ]
-            for rho in cycles:
-                for phi, plain in passing:
-                    prefix = heads.get((rho, phi))
-                    if prefix is None:
-                        prefix = heads[rho, phi] = perturb(rho, plain)
-                    hit = _chain_depths(
-                        table, perturb, rho, phi + (exit_arrow,), n - 2, prefix, expected,
-                        shallow, shallow,
-                    )
-                    if hit is not None:
-                        chain, nodes, depths = hit
-                        v = f"a{m}"
-                        distinguished = {
-                            "P": _std_node(quiver, spec.presentation, v, "projective"),
-                            "S": s_node,
-                            "I": _std_node(quiver, spec.presentation, v, "injective"),
-                            "L": l_node,
-                            "N": quiver.nodes[exit_arrow.target],
-                        }
-                        return FamilyWitness(
-                            spec, chain, nodes, nodes[:-1], _path_nodes(quiver, rho),
-                            distinguished, expected, depths, quiver, table,
-                        )
-    raise WitnessConstructionError(
-        f"no verified witness chain found for {spec!r}; "
-        "flagging as an open discrepancy"
-    )
-
-
-def _std_node(quiver, p, v, kind):
-    mod = standard_module(p, v, kind, quiver.field)
-    return quiver.node_of(mod.word)
-
-
-def _witness_w(spec, quiver, table):
-    from .configurations import find_three_cycles
-
+    A chain is an into-path of j - 1 arrows to an anchor node b, then a path of
+    n - j + 1 arrows from b; a cycle rho at b is added after the into-path.
+    The order is: anchor, position j, rho, into-path, forward path.  W(n): the
+    anchors are the rotations of the three-cycles, j = 2..n.  U and V: the
+    anchors are the nodes L, the distinguished L first, with their cycles of
+    2m (V: 2m + 1) arrows, those through the simple S first; j = n.  An
+    anchor's cycles are listed only once one of its into-paths is live.
+    """
     n = spec.n
-    expected = n + 3
-    rotations = []
-    for cyc in find_three_cycles(quiver):
-        for r in range(3):
-            rotations.append(cyc[r:] + cyc[:r])
+    if spec.family == "W":
+        from .configurations import find_three_cycles
+
+        expected, positions = n + 3, range(2, n + 1)
+        anchors = [(rho[0].source, lambda rho=rho: [rho]) for cyc in find_three_cycles(quiver)
+                   for rho in (cyc[r:] + cyc[:r] for r in range(3))]
+        suffix_ok, prefix_ok = (lambda d: d >= n), (lambda d: True)
+        distinguished = lambda b_node, nodes: {}
+    else:
+        m, v = spec.m, f"a{spec.m}"
+        expected, positions = n + 2 * m + (1 if spec.family == "V" else 0), (n,)
+        s_node = quiver.node_of(Walk(basepoint=v))
+        first = quiver.node_of(_ell_walk(m, n - 1 if spec.family == "U" else n - 2)).index
+        avoids_s = lambda c: not any(a.source == s_node.index for a in c)
+        anchors = [(li, lambda li=li: sorted(_cycles(quiver, expected - n, li), key=avoids_s))
+                   for li in [first] + [x.index for x in quiver.nodes if x.index != first]]
+        suffix_ok = prefix_ok = lambda d: d <= n - 1
+
+        def distinguished(b_node, nodes):
+            P, I = (quiver.node_of(standard_module(spec.presentation, v, kind, quiver.field).word)
+                    for kind in ("projective", "injective"))
+            return {"P": P, "S": s_node, "I": I, "L": quiver.nodes[b_node], "N": nodes[-1]}
+
     perturb = _perturber()
     plain_deep = _plain_deep(table, expected)
     intos = functools.cache(lambda b_node: _into_paths(quiver, b_node))
 
     @functools.cache
-    def layers(b_node):  # layers(b)[i]: the nodes i < n arrows past b
+    def layers(b_node):  # layers(b)[i]: the nodes i arrows past b, as far as a forward path goes
         out = [{b_node}]
-        while len(out) < n:
+        while len(out) <= n + 1 - positions[0]:
             out.append({a.target for z in out[-1] for a in quiver.arrows_from(z)})
         return out
 
@@ -402,25 +358,32 @@ def _witness_w(spec, quiver, table):
                          if a.source in layer and table.reaches(start, a.source)})
         return keep[::-1]
 
-    for rho in rotations:
-        b_node = rho[0].source
-        for j in range(2, n + 1):  # the cycle sits at chain position j
-            for into, plain in intos(b_node)(j - 1):
-                start = into[0].source
-                keep = kept(start, b_node, n - j + 1)
-                if not keep[0]:  # no candidate through this into-path passes
-                    continue
-                tails = _forward_paths(quiver, b_node, keep, perturb(rho, plain))
-                for tail, prefix in tails:  # tail: h_j ... h_n; prefix: h_{n-1} ... h_1
-                    path = into + tail
-                    hit = plain_deep(path) and _chain_depths(
-                        table, perturb, rho, path, j - 2, prefix, expected,
-                        suffix_ok=lambda d: d >= n, prefix_ok=lambda d: True,
-                    )
-                    if hit:
-                        chain, nodes, depths = hit
-                        return FamilyWitness(
-                            spec, chain, nodes, nodes[:j], _path_nodes(quiver, rho), {},
-                            expected, depths, quiver, table,
+    def live(b_node, j):
+        """The into-paths of j - 1 arrows to b_node through which a candidate can pass."""
+        for into, plain in intos(b_node)(j - 1):
+            keep = kept(into[0].source, b_node, n - j + 1)
+            if keep[0]:
+                yield into, plain, keep
+
+    for b_node, cycles in anchors:
+        for j in positions:  # the cycle sits at chain position j
+            if next(live(b_node, j), None) is None:
+                continue
+            for rho in cycles():
+                for into, plain, keep in live(b_node, j):
+                    tails = _forward_paths(quiver, b_node, keep, perturb(rho, plain))
+                    for tail, prefix in tails:  # tail: h_j ... h_n; prefix: h_{n-1} ... h_1
+                        path = into + tail
+                        hit = plain_deep(path) and _chain_depths(
+                            table, perturb, rho, path, j - 2, prefix, expected,
+                            suffix_ok, prefix_ok,
                         )
-    raise WitnessConstructionError(f"no verified witness chain found for {spec!r}")
+                        if hit:
+                            chain, nodes, depths = hit
+                            return FamilyWitness(
+                                spec, chain, nodes, nodes[:j], _path_nodes(quiver, rho),
+                                distinguished(b_node, nodes), expected, depths, quiver, table,
+                            )
+    raise WitnessConstructionError(
+        f"no verified witness chain found for {spec!r}; flagging as an open discrepancy"
+    )

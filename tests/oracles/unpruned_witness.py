@@ -9,7 +9,7 @@ seconds where the pruned search takes milliseconds beyond W(9) or V(3,4).
 import functools
 
 from stringar.configurations import find_three_cycles
-from stringar.families import _u_module_words
+from stringar.families import _ell_walk
 from stringar.modules import compose_chain
 from stringar.radical import ZERO_DEPTH
 from stringar.strings import Walk
@@ -77,26 +77,30 @@ def _depths(table, chain, prefix, nodes, expected, suffix_ok, prefix_ok):
 def candidates(spec, quiver, table):
     """Yield ((rho, path, perturb_at), depths) for every candidate in search order.
 
+    The order is: anchor b with its cycles, position j, cycle rho, every path
+    of j - 1 arrows into b, every path of n - j + 1 arrows out of b.  The L
+    candidates of V run in plain node order, not with V's distinguished L
+    first as in the search, so a first L that changed the witness shows here.
     depths is None for a candidate that fails; the first one that passes is
     the witness.  The caller stops reading there.
     """
-    if spec.family == "W":
-        yield from _candidates_w(spec, quiver, table)
-    else:
-        yield from _candidates_uv(spec, quiver, table)
-
-
-def _candidates_w(spec, quiver, table):
     n = spec.n
-    expected = n + 3
+    if spec.family == "W":
+        expected, positions = n + 3, range(2, n + 1)
+        anchors = ((rho[0].source, [rho]) for cyc in find_three_cycles(quiver)
+                   for rho in (cyc[r:] + cyc[:r] for r in range(3)))
+        suffix_ok, prefix_ok = (lambda d: d >= n), (lambda d: True)
+    else:
+        expected, positions = n + 2 * spec.m + (1 if spec.family == "V" else 0), (n,)
+        anchors = _l_anchors(spec, quiver, expected - n)
+        suffix_ok = prefix_ok = lambda d: d <= n - 1
     perturb = _perturber()
-    for cyc in find_three_cycles(quiver):
-        for r in range(3):
-            rho = cyc[r:] + cyc[:r]
-            b_node = rho[0].source
-            for j in range(2, n + 1):
-                outs = _paths(quiver, n + 1 - j, b_node, forward=True)
-                for into in _paths(quiver, j - 1, b_node, forward=False):
+    for b_node, cycles in anchors:
+        for j in positions:
+            intos = _paths(quiver, j - 1, b_node, forward=False)
+            outs = _paths(quiver, n + 1 - j, b_node, forward=True)
+            for rho in cycles:
+                for into in intos:
                     head = compose_chain(_chain(into, perturb, rho, j - 2))
                     prefixes = {(): head}  # out[:k] -> h_{j-1+k} ... h_1
 
@@ -110,43 +114,20 @@ def _candidates_w(spec, quiver, table):
                         path = into + out
                         depths = _depths(
                             table, _chain(path, perturb, rho, j - 2), prefix(out[:-1]),
-                            _nodes(quiver, path), expected,
-                            suffix_ok=lambda d: d >= n, prefix_ok=lambda d: True,
+                            _nodes(quiver, path), expected, suffix_ok, prefix_ok,
                         )
                         yield (rho, path, j - 2), depths
 
 
-def _candidates_uv(spec, quiver, table):
-    m, n = spec.m, spec.n
-    expected = n + 2 * m + (1 if spec.family == "V" else 0)
-    s_node = quiver.node_of(Walk(basepoint=f"a{m}"))
-    l_candidates = list(quiver.nodes)
+def _l_anchors(spec, quiver, length):
+    """(L, its closed paths of `length` arrows, those through S first) per node L,
+    U's distinguished L first."""
+    s_node = quiver.node_of(Walk(basepoint=f"a{spec.m}"))
+    l_candidates = [x.index for x in quiver.nodes]
     if spec.family == "U":
-        l_first = quiver.node_of(_u_module_words(spec)[0])
-        l_candidates = [l_first] + [x for x in l_candidates if x.index != l_first.index]
-
-    perturb = _perturber()
-
-    def shallow(d):
-        return d <= n - 1
-
-    for l_node in l_candidates:
-        cycles = [
-            c
-            for c in _paths(quiver, expected - n, l_node.index, forward=True)
-            if c[-1].target == l_node.index
-        ]
+        l_first = quiver.node_of(_ell_walk(spec.m, spec.n - 1)).index
+        l_candidates = [l_first] + [x for x in l_candidates if x != l_first]
+    for li in l_candidates:
+        cycles = [c for c in _paths(quiver, length, li, forward=True) if c[-1].target == li]
         cycles.sort(key=lambda c: (not any(a.source == s_node.index for a in c),))
-        if not cycles:
-            continue
-        phis = _paths(quiver, n - 1, l_node.index, forward=False)
-        for exit_arrow in quiver.arrows_from(l_node.index):
-            for rho in cycles:
-                for phi in phis:
-                    path = phi + (exit_arrow,)
-                    chain = _chain(path, perturb, rho, n - 2)
-                    depths = _depths(
-                        table, chain, compose_chain(chain[:-1]), _nodes(quiver, path),
-                        expected, shallow, shallow,
-                    )
-                    yield (rho, path, n - 2), depths
+        yield li, cycles

@@ -163,11 +163,21 @@ def test_v31_witness_depth_ten():
     assert w.depths["prefix"] <= 2 and w.depths["suffix"] <= 2
 
 
-@pytest.mark.parametrize("char", [0, 2, 3])
-@pytest.mark.parametrize("family, m, n", LADDER.values(), ids=list(LADDER))
+# the ladder and V(5,6) over QQ, GF(2) and GF(3), and V(6,7) over QQ (on a
+# 2-vCPU machine the oracle takes about 1.1 s on each V(5,6), 8-10 s on V(6,7))
+ORACLE_CASES = {
+    f"{name}-{char}": (*args, char)
+    for name, args in {**LADDER, "V5_6": ("V", 5, 6)}.items() for char in (0, 2, 3)
+}
+ORACLE_CASES["V6_7-0"] = ("V", 6, 7, 0)
+
+
+@pytest.mark.parametrize("family, m, n, char", ORACLE_CASES.values(), ids=list(ORACLE_CASES))
 def test_pruned_search_agrees_with_the_unpruned_oracle(monkeypatch, family, m, n, char):
     """Same witness; the candidates it checks are an ordered subsequence of the
-    oracle's, and every candidate it skips fails in the oracle."""
+    oracle's, and every candidate it skips fails in the oracle.  The oracle
+    tries V's L candidates in node order, so V's distinguished L first must not
+    change the witness."""
     spec = make_family(family, m=m, n=n)
     quiver = knit(spec.presentation, field_for_characteristic(char))
     table = RadicalTable(quiver)
@@ -180,8 +190,7 @@ def test_pruned_search_agrees_with_the_unpruned_oracle(monkeypatch, family, m, n
         return hit
 
     monkeypatch.setattr(families, "_chain_depths", recorded)
-    search = families._witness_w if family == "W" else families._witness_uv
-    w = search(spec, quiver, table)
+    w = families._search(spec, quiver, table)
 
     pending = iter(checked)
     nxt = next(pending)
@@ -333,11 +342,38 @@ def test_witness_w9_builds_fewer_than_half_the_sources(monkeypatch):
         return compose(self, first)
 
     monkeypatch.setattr(MorphismMatrix, "compose", counted)
-    w = families._witness_w(spec, quiver, table)
+    w = families._search(spec, quiver, table)
     assert w.depths["total"] == 12
     built, nodes = len(w.table._levels), len(w.quiver.nodes)
     assert 0 < built <= 14 < nodes / 2
     assert 0 < len(composes) <= 150
+
+
+def test_witness_v8_9_lists_the_cycles_of_one_l(monkeypatch):
+    """V tries its distinguished L first and lists an L's cycles only once one
+    of its into-paths is live, so the V(8,9) search lists the cycles of the L
+    it answers at, and reads few table sources and composites."""
+    spec = make_family("V", m=8, n=9)
+    quiver = knit(spec.presentation)
+    table = RadicalTable(quiver)
+    cycles, composes = [], []
+    list_cycles, compose = families._cycles, MorphismMatrix.compose
+
+    def counted_cycles(*args):
+        cycles.append(args)
+        return list_cycles(*args)
+
+    def counted(self, first):
+        composes.append(1)
+        return compose(self, first)
+
+    monkeypatch.setattr(families, "_cycles", counted_cycles)
+    monkeypatch.setattr(MorphismMatrix, "compose", counted)
+    w = families._search(spec, quiver, table)
+    assert w.depths == {"total": 26, "prefix": 8, "suffix": 8}
+    assert len(cycles) == 1 and cycles[0][2] == w.distinguished["L"].index
+    assert 0 < len(table._levels) <= 10
+    assert 0 < len(composes) <= 300
 
 
 @pytest.mark.parametrize("name", sorted(LADDER))

@@ -19,7 +19,7 @@ from stringar import cli, configurations
 from stringar.artheory import tau_orbit
 from stringar.configurations import audit_theorems, detect_local_patterns
 from stringar.errors import StringAlgebraError
-from stringar.families import make_family
+from stringar.families import make_family, witness
 from stringar.fields import field_for_characteristic
 from stringar.modules import realize
 from stringar.presentation import (
@@ -264,13 +264,35 @@ def knit_map_digest(name, char):
     return _digest([q.to_json(), arrows, meshes])
 
 
-KNIT_MAP_CASES = [(name, char) for char in (0, 3) for name in TABLE_ALGEBRAS] + [("W24", 0)]
+KNIT_MAP_CASES = [(name, char) for char in (0, 2, 3) for name in TABLE_ALGEBRAS] + [("W24", 0)]
 
 
 @pytest.mark.parametrize("name, char", KNIT_MAP_CASES)
 def test_knit_maps_are_pinned(name, char):
-    """Captured while knit still located shared positions by identity tokens."""
+    """Captured while knit still located shared positions by identity tokens
+    (GF(2) after it placed them on one line of positions)."""
     assert knit_map_digest(name, char)[:16] == KNIT_MAP_DIGESTS[f"{name}@{char}"]
+
+
+WITNESS_GRID = (
+    [("W", None, n) for n in range(3, 16)]
+    + [("U", m, n) for m in range(2, 7) for n in range(2, 8)]
+    + [("V", m, n) for m in range(2, 7) for n in range(3, 8)]
+)
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_witnesses_are_pinned(char):
+    """`witness(...).as_dict()` on W(3..15), U(2..6, 2..7) and V(2..6, 3..7),
+    captured while W and U/V still had one search each and V tried its L
+    candidates in node order."""
+    field = field_for_characteristic(char)
+    got = {
+        f"{fam}{n}" if fam == "W" else f"{fam}{m}_{n}":
+            _digest(witness(make_family(fam, m=m, n=n), field).as_dict())[:16]
+        for fam, m, n in WITNESS_GRID
+    }
+    assert got == WITNESS_DIGESTS
 
 
 DETECT_DIGEST = "bc81a2a3539924cf3e5fa88347df18358507ac34aa262a7317020f8cac4f86ea"
@@ -425,5 +447,58 @@ KNIT_MAP_DIGESTS = {
     "S5@3": "f9ba11b33db141d2",
     "S6@3": "0984550cdc0b9d7d",
     "S7@3": "6084902eae1ce1a3",
+    "W3@2": "4f778f8f45827993",
+    "W5@2": "75574b65408e978c",
+    "W7@2": "9af0761262a36c31",
+    "W9@2": "91c41b5f7bb30858",
+    "U2_2@2": "b65f1737bc6c88cc",
+    "U3_3@2": "09e7605ca0ef3671",
+    "U4_4@2": "d86b22ffa264fa1a",
+    "V2_3@2": "00577bd89c62ed8b",
+    "V3_4@2": "d1f7eebbd3166886",
+    "S0@2": "6ccf5ad745e1ea32",
+    "S1@2": "d968a436fe2379b0",
+    "S2@2": "605baedcc61964b0",
+    "S3@2": "81835c154bd5e303",
+    "S4@2": "deb14609d9b4d9bb",
+    "S5@2": "e976be77f35381a8",
+    "S6@2": "4cf35cb39974d412",
+    "S7@2": "6527fedc15ab0893",
     "W24@0": "204f9d1f1f2cf8ee",
+}
+
+# the same over QQ, GF(2) and GF(3)
+WITNESS_DIGESTS = {
+    "W3": "d10c26282da2c9e3", "W4": "512ef82fd46b7236", "W5": "11e0e25352bcb1cc",
+    "W6": "d8591b13db0b61a3", "W7": "f06a3e7c0bb285a8", "W8": "440511db04f70f21",
+    "W9": "077b1fe504d0b427", "W10": "3f635aa94bb3fd6e", "W11": "bbe275691392b0c0",
+    "W12": "0c39df0f487906ae", "W13": "bc9003b236a0adbf", "W14": "93b93d9aba4d2d3c",
+    "W15": "b82454f062953141", "U2_2": "e8061417095bfcd2",
+    "U2_3": "91f4b2d6ccf862a9", "U2_4": "7e262fc43e6f53ca",
+    "U2_5": "ce8240c8be353a28", "U2_6": "63d7a6c3ab1deb6e",
+    "U2_7": "00fef9e8fdeb3c21", "U3_2": "3e64d4d1282d79e8",
+    "U3_3": "abb080c58e6886da", "U3_4": "801eea97e6b6f45e",
+    "U3_5": "6998fdc749a22b4c", "U3_6": "f02af6f577bddbf8",
+    "U3_7": "118aeab4d9e25a48", "U4_2": "10bc77c42fc35a08",
+    "U4_3": "f8444d8e4973e30f", "U4_4": "8b4ff355d7802517",
+    "U4_5": "1c55a795e1edd332", "U4_6": "cd7369335ba0fcc3",
+    "U4_7": "143c0b3deca0266b", "U5_2": "ac22bb6cbc368e09",
+    "U5_3": "4858cbda7b360501", "U5_4": "0a04ee88881e45f7",
+    "U5_5": "d8c0782e916f72a4", "U5_6": "082f15b13ab5406b",
+    "U5_7": "8b7bfd87d7e89e24", "U6_2": "2a2e859719b9d085",
+    "U6_3": "5a401d3e094e8ea5", "U6_4": "5a9ef78b6568846c",
+    "U6_5": "89ad458bddbc4394", "U6_6": "7b50bf6d5862eb02",
+    "U6_7": "5834dc0bd00251c5", "V2_3": "90886ec27af201e7",
+    "V2_4": "e80c530c8580d8f1", "V2_5": "15aa57ca03c40b0c",
+    "V2_6": "16580fcd04cf0718", "V2_7": "2daa3b8b0b06d89d",
+    "V3_3": "ddc1bddbc7881cd1", "V3_4": "9ba001ce966797b3",
+    "V3_5": "cef91573d3f31a36", "V3_6": "bcd8fbd00e938c97",
+    "V3_7": "da64d406082399a4", "V4_3": "2ec6052ef5e70c56",
+    "V4_4": "6897a8fb09aa61c3", "V4_5": "fa6fba10d23c7c7b",
+    "V4_6": "a969230740189158", "V4_7": "05b6c76645151320",
+    "V5_3": "5ce452647c889c00", "V5_4": "ffb48fee4c0eb3fc",
+    "V5_5": "4fbf55de66607028", "V5_6": "8f72d270c5db0a8e",
+    "V5_7": "97b83e48a034d568", "V6_3": "fbbb5cd7da40431f",
+    "V6_4": "d65734c48232be67", "V6_5": "bb412f1630a333d2",
+    "V6_6": "e5a7c01cebfeb08d", "V6_7": "8a32d900a427db53",
 }
