@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 from types import SimpleNamespace
 
 import pytest
@@ -292,6 +294,38 @@ def test_knit_makes_no_dense_hom_solve(monkeypatch):
     monkeypatch.setattr(modules, "solve", refuse)
     monkeypatch.setattr(artheory, "solve", refuse)
     assert len(knit(make_family("W", n=5).presentation).meshes) > 0
+
+
+# sha256 of knit's JSON and of every arrow map and mesh map, over QQ, GF(2) and
+# GF(3): a changed entry or sign in any map fails here
+KNIT_DIGESTS = {
+    "W3": ("e6ccff8ad0b98222", "e1a8005d77002cec", "1ea9988cbd383da8"),
+    "W5": ("b17299474cf64b5e", "c8b8b1f7741f391a", "bdeb140089513226"),
+    "W7": ("9af83ebd3ba50f67", "176e1226600f0a59", "4b10fd331d47e6c7"),
+    "W9": ("1a670f05926427d9", "23cc41c0bc5b1932", "5dddc1def8dbbf33"),
+    "U2_2": ("18e02452f8553710", "3597d8b5c0631179", "43884e50fef4bfdc"),
+    "U3_3": ("af71ab5c7602ae5c", "384ebcb765048077", "d3a1a249148cf698"),
+    "U4_4": ("890600b30b8f3b46", "afa07cfe0b3a44f9", "cf2654e1af3cbad4"),
+    "V2_3": ("ef7421a538e27440", "77862707ccf0b20d", "84f174795bf4e59e"),
+    "V3_4": ("b21251b65304c93a", "8eb46c345d73cc26", "d0bcd4f392f505e7"),
+}
+
+
+@pytest.mark.parametrize("char_ix, char", enumerate([0, 2, 3]), ids=["QQ", "GF2", "GF3"])
+@pytest.mark.parametrize("name", list(LADDER))
+def test_knit_maps_match_pinned_digests(name, char_ix, char):
+    family, m, n = LADDER[name]
+    q = knit(make_family(family, m=m, n=n).presentation, field_for_characteristic(char))
+    payload = {
+        "quiver": q.to_json(),
+        "arrows": [a.morphism.as_dict() for a in q.arrows],
+        "meshes": [
+            [f.as_dict() for f in seq.left_maps + seq.right_maps]
+            for _, seq in sorted(q.meshes.items())
+        ],
+    }
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    assert digest[:16] == KNIT_DIGESTS[name][char_ix]
 
 
 @pytest.mark.parametrize("char", [0, 2, 3], ids=["QQ", "GF2", "GF3"])
