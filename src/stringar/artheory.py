@@ -35,6 +35,7 @@ from .modules import (
     MorphismMatrix,
     Representation,
     StringModule,
+    _string_module,
     injective_word,
     projective_word,
     realize,
@@ -272,9 +273,9 @@ class _RawPiece:
     when `canonical_walk` returns the walk itself, its reverse when it
     returns the inverse.  The resolver returns the module of the canonical
     walk it is given (a test pins this for both resolvers); `realize`
-    validates the string (a walk is a string iff its inverse is) and builds
-    the basis along the canonical walk's vertices, which an inverse walk
-    visits in reverse.
+    validates a string that `enumerate_strings` did not give (a walk is a
+    string iff its inverse is) and builds the basis along the canonical
+    walk's vertices, which an inverse walk visits in reverse.
     """
 
     __slots__ = ("start", "module", "coord")
@@ -328,6 +329,8 @@ class AlmostSplitSequence:
         # r_1 l_1 + r_2 l_2 must vanish; with two middles it may instead vanish
         # once r_2 is negated, that is when r_1 l_1 == r_2 l_2.
         rls = [r.compose(l) for l, r in zip(self.left_maps, self.right_maps)]
+        for r in self.right_maps:  # each becomes an arrow: keep no compose index on it
+            r._by_middle = None
         if rls and not (rls[0] if len(rls) == 1 else rls[0].add(rls[1])).is_zero():
             if len(self.middle) != 2 or rls[0] != rls[1]:
                 raise MeshInconsistencyError("mesh composite is not zero")
@@ -388,8 +391,10 @@ def _mesh_from_left(p, left_walk, resolve):
     )
 
 
-def _default_resolver(p, field):
-    cache = {}
+def _default_resolver(p, field, words=()):
+    """Realize canonical walks once each; `words` (canonical StringWords, as
+    `enumerate_strings` gives them) are realized unchecked."""
+    cache = {w.walk: _string_module(p, w, field) for w in words}
 
     def resolve(canon_walk):
         module = cache.get(canon_walk)
@@ -554,7 +559,7 @@ def knit(p, field=QQ):
     if has_band(p):
         raise BandFoundError("cannot knit: the presentation has bands")
     words = enumerate_strings(p)
-    resolve = _default_resolver(p, field)
+    resolve = _default_resolver(p, field, words)
     modules = [resolve(w.walk) for w in words]
     proj_tops = _projective_tops(p)
     inj_walks = {canonical_walk(p, injective_word(p, v)) for v in p.quiver.vertices}

@@ -140,6 +140,11 @@ def realize(p, word, field=QQ):
     """
     require_string_algebra(p)
     sw = string_word(p, word.walk if isinstance(word, StringWord) else word)
+    return _string_module(p, sw, field)
+
+
+def _string_module(p, sw, field):
+    """`realize` of a StringWord already known to be a canonical string, unchecked."""
     walk = sw.walk
     dims = dict.fromkeys(p.quiver.vertices, 0)
     coord = []

@@ -10,9 +10,11 @@ rows carry their depth tag m; the identity joins the diagonal last with
 tag 0.  rad^n is the span of the rows tagged n or more.
 
 Each source X is built on its own, the first time a query reads it: the
-recursion never changes X.  `nilpotency`, `profile` and `degree` read
-every source.  Each T_m(X, Y) is kept in RREF, which is canonical, so a
-pair's rows do not depend on the order of the builds.
+recursion never changes X.  `nilpotency` reads the projective sources,
+one per vertex; `profile(x, y)` reads x and those; a right degree of
+f: X -> Y reads Y, X and those, a left one every source; `_tagged`
+builds every source.  Each T_m(X, Y) is kept in RREF, which is
+canonical, so a pair's rows do not depend on the order of the builds.
 
 Composites are formed in flat coordinates: `flat_compose` assembles
 a o f from slices of f's flat vector, one per nonzero of the arrow map,
@@ -148,7 +150,7 @@ class RadicalTable:
     """All radical layers of a knitted AR quiver, one depth-tagged basis per pair.
 
     `_source(x)` builds the rows of every pair (x, .) when a query first
-    reads x; `nilpotency` and `_tagged` build every source.
+    reads x; `nilpotency` builds the projective sources, `_tagged` every source.
     """
 
     def __init__(self, quiver):
@@ -159,7 +161,7 @@ class RadicalTable:
         self._rep_to_node = {id(n.module.rep): n for n in nodes}
         self._pair_rows = {}  # (source index, target index) -> [(tag, pivot, row)], deepest first
         self._levels = {}  # built source index -> its number of nonzero T_m
-        self._nilpotency = None  # set once every source is built
+        self._nilpotency = None  # set once the projective sources are built
         self._limit = 4 * sum(n.module.total_dim for n in nodes)
         # z -> [(y, arrow map z -> y, the vertices where it has a nonzero)]
         self._out = {n.index: [] for n in nodes}
@@ -232,19 +234,32 @@ class RadicalTable:
 
     @property
     def nilpotency(self):
-        """rad^N = 0 one past the deepest composite; builds every source."""
+        """rad^N = 0 one past the deepest composite; builds the projective sources only.
+
+        A source's level is the largest m with rad^m(X, .) != 0, and the
+        deepest level is reached at a projective.  Let 0 != f in
+        rad^m(X, Y) and let p: P -> X be a projective cover.  Since p is
+        onto, f o p != 0, and it lies in rad^m(P, Y) because rad^m is an
+        ideal.  So some indecomposable summand P(v) has rad^m(P(v), Y) != 0,
+        and every P(v) is a node.
+        """
         if self._nilpotency is None:
-            for x in self.nodes:
-                if x.index not in self._levels:
-                    self._source(x.index)
-            self._nilpotency = max(self._levels.values(), default=0) + 1
+            levels = [self._level(x.index) for x in self.nodes if x.projective]
+            self._nilpotency = max(levels, default=0) + 1
         return self._nilpotency
 
     @property
     def _tagged(self):
         """(source index, target index) -> [(tag, pivot, row)], every source built."""
-        self.nilpotency  # builds every source
+        for x in self.nodes:
+            self._level(x.index)
         return self._pair_rows
+
+    def _level(self, xi):
+        """The number of nonzero T_m(x, .), source xi built first."""
+        if xi not in self._levels:
+            self._source(xi)
+        return self._levels[xi]
 
     # -- queries -----------------------------------------------------------
 
@@ -259,8 +274,7 @@ class RadicalTable:
 
     def _rows(self, xi, yi):
         """The tagged rows of the pair of node indices (xi, yi), source xi built first."""
-        if xi not in self._levels:
-            self._source(xi)
+        self._level(xi)
         return self._pair_rows.get((xi, yi), ())
 
     def reaches(self, xi, yi, n=0):
@@ -340,11 +354,11 @@ class RadicalTable:
             raise ValueError(f"unknown side {side!r}")
         left = side == "left"
         src, mid = (z, x) if left else (y, z)
+        if not self.reaches(src.index, mid.index, m):
+            return None
         V = self.layer(src, mid, m)
         deeper = self.layer(src, mid, m + 1)
         far = self.layer(z, y, m + 2) if left else self.layer(x, z, m + 2)
-        if V.is_zero():
-            return None
         field, src_rep, mid_rep = self.field, src.module.rep, mid.module.rep
         morphs = [morphism_from_flat(src_rep, mid_rep, v) for v in V.rows]
         residues = [far.reduce((f.compose(g) if left else g.compose(f)).flatten()) for g in morphs]

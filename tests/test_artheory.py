@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -512,6 +513,17 @@ def test_verify_leaves_the_mesh_maps_alone(corruptible):
         assert [f.flatten() for f in seq.left_maps + seq.right_maps] == before
 
 
+def test_knit_leaves_no_compose_index_on_its_arrows():
+    """verify composes each mesh right map once; the map then becomes an
+    arrow, and the index `compose` built on it is dropped (a search that
+    composes with the arrow builds it again)."""
+    q = knit(make_family("W", n=9).presentation)
+    assert all(a.morphism._by_middle is None for a in q.arrows)
+    a, b = next((a, b) for a in q.arrows for b in q.arrows_from(a.target))
+    b.morphism.compose(a.morphism)
+    assert b.morphism._by_middle is not None
+
+
 
 # --- knit's and ar_sequence's own checks still fire --------------------------
 
@@ -647,6 +659,29 @@ def test_both_resolvers_return_the_module_of_the_walk_they_are_given(name, monke
                 canon = strings.canonical_walk(p, walk)
                 for resolve in resolvers:
                     assert resolve(canon).word.walk == canon
+
+
+def test_knit_validates_no_enumerated_string_again(monkeypatch):
+    """`enumerate_strings` gives canonical strings, so knit realizes them
+    unchecked: `knit(W(9))` calls `is_string` on none of its 51 strings (it
+    called it once per string when each went through `realize`).  The
+    public `realize` keeps its check."""
+    checked, calls = strings.is_string, []
+
+    def counted(p, walk):
+        calls.append(walk)
+        return checked(p, walk)
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "stringar"]:
+        if getattr(module, "is_string", None) is checked:
+            monkeypatch.setattr(module, "is_string", counted)
+    p = make_family("W", n=9).presentation
+    q = knit(p)
+    assert len(q.nodes) == 51 and calls == []
+    realize(p, q.nodes[-1].word)
+    assert calls == [q.nodes[-1].word.walk]
+    with pytest.raises(NotAStringError):
+        realize(p, walk_from_text("b1 b2"))
 
 
 @pytest.mark.parametrize("name", [*LADDER, "S0-S7"])

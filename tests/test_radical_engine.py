@@ -17,8 +17,10 @@ from stringar import (
     audit_theorems,
     compose_chain,
     field_for_characteristic,
+    has_band,
     hom_basis,
     knit,
+    validate_string_algebra,
     witness,
 )
 from stringar import radical
@@ -29,7 +31,7 @@ from stringar.modules import MorphismMatrix
 from stringar.radical import ZERO_DEPTH, RadicalTable
 from tests.conftest import LADDER
 from tests.morphisms import identity_morphism
-from tests.test_stress import _band_free_algebras
+from tests.test_stress import _band_free_algebras, random_presentations
 
 FAMILIES = {"W3": ("W", None, 3), "U2_2": ("U", 2, 2), "V2_3": ("V", 2, 3)}
 
@@ -165,7 +167,8 @@ def test_table_build_builds_no_composite_morphism(monkeypatch, char):
         m.setattr(MorphismMatrix, "compose", refuse)
         m.setattr(radical, "morphism_from_flat", refuse)
         T = RadicalTable(G)
-        assert T.nilpotency > 2  # builds every source
+        T._tagged  # builds every source
+        assert len(T._levels) == len(G.nodes) and T.nilpotency > 2
 
 
 def test_cross_check_sees_a_wrong_tag():
@@ -330,5 +333,80 @@ def test_knitted_levels_of_two_rows_are_rref(monkeypatch, char):
         return rows
 
     monkeypatch.setattr(radical, "_span_rows", checked)
-    assert RadicalTable(knit(_band_free_algebras()[3], field)).nilpotency
+    assert RadicalTable(knit(_band_free_algebras()[3], field))._tagged  # builds every source
     assert max(dims) >= 2
+
+
+def _ladder_and_stress():
+    """The ladder's presentations, then S0-S7."""
+    ladder = [make_family(f, m=m, n=n).presentation for f, m, n in LADDER.values()]
+    return ladder + list(_band_free_algebras())
+
+
+@functools.lru_cache(maxsize=None)
+def _shortcut_algebras():
+    """The ladder, S0-S7 and the band-free string algebras among the first 300
+    seeded presentations."""
+    generated = [
+        p for p in random_presentations(20261018, 300)
+        if validate_string_algebra(p).is_string_algebra and not has_band(p)
+    ]
+    return tuple(_ladder_and_stress() + generated)
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_queries_build_only_the_projective_sources_and_their_own(char):
+    """rad^m is an ideal and a projective cover is onto, so the deepest level
+    sits at a projective source: `nilpotency` builds those alone and equals
+    1 + the deepest level of every source.  `profile(x, y)` adds x, and a
+    right degree of f: x -> y adds y and x."""
+    field = field_for_characteristic(char)
+    algebras = _shortcut_algebras()
+    assert len(algebras) == 98
+    for p in algebras:
+        G = knit(p, field)
+        projective = {x.index for x in G.nodes if x.projective}
+        assert len(projective) == len(p.quiver.vertices)
+        T = RadicalTable(G)
+        nilpotency = T.nilpotency
+        assert set(T._levels) == projective
+        T._tagged  # builds every source
+        assert nilpotency == 1 + max(T._levels.values())
+        for x, y in ((G.nodes[0], G.nodes[-1]), (G.nodes[-1], G.nodes[0])):
+            T = RadicalTable(G)
+            assert T.profile(x, y).dims[nilpotency] == 0
+            assert set(T._levels) == projective | {x.index}
+        for a in G.arrows[:3]:
+            T = RadicalTable(G)
+            T.degree(a.morphism, "right", source=G.nodes[a.source], target=G.nodes[a.target])
+            assert set(T._levels) == projective | {a.source, a.target}
+
+
+def _sectional_paths(quiver, longest):
+    """Every path of 2..longest arrows with tau(X_{i+2}) != X_i, as arrow lists."""
+    paths = [[a] for a in quiver.arrows]
+    for _ in range(longest - 1):
+        paths = [
+            path + [b]
+            for path in paths
+            for b in quiver.arrows_from(path[-1].target)
+            if quiver.tau_of(b.target) != path[-1].source
+        ]
+        yield from paths
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_sectional_paths_have_their_length_as_depth(char):
+    """A composite of irreducible maps along a sectional path of k arrows lies
+    in rad^k and not in rad^{k+1} (Igusa-Todorov, J. Algebra 89, 1984)."""
+    field = field_for_characteristic(char)
+    seen = 0
+    for p in _ladder_and_stress():
+        G = knit(p, field)
+        T = RadicalTable(G)
+        for path in _sectional_paths(G, 6):
+            f = compose_chain([a.morphism for a in path])
+            depth = T.depth(f, G.nodes[path[0].source], G.nodes[path[-1].target])
+            assert depth == len(path), [G.nodes[a.source].text for a in path]
+            seen += 1
+    assert seen == 1965
