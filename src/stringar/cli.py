@@ -321,7 +321,9 @@ def _parser():
         )
         return report.as_dict, text, 0 if report.passed else 2
 
-    _audit.parser.add_argument("--samples", type=int, default=32)
+    _audit.parser.add_argument(
+        "--samples", type=int, default=32,
+        help="perturbations per triple that the radical table does not certify")
     _audit.parser.add_argument("--seed", type=int, default=0)
 
     @cmd("family", help="print a family presentation")

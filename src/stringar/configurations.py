@@ -1,8 +1,9 @@
 """Local quiver patterns, cycles of length three, path classes, theorem audits.
 
-The audits are a falsification harness: canonical irreducible matrices get
-seeded perturbations from the second radical layer, all depths are computed
-with exact arithmetic, and any counterexample is reported verbatim.
+Audits A and B certify a triple from the radical table's depth tags where
+they can, and sample seeded perturbations of its irreducibles from the second
+radical layer where they cannot; every depth is exact, and any counterexample
+is reported verbatim.
 """
 
 from __future__ import annotations
@@ -332,12 +333,18 @@ def audit_theorems(p, samples=32, seed=0, field=QQ):
     (C) every 3-cycle carries a block-mono and a block-epi;
     (D) 3-cycles exist iff some irreducible M -> tau M exists.
 
-    A and B read sampled irreducibles a + r, r drawn in rad^2.  Each distinct
-    draw (arrow index and coefficients) is built, composed and reduced once per
-    audit; the report is the same as recomposing every sample.  A triple whose
-    three arrows have no rad^2 row draws nothing: every sample is the bare
-    triple, so it gets no random generator, is evaluated once, and a violation
-    is reported for every sample index.
+    A and B read sampled irreducibles a + r, r drawn in rad^2.  A triple
+    x -> y -> z -> w is first read from the table's tags: every composite
+    f: x -> w has depth(f) in tags(x, w) | {ZERO_DEPTH}, A fires only at
+    depth 6 and B only at 4 or 5.  So a triple whose pair (x, w) has none of
+    those tags passes both for every choice of irreducibles; it is skipped,
+    with no generator, draw or compose.  A kept triple seeds its generator
+    with its index among all triples.  Each distinct draw (arrow index and
+    coefficients) is built, composed and reduced once per audit; the report
+    is the same as recomposing every sample.  A kept triple whose three
+    arrows have no rad^2 row draws nothing: every sample is the bare triple,
+    so it gets no random generator, is evaluated once, and a violation is
+    reported for every sample index.
     samples < 1 is a ValueError: an audit that draws nothing passes vacuously.
     """
     if samples < 1:
@@ -356,7 +363,13 @@ def audit_theorems(p, samples=32, seed=0, field=QQ):
         for a3 in quiver.arrows_from(a2.target)
     ]
     ends = [(quiver.nodes[a.source], quiver.nodes[a.target]) for a in arrows]
-    rad2 = [table.layer(x, y, 2).rows for x, y in ends]
+    for x, y in ends:  # build every arrow's source: one that cannot be built fails here
+        table.reaches(x.index, y.index)
+    kept = [
+        (t_ix, triple) for t_ix, triple in enumerate(triples)
+        if not table.tags(arrows[triple[0]].source, arrows[triple[2]].target).isdisjoint((4, 5, 6))
+    ]
+    rad2 = {i: table.layer(*ends[i], 2).rows for i in {i for _, triple in kept for i in triple}}
     maps, composites, depths = {}, {}, {}
     zero = field.zero()
     draw = [field.of(c) for c in range(-3, 4)]  # draw[rng.randrange(7)] is randint(-3, 3)
@@ -394,7 +407,7 @@ def audit_theorems(p, samples=32, seed=0, field=QQ):
 
     a_violations = []
     b_violations = []
-    for t_ix, triple in enumerate(triples):
+    for t_ix, triple in kept:
         if any(rad2[i] for i in triple):
             rng = random.Random(f"{seed}:{t_ix}")
             # one draw from -3..3 per rad^2 row; sample 0 is the bare canonical triple

@@ -286,6 +286,15 @@ class RadicalTable:
         rows = self._rows(xi, yi)
         return bool(rows) and rows[0][0] >= n
 
+    def tags(self, xi, yi):
+        """The depths a nonzero map x -> y can have: the tags of the pair's rows.
+
+        A map is one combination of the pair's rows, which `depth` reads off
+        deepest tag first; its depth is the tag of the last row used.  So
+        `depth` returns one of these tags, or ZERO_DEPTH for the zero map.
+        """
+        return {t for t, _, _ in self._rows(xi, yi)}
+
     def _deep_rows(self, x, y, n):
         return [row for t, _, row in self._rows(x.index, y.index) if t >= n]
 

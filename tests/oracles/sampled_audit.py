@@ -5,7 +5,8 @@ reduces all three composites, whether or not an earlier sample drew the
 same coefficients.  It returns the A and B counterexample lists of
 `audit_theorems` and, per sample, the key of its draw: one
 `(arrow index, coefficients)` pair per arrow, the coefficients being the
-draws from -3..3 as field scalars (all zero for the bare sample 0).
+draws from -3..3 as field scalars (all zero for the bare sample 0), and the
+sample's record (triple, sample index and depths) as the report gives one.
 """
 
 import random
@@ -39,7 +40,7 @@ def sampled_audit(p, samples, seed, field):
         f = f.add(morphism_from_flat(x.module.rep, y.module.rep, vec)) if drawn else f
         return f, tuple(coefficients)
 
-    a_violations, b_violations, draws = [], [], []
+    a_violations, b_violations, draws, spots = [], [], [], []
     for t_ix, (a1, a2, a3) in enumerate(triples):
         ends = [(quiver.nodes[a.source], quiver.nodes[a.target]) for a in (a1, a2, a3)]
         rng = random.Random(f"{seed}:{t_ix}")
@@ -69,8 +70,9 @@ def sampled_audit(p, samples, seed, field):
                     "total": None if dtot == ZERO_DEPTH else dtot,
                 },
             }
+            spots.append(spot)
             if dtot == 6 and d21 <= 2 and d32 <= 2:
                 a_violations.append(spot)
             if dtot != ZERO_DEPTH and 4 <= dtot < 6:
                 b_violations.append(spot)
-    return a_violations, b_violations, draws
+    return a_violations, b_violations, draws, spots

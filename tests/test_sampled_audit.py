@@ -4,7 +4,10 @@
 `tests/oracles/sampled_audit.py` recomposes every sample.  Both must give
 the same counterexamples in the same order with the same sample indices,
 also when a fake depth forces violations (audits never fail on string
-algebras, so the recording path is otherwise never taken).
+algebras, so the recording path is otherwise never taken).  The oracle has
+no depth-tag certificate: the tests that compare it on forced violations
+turn the certificate off, and one test checks that no triple it drops
+could have failed.
 """
 
 import functools
@@ -24,6 +27,7 @@ from stringar.presentation import validate_string_algebra
 from stringar.radical import ZERO_DEPTH, RadicalTable
 from stringar.strings import has_band
 from tests.oracles.sampled_audit import sampled_audit
+from tests.test_radical_engine import _ladder_and_stress
 from tests.test_stress import random_presentations
 
 A, B = "A-no-shallow-triple-at-6", "B-depth-4-implies-6"
@@ -50,8 +54,15 @@ def test_draw_keyed_audit_matches_the_per_sample_loop(char):
     for p in _generated_band_free():
         for seed in (0, 1):
             report = audit_theorems(p, samples=5, seed=seed, field=field)
-            a, b, _ = sampled_audit(p, 5, seed, field)
+            a, b, *_ = sampled_audit(p, 5, seed, field)
             assert _counterexamples(report) == (a, b)
+
+
+@pytest.fixture
+def uncertified(monkeypatch):
+    """Every triple kept: `tags` reports every depth the fake depths give, so
+    the table certifies no triple before sampling and every triple is drawn."""
+    monkeypatch.setattr(RadicalTable, "tags", lambda self, xi, yi: set(range(8)))
 
 
 def _fake_depth(self, f, source=None, target=None):
@@ -78,23 +89,25 @@ def _forced_presentation(name):
 FORCED = [("U2_2", 3), ("V2_3", 0), ("V2_3", 2), ("G3", 2)]
 
 
+@pytest.mark.usefixtures("uncertified")
 @pytest.mark.parametrize("name,char", FORCED)
 def test_forced_violations_match_the_oracle_and_the_pin(name, char, monkeypatch):
     monkeypatch.setattr(RadicalTable, "depth", _fake_depth)
     p, field = _forced_presentation(name), field_for_characteristic(char)
     report = audit_theorems(p, samples=5, seed=1, field=field)
-    a, b, _ = sampled_audit(p, 5, 1, field)
+    a, b, *_ = sampled_audit(p, 5, 1, field)
     assert a and b
     assert _counterexamples(report) == (a, b)
     text = json.dumps(report.as_dict(), sort_keys=False)
     assert hashlib.sha256(text.encode()).hexdigest() == FORCED_DIGESTS[f"{name}@{char}"]
 
 
+@pytest.mark.usefixtures("uncertified")
 @pytest.mark.parametrize("name,char", [("U3_4", 0), ("V2_3", 3)])
 def test_sampling_composes_once_per_distinct_key(name, char, monkeypatch):
     """At most one compose per distinct triple draw and one per distinct pair draw."""
     p, field = _forced_presentation(name), field_for_characteristic(char)
-    _, _, draws = sampled_audit(p, 32, 0, field)
+    _, _, draws, _ = sampled_audit(p, 32, 0, field)
     quiver = knit(p, field)
     table = RadicalTable(quiver)
     monkeypatch.setattr(configurations, "knit", lambda p, field: quiver)
@@ -131,6 +144,7 @@ def _draw_free(p, field):
     return [text for t, text in zip(triples, texts) if not any(rad2[id(a)] for a in t)], triples
 
 
+@pytest.mark.usefixtures("uncertified")
 def test_only_triples_with_draws_seed_a_generator(monkeypatch):
     p, field = _forced_presentation("U3_4"), field_for_characteristic(0)
     free, triples = _draw_free(p, field)
@@ -148,6 +162,7 @@ def test_only_triples_with_draws_seed_a_generator(monkeypatch):
     assert len(set(seeds)) == len(seeds)
 
 
+@pytest.mark.usefixtures("uncertified")
 @pytest.mark.parametrize("family,m,n,char", [("V", 2, 3, 0), ("W", None, 5, 3)])
 def test_a_violating_draw_free_triple_reports_every_sample(family, m, n, char, monkeypatch):
     """A fake depth of 5 everywhere breaks B on every sample of every triple."""
@@ -155,11 +170,40 @@ def test_a_violating_draw_free_triple_reports_every_sample(family, m, n, char, m
     p, field = make_family(family, m=m, n=n).presentation, field_for_characteristic(char)
     free, triples = _draw_free(p, field)
     report = audit_theorems(p, samples=4, seed=3, field=field)
-    a, b, _ = sampled_audit(p, 4, 3, field)
+    a, b, *_ = sampled_audit(p, 4, 3, field)
     assert _counterexamples(report) == (a, b) == ([], b)
     assert len(b) == 4 * len(triples) and free
     for text in free:
         assert [s["sample"] for s in b if s["triple"] == text] == [0, 1, 2, 3]
+
+
+# W(3..9)'s kept triples: the first one's perturbed samples reach depth 6
+W_KEPT = [("b2", "e(2)", "b1^- a b1", "a b1"), ("b2 b3", "b2", "e(2)", "b1^- a b1")]
+
+
+@pytest.mark.parametrize("char", [0, 2, 3], ids=["QQ", "GF2", "GF3"])
+def test_the_tags_certify_every_dropped_triple(char, monkeypatch):
+    """No sample of a triple the audit drops has a total of depth 4, 5 or 6,
+    on the ladder and S0-S7; W(3..9) keeps the triples of W_KEPT.
+
+    A fake depth of 5 breaks B on every sample of a kept triple, so the
+    triples that report names are the kept ones.
+    """
+    field = field_for_characteristic(char)
+    for p in _ladder_and_stress():
+        *_, spots = sampled_audit(p, 8, 0, field)
+        with monkeypatch.context() as m:
+            m.setattr(RadicalTable, "depth", lambda self, f, source=None, target=None: 5)
+            report = audit_theorems(p, samples=8, seed=0, field=field)
+        kept = {tuple(s["triple"]) for s in report.audits[B]["counterexamples"]}
+        totals = {}
+        for s in spots:
+            totals.setdefault(tuple(s["triple"]), set()).add(s["depths"]["total"])
+        assert kept <= totals.keys()
+        for triple, depths in totals.items():
+            assert triple in kept or depths.isdisjoint({4, 5, 6}), (p.name, triple, depths)
+        if p.name.startswith("W"):
+            assert sorted(kept) == sorted(W_KEPT) and 6 in totals[W_KEPT[0]]
 
 
 # captured with the per-sample loop, before each distinct draw was evaluated once
