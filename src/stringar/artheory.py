@@ -845,7 +845,7 @@ def tau_oracle(p, M, field=None):
         n = p1_op.rep.dims[v]
         img = _column_space(field, dop_blocks[v])
         comp_idx = []
-        probe = img.copy()
+        probe = Subspace(field, n, img.rows)
         for i in range(n):
             unit = [field.zero()] * n
             unit[i] = field.one()
@@ -876,15 +876,12 @@ def tau_oracle(p, M, field=None):
     for a in p.quiver.arrows:
         # the op arrow with label a maps fibers at e(a) to fibers at s(a)
         src_v, dst_v = a.target, a.source
-        m = Mat.zeros(field, tr_dims[dst_v], tr_dims[src_v])
+        # written transposed, the dual map: s(a) -> e(a) again
+        m = Mat.zeros(field, tr_dims[src_v], tr_dims[dst_v])
         op_map = op_maps[a.label]
         for k, unit_ix in enumerate(tr_sections[src_v]):
-            col = op_map.column(unit_ix)
-            proj = project(dst_v, col)
-            for i in range(tr_dims[dst_v]):
-                m.rows[i][k] = proj[i]
-        # dualize: transpose swaps the direction back to s(a) -> e(a)
-        tau_maps[a.label] = m.transpose()
+            m.rows[k] = project(dst_v, op_map.column(unit_ix))
+        tau_maps[a.label] = m
     dims = {v: tr_dims[v] for v in p.quiver.vertices}
     return Representation(p, field, dims, tau_maps)
 

@@ -167,13 +167,6 @@ class Mat:
     def shape(self):
         return (self.nrows, self.ncols)
 
-    def transpose(self):
-        return Mat(
-            self.field,
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            self.nrows,
-        )
-
     def column(self, j):
         return [self.rows[i][j] for i in range(self.nrows)]
 
@@ -290,12 +283,6 @@ class Subspace:
         self.field = field
         self.n = n
         self.pivots, self.rows = rref([list(v) for v in vectors], field)
-
-    def copy(self):
-        s = Subspace(self.field, self.n)
-        s.rows = [list(r) for r in self.rows]
-        s.pivots = list(self.pivots)
-        return s
 
     @property
     def dim(self):

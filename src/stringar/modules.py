@@ -18,7 +18,7 @@ no block built.
 from __future__ import annotations
 
 from .errors import CompositionError, UnknownLabelError
-from .fields import Mat, QQ, combination, entry_rank, nullspace, solve
+from .fields import Mat, QQ, combination, entry_rank, nullspace
 from .presentation import require_string_algebra
 from .strings import (
     Letter,
@@ -524,50 +524,32 @@ def is_isomorphic(M, N):
     return any(f.is_invertible() for f in hom_basis(M, N).basis)
 
 
-def _coords_in_basis(field, flat_basis, vec):
-    """Coordinates of vec in the span of flat_basis (must lie inside)."""
-    mat = Mat(field, [list(col) for col in zip(*flat_basis)], len(flat_basis))
-    sol = solve(mat, list(vec))
-    if sol is None:
-        raise ValueError("vector not in span")
-    return sol
-
-
 def end_radical(M):
-    """Jacobson radical of End(M) via the trace bilinear form.
+    """rad End(M) as a basis of morphisms; M indecomposable.
 
-    rad End = left kernel of (x, y) -> trace of left-multiplication by x o y
-    on End(M); exact in characteristic 0 (the default field).  Over a prime
-    field the same computation is used; it is valid whenever p exceeds
-    dim End(M).
+    Precondition: End(M) is local with residue field k, as for every string
+    module.  So f = lambda(f) * 1 + n with n nilpotent, and rad End(M) is the
+    kernel of the linear form lambda.  If the characteristic does not divide
+    N = dim M, lambda(f) = trace(f) / N.  Else p <= N and f^q = lambda(f) * 1
+    for the first q = p^a >= N (n^N = 0, and c^p = c in GF(p)), so lambda(f)
+    is the first flat entry of f^q, a diagonal one.
     """
-    field = M.field
-    E = hom_basis(M, M)
-    n = E.dimension
-    if n == 0:
+    field, basis = M.field, hom_basis(M, M).basis
+    if not basis:
         return []
-    flat = [f.flatten() for f in E.basis]
-    # structure coordinates of all products e_i o e_j
-    prod_coords = [
-        [_coords_in_basis(field, flat, E.basis[i].compose(E.basis[j]).flatten()) for j in range(n)]
-        for i in range(n)
+    char, n = field.characteristic, M.total_dim
+    if char and n % char == 0:
+        form = []
+        for power in basis:
+            q = 1
+            while q < n:
+                power, q = compose_chain([power] * char), q * char
+            form.append(power.flatten()[0])
+    else:
+        inv = field.inv(field.of(n))
+        form = [field.of(inv * sum(a for _, i, j, a in f.nonzeros if i == j)) for f in basis]
+    flat = [f.flatten() for f in basis]
+    return [
+        morphism_from_flat(M, M, combination(field, coeffs, flat))
+        for coeffs in nullspace(Mat(field, [form], len(basis)))
     ]
-
-    def left_mult_trace(coords):
-        # trace of y -> x o y where x = sum coords[i] e_i
-        t = field.zero()
-        for m in range(n):
-            for i in range(n):
-                if coords[i]:
-                    t = t + coords[i] * prod_coords[i][m][m]
-        return field.of(t)
-
-    gram = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(left_mult_trace(prod_coords[i][j]))
-        gram.append(row)
-    ker = nullspace(Mat(field, gram, n).transpose())
-    return [morphism_from_flat(M, M, combination(field, coeffs, flat)) for coeffs in ker]
-

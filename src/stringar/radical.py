@@ -339,6 +339,8 @@ class RadicalTable:
         side "left": search g: Z -> X with g in rad^m \\ rad^{m+1} and
         f o g in rad^{m+2}(Z, Y).  side "right" is dual.
         """
+        if side not in ("left", "right"):
+            raise ValueError(f"unknown side {side!r}")
         x = source or self.node_of_rep(f.source)
         y = target or self.node_of_rep(f.target)
         if self.depth(f, x, y) != 1:
@@ -346,7 +348,7 @@ class RadicalTable:
         limit = bound if bound is not None else self.nilpotency
         for m in range(1, limit + 1):
             for z in self.nodes:
-                hit = self._degree_witness(f, x, y, z, m, side)
+                hit = self._degree_witness(f, x, y, z, m, side == "left")
                 if hit is not None:
                     return Degree(m, z, hit)
         if limit >= self.nilpotency:
@@ -356,26 +358,30 @@ class RadicalTable:
             "no witness found, result inconclusive"
         )
 
-    def _degree_witness(self, f, x, y, z, m, side):
+    def _degree_witness(self, f, x, y, z, m, left):
         """A g: Z -> X (left) or Y -> Z (right) in rad^m \\ rad^{m+1} with
-        f o g (left) or g o f (right) in rad^{m+2}; None if there is none."""
-        if side not in ("left", "right"):
-            raise ValueError(f"unknown side {side!r}")
-        left = side == "left"
+        f o g (left) or g o f (right) in rad^{m+2}; None if there is none.
+
+        f is in rad, so it sends rad^{m+1} into rad^{m+2}: g works exactly
+        when its part on the rows tagged m does.  Those rows are independent
+        modulo rad^{m+1}, so every nonzero combination of them lies outside
+        it, and the witness is the first one whose composite reduces to zero
+        against the rows tagged m+2 or more.
+        """
         src, mid = (z, x) if left else (y, z)
-        if not self.reaches(src.index, mid.index, m):
+        rows = [row for t, _, row in self._rows(src.index, mid.index) if t == m]
+        if not rows:
             return None
-        V = self.layer(src, mid, m)
-        deeper = self.layer(src, mid, m + 1)
-        far = self.layer(z, y, m + 2) if left else self.layer(x, z, m + 2)
+        far_pair = (z.index, y.index) if left else (x.index, z.index)
+        far = [r for r in self._rows(*far_pair) if r[0] >= m + 2]  # a prefix: deepest first
         field, src_rep, mid_rep = self.field, src.module.rep, mid.module.rep
-        morphs = [morphism_from_flat(src_rep, mid_rep, v) for v in V.rows]
-        residues = [far.reduce((f.compose(g) if left else g.compose(f)).flatten()) for g in morphs]
-        for coeffs in nullspace(Mat(field, zip(*residues), len(morphs))):
-            vec = combination(field, coeffs, V.rows)
-            if any(vec) and not deeper.contains(vec):
-                return morphism_from_flat(src_rep, mid_rep, vec)
-        return None
+        morphs = [morphism_from_flat(src_rep, mid_rep, v) for v in rows]
+        composites = [(f.compose(g) if left else g.compose(f)).flatten() for g in morphs]
+        residues = [_reduce(far, h, field.characteristic)[0] for h in composites]
+        kernel = nullspace(Mat(field, zip(*residues), len(rows)))
+        if not kernel:
+            return None
+        return morphism_from_flat(src_rep, mid_rep, combination(field, kernel[0], rows))
 
     # -- definitional-recursion cross-check ------------------------------
 

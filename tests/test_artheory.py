@@ -292,7 +292,6 @@ def test_knit_makes_no_dense_hom_solve(monkeypatch):
         raise AssertionError("knit solved a linear system")
 
     monkeypatch.setattr(modules, "hom_basis", refuse)
-    monkeypatch.setattr(modules, "solve", refuse)
     monkeypatch.setattr(artheory, "solve", refuse)
     assert len(knit(make_family("W", n=5).presentation).meshes) > 0
 

@@ -13,6 +13,7 @@ from stringar import (
     walk_from_text,
     walk_to_text,
 )
+from stringar.families import make_family
 from stringar.fields import Mat, field_for_characteristic
 from stringar.modules import Representation
 from stringar.strings import walk_vertices
@@ -157,16 +158,25 @@ def test_end_radical_p1(w3):
     assert len(rad) == E.dimension - 1
 
 
+def _string_modules(w3):
+    """Every string module of W3 and of the ladder's algebras (the ladder's
+    nodes), over QQ, GF(2) and GF(3)."""
+    ladder = [make_family(f, m=m, n=n).presentation for f, m, n in LADDER.values()]
+    return [
+        realize(p, sw, field_for_characteristic(char))
+        for char in (0, 2, 3) for p in [w3, *ladder] for sw in enumerate_strings(p)
+    ]
+
+
 def test_end_radical_codimension_one_everywhere(w3):
-    for sw in enumerate_strings(w3):
-        M = realize(w3, sw)
+    """End(M) is local with residue field k, also where p divides dim M."""
+    for M in _string_modules(w3):
         E = hom_basis(M.rep, M.rep)
         assert E.dimension - len(end_radical(M.rep)) == 1
 
 
 def test_end_radical_nilpotency(w3):
-    for sw in enumerate_strings(w3):
-        M = realize(w3, sw)
+    for M in _string_modules(w3):
         for f in end_radical(M.rep):
             power = f
             for _ in range(M.total_dim - 1):

@@ -113,6 +113,13 @@ def test_degree_requires_irreducible(w3_quiver, w3_table):
         T.degree(f, "left")
 
 
+def test_degree_rejects_an_unknown_side_before_any_work(w3_quiver):
+    T = RadicalTable(w3_quiver)
+    with pytest.raises(ValueError, match="unknown side 'up'"):
+        T.degree(w3_quiver.arrows[0].morphism, "up")
+    assert not T._levels
+
+
 def test_degree_formula_u21(u21_quiver, u21_table):
     th, s1, d1 = theta_morphism(u21_quiver, "a2")
     io, s2, d2 = iota_morphism(u21_quiver, "a2")

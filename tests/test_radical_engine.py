@@ -171,6 +171,19 @@ def test_table_build_builds_no_composite_morphism(monkeypatch, char):
         assert len(T._levels) == len(G.nodes) and T.nilpotency > 2
 
 
+@pytest.mark.parametrize("char", [2, 3])
+@pytest.mark.parametrize("name", [*LADDER, "S0", "S1", "S3", "S6", "S7"])
+def test_recursion_equals_span_over_prime_fields(name, char):
+    """The recursion's end_radical is exact in every characteristic, also
+    where p divides dim M; S2, S4 and S5 take longer and run outside tier-1."""
+    if name in LADDER:
+        family, m, n = LADDER[name]
+        p = make_family(family, m=m, n=n).presentation
+    else:
+        p = _band_free_algebras()[int(name[1:])]
+    assert RadicalTable(knit(p, field_for_characteristic(char))).layers_equal_to_span()
+
+
 def test_cross_check_sees_a_wrong_tag():
     T = RadicalTable(knit(_spec("W3").presentation))
     assert T.layers_equal_to_span()

@@ -201,8 +201,7 @@ def test_random_band_free_algebras_agree_with_oracle():
 def test_random_band_free_algebras_over_prime_fields(char):
     """Surgery against DTr over GF(p), and layer dimensions equal to those over QQ.
 
-    The recursion oracle's trace form needs p > dim End, so the span check
-    stays over QQ (above).
+    The span check over GF(p) is `test_recursion_equals_span_over_prime_fields`.
     """
     field = field_for_characteristic(char)
     for i, p in enumerate(_band_free_algebras()):
