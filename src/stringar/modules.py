@@ -10,9 +10,8 @@ arrow matrices are written out only on request.
 
 A morphism is kept as its nonzeros only (`MorphismMatrix`).  Hom spaces are
 solved in flat coordinates, every block row-major in vertex order, with
-equations read from the modules' nonzeros; `morphism_from_flat` and
-`flat_compose` read and make flat vectors straight from the nonzeros, with
-no block built.
+equations read from the modules' nonzeros; `morphism_from_flat` reads a
+flat vector straight into nonzeros, with no block built.
 """
 
 from __future__ import annotations
@@ -255,7 +254,7 @@ class MorphismMatrix:
     @property
     def blocks(self):
         """{vertex: block} on the common support, in vertex order."""
-        return {v: self.block(v) for v in _common_support(self.source, self.target)}
+        return {v: self.block(v) for v in flat_offsets(self.source, self.target)[0]}
 
     def block(self, v):
         """The block at vertex v; an empty Mat off the common support."""
@@ -385,12 +384,6 @@ def _same_field(M, N):
         raise CompositionError(f"cannot combine maps over {M.field!r} and {N.field!r}")
 
 
-def _common_support(M, N):
-    """The vertices where both M and N are nonzero, in vertex order."""
-    theirs = N.support
-    return [v for v, d in M.dims.items() if d and v in theirs]
-
-
 def morphism_from_flat(M, N, vec):
     """The morphism M -> N whose `flatten()` is the list vec: its nonzero entries."""
     offsets, size = flat_offsets(M, N)
@@ -408,44 +401,15 @@ def hom_flat_dim(M, N):
 
 
 def flat_offsets(M, N):
-    """({vertex: index of its block's first entry}, length) of the flat coordinates of Hom(M, N)."""
-    offsets, i = {}, 0
-    for v in _common_support(M, N):
-        offsets[v] = i
-        i += N.dims[v] * M.dims[v]
+    """({vertex: index of its block's first entry}, length) of the flat coordinates of
+    Hom(M, N); the vertices are those where both are nonzero, in vertex order."""
+    offsets, i, theirs = {}, 0, N.dims
+    for v, d in M.dims.items():
+        e = theirs[v]
+        if d and e:
+            offsets[v] = i
+            i += d * e
     return offsets, i
-
-
-def flat_compose(g, M, vecs, source_offsets, target_offsets):
-    """[flatten(g o morphism_from_flat(M, g.source, vec)) for vec in vecs], building neither.
-
-    The offsets are the `flat_offsets` of Hom(M, g.source) and of Hom(M,
-    g.target).  At each vertex v the product's row i is the sum of a * (row
-    k of f's block) over g's nonzeros (v, i, k, a), and row k of f's block
-    is a slice of vec.  So a unit entry that is the first write to its row
-    copies one slice, any other entry adds a scaled slice, and rows that no
-    nonzero reaches stay zero.  Mod p each vector is reduced once, at the
-    end, when a scaled add has run.
-    """
-    (src, _), (dst, size) = source_offsets, target_offsets
-    outs = [[0] * size for _ in vecs]
-    written, reduce = set(), False
-    for v, i, k, a in g.nonzeros:
-        o = dst.get(v)
-        if o is None:  # M is zero at v
-            continue
-        c = M.dims[v]
-        lo, s = o + i * c, src[v] + k * c
-        if a == 1 and lo not in written:
-            for vec, out in zip(vecs, outs):
-                out[lo : lo + c] = vec[s : s + c]
-        else:
-            reduce = True
-            for vec, out in zip(vecs, outs):
-                out[lo : lo + c] = [x + a * y for x, y in zip(out[lo : lo + c], vec[s : s + c])]
-        written.add(lo)
-    char = g.source.field.characteristic
-    return [[x % char for x in out] for out in outs] if char and reduce else outs
 
 
 class HomBasis:

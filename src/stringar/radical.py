@@ -3,25 +3,25 @@
 All layers live in flattened Hom coordinates per ordered node pair.  A
 band-free string algebra is representation-finite, so rad^n(X, Y) is
 spanned by composites of at least n irreducible maps in any characteristic
-(Auslander-Reiten-Smalo, ch. V.7).  The engine spans T_1 = the arrow
-matrices and T_{m+1}(X, Y) = a o T_m(X, Z) over the arrows a: Z -> Y, then
-folds T_m, deepest m first, into one echelon basis per ordered pair whose
-rows carry their depth tag m; the identity joins the diagonal last with
-tag 0.  rad^n is the span of the rows tagged n or more.
+(Auslander-Reiten-Smalo, ch. V.7).  The engine spans T_m, the composites of
+m arrow maps, then folds T_m, deepest m first, into one echelon basis per
+ordered pair whose rows carry their depth tag m; the identity joins the
+diagonal last with tag 0.  rad^n is the span of the rows tagged n or more.
 
-Each source X is built on its own, the first time a query reads it: the
-recursion never changes X.  `nilpotency` reads the projective sources,
-one per vertex; `profile(x, y)` reads x and those; a right degree of
-f: X -> Y reads Y, X and those, a left one every source; `_tagged`
-builds every source.  Each T_m(X, Y) is kept in RREF, which is
-canonical, so a pair's rows do not depend on the order of the builds.
+T_m grows from either end.  `_build(x, "source")` fills the pairs (X, .)
+with T_{m+1}(X, Y) = a o T_m(X, Z) over the arrows a: Z -> Y, and
+`_build(y, "target")` the column (., Y) with T_{m+1}(X, Y) = T_m(Z, Y) o a
+over the arrows a: X -> Z.  Each T_m is kept in RREF, which is canonical,
+so a pair's rows do not depend on the end or the order of the builds.  A
+query builds what it reads, once: `nilpotency` the projective sources, one
+per vertex; `profile(x, y)` x and those; a right degree of f: X -> Y the
+sources Y and X and those, a left one the source X, those and the columns
+X and Y; `_tagged` every source.
 
-Composites are formed in flat coordinates: `flat_compose` assembles
-a o f from slices of f's flat vector, one per nonzero of the arrow map,
-so no morphism is built.  It equals flatten(a.compose(morphism_from_flat(
-...))) exactly, for any map a; the arrow maps are checked to be
-morphisms when the table is made.  An arrow whose nonzeros all sit off
-X's support composes to zero with every map from X and is skipped.
+`_flat_compose` composes in flat coordinates, from slices (strided ones on
+the target side) of the flat vectors, one per nonzero of the arrow map, so
+no morphism is built; the arrow maps are checked to be morphisms when the
+table is made.
 
 The definitional recursion rad^{n+1}(X, Y) = sum over Z of
 rad(Z, Y) o rad^n(X, Z), on solved Hom spaces with the endomorphism
@@ -37,7 +37,7 @@ from .artheory import standard_arrows
 from .errors import BandFoundError, MeshInconsistencyError, NotIrreducibleError
 from .fields import Mat, Subspace, combination, nullspace, rref, scaled_row
 from .modules import end_radical, hom_basis  # the cross-check only
-from .modules import flat_compose, flat_offsets, hom_flat_dim, morphism_from_flat
+from .modules import flat_offsets, hom_flat_dim, morphism_from_flat
 from .strings import (
     Letter,
     Walk,
@@ -125,11 +125,19 @@ def _reduce(rows, vec, char):
     return ([a % char for a in v] if char else v), tag
 
 
+def _pivot(v):
+    """The index of v's first nonzero entry; None for the zero vector."""
+    for i, a in enumerate(v):
+        if a:
+            return i
+    return None
+
+
 def _append(field, rows, vec, tag):
     """Add vec to the tagged echelon basis; False if it is already spanned."""
     char = field.characteristic
     v, _ = _reduce(rows, vec, char)
-    p = next((i for i, a in enumerate(v) if a), None)
+    p = _pivot(v)
     if p is None:
         return False
     rows.append((tag, p, scaled_row(v, field.inv(v[p]), char)))
@@ -137,8 +145,15 @@ def _append(field, rows, vec, tag):
 
 
 def _span_rows(field, vecs):
-    """The RREF basis of the span of vecs, as `Subspace` gives it: `_append` leaves
-    echelon rows with unit pivots, so `rref` runs only on two or more."""
+    """The RREF basis of the span of vecs, as `Subspace` gives it: one vector is
+    scaled to a unit pivot; `_append` leaves echelon rows with unit pivots, so
+    `rref` runs only on two or more."""
+    if len(vecs) == 1:
+        v = vecs[0]
+        p = _pivot(v)
+        if p is None:
+            return []
+        return [v if v[p] == 1 else scaled_row(v, field.inv(v[p]), field.characteristic)]
     rows = []
     for v in vecs:
         _append(field, rows, v, None)
@@ -146,11 +161,52 @@ def _span_rows(field, vecs):
     return rref(rows, field)[1] if len(rows) > 1 else rows
 
 
+def _flat_compose(g, fixed, vecs, near, far, source):
+    """The flat g o f (source side) or f o g (target side) for each f in vecs, nonzero
+    ones only, with no morphism built.
+
+    Source side: f is in Hom(fixed, g.source) and the result in Hom(fixed,
+    g.target); at each vertex v, row i of g o f sums a * (row k of f) over
+    g's nonzeros (v, i, k, a).  Target side: f is in Hom(g.target, fixed)
+    and the result in Hom(g.source, fixed); column k of f o g sums a *
+    (column i of f) over the same nonzeros.  A row is a slice of the flat
+    vector, a column a strided one, and either is one entry where fixed
+    has dimension 1.  near and far are the `flat_offsets` of f's pair and
+    of the result's.  Mod p each result is reduced once, at the end.
+    """
+    (near, _), (far, size) = near, far
+    if not size:
+        return []
+    dims, char, outs = fixed.dims, fixed.field.characteristic, []
+    for f in vecs:
+        h = [0] * size
+        for v, i, k, a in g.nonzeros:
+            o = far.get(v)
+            if o is None:  # fixed is zero at v
+                continue
+            c, n = dims[v], near[v]
+            if source:
+                p, ps, q, qs = o + i * c, 1, n + k * c, 1
+            else:
+                p, ps, q, qs = o + k, g.source.dims[v], n + i, g.target.dims[v]
+            if c == 1:
+                h[p] += a * f[q]
+            else:
+                out = slice(p, p + c * ps, ps)
+                h[out] = [x + a * y for x, y in zip(h[out], f[q : q + c * qs : qs])]
+        if char:
+            h = [x % char for x in h]
+        if any(h):
+            outs.append(h)
+    return outs
+
+
 class RadicalTable:
     """All radical layers of a knitted AR quiver, one depth-tagged basis per pair.
 
-    `_source(x)` builds the rows of every pair (x, .) when a query first
-    reads x; `nilpotency` builds the projective sources, `_tagged` every source.
+    A query builds the source x, the pairs (x, .), or the column y, the
+    pairs (., y), when it first reads a pair of it; `_rows(x, y)` reads a
+    built column y, else builds the source x.
     """
 
     def __init__(self, quiver):
@@ -161,76 +217,82 @@ class RadicalTable:
         self._rep_to_node = {id(n.module.rep): n for n in nodes}
         self._pair_rows = {}  # (source index, target index) -> [(tag, pivot, row)], deepest first
         self._levels = {}  # built source index -> its number of nonzero T_m
+        self._columns = set()  # built target (column) indices
         self._nilpotency = None  # set once the projective sources are built
         self._limit = 4 * sum(n.module.total_dim for n in nodes)
-        # z -> [(y, arrow map z -> y, the vertices where it has a nonzero)]
+        # z -> [(y, arrow map z -> y)] out of z, and [(y, arrow map y -> z)] into z
         self._out = {n.index: [] for n in nodes}
+        self._in = {n.index: [] for n in nodes}
         for a in quiver.arrows:
             # every row is then a composite of morphisms, which depth() relies on
             if not a.morphism.check_intertwining():
                 raise MeshInconsistencyError(
                     f"arrow {nodes[a.source].text} -> {nodes[a.target].text} is not a morphism"
                 )
-            rows_at = frozenset(v for v, *_ in a.morphism.nonzeros)
-            self._out[a.source].append((a.target, a.morphism, rows_at))
+            self._out[a.source].append((a.target, a.morphism))
+            self._in[a.target].append((a.source, a.morphism))
 
     # -- construction ------------------------------------------------------
 
-    def _source(self, xi):
-        """Store the tagged rows of every pair (x, y), x the node of index xi.
+    def _build(self, ci, side):
+        """Store the tagged rows of every pair (c, .) (side "source") or (., c)
+        (side "target"), c the node of index ci, as the module docstring says.
 
-        Raises before storing anything, so a failed source stays unbuilt.
+        Raises before storing anything, so a failed build stays unbuilt.
         """
-        field, nodes = self.field, self.nodes
-        src = nodes[xi].module.rep
-        support = src.support
-        layouts = {}  # y -> flat_offsets of Hom(x, y)
-        live = {}  # z -> the arrows out of z with a row on x's support
-        nxt = {}
-        for yi, g, _ in self._out[xi]:
-            nxt.setdefault(yi, []).append(g.flatten())
-            layouts[yi] = flat_offsets(src, nodes[yi].module.rep)
-        spans = []  # spans[m - 1]: the RREF rows of each nonzero T_m(x, y), by y
+        field, nodes, source = self.field, self.nodes, side == "source"
+        fixed = nodes[ci].module.rep
+        step = self._out if source else self._in
+        layouts = {}  # z -> flat_offsets of the pair (c, z) or (z, c): the same
+
+        def layout(zi):
+            lay = layouts.get(zi)
+            if lay is None:
+                lay = layouts[zi] = flat_offsets(fixed, nodes[zi].module.rep)
+            return lay
+
+        gens = {}
+        for zi, g in step[ci]:
+            gens.setdefault(zi, []).append(g.flatten())
+        levels = []  # levels[m - 1]: the RREF rows of each nonzero T_m, by z
         while True:
-            t = {}
-            for k, vs in nxt.items():
-                rows = _span_rows(field, vs)
+            level = {}
+            for zi, vecs in gens.items():
+                rows = _span_rows(field, vecs)
                 if rows:
-                    t[k] = rows
-            if not t:
+                    level[zi] = rows
+            if not level:
                 break
-            spans.append(t)
-            if len(spans) > self._limit:
+            levels.append(level)
+            if len(levels) > self._limit:
                 raise MeshInconsistencyError("radical filtration does not terminate")
-            nxt = {}
-            for zi, rows in t.items():
-                arrows = live.get(zi)
-                if arrows is None:
-                    arrows = live[zi] = [
-                        (yi, g) for yi, g, rows_at in self._out[zi]
-                        if not support.isdisjoint(rows_at)
-                    ]
-                src_offsets = layouts[zi]
-                for yi, g in arrows:
-                    dst_offsets = layouts.get(yi)
-                    if dst_offsets is None:
-                        dst_offsets = layouts[yi] = flat_offsets(src, nodes[yi].module.rep)
-                    nxt.setdefault(yi, []).extend(
-                        flat_compose(g, src, rows, src_offsets, dst_offsets)
-                    )
+            gens = {}
+            for zi, rows in level.items():
+                near = layout(zi)
+                for yi, g in step[zi]:
+                    out = _flat_compose(g, fixed, rows, near, layout(yi), source)
+                    if out:
+                        gens.setdefault(yi, []).extend(out)
         tagged = {}
-        for m in range(len(spans), 0, -1):
-            for yi, level in spans[m - 1].items():
-                rows = tagged.setdefault((xi, yi), [])
-                for v in level:
-                    _append(field, rows, v, m)
+        for m in range(len(levels), 0, -1):
+            for zi, level in levels[m - 1].items():
+                key = (ci, zi) if source else (zi, ci)
+                rows = tagged.get(key)
+                if rows is None:  # the deepest level: RREF with unit pivots, as `_append` keeps it
+                    tagged[key] = [(m, _pivot(r), r) for r in level]
+                else:
+                    for r in level:
+                        _append(field, rows, r, m)
         one, zero = field.one(), field.zero()  # the identity's flat vector, block by block
         ident = [one if i == j else zero
-                 for d in src.dims.values() for i in range(d) for j in range(d)]
-        if not _append(field, tagged.setdefault((xi, xi), []), ident, 0):
-            raise MeshInconsistencyError(f"the identity of {nodes[xi].text} lies in the radical")
+                 for d in fixed.dims.values() for i in range(d) for j in range(d)]
+        if not _append(field, tagged.setdefault((ci, ci), []), ident, 0):
+            raise MeshInconsistencyError(f"the identity of {nodes[ci].text} lies in the radical")
         self._pair_rows.update(tagged)
-        self._levels[xi] = len(spans)
+        if source:
+            self._levels[ci] = len(levels)
+        else:
+            self._columns.add(ci)
 
     @property
     def nilpotency(self):
@@ -258,8 +320,13 @@ class RadicalTable:
     def _level(self, xi):
         """The number of nonzero T_m(x, .), source xi built first."""
         if xi not in self._levels:
-            self._source(xi)
+            self._build(xi, "source")
         return self._levels[xi]
+
+    def _column(self, yi):
+        """Build the column yi, the pairs (., y), unless it or every source is built."""
+        if yi not in self._columns and len(self._levels) < len(self.nodes):
+            self._build(yi, "target")
 
     # -- queries -----------------------------------------------------------
 
@@ -273,14 +340,16 @@ class RadicalTable:
         raise MeshInconsistencyError("morphism endpoint is not a node module")
 
     def _rows(self, xi, yi):
-        """The tagged rows of the pair of node indices (xi, yi), source xi built first."""
-        self._level(xi)
+        """The tagged rows of the pair of node indices (xi, yi), from column yi
+        if it is built, else from source xi, built first."""
+        if yi not in self._columns:
+            self._level(xi)
         return self._pair_rows.get((xi, yi), ())
 
     def reaches(self, xi, yi, n=0):
         """True when rad^n(x, y) != 0, for node indices xi, yi; n=0 asks Hom(x, y) != 0.
 
-        `_source` appends each pair's rows deepest tag first, so the first
+        `_build` stores each pair's rows deepest tag first, so the first
         stored row carries the pair's largest tag and one lookup decides.
         """
         rows = self._rows(xi, yi)
@@ -346,6 +415,9 @@ class RadicalTable:
         if self.depth(f, x, y) != 1:
             raise NotIrreducibleError("degree is defined for irreducible morphisms")
         limit = bound if bound is not None else self.nilpotency
+        if side == "left":  # the witnesses read the pairs (z, x) and (z, y)
+            self._column(x.index)
+            self._column(y.index)
         for m in range(1, limit + 1):
             for z in self.nodes:
                 hit = self._degree_witness(f, x, y, z, m, side == "left")
@@ -408,7 +480,8 @@ class RadicalTable:
 
         Hom spaces are solved by `hom_basis` and the diagonal's radical comes
         from `end_radical`; then rad^{n+1}(X, Y) = sum over Z of
-        rad(Z, Y) o rad^n(X, Z).
+        rad(Z, Y) o rad^n(X, Z).  Each layer's basis maps are made once per
+        pair and level.
         """
         field, nodes = self.field, self.nodes
         pairs = [(x, y) for x in nodes for y in nodes]
@@ -416,6 +489,13 @@ class RadicalTable:
         def span(x, y, maps):
             dim = hom_flat_dim(x.module.rep, y.module.rep)
             return Subspace(field, dim, [f.flatten() for f in maps])
+
+        def maps(spaces):
+            return {
+                (x.index, y.index): [morphism_from_flat(x.module.rep, y.module.rep, v)
+                                     for v in spaces[(x.index, y.index)].rows]
+                for x, y in pairs
+            }
 
         hom = {
             (x.index, y.index): span(x, y, hom_basis(x.module.rep, y.module.rep).basis)
@@ -427,16 +507,15 @@ class RadicalTable:
             else hom[(x.index, y.index)]
             for x, y in pairs
         }
+        rad = maps(first)
         while True:
             yield current
-            nxt = {}
+            deep, nxt = maps(current), {}
             for x, y in pairs:
                 acc = nxt[(x.index, y.index)] = span(x, y, [])
                 for z in nodes:
-                    for fv in current[(x.index, z.index)].rows:
-                        f = morphism_from_flat(x.module.rep, z.module.rep, fv)
-                        for gv in first[(z.index, y.index)].rows:
-                            g = morphism_from_flat(z.module.rep, y.module.rep, gv)
+                    for f in deep[(x.index, z.index)]:
+                        for g in rad[(z.index, y.index)]:
                             acc.insert(g.compose(f).flatten())
             current = nxt
 

@@ -15,10 +15,9 @@ from stringar import audit_theorems, field_for_characteristic, hom_basis, knit, 
 from stringar.errors import CompositionError
 from stringar.families import make_family
 from stringar.fields import Mat, rref
-from stringar.radical import RadicalTable
+from stringar.radical import RadicalTable, _flat_compose
 from stringar.modules import (
     MorphismMatrix,
-    flat_compose,
     flat_offsets,
     hom_flat_dim,
     morphism_from_flat,
@@ -273,10 +272,12 @@ def _row_orders(g):
 @pytest.mark.parametrize("char", [0, 2, 3, 5])
 @pytest.mark.parametrize("family, kw", [("W", {"n": 3}), ("U", {"m": 2, "n": 2})])
 def test_flat_compose_is_compose_in_flat_coordinates(family, kw, char):
-    """flat_compose(g, M, vecs) is flatten(g o morphism_from_flat(M, g.source, vec)),
-    for seeded random vectors, Fractions included over QQ.  The maps g include
-    rows of two nonzeros, rows whose unit entry is not their first nonzero and
-    rows with two unit entries."""
+    """The table's flat composite is the flattened composite of morphisms, on
+    both sides: source side flatten(g o morphism_from_flat(M, g.source, vec)),
+    target side flatten(morphism_from_flat(g.target, M, vec) o g), the zero
+    ones left out, for seeded random vectors, Fractions included over QQ.
+    The maps g include rows of two nonzeros, rows whose unit entry is not
+    their first nonzero and rows with two unit entries."""
     field = field_for_characteristic(char)
     quiver = knit(make_family(family, **kw).presentation, field)
     rng = random.Random(f"flat-compose:{family}:{char}")
@@ -291,17 +292,22 @@ def test_flat_compose_is_compose_in_flat_coordinates(family, kw, char):
     assert any(len(r) > 1 for r in rows), "no map with a row of two nonzeros"
     assert any(r[0] != 1 and 1 in r[1:] for r in rows) or char == 2, "no late unit entry"
     assert any(r.count(1) > 1 for r in rows), "no row with two unit entries"
-    checked = 0
+    checked = {True: 0, False: 0}
     for g in maps:
         for x in quiver.nodes:
             M = x.module.rep
-            vecs = [[entry() for _ in range(hom_flat_dim(M, g.source))] for _ in range(3)]
-            want = [g.compose(morphism_from_flat(M, g.source, v)).flatten() for v in vecs]
-            offsets = flat_offsets(M, g.source), flat_offsets(M, g.target)
-            got = flat_compose(g, M, vecs, *offsets)
-            assert got == want
-            checked += any(map(any, want))
-    assert checked > 100
+            for source in (True, False):
+                near, far = (g.source, g.target) if source else (g.target, g.source)
+                vecs = [[entry() for _ in range(hom_flat_dim(M, near))] for _ in range(3)]
+                if source:
+                    want = [g.compose(morphism_from_flat(M, near, v)).flatten() for v in vecs]
+                else:
+                    want = [morphism_from_flat(near, M, v).compose(g).flatten() for v in vecs]
+                offsets = flat_offsets(M, near), flat_offsets(M, far)
+                got = _flat_compose(g, M, vecs, *offsets, source)
+                assert got == [w for w in want if any(w)]
+                checked[source] += len(got)
+    assert min(checked.values()) > 100
 
 
 def _maps_to_check(quiver, rng):

@@ -103,13 +103,13 @@ def test_depth_path(capsys, w3_file):
 
 def test_depth_builds_only_the_first_source(capsys, monkeypatch, w3_file):
     """depth reads rad(x, y) for the path's ends, so only x's rows are built."""
-    built, build = [], RadicalTable._source
+    built, build = [], RadicalTable._build
 
-    def recorded(self, xi):
+    def recorded(self, xi, side):
         built.append(self.nodes[xi].text)
-        return build(self, xi)
+        return build(self, xi, side)
 
-    monkeypatch.setattr(RadicalTable, "_source", recorded)
+    monkeypatch.setattr(RadicalTable, "_build", recorded)
     words = ("e(4)", "b3", "b2 b3")
     code, out, _ = run(capsys, "depth", w3_file, *words)
     assert code == 0 and out.strip() == "2"

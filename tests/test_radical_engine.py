@@ -156,7 +156,7 @@ def test_engine_solves_no_hom_space(monkeypatch):
 @pytest.mark.parametrize("char", [0, 3])
 def test_table_build_builds_no_composite_morphism(monkeypatch, char):
     """The table composes in flat coordinates: no MorphismMatrix.compose and no
-    morphism_from_flat while its sources are built.  What it builds is pinned by
+    morphism_from_flat while its sources and columns are built.  What it builds is pinned by
     the digests of test_pinned_outputs."""
     G = knit(_spec("V2_3").presentation, field_for_characteristic(char))
 
@@ -167,8 +167,17 @@ def test_table_build_builds_no_composite_morphism(monkeypatch, char):
         m.setattr(MorphismMatrix, "compose", refuse)
         m.setattr(radical, "morphism_from_flat", refuse)
         T = RadicalTable(G)
+        for y in G.nodes:
+            T._column(y.index)
         T._tagged  # builds every source
-        assert len(T._levels) == len(G.nodes) and T.nilpotency > 2
+        assert len(T._levels) == len(T._columns) == len(G.nodes) and T.nilpotency > 2
+
+
+def _ladder_or_stress(name):
+    if name in LADDER:
+        family, m, n = LADDER[name]
+        return make_family(family, m=m, n=n).presentation
+    return _band_free_algebras()[int(name[1:])]
 
 
 @pytest.mark.parametrize("char", [2, 3])
@@ -176,12 +185,8 @@ def test_table_build_builds_no_composite_morphism(monkeypatch, char):
 def test_recursion_equals_span_over_prime_fields(name, char):
     """The recursion's end_radical is exact in every characteristic, also
     where p divides dim M; S2, S4 and S5 take longer and run outside tier-1."""
-    if name in LADDER:
-        family, m, n = LADDER[name]
-        p = make_family(family, m=m, n=n).presentation
-    else:
-        p = _band_free_algebras()[int(name[1:])]
-    assert RadicalTable(knit(p, field_for_characteristic(char))).layers_equal_to_span()
+    quiver = knit(_ladder_or_stress(name), field_for_characteristic(char))
+    assert RadicalTable(quiver).layers_equal_to_span()
 
 
 def test_cross_check_sees_a_wrong_tag():
@@ -279,21 +284,101 @@ def test_sources_built_in_any_order_give_the_complete_table(name, char):
     assert set(T._levels) == {x.index for x in T.nodes}
 
 
+@pytest.mark.parametrize("char", [0, 2, 3])
+@pytest.mark.parametrize("name", [*LADDER, *(f"S{i}" for i in range(8))])
+def test_columns_equal_the_source_build(name, char):
+    """T_m(x, y) is the span of the composites of m arrows from either end and
+    is kept in RREF, so building every column stores the rows of building
+    every source, entry types included."""
+    quiver = knit(_ladder_or_stress(name), field_for_characteristic(char))
+    complete = RadicalTable(quiver)._tagged
+    T = RadicalTable(quiver)
+    for y in T.nodes:
+        T._column(y.index)
+    assert T._levels == {} and T._columns == {y.index for y in T.nodes}
+    assert {k: repr(rows) for k, rows in T._pair_rows.items()} == {
+        k: repr(rows) for k, rows in complete.items()
+    }
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_sources_and_columns_built_in_any_order_give_the_complete_table(name, char):
+    """Half of all sources and columns, built shuffled and interleaved, store
+    exactly the complete table's rows of their pairs."""
+    quiver = knit(_ladder_or_stress(name), field_for_characteristic(char))
+    complete = RadicalTable(quiver)._tagged
+    T = RadicalTable(quiver)
+    builds = [(x.index, side) for x in T.nodes for side in ("source", "target")]
+    random.Random(f"ends:{name}:{char}").shuffle(builds)
+    for xi, side in builds[: len(builds) // 2]:
+        T._level(xi) if side == "source" else T._column(xi)
+        built = {k for k in complete if k[0] in T._levels or k[1] in T._columns}
+        assert set(T._pair_rows) == built
+        assert all(rows == complete[k] for k, rows in T._pair_rows.items())
+    assert T._columns and T._tagged == complete
+
+
+@pytest.mark.parametrize("char", [0, 2])
+def test_a_left_degree_builds_the_columns_of_its_ends(monkeypatch, char):
+    """A left degree of f: x -> y reads the pairs (z, x) and (z, y), so it
+    builds the columns x and y, the source x (depth) and the projective sources
+    (nilpotency), each once, and answers as a table built in full, which
+    builds no column for it."""
+    built, build = [], RadicalTable._build
+
+    def recorded(self, xi, side):
+        built.append((xi, side))
+        return build(self, xi, side)
+
+    field = field_for_characteristic(char)
+    for p in _ladder_and_stress():
+        G = knit(p, field)
+        projective = {(x.index, "source") for x in G.nodes if x.projective}
+        complete = RadicalTable(G)
+        complete._tagged
+        for a in G.arrows[:3]:
+            x, y = G.nodes[a.source], G.nodes[a.target]
+            T = RadicalTable(G)
+            built.clear()
+            with monkeypatch.context() as m:
+                m.setattr(RadicalTable, "_build", recorded)
+                d = T.degree(a.morphism, "left", source=x, target=y)
+                want = projective | {(a.source, "source"), (a.source, "target"), (a.target, "target")}
+                assert len(built) == len(want) and set(built) == want
+                e = complete.degree(a.morphism, "left", source=x, target=y)
+                assert len(built) == len(want)
+            assert (d.value, d.witness_node, d.witness) == (e.value, e.witness_node, e.witness)
+
+
 def test_errors_of_a_source_raise_from_the_query_that_builds_it(monkeypatch):
-    """The filtration limit and the identity check run per source: a query
-    that reads a source raises them, and the source stays unbuilt."""
+    """The filtration limit and the identity check run per source and per
+    column: a query that reads one raises them, and it stays unbuilt.  A left
+    degree builds its columns after the sources that depth and nilpotency read."""
     G = knit(_spec("W3").presentation)
     T = RadicalTable(G)
-    x = G.nodes[G.arrows[0].source]
-    T._limit = 0
+    a = G.arrows[0]
+    f, x, y = a.morphism, G.nodes[a.source], G.nodes[a.target]
+    limit, T._limit = T._limit, 0
     with pytest.raises(MeshInconsistencyError, match="radical filtration does not terminate"):
         T.reaches(x.index, x.index)
     assert x.index not in T._levels
+    message = re.escape(f"the identity of {x.text} lies in the radical")
+    for cut, patch, error in ((0, False, "radical filtration does not terminate"),
+                              (limit, True, message)):
+        T = RadicalTable(G)
+        T.depth(f, x, y), T.nilpotency
+        T._limit = cut
+        with monkeypatch.context() as m:
+            if patch:
+                m.setattr(radical, "_append", lambda field, rows, vec, tag: bool(tag))
+            with pytest.raises(MeshInconsistencyError, match=error):
+                T.degree(f, "left", source=x, target=y)
+        assert T._columns == set()
     T = RadicalTable(G)
     monkeypatch.setattr(radical, "_append", lambda field, rows, vec, tag: bool(tag))
-    message = re.escape(f"the identity of {x.text} lies in the radical")
     with pytest.raises(MeshInconsistencyError, match=message):
-        T.depth(G.arrows[0].morphism, x, G.nodes[G.arrows[0].target])
+        T.depth(f, x, y)
     assert T._levels == {}
 
 
