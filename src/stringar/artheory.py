@@ -416,8 +416,9 @@ def ar_sequence(p, M, side, field=None, resolve=None):
         if seq.right_term.word.walk != canonical_walk(p, word.walk):  # word is a string
             raise MeshInconsistencyError("translate round trip failed")
         return seq
-    if side == "startingAt":
-        require_finite_dimensional(p, "translate")  # "endingAt" checks in _translate_word
+    if side == "startingAt":  # "endingAt" checks both in _translate_word
+        require_string_algebra(p)
+        require_finite_dimensional(p, "translate")
         return _mesh_from_left(p, word.walk, resolve)
     raise ValueError(f"unknown side {side!r}")
 

@@ -8,6 +8,7 @@ is reported verbatim.
 
 from __future__ import annotations
 
+import functools
 import random
 
 from .artheory import (
@@ -338,13 +339,14 @@ def audit_theorems(p, samples=32, seed=0, field=QQ):
     f: x -> w has depth(f) in tags(x, w) | {ZERO_DEPTH}, A fires only at
     depth 6 and B only at 4 or 5.  So a triple whose pair (x, w) has none of
     those tags passes both for every choice of irreducibles; it is skipped,
-    with no generator, draw or compose.  A kept triple seeds its generator
-    with its index among all triples.  Each distinct draw (arrow index and
-    coefficients) is built, composed and reduced once per audit; the report
-    is the same as recomposing every sample.  A kept triple whose three
-    arrows have no rad^2 row draws nothing: every sample is the bare triple,
-    so it gets no random generator, is evaluated once, and a violation is
-    reported for every sample index.
+    with no generator, draw or compose.  The tags build the sources they
+    read, so a source that cannot be built fails there.  A kept triple seeds
+    its generator with its index among all triples; sample 0 is the bare
+    triple.  Each distinct draw (arrow index and coefficients) is built,
+    composed and reduced once per audit, so the report is the same as
+    recomposing every sample; a triple whose arrows have no rad^2 row draws
+    the bare triple every time, and a violation of it is reported for every
+    sample index.
     samples < 1 is a ValueError: an audit that draws nothing passes vacuously.
     """
     if samples < 1:
@@ -363,64 +365,46 @@ def audit_theorems(p, samples=32, seed=0, field=QQ):
         for a3 in quiver.arrows_from(a2.target)
     ]
     ends = [(quiver.nodes[a.source], quiver.nodes[a.target]) for a in arrows]
-    for x, y in ends:  # build every arrow's source: one that cannot be built fails here
-        table.reaches(x.index, y.index)
     kept = [
         (t_ix, triple) for t_ix, triple in enumerate(triples)
         if not table.tags(arrows[triple[0]].source, arrows[triple[2]].target).isdisjoint((4, 5, 6))
     ]
     rad2 = {i: table.layer(*ends[i], 2).rows for i in {i for _, triple in kept for i in triple}}
-    maps, composites, depths = {}, {}, {}
+    a_violations, b_violations = [], []
     zero = field.zero()
     draw = [field.of(c) for c in range(-3, 4)]  # draw[rng.randrange(7)] is randint(-3, 3)
 
+    @functools.cache
     def perturbed(key):
         """Arrow i plus each coefficient times its rad^2 row, for key = (i, coefficients)."""
-        if key not in maps:
-            i, cs = key
-            f = arrows[i].morphism
-            if any(cs):
-                vec = combination(field, cs, rad2[i])
-                f = f.add(morphism_from_flat(f.source, f.target, vec))
-            maps[key] = f
-        return maps[key]
+        i, cs = key
+        f = arrows[i].morphism
+        if any(cs):
+            f = f.add(morphism_from_flat(f.source, f.target, combination(field, cs, rad2[i])))
+        return f
 
+    @functools.cache
     def pair(k1, k2):
         """The composite of two perturbed arrows and its depth."""
-        if (k1, k2) not in composites:
-            h = perturbed(k2).compose(perturbed(k1))
-            composites[k1, k2] = h, table.depth(h, ends[k1[0]][0], ends[k2[0]][1])
-        return composites[k1, k2]
+        h = perturbed(k2).compose(perturbed(k1))
+        return h, table.depth(h, ends[k1[0]][0], ends[k2[0]][1])
 
+    @functools.cache
     def evaluate(key):
         """The depths d21, d32, dtot of a triple key, and the violated audit's list or None."""
-        if key not in depths:
-            k1, k2, k3 = key
-            h21, d21 = pair(k1, k2)
-            total = perturbed(k3).compose(h21)
-            dtot = table.depth(total, ends[k1[0]][0], ends[k3[0]][1])
-            d32 = pair(k2, k3)[1]
-            shallow = dtot == 6 and d21 <= 2 and d32 <= 2
-            hit = a_violations if shallow else b_violations if 4 <= dtot < 6 else None
-            depths[key] = d21, d32, dtot, hit
-        return depths[key]
+        k1, k2, k3 = key
+        h21, d21 = pair(k1, k2)
+        dtot = table.depth(perturbed(k3).compose(h21), ends[k1[0]][0], ends[k3[0]][1])
+        d32 = pair(k2, k3)[1]
+        shallow = dtot == 6 and d21 <= 2 and d32 <= 2
+        return d21, d32, dtot, a_violations if shallow else b_violations if 4 <= dtot < 6 else None
 
-    a_violations = []
-    b_violations = []
     for t_ix, triple in kept:
-        if any(rad2[i] for i in triple):
-            rng = random.Random(f"{seed}:{t_ix}")
+        rng = random.Random(f"{seed}:{t_ix}")
+        for s_ix in range(samples):
             # one draw from -3..3 per rad^2 row; sample 0 is the bare canonical triple
-            keys = (
-                tuple((i, tuple(draw[rng.randrange(7)] if s_ix else zero for _ in rad2[i]))
-                      for i in triple)
-                for s_ix in range(samples)
-            )
-        else:
-            # nothing to draw: the bare triple is every sample, evaluated once
-            bare = tuple((i, ()) for i in triple)
-            keys = [bare] * samples if evaluate(bare)[-1] is not None else ()
-        for s_ix, key in enumerate(keys):
+            key = tuple((i, tuple(draw[rng.randrange(7)] if s_ix else zero for _ in rad2[i]))
+                        for i in triple)
             *ds, hit = evaluate(key)
             if hit is None:
                 continue

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .errors import CompositionError, UnknownLabelError
 from .fields import Mat, QQ, combination, entry_rank, nullspace
-from .presentation import require_string_algebra
+from .presentation import require_finite_dimensional, require_string_algebra
 from .strings import (
     Letter,
     StringWord,
@@ -158,7 +158,11 @@ def _string_module(p, sw, field):
 
 
 def _maximal_path(p, arrow, forward):
-    """The unique maximal relation-free path starting (forward) or ending with the arrow."""
+    """The unique maximal relation-free path starting (forward) or ending with the arrow.
+
+    p must be a finite-dimensional string algebra: then the path is unique and
+    finite.
+    """
     path = (arrow.label,)
     while True:
         if forward:
@@ -170,10 +174,6 @@ def _maximal_path(p, arrow, forward):
         longer = [q for q in longer if not p.path_in_ideal(q)]
         if not longer:
             return path
-        if len(longer) > 1:
-            raise CompositionError(
-                f"vertex {end} violates unique continuation; not a string algebra"
-            )
         path = longer[0]
 
 
@@ -183,6 +183,8 @@ def standard_word(p, v, projective):
     C1, C2 are the maximal paths out of v, D1, D2 the maximal paths into v;
     the inverted branch comes first for P(v) and second for I(v).
     """
+    require_string_algebra(p)
+    require_finite_dimensional(p, f"build {'P' if projective else 'I'}({v})")
     if v not in p.quiver.vertex_index:
         raise UnknownLabelError(f"unknown vertex {v!r}")
     pool = p.quiver.arrows_from(v) if projective else p.quiver.arrows_into(v)

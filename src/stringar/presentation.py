@@ -54,7 +54,9 @@ class Quiver:
     def __init__(self, vertices, arrows):
         self.vertices = tuple(vertices)
         self.arrows = tuple(arrows)
-        self._hash = hash((self.vertices, self.arrows))  # the cached checks hash it often
+        # the cached checks hash and compare presentations often: plain tuples do both in C
+        self._key = (self.vertices, tuple((a.label, a.source, a.target) for a in self.arrows))
+        self._hash = hash(self._key)
         if len(set(self.vertices)) != len(self.vertices):
             raise PresentationSyntaxError("duplicate vertex identifier")
         labels = [a.label for a in self.arrows]
@@ -87,11 +89,7 @@ class Quiver:
         return a
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Quiver)
-            and self.vertices == other.vertices
-            and self.arrows == other.arrows
-        )
+        return isinstance(other, Quiver) and self._key == other._key
 
     def __hash__(self):
         return self._hash
@@ -135,6 +133,8 @@ class AlgebraPresentation:
             if not any(s != r and _first_factor((s,), r) for s in rels)
         )
         self._max_rel_len = max((len(r) for r in self.relations), default=0)
+        self._key = (name, quiver._key, self.relations)
+        self._hash = hash(self._key)
         self.end_candidates = {}  # strings.attach_candidates, memoised by string end
 
     def path_in_ideal(self, labels):
@@ -146,15 +146,10 @@ class AlgebraPresentation:
         return self._max_rel_len
 
     def __eq__(self, other):
-        return (
-            isinstance(other, AlgebraPresentation)
-            and self.name == other.name
-            and self.quiver == other.quiver
-            and self.relations == other.relations
-        )
+        return isinstance(other, AlgebraPresentation) and self._key == other._key
 
     def __hash__(self):
-        return hash((self.name, self.quiver, self.relations))
+        return self._hash
 
     def __repr__(self):
         return f"AlgebraPresentation({self.name!r})"
@@ -316,8 +311,9 @@ def require_string_algebra(p):
     """Raise NotStringAlgebraError, carrying the first failed condition, unless p passes all.
 
     The entry check of enumerate_strings, realize, knit (and so witness),
-    the translates (tau, tau^-1, ar_sequence), detect_local_patterns and
-    audit_theorems; cached per presentation.
+    the translates (tau, tau^-1, ar_sequence on either side), standard_word
+    (and so the standard modules and find_tau_arrows), detect_local_patterns
+    and audit_theorems; cached per presentation.
     """
     bad = _first_failed_condition(p)
     if bad is not None:
@@ -395,8 +391,8 @@ def has_unbounded_paths(p):
 def require_finite_dimensional(p, action):
     """Raise InfiniteDimensionalError unless p is finite-dimensional.
 
-    The entry check of the translates (tau, tau^-1, ar_sequence, tau_orbit)
-    and the DTr oracle.
+    The entry check of the translates (tau, tau^-1, ar_sequence, tau_orbit),
+    standard_word and the DTr oracle.
     """
     if has_unbounded_paths(p):
         raise InfiniteDimensionalError(f"cannot {action}: infinitely many nonzero paths")

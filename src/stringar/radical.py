@@ -213,8 +213,6 @@ class RadicalTable:
         self.quiver = quiver
         self.field = quiver.field
         self.nodes = nodes = quiver.nodes
-        self._layers = {}
-        self._rep_to_node = {id(n.module.rep): n for n in nodes}
         self._pair_rows = {}  # (source index, target index) -> [(tag, pivot, row)], deepest first
         self._levels = {}  # built source index -> its number of nonzero T_m
         self._columns = set()  # built target (column) indices
@@ -330,15 +328,6 @@ class RadicalTable:
 
     # -- queries -----------------------------------------------------------
 
-    def node_of_rep(self, rep):
-        n = self._rep_to_node.get(id(rep))
-        if n is not None:
-            return n
-        for cand in self.nodes:
-            if cand.module.rep == rep:
-                return cand
-        raise MeshInconsistencyError("morphism endpoint is not a node module")
-
     def _rows(self, xi, yi):
         """The tagged rows of the pair of node indices (xi, yi), from column yi
         if it is built, else from source xi, built first."""
@@ -369,49 +358,41 @@ class RadicalTable:
 
     def layer(self, x, y, n):
         """rad^n(x, y) as a Subspace: the span of the rows tagged n or more."""
-        key = (x.index, y.index, n)
-        s = self._layers.get(key)
-        if s is None:
-            s = self._layers[key] = Subspace(
-                self.field, hom_flat_dim(x.module.rep, y.module.rep), self._deep_rows(x, y, n)
-            )
-        return s
+        return Subspace(self.field, hom_flat_dim(x.module.rep, y.module.rep), self._deep_rows(x, y, n))
 
     def profile(self, x, y):
         tags = [t for t, _, _ in self._rows(x.index, y.index)]
         dims = [sum(1 for t in tags if t >= n) for n in range(self.nilpotency + 1)]
         return RadicalProfile(self, x, y, dims)
 
-    def depth(self, f, source=None, target=None):
-        """Largest n with f in rad^n; ZERO_DEPTH for the zero morphism.
+    def depth(self, f, source, target):
+        """Largest n with f: source -> target in rad^n; ZERO_DEPTH for the zero morphism.
 
         Every row of the table is a morphism (the arrow maps are checked at
-        construction) and the rows span Hom(x, y), so f reduces to zero exactly
-        when it is a morphism; the intertwining check runs only on a nonzero
-        residue.
+        construction) and the rows span Hom(source, target), so f reduces to
+        zero exactly when it is a morphism; the intertwining check runs only on
+        a nonzero residue.
         """
-        x = source or self.node_of_rep(f.source)
-        y = target or self.node_of_rep(f.target)
         vec = f.flatten()
         if not any(vec):
             return ZERO_DEPTH
-        rest, d = _reduce(self._rows(x.index, y.index), vec, self.field.characteristic)
+        rest, d = _reduce(self._rows(source.index, target.index), vec, self.field.characteristic)
         if any(rest):
             if not f.check_intertwining():
                 raise MeshInconsistencyError("depth of a non-morphism")
-            raise MeshInconsistencyError(f"{x.text} -> {y.text}: morphism outside the table")
+            raise MeshInconsistencyError(f"{source.text} -> {target.text}: morphism outside the table")
         return d
 
-    def degree(self, f, side, bound=None, source=None, target=None):
-        """Least m such that composing with f jumps two layers; see Degree.
+    def degree(self, f, side, source, target, bound=None):
+        """Least m such that composing with f: X -> Y (the nodes source and
+        target) jumps two layers; see Degree.
 
         side "left": search g: Z -> X with g in rad^m \\ rad^{m+1} and
         f o g in rad^{m+2}(Z, Y).  side "right" is dual.
         """
         if side not in ("left", "right"):
             raise ValueError(f"unknown side {side!r}")
-        x = source or self.node_of_rep(f.source)
-        y = target or self.node_of_rep(f.target)
+        x, y = source, target
         if self.depth(f, x, y) != 1:
             raise NotIrreducibleError("degree is defined for irreducible morphisms")
         limit = bound if bound is not None else self.nilpotency
@@ -462,7 +443,7 @@ class RadicalTable:
 
         The engine's rows tagged n or more span rad^n; they equal the
         recursion's space when the dimensions agree and every row lies in
-        it.  Nothing is added to the `layer` memo.
+        it.
         """
         def same(space, xi, yi, n):
             rows = self._deep_rows(self.nodes[xi], self.nodes[yi], n)

@@ -14,7 +14,7 @@ import pytest
 from stringar import audit_theorems, field_for_characteristic, hom_basis, knit, witness
 from stringar.errors import CompositionError
 from stringar.families import make_family
-from stringar.fields import Mat, rref
+from stringar.fields import Mat
 from stringar.radical import RadicalTable, _flat_compose
 from stringar.modules import (
     MorphismMatrix,
@@ -23,6 +23,7 @@ from stringar.modules import (
     morphism_from_flat,
 )
 from tests.morphisms import identity_morphism
+from tests.oracles import dense_maps
 
 ALGEBRAS = [("W", {"n": 3}), ("U", {"m": 2, "n": 2}), ("V", {"m": 2, "n": 3})]
 CHARS = [0, 2, 3]
@@ -55,43 +56,15 @@ def _dense(f):
     return out
 
 
-def _mul(field, a, b, inner, ncols):
-    return [
-        [field.of(sum(r[k] * b[k][j] for k in range(inner))) for j in range(ncols)]
-        for r in a
-    ]
-
-
-def _oracle_compose(g, f):
-    field, dg, df = f.source.field, _dense(g), _dense(f)
-    return {v: _mul(field, dg[v], df[v], f.target.dims[v], f.source.dims[v])
-            for v in _vertices(f)}
-
-
-def _rank(field, rows):
-    return len(rref([list(r) for r in rows], field)[0]) if rows else 0
-
-
 def _oracle_flags(f):
     field, d = f.source.field, _dense(f)
-    ranks = {v: _rank(field, d[v]) for v in d}
+    ranks = {v: dense_maps.rank(field, d[v]) for v in d}
     src, tgt = f.source.dims, f.target.dims
     return {
         "mono": all(ranks[v] == src[v] for v in d),
         "epi": all(ranks[v] == tgt[v] for v in d),
         "invertible": all(src[v] == tgt[v] == ranks[v] for v in d),
     }
-
-
-def _oracle_intertwines(f):
-    field, d = f.source.field, _dense(f)
-    for a in f.source.p.quiver.arrows:
-        s, t = a.source, a.target
-        lhs = _mul(field, d[t], f.source.maps[a.label].rows, f.source.dims[t], f.source.dims[s])
-        rhs = _mul(field, f.target.maps[a.label].rows, d[s], f.target.dims[s], f.source.dims[s])
-        if lhs != rhs:
-            return False
-    return True
 
 
 def _check_against_oracle(f, dense, c):
@@ -105,7 +78,7 @@ def _check_against_oracle(f, dense, c):
     assert (f.is_mono(), f.is_epi(), f.is_invertible()) == (
         flags["mono"], flags["epi"], flags["invertible"]
     )
-    assert f.check_intertwining() == _oracle_intertwines(f)
+    assert f.check_intertwining() == dense_maps.intertwines(f, _dense)
     assert f.is_zero() == (not any(x for v in dense for r in dense[v] for x in r))
     pairs = [
         (f.add(f.scale(c)), {v: [[field.of(x + c * x) for x in r] for r in dense[v]] for v in dense}),
@@ -131,10 +104,10 @@ def test_arrow_pairs_and_triples_match_the_dense_oracle(quiver):
         for b in quiver.arrows_from(a.target):
             g = b.morphism
             gf = g.compose(f)
-            _check_against_oracle(gf, _oracle_compose(g, f), field.of(rng.randint(-2, 2)))
+            _check_against_oracle(gf, dense_maps.compose(g, f, _dense), field.of(rng.randint(-2, 2)))
             for c in quiver.arrows_from(b.target):
                 h = c.morphism
-                want = _oracle_compose(h, gf)
+                want = dense_maps.compose(h, gf, _dense)
                 _check_against_oracle(h.compose(gf), want, field.of(rng.randint(-2, 2)))
                 assert h.compose(g).compose(f) == h.compose(gf)
                 checked += 1
@@ -166,7 +139,7 @@ def test_flat_morphisms_store_the_common_support(quiver):
             for i in range(n):
                 unit = morphism_from_flat(M, N, [field.one() if j == i else field.zero()
                                                  for j in range(n)])
-                assert unit.check_intertwining() == _oracle_intertwines(unit)
+                assert unit.check_intertwining() == dense_maps.intertwines(unit, _dense)
 
 
 def test_constructor_checks_the_shape_off_the_support():
@@ -333,14 +306,14 @@ def test_check_intertwining_matches_the_dense_oracle(quiver):
     maps = _maps_to_check(quiver, random.Random(f"intertwine:{field}"))
     verdicts = set()
     for f in maps:
-        assert f.check_intertwining() and _oracle_intertwines(f)
+        assert f.check_intertwining() and dense_maps.intertwines(f, _dense)
         vec = f.flatten()
         for j in range(len(vec)):
             bumped = list(vec)
             bumped[j] = field.of(bumped[j] + 1)
             g = morphism_from_flat(f.source, f.target, bumped)
             verdict = g.check_intertwining()
-            assert verdict == _oracle_intertwines(g)
+            assert verdict == dense_maps.intertwines(g, _dense)
             verdicts.add(verdict)
             if char:
                 bumped[j] = vec[j] + char

@@ -160,7 +160,8 @@ def test_prime_field_entries_are_ints_below_p(char):
     entries += [x for rows in T._tagged.values() for _, _, row in rows for x in row]
     entries += [x for f in end_radical(M.rep) for x in f.flatten()]
     entries += [x for f in hom_basis(M.rep, T.nodes[7].module.rep).basis for x in f.flatten()]
-    degrees = [T.degree(a.morphism, side) for a in T.quiver.arrows for side in ("left", "right")]
+    degrees = [T.degree(a.morphism, side, T.nodes[a.source], T.nodes[a.target])
+               for a in T.quiver.arrows for side in ("left", "right")]
     entries += [x for d in degrees if d.is_finite for x in d.witness.flatten()]
     assert any(d.is_finite for d in degrees)
     assert entries and all(type(x) is int and 0 <= x < char for x in entries)

@@ -17,10 +17,11 @@ from stringar import AlmostSplitSequence, field_for_characteristic, knit
 from stringar import fields
 from stringar.errors import CompositionError, MeshInconsistencyError
 from stringar.families import make_family
-from stringar.fields import entry_rank, rref
+from stringar.fields import entry_rank
 from stringar.modules import MorphismMatrix, morphism_from_flat
 from stringar.radical import RadicalTable
 from tests.conftest import LADDER
+from tests.oracles import dense_maps
 from tests.test_artheory import _bumped_right_maps
 from tests.test_stress import _band_free_algebras
 
@@ -63,33 +64,9 @@ def _flat(field, dense, f):
             if f.source.dims[v] and f.target.dims[v] for r in dense[v] for x in r]
 
 
-def _mul(a, b, inner, ncols):
-    return [[sum(r[k] * b[k][j] for k in range(inner)) for j in range(ncols)] for r in a]
-
-
-def _oracle_compose(g, f):
-    dg, df = _dense(g), _dense(f)
-    return {v: _mul(dg[v], df[v], f.target.dims[v], f.source.dims[v]) for v in dg}
-
-
-def _oracle_intertwines(f):
-    field, d = f.source.field, _dense(f)
-    for a in f.source.p.quiver.arrows:
-        s, t = a.source, a.target
-        lhs = _mul(d[t], f.source.maps[a.label].rows, f.source.dims[t], f.source.dims[s])
-        rhs = _mul(f.target.maps[a.label].rows, d[s], f.target.dims[s], f.source.dims[s])
-        if any(field.of(x - y) for u, w in zip(lhs, rhs) for x, y in zip(u, w)):
-            return False
-    return True
-
-
-def _rank(field, rows):
-    return len(rref([list(r) for r in rows], field)[0])
-
-
 def _oracle_ranks(f):
     field, d = f.source.field, _dense(f)
-    return {v: _rank(field, d[v]) for v in d}
+    return {v: dense_maps.rank(field, d[v]) for v in d}
 
 
 # --- knit makes graph maps, as nonzeros ---------------------------------------
@@ -129,7 +106,7 @@ def test_arithmetic_on_nonzeros_matches_the_dense_oracle(name, char):
         assert f.flatten() == flat
         assert f.neg().flatten() == [field.of(-x) for x in flat]
         assert f.is_zero() == (not any(flat)) and f.add(f.neg()).is_zero()
-        assert f.check_intertwining() == _oracle_intertwines(f)
+        assert f.check_intertwining() == dense_maps.intertwines(f, _dense)
         copy = MorphismMatrix(f.source, f.target, f.blocks)
         assert copy == f and Counter(copy.nonzeros) == Counter(f.nonzeros)
     verdicts = {f.check_intertwining() for f in flipped}
@@ -139,7 +116,7 @@ def test_arithmetic_on_nonzeros_matches_the_dense_oracle(name, char):
     assert pairs
     for g, f in pairs:
         gf = g.compose(f)
-        assert gf.flatten() == _flat(field, _oracle_compose(g, f), gf)
+        assert gf.flatten() == _flat(field, dense_maps.compose(g, f, _dense), gf)
         assert gf.is_zero() == (not any(gf.flatten()))
 
 
@@ -183,8 +160,8 @@ def test_ranks_agree_with_rref(name, char):
     for seq in G.meshes.values():
         lefts, rights = [_dense(f) for f in seq.left_maps], [_dense(f) for f in seq.right_maps]
         vertices = list(lefts[0])
-        stacked = sum(_rank(field, [r for d in lefts for r in d[v]]) for v in vertices)
-        side = sum(_rank(field, [[x for d in rights for x in d[v][i]]
+        stacked = sum(dense_maps.rank(field, [r for d in lefts for r in d[v]]) for v in vertices)
+        side = sum(dense_maps.rank(field, [[x for d in rights for x in d[v][i]]
                                  for i in range(seq.right_term.rep.dims[v])]) for v in vertices)
         left = [((k, v, i), (v, j), x)
                 for k, f in enumerate(seq.left_maps) for v, i, j, x in f.nonzeros]
@@ -247,8 +224,10 @@ def test_verify_ranks_a_bumped_right_map_by_rref(rref_calls):
             if message in ("mesh composite is not zero", "mesh map is not a morphism"):
                 continue
             dense = [_dense(f) for f in right_maps]
-            epi = all(_rank(field, [[x for d in dense for x in d[v][i]] for i in range(R.dims[v])])
-                      == R.dims[v] for v in R.dims)
+            epi = all(
+                dense_maps.rank(field, [[x for d in dense for x in d[v][i]] for i in range(R.dims[v])])
+                == R.dims[v] for v in R.dims
+            )
             assert message == (None if epi else "right mesh map not epi")
             reached += len(rref_calls) > before
     assert reached > 0

@@ -109,14 +109,16 @@ def test_recursion_equals_span_u21(u21_table):
 def test_degree_requires_irreducible(w3_quiver, w3_table):
     G, T = w3_quiver, w3_table
     f = compose_chain([_arrow(G, "e(4)", "b3"), _arrow(G, "b3", "b2 b3")])
+    x, y = G.node_of(walk_from_text("e(4)")), G.node_of(walk_from_text("b2 b3"))
     with pytest.raises(NotIrreducibleError):
-        T.degree(f, "left")
+        T.degree(f, "left", x, y)
 
 
 def test_degree_rejects_an_unknown_side_before_any_work(w3_quiver):
     T = RadicalTable(w3_quiver)
     with pytest.raises(ValueError, match="unknown side 'up'"):
-        T.degree(w3_quiver.arrows[0].morphism, "up")
+        a = w3_quiver.arrows[0]
+        T.degree(a.morphism, "up", T.nodes[a.source], T.nodes[a.target])
     assert not T._levels
 
 

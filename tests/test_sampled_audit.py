@@ -13,7 +13,6 @@ could have failed.
 import functools
 import hashlib
 import json
-import random
 
 import pytest
 
@@ -65,7 +64,7 @@ def uncertified(monkeypatch):
     monkeypatch.setattr(RadicalTable, "tags", lambda self, xi, yi: set(range(8)))
 
 
-def _fake_depth(self, f, source=None, target=None):
+def _fake_depth(self, f, source, target):
     """A depth in 0..7 or ZERO_DEPTH that depends only on f's entries and its ends.
 
     An entry is hashed as `field.to_str` gives it, with " (mod p)" over GF(p):
@@ -145,28 +144,10 @@ def _draw_free(p, field):
 
 
 @pytest.mark.usefixtures("uncertified")
-def test_only_triples_with_draws_seed_a_generator(monkeypatch):
-    p, field = _forced_presentation("U3_4"), field_for_characteristic(0)
-    free, triples = _draw_free(p, field)
-    seeds = []
-
-    class Counted(random.Random):
-        def __init__(self, seed):
-            seeds.append(seed)
-            super().__init__(seed)
-
-    monkeypatch.setattr(configurations.random, "Random", Counted)
-    report = audit_theorems(p, samples=32, seed=0, field=field)
-    assert report.passed and report.stats["triples"] == len(triples) == 104
-    assert len(seeds) == len(triples) - len(free) == 19
-    assert len(set(seeds)) == len(seeds)
-
-
-@pytest.mark.usefixtures("uncertified")
 @pytest.mark.parametrize("family,m,n,char", [("V", 2, 3, 0), ("W", None, 5, 3)])
 def test_a_violating_draw_free_triple_reports_every_sample(family, m, n, char, monkeypatch):
     """A fake depth of 5 everywhere breaks B on every sample of every triple."""
-    monkeypatch.setattr(RadicalTable, "depth", lambda self, f, source=None, target=None: 5)
+    monkeypatch.setattr(RadicalTable, "depth", lambda self, f, source, target: 5)
     p, field = make_family(family, m=m, n=n).presentation, field_for_characteristic(char)
     free, triples = _draw_free(p, field)
     report = audit_theorems(p, samples=4, seed=3, field=field)
@@ -193,7 +174,7 @@ def test_the_tags_certify_every_dropped_triple(char, monkeypatch):
     for p in _ladder_and_stress():
         *_, spots = sampled_audit(p, 8, 0, field)
         with monkeypatch.context() as m:
-            m.setattr(RadicalTable, "depth", lambda self, f, source=None, target=None: 5)
+            m.setattr(RadicalTable, "depth", lambda self, f, source, target: 5)
             report = audit_theorems(p, samples=8, seed=0, field=field)
         kept = {tuple(s["triple"]) for s in report.audits[B]["counterexamples"]}
         totals = {}

@@ -173,11 +173,14 @@ def _band_free_algebras():
 
 
 def _ladder_or_stress(name):
-    """The presentation of a LADDER entry, or S0-S7 (`_band_free_algebras`) for any other name."""
+    """The presentations a name stands for: a LADDER entry, Si (`_band_free_algebras()[i]`)
+    or all of S0-S7."""
     if name in LADDER:
         family, m, n = LADDER[name]
         return [make_family(family, m=m, n=n).presentation]
-    return _band_free_algebras()
+    if name == "S0-S7":
+        return _band_free_algebras()
+    return [_band_free_algebras()[int(name[1:])]]
 
 
 @functools.lru_cache(maxsize=None)
