@@ -1,9 +1,10 @@
 """Local quiver patterns, cycles of length three, path classes, theorem audits.
 
-Audits A and B certify a triple from the radical table's depth tags where
-they can, and sample seeded perturbations of its irreducibles from the second
-radical layer where they cannot; every depth is exact, and any counterexample
-is reported verbatim.
+Audits A and B certify a triple from AR-quiver path lengths and the radical
+table's depth tags where they can, building table sources only for the
+triples a path leaves open, and sample seeded perturbations of its
+irreducibles from the second radical layer where they cannot; every depth is
+exact, and any counterexample is reported verbatim.
 """
 
 from __future__ import annotations
@@ -335,12 +336,15 @@ def audit_theorems(p, samples=32, seed=0, field=QQ):
     (D) 3-cycles exist iff some irreducible M -> tau M exists.
 
     A and B read sampled irreducibles a + r, r drawn in rad^2.  A triple
-    x -> y -> z -> w is first read from the table's tags: every composite
-    f: x -> w has depth(f) in tags(x, w) | {ZERO_DEPTH}, A fires only at
-    depth 6 and B only at 4 or 5.  So a triple whose pair (x, w) has none of
-    those tags passes both for every choice of irreducibles; it is skipped,
-    with no generator, draw or compose.  The tags build the sources they
-    read, so a source that cannot be built fails there.  A kept triple seeds
+    x -> y -> z -> w is first read from `table.tags(x, w, (4, 5, 6))`: every
+    composite f: x -> w has depth(f) in the pair's tags or ZERO_DEPTH, A
+    fires only at depth 6 and B only at 4 or 5.  So a triple whose pair
+    (x, w) has none of those tags passes both for every choice of
+    irreducibles; it is skipped, with no generator, draw or compose.  Every
+    tag of (x, w) is 0 with x = w or the length of an AR-quiver path from x
+    to w, so `tags` answers a pair that ends no path of 4, 5 or 6 arrows with
+    no source built; W(30) builds 10 of its 471 sources.  A source that
+    cannot be built fails in the query that reads it.  A kept triple seeds
     its generator with its index among all triples; sample 0 is the bare
     triple.  Each distinct draw (arrow index and coefficients) is built,
     composed and reduced once per audit, so the report is the same as
@@ -367,7 +371,7 @@ def audit_theorems(p, samples=32, seed=0, field=QQ):
     ends = [(quiver.nodes[a.source], quiver.nodes[a.target]) for a in arrows]
     kept = [
         (t_ix, triple) for t_ix, triple in enumerate(triples)
-        if not table.tags(arrows[triple[0]].source, arrows[triple[2]].target).isdisjoint((4, 5, 6))
+        if table.tags(arrows[triple[0]].source, arrows[triple[2]].target, (4, 5, 6))
     ]
     rad2 = {i: table.layer(*ends[i], 2).rows for i in {i for _, triple in kept for i in triple}}
     a_violations, b_violations = [], []

@@ -217,6 +217,7 @@ class RadicalTable:
         self._levels = {}  # built source index -> its number of nonzero T_m
         self._columns = set()  # built target (column) indices
         self._nilpotency = None  # set once the projective sources are built
+        self._ends = {}  # source index -> [the nodes ending a path of m arrows from it, by m]
         self._limit = 4 * sum(n.module.total_dim for n in nodes)
         # z -> [(y, arrow map z -> y)] out of z, and [(y, arrow map y -> z)] into z
         self._out = {n.index: [] for n in nodes}
@@ -344,14 +345,32 @@ class RadicalTable:
         rows = self._rows(xi, yi)
         return bool(rows) and rows[0][0] >= n
 
-    def tags(self, xi, yi):
-        """The depths a nonzero map x -> y can have: the tags of the pair's rows.
+    def tags(self, xi, yi, among):
+        """The tags in among of the pair (xi, yi): the depths in among that a
+        nonzero map x -> y can have.  A pair whose y ends no AR-quiver path
+        from x of a length in among (0 counts when x = y) answers the empty
+        set with no source built.
 
         A map is one combination of the pair's rows, which `depth` reads off
         deepest tag first; its depth is the tag of the last row used.  So
-        `depth` returns one of these tags, or ZERO_DEPTH for the zero map.
+        `depth` returns one of the pair's tags, or ZERO_DEPTH for the zero map.
+
+        The path test loses no tag.  Tag 0 is the identity's, on the diagonal
+        only.  `_build` tags a row m > 0 only where T_m(x, y) != 0, and
+        T_m(x, y) is spanned by composites of m arrow maps: T_1(x, y) by the
+        arrow maps x -> y, T_{m+1}(x, y) by a o T_m(x, z) over the arrows
+        a: z -> y (or T_m(z, y) o a over a: x -> z, from the other end).  By
+        induction on m, T_m(x, y) != 0 only if the AR quiver has a path of m
+        arrows from x to y.  So every tag is 0 with x = y or the length of a
+        path from x to y, and y ends none of length in among only when the
+        pair has no tag in among.
         """
-        return {t for t, _, _ in self._rows(xi, yi)}
+        ends = self._ends.setdefault(xi, [{xi}])
+        while len(ends) <= max(among):  # walked once per source and step
+            ends.append({zi for vi in ends[-1] for zi, _ in self._out[vi]})
+        if not any(yi in ends[m] for m in among):
+            return set()
+        return {t for t, _, _ in self._rows(xi, yi) if t in among}
 
     def _deep_rows(self, x, y, n):
         return [row for t, _, row in self._rows(x.index, y.index) if t >= n]
@@ -371,8 +390,11 @@ class RadicalTable:
         Every row of the table is a morphism (the arrow maps are checked at
         construction) and the rows span Hom(source, target), so f reduces to
         zero exactly when it is a morphism; the intertwining check runs only on
-        a nonzero residue.
+        a nonzero residue.  f must be a map between the nodes' modules, else
+        this raises ValueError before any reduce.
         """
+        if f.source is not source.module.rep or f.target is not target.module.rep:
+            raise ValueError(f"not a map {source.text} -> {target.text}")
         vec = f.flatten()
         if not any(vec):
             return ZERO_DEPTH

@@ -213,6 +213,23 @@ def test_depth_rejects_a_non_morphism():
         T.depth(bad, x, y)
 
 
+def test_depth_rejects_the_nodes_of_another_pair(monkeypatch):
+    """Each arrow map of W(3) read with the nodes of another arrow raises
+    ValueError before any reduce, from `depth` and from `degree` through it."""
+    T = _table("W3", 0)
+    monkeypatch.setattr(radical, "_reduce", None)  # any reduce fails with TypeError
+    arrows = T.quiver.arrows
+    pairs = [(a, b) for a in arrows for b in arrows if (a.source, a.target) != (b.source, b.target)]
+    assert len(pairs) == 240
+    for a, b in pairs:
+        x, y = T.nodes[b.source], T.nodes[b.target]
+        with pytest.raises(ValueError, match="not a map"):
+            T.depth(a.morphism, x, y)
+        for side in ("left", "right"):
+            with pytest.raises(ValueError, match="not a map"):
+                T.degree(a.morphism, side, source=x, target=y)
+
+
 def test_a_corrupted_arrow_map_fails_at_build():
     G = knit(_spec("U2_2").presentation)
     arrow = next(a for a in G.arrows if _non_morphism(a.morphism) is not None)
@@ -492,3 +509,38 @@ def test_sectional_paths_have_their_length_as_depth(char):
             assert depth == len(path), [G.nodes[a.source].text for a in path]
             seen += 1
     assert seen == 1965
+
+
+def _path_lengths(quiver, xi, longest):
+    """node index -> the lengths 0..longest of the AR-quiver paths to it from
+    the node xi, walked over `quiver.arrows_from`."""
+    lengths, ends = {}, {xi}
+    for m in range(longest + 1):
+        for yi in ends:
+            lengths.setdefault(yi, set()).add(m)
+        ends = {a.target for zi in ends for a in quiver.arrows_from(zi)}
+    return lengths
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_tags_are_path_lengths_and_the_path_test_keeps_them(char):
+    """Every tag of a pair (x, y) is 0 with x = y or the length of an AR-quiver
+    path from x to y, so `tags(x, y, among)`, which builds nothing for a pair
+    that ends no path of a length in among, is the pair's tags in among."""
+    field = field_for_characteristic(char)
+    skipped = 0
+    for p in _shortcut_algebras():
+        G = knit(p, field)
+        T = RadicalTable(G)
+        stored = T._tagged
+        longest = max(t for rows in stored.values() for t, _, _ in rows)
+        for x in G.nodes:
+            lengths = _path_lengths(G, x.index, longest)
+            for y in G.nodes:
+                tags = {t for t, _, _ in stored.get((x.index, y.index), ())}
+                paths = lengths.get(y.index, set())
+                assert tags <= paths, (p.name, x.text, y.text, tags, paths)
+                for among in ((4, 5, 6), tuple(range(8))):
+                    assert T.tags(x.index, y.index, among) == tags & set(among)
+                    skipped += paths.isdisjoint(among)
+    assert skipped > 0

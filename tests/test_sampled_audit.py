@@ -26,7 +26,7 @@ from stringar.presentation import validate_string_algebra
 from stringar.radical import ZERO_DEPTH, RadicalTable
 from stringar.strings import has_band
 from tests.oracles.sampled_audit import sampled_audit
-from tests.test_radical_engine import _ladder_and_stress
+from tests.test_radical_engine import _ladder_and_stress, _path_lengths
 from tests.test_stress import random_presentations
 
 A, B = "A-no-shallow-triple-at-6", "B-depth-4-implies-6"
@@ -61,7 +61,7 @@ def test_draw_keyed_audit_matches_the_per_sample_loop(char):
 def uncertified(monkeypatch):
     """Every triple kept: `tags` reports every depth the fake depths give, so
     the table certifies no triple before sampling and every triple is drawn."""
-    monkeypatch.setattr(RadicalTable, "tags", lambda self, xi, yi: set(range(8)))
+    monkeypatch.setattr(RadicalTable, "tags", lambda self, xi, yi, among: set(range(8)))
 
 
 def _fake_depth(self, f, source, target):
@@ -156,6 +156,38 @@ def test_a_violating_draw_free_triple_reports_every_sample(family, m, n, char, m
     assert len(b) == 4 * len(triples) and free
     for text in free:
         assert [s["sample"] for s in b if s["triple"] == text] == [0, 1, 2, 3]
+
+
+def _path_kept_starts(quiver):
+    """The nodes x of the triples x -> y -> z -> w with a path of 4, 5 or 6
+    arrows from x to w."""
+    starts = set()
+    for a1 in quiver.arrows:
+        lengths = _path_lengths(quiver, a1.source, 6)
+        if any(not lengths.get(a3.target, set()).isdisjoint((4, 5, 6))
+               for a2 in quiver.arrows_from(a1.target) for a3 in quiver.arrows_from(a2.target)):
+            starts.add(a1.source)
+    return starts
+
+
+@pytest.mark.parametrize("family,m,n,char,most", [("U", 3, 4, 0, 0), ("W", None, 30, 5, 10)])
+def test_the_audit_builds_only_the_starts_of_path_kept_triples(family, m, n, char, most, monkeypatch):
+    """A triple x -> y -> z -> w with no path of 4, 5 or 6 arrows from x to w
+    is certified with no source built: the audit builds only sources x of the
+    other triples, none on U(3,4) and 10 of W(30)'s 471."""
+    p, field = make_family(family, m=m, n=n).presentation, field_for_characteristic(char)
+    starts = _path_kept_starts(knit(p, field))
+    built, build = [], RadicalTable._build
+
+    def recorded(self, ci, side):
+        built.append((ci, side))
+        return build(self, ci, side)
+
+    monkeypatch.setattr(RadicalTable, "_build", recorded)
+    assert audit_theorems(p, field=field).passed
+    assert len(starts) == most
+    assert len(built) <= most and {ci for ci, _ in built} <= starts
+    assert all(side == "source" for _, side in built)
 
 
 # W(3..9)'s kept triples: the first one's perturbed samples reach depth 6
