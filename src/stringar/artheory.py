@@ -482,19 +482,21 @@ class ARArrow:
 class ARQuiver:
     """The knitted translation quiver of a band-free presentation."""
 
-    def __init__(self, p, field, nodes, arrows, tau_pairs, meshes):
+    def __init__(self, p, field, nodes):
         self.p = p
         self.field = field
         self.nodes = nodes
-        self.arrows = arrows
-        self.tau_pairs = tau_pairs
-        self.meshes = meshes
+        self.arrows, self.tau_pairs, self.meshes = [], {}, {}  # `knit` fills them
         self._by_walk = {n.module.word.walk: n.index for n in nodes}
         self._into = {n.index: [] for n in nodes}
         self._from = {n.index: [] for n in nodes}
-        for a in arrows:
-            self._into[a.target].append(a)
-            self._from[a.source].append(a)
+        self._reach = {}  # (node index, into) -> [the nodes k arrows from (to) it, by k]
+
+    def _add_arrow(self, source, target, morphism):
+        a = ARArrow(source, target, morphism)
+        self.arrows.append(a)
+        self._into[target].append(a)
+        self._from[source].append(a)
 
     def node_of(self, word_or_walk):
         """The node of a string; bad labels and non-strings raise their domain errors."""
@@ -513,6 +515,15 @@ class ARQuiver:
 
     def arrows_between(self, src, dst):
         return [a for a in self._from[src] if a.target == dst]
+
+    def reach(self, idx, m, into=False):
+        """[the node indices that end a path of exactly k arrows from idx, or with
+        into=True start one to idx, for k = 0..m]; walked once per node, side and step."""
+        ends = self._reach.setdefault((idx, into), [{idx}])
+        while len(ends) <= m:
+            step = self._into if into else self._from
+            ends.append({a.source if into else a.target for z in ends[-1] for a in step[z]})
+        return ends[:m + 1]
 
     def tau_of(self, idx):
         return self.tau_pairs.get(idx)
@@ -568,30 +579,27 @@ def knit(p, field=QQ):
         ARNode(i, m, m.word.walk in proj_tops, m.word.walk in inj_walks)
         for i, m in enumerate(modules)
     ]
-    by_walk = {n.module.word.walk: n.index for n in nodes}
-    arrows = []
-    tau_pairs = {}
-    meshes = {}
+    quiver = ARQuiver(p, field, nodes)
+    by_walk, tau_pairs = quiver._by_walk, quiver.tau_pairs
     for n in nodes:
         if n.projective:
             v_top = proj_tops[n.module.word.walk]
             for src_mod, _, mor in standard_arrows(p, v_top, resolve, projective=True):
-                arrows.append(ARArrow(by_walk[src_mod.word.walk], n.index, mor))
+                quiver._add_arrow(by_walk[src_mod.word.walk], n.index, mor)
             continue
         seq = ar_sequence(p, n.module, "endingAt", field=field, resolve=resolve)
-        meshes[n.index] = seq
+        quiver.meshes[n.index] = seq
         tau_idx = by_walk[seq.left_term.word.walk]
         tau_pairs[n.index] = tau_idx
         if nodes[tau_idx].injective:
             raise MeshInconsistencyError("translate landed on an injective")
         for mid, rmap in zip(seq.middle, seq.right_maps):
-            arrows.append(ARArrow(by_walk[mid.word.walk], n.index, rmap))
+            quiver._add_arrow(by_walk[mid.word.walk], n.index, rmap)
     if len(set(tau_pairs.values())) != len(tau_pairs):
         raise MeshInconsistencyError("translate pairing is not injective")
     non_inj = {n.index for n in nodes if not n.injective}
     if set(tau_pairs.values()) != non_inj:
         raise MeshInconsistencyError("translate pairing is not onto the non-injectives")
-    quiver = ARQuiver(p, field, nodes, arrows, tau_pairs, meshes)
     _check_mesh_symmetry(quiver)
     return quiver
 

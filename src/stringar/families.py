@@ -145,9 +145,7 @@ def _ell_walk(m, betas):
 def _cycles(quiver, length, node):
     """Arrow paths of the given length from `node` back to it, depth-first along arrows_from;
     each step goes only to nodes in back[k], those with a path of the k arrows left to `node`."""
-    back = [{node}]
-    for _ in range(length - 1):
-        back.append({a.source for x in back[-1] for a in quiver.arrows_into(x)})
+    back = quiver.reach(node, length - 1, into=True)
     out = []
 
     def grow(path):
@@ -342,18 +340,12 @@ def _search(spec, quiver, table):
     intos = functools.cache(lambda b_node: _into_paths(quiver, b_node))
 
     @functools.cache
-    def layers(b_node):  # layers(b)[i]: the nodes i arrows past b, as far as a forward path goes
-        out = [{b_node}]
-        while len(out) <= n + 1 - positions[0]:
-            out.append({a.target for z in out[-1] for a in quiver.arrows_from(z)})
-        return out
-
-    @functools.cache
     def kept(start, b_node, steps):
         """keep[i]: the nodes i arrows past b_node, with Hom(start, .) != 0, on a
         path of `steps` arrows to a y with rad^expected(start, y) != 0."""
-        keep = [{y for y in layers(b_node)[steps] if table.reaches(start, y, expected)}]
-        for layer in layers(b_node)[steps - 1::-1]:
+        layers = quiver.reach(b_node, steps)  # layers[i]: the nodes i arrows past b_node
+        keep = [{y for y in layers[steps] if table.reaches(start, y, expected)}]
+        for layer in layers[steps - 1::-1]:
             keep.append({a.source for y in keep[-1] for a in quiver.arrows_into(y)
                          if a.source in layer and table.reaches(start, a.source)})
         return keep[::-1]

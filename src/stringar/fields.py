@@ -2,21 +2,23 @@
 
 Everything downstream (homomorphism spaces, radical layers, the DTr
 oracle) reduces to rank/kernel/echelon computations on small dense
-matrices.  One elimination, `rref`, does them all: `Subspace`,
-`entry_rank`, `nullspace` and `solve` rest on it.  `Mat` is only the dense
-matrix that elimination reads; maps and modules are kept as their nonzeros
-(see `modules`).  In characteristic 0 an entry is a Python `int`
+matrices.  One elimination does them all: `append` adds a vector's residue
+under `reduce` to an echelon basis of rows (tag, pivot, row), and `rref` is
+`append` per vector, a sort by pivot and a clearing pass.  `Mat` is only
+the dense matrix that elimination reads; maps and modules are kept as their
+nonzeros (see `modules`).  In characteristic 0 an entry is a Python `int`
 when it is integral and a `fractions.Fraction` otherwise; mod p it is an
 `int` in [0, p), and each accumulated row is reduced with `% p` once,
 inline on `field.characteristic`.  Division is the exception (`int / int`
 is a float), so nothing divides directly: a pivot is inverted by
 `field.inv`.  Plain ints do not know their field, so a `MorphismMatrix`
-refuses to mix two, and `Mat`s over two fields are never equal.
+refuses to mix two, and `Mat`s or `Subspace`s over two fields are never equal.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 
 
 def _exact(q):
@@ -174,45 +176,75 @@ class Mat:
         return f"Mat({self.nrows}x{self.ncols})"
 
 
-def rref(rows, field):
-    """In-place reduced row echelon form; returns (pivot column list, rows).
+def pivot(v):
+    """The index of v's first nonzero entry; None for the zero vector."""
+    for i, a in enumerate(v):
+        if a:
+            return i
+    return None
 
-    Rows that become zero are dropped.  The result is the canonical RREF
-    basis of the row space.
+
+def reduce(rows, vec, char):
+    """Subtract each echelon row (tag, pivot, row) at its pivot, in order.
+
+    Returns the residue and the tag of the last row used (None if none was).
+    Each row is zero at the pivots of the rows before it, so the residue is
+    zero exactly when vec lies in the span of the rows.  In characteristic
+    char > 0 each pivot entry is reduced on the way and the residue once.
     """
-    pivots = []
-    if not rows:
-        return pivots, rows
-    char, ncols = field.characteristic, len(rows[0])
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = field.inv(rows[r][c])
-        prow = scaled_row(rows[r], inv, char)
-        # over QQ, arithmetic with a Fraction can give an integral Fraction: make those ints
-        exact = not char and any(type(a) is Fraction for a in prow)
-        if exact and type(inv) is not Fraction:
+    v = list(vec)
+    tag = None
+    for t, p, row in rows:
+        c = v[p] % char if char else v[p]
+        if c:
+            v = [a - c * b for a, b in zip(v, row)]
+            tag = t
+    return ([a % char for a in v] if char else v), tag
+
+
+def append(field, rows, vec, tag):
+    """Add vec to the echelon rows as (tag, pivot, row), scaled to a unit pivot
+    but over QQ not made exact (`rref` does that); False if vec is spanned."""
+    char = field.characteristic
+    v, _ = reduce(rows, vec, char)
+    p = pivot(v)
+    if p is None:
+        return False
+    rows.append((tag, p, scaled_row(v, field.inv(v[p]), char)))
+    return True
+
+
+def rref(vectors, field):
+    """(pivot columns, rows) of the RREF basis of the span of vectors; a row may be one of them.
+
+    Given entries in the field's form, the rows are in it too: over QQ a row
+    is made exact where a Fraction enters it.
+    """
+    if len(vectors) == 1:  # one vector needs no elimination, only a unit pivot
+        v = vectors[0]
+        p = pivot(v)
+        if p is not None and type(v[p]) is int:  # its inverse is +-1 or a Fraction: v stays exact
+            return [p], [v if v[p] == 1 else scaled_row(v, field.inv(v[p]), field.characteristic)]
+    echelon = []
+    for v in vectors:
+        append(field, echelon, v, None)
+    char = field.characteristic
+    echelon.sort(key=itemgetter(1))
+    pivots, rows = [], []
+    for _, p, prow in echelon:
+        exact = not char and type(sum(prow)) is Fraction  # the sum is one iff an entry is
+        if exact:  # over QQ, arithmetic with a Fraction can give an integral Fraction
             prow = [_exact(a) for a in prow]
-        rows[r] = prow
-        for i in range(len(rows)):
-            f = rows[i][c]
-            if i != r and f:
-                row = [a - f * b for a, b in zip(rows[i], prow)]
+        for i, row in enumerate(rows):
+            f = row[p]
+            if f:
+                row = [a - f * b for a, b in zip(row, prow)]
                 if char or exact or type(f) is Fraction:
                     row = [a % char for a in row] if char else [_exact(a) for a in row]
                 rows[i] = row
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots, [row for row in rows[:r]]
+        pivots.append(p)
+        rows.append(prow)
+    return pivots, rows
 
 
 def entry_rank(field, entries):
@@ -240,8 +272,7 @@ def entry_rank(field, entries):
 def nullspace(mat):
     """Canonical kernel basis of a Mat (unit value at each free column)."""
     field = mat.field
-    rows = [list(r) for r in mat.rows]
-    pivots, rows = rref(rows, field)
+    pivots, rows = rref(mat.rows, field)
     pivot_set = set(pivots)
     free = [c for c in range(mat.ncols) if c not in pivot_set]
     char, z, o = field.characteristic, field.zero(), field.one()
@@ -288,24 +319,16 @@ class Subspace:
     def dim(self):
         return len(self.rows)
 
-    def is_zero(self):
-        return not self.rows
-
-    def reduce(self, vec):
-        """Residue of vec modulo the subspace; mod p, each pivot entry is reduced, then the rest."""
-        char, v = self.field.characteristic, list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            f = v[p] % char if char else v[p]
-            if f:
-                v = [a - f * b for a, b in zip(v, row)]
-        return [a % char for a in v] if char else v
+    def _residue(self, vec):
+        rows = zip(self.pivots, self.pivots, self.rows)  # `reduce` reads (tag, pivot, row)
+        return reduce(rows, vec, self.field.characteristic)[0]
 
     def contains(self, vec):
-        return not any(self.reduce(vec))
+        return not any(self._residue(vec))
 
     def insert(self, vec):
         """Add a vector; returns True if the dimension grew."""
-        v = self.reduce(vec)
+        v = self._residue(vec)
         if not any(v):
             return False
         self.pivots, self.rows = rref(self.rows + [v], self.field)
@@ -316,6 +339,7 @@ class Subspace:
             isinstance(other, Subspace)
             and self.n == other.n
             and self.rows == other.rows
+            and (self.field is other.field or self.field == other.field)
         )
 
     def __repr__(self):

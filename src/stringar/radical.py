@@ -4,9 +4,10 @@ All layers live in flattened Hom coordinates per ordered node pair.  A
 band-free string algebra is representation-finite, so rad^n(X, Y) is
 spanned by composites of at least n irreducible maps in any characteristic
 (Auslander-Reiten-Smalo, ch. V.7).  The engine spans T_m, the composites of
-m arrow maps, then folds T_m, deepest m first, into one echelon basis per
-ordered pair whose rows carry their depth tag m; the identity joins the
-diagonal last with tag 0.  rad^n is the span of the rows tagged n or more.
+m arrow maps, then folds T_m, deepest m first, with `fields.append` into one
+echelon basis per ordered pair whose rows (m, pivot, row) carry their depth
+tag m; the identity joins the diagonal last with tag 0.  rad^n is the span
+of the rows tagged n or more.
 
 T_m grows from either end.  `_build(x, "source")` fills the pairs (X, .)
 with T_{m+1}(X, Y) = a o T_m(X, Z) over the arrows a: Z -> Y, and
@@ -35,7 +36,7 @@ import math
 
 from .artheory import standard_arrows
 from .errors import BandFoundError, MeshInconsistencyError, NotIrreducibleError
-from .fields import Mat, Subspace, combination, nullspace, rref, scaled_row
+from .fields import Mat, Subspace, append, combination, nullspace, reduce, rref
 from .modules import end_radical, hom_basis  # the cross-check only
 from .modules import flat_offsets, hom_flat_dim, morphism_from_flat
 from .strings import (
@@ -107,60 +108,6 @@ class Degree:
         return f"Degree({self.value} via {self.witness_node.text})"
 
 
-def _reduce(rows, vec, char):
-    """Subtract each tagged row at its pivot, in insertion order.
-
-    Returns the residue and the tag of the last row used (None if none was).
-    Each row is zero at the pivots of the rows before it, so the residue is
-    zero exactly when vec lies in the span of the rows.  In characteristic
-    char > 0 each pivot entry is reduced on the way and the residue once.
-    """
-    v = list(vec)
-    tag = None
-    for t, p, row in rows:
-        c = v[p] % char if char else v[p]
-        if c:
-            v = [a - c * b for a, b in zip(v, row)]
-            tag = t
-    return ([a % char for a in v] if char else v), tag
-
-
-def _pivot(v):
-    """The index of v's first nonzero entry; None for the zero vector."""
-    for i, a in enumerate(v):
-        if a:
-            return i
-    return None
-
-
-def _append(field, rows, vec, tag):
-    """Add vec to the tagged echelon basis; False if it is already spanned."""
-    char = field.characteristic
-    v, _ = _reduce(rows, vec, char)
-    p = _pivot(v)
-    if p is None:
-        return False
-    rows.append((tag, p, scaled_row(v, field.inv(v[p]), char)))
-    return True
-
-
-def _span_rows(field, vecs):
-    """The RREF basis of the span of vecs, as `Subspace` gives it: one vector is
-    scaled to a unit pivot; `_append` leaves echelon rows with unit pivots, so
-    `rref` runs only on two or more."""
-    if len(vecs) == 1:
-        v = vecs[0]
-        p = _pivot(v)
-        if p is None:
-            return []
-        return [v if v[p] == 1 else scaled_row(v, field.inv(v[p]), field.characteristic)]
-    rows = []
-    for v in vecs:
-        _append(field, rows, v, None)
-    rows = [row for _, _, row in rows]
-    return rref(rows, field)[1] if len(rows) > 1 else rows
-
-
 def _flat_compose(g, fixed, vecs, near, far, source):
     """The flat g o f (source side) or f o g (target side) for each f in vecs, nonzero
     ones only, with no morphism built.
@@ -217,7 +164,6 @@ class RadicalTable:
         self._levels = {}  # built source index -> its number of nonzero T_m
         self._columns = set()  # built target (column) indices
         self._nilpotency = None  # set once the projective sources are built
-        self._ends = {}  # source index -> [the nodes ending a path of m arrows from it, by m]
         self._limit = 4 * sum(n.module.total_dim for n in nodes)
         # z -> [(y, arrow map z -> y)] out of z, and [(y, arrow map y -> z)] into z
         self._out = {n.index: [] for n in nodes}
@@ -253,20 +199,20 @@ class RadicalTable:
         gens = {}
         for zi, g in step[ci]:
             gens.setdefault(zi, []).append(g.flatten())
-        levels = []  # levels[m - 1]: the RREF rows of each nonzero T_m, by z
+        levels = []  # levels[m - 1]: the RREF (pivots, rows) of each nonzero T_m, by z
         while True:
             level = {}
             for zi, vecs in gens.items():
-                rows = _span_rows(field, vecs)
-                if rows:
-                    level[zi] = rows
+                span = rref(vecs, field)
+                if span[0]:
+                    level[zi] = span
             if not level:
                 break
             levels.append(level)
             if len(levels) > self._limit:
                 raise MeshInconsistencyError("radical filtration does not terminate")
             gens = {}
-            for zi, rows in level.items():
+            for zi, (_, rows) in level.items():
                 near = layout(zi)
                 for yi, g in step[zi]:
                     out = _flat_compose(g, fixed, rows, near, layout(yi), source)
@@ -274,18 +220,18 @@ class RadicalTable:
                         gens.setdefault(yi, []).extend(out)
         tagged = {}
         for m in range(len(levels), 0, -1):
-            for zi, level in levels[m - 1].items():
+            for zi, (pivots, level) in levels[m - 1].items():
                 key = (ci, zi) if source else (zi, ci)
                 rows = tagged.get(key)
-                if rows is None:  # the deepest level: RREF with unit pivots, as `_append` keeps it
-                    tagged[key] = [(m, _pivot(r), r) for r in level]
+                if rows is None:  # the deepest level: RREF with unit pivots, as `append` keeps it
+                    tagged[key] = [(m, p, r) for p, r in zip(pivots, level)]
                 else:
                     for r in level:
-                        _append(field, rows, r, m)
+                        append(field, rows, r, m)
         one, zero = field.one(), field.zero()  # the identity's flat vector, block by block
         ident = [one if i == j else zero
                  for d in fixed.dims.values() for i in range(d) for j in range(d)]
-        if not _append(field, tagged.setdefault((ci, ci), []), ident, 0):
+        if not append(field, tagged.setdefault((ci, ci), []), ident, 0):
             raise MeshInconsistencyError(f"the identity of {nodes[ci].text} lies in the radical")
         self._pair_rows.update(tagged)
         if source:
@@ -365,9 +311,7 @@ class RadicalTable:
         path from x to y, and y ends none of length in among only when the
         pair has no tag in among.
         """
-        ends = self._ends.setdefault(xi, [{xi}])
-        while len(ends) <= max(among):  # walked once per source and step
-            ends.append({zi for vi in ends[-1] for zi, _ in self._out[vi]})
+        ends = self.quiver.reach(xi, max(among))  # ends[m]: the nodes m arrows from x
         if not any(yi in ends[m] for m in among):
             return set()
         return {t for t, _, _ in self._rows(xi, yi) if t in among}
@@ -398,7 +342,7 @@ class RadicalTable:
         vec = f.flatten()
         if not any(vec):
             return ZERO_DEPTH
-        rest, d = _reduce(self._rows(source.index, target.index), vec, self.field.characteristic)
+        rest, d = reduce(self._rows(source.index, target.index), vec, self.field.characteristic)
         if any(rest):
             if not f.check_intertwining():
                 raise MeshInconsistencyError("depth of a non-morphism")
@@ -452,7 +396,7 @@ class RadicalTable:
         field, src_rep, mid_rep = self.field, src.module.rep, mid.module.rep
         morphs = [morphism_from_flat(src_rep, mid_rep, v) for v in rows]
         composites = [(f.compose(g) if left else g.compose(f)).flatten() for g in morphs]
-        residues = [_reduce(far, h, field.characteristic)[0] for h in composites]
+        residues = [reduce(far, h, field.characteristic)[0] for h in composites]
         kernel = nullspace(Mat(field, zip(*residues), len(rows)))
         if not kernel:
             return None

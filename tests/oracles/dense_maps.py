@@ -6,7 +6,7 @@ reader (from the block views, or from the nonzeros), so the oracle checks
 the view that test is about.
 """
 
-from stringar.fields import rref
+from tests.oracles.gauss_jordan import rref
 
 
 def mul(field, a, b, inner, ncols):

@@ -768,3 +768,29 @@ def test_a_graph_map_refuses_disjoint_and_crossing_ranges(name):
         for src, dst in ((whole, other), (other, whole)):
             with pytest.raises(MeshInconsistencyError, match="mesh words do not nest"):
                 artheory._graph_map(src, dst)
+
+
+@pytest.mark.parametrize("name", [*LADDER, "S0-S7"])
+def test_reach_is_the_ends_of_the_arrow_paths(name):
+    """`ARQuiver.reach(x, m)` lists, for k = 0..m, the ends of the paths of k
+    arrows from x (with into=True the starts of those to x), as every path
+    of up to six arrows, spelled out, gives them; a shorter query after a
+    longer one reads the same memoised walk."""
+    for p in _ladder_or_stress(name):
+        G = knit(p)
+        paths = [[(a.source, a.target)] for a in G.arrows]
+        ends = {(x.index, k): set() for x in G.nodes for k in range(7)}
+        starts = {(x.index, k): set() for x in G.nodes for k in range(7)}
+        for x in G.nodes:
+            ends[x.index, 0].add(x.index)
+            starts[x.index, 0].add(x.index)
+        for k in range(1, 7):
+            for path in paths:
+                ends[path[0][0], k].add(path[-1][1])
+                starts[path[-1][1], k].add(path[0][0])
+            paths = [path + [(b.source, b.target)]
+                     for path in paths for b in G.arrows_from(path[-1][1])]
+        for x in G.nodes:
+            assert G.reach(x.index, 6) == [ends[x.index, k] for k in range(7)]
+            assert G.reach(x.index, 6, into=True) == [starts[x.index, k] for k in range(7)]
+            assert G.reach(x.index, 2) == [ends[x.index, k] for k in range(3)]

@@ -13,13 +13,15 @@ from stringar import (
     realize,
     walk_from_text,
 )
-from stringar import radical
 from stringar.artheory import tau_oracle
 from stringar.families import make_family
-from stringar.fields import Mat, QQ, PrimeField, Subspace, combination, nullspace, rref, solve
+from stringar.fields import (
+    Mat, QQ, PrimeField, Subspace, append, combination, nullspace, reduce, rref, solve,
+)
 from stringar.modules import end_radical, hom_basis
 from stringar.radical import RadicalTable
 from tests.conftest import LADDER
+from tests.oracles import gauss_jordan
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "stringar"
 
@@ -100,12 +102,65 @@ def test_fraction_pivots_leave_integral_entries_as_ints():
     t = Subspace(QQ, 3, [[2, 4, 1], [0, 3, 6]])
     tagged = []
     for tag, vec in enumerate([[3, 0, 6], [0, 2, 1]]):
-        radical._append(QQ, tagged, vec, tag)
+        append(QQ, tagged, vec, tag)
     assert rows == s.rows == [[1, 0], [0, 1]]
     assert t.rows == [[1, 0, Fraction(-7, 2)], [0, 1, 2]]
     assert [row for _, _, row in tagged] == [[1, 0, 2], [0, 1, Fraction(1, 2)]]
     entries = [x for m in (rows, s.rows, t.rows, [r for _, _, r in tagged]) for r in m for x in r]
     assert {type(x) for x in entries if x == int(x)} == {int}
+
+
+def _random_entry(rng, field):
+    """A field element as the library keeps it: over QQ an int where integral."""
+    if field.characteristic:
+        return rng.randrange(field.characteristic)
+    if rng.random() < 0.6:
+        return rng.randint(-3, 3)
+    return field.of(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+
+
+@pytest.mark.parametrize("char, count", [(0, 3000), (2, 1000), (3, 1000), (5, 1000)])
+def test_rref_matches_gauss_jordan(char, count):
+    """On seeded random matrices, sparse or dense and of any rank, `rref`
+    gives the Gauss-Jordan oracle's pivots and rows, entry types included."""
+    field, rng = field_for_characteristic(char), random.Random(20261019 + char)
+    for _ in range(count):
+        nrows, ncols, density = rng.randint(1, 6), rng.randint(1, 6), rng.random()
+        rows = [[_random_entry(rng, field) if rng.random() < density else 0
+                 for _ in range(ncols)] for _ in range(nrows)]
+        if nrows > 1 and rng.random() < 0.3:  # a combination of two rows: rank below nrows
+            c = _random_entry(rng, field)
+            rows[-1] = [field.of(a + c * b) for a, b in zip(rows[0], rows[1])]
+        got = rref(rows, field)
+        want = gauss_jordan.rref([list(r) for r in rows], field)
+        assert got == want, rows
+        assert [list(map(type, r)) for r in got[1]] == [list(map(type, r)) for r in want[1]], rows
+
+
+def test_subspaces_over_two_fields_differ():
+    """Equal rows over two fields are two subspaces, as they are two `Mat`s."""
+    assert Subspace(PrimeField(2), 2, [[1, 0]]) != Subspace(PrimeField(3), 2, [[1, 0]])
+    assert Subspace(PrimeField(3), 2, [[1, 0]]) == Subspace(PrimeField(3), 2, [[1, 0]])
+    assert Subspace(QQ, 2, [[1, 0]]) != Subspace(PrimeField(2), 2, [[1, 0]])
+    assert Mat(PrimeField(2), [[1, 0]]) != Mat(PrimeField(3), [[1, 0]])
+
+
+def test_a_subspace_owns_its_rows(w3):
+    """A Subspace copies what it is given: tuples and generators build the same
+    rows as lists, and changing the input or a layer's rows changes nothing else."""
+    v = [1, 0]
+    s = Subspace(QQ, 2, [v])
+    assert s == Subspace(QQ, 2, [(1, 0)]) == Subspace(QQ, 2, (w for w in [[1, 0]]))
+    v[1] = 5
+    assert s.rows == [[1, 0]]
+    T = RadicalTable(knit(w3))
+    pairs = [(x, y, n) for x in T.nodes for y in T.nodes for n in range(1, 4)
+             if len(T.layer(x, y, n).rows) == 1]
+    assert pairs
+    for x, y, n in pairs:
+        before = repr(T._rows(x.index, y.index))
+        T.layer(x, y, n).rows[0][0] = 99
+        assert repr(T._rows(x.index, y.index)) == before
 
 
 def _integral_fractions(rows):
@@ -139,10 +194,10 @@ def test_prime_field_residues_are_reduced():
     """1 - 2 * 2 = -3 is zero in GF(3): a residue must come back as 0, not -3."""
     F = PrimeField(3)
     s = Subspace(F, 2, [[1, 2]])
-    assert s.reduce([2, 1]) == [0, 0] and s.contains([2, 1])
+    assert s.contains([2, 1])
     assert not s.insert([2, 1]) and s.rows == [[1, 2]]
-    assert radical._reduce([(1, 0, [1, 2])], [2, 1], 3) == ([0, 0], 1)
-    assert not radical._append(F, [(1, 0, [1, 2])], [2, 1], 0)
+    assert reduce([(1, 0, [1, 2])], [2, 1], 3) == ([0, 0], 1)
+    assert not append(F, [(1, 0, [1, 2])], [2, 1], 0)
     assert combination(F, [2, 2], [[1, 2], [2, 2]]) == [0, 2]
     assert combination(QQ, [2, Fraction(1, 2)], [[1, 2], [2, 2]]) == [3, 5]
 

@@ -25,12 +25,12 @@ from stringar import (
 )
 from stringar import radical
 from stringar.errors import MeshInconsistencyError
-from stringar.fields import Subspace
 from stringar.families import make_family
 from stringar.modules import MorphismMatrix
 from stringar.radical import ZERO_DEPTH, RadicalTable
 from tests.conftest import LADDER
 from tests.morphisms import identity_morphism
+from tests.oracles import gauss_jordan
 from tests.test_stress import _band_free_algebras, _ladder_or_stress, random_presentations
 
 FAMILIES = {"W3": ("W", None, 3), "U2_2": ("U", 2, 2), "V2_3": ("V", 2, 3)}
@@ -217,7 +217,7 @@ def test_depth_rejects_the_nodes_of_another_pair(monkeypatch):
     """Each arrow map of W(3) read with the nodes of another arrow raises
     ValueError before any reduce, from `depth` and from `degree` through it."""
     T = _table("W3", 0)
-    monkeypatch.setattr(radical, "_reduce", None)  # any reduce fails with TypeError
+    monkeypatch.setattr(radical, "reduce", None)  # any reduce fails with TypeError
     arrows = T.quiver.arrows
     pairs = [(a, b) for a in arrows for b in arrows if (a.source, a.target) != (b.source, b.target)]
     assert len(pairs) == 240
@@ -372,12 +372,12 @@ def test_errors_of_a_source_raise_from_the_query_that_builds_it(monkeypatch):
         T._limit = cut
         with monkeypatch.context() as m:
             if patch:
-                m.setattr(radical, "_append", lambda field, rows, vec, tag: bool(tag))
+                m.setattr(radical, "append", lambda field, rows, vec, tag: bool(tag))
             with pytest.raises(MeshInconsistencyError, match=error):
                 T.degree(f, "left", source=x, target=y)
         assert T._columns == set()
     T = RadicalTable(G)
-    monkeypatch.setattr(radical, "_append", lambda field, rows, vec, tag: bool(tag))
+    monkeypatch.setattr(radical, "append", lambda field, rows, vec, tag: bool(tag))
     with pytest.raises(MeshInconsistencyError, match=message):
         T.depth(f, x, y)
     assert T._levels == {}
@@ -408,30 +408,32 @@ def test_the_table_checks_only_the_arrows_that_knit_left_unchecked(monkeypatch):
 @pytest.mark.parametrize("char", [0, 3])
 def test_level_rows_are_the_rref_of_their_span(char):
     """Two independent vectors leave two echelon rows that are not yet reduced,
-    so the level builder must run rref to give the RREF of Subspace."""
+    so the level builder's `rref` must clear above each pivot to give the
+    Gauss-Jordan RREF; one vector is only scaled."""
     field = field_for_characteristic(char)
     vecs = [[2, 4, 1, 0], [1, 1, 1, 1]]
-    assert radical._span_rows(field, vecs) == Subspace(field, 4, vecs).rows
-    assert radical._span_rows(field, vecs + [[3, 5, 2, 1]]) == Subspace(field, 4, vecs).rows
-    assert radical._span_rows(field, [[0, 2, 0, 0], [0, 1, 0, 0]]) == [[0, 1, 0, 0]]
-    assert radical._span_rows(field, [[0, 0, 0, 0]]) == []
+    cases = [vecs, vecs + [[3, 5, 2, 1]], [[0, 2, 0, 0], [0, 1, 0, 0]], [[0, 2, 1, 0]],
+             [[0, 0, 0, 0]]]
+    spans = [radical.rref(case, field) for case in cases]
+    assert spans == [gauss_jordan.rref([list(v) for v in case], field) for case in cases]
+    assert spans[1] == spans[0] and spans[2] == ([1], [[0, 1, 0, 0]]) and spans[4] == ([], [])
 
 
 @pytest.mark.parametrize("char", [0, 2, 3])
 def test_knitted_levels_of_two_rows_are_rref(monkeypatch, char):
     """S3 has levels T_m(x, y) of dimension 2: each level the table keeps is
-    the RREF basis of its span."""
+    the RREF basis of its span, as Gauss-Jordan gives it."""
     field = field_for_characteristic(char)
-    span_rows = radical._span_rows
+    span = radical.rref
     dims = []
 
-    def checked(field, vecs):
-        rows = span_rows(field, vecs)
-        assert rows == Subspace(field, len(vecs[0]), vecs).rows
+    def checked(vecs, field):
+        pivots, rows = span(vecs, field)
+        assert (pivots, rows) == gauss_jordan.rref([list(v) for v in vecs], field)
         dims.append(len(rows))
-        return rows
+        return pivots, rows
 
-    monkeypatch.setattr(radical, "_span_rows", checked)
+    monkeypatch.setattr(radical, "rref", checked)
     assert RadicalTable(knit(_band_free_algebras()[3], field))._tagged  # builds every source
     assert max(dims) >= 2
 
