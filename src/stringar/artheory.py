@@ -12,10 +12,10 @@ current word, which is what makes single-middle meshes come out right.
 Surgery only adds and strips letters at the two ends, so the pieces of a
 mesh are runs of one line of positions: a piece is a pair (walk, start),
 its position j lying at start + j.  The mesh maps and the standard arrows
-at projectives are graph maps along the positions two pieces share,
-written directly in the canonical modules' coordinates.  A mesh is
-checked exact, then non-split by its words (Miyata); `knit` and each step
-of `tau_orbit` rest on that check.
+at projectives are graph maps along the positions two pieces share.  A
+mesh is checked exact from its pieces' positions and letters, with no
+arithmetic on its maps, then non-split by its words (Miyata); `knit` and
+each step of `tau_orbit` rest on that check.
 
 The independent DTr computation (minimal projective presentation,
 transpose over the opposite quiver, linear dual) is the test oracle for
@@ -30,7 +30,7 @@ from .errors import (
     IsProjectiveError,
     MeshInconsistencyError,
 )
-from .fields import Mat, QQ, Subspace, entry_rank, nullspace, solve
+from .fields import Mat, QQ, Subspace, nullspace, solve
 from .modules import (
     MorphismMatrix,
     Representation,
@@ -265,94 +265,114 @@ def tau_inverse(p, M, field=QQ):
 
 
 class _RawPiece:
-    """A surgery piece (walk, start) and its canonical module, with the walk's
-    positions in the module's coordinates.
+    """A surgery piece (walk, start) and its canonical module.
 
     `coord[j]` is the (vertex, index) basis vector of `module` at position j
-    of the walk, that is at `start + j` on the mesh's line: `module.basis`
-    when `canonical_walk` returns the walk itself, its reverse when it
-    returns the inverse.  The resolver returns the module of the canonical
-    walk it is given (a test pins this for both resolvers); `realize`
-    validates a string that `enumerate_strings` did not give (a walk is a
-    string iff its inverse is) and builds the basis along the canonical
-    walk's vertices, which an inverse walk visits in reverse.
+    of the walk: `module.basis` when `canonical_walk` returns the walk
+    itself, else its reverse, as an inverse walk visits the vertices in
+    reverse (tests pin this, and that both resolvers give the module of
+    the canonical walk they are given).
     """
 
-    __slots__ = ("start", "module", "coord")
+    __slots__ = ("walk", "start", "module", "coord")
 
     def __init__(self, p, resolve, walk, start):
         canon = canonical_walk(p, walk)
-        self.start, self.module = start, resolve(canon)
+        self.walk, self.start, self.module = walk, start, resolve(canon)
         self.coord = self.module.basis if canon is walk else self.module.basis[::-1]
 
 
 def _graph_map(src, dst):
     """Inclusion or projection between pieces whose position ranges nest, in
-    canonical coordinates.
+    canonical coordinates, with its `check_intertwining` verdict read off the
+    letters (see `AlmostSplitSequence`).
 
     Position j of src is position j + src.start - dst.start of dst; the map
-    sends each shared position's basis vector of src to that of dst: its
-    nonzeros are one 1 per shared position, at one vertex (a test checks
-    each position's vertex against its walk).
+    sends each shared position's basis vector of src to that of dst, so it
+    must lie over the same vertex in both.
     """
     off = src.start - dst.start
     a, b = (src.coord, dst.coord[off:]) if off >= 0 else (src.coord[-off:], dst.coord)
-    if min(len(a), len(b)) != min(len(src.coord), len(dst.coord)):
+    k = min(len(a), len(b))
+    if k != min(len(src.coord), len(dst.coord)):
         raise MeshInconsistencyError("mesh words do not nest")
     s, t = src.module.rep, dst.module.rep
     one = s.field.one()
-    return MorphismMatrix._adopt(s, t, [(v, row, col, one) for (v, col), (_, row) in zip(a, b)])
+    f = MorphismMatrix._adopt(s, t, [(v, row, col, one) for (v, col), (_, row) in zip(a, b)])
+    i, j, n = max(-off, 0), max(off, 0), k - 1  # the run: n letters, from src's i and dst's j
+    ls, ld = src.walk.letters, dst.walk.letters
+    if ls[i : i + n] != ld[j : j + n] or a[0][0] != b[0][0]:
+        if [v for v, _ in a[:k]] != [v for v, _ in b[:k]]:
+            raise MeshInconsistencyError("mesh pieces differ at a shared vertex")
+        f._verdict = False
+    else:  # an inverse letter points left
+        f._verdict = not (
+            i and not ls[i - 1].inverse or i + n < len(ls) and ls[i + n].inverse
+            or j and ld[j - 1].inverse or j + n < len(ld) and not ld[j + n].inverse
+        )
+    return f
 
 
 class AlmostSplitSequence:
-    """0 -> leftTerm -> middle_1 (+) middle_2 -> rightTerm -> 0, maps included."""
+    """0 -> leftTerm -> middle_1 (+) middle_2 -> rightTerm -> 0, made from its
+    pieces L, M_k, R (`_RawPiece`s), which give its maps.
 
-    def __init__(self, left_term, middle, right_term, left_maps, right_maps):
-        self.left_term = left_term
-        self.middle = middle
-        self.right_term = right_term
-        self.left_maps = left_maps
-        self.right_maps = right_maps
-        self.verify()
+    A map f is a graph map z_x |-> z'_x on the run S of positions its ends
+    share.  It is a morphism iff S's letters and first vertex agree, and
+    past an end of S src's next letter points out of S and dst's into it
+    (Crawley-Boevey 1989, Krause 1991): f's kernel, spanned by the z_y off
+    S, and its image, by the z'_x on S, must be submodules, and then f is
+    M(src) ->> M(S) >-> M(dst).
+
+    r_k l_k is the graph map on I_k = L & M_k & R, one unit per position.
+    So r_1 l_1 + r_2 l_2 = 0 iff I_1 = I_2 and both are empty or char = 2,
+    and r_1 l_1 = r_2 l_2 iff I_1 = I_2 (r_2 is then negated).  A row of
+    [l_1; l_2] holds one unit, so its rank is the number of positions of L
+    in M_1 | M_2, and it is mono iff L lies in M_1 | M_2; dually [r_1 r_2]
+    is epi iff R lies in M_1 | M_2.
+    """
+
+    def __init__(self, left, middle, right):
+        self._spans = [range(q.start, q.start + len(q.coord)) for q in (left, *middle, right)]
+        self.left_term, self.right_term = left.module, right.module
+        self.middle = [m.module for m in middle]
+        self.left_maps = [_graph_map(left, m) for m in middle]
+        self.right_maps = [_graph_map(m, right) for m in middle]
+        if self.verify():  # negate r_2 in place; its verdict stands
+            f, c = self.right_maps[1], left.module.rep.field.of(-1)
+            f.nonzeros = [(v, i, j, c) for v, i, j, _ in f.nonzeros]
 
     @property
     def alpha(self):
         return len(self.middle)
 
     def verify(self):
-        if not 1 <= len(self.middle) <= 2:
-            raise MeshInconsistencyError(f"{len(self.middle)} middle terms")
+        """Raise MeshInconsistencyError unless the pieces give an almost split
+        sequence; True when r_2 takes the sign -1 (the constructor gives it)."""
+        left, *middle, right = self._spans  # the pieces' positions
+        if not 1 <= len(middle) <= 2:
+            raise MeshInconsistencyError(f"{len(middle)} middle terms")
         lt, rt = self.left_term.rep, self.right_term.rep
         for v in lt.support.union(rt.support, *(m.rep.support for m in self.middle)):
             if lt.dims[v] + rt.dims[v] != sum(m.rep.dims[v] for m in self.middle):
                 raise MeshInconsistencyError("middle dimension mismatch")
-        # r_1 l_1 + r_2 l_2 must vanish; with two middles it may instead vanish
-        # once r_2 is negated, that is when r_1 l_1 == r_2 l_2.
-        rls = [r.compose(l) for l, r in zip(self.left_maps, self.right_maps)]
-        for r in self.right_maps:  # each becomes an arrow: keep no compose index on it
-            r._by_middle = None
-        if rls and not (rls[0] if len(rls) == 1 else rls[0].add(rls[1])).is_zero():
-            if len(self.middle) != 2 or rls[0] != rls[1]:
-                raise MeshInconsistencyError("mesh composite is not zero")
-            self.right_maps[1] = self.right_maps[1].neg()
+        meets = [range(max(left.start, m.start, right.start), min(left.stop, m.stop, right.stop))
+                 for m in middle]
+        if any(meets) and meets[1:] != meets[:1]:
+            raise MeshInconsistencyError("mesh composite is not zero")
         for f in self.left_maps + self.right_maps:
             if not f.check_intertwining():
                 raise MeshInconsistencyError("mesh map is not a morphism")
-        # left map is a monomorphism into the sum, right map an epimorphism out of it:
-        # [l_1; l_2] and [r_1 r_2] are block diagonal over the vertices, so each must
-        # have the end term's dimension as rank (entry_rank counts it from the
-        # nonzeros; middle term k's coordinates are keyed by k).
-        field = lt.field
-        left = [((k, v, i), (v, j), a)
-                for k, f in enumerate(self.left_maps) for v, i, j, a in f.nonzeros]
-        if entry_rank(field, left) != lt.total_dim:
-            raise MeshInconsistencyError("left mesh map not mono")
-        right = [((v, i), (k, v, j), a)
-                 for k, f in enumerate(self.right_maps) for v, i, j, a in f.nonzeros]
-        if entry_rank(field, right) != rt.total_dim:
-            raise MeshInconsistencyError("right mesh map not epi")
+        for end, what in ((left, "left mesh map not mono"), (right, "right mesh map not epi")):
+            x = end.start  # the first position of end that no middle read so far covers
+            for m in sorted(middle, key=lambda m: m.start):
+                if m.start <= x:
+                    x = max(x, m.stop)
+            if x < end.stop:
+                raise MeshInconsistencyError(what)
         if self._splits():
             raise MeshInconsistencyError("almost split sequence splits")
+        return any(meets) and lt.field.characteristic != 2
 
     def _splits(self):
         """An exact sequence splits iff its middle is the sum of its ends (Miyata);
@@ -377,18 +397,8 @@ def _mesh_from_left(p, left_walk, resolve):
     t, mids, far = _surgery(p, left_walk, "start")
     if far is None or not mids:
         raise MeshInconsistencyError("degenerate mesh")
-    left_piece = _RawPiece(p, resolve, *t)
-    far_piece = _RawPiece(p, resolve, *far)
-    mid_pieces = [_RawPiece(p, resolve, *m) for m in mids]
-    left_maps = [_graph_map(left_piece, m) for m in mid_pieces]
-    right_maps = [_graph_map(m, far_piece) for m in mid_pieces]
-    return AlmostSplitSequence(
-        left_piece.module,
-        [m.module for m in mid_pieces],
-        far_piece.module,
-        left_maps,
-        right_maps,
-    )
+    left, far = _RawPiece(p, resolve, *t), _RawPiece(p, resolve, *far)
+    return AlmostSplitSequence(left, [_RawPiece(p, resolve, *m) for m in mids], far)
 
 
 def _default_resolver(p, field, words=()):
@@ -657,12 +667,11 @@ def tau_orbit(p, M, k, field=None):
 def path_representation(p, v, field):
     """P(v) on its path basis; returns (rep, ordered path list, coord map)."""
     paths = nonzero_paths_from(p, v)
-    dims = {}
-    coord = {}
+    dims, coord = dict.fromkeys(p.quiver.vertices, 0), {}
     for path in paths:
         end = v if not path else p.quiver.arrow(path[-1]).target
-        coord[path] = (end, dims.get(end, 0))
-        dims[end] = dims.get(end, 0) + 1
+        coord[path] = (end, dims[end])
+        dims[end] += 1
     nonzeros = []
     for path in paths:
         end = v if not path else p.quiver.arrow(path[-1]).target
@@ -670,7 +679,6 @@ def path_representation(p, v, field):
             ext = path + (a.label,)
             if ext in coord:
                 nonzeros.append((a.label, coord[ext][1], coord[path][1], field.one()))
-    dims = {u: dims.get(u, 0) for u in p.quiver.vertices}
     return Representation._adopt(p, field, dims, nonzeros), paths, coord
 
 
@@ -707,17 +715,9 @@ class _ProjSum:
         self.rep = Representation._adopt(p, field, dims, nonzeros)
 
     def generator_index(self, part_ix):
-        """Flat column of the trivial path of part part_ix at its start vertex."""
-        rep, paths, coord = self.parts[part_ix]
+        """Flat column of the trivial path of part part_ix, its first, at its start vertex."""
         v = self.verts[part_ix]
-        return v, self.offsets[part_ix][v] + coord[()][1]
-
-
-def _column_space(field, mat):
-    s = Subspace(field, mat.nrows)
-    for j in range(mat.ncols):
-        s.insert(mat.column(j))
-    return s
+        return v, self.offsets[part_ix][v]
 
 
 def _top_lifts(rep):
@@ -728,15 +728,11 @@ def _top_lifts(rep):
         d = rep.dims[v]
         if d == 0:
             continue
-        rad = Subspace(field, d)
-        for a in rep.p.quiver.arrows_into(v):
-            m = maps[a.label]
-            for j in range(m.ncols):
-                rad.insert(m.column(j))
+        cols = [c for a in rep.p.quiver.arrows_into(v) for c in zip(*maps[a.label].rows)]
+        rad = Subspace(field, d, cols)
         for i in range(d):
-            unit = [field.zero()] * d
-            unit[i] = field.one()
-            if rad.insert(list(unit)):
+            unit = [int(i == j) for j in range(d)]
+            if rad.insert(unit):
                 lifts.append((v, unit))
     return lifts
 
@@ -748,17 +744,11 @@ def _cover(p, field, M):
     blocks = {v: Mat.zeros(field, M.dims[v], psum.rep.dims[v]) for v in p.quiver.vertices}
     for part_ix, (v, unit) in enumerate(lifts):
         rep, paths, coord = psum.parts[part_ix]
-        images = {(): list(unit)}
-        for path in paths:
-            if not path:
-                continue
-            prefix, last = path[:-1], path[-1]
-            img = images[prefix]
-            m = maps[last]
-            images[path] = [
-                field.of(sum(m.rows[i][j] * img[j] for j in range(m.ncols)))
-                for i in range(m.nrows)
-            ]
+        images = {(): unit}
+        for path in paths[1:]:  # by length, after the trivial path
+            img = images[path[:-1]]
+            rows = maps[path[-1]].rows
+            images[path] = [field.of(sum(x * y for x, y in zip(row, img))) for row in rows]
         for path in paths:
             end = v if not path else p.quiver.arrow(path[-1]).target
             col = psum.offsets[part_ix][end] + coord[path][1]
@@ -770,18 +760,14 @@ def _cover(p, field, M):
 def _kernel_rep(p, field, morphism):
     """Kernel of a morphism as a representation plus per-vertex basis columns."""
     src, src_maps = morphism.source, morphism.source.maps
-    basis = {}
-    dims = {}
-    for v in p.quiver.vertices:
-        vecs = nullspace(morphism.block(v)) if src.dims[v] else []
-        basis[v] = vecs
-        dims[v] = len(vecs)
+    basis = {v: nullspace(morphism.block(v)) if src.dims[v] else [] for v in p.quiver.vertices}
+    dims = {v: len(b) for v, b in basis.items()}
     maps = {}
     for a in p.quiver.arrows:
         s, t = a.source, a.target
         m = Mat.zeros(field, dims[t], dims[s])
         if dims[s] and src.dims[t]:
-            tmat = Mat(field, [list(col) for col in zip(*basis[t])], dims[t]) if dims[t] else Mat.zeros(field, src.dims[t], 0)
+            tmat = Mat(field, zip(*basis[t]), dims[t])  # read only when dims[t] > 0
             for j, vec in enumerate(basis[s]):
                 img = [
                     field.of(sum(src_maps[a.label].rows[i][k] * vec[k] for k in range(src.dims[s])))
@@ -811,16 +797,9 @@ def tau_oracle(p, M, field=None):
         raise IsProjectiveError("projective module has no translate")
     p1, kcover = _cover(p, field, K)
     # presentation map d: P1 -> P0, then its path matrix
-    incl_blocks = {}
-    for v in p.quiver.vertices:
-        cols = kbasis[v]
-        m = Mat.zeros(field, p0.rep.dims[v], K.dims[v])
-        for j, vec in enumerate(cols):
-            for i, val in enumerate(vec):
-                m.rows[i][j] = val
-        incl_blocks[v] = m
-    incl = MorphismMatrix(K, p0.rep, incl_blocks)
-    d = incl.compose(kcover)
+    incl = [(v, i, j, a) for v in p.quiver.vertices for j, vec in enumerate(kbasis[v])
+            for i, a in enumerate(vec) if a]
+    d = MorphismMatrix._adopt(K, p0.rep, incl).compose(kcover)
     # entries: for generator j (vertex w_j), its image coefficients over the
     # path basis of each part i give formal sums of paths v_i -> w_j
     pop = opposite_presentation(p)
@@ -842,35 +821,20 @@ def tau_oracle(p, M, field=None):
                 coeff = img[p0.offsets[i][end] + coord_i[path][1]]
                 if not coeff:
                     continue
-                rpath = tuple(reversed(path))
-                _apply_op_path_morphism(
-                    pop, field, p0_op, i, p1_op, j, rpath, coeff, dop_blocks
-                )
+                rpath = path[::-1]
+                _apply_op_path_morphism(pop, field, p0_op, i, p1_op, j, rpath, coeff, dop_blocks)
     # cokernel of d_op, vertexwise, with induced op-arrow maps
-    tr_dims = {}
-    tr_sections = {}
-    tr_solvers = {}
+    tr_dims, tr_sections, tr_solvers = {}, {}, {}
     for v in pop.quiver.vertices:
         n = p1_op.rep.dims[v]
-        img = _column_space(field, dop_blocks[v])
-        comp_idx = []
+        img = Subspace(field, n, zip(*dop_blocks[v].rows))
+        units = [[int(i == j) for j in range(n)] for i in range(n)]
         probe = Subspace(field, n, img.rows)
-        for i in range(n):
-            unit = [field.zero()] * n
-            unit[i] = field.one()
-            if probe.insert(unit):
-                comp_idx.append(i)
+        comp_idx = [i for i in range(n) if probe.insert(units[i])]
         tr_dims[v] = len(comp_idx)
-        basis_cols = [img.rows[i] for i in range(img.dim)]
-        for i in comp_idx:
-            unit = [field.zero()] * n
-            unit[i] = field.one()
-            basis_cols.append(unit)
+        basis_cols = img.rows + [units[i] for i in comp_idx]
         tr_sections[v] = comp_idx
-        if n:
-            tr_solvers[v] = Mat(field, [list(r) for r in zip(*basis_cols)], len(basis_cols))
-        else:
-            tr_solvers[v] = None
+        tr_solvers[v] = Mat(field, zip(*basis_cols), len(basis_cols)) if n else None
     def project(v, vec):
         solver = tr_solvers[v]
         if solver is None:
@@ -891,14 +855,13 @@ def tau_oracle(p, M, field=None):
         for k, unit_ix in enumerate(tr_sections[src_v]):
             m.rows[k] = project(dst_v, op_map.column(unit_ix))
         tau_maps[a.label] = m
-    dims = {v: tr_dims[v] for v in p.quiver.vertices}
-    return Representation(p, field, dims, tau_maps)
+    return Representation(p, field, tr_dims, tau_maps)
 
 
 def _apply_op_path_morphism(pop, field, p0_op, i, p1_op, j, rpath, coeff, out_blocks):
     """Add coeff * (morphism P_op(v_i) -> P_op(w_j) given by the op path rpath)."""
-    rep_i, paths_i, coord_i = p0_op.parts[i]
-    rep_j, paths_j, coord_j = p1_op.parts[j]
+    _, paths_i, coord_i = p0_op.parts[i]
+    coord_j = p1_op.parts[j][2]
     vi = p0_op.verts[i]
     for q in paths_i:
         target = rpath + q

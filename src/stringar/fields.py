@@ -17,6 +17,7 @@ refuses to mix two, and `Mat`s or `Subspace`s over two fields are never equal.
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
 from operator import itemgetter
 
@@ -27,10 +28,10 @@ def _exact(q):
 
 
 def scaled_row(row, c, char):
-    """c * row over the field of characteristic char; a Fraction c gives ints where integral."""
+    """c * row over the field of characteristic char; over QQ ints where integral."""
     if char:
         return [a * c % char for a in row]
-    if type(c) is Fraction:
+    if type(c) is Fraction or type(sum(row)) is Fraction:  # the sum is one iff an entry is
         return [_exact(a * c) for a in row]
     return [a * c for a in row]
 
@@ -203,8 +204,8 @@ def reduce(rows, vec, char):
 
 
 def append(field, rows, vec, tag):
-    """Add vec to the echelon rows as (tag, pivot, row), scaled to a unit pivot
-    but over QQ not made exact (`rref` does that); False if vec is spanned."""
+    """Add vec to the echelon rows as (tag, pivot, row), scaled to a unit pivot;
+    False if vec is spanned."""
     char = field.characteristic
     v, _ = reduce(rows, vec, char)
     p = pivot(v)
@@ -212,6 +213,19 @@ def append(field, rows, vec, tag):
         return False
     rows.append((tag, p, scaled_row(v, field.inv(v[p]), char)))
     return True
+
+
+def _clear(rows, p, prow, char):
+    """Clear column p of each row with prow, whose entry there is 1; over QQ a
+    row is made exact where a Fraction enters it."""
+    exact = not char and type(sum(prow)) is Fraction
+    for i, row in enumerate(rows):
+        f = row[p]
+        if f:
+            row = [a - f * b for a, b in zip(row, prow)]
+            if char or exact or type(f) is Fraction:
+                row = [a % char for a in row] if char else [_exact(a) for a in row]
+            rows[i] = row
 
 
 def rref(vectors, field):
@@ -228,20 +242,10 @@ def rref(vectors, field):
     echelon = []
     for v in vectors:
         append(field, echelon, v, None)
-    char = field.characteristic
     echelon.sort(key=itemgetter(1))
     pivots, rows = [], []
     for _, p, prow in echelon:
-        exact = not char and type(sum(prow)) is Fraction  # the sum is one iff an entry is
-        if exact:  # over QQ, arithmetic with a Fraction can give an integral Fraction
-            prow = [_exact(a) for a in prow]
-        for i, row in enumerate(rows):
-            f = row[p]
-            if f:
-                row = [a - f * b for a, b in zip(row, prow)]
-                if char or exact or type(f) is Fraction:
-                    row = [a % char for a in row] if char else [_exact(a) for a in row]
-                rows[i] = row
+        _clear(rows, p, prow, field.characteristic)
         pivots.append(p)
         rows.append(prow)
     return pivots, rows
@@ -327,11 +331,17 @@ class Subspace:
         return not any(self._residue(vec))
 
     def insert(self, vec):
-        """Add a vector; returns True if the dimension grew."""
+        """Add a vector; returns True if the dimension grew.  The residue is
+        zero at every pivot: it goes in by its pivot, the rows above cleared there."""
         v = self._residue(vec)
         if not any(v):
             return False
-        self.pivots, self.rows = rref(self.rows + [v], self.field)
+        p, char = pivot(v), self.field.characteristic
+        row = scaled_row(v, self.field.inv(v[p]), char)
+        _clear(self.rows, p, row, char)
+        k = bisect(self.pivots, p)
+        self.pivots.insert(k, p)
+        self.rows.insert(k, row)
         return True
 
     def __eq__(self, other):

@@ -220,14 +220,13 @@ class MorphismMatrix:
     """A representation morphism, kept as its nonzeros.
 
     `nonzeros` lists the entries (vertex, row, column, coefficient) that are
-    not zero, in no fixed order; all arithmetic reads and makes them, so the
-    graph maps `knit` makes never build a block.  `blocks` (each vertex
-    where both source and target are nonzero, in vertex order) and
-    `block(v)` write the dense blocks out on each read, for output, the DTr
-    oracle and tests.  The constructor takes blocks and checks them; `_adopt`
-    wraps the nonzeros the arithmetic builds, unchecked.  Since a map is
-    never written, it also keeps what `compose` joins on and its
-    `check_intertwining` verdict.
+    not zero, in no fixed order; all arithmetic reads and makes them, so no
+    engine path builds a block.  `blocks` (each vertex where both source
+    and target are nonzero, in vertex order) and `block(v)` write the dense
+    blocks out on each read, for output, the DTr oracle and tests.  The
+    constructor takes blocks and checks them; `_adopt` wraps nonzeros,
+    unchecked.  A map also keeps what `compose` joins on and its
+    `check_intertwining` verdict, which a graph map of `knit` gets when made.
     """
 
     __slots__ = ("source", "target", "nonzeros", "_by_middle", "_verdict")

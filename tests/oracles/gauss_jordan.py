@@ -10,8 +10,6 @@ an `int` where an entry is integral, a `Fraction` otherwise).
 
 from fractions import Fraction
 
-from stringar.fields import scaled_row
-
 
 def _exact(q):
     return q.numerator if q.denominator == 1 else q
@@ -37,10 +35,10 @@ def rref(rows, field):
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = field.inv(rows[r][c])
-        prow = scaled_row(rows[r], inv, char)
+        prow = [a * inv % char for a in rows[r]] if char else [a * inv for a in rows[r]]
         # over QQ, arithmetic with a Fraction can give an integral Fraction: make those ints
         exact = not char and any(type(a) is Fraction for a in prow)
-        if exact and type(inv) is not Fraction:
+        if exact:
             prow = [_exact(a) for a in prow]
         rows[r] = prow
         for i in range(len(rows)):

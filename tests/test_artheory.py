@@ -8,7 +8,6 @@ import pytest
 
 from stringar import (
     AlgebraPresentation,
-    AlmostSplitSequence,
     IsInjectiveError,
     IsProjectiveError,
     ar_sequence,
@@ -26,7 +25,7 @@ from stringar import (
     walk_from_text,
     walk_to_text,
 )
-from stringar import artheory, modules, radical, strings
+from stringar import artheory, fields, modules, radical, strings
 from stringar.artheory import is_injective_word, is_projective_word, tau_inverse_word, tau_word
 from stringar.errors import (
     InfiniteDimensionalError,
@@ -39,6 +38,7 @@ from stringar.fields import field_for_characteristic
 from stringar.modules import hom_flat_dim, morphism_from_flat
 from tests.conftest import KRONECKER_SOURCE, LADDER
 from tests.morphisms import identity_morphism, zero_morphism
+from tests.oracles import dense_maps, mesh_maps
 from tests.oracles.split_oracle import splits
 from tests.test_stress import _band_free_algebras, _ladder_or_stress
 
@@ -234,14 +234,20 @@ def test_all_meshes_recorded(w3_quiver):
 
 
 def test_mesh_invariants_on_larger_algebras(u22, u31, v21):
-    # every recorded mesh re-verifies: exactness, shapes, mono/epi, non-split
+    # every recorded mesh re-verifies: exactness, shapes, mono/epi, non-split;
+    # check_intertwining reads the verdict a graph map carries, so the dense
+    # oracle decides here
     for p in (u22, u31, v21):
         G = knit(p)
         for seq in G.meshes.values():
             seq.verify()
             assert 1 <= seq.alpha <= 2
             for f in seq.left_maps + seq.right_maps:
-                assert f.check_intertwining()
+                assert dense_maps.intertwines(f, _dense)
+
+
+def _dense(f):
+    return {v: f.block(v).rows for v in f.source.p.quiver.vertices}
 
 
 def test_ar_sequence_sides_agree(w3):
@@ -262,7 +268,7 @@ def test_split_sequence_is_rejected(w3):
     left_maps = [identity_morphism(L.rep), zero_morphism(L.rep, R.rep)]
     assert splits(L, [L, R], left_maps)
     with pytest.raises(MeshInconsistencyError, match="almost split sequence splits"):
-        AlmostSplitSequence(
+        mesh_maps.verify(
             L, [L, R], R, left_maps, [zero_morphism(L.rep, R.rep), identity_morphism(R.rep)]
         )
 
@@ -271,7 +277,7 @@ def test_corrupted_right_map_is_rejected(w3_quiver):
     for seq in w3_quiver.meshes.values():
         right_maps = [zero_morphism(seq.middle[0].rep, seq.right_term.rep)] + seq.right_maps[1:]
         with pytest.raises(MeshInconsistencyError):
-            AlmostSplitSequence(
+            mesh_maps.verify(
                 seq.left_term, seq.middle, seq.right_term, list(seq.left_maps), right_maps
             )
 
@@ -419,22 +425,18 @@ def test_shape_predicates_reject_walks_that_are_not_strings(w3, predicate, text)
         predicate(w3, walk_from_text(text))
 
 
-# --- one corrupted mesh per message of AlmostSplitSequence.verify -----------
+# --- one corrupted mesh per message of the numeric mesh check ----------------
 
 
 def _verify_message(seq, middle=None, left_maps=None, right_maps=None):
-    """The message verify raises on the mesh with the given parts swapped in, or None."""
-    try:
-        AlmostSplitSequence(
-            seq.left_term,
-            list(middle or seq.middle),
-            seq.right_term,
-            list(left_maps or seq.left_maps),
-            list(right_maps or seq.right_maps),
-        )
-    except MeshInconsistencyError as exc:
-        return str(exc)
-    return None
+    """The message the oracle raises on the mesh with the given parts swapped in, or None."""
+    return mesh_maps.message(lambda: mesh_maps.verify(
+        seq.left_term,
+        list(middle or seq.middle),
+        seq.right_term,
+        list(left_maps or seq.left_maps),
+        list(right_maps or seq.right_maps),
+    ))
 
 
 @pytest.fixture(scope="module", params=["W3", "S0"])
@@ -505,19 +507,31 @@ def test_verify_reports_a_right_map_that_is_not_epi(corruptible):
 
 
 def test_verify_leaves_the_mesh_maps_alone(corruptible):
-    """The rank checks eliminate on copies: re-verifying changes no map."""
+    """verify reads the pieces' positions only: re-verifying changes no map."""
     for seq in corruptible:
         before = [f.flatten() for f in seq.left_maps + seq.right_maps]
         seq.verify()
         assert [f.flatten() for f in seq.left_maps + seq.right_maps] == before
 
 
-def test_knit_leaves_no_compose_index_on_its_arrows():
-    """verify composes each mesh right map once; the map then becomes an
-    arrow, and the index `compose` built on it is dropped (a search that
-    composes with the arrow builds it again)."""
-    q = knit(make_family("W", n=9).presentation)
-    assert all(a.morphism._by_middle is None for a in q.arrows)
+def test_knit_leaves_no_compose_index_on_its_arrows(monkeypatch):
+    """verify reads each mesh from its pieces: knit composes, adds, tests for
+    zero, runs the intertwining equations and ranks nothing, over QQ, GF(2)
+    and GF(3), so no arrow carries a compose index (a search that composes
+    with it builds one)."""
+    def refuse(*args):
+        raise AssertionError("knit did arithmetic on a map")
+
+    with monkeypatch.context() as m:
+        for name in ("compose", "add", "is_zero", "_intertwines", "rank"):
+            m.setattr(modules.MorphismMatrix, name, refuse)
+        m.setattr(fields, "entry_rank", refuse)
+        m.setattr(modules, "entry_rank", refuse)
+        quivers = [knit(make_family("W", n=9).presentation, field_for_characteristic(c))
+                   for c in (0, 2, 3)]
+    for q in quivers:
+        assert all(a.morphism._by_middle is None for a in q.arrows)
+    q = quivers[0]
     a, b = next((a, b) for a in q.arrows for b in q.arrows_from(a.target))
     b.morphism.compose(a.morphism)
     assert b.morphism._by_middle is not None

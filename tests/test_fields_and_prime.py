@@ -137,6 +137,42 @@ def test_rref_matches_gauss_jordan(char, count):
         assert [list(map(type, r)) for r in got[1]] == [list(map(type, r)) for r in want[1]], rows
 
 
+def test_append_stores_an_integral_fraction_as_an_int():
+    """A residue that picks up an integral Fraction by elimination and has a unit
+    pivot is stored as `rref` stores it: an int."""
+    rows = [(None, 0, [1, 0, Fraction(1, 2)])]
+    assert append(QQ, rows, [1, 1, Fraction(3, 2)], None)
+    assert rows[1] == (None, 1, [0, 1, 1]) and type(rows[1][2][2]) is int
+    assert rref([[1, 0, Fraction(1, 2)], [1, 1, Fraction(3, 2)]], QQ) == ([0, 1], [rows[0][2], rows[1][2]])
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
+def test_subspace_insert_matches_gauss_jordan(char):
+    """Seeded inserts, one at a time, some of them combinations of earlier ones:
+    after each, the basis is the oracle's RREF of all inserted so far, entry
+    types included, and `insert` says whether the dimension grew."""
+    field, rng = field_for_characteristic(char), random.Random(20261020 + char)
+    grown = kept = 0
+    for _ in range(400):
+        n, density = rng.randint(1, 6), rng.random()
+        s, inserted = Subspace(field, n), []
+        for _ in range(rng.randint(1, 7)):
+            if len(inserted) > 1 and rng.random() < 0.3:
+                c = _random_entry(rng, field)
+                v = [field.of(a + c * b) for a, b in zip(inserted[0], inserted[-1])]
+            else:
+                v = [_random_entry(rng, field) if rng.random() < density else 0 for _ in range(n)]
+            dim = s.dim
+            grew = s.insert(v)
+            inserted.append(v)
+            pivots, rows = gauss_jordan.rref([list(r) for r in inserted], field)
+            assert (s.pivots, s.rows) == (pivots, rows), inserted
+            assert [list(map(type, r)) for r in s.rows] == [list(map(type, r)) for r in rows]
+            assert grew == (len(pivots) > dim)
+            grown, kept = grown + grew, kept + (not grew)
+    assert grown > 500 and kept > 200
+
+
 def test_subspaces_over_two_fields_differ():
     """Equal rows over two fields are two subspaces, as they are two `Mat`s."""
     assert Subspace(PrimeField(2), 2, [[1, 0]]) != Subspace(PrimeField(3), 2, [[1, 0]])

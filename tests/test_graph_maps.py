@@ -13,15 +13,15 @@ from collections import Counter
 
 import pytest
 
-from stringar import AlmostSplitSequence, field_for_characteristic, knit
+from stringar import field_for_characteristic, knit
 from stringar import fields
-from stringar.errors import CompositionError, MeshInconsistencyError
+from stringar.errors import CompositionError
 from stringar.families import make_family
 from stringar.fields import entry_rank
 from stringar.modules import MorphismMatrix, morphism_from_flat
 from stringar.radical import RadicalTable
 from tests.conftest import LADDER
-from tests.oracles import dense_maps
+from tests.oracles import dense_maps, mesh_maps
 from tests.test_artheory import _bumped_right_maps
 from tests.test_stress import _band_free_algebras
 
@@ -207,20 +207,16 @@ def test_ranks_of_non_graph_maps_fall_back_to_rref(char, rref_calls):
 
 def test_verify_ranks_a_bumped_right_map_by_rref(rref_calls):
     """A right map of W(3) or S0 bumped by one entry that still makes a zero
-    composite and a morphism reaches the epi test; verify accepts it exactly
-    when the dense [r_1 r_2] has full row rank.  Some reach it with a row and
-    a column of two nonzeros, so rref decides."""
+    composite and a morphism reaches the epi test; the numeric mesh check
+    accepts it exactly when the dense [r_1 r_2] has full row rank.  Some
+    reach it with a row and a column of two nonzeros, so rref decides."""
     reached = 0
     for seq in [*_quiver("W3", 0).meshes.values(), *_quiver("S0", 0).meshes.values()]:
         field, R = seq.left_term.rep.field, seq.right_term.rep
         for _, right_maps in _bumped_right_maps(seq):
             before = len(rref_calls)
-            try:
-                AlmostSplitSequence(seq.left_term, seq.middle, seq.right_term,
-                                    list(seq.left_maps), list(right_maps))
-                message = None
-            except MeshInconsistencyError as exc:
-                message = str(exc)
+            message = mesh_maps.message(lambda: mesh_maps.verify(
+                seq.left_term, seq.middle, seq.right_term, list(seq.left_maps), list(right_maps)))
             if message in ("mesh composite is not zero", "mesh map is not a morphism"):
                 continue
             dense = [_dense(f) for f in right_maps]
