@@ -9,6 +9,11 @@ inverses.  Middle terms apply one end's operation, the far term applies
 both; additions are applied before deletions and deletions inspect the
 current word, which is what makes single-middle meshes come out right.
 
+`_hook` climbs each addition once per side, direction and arrow
+(Butler-Ringel): past its first letter l, a climb step reads only the
+end vertex, the adjacent letter and the new letter's one-direction run
+(`attach_candidates`), and that run stops at l, so no step reads past l.
+
 Surgery only adds and strips letters at the two ends, so the pieces of a
 mesh are runs of one line of positions: a piece is a pair (walk, start),
 its position j lying at start + j.  The mesh maps and the standard arrows
@@ -23,6 +28,8 @@ the surgery; no engine path calls it.
 """
 
 from __future__ import annotations
+
+from operator import add
 
 from .errors import (
     BandFoundError,
@@ -123,7 +130,7 @@ def _unique(cands, what):
 
 def _side_ops(p, walk, direction):
     """Each end's operation for the mesh in the given direction, left then
-    right: the arrow an addition attaches there, or None for a deletion.
+    right: the letters an addition attaches there, or None for a deletion.
 
     direction "start": the sequence starting at M(walk) (hooks are added).
     direction "end":   the sequence ending at M(walk) (cohooks are added).
@@ -132,93 +139,57 @@ def _side_ops(p, walk, direction):
     """
     if walk.is_trivial:
         v = walk.basepoint
-        pool = (
-            p.quiver.arrows_into(v) if direction == "start" else p.quiver.arrows_from(v)
-        )
+        pool = p.quiver.arrows_into(v) if direction == "start" else p.quiver.arrows_from(v)
         if len(pool) > 2:
             raise MeshInconsistencyError(f"vertex {v} breaks the two-arrow bound")
-        return [*pool, None, None][:2]
-    kind = "hook" if direction == "start" else "cohook"
-    return [
-        _unique(
-            attach_candidates(p, walk, side, _outer_inverse(direction, side)),
-            f"{side} {kind}",
-        )
-        for side in ("left", "right")
-    ]
+        arrows = [*pool, None, None][:2]
+    else:
+        kind = "hook" if direction == "start" else "cohook"
+        arrows = [_unique(attach_candidates(p, walk, side, _outer_inverse(direction, side)),
+                          f"{side} {kind}") for side in ("left", "right")]
+    return [a and _hook(p, side, direction, a) for side, a in zip(("left", "right"), arrows)]
 
 
-def _apply_add(p, piece, direction, side, arrow):
-    """Attach the arrow at one end, then climb the maximal run behind it."""
-    first_inverse = _outer_inverse(direction, side)
-    cur = _attach((Letter(arrow.label, first_inverse),), piece, side)
-    for _ in range(_CLIMB_CAP):
-        cand = _unique(
-            attach_candidates(p, cur[0], side, inverse=not first_inverse), f"{side} climb"
-        )
-        if cand is None:
-            return cur
-        cur = _attach((Letter(cand.label, not first_inverse),), cur, side)
-    raise MeshInconsistencyError(f"{side} climb did not terminate")
+def _hook(p, side, direction, arrow):
+    """The letters an addition of the arrow attaches at one end, in walk order:
+    its letter and the run climbed behind it (memoised)."""
+    key = (side, direction, arrow.label)
+    if key not in p.hooks:
+        inverse = _outer_inverse(direction, side)
+        hook = (Letter(arrow.label, inverse),)
+        for _ in range(_CLIMB_CAP):
+            cand = _unique(attach_candidates(p, Walk(hook), side, not inverse), f"{side} climb")
+            if cand is None:
+                break
+            new = Letter(cand.label, not inverse)
+            hook = (new, *hook) if side == "left" else (*hook, new)
+        else:
+            raise MeshInconsistencyError(f"{side} climb did not terminate")
+        p.hooks[key] = hook
+    return p.hooks[key]
 
 
-def _apply_delete(p, piece, direction, side):
-    """Remove a hook or cohook from one end; None when the whole word would go."""
-    walk = piece[0]
-    n = len(walk.letters)
-    run = _end_run(walk, _outer_inverse(direction, side), side)
-    if run >= n:
-        return None
-    lo = run + 1 if side == "left" else 0
-    return _segment(p, piece, lo, lo + n - run)
-
-
-def _compute_side(p, piece, direction, side, arrow):
-    """One end's operation (see `_side_ops`); returns (middle piece or None, the
-    letters it attached, or None for a deletion).
-
-    The far term attaches the same letters at the same positions.
-    """
-    if arrow is not None:
-        res = _apply_add(p, piece, direction, side, arrow)
-        letters = res[0].letters
-        added = len(letters) - len(piece[0].letters)
-        return res, letters[:added] if side == "left" else letters[-added:]
-    return _apply_delete(p, piece, direction, side), None
-
-
-def _attach(letters, piece, side):
-    """Letters attached at one end; on the left they take the positions before start."""
-    walk, start = piece
-    if side == "left":
-        return Walk(letters + walk.letters), start - len(letters)
-    return Walk(walk.letters + letters), start
-
-
-def _far_term(p, piece, direction, sides):
-    """Both ends' operations, as (side, letters or None); additions first,
-    deletions read the current word."""
-    cur = piece
-    for side, letters in sides:
-        if letters is not None:
-            cur = _attach(letters, cur, side)
-    for side, letters in sides:
-        if letters is None:
-            if cur is None:
+def _apply(p, walk, direction, hooks):
+    """The piece (walk, start) the ends' operations make of M(walk), or None;
+    a hook () attaches nothing."""
+    left, right = (hook or () for hook in hooks)
+    cur = (Walk(left + walk.letters + right), -len(left)) if left or right else (walk, 0)
+    for side, hook in zip(("left", "right"), hooks):
+        if hook is None:
+            n, run = len(cur[0].letters), _end_run(cur[0], _outer_inverse(direction, side), side)
+            if run >= n:
                 return None
-            cur = _apply_delete(p, cur, direction, side)
+            lo = run + 1 if side == "left" else 0
+            cur = _segment(p, cur, lo, lo + n - run)
     return cur
 
 
 def _surgery(p, walk, direction):
-    """All pieces of the mesh on the given side of M(walk)."""
-    t = (walk, 0)
-    add_l, add_r = _side_ops(p, walk, direction)
-    mid_l, new_l = _compute_side(p, t, direction, "left", add_l)
-    mid_r, new_r = _compute_side(p, t, direction, "right", add_r)
-    far = _far_term(p, t, direction, (("left", new_l), ("right", new_r)))
-    middles = [m for m in (mid_l, mid_r) if m is not None]
-    return t, middles, far
+    """The pieces of the mesh on the given side of M(walk): the word at start
+    0, the middles (one end's operation each) and the far term (both)."""
+    left, right = hooks = _side_ops(p, walk, direction)
+    middles = [_apply(p, walk, direction, (left, ())), _apply(p, walk, direction, ((), right))]
+    return (walk, 0), [m for m in middles if m is not None], _apply(p, walk, direction, hooks)
 
 
 def _translate_word(p, walk, direction):
@@ -230,7 +201,7 @@ def _translate_word(p, walk, direction):
     if _is_standard_word(p, walk, projective):
         error = IsProjectiveError if projective else IsInjectiveError
         raise error(f"{walk_to_text(walk)} is {kind}")
-    _, _, far = _surgery(p, walk, direction)
+    far = _apply(p, walk, direction, _side_ops(p, walk, direction))
     if far is None:
         raise MeshInconsistencyError(f"translate of a non-{kind} word vanished")
     return far[0]
@@ -253,33 +224,51 @@ def tau_inverse_word(p, walk):
     return _translate_word(p, walk, "start")
 
 
-def tau(p, M, field=QQ):
-    """Translate of a string module (or StringWord, already a string) by word surgery."""
-    word = M.word if isinstance(M, StringModule) else M
-    return realize(p, _translate_word(p, word.walk, "end"), field)
+def _field_of(M, field):
+    """The field asked for, else the module's, or QQ for a word."""
+    return field or (M.rep.field if isinstance(M, StringModule) else QQ)
 
 
-def tau_inverse(p, M, field=QQ):
+def tau(p, M, field=None):
+    """Translate of a string module (or StringWord, already a string) by word
+    surgery, over `field` or the module's (QQ for a word)."""
     word = M.word if isinstance(M, StringModule) else M
-    return realize(p, _translate_word(p, word.walk, "start"), field)
+    return realize(p, _translate_word(p, word.walk, "end"), _field_of(M, field))
+
+
+def tau_inverse(p, M, field=None):
+    word = M.word if isinstance(M, StringModule) else M
+    return realize(p, _translate_word(p, word.walk, "start"), _field_of(M, field))
+
+
+class _Resolver(dict):
+    """Indexed by a raw walk: the module of its canonical walk (one of
+    `modules`, else realized) and its coordinates, `module.basis`, reversed
+    unless the walk is canonical, as its inverse visits the vertices in reverse."""
+
+    def __init__(self, p, field, modules=()):
+        self.p, self.field = p, field
+        self.update((m.word.walk, (m, m.basis)) for m in modules)
+
+    def __missing__(self, walk):
+        canon = canonical_walk(self.p, walk)
+        if canon is walk:
+            module = realize(self.p, walk, self.field)
+            self[walk] = module, module.basis
+        else:
+            module, coord = self[canon]
+            self[walk] = module, coord[::-1]
+        return self[walk]
 
 
 class _RawPiece:
-    """A surgery piece (walk, start) and its canonical module.
-
-    `coord[j]` is the (vertex, index) basis vector of `module` at position j
-    of the walk: `module.basis` when `canonical_walk` returns the walk
-    itself, else its reverse, as an inverse walk visits the vertices in
-    reverse (tests pin this, and that both resolvers give the module of
-    the canonical walk they are given).
-    """
+    """A surgery piece (walk, start), its module and coordinates (`_Resolver`)."""
 
     __slots__ = ("walk", "start", "module", "coord")
 
-    def __init__(self, p, resolve, walk, start):
-        canon = canonical_walk(p, walk)
-        self.walk, self.start, self.module = walk, start, resolve(canon)
-        self.coord = self.module.basis if canon is walk else self.module.basis[::-1]
+    def __init__(self, resolve, walk, start):
+        self.walk, self.start = walk, start
+        self.module, self.coord = resolve[walk]
 
 
 def _graph_map(src, dst):
@@ -353,9 +342,10 @@ class AlmostSplitSequence:
         if not 1 <= len(middle) <= 2:
             raise MeshInconsistencyError(f"{len(middle)} middle terms")
         lt, rt = self.left_term.rep, self.right_term.rep
-        for v in lt.support.union(rt.support, *(m.rep.support for m in self.middle)):
-            if lt.dims[v] + rt.dims[v] != sum(m.rep.dims[v] for m in self.middle):
-                raise MeshInconsistencyError("middle dimension mismatch")
+        mids = [m.rep.dims.values() for m in self.middle]  # dims list every vertex in order
+        ends = map(add, lt.dims.values(), rt.dims.values())
+        if list(ends) != list(map(add, *mids) if mids[1:] else mids[0]):
+            raise MeshInconsistencyError("middle dimension mismatch")
         meets = [range(max(left.start, m.start, right.start), min(left.stop, m.stop, right.stop))
                  for m in middle]
         if any(meets) and meets[1:] != meets[:1]:
@@ -397,29 +387,15 @@ def _mesh_from_left(p, left_walk, resolve):
     t, mids, far = _surgery(p, left_walk, "start")
     if far is None or not mids:
         raise MeshInconsistencyError("degenerate mesh")
-    left, far = _RawPiece(p, resolve, *t), _RawPiece(p, resolve, *far)
-    return AlmostSplitSequence(left, [_RawPiece(p, resolve, *m) for m in mids], far)
-
-
-def _default_resolver(p, field, words=()):
-    """Realize canonical walks once each; `words` (canonical StringWords, as
-    `enumerate_strings` gives them) are realized unchecked."""
-    cache = {w.walk: _string_module(p, w, field) for w in words}
-
-    def resolve(canon_walk):
-        module = cache.get(canon_walk)
-        if module is None:
-            module = cache[canon_walk] = realize(p, canon_walk, field)
-        return module
-
-    return resolve
+    left, far = _RawPiece(resolve, *t), _RawPiece(resolve, *far)
+    return AlmostSplitSequence(left, [_RawPiece(resolve, *m) for m in mids], far)
 
 
 def ar_sequence(p, M, side, field=None, resolve=None):
     """Almost split sequence ending or starting at a string module."""
     word = M.word if isinstance(M, StringModule) else string_word(p, M.walk if isinstance(M, StringWord) else M)
-    field = field or (M.rep.field if isinstance(M, StringModule) else QQ)
-    resolve = resolve or _default_resolver(p, field)
+    field = _field_of(M, field)
+    resolve = _Resolver(p, field) if resolve is None else resolve
     if side == "endingAt":
         left = _translate_word(p, word.walk, "end")
         seq = _mesh_from_left(p, left, resolve)
@@ -446,10 +422,10 @@ def standard_arrows(p, v, resolve, projective):
     n = len(raw.letters)
     k = _end_run(raw, inverse=projective, side="left")
     segments = [_segment(p, (raw, 0), lo, hi) for lo, hi in ((0, k), (k + 1, n + 1)) if hi > lo]
-    whole = _RawPiece(p, resolve, raw, 0)
+    whole = _RawPiece(resolve, raw, 0)
     out = []
     for seg in segments:
-        piece = _RawPiece(p, resolve, *seg)
+        piece = _RawPiece(resolve, *seg)
         src, dst = (piece, whole) if projective else (whole, piece)
         out.append((src.module, dst.module, _graph_map(src, dst)))
     return out
@@ -580,9 +556,8 @@ def knit(p, field=QQ):
     require_string_algebra(p)
     if has_band(p):
         raise BandFoundError("cannot knit: the presentation has bands")
-    words = enumerate_strings(p)
-    resolve = _default_resolver(p, field, words)
-    modules = [resolve(w.walk) for w in words]
+    modules = [_string_module(p, w, field) for w in enumerate_strings(p)]  # canonical: unchecked
+    resolve = _Resolver(p, field, modules)
     proj_tops = _projective_tops(p)
     inj_walks = {canonical_walk(p, injective_word(p, v)) for v in p.quiver.vertices}
     nodes = [
@@ -645,15 +620,16 @@ class OrbitResult:
 
 def tau_orbit(p, M, k, field=None):
     """[M, tau M, ...] for up to k steps; stops early when a projective appears.
+    A word is realized first, over `field` or QQ.
 
     Each step is checked the way `knit` checks a mesh: the almost split
     sequence ending at the current module is verified, and its right term
     must be that module again; its left term is the next one.
     """
     require_finite_dimensional(p, "translate")
-    field = field or M.rep.field
-    resolve = _default_resolver(p, field)
-    out = [M]
+    field = _field_of(M, field)
+    resolve = _Resolver(p, field)
+    out = [M if isinstance(M, StringModule) else realize(p, M, field)]
     for _ in range(k):
         if _is_standard_word(p, out[-1].word.walk, projective=True):
             return OrbitResult(out, True, len(out) - 1)

@@ -13,6 +13,7 @@ import functools
 import random
 
 from .artheory import (
+    _Resolver,
     _is_standard_word,
     _projective_tops,
     ar_sequence,
@@ -236,7 +237,7 @@ def find_tau_arrows(p, quiver=None, candidates=None, field=QQ):
         t_mod = realize(p, t_walk, field)
         if t_walk in tops:
             summands = standard_arrows(
-                p, tops[t_walk], lambda w: realize(p, w, field), projective=True
+                p, tops[t_walk], _Resolver(p, field), projective=True
             )
             if any(src.word.walk == M.word.walk for src, _, _ in summands):
                 out.append((M, t_mod))

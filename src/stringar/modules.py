@@ -16,6 +16,8 @@ flat vector straight into nonzeros, with no block built.
 
 from __future__ import annotations
 
+import functools
+
 from .errors import CompositionError, UnknownLabelError
 from .fields import Mat, QQ, combination, entry_rank, nullspace
 from .presentation import require_finite_dimensional, require_string_algebra
@@ -34,11 +36,10 @@ class Representation:
 
     `nonzeros` lists the entries (arrow, row, column, coefficient) of the
     (target-dim x source-dim) arrow matrices that are not zero, in no fixed
-    order; `actions` indexes them when the module is made.  The constructor
+    order; `actions` indexes them, built on first read.  The constructor
     takes dense `Mat`s (arrows given none act as zero) and converts them
     once; `_adopt` wraps nonzeros, unchecked.  `maps` writes the dense
     matrices out on each read, for output, the DTr oracle and tests.
-    `support` is the set of vertices with nonzero dimension.
     """
 
     def __init__(self, p, field, dims, maps):
@@ -51,26 +52,25 @@ class Representation:
             if m.shape != shape:
                 raise CompositionError(f"map for arrow {a.label} has shape {m.shape}, expected {shape}")
             nonzeros += [(a.label, k, j, c) for k, row in enumerate(m.rows) for j, c in enumerate(row) if c]
-        self._set(p, field, dims, nonzeros)
+        self.p, self.field, self.dims, self.nonzeros = p, field, dims, nonzeros
 
     @classmethod
     def _adopt(cls, p, field, dims, nonzeros):
         """Wrap nonzeros (arrow, row, column, coefficient); dims lists every vertex, in order."""
         rep = object.__new__(cls)
-        rep._set(p, field, dims, nonzeros)
+        rep.p, rep.field, rep.dims, rep.nonzeros = p, field, dims, nonzeros
         return rep
 
-    def _set(self, p, field, dims, nonzeros):
-        """`actions` is ({(t, k): [(a, j, c)]}, {(s, j): [(a, k, c)]}): each nonzero
+    @functools.cached_property
+    def actions(self):
+        """({(t, k): [(a, j, c)]}, {(s, j): [(a, k, c)]}): each nonzero
         c = M(a)[k][j] of an arrow a: s -> t, by its row at t and by its column at s."""
-        self.p, self.field, self.dims, self.nonzeros = p, field, dims, nonzeros
-        self.support = frozenset(v for v, d in dims.items() if d)
-        at_row, at_col, arrow = {}, {}, p.quiver.arrow_by_label
-        for a, k, j, c in nonzeros:
+        at_row, at_col, arrow = {}, {}, self.p.quiver.arrow_by_label
+        for a, k, j, c in self.nonzeros:
             x = arrow[a]
             at_row.setdefault((x.target, k), []).append((a, j, c))
             at_col.setdefault((x.source, j), []).append((a, k, c))
-        self.actions = at_row, at_col
+        return at_row, at_col
 
     @property
     def maps(self):
@@ -181,8 +181,16 @@ def standard_word(p, v, projective):
     """P(v) = M(C1^- C2) or I(v) = M(D1 D2^-).
 
     C1, C2 are the maximal paths out of v, D1, D2 the maximal paths into v;
-    the inverted branch comes first for P(v) and second for I(v).
+    the inverted branch comes first for P(v) and second for I(v).  Each is
+    built once per presentation.
     """
+    word = p.standard_words.get((v, projective))
+    if word is None:
+        word = p.standard_words[v, projective] = _standard_word(p, v, projective)
+    return word
+
+
+def _standard_word(p, v, projective):
     require_string_algebra(p)
     require_finite_dimensional(p, f"build {'P' if projective else 'I'}({v})")
     if v not in p.quiver.vertex_index:

@@ -136,6 +136,8 @@ class AlgebraPresentation:
         self._key = (name, quiver._key, self.relations)
         self._hash = hash(self._key)
         self.end_candidates = {}  # strings.attach_candidates, memoised by string end
+        self.hooks = {}  # artheory._hook
+        self.standard_words = {}  # modules.standard_word
 
     def path_in_ideal(self, labels):
         """True iff the path contains some relation as a contiguous factor."""

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 
-from .artheory import standard_arrows
+from .artheory import _Resolver, standard_arrows
 from .errors import BandFoundError, MeshInconsistencyError, NotIrreducibleError
 from .fields import Mat, Subspace, append, combination, nullspace, reduce, rref
 from .modules import end_radical, hom_basis  # the cross-check only
@@ -468,9 +468,7 @@ class RadicalTable:
 
 
 def _standard_morphism(quiver, u, projective):
-    def resolve(canon):
-        return quiver.node_of(canon).module
-
+    resolve = _Resolver(quiver.p, quiver.field, [n.module for n in quiver.nodes])
     arrows = standard_arrows(quiver.p, u, resolve, projective)
     if len(arrows) != 1:
         # a vertex choice from the caller, not a broken invariant

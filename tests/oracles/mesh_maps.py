@@ -16,7 +16,7 @@ def verify(left_term, middle, right_term, left_maps, right_maps):
     if not 1 <= len(middle) <= 2:
         raise MeshInconsistencyError(f"{len(middle)} middle terms")
     lt, rt = left_term.rep, right_term.rep
-    for v in lt.support.union(rt.support, *(m.rep.support for m in middle)):
+    for v in lt.p.quiver.vertices:
         if lt.dims[v] + rt.dims[v] != sum(m.rep.dims[v] for m in middle):
             raise MeshInconsistencyError("middle dimension mismatch")
     # r_1 l_1 + r_2 l_2 must vanish; with two middles it may instead vanish

@@ -34,7 +34,7 @@ from stringar.errors import (
     NotIrreducibleError,
 )
 from stringar.families import make_family
-from stringar.fields import field_for_characteristic
+from stringar.fields import QQ, field_for_characteristic
 from stringar.modules import hom_flat_dim, morphism_from_flat
 from tests.conftest import KRONECKER_SOURCE, LADDER
 from tests.morphisms import identity_morphism, zero_morphism
@@ -198,6 +198,38 @@ def test_tau_orbit_banded_component(ex3):
     assert len(orbit.modules) == 7
     assert not orbit.hit_projective
     assert len({m.word.walk for m in orbit.modules}) == 7  # all distinct
+
+
+@pytest.mark.parametrize("char", [2, 3], ids=["GF2", "GF3"])
+def test_tau_and_tau_inverse_keep_the_field_of_the_module(w3, u21, char):
+    """A module's translates are over its own field unless another is given;
+    a word's are over QQ."""
+    field = field_for_characteristic(char)
+    for p in (w3, u21):
+        for sw in enumerate_strings(p):
+            M = realize(p, sw, field)
+            for translate, standard in ((tau, is_projective_word), (tau_inverse, is_injective_word)):
+                if standard(p, sw.walk):
+                    continue
+                T = translate(p, M)
+                assert T.rep.field == field and T.rep == translate(p, M, field).rep
+                assert translate(p, sw).rep.field == translate(p, M, QQ).rep.field == QQ
+                assert translate(p, sw).word == T.word
+
+
+@pytest.mark.parametrize("char", [None, 0, 2, 3], ids=["default", "QQ", "GF2", "GF3"])
+def test_tau_orbit_of_a_word_is_the_orbit_of_its_module(w3, ex3, char):
+    """A StringWord is realized over the given field, or QQ, and walks the
+    orbit of its module."""
+    field = QQ if char is None else field_for_characteristic(char)
+    for p, max_len in ((w3, None), (ex3, 3)):
+        for sw in enumerate_strings(p, max_len=max_len):
+            by_word = tau_orbit(p, sw, 4, None if char is None else field)
+            by_module = tau_orbit(p, realize(p, sw, field), 4)
+            assert [m.word for m in by_word.modules] == [m.word for m in by_module.modules]
+            assert [m.rep for m in by_word.modules] == [m.rep for m in by_module.modules]
+            assert by_word.modules[0].rep.field == field
+            assert (by_word.hit_projective, by_word.steps) == (by_module.hit_projective, by_module.steps)
 
 
 def test_tau_period_three_loop_in(loop_in):
@@ -538,6 +570,59 @@ def test_knit_leaves_no_compose_index_on_its_arrows(monkeypatch):
 
 
 
+def _eager_actions(rep):
+    """The action index as `Representation._set` once built it for every module."""
+    at_row, at_col, arrow = {}, {}, rep.p.quiver.arrow_by_label
+    for a, k, j, c in rep.nonzeros:
+        x = arrow[a]
+        at_row.setdefault((x.target, k), []).append((a, j, c))
+        at_col.setdefault((x.source, j), []).append((a, k, c))
+    return at_row, at_col
+
+
+def _knitted_reps(G):
+    """Every module a knitted quiver holds: nodes, mesh terms, arrow ends."""
+    reps = [n.module.rep for n in G.nodes]
+    for seq in G.meshes.values():
+        reps += [seq.left_term.rep, seq.right_term.rep, *(m.rep for m in seq.middle)]
+    reps += [r for a in G.arrows for r in (a.morphism.source, a.morphism.target)]
+    return list({id(r): r for r in reps}.values())
+
+
+@pytest.mark.parametrize("char", [0, 2, 3], ids=["QQ", "GF2", "GF3"])
+@pytest.mark.parametrize("name", list(LADDER))
+def test_the_action_index_is_built_on_first_read_as_it_was_eagerly(name, char):
+    """On every module knit holds: no index before the first read, then the
+    eager one, built once."""
+    family, m, n = LADDER[name]
+    G = knit(make_family(family, m=m, n=n).presentation, field_for_characteristic(char))
+    for rep in _knitted_reps(G):
+        assert "actions" not in vars(rep)
+        assert rep.actions == _eager_actions(rep)
+        assert rep.actions is rep.actions
+
+
+@pytest.mark.parametrize("name", [*LADDER, "S0-S7"])
+def test_every_mesh_term_is_the_module_of_its_node(name):
+    """knit resolves every piece through its own resolver, so each mesh holds
+    the nodes' modules themselves, not second realizations of their words."""
+    for p in _ladder_or_stress(name):
+        G = knit(p)
+        module = {n.word.walk: n.module for n in G.nodes}
+        for x, seq in G.meshes.items():
+            assert seq.right_term is G.nodes[x].module
+            assert seq.left_term is G.nodes[G.tau_pairs[x]].module
+            assert all(m is module[m.word.walk] for m in seq.middle)
+
+
+def test_knit_builds_no_action_index():
+    """Mesh maps carry their verdicts, so no module knit makes is indexed."""
+    G = knit(make_family("W", n=9).presentation)
+    reps = _knitted_reps(G)
+    assert len(G.nodes) == 51 and len(reps) >= 51
+    assert not any("actions" in vars(rep) for rep in reps)
+
+
 # --- knit's and ar_sequence's own checks still fire --------------------------
 
 
@@ -632,14 +717,14 @@ def test_a_module_basis_lies_along_its_walk(name):
     walk's vertex j, numbered within its vertex in walk order; the reversed
     coordinates that `_RawPiece` gives the inverse walk lie along that walk."""
     for p in _ladder_or_stress(name):
-        resolve = artheory._default_resolver(p, field_for_characteristic(0))
+        resolve = artheory._Resolver(p, field_for_characteristic(0))
         for sw in enumerate_strings(p):
-            M = resolve(sw.walk)
+            M = resolve[sw.walk][0]
             verts = strings.walk_vertices(p, M.word.walk)
             assert [v for v, _ in M.basis] == verts
             assert [i for v, i in M.basis] == [verts[:j].count(v) for j, v in enumerate(verts)]
             for walk in (sw.walk, sw.walk.inverse()):
-                piece = artheory._RawPiece(p, resolve, walk, 0)
+                piece = artheory._RawPiece(resolve, walk, 0)
                 assert piece.module is M
                 assert [v for v, _ in piece.coord] == strings.walk_vertices(p, walk)
 
@@ -647,9 +732,9 @@ def test_a_module_basis_lies_along_its_walk(name):
 @pytest.mark.parametrize("name", [*LADDER, "S0-S7"])
 def test_both_resolvers_return_the_module_of_the_walk_they_are_given(name, monkeypatch):
     """`_RawPiece` reads a piece's orientation from `canonical_walk` alone, so
-    the module a resolver returns must have that canonical walk as its word:
-    knit's (`_default_resolver`) and the one `radical._standard_morphism`
-    builds on a knitted quiver."""
+    the module a resolver gives a walk must have the walk's canonical walk as
+    its word: a `_Resolver` over a field, and the one that
+    `radical._standard_morphism` fills with a knitted quiver's modules."""
     seen = []
 
     def spy(p, v, resolve, projective):
@@ -666,12 +751,13 @@ def test_both_resolvers_return_the_module_of_the_walk_they_are_given(name, monke
                     standard(q, u)
                 except NotIrreducibleError:
                     pass
-        resolvers = [seen[0], artheory._default_resolver(p, field_for_characteristic(0))]
+        resolvers = [seen[0], artheory._Resolver(p, field_for_characteristic(0))]
         for sw in enumerate_strings(p):
             for walk in (sw.walk, sw.walk.inverse()):
                 canon = strings.canonical_walk(p, walk)
                 for resolve in resolvers:
-                    assert resolve(canon).word.walk == canon
+                    assert resolve[canon][0].word.walk == canon
+                    assert resolve[walk][0] is resolve[canon][0]
 
 
 def test_knit_validates_no_enumerated_string_again(monkeypatch):
@@ -736,7 +822,7 @@ def _walk_piece(name):
     family, m, n = LADDER[name]
     p = make_family(family, m=m, n=n).presentation
     walk = max((sw.walk for sw in enumerate_strings(p)), key=len)
-    resolve = artheory._default_resolver(p, field_for_characteristic(0))
+    resolve = artheory._Resolver(p, field_for_characteristic(0))
     return p, walk, resolve
 
 
@@ -750,13 +836,13 @@ def test_a_graph_map_reads_shared_positions_at_both_extreme_offsets(name, invers
     p, walk, resolve = _walk_piece(name)
     walk = walk.inverse() if inverse else walk
     verts = strings.walk_vertices(p, walk)
-    whole = artheory._RawPiece(p, resolve, walk, 0)
+    whole = artheory._RawPiece(resolve, walk, 0)
     n = len(verts)
     assert n >= 4
     one = field_for_characteristic(0).one()
     for size in range(1, n + 1):
         for lo in (0, n - size):
-            run = artheory._RawPiece(p, resolve, *artheory._segment(p, (walk, 0), lo, lo + size))
+            run = artheory._RawPiece(resolve, *artheory._segment(p, (walk, 0), lo, lo + size))
             assert run.start == lo
             shared = [(run.coord[j], whole.coord[lo + j], verts[lo + j]) for j in range(size)]
             assert all(r[0] == w[0] == v for r, w, v in shared)
@@ -773,12 +859,12 @@ def test_a_graph_map_refuses_disjoint_and_crossing_ranges(name):
     after its last position, or far off, is disjoint from it."""
     p, walk, resolve = _walk_piece(name)
     n = len(walk.letters) + 1
-    whole = artheory._RawPiece(p, resolve, walk, 0)
+    whole = artheory._RawPiece(resolve, walk, 0)
     head = artheory._segment(p, (walk, 0), 0, 2)[0]
     crossing = [(walk, 1), (walk, -1), (head, n - 1), (head, -1)]
     disjoint = [(walk, n), (walk, -n), (head, n), (head, -2), (head, 100)]
     for piece in crossing + disjoint:
-        other = artheory._RawPiece(p, resolve, *piece)
+        other = artheory._RawPiece(resolve, *piece)
         for src, dst in ((whole, other), (other, whole)):
             with pytest.raises(MeshInconsistencyError, match="mesh words do not nest"):
                 artheory._graph_map(src, dst)

@@ -18,7 +18,7 @@ import pytest
 from stringar import enumerate_strings, field_for_characteristic, knit
 from stringar.artheory import (
     AlmostSplitSequence,
-    _default_resolver,
+    _Resolver,
     _graph_map,
     _RawPiece,
     _segment,
@@ -62,7 +62,7 @@ def test_the_oracle_accepts_every_mesh_and_arrow_of_the_engine(name, char):
 def _pieces(p, resolve, seq):
     """The pieces of the mesh starting at seq's left term, as knit makes them."""
     t, mids, far = _surgery(p, seq.left_term.word.walk, "start")
-    return _RawPiece(p, resolve, *t), [_RawPiece(p, resolve, *m) for m in mids], _RawPiece(p, resolve, *far)
+    return _RawPiece(resolve, *t), [_RawPiece(resolve, *m) for m in mids], _RawPiece(resolve, *far)
 
 
 def _oracle(left, middle, right):
@@ -80,7 +80,7 @@ def _flipped(p, resolve, piece, k):
     letters = list(piece.walk.letters)
     letters[k] = Letter(letters[k].arrow, not letters[k].inverse)
     walk = Walk(letters)
-    return _RawPiece(p, resolve, walk, piece.start) if is_string(p, walk) else None
+    return _RawPiece(resolve, walk, piece.start) if is_string(p, walk) else None
 
 
 def _corruptions(p, resolve, left, middle, right):
@@ -96,7 +96,7 @@ def _corruptions(p, resolve, left, middle, right):
     yield "mesh", *mesh({})
     for i, q in enumerate(pieces):
         for d in (-1, 1):
-            yield "shift", *mesh({i: _RawPiece(p, resolve, q.walk, q.start + d)})
+            yield "shift", *mesh({i: _RawPiece(resolve, q.walk, q.start + d)})
     ends = set()
     for src, dst in [(left, m) for m in middle] + [(m, right) for m in middle]:
         for big, small in ((src, dst), (dst, src)):
@@ -110,7 +110,7 @@ def _corruptions(p, resolve, left, middle, right):
             yield "flip", *mesh({i: flipped})
     if len(middle) == 2:
         first, second = middle
-        yield "share", *mesh({2: _RawPiece(p, resolve, second.walk, first.start)})
+        yield "share", *mesh({2: _RawPiece(resolve, second.walk, first.start)})
         yield "share", *mesh({2: first})
 
 
@@ -124,7 +124,7 @@ def test_engine_and_oracle_agree_on_corrupted_pieces(char):
     field = field_for_characteristic(char)
     for name in NAMES:
         for p, G in _quivers(name, char):
-            resolve = _default_resolver(p, field)
+            resolve = _Resolver(p, field)
             for seq in G.meshes.values():
                 for kind, *parts in _corruptions(p, resolve, *_pieces(p, resolve, seq)):
                     engine = mesh_maps.message(lambda: AlmostSplitSequence(*parts))
@@ -153,14 +153,14 @@ def test_a_graph_map_between_runs_of_a_string_has_the_verdict_of_its_equations(n
     field = field_for_characteristic(char)
     verdicts = set()
     for p in _ladder_or_stress(name):
-        resolve = _default_resolver(p, field)
+        resolve = _Resolver(p, field)
         for sw in enumerate_strings(p):
             for walk in (sw.walk, sw.walk.inverse()):
-                whole = _RawPiece(p, resolve, walk, 0)
+                whole = _RawPiece(resolve, walk, 0)
                 n = len(walk.letters)
                 for lo in range(n + 1):
                     for hi in range(lo, n + 1):
-                        run = _RawPiece(p, resolve, *_segment(p, (walk, 0), lo, hi + 1))
+                        run = _RawPiece(resolve, *_segment(p, (walk, 0), lo, hi + 1))
                         for src, dst in ((run, whole), (whole, run)):
                             f = _graph_map(src, dst)
                             assert f._verdict == f._intertwines()

@@ -30,7 +30,7 @@ from stringar.modules import MorphismMatrix
 from stringar.radical import ZERO_DEPTH, RadicalTable
 from tests.conftest import LADDER
 from tests.morphisms import identity_morphism
-from tests.oracles import gauss_jordan
+from tests.oracles import dense_maps, gauss_jordan
 from tests.test_stress import _band_free_algebras, _ladder_or_stress, random_presentations
 
 FAMILIES = {"W3": ("W", None, 3), "U2_2": ("U", 2, 2), "V2_3": ("V", 2, 3)}
@@ -201,6 +201,31 @@ def _non_morphism(f):
         if not g.check_intertwining():
             return g
     return None
+
+
+def test_depth_runs_the_intertwining_body_on_a_map_with_no_verdict(monkeypatch):
+    """A map made outside knit carries no verdict, so `depth` rejects a
+    non-morphism through `_intertwines`, which builds the action indexes it
+    reads on first read."""
+    T = _table("W3", 3)
+    field, arrows = T.field, T.quiver.arrows
+
+    def dense(f):
+        return {v: f.block(v).rows for v in f.source.p.quiver.vertices}
+
+    def doubled(f, v):
+        return MorphismMatrix._adopt(f.source, f.target, [
+            (w, i, j, field.of(2 * c) if w == v else c) for w, i, j, c in f.nonzeros])
+
+    a, bad = next((a, g) for a in arrows for v, *_ in a.morphism.nonzeros
+                  for g in [doubled(a.morphism, v)] if not dense_maps.intertwines(g, dense))
+    assert not any("actions" in vars(r) for r in (bad.source, bad.target))
+    checked, body = [], MorphismMatrix._intertwines
+    monkeypatch.setattr(MorphismMatrix, "_intertwines", lambda f: checked.append(f) or body(f))
+    with pytest.raises(MeshInconsistencyError, match="depth of a non-morphism"):
+        T.depth(bad, T.nodes[a.source], T.nodes[a.target])
+    assert checked == [bad] and bad._verdict is False
+    assert "actions" in vars(bad.source) and "actions" in vars(bad.target)
 
 
 def test_depth_rejects_a_non_morphism():
