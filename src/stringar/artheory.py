@@ -19,8 +19,11 @@ mesh are runs of one line of positions: a piece is a pair (walk, start),
 its position j lying at start + j.  The mesh maps and the standard arrows
 at projectives are graph maps along the positions two pieces share.  A
 mesh is checked exact from its pieces' positions and letters, with no
-arithmetic on its maps, then non-split by its words (Miyata); `knit` and
-each step of `tau_orbit` rest on that check.
+arithmetic on its maps, then non-split by its words (Miyata).  `knit`
+builds each mesh from one "end" surgery at its right end and rests on that
+check and on its translate pairing; `ar_sequence(..., "endingAt")` and each
+step of `tau_orbit` run the translate, then the mesh starting at it, and
+check the round trip too.
 
 The independent DTr computation (minimal projective presentation,
 transpose over the opposite quiver, linear dual) is the test oracle for
@@ -391,18 +394,62 @@ def _mesh_from_left(p, left_walk, resolve):
     return AlmostSplitSequence(left, [_RawPiece(resolve, *m) for m in mids], far)
 
 
+def _mesh_ending_at(p, walk, resolve):
+    """The almost split sequence ending at M(walk), a non-projective string,
+    from one "end" surgery; `knit` builds every mesh this way.
+
+    The "start" operation at an end is the formal inverse of the "end" one,
+    so the "start" surgery on the far piece (tau, s) makes these pieces on
+    this line, each shifted by -s: its left middle restores tau's left end,
+    leaving walk with only its right end operated, which is this surgery's
+    right middle.  So the middles come in reverse surgery order, and every
+    map, read off the pieces' relative positions (`_graph_map`), is the one
+    `ar_sequence(..., "endingAt")` builds from tau.
+
+    A trivial tau = e(v) has no ends, and so no orientation, of its own:
+    the "start" line is this one shifted, or mirrored and shifted.
+    `_side_ops` orients it: a = arrows_into(v)[0] is attached on the left,
+    its letter a just left of v, and a second arrow b on the right, its
+    letter b^- just right of v; no other letter is next to v.  Mirroring
+    puts b (not a, as b != a) or no letter just left of v.  So the line is
+    mirrored iff the letter just left of v here is not a, and then the
+    pieces are mirrored, (w, start) -> (w^-1, -start - len(w)), which also
+    swaps the middles back into surgery order.  `verify` checks the mesh
+    either way; the rule only keeps every map, and the sign of r_2, as
+    `ar_sequence` makes them.
+    """
+    t, mids, far = _surgery(p, walk, "end")
+    if far is None or not mids:
+        raise MeshInconsistencyError("degenerate mesh")
+    pieces = [far, *mids[::-1], t]
+    tau, s = far
+    into = tau.is_trivial and p.quiver.arrows_into(tau.basepoint)
+    if into:
+        covering = (w.letters[s - 1 - st] for w, st in (*mids, t) if st < s <= st + len(w))
+        if next(covering, None) is not Letter(into[0].label):
+            pieces = [(w.inverse(), -st - len(w)) for w, st in (far, *mids, t)]
+    left, *middle, right = (_RawPiece(resolve, *q) for q in pieces)
+    return AlmostSplitSequence(left, middle, right)
+
+
 def ar_sequence(p, M, side, field=None, resolve=None):
-    """Almost split sequence ending or starting at a string module."""
+    """Almost split sequence ending or starting at a string module.
+
+    "endingAt" runs two surgeries: the translate, then the mesh starting at
+    it, whose right term must be M again (the round trip).  `tau_orbit`
+    rests on that check; for `knit`, whose meshes come from one surgery
+    each (`_mesh_ending_at`), it is the test oracle.
+    """
     word = M.word if isinstance(M, StringModule) else string_word(p, M.walk if isinstance(M, StringWord) else M)
     field = _field_of(M, field)
     resolve = _Resolver(p, field) if resolve is None else resolve
     if side == "endingAt":
-        left = _translate_word(p, word.walk, "end")
+        left = _translate_word(p, word.walk, "end")  # checks the algebra and M's side
         seq = _mesh_from_left(p, left, resolve)
         if seq.right_term.word.walk != canonical_walk(p, word.walk):  # word is a string
             raise MeshInconsistencyError("translate round trip failed")
         return seq
-    if side == "startingAt":  # "endingAt" checks both in _translate_word
+    if side == "startingAt":
         require_string_algebra(p)
         require_finite_dimensional(p, "translate")
         return _mesh_from_left(p, word.walk, resolve)
@@ -572,7 +619,7 @@ def knit(p, field=QQ):
             for src_mod, _, mor in standard_arrows(p, v_top, resolve, projective=True):
                 quiver._add_arrow(by_walk[src_mod.word.walk], n.index, mor)
             continue
-        seq = ar_sequence(p, n.module, "endingAt", field=field, resolve=resolve)
+        seq = _mesh_ending_at(p, n.module.word.walk, resolve)
         quiver.meshes[n.index] = seq
         tau_idx = by_walk[seq.left_term.word.walk]
         tau_pairs[n.index] = tau_idx
@@ -595,14 +642,18 @@ def _projective_tops(p):
 
 
 def _check_mesh_symmetry(quiver):
+    """Each node n sends x as many arrows as tau x sends n.  Per x, the
+    arrows into x and out of tau x are each read once: an arrow n -> x
+    counts +1 for n, an arrow tau x -> n counts -1, and every n that sends
+    x an arrow must end at 0."""
     for x, tx in quiver.tau_pairs.items():
-        for n in {a.source for a in quiver.arrows_into(x)}:
-            incoming = len(quiver.arrows_between(n, x))
-            outgoing = len(quiver.arrows_between(tx, n))
-            if incoming != outgoing:
-                raise MeshInconsistencyError(
-                    f"mesh symmetry fails at {quiver.nodes[x].text}"
-                )
+        into, count = quiver.arrows_into(x), {}
+        for a in into:
+            count[a.source] = count.get(a.source, 0) + 1
+        for a in quiver.arrows_from(tx):
+            count[a.target] = count.get(a.target, 0) - 1
+        if any(count[a.source] for a in into):
+            raise MeshInconsistencyError(f"mesh symmetry fails at {quiver.nodes[x].text}")
 
 
 class OrbitResult:

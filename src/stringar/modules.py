@@ -161,20 +161,23 @@ def _maximal_path(p, arrow, forward):
     """The unique maximal relation-free path starting (forward) or ending with the arrow.
 
     p must be a finite-dimensional string algebra: then the path is unique and
-    finite.
+    finite.  The path grows one arrow b at a time and is relation-free before
+    each step, so a relation factor of the longer path must contain b, which
+    is at its end: the factor lies within the max_relation_length labels at
+    that end, and those are all a step tests.  So the cost of a step does
+    not grow with the path, and the path takes linear time.
     """
-    path = (arrow.label,)
-    while True:
-        if forward:
-            end = p.quiver.arrow(path[-1]).target
-            longer = [path + (b.label,) for b in p.quiver.arrows_from(end)]
+    k = p.max_relation_length
+    path, arrows = [arrow.label], p.quiver.arrows_from if forward else p.quiver.arrows_into
+    while True:  # path lists the labels from the arrow outwards
+        near = path[max(len(path) - k + 1, 0):]  # at most k - 1 labels, next to the new one
+        end = p.quiver.arrow(path[-1])
+        for b in arrows(end.target if forward else end.source):
+            if not p.path_in_ideal((*near, b.label) if forward else (b.label, *near[::-1])):
+                path.append(b.label)
+                break
         else:
-            end = p.quiver.arrow(path[0]).source
-            longer = [(b.label,) + path for b in p.quiver.arrows_into(end)]
-        longer = [q for q in longer if not p.path_in_ideal(q)]
-        if not longer:
-            return path
-        path = longer[0]
+            return tuple(path if forward else path[::-1])
 
 
 def standard_word(p, v, projective):

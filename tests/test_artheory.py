@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import sys
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -627,13 +628,15 @@ def test_knit_builds_no_action_index():
 
 
 def _patch_meshes(monkeypatch, replace):
-    """Make knit see replace(module, seq) in place of each mesh ar_sequence builds."""
-    real = artheory.ar_sequence
+    """Make knit see replace(module, seq) in place of each mesh `_mesh_ending_at`
+    builds, the module being the mesh's right term."""
+    real = artheory._mesh_ending_at
 
-    def patched(p, M, side, field=None, resolve=None):
-        return replace(M, real(p, M, side, field=field, resolve=resolve))
+    def patched(p, walk, resolve):
+        seq = real(p, walk, resolve)
+        return replace(seq.right_term, seq)
 
-    monkeypatch.setattr(artheory, "ar_sequence", patched)
+    monkeypatch.setattr(artheory, "_mesh_ending_at", patched)
 
 
 def _mesh(seq, **parts):
@@ -699,6 +702,112 @@ def test_knit_rejects_meshes_that_are_not_symmetric(monkeypatch, w3):
     _patch_meshes(monkeypatch, doubled)
     with pytest.raises(MeshInconsistencyError, match="mesh symmetry fails at"):
         knit(w3)
+
+
+# --- knit's one surgery per mesh against ar_sequence's round trip -------------
+
+
+def _presentations(name):
+    """A LADDER name, S0-S7, or W24."""
+    return [make_family("W", n=24).presentation] if name == "W24" else _ladder_or_stress(name)
+
+
+def _mesh_parts(seq):
+    """A mesh's words (left, middles, right) and its maps' nonzeros, all in order."""
+    to_str = seq.left_term.rep.field.to_str
+    words = [walk_to_text(m.word.walk) for m in (seq.left_term, *seq.middle, seq.right_term)]
+    maps = [[(v, i, j, to_str(c)) for v, i, j, c in f.nonzeros]
+            for f in seq.left_maps + seq.right_maps]
+    return words, maps
+
+
+def _off_the_oracle(p, G):
+    """The nodes whose knitted mesh is not the one `ar_sequence(..., "endingAt")` builds."""
+    return [x for x, seq in G.meshes.items()
+            if _mesh_parts(seq) != _mesh_parts(ar_sequence(p, G.nodes[x].module, "endingAt"))]
+
+
+@pytest.mark.parametrize("char", [0, 2, 3], ids=["QQ", "GF2", "GF3"])
+@pytest.mark.parametrize("name", [*LADDER, "S0-S7", "W24"])
+def test_knit_builds_the_meshes_of_the_round_trip(name, char):
+    """knit's mesh from one "end" surgery is the one `ar_sequence` builds
+    from the translate: the same middle words in the same order, and every
+    left and right map with the same nonzeros (r_2's sign included) in the
+    same order."""
+    for p in _presentations(name):
+        G = knit(p, field_for_characteristic(char))
+        assert len(G.meshes) == sum(not n.projective for n in G.nodes)
+        assert _off_the_oracle(p, G) == []
+
+
+def _trivial_translate_branch(p, walk):
+    """None unless the translate of M(walk) is a trivial word; else whether the
+    "start" surgery on it lays out the pieces of the "end" surgery on walk as
+    they lie ("kept", middles reversed) or mirrored."""
+    t, mids, far = artheory._surgery(p, walk, "end")
+    tau, s = far
+    if not tau.is_trivial:
+        return None
+    _, start_mids, start_far = artheory._surgery(p, tau, "start")
+    line = [(tau, 0), *start_mids, start_far]
+    kept = [(w, x - s) for w, x in (far, *mids[::-1], t)]
+    mirrored = [(w.inverse(), s - x - len(w)) for w, x in (far, *mids, t)]
+    assert (line == kept) != (line == mirrored)
+    return "kept" if line == kept else "mirrored"
+
+
+def test_both_trivial_translate_branches_occur():
+    """knit mirrors the pieces of a mesh whose translate e(v) is trivial unless
+    the letter just left of v is arrows_into(v)[0]; the ladder and S0-S7 each
+    have meshes of both kinds."""
+    def branches(names):
+        quivers = [(p, knit(p)) for name in names for p in _ladder_or_stress(name)]
+        return Counter(_trivial_translate_branch(p, G.nodes[x].word.walk)
+                       for p, G in quivers for x in G.meshes)
+
+    assert branches(LADDER) == {None: 132, "mirrored": 46, "kept": 2}
+    assert branches(["S0-S7"]) == {None: 143, "mirrored": 21, "kept": 7}
+
+
+def test_an_end_surgery_with_its_middles_swapped_is_caught(monkeypatch):
+    """A mutant that swaps the middles of the "end" surgery only: on every
+    ladder algebra knit raises or leaves the oracle (which reads no "end"
+    surgery: its translate comes from `_translate_word`)."""
+    real = artheory._surgery
+
+    def swapped(p, walk, direction):
+        t, mids, far = real(p, walk, direction)
+        return t, mids[::-1] if direction == "end" else mids, far
+
+    monkeypatch.setattr(artheory, "_surgery", swapped)
+    for name in LADDER:
+        p = _ladder_or_stress(name)[0]
+        try:
+            G = knit(p)
+        except MeshInconsistencyError:
+            continue
+        assert _off_the_oracle(p, G), name
+
+
+def test_a_broken_start_surgery_fails_the_round_trip_but_not_knit(monkeypatch):
+    """A mutant whose "start" surgery returns its first middle as the far
+    term (the right end's operation skipped): every `ar_sequence(...,
+    "endingAt")` on W(5) raises, while knit, which runs no "start" surgery,
+    builds every mesh as before."""
+    p = make_family("W", n=5).presentation
+    before = [_mesh_parts(seq) for seq in knit(p).meshes.values()]
+    real = artheory._surgery
+
+    def broken(p, walk, direction):
+        t, mids, far = real(p, walk, direction)
+        return t, mids, mids[0] if direction == "start" else far
+
+    monkeypatch.setattr(artheory, "_surgery", broken)
+    G = knit(p)
+    assert [_mesh_parts(seq) for seq in G.meshes.values()] == before
+    for x in G.meshes:
+        with pytest.raises(MeshInconsistencyError):
+            ar_sequence(p, G.nodes[x].module, "endingAt")
 
 
 @pytest.mark.parametrize("name", [*LADDER, "S0-S7"])

@@ -15,10 +15,12 @@ from stringar import (
 )
 from stringar.families import make_family
 from stringar.fields import Mat, field_for_characteristic
-from stringar.modules import Representation
+from stringar.modules import Representation, _maximal_path
+from stringar.presentation import _first_factor
 from stringar.strings import walk_vertices
 from tests.conftest import LADDER
 from tests.morphisms import identity_morphism, zero_morphism
+from tests.test_boundary import _deadline
 from tests.test_stress import _ladder_or_stress
 
 
@@ -219,3 +221,34 @@ def test_the_dense_view_is_the_dense_realization(name, char):
             assert M.rep.dims == dims and M.rep.maps == maps
             assert len(M.rep.nonzeros) == len(M.word.walk)
             assert Representation(p, field, dims, maps) == M.rep
+
+
+def _whole_path_maximal_path(p, arrow, forward):
+    """The maximal relation-free path as it was first built: each step tests
+    the whole longer path for a relation factor."""
+    path = (arrow.label,)
+    while True:
+        end = p.quiver.arrow(path[-1] if forward else path[0])
+        pool = p.quiver.arrows_from(end.target) if forward else p.quiver.arrows_into(end.source)
+        longer = [path + (b.label,) if forward else (b.label,) + path for b in pool]
+        longer = [q for q in longer if _first_factor(p.relations, q) is None]
+        if not longer:
+            return path
+        path = longer[0]
+
+
+@pytest.mark.parametrize("name", [*LADDER, "S0-S7", "W96"])
+def test_a_maximal_path_tests_only_the_labels_at_its_growing_end(name, monkeypatch):
+    """`_maximal_path` asks `path_in_ideal` of at most max_relation_length
+    labels and finds the path the whole-path search finds, out of and into
+    every arrow.  It runs under a deadline: a window too short misses a
+    relation, and the path then never ends."""
+    presentations = [make_family("W", n=96).presentation] if name == "W96" else _ladder_or_stress(name)
+    for p in presentations:
+        asked, real = [], p.path_in_ideal
+        monkeypatch.setattr(p, "path_in_ideal", lambda labels: asked.append(labels) or real(labels))
+        with _deadline():
+            for a in p.quiver.arrows:
+                for forward in (True, False):
+                    assert _maximal_path(p, a, forward) == _whole_path_maximal_path(p, a, forward)
+        assert asked and max(map(len, asked)) <= max(p.max_relation_length, 1)
