@@ -277,7 +277,7 @@ class _RawPiece:
 def _graph_map(src, dst):
     """Inclusion or projection between pieces whose position ranges nest, in
     canonical coordinates, with its `check_intertwining` verdict read off the
-    letters (see `AlmostSplitSequence`).
+    letters (see `AlmostSplitSequence`) and its `run` in the modules' bases.
 
     Position j of src is position j + src.start - dst.start of dst; the map
     sends each shared position's basis vector of src to that of dst, so it
@@ -292,6 +292,10 @@ def _graph_map(src, dst):
     one = s.field.one()
     f = MorphismMatrix._adopt(s, t, [(v, row, col, one) for (v, col), (_, row) in zip(a, b)])
     i, j, n = max(-off, 0), max(off, 0), k - 1  # the run: n letters, from src's i and dst's j
+    fs, fd = src.coord is not src.module.basis, dst.coord is not dst.module.basis  # reversed
+    first = len(src.coord) - i - k if fs else i  # src's first module position in the run
+    e = j + n if fs else j  # and its partner's position in dst's piece
+    f.run = first, len(dst.coord) - 1 - e if fd else e, -1 if fs != fd else 1, k
     ls, ld = src.walk.letters, dst.walk.letters
     if ls[i : i + n] != ld[j : j + n] or a[0][0] != b[0][0]:
         if [v for v, _ in a[:k]] != [v for v, _ in b[:k]]:

@@ -237,10 +237,12 @@ class MorphismMatrix:
     blocks out on each read, for output, the DTr oracle and tests.  The
     constructor takes blocks and checks them; `_adopt` wraps nonzeros,
     unchecked.  A map also keeps what `compose` joins on and its
-    `check_intertwining` verdict, which a graph map of `knit` gets when made.
+    `check_intertwining` verdict, which a graph map of `knit` gets when made
+    together with its `run` (s, t, d, k): it sends basis position s + i of
+    the source's string module to t + d * i of the target's, i < k, d = +-1.
     """
 
-    __slots__ = ("source", "target", "nonzeros", "_by_middle", "_verdict")
+    __slots__ = ("source", "target", "nonzeros", "run", "_by_middle", "_verdict")
 
     def __init__(self, source, target, blocks):
         field, dims, nonzeros = source.field, source.dims, []
@@ -253,14 +255,14 @@ class MorphismMatrix:
                 raise CompositionError(f"block at {v} is over {b.field!r}, not {field!r}")
             nonzeros += [(v, i, j, a) for i, row in enumerate(b.rows) for j, a in enumerate(row) if a]
         self.source, self.target, self.nonzeros = source, target, nonzeros
-        self._by_middle = self._verdict = None
+        self.run = self._by_middle = self._verdict = None
 
     @classmethod
     def _adopt(cls, source, target, nonzeros):
         """Wrap a list of nonzeros (vertex, row, column, coefficient), unchecked."""
         f = object.__new__(cls)
         f.source, f.target, f.nonzeros = source, target, nonzeros
-        f._by_middle = f._verdict = None
+        f.run = f._by_middle = f._verdict = None
         return f
 
     @property
@@ -406,6 +408,20 @@ def morphism_from_flat(M, N, vec):
         c = M.dims[v]
         nonzeros += [(v, *divmod(k, c), a) for k, a in enumerate(vec[o : o + N.dims[v] * c]) if a]
     return MorphismMatrix._adopt(M, N, nonzeros)
+
+
+def flat_runs(M, N, runs):
+    """The flat vectors (`MorphismMatrix.flatten`) of the unit graph maps from
+    the string module M to N, one per run (s, t, d, k) (`MorphismMatrix.run`)."""
+    offsets, size = flat_offsets(M.rep, N.rep)
+    dims, one, out = M.rep.dims, M.rep.field.one(), []
+    for s, t, d, k in runs:
+        vec = [0] * size
+        for i in range(k):
+            (v, j), (_, r) = M.basis[s + i], N.basis[t + d * i]
+            vec[offsets[v] + r * dims[v] + j] = one
+        out.append(vec)
+    return out
 
 
 def hom_flat_dim(M, N):

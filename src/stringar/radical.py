@@ -12,17 +12,25 @@ of the rows tagged n or more.
 T_m grows from either end.  `_build(x, "source")` fills the pairs (X, .)
 with T_{m+1}(X, Y) = a o T_m(X, Z) over the arrows a: Z -> Y, and
 `_build(y, "target")` the column (., Y) with T_{m+1}(X, Y) = T_m(Z, Y) o a
-over the arrows a: X -> Z.  Each T_m is kept in RREF, which is canonical,
-so a pair's rows do not depend on the end or the order of the builds.  A
-query builds what it reads, once: `nilpotency` the projective sources, one
-per vertex; `profile(x, y)` x and those; a right degree of f: X -> Y the
-sources Y and X and those, a left one the source X, those and the columns
-X and Y; `_tagged` every source.
+over the arrows a: X -> Z.  The fold reads each T_m in RREF, which is
+canonical, so a pair's rows do not depend on the end or the order of the
+builds.  A query builds what it reads, once: `nilpotency` the projective
+sources, one per vertex; `profile(x, y)` x and those; a right degree of
+f: X -> Y the sources Y and X and those, a left one the source X, those and
+the columns X and Y; `_tagged` every source.
 
-`_flat_compose` composes in flat coordinates, from slices (strided ones on
-the target side) of the flat vectors, one per nonzero of the arrow map, so
-no morphism is built; the arrow maps are checked to be morphisms when the
-table is made.
+`_build` carries runs, not maps.  Every arrow map of `knit` is a graph
+map and records its `run` (s, t, d, k): basis position s + i of its
+source's string module goes to t + d * i of its target's, i < k, d = +-1,
+with coefficient 1, or -1 on r_2 of a mesh.  `_compose` intersects f's
+target interval with g's source interval, which gives the run of g o f or
+zero.  This is exact: a run's matrix is a partial injection, one nonzero
++-1 in each row and column of its support, and a product of two is the
+partial injection on the intersected run, with the product sign.  A sign
+changes no span, so T_m is the span of the unit vectors of its runs;
+`flat_runs` writes them only at the fold, and no graph-map basis theorem is
+used.  So no morphism and no flat vector is made before the fold; the arrow
+maps are checked to be morphisms when the table is made.
 
 The definitional recursion rad^{n+1}(X, Y) = sum over Z of
 rad(Z, Y) o rad^n(X, Z), on solved Hom spaces with the endomorphism
@@ -38,7 +46,7 @@ from .artheory import _Resolver, standard_arrows
 from .errors import BandFoundError, MeshInconsistencyError, NotIrreducibleError
 from .fields import Mat, Subspace, append, combination, nullspace, reduce, rref
 from .modules import end_radical, hom_basis  # the cross-check only
-from .modules import flat_offsets, hom_flat_dim, morphism_from_flat
+from .modules import flat_runs, hom_flat_dim, morphism_from_flat
 from .strings import (
     Letter,
     Walk,
@@ -108,44 +116,18 @@ class Degree:
         return f"Degree({self.value} via {self.witness_node.text})"
 
 
-def _flat_compose(g, fixed, vecs, near, far, source):
-    """The flat g o f (source side) or f o g (target side) for each f in vecs, nonzero
-    ones only, with no morphism built.
-
-    Source side: f is in Hom(fixed, g.source) and the result in Hom(fixed,
-    g.target); at each vertex v, row i of g o f sums a * (row k of f) over
-    g's nonzeros (v, i, k, a).  Target side: f is in Hom(g.target, fixed)
-    and the result in Hom(g.source, fixed); column k of f o g sums a *
-    (column i of f) over the same nonzeros.  A row is a slice of the flat
-    vector, a column a strided one, and either is one entry where fixed
-    has dimension 1.  near and far are the `flat_offsets` of f's pair and
-    of the result's.  Mod p each result is reduced once, at the end.
-    """
-    (near, _), (far, size) = near, far
-    if not size:
-        return []
-    dims, char, outs = fixed.dims, fixed.field.characteristic, []
-    for f in vecs:
-        h = [0] * size
-        for v, i, k, a in g.nonzeros:
-            o = far.get(v)
-            if o is None:  # fixed is zero at v
-                continue
-            c, n = dims[v], near[v]
-            if source:
-                p, ps, q, qs = o + i * c, 1, n + k * c, 1
-            else:
-                p, ps, q, qs = o + k, g.source.dims[v], n + i, g.target.dims[v]
-            if c == 1:
-                h[p] += a * f[q]
-            else:
-                out = slice(p, p + c * ps, ps)
-                h[out] = [x + a * y for x, y in zip(h[out], f[q : q + c * qs : qs])]
-        if char:
-            h = [x % char for x in h]
-        if any(h):
-            outs.append(h)
-    return outs
+def _compose(f, g):
+    """The run of g o f for runs f: X -> Z and g: Z -> Y, or None for zero: the
+    positions of Z in both f's target interval and g's source interval,
+    [lo, hi], read from the end z that f reaches first."""
+    s, t, d, k = f
+    s2, t2, d2, k2 = g
+    lo, hi = (t, t + k - 1) if d > 0 else (t - k + 1, t)  # f's target interval
+    lo, hi = max(lo, s2), min(hi, s2 + k2 - 1)
+    if lo > hi:
+        return None
+    z = lo if d > 0 else hi
+    return s + d * (z - t), t2 + d2 * (z - s2), d * d2, hi - lo + 1
 
 
 class RadicalTable:
@@ -165,17 +147,22 @@ class RadicalTable:
         self._columns = set()  # built target (column) indices
         self._nilpotency = None  # set once the projective sources are built
         self._limit = 4 * sum(n.module.total_dim for n in nodes)
-        # z -> [(y, arrow map z -> y)] out of z, and [(y, arrow map y -> z)] into z
+        # z -> [(y, run of the arrow map z -> y)] out of z, and [(y, run of y -> z)] into z
         self._out = {n.index: [] for n in nodes}
         self._in = {n.index: [] for n in nodes}
+
+        def refuse(a, fault):
+            text = f"arrow {nodes[a.source].text} -> {nodes[a.target].text} {fault}"
+            return MeshInconsistencyError(text)
+
         for a in quiver.arrows:
             # every row is then a composite of morphisms, which depth() relies on
             if not a.morphism.check_intertwining():
-                raise MeshInconsistencyError(
-                    f"arrow {nodes[a.source].text} -> {nodes[a.target].text} is not a morphism"
-                )
-            self._out[a.source].append((a.target, a.morphism))
-            self._in[a.target].append((a.source, a.morphism))
+                raise refuse(a, "is not a morphism")
+            if a.morphism.run is None:
+                raise refuse(a, "has no run: knit did not make it")
+            self._out[a.source].append((a.target, a.morphism.run))
+            self._in[a.target].append((a.source, a.morphism.run))
 
     # -- construction ------------------------------------------------------
 
@@ -186,51 +173,37 @@ class RadicalTable:
         Raises before storing anything, so a failed build stays unbuilt.
         """
         field, nodes, source = self.field, self.nodes, side == "source"
-        fixed = nodes[ci].module.rep
         step = self._out if source else self._in
-        layouts = {}  # z -> flat_offsets of the pair (c, z) or (z, c): the same
-
-        def layout(zi):
-            lay = layouts.get(zi)
-            if lay is None:
-                lay = layouts[zi] = flat_offsets(fixed, nodes[zi].module.rep)
-            return lay
-
-        gens = {}
-        for zi, g in step[ci]:
-            gens.setdefault(zi, []).append(g.flatten())
-        levels = []  # levels[m - 1]: the RREF (pivots, rows) of each nonzero T_m, by z
-        while True:
-            level = {}
-            for zi, vecs in gens.items():
-                span = rref(vecs, field)
-                if span[0]:
-                    level[zi] = span
-            if not level:
-                break
-            levels.append(level)
+        runs = {}
+        for zi, a in step[ci]:
+            runs.setdefault(zi, set()).add(a)
+        levels = []  # levels[m - 1]: the runs of the nonzero composites of m arrow maps, by z
+        while runs:
+            levels.append(runs)
             if len(levels) > self._limit:
                 raise MeshInconsistencyError("radical filtration does not terminate")
-            gens = {}
-            for zi, (_, rows) in level.items():
-                near = layout(zi)
-                for yi, g in step[zi]:
-                    out = _flat_compose(g, fixed, rows, near, layout(yi), source)
-                    if out:
-                        gens.setdefault(yi, []).extend(out)
+            nxt = {}
+            for zi, level in runs.items():
+                for yi, a in step[zi]:
+                    for r in level:
+                        c = _compose(r, a) if source else _compose(a, r)
+                        if c:
+                            nxt.setdefault(yi, set()).add(c)
+            runs = nxt
+        fixed = nodes[ci].module
         tagged = {}
         for m in range(len(levels), 0, -1):
-            for zi, (pivots, level) in levels[m - 1].items():
+            for zi, found in levels[m - 1].items():
                 key = (ci, zi) if source else (zi, ci)
+                ends = (fixed, nodes[zi].module) if source else (nodes[zi].module, fixed)
+                pivots, level = rref(flat_runs(*ends, found), field)
                 rows = tagged.get(key)
                 if rows is None:  # the deepest level: RREF with unit pivots, as `append` keeps it
                     tagged[key] = [(m, p, r) for p, r in zip(pivots, level)]
                 else:
                     for r in level:
                         append(field, rows, r, m)
-        one, zero = field.one(), field.zero()  # the identity's flat vector, block by block
-        ident = [one if i == j else zero
-                 for d in fixed.dims.values() for i in range(d) for j in range(d)]
+        [ident] = flat_runs(fixed, fixed, [(0, 0, 1, fixed.total_dim)])
         if not append(field, tagged.setdefault((ci, ci), []), ident, 0):
             raise MeshInconsistencyError(f"the identity of {nodes[ci].text} lies in the radical")
         self._pair_rows.update(tagged)

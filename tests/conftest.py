@@ -1,3 +1,7 @@
+import contextlib
+import signal
+import time
+
 import pytest
 
 from stringar import knit, parse_presentation
@@ -43,6 +47,41 @@ arrow a 1 -> 2
 arrow b 1 -> 2
 """
 
+
+
+TEST_DEADLINE = 120  # seconds per test; the slowest takes about 11 s
+
+
+@contextlib.contextmanager
+def _deadline(seconds=5):
+    """Raise TimeoutError in the block once it has run for seconds, by SIGALRM;
+    where SIGALRM does not exist, run it with no deadline.  An enclosing
+    deadline's alarm is set again on exit to what is left of it."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(*_):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    outer, _ = signal.setitimer(signal.ITIMER_REAL, seconds)  # what the enclosing alarm had left
+    start = time.monotonic()
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        if outer:
+            signal.setitimer(signal.ITIMER_REAL, max(outer - (time.monotonic() - start), 1e-3))
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    """Every test fails after TEST_DEADLINE seconds instead of hanging the
+    suite, also in the set-up of a session or module fixture it is first to use."""
+    with _deadline(TEST_DEADLINE):
+        yield
 
 
 # the benchmark's ladder inputs, by make_family parameters

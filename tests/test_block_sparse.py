@@ -8,22 +8,18 @@ empty ones included, and compared with the result.
 
 import random
 import re
-from fractions import Fraction
 import pytest
 
-from stringar import audit_theorems, field_for_characteristic, hom_basis, knit, witness
+from stringar import audit_theorems, field_for_characteristic, knit, witness
 from stringar.errors import CompositionError
 from stringar.families import make_family
 from stringar.fields import Mat
-from stringar.radical import RadicalTable, _flat_compose
-from stringar.modules import (
-    MorphismMatrix,
-    flat_offsets,
-    hom_flat_dim,
-    morphism_from_flat,
-)
+from stringar.radical import RadicalTable, _compose
+from stringar.modules import MorphismMatrix, hom_flat_dim, morphism_from_flat
+from tests.conftest import LADDER
 from tests.morphisms import identity_morphism
 from tests.oracles import dense_maps
+from tests.test_stress import _ladder_or_stress
 
 ALGEBRAS = [("W", {"n": 3}), ("U", {"m": 2, "n": 2}), ("V", {"m": 2, "n": 3})]
 CHARS = [0, 2, 3]
@@ -207,81 +203,51 @@ def test_compose_multiplies_no_block(monkeypatch):
     assert composed[0] == 73 + 25 and made == []
 
 
-def _maps_to_act_with(quiver, rng):
-    """Per arrow map g: Z -> Y, g itself, a scaling, every Hom(Z, Y) basis element h
-    and g + h, two sparse random block maps Z -> Y (morphisms or not), and maps whose
-    nonzeros list a row's entries in a set order: a non-unit entry before a unit
-    one, and two unit entries.  So rows hold two or more nonzeros, non-unit
-    coefficients and repeated columns, on top of the graph maps' unit rows."""
-    field = quiver.field
-    out = []
-    for a in quiver.arrows:
-        g = a.morphism
-        out += [g, g.scale(field.of(rng.choice([-1, 2, 3])))]
-        for h in hom_basis(g.source, g.target).basis:
-            out += [h, g.add(h)]
-        for _ in range(2):
-            n = hom_flat_dim(g.source, g.target)
-            vec = [field.of(rng.choice([0, 0, 0, 1, 1, -1, 2])) for _ in range(n)]
-            out.append(morphism_from_flat(g.source, g.target, vec))
-        for v in _support(g.source, g.target):
-            rows, cols = g.target.dims[v], g.source.dims[v]
-            if cols < 2:
-                continue
-            i, (k0, k1) = rng.randrange(rows), rng.sample(range(cols), 2)
-            for first in {field.of(rng.choice([2, -1, 3])), field.one()} - {0}:
-                nonzeros = [(v, i, k0, first), (v, i, k1, field.one())]
-                out.append(MorphismMatrix._adopt(g.source, g.target, nonzeros))
-    return out
+def _run_support(X, Y, run):
+    """{(vertex, row, column)} of the graph map of string modules X -> Y that
+    run gives; empty for None."""
+    if run is None:
+        return set()
+    s, t, d, k = run
+    return {(v, Y.basis[t + d * i][1], j) for i in range(k) for v, j in [X.basis[s + i]]}
 
 
-def _row_orders(g):
-    """{(vertex, row): the coefficients of the row's nonzeros, in g.nonzeros order}."""
-    rows = {}
-    for v, i, _, a in g.nonzeros:
-        rows.setdefault((v, i), []).append(a)
-    return rows.values()
+def _positions(f):
+    return {(v, i, j) for v, i, j, _ in f.nonzeros}
 
 
 @pytest.mark.parametrize("char", [0, 2, 3, 5])
-@pytest.mark.parametrize("family, kw", [("W", {"n": 3}), ("U", {"m": 2, "n": 2})])
-def test_flat_compose_is_compose_in_flat_coordinates(family, kw, char):
-    """The table's flat composite is the flattened composite of morphisms, on
-    both sides: source side flatten(g o morphism_from_flat(M, g.source, vec)),
-    target side flatten(morphism_from_flat(g.target, M, vec) o g), the zero
-    ones left out, for seeded random vectors, Fractions included over QQ.
-    The maps g include rows of two nonzeros, rows whose unit entry is not
-    their first nonzero and rows with two unit entries."""
+@pytest.mark.parametrize("name", [*LADDER, "S0-S7"])
+def test_arrow_runs_compose_as_their_morphisms(name, char):
+    """Each arrow map's `run`, and each mesh's left map's, gives its nonzeros
+    up to sign, and the run that `radical._compose` makes for a path of 2-4
+    arrows has the support of the path's composite morphism, the zero one
+    included; many are nonzero."""
     field = field_for_characteristic(char)
-    quiver = knit(make_family(family, **kw).presentation, field)
-    rng = random.Random(f"flat-compose:{family}:{char}")
-
-    def entry():
-        if char or rng.random() < 0.5:
-            return field.of(rng.randint(-4, 4))
-        return field.of(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-
-    maps = _maps_to_act_with(quiver, rng)
-    rows = [r for g in maps for r in _row_orders(g)]
-    assert any(len(r) > 1 for r in rows), "no map with a row of two nonzeros"
-    assert any(r[0] != 1 and 1 in r[1:] for r in rows) or char == 2, "no late unit entry"
-    assert any(r.count(1) > 1 for r in rows), "no row with two unit entries"
-    checked = {True: 0, False: 0}
-    for g in maps:
-        for x in quiver.nodes:
-            M = x.module.rep
-            for source in (True, False):
-                near, far = (g.source, g.target) if source else (g.target, g.source)
-                vecs = [[entry() for _ in range(hom_flat_dim(M, near))] for _ in range(3)]
-                if source:
-                    want = [g.compose(morphism_from_flat(M, near, v)).flatten() for v in vecs]
-                else:
-                    want = [morphism_from_flat(near, M, v).compose(g).flatten() for v in vecs]
-                offsets = flat_offsets(M, near), flat_offsets(M, far)
-                got = _flat_compose(g, M, vecs, *offsets, source)
-                assert got == [w for w in want if any(w)]
-                checked[source] += len(got)
-    assert min(checked.values()) > 100
+    signs, arrows, composites = {field.one(), field.of(-1)}, 0, 0
+    for p in _ladder_or_stress(name):
+        quiver = knit(p, field)
+        module = [x.module for x in quiver.nodes]
+        for seq in quiver.meshes.values():
+            for y, f in zip(seq.middle, seq.left_maps):
+                assert _positions(f) == _run_support(seq.left_term, y, f.run)
+        for a in quiver.arrows:
+            f, x = a.morphism, module[a.source]
+            assert _positions(f) == _run_support(x, module[a.target], f.run)
+            assert {c for *_, c in f.nonzeros} <= signs
+            arrows += 1
+            paths = [(a.target, f, f.run)]
+            for _ in range(3):
+                longer = []
+                for zi, g, run in paths:
+                    for b in quiver.arrows_from(zi):
+                        h = b.morphism.compose(g)
+                        r = run and _compose(run, b.morphism.run)
+                        assert _positions(h) == _run_support(x, module[b.target], r)
+                        longer.append((b.target, h, r))
+                composites += sum(r is not None for *_, r in longer)
+                paths = longer
+    assert arrows and composites > arrows
 
 
 def _maps_to_check(quiver, rng):

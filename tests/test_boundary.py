@@ -6,7 +6,6 @@ Every call runs under a SIGALRM deadline, so a call that never returns
 fails here instead of hanging the suite.
 """
 
-import contextlib
 import signal
 
 import pytest
@@ -17,6 +16,7 @@ from stringar.configurations import find_tau_arrows
 from stringar.errors import InfiniteDimensionalError, NotStringAlgebraError
 from stringar.modules import injective_word, projective_word, standard_module
 from stringar.strings import walk_from_text
+from tests.conftest import TEST_DEADLINE, _deadline
 
 # vertex 2 emits three arrows, fails condition (1); reversed, it fails (1')
 THREE_OUT = "vertices 1 2 3 4\narrow a 2 -> 1\narrow b 2 -> 3\narrow c 2 -> 4\n"
@@ -27,18 +27,14 @@ TWO_SUCCESSORS = "vertices 1 2 3\narrow a 1 -> 2\narrow b 2 -> 3\narrow c 2 -> 3
 LOOP = "vertices 1 2\narrow a 1 -> 1\narrow b 1 -> 2\nrelation a b\n"
 
 
-@contextlib.contextmanager
-def _deadline(seconds=5):
-    def expire(*_):
-        raise TimeoutError(f"no answer within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="no SIGALRM, so no deadline")
+def test_a_deadline_expires_and_restores_the_test_deadline():
+    """The block past its deadline raises; the per-test alarm then runs on."""
+    with pytest.raises(TimeoutError, match="no answer within 0.05 s"), _deadline(0.05):
+        while True:
+            pass
+    left, _ = signal.getitimer(signal.ITIMER_REAL)
+    assert TEST_DEADLINE - 5 < left <= TEST_DEADLINE
 
 
 @pytest.mark.parametrize("side", ["startingAt", "endingAt"])

@@ -96,6 +96,15 @@ def test_u22_witness_is_the_minimum_seven():
     assert w.depths["prefix"] <= 2 and w.depths["suffix"] <= 2
 
 
+@pytest.mark.parametrize("k", range(3, 17))
+def test_u2_witness_is_k_irreducibles_at_depth_k_plus_four(k):
+    """The paper's second claim for n = k: k irreducible maps whose composite
+    lies in rad^{k+4} \\ rad^{k+5}; each composite of k-1 of them has depth k-1."""
+    w = witness(make_family("U", m=2, n=k))
+    assert len(w.chain) == k
+    assert w.depths == {"total": k + 4, "prefix": k - 1, "suffix": k - 1}
+
+
 def test_u31_witness_depth_eight():
     w = witness(make_family("U", m=3, n=2))
     assert w.expected_depth == 8 and w.depths["total"] == 8

@@ -18,9 +18,8 @@ from stringar.fields import Mat, field_for_characteristic
 from stringar.modules import Representation, _maximal_path
 from stringar.presentation import _first_factor
 from stringar.strings import walk_vertices
-from tests.conftest import LADDER
+from tests.conftest import LADDER, _deadline
 from tests.morphisms import identity_morphism, zero_morphism
-from tests.test_boundary import _deadline
 from tests.test_stress import _ladder_or_stress
 
 

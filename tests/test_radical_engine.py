@@ -155,16 +155,18 @@ def test_engine_solves_no_hom_space(monkeypatch):
 
 @pytest.mark.parametrize("char", [0, 3])
 def test_table_build_builds_no_composite_morphism(monkeypatch, char):
-    """The table composes in flat coordinates: no MorphismMatrix.compose and no
-    morphism_from_flat while its sources and columns are built.  What it builds is pinned by
-    the digests of test_pinned_outputs."""
+    """The table composes the arrow maps' runs: no MorphismMatrix.compose, no
+    morphism_from_flat and no MorphismMatrix.flatten while its sources and
+    columns are built; `flat_runs` writes flat vectors at the fold only.  What
+    it builds is pinned by the digests of test_pinned_outputs."""
     G = knit(_spec("V2_3").presentation, field_for_characteristic(char))
 
     def refuse(*_):
-        raise AssertionError("the build made a morphism")
+        raise AssertionError("the build made a morphism or a flat vector of one")
 
     with monkeypatch.context() as m:
         m.setattr(MorphismMatrix, "compose", refuse)
+        m.setattr(MorphismMatrix, "flatten", refuse)
         m.setattr(radical, "morphism_from_flat", refuse)
         T = RadicalTable(G)
         for y in G.nodes:
@@ -256,11 +258,15 @@ def test_depth_rejects_the_nodes_of_another_pair(monkeypatch):
 
 
 def test_a_corrupted_arrow_map_fails_at_build():
-    G = knit(_spec("U2_2").presentation)
-    arrow = next(a for a in G.arrows if _non_morphism(a.morphism) is not None)
-    arrow.morphism = _non_morphism(arrow.morphism)
-    with pytest.raises(MeshInconsistencyError, match="is not a morphism"):
-        RadicalTable(G)
+    """A non-morphism, and a morphism that knit did not make, which has no run."""
+    for corrupt, error in [(_non_morphism, "is not a morphism"),
+                           (lambda f: f.scale(1), "has no run")]:
+        G = knit(_spec("U2_2").presentation)
+        arrow = next(a for a in G.arrows if _non_morphism(a.morphism) is not None)
+        arrow.morphism = corrupt(arrow.morphism)
+        name = f"arrow {G.nodes[arrow.source].text} -> {G.nodes[arrow.target].text}"
+        with pytest.raises(MeshInconsistencyError, match=re.escape(f"{name} {error}")):
+            RadicalTable(G)
 
 
 @pytest.mark.parametrize("name", sorted(LADDER))
