@@ -19,11 +19,11 @@ mesh are runs of one line of positions: a piece is a pair (walk, start),
 its position j lying at start + j.  The mesh maps and the standard arrows
 at projectives are graph maps along the positions two pieces share.  A
 mesh is checked exact from its pieces' positions and letters, with no
-arithmetic on its maps, then non-split by its words (Miyata).  `knit`
-builds each mesh from one "end" surgery at its right end and rests on that
-check and on its translate pairing; `ar_sequence(..., "endingAt")` and each
-step of `tau_orbit` run the translate, then the mesh starting at it, and
-check the round trip too.
+arithmetic on its maps, then non-split by its words (Miyata).  A mesh
+comes from one surgery at the end it is asked for (`_mesh`): `knit`, each
+step of `tau_orbit` and `ar_sequence(..., "endingAt")` build the mesh ending
+at M(C) from one "end" surgery and rest on that check, `knit` also on its
+translate pairing.
 
 The independent DTr computation (minimal projective presentation,
 transpose over the opposite quiver, linear dual) is the test oracle for
@@ -49,7 +49,6 @@ from .modules import (
     injective_word,
     projective_word,
     realize,
-    standard_word,
 )
 from .presentation import (
     nonzero_paths_from,
@@ -195,18 +194,25 @@ def _surgery(p, walk, direction):
     return (walk, 0), [m for m in middles if m is not None], _apply(p, walk, direction, hooks)
 
 
-def _translate_word(p, walk, direction):
-    """Far term of the mesh ending ("end") or starting ("start") at M(walk)."""
+_STANDARD = {"end": (IsProjectiveError, "projective"), "start": (IsInjectiveError, "injective")}
+
+
+def _require_side(p, walk, direction):
+    """Check the algebra, then that the string's module has a mesh ending
+    ("end") or starting ("start") at it: it is not projective, or not injective."""
     require_string_algebra(p)
     require_finite_dimensional(p, "translate")
-    projective = direction == "end"
-    kind = "projective" if projective else "injective"
-    if _is_standard_word(p, walk, projective):
-        error = IsProjectiveError if projective else IsInjectiveError
+    if _is_standard_word(p, walk, projective=direction == "end"):
+        error, kind = _STANDARD[direction]
         raise error(f"{walk_to_text(walk)} is {kind}")
+
+
+def _translate_word(p, walk, direction):
+    """Far term of the mesh ending ("end") or starting ("start") at M(walk)."""
+    _require_side(p, walk, direction)
     far = _apply(p, walk, direction, _side_ops(p, walk, direction))
     if far is None:
-        raise MeshInconsistencyError(f"translate of a non-{kind} word vanished")
+        raise MeshInconsistencyError(f"translate of a non-{_STANDARD[direction][1]} word vanished")
     return far[0]
 
 
@@ -387,28 +393,18 @@ class AlmostSplitSequence:
         )
 
 
-def _mesh_from_left(p, left_walk, resolve):
-    """The almost split sequence starting at M(left_walk)."""
-    if _is_standard_word(p, left_walk, projective=False):
-        raise IsInjectiveError(f"{walk_to_text(left_walk)} is injective")
-    t, mids, far = _surgery(p, left_walk, "start")
-    if far is None or not mids:
-        raise MeshInconsistencyError("degenerate mesh")
-    left, far = _RawPiece(resolve, *t), _RawPiece(resolve, *far)
-    return AlmostSplitSequence(left, [_RawPiece(resolve, *m) for m in mids], far)
+def _mesh(p, walk, direction, resolve):
+    """The almost split sequence starting ("start") or ending ("end") at
+    M(walk), a string that is not injective (not projective), from one
+    surgery on walk.  For "start" the pieces come in surgery order.
 
-
-def _mesh_ending_at(p, walk, resolve):
-    """The almost split sequence ending at M(walk), a non-projective string,
-    from one "end" surgery; `knit` builds every mesh this way.
-
-    The "start" operation at an end is the formal inverse of the "end" one,
-    so the "start" surgery on the far piece (tau, s) makes these pieces on
-    this line, each shifted by -s: its left middle restores tau's left end,
-    leaving walk with only its right end operated, which is this surgery's
-    right middle.  So the middles come in reverse surgery order, and every
-    map, read off the pieces' relative positions (`_graph_map`), is the one
-    `ar_sequence(..., "endingAt")` builds from tau.
+    For "end", the "start" operation at an end is the formal inverse of the
+    "end" one, so the "start" surgery on the far piece (tau, s) makes these
+    pieces on this line, each shifted by -s: its left middle restores tau's
+    left end, leaving walk with only its right end operated, which is this
+    surgery's right middle.  So the middles come in reverse surgery order,
+    and every map, read off the pieces' relative positions (`_graph_map`),
+    is the one the "start" mesh at tau has.
 
     A trivial tau = e(v) has no ends, and so no orientation, of its own:
     the "start" line is this one shifted, or mirrored and shifted.
@@ -419,67 +415,56 @@ def _mesh_ending_at(p, walk, resolve):
     mirrored iff the letter just left of v here is not a, and then the
     pieces are mirrored, (w, start) -> (w^-1, -start - len(w)), which also
     swaps the middles back into surgery order.  `verify` checks the mesh
-    either way; the rule only keeps every map, and the sign of r_2, as
-    `ar_sequence` makes them.
+    either way; the rule only keeps every map, and the sign of r_2, as the
+    "start" mesh at tau has them.
     """
-    t, mids, far = _surgery(p, walk, "end")
+    t, mids, far = _surgery(p, walk, direction)
     if far is None or not mids:
         raise MeshInconsistencyError("degenerate mesh")
-    pieces = [far, *mids[::-1], t]
-    tau, s = far
-    into = tau.is_trivial and p.quiver.arrows_into(tau.basepoint)
-    if into:
-        covering = (w.letters[s - 1 - st] for w, st in (*mids, t) if st < s <= st + len(w))
-        if next(covering, None) is not Letter(into[0].label):
-            pieces = [(w.inverse(), -st - len(w)) for w, st in (far, *mids, t)]
+    pieces = [t, *mids, far]
+    if direction == "end":
+        pieces.reverse()
+        tau, s = far
+        into = tau.is_trivial and p.quiver.arrows_into(tau.basepoint)
+        if into:
+            covering = (w.letters[s - 1 - st] for w, st in (*mids, t) if st < s <= st + len(w))
+            if next(covering, None) is not Letter(into[0].label):
+                pieces = [(w.inverse(), -st - len(w)) for w, st in (far, *mids, t)]
     left, *middle, right = (_RawPiece(resolve, *q) for q in pieces)
     return AlmostSplitSequence(left, middle, right)
 
 
-def ar_sequence(p, M, side, field=None, resolve=None):
-    """Almost split sequence ending or starting at a string module.
-
-    "endingAt" runs two surgeries: the translate, then the mesh starting at
-    it, whose right term must be M again (the round trip).  `tau_orbit`
-    rests on that check; for `knit`, whose meshes come from one surgery
-    each (`_mesh_ending_at`), it is the test oracle.
-    """
+def ar_sequence(p, M, side, field=None):
+    """Almost split sequence ending ("endingAt") or starting ("startingAt") at
+    a string module, from one surgery at that end (`_mesh`), verified when made."""
     word = M.word if isinstance(M, StringModule) else string_word(p, M.walk if isinstance(M, StringWord) else M)
-    field = _field_of(M, field)
-    resolve = _Resolver(p, field) if resolve is None else resolve
-    if side == "endingAt":
-        left = _translate_word(p, word.walk, "end")  # checks the algebra and M's side
-        seq = _mesh_from_left(p, left, resolve)
-        if seq.right_term.word.walk != canonical_walk(p, word.walk):  # word is a string
-            raise MeshInconsistencyError("translate round trip failed")
-        return seq
-    if side == "startingAt":
-        require_string_algebra(p)
-        require_finite_dimensional(p, "translate")
-        return _mesh_from_left(p, word.walk, resolve)
-    raise ValueError(f"unknown side {side!r}")
+    direction = {"endingAt": "end", "startingAt": "start"}.get(side)
+    if direction is None:
+        raise ValueError(f"unknown side {side!r}")
+    _require_side(p, word.walk, direction)
+    return _mesh(p, word.walk, direction, _Resolver(p, _field_of(M, field)))
 
 
-def standard_arrows(p, v, resolve, projective):
-    """Irreducible maps at P(v) or I(v), as (source, target, canonical matrix).
-
-    For P(v): the inclusions rad-summand -> P(v).  For I(v): the projections
-    I(v) -> summand of I(v)/soc.  With k the position of the top of P(v) (the
-    socle of I(v)), the summands are the subwalks before and after position k.
+def standard_arrows(p, v, resolve):
+    """The irreducible maps into P(v), the inclusions of the summands of
+    rad P(v), as (source module, canonical matrix).  With k the position of
+    the top of P(v), the summands are the subwalks before and after position k.
     """
-    raw = standard_word(p, v, projective)
-    if raw.is_trivial:
-        return []
-    n = len(raw.letters)
-    k = _end_run(raw, inverse=projective, side="left")
-    segments = [_segment(p, (raw, 0), lo, hi) for lo, hi in ((0, k), (k + 1, n + 1)) if hi > lo]
+    raw = projective_word(p, v)
+    k, n = _end_run(raw, inverse=True, side="left"), len(raw.letters)
     whole = _RawPiece(resolve, raw, 0)
-    out = []
-    for seg in segments:
-        piece = _RawPiece(resolve, *seg)
-        src, dst = (piece, whole) if projective else (whole, piece)
-        out.append((src.module, dst.module, _graph_map(src, dst)))
-    return out
+    runs = [_segment(p, (raw, 0), lo, hi) for lo, hi in ((0, k), (k + 1, n + 1)) if hi > lo]
+    return [(q.module, _graph_map(q, whole)) for q in (_RawPiece(resolve, *r) for r in runs)]
+
+
+def _arrows_into(p, walk, resolve, tops):
+    """The mesh ending at M(walk), None at a projective, and the irreducible
+    maps into M(walk) as (source module, map): the mesh's middles and right
+    maps, or `standard_arrows`.  walk is canonical; tops is `_projective_tops(p)`."""
+    if walk in tops:
+        return None, standard_arrows(p, tops[walk], resolve)
+    seq = _mesh(p, walk, "end", resolve)
+    return seq, list(zip(seq.middle, seq.right_maps))
 
 
 class ARNode:
@@ -618,19 +603,14 @@ def knit(p, field=QQ):
     quiver = ARQuiver(p, field, nodes)
     by_walk, tau_pairs = quiver._by_walk, quiver.tau_pairs
     for n in nodes:
-        if n.projective:
-            v_top = proj_tops[n.module.word.walk]
-            for src_mod, _, mor in standard_arrows(p, v_top, resolve, projective=True):
-                quiver._add_arrow(by_walk[src_mod.word.walk], n.index, mor)
-            continue
-        seq = _mesh_ending_at(p, n.module.word.walk, resolve)
-        quiver.meshes[n.index] = seq
-        tau_idx = by_walk[seq.left_term.word.walk]
-        tau_pairs[n.index] = tau_idx
-        if nodes[tau_idx].injective:
-            raise MeshInconsistencyError("translate landed on an injective")
-        for mid, rmap in zip(seq.middle, seq.right_maps):
-            quiver._add_arrow(by_walk[mid.word.walk], n.index, rmap)
+        seq, arrows = _arrows_into(p, n.module.word.walk, resolve, proj_tops)
+        if seq is not None:
+            quiver.meshes[n.index] = seq
+            tau_idx = tau_pairs[n.index] = by_walk[seq.left_term.word.walk]
+            if nodes[tau_idx].injective:
+                raise MeshInconsistencyError("translate landed on an injective")
+        for src, mor in arrows:
+            quiver._add_arrow(by_walk[src.word.walk], n.index, mor)
     if len(set(tau_pairs.values())) != len(tau_pairs):
         raise MeshInconsistencyError("translate pairing is not injective")
     non_inj = {n.index for n in nodes if not n.injective}
@@ -677,18 +657,18 @@ def tau_orbit(p, M, k, field=None):
     """[M, tau M, ...] for up to k steps; stops early when a projective appears.
     A word is realized first, over `field` or QQ.
 
-    Each step is checked the way `knit` checks a mesh: the almost split
-    sequence ending at the current module is verified, and its right term
-    must be that module again; its left term is the next one.
+    Each step is the mesh `knit` builds at the current module, from one
+    "end" surgery and verified when made; its left term is the next one.
     """
     require_finite_dimensional(p, "translate")
+    require_string_algebra(p)
     field = _field_of(M, field)
     resolve = _Resolver(p, field)
     out = [M if isinstance(M, StringModule) else realize(p, M, field)]
     for _ in range(k):
         if _is_standard_word(p, out[-1].word.walk, projective=True):
             return OrbitResult(out, True, len(out) - 1)
-        out.append(ar_sequence(p, out[-1], "endingAt", field, resolve).left_term)
+        out.append(_mesh(p, out[-1].word.walk, "end", resolve).left_term)
     return OrbitResult(out, False, len(out) - 1)
 
 

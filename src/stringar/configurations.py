@@ -12,18 +12,10 @@ from __future__ import annotations
 import functools
 import random
 
-from .artheory import (
-    _Resolver,
-    _is_standard_word,
-    _projective_tops,
-    ar_sequence,
-    knit,
-    standard_arrows,
-    tau_word,
-)
+from .artheory import _Resolver, _arrows_into, _is_standard_word, _projective_tops, knit, tau_word
 from .errors import BandFoundError, MeshInconsistencyError
 from .fields import QQ, combination
-from .modules import morphism_from_flat, realize
+from .modules import morphism_from_flat
 from .presentation import require_string_algebra
 from .radical import ZERO_DEPTH, RadicalTable
 from .strings import canonical_walk, has_band
@@ -216,7 +208,8 @@ def find_tau_arrows(p, quiver=None, candidates=None, field=QQ):
     """Pairs (M, tau M) joined by an irreducible morphism.
 
     With a knitted quiver the meshes are scanned; with explicit candidate
-    modules (the banded case) the relevant mesh is built locally.
+    modules (the banded case) the arrows into each tau M are built locally,
+    as `knit` builds them.
     """
     out = []
     if quiver is not None:
@@ -229,22 +222,14 @@ def find_tau_arrows(p, quiver=None, candidates=None, field=QQ):
         return out
     if candidates is None:
         raise ValueError("need a knitted quiver or candidate modules")
-    tops = _projective_tops(p)
+    tops, resolve = _projective_tops(p), _Resolver(p, field)
     for M in candidates:
         if _is_standard_word(p, M.word.walk, projective=True):
             continue
         t_walk = canonical_walk(p, tau_word(p, M.word.walk))
-        t_mod = realize(p, t_walk, field)
-        if t_walk in tops:
-            summands = standard_arrows(
-                p, tops[t_walk], _Resolver(p, field), projective=True
-            )
-            if any(src.word.walk == M.word.walk for src, _, _ in summands):
-                out.append((M, t_mod))
-            continue
-        seq = ar_sequence(p, t_mod, "endingAt", field=field)
-        if any(mid.word.walk == M.word.walk for mid in seq.middle):
-            out.append((M, t_mod))
+        _, arrows = _arrows_into(p, t_walk, resolve, tops)
+        if any(src.word.walk == M.word.walk for src, _ in arrows):
+            out.append((M, resolve[t_walk][0]))
     return out
 
 

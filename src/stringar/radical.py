@@ -42,11 +42,10 @@ from __future__ import annotations
 
 import math
 
-from .artheory import _Resolver, standard_arrows
 from .errors import BandFoundError, MeshInconsistencyError, NotIrreducibleError
 from .fields import Mat, Subspace, append, combination, nullspace, reduce, rref
 from .modules import end_radical, hom_basis  # the cross-check only
-from .modules import flat_runs, hom_flat_dim, morphism_from_flat
+from .modules import flat_runs, hom_flat_dim, morphism_from_flat, standard_word
 from .strings import (
     Letter,
     Walk,
@@ -441,8 +440,11 @@ class RadicalTable:
 
 
 def _standard_morphism(quiver, u, projective):
-    resolve = _Resolver(quiver.p, quiver.field, [n.module for n in quiver.nodes])
-    arrows = standard_arrows(quiver.p, u, resolve, projective)
+    """The knitted quiver's one arrow into P(u) (out of I(u)) as (map, source
+    node, target node).  Those arrows are the maps from the summands of
+    rad P(u) (to those of I(u)/soc), so there is one iff that is indecomposable."""
+    node = quiver.node_of(standard_word(quiver.p, u, projective)).index
+    arrows = quiver.arrows_into(node) if projective else quiver.arrows_from(node)
     if len(arrows) != 1:
         # a vertex choice from the caller, not a broken invariant
         what = f"rad P({u})" if projective else f"I({u})/soc"
@@ -450,12 +452,15 @@ def _standard_morphism(quiver, u, projective):
         raise NotIrreducibleError(
             f"{name} is not irreducible: {what} has {len(arrows)} indecomposable summands"
         )
-    src, dst, mor = arrows[0]
-    return mor, quiver.node_of(src.word), quiver.node_of(dst.word)
+    a = arrows[0]
+    return a.morphism, quiver.nodes[a.source], quiver.nodes[a.target]
 
 
 def theta_morphism(quiver, u):
-    """The canonical irreducible I(u) -> I(u)/soc; needs the quotient indecomposable."""
+    """The canonical irreducible I(u) -> I(u)/soc up to sign; needs the quotient
+    indecomposable.  It is a right map of the mesh ending at I(u)/soc: the
+    projection, or its negative when it is that mesh's r_2 and the mesh
+    negates r_2.  Degrees and witnesses do not depend on the sign."""
     return _standard_morphism(quiver, u, projective=False)
 
 

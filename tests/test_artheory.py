@@ -1,6 +1,4 @@
-import hashlib
 import itertools
-import json
 import sys
 from collections import Counter
 from types import SimpleNamespace
@@ -26,21 +24,22 @@ from stringar import (
     walk_from_text,
     walk_to_text,
 )
-from stringar import artheory, fields, modules, radical, strings
+from stringar import artheory, fields, modules, strings
 from stringar.artheory import is_injective_word, is_projective_word, tau_inverse_word, tau_word
 from stringar.errors import (
     InfiniteDimensionalError,
     MeshInconsistencyError,
     NotAStringError,
-    NotIrreducibleError,
+    StringAlgebraError,
 )
 from stringar.families import make_family
 from stringar.fields import QQ, field_for_characteristic
 from stringar.modules import hom_flat_dim, morphism_from_flat
-from tests.conftest import KRONECKER_SOURCE, LADDER
+from tests.conftest import EX3_SOURCE, KRONECKER_SOURCE, LADDER, LOOP_IN_SOURCE
 from tests.morphisms import identity_morphism, zero_morphism
-from tests.oracles import dense_maps, mesh_maps
+from tests.oracles import dense_maps, mesh_maps, round_trip
 from tests.oracles.split_oracle import splits
+from tests.test_pinned_outputs import KNIT_MAP_DIGESTS, knit_map_digest
 from tests.test_stress import _band_free_algebras, _ladder_or_stress
 
 
@@ -335,36 +334,12 @@ def test_knit_makes_no_dense_hom_solve(monkeypatch):
     assert len(knit(make_family("W", n=5).presentation).meshes) > 0
 
 
-# sha256 of knit's JSON and of every arrow map and mesh map, over QQ, GF(2) and
-# GF(3): a changed entry or sign in any map fails here
-KNIT_DIGESTS = {
-    "W3": ("e6ccff8ad0b98222", "e1a8005d77002cec", "1ea9988cbd383da8"),
-    "W5": ("b17299474cf64b5e", "c8b8b1f7741f391a", "bdeb140089513226"),
-    "W7": ("9af83ebd3ba50f67", "176e1226600f0a59", "4b10fd331d47e6c7"),
-    "W9": ("1a670f05926427d9", "23cc41c0bc5b1932", "5dddc1def8dbbf33"),
-    "U2_2": ("18e02452f8553710", "3597d8b5c0631179", "43884e50fef4bfdc"),
-    "U3_3": ("af71ab5c7602ae5c", "384ebcb765048077", "d3a1a249148cf698"),
-    "U4_4": ("890600b30b8f3b46", "afa07cfe0b3a44f9", "cf2654e1af3cbad4"),
-    "V2_3": ("ef7421a538e27440", "77862707ccf0b20d", "84f174795bf4e59e"),
-    "V3_4": ("b21251b65304c93a", "8eb46c345d73cc26", "d0bcd4f392f505e7"),
-}
-
-
-@pytest.mark.parametrize("char_ix, char", enumerate([0, 2, 3]), ids=["QQ", "GF2", "GF3"])
+@pytest.mark.parametrize("char", [0, 2, 3], ids=["QQ", "GF2", "GF3"])
 @pytest.mark.parametrize("name", list(LADDER))
-def test_knit_maps_match_pinned_digests(name, char_ix, char):
-    family, m, n = LADDER[name]
-    q = knit(make_family(family, m=m, n=n).presentation, field_for_characteristic(char))
-    payload = {
-        "quiver": q.to_json(),
-        "arrows": [a.morphism.as_dict() for a in q.arrows],
-        "meshes": [
-            [f.as_dict() for f in seq.left_maps + seq.right_maps]
-            for _, seq in sorted(q.meshes.items())
-        ],
-    }
-    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-    assert digest[:16] == KNIT_DIGESTS[name][char_ix]
+def test_knit_maps_match_pinned_digests(name, char):
+    """knit's JSON and every arrow map and mesh map against the one digest
+    table: a changed entry or sign in any map fails here."""
+    assert knit_map_digest(name, char)[:16] == KNIT_MAP_DIGESTS[f"{name}@{char}"]
 
 
 @pytest.mark.parametrize("char", [0, 2, 3], ids=["QQ", "GF2", "GF3"])
@@ -628,15 +603,15 @@ def test_knit_builds_no_action_index():
 
 
 def _patch_meshes(monkeypatch, replace):
-    """Make knit see replace(module, seq) in place of each mesh `_mesh_ending_at`
-    builds, the module being the mesh's right term."""
-    real = artheory._mesh_ending_at
+    """Make knit see replace(module, seq) in place of each mesh `_mesh` builds,
+    the module being the mesh's right term."""
+    real = artheory._mesh
 
-    def patched(p, walk, resolve):
-        seq = real(p, walk, resolve)
+    def patched(p, walk, direction, resolve):
+        seq = real(p, walk, direction, resolve)
         return replace(seq.right_term, seq)
 
-    monkeypatch.setattr(artheory, "_mesh_ending_at", patched)
+    monkeypatch.setattr(artheory, "_mesh", patched)
 
 
 def _mesh(seq, **parts):
@@ -647,7 +622,8 @@ def _mesh(seq, **parts):
 
 
 def test_ar_sequence_round_trip_fires(monkeypatch, w3):
-    """The mesh built from the translate must end at the module it started from."""
+    """The oracle's mesh built from the translate must end at the module it
+    started from."""
     x, y = [n for n in knit(w3).nodes if not n.projective][:2]
     real = artheory._translate_word
 
@@ -656,7 +632,7 @@ def test_ar_sequence_round_trip_fires(monkeypatch, w3):
 
     monkeypatch.setattr(artheory, "_translate_word", swapped)
     with pytest.raises(MeshInconsistencyError, match="translate round trip failed"):
-        ar_sequence(w3, x.module, "endingAt")
+        round_trip.ending_at(w3, x.module)
 
 
 def test_knit_rejects_a_translate_on_an_injective(monkeypatch, w3):
@@ -704,7 +680,7 @@ def test_knit_rejects_meshes_that_are_not_symmetric(monkeypatch, w3):
         knit(w3)
 
 
-# --- knit's one surgery per mesh against ar_sequence's round trip -------------
+# --- the one surgery per mesh against the translate round trip --------------
 
 
 def _presentations(name):
@@ -722,22 +698,79 @@ def _mesh_parts(seq):
 
 
 def _off_the_oracle(p, G):
-    """The nodes whose knitted mesh is not the one `ar_sequence(..., "endingAt")` builds."""
+    """The nodes whose knitted mesh is not the one the round-trip oracle builds."""
     return [x for x, seq in G.meshes.items()
-            if _mesh_parts(seq) != _mesh_parts(ar_sequence(p, G.nodes[x].module, "endingAt"))]
+            if _mesh_parts(seq) != _mesh_parts(round_trip.ending_at(p, G.nodes[x].module))]
 
 
 @pytest.mark.parametrize("char", [0, 2, 3], ids=["QQ", "GF2", "GF3"])
 @pytest.mark.parametrize("name", [*LADDER, "S0-S7", "W24"])
 def test_knit_builds_the_meshes_of_the_round_trip(name, char):
-    """knit's mesh from one "end" surgery is the one `ar_sequence` builds
-    from the translate: the same middle words in the same order, and every
+    """knit's mesh from one "end" surgery is the one the oracle builds from
+    the translate: the same middle words in the same order, and every
     left and right map with the same nonzeros (r_2's sign included) in the
     same order."""
     for p in _presentations(name):
         G = knit(p, field_for_characteristic(char))
         assert len(G.meshes) == sum(not n.projective for n in G.nodes)
         assert _off_the_oracle(p, G) == []
+
+
+BANDED = {"EX3": EX3_SOURCE, "LOOP_IN": LOOP_IN_SOURCE, "KRONECKER": KRONECKER_SOURCE}
+# over its strings of length at most 7: the meshes ending at them with one and
+# with two middle terms and the projectives refused, the same starting at them
+# (injectives refused), and the steps of their 6-step translate orbits
+BANDED_OUTCOMES = {
+    "EX3": ((4, 24, 4), (4, 24, 4), 134),
+    "LOOP_IN": ((2, 3, 2), (2, 3, 2), 20),
+    "KRONECKER": ((2, 12, 2), (2, 12, 2), 74),
+}
+
+
+def _outcome(call, read):
+    """read(what call returns), or the class of the domain error it raises."""
+    try:
+        return read(call())
+    except StringAlgebraError as e:
+        return type(e)
+
+
+def _orbit_words(orbit):
+    return [walk_to_text(m.word.walk) for m in orbit]
+
+
+def _oracle_orbit(p, M, k):
+    """`tau_orbit(p, M, k).modules`, each step the left term of the oracle's mesh."""
+    out = [M]
+    while len(out) <= k and not is_projective_word(p, out[-1].word.walk):
+        out.append(round_trip.ending_at(p, out[-1]).left_term)
+    return out
+
+
+@pytest.mark.parametrize("char", [0, 2, 3], ids=["QQ", "GF2", "GF3"])
+@pytest.mark.parametrize("name", list(BANDED))
+def test_banded_meshes_and_orbits_are_the_round_trips(name, char):
+    """Where knit never runs: for every string of length at most 7,
+    `ar_sequence` on both sides and every step of `tau_orbit` give the
+    round-trip oracle's meshes, with the same words and the same map
+    nonzeros in order, or raise the same error class.  Every string has a
+    mesh on one side at least."""
+    p, field = parse_presentation(BANDED[name]), field_for_characteristic(char)
+    oracles = {"endingAt": round_trip.ending_at, "startingAt": round_trip.starting_at}
+    seen = Counter()
+    for sw in enumerate_strings(p, max_len=7):
+        M, text = realize(p, sw, field), walk_to_text(sw.walk)
+        for side, oracle in oracles.items():
+            got = _outcome(lambda: ar_sequence(p, M, side), _mesh_parts)
+            assert got == _outcome(lambda: oracle(p, M), _mesh_parts), (text, side)
+            seen[side, got if isinstance(got, type) else len(got[0]) - 2] += 1
+        orbit = _outcome(lambda: tau_orbit(p, M, 6).modules, _orbit_words)
+        assert orbit == _outcome(lambda: _oracle_orbit(p, M, 6), _orbit_words), text
+        seen["steps"] += len(orbit) - 1
+    (e1, e2, proj), (s1, s2, inj), steps = BANDED_OUTCOMES[name]
+    assert seen == {("endingAt", 1): e1, ("endingAt", 2): e2, ("endingAt", IsProjectiveError): proj,
+                    ("startingAt", 1): s1, ("startingAt", 2): s2, ("startingAt", IsInjectiveError): inj,
+                    "steps": steps}
 
 
 def _trivial_translate_branch(p, walk):
@@ -771,8 +804,8 @@ def test_both_trivial_translate_branches_occur():
 
 def test_an_end_surgery_with_its_middles_swapped_is_caught(monkeypatch):
     """A mutant that swaps the middles of the "end" surgery only: on every
-    ladder algebra knit raises or leaves the oracle (which reads no "end"
-    surgery: its translate comes from `_translate_word`)."""
+    ladder algebra knit raises or leaves the round-trip oracle (which reads
+    no "end" surgery: its translate comes from `_translate_word`)."""
     real = artheory._surgery
 
     def swapped(p, walk, direction):
@@ -791,9 +824,9 @@ def test_an_end_surgery_with_its_middles_swapped_is_caught(monkeypatch):
 
 def test_a_broken_start_surgery_fails_the_round_trip_but_not_knit(monkeypatch):
     """A mutant whose "start" surgery returns its first middle as the far
-    term (the right end's operation skipped): every `ar_sequence(...,
-    "endingAt")` on W(5) raises, while knit, which runs no "start" surgery,
-    builds every mesh as before."""
+    term (the right end's operation skipped): the round-trip oracle raises on
+    every mesh of W(5), while knit and `ar_sequence(..., "endingAt")`, which
+    run no "start" surgery, build every mesh as before."""
     p = make_family("W", n=5).presentation
     before = [_mesh_parts(seq) for seq in knit(p).meshes.values()]
     real = artheory._surgery
@@ -805,9 +838,10 @@ def test_a_broken_start_surgery_fails_the_round_trip_but_not_knit(monkeypatch):
     monkeypatch.setattr(artheory, "_surgery", broken)
     G = knit(p)
     assert [_mesh_parts(seq) for seq in G.meshes.values()] == before
-    for x in G.meshes:
+    for x, parts in zip(G.meshes, before):
+        assert _mesh_parts(ar_sequence(p, G.nodes[x].module, "endingAt")) == parts
         with pytest.raises(MeshInconsistencyError):
-            ar_sequence(p, G.nodes[x].module, "endingAt")
+            round_trip.ending_at(p, G.nodes[x].module)
 
 
 @pytest.mark.parametrize("name", [*LADDER, "S0-S7"])
@@ -839,28 +873,15 @@ def test_a_module_basis_lies_along_its_walk(name):
 
 
 @pytest.mark.parametrize("name", [*LADDER, "S0-S7"])
-def test_both_resolvers_return_the_module_of_the_walk_they_are_given(name, monkeypatch):
+def test_both_resolvers_return_the_module_of_the_walk_they_are_given(name):
     """`_RawPiece` reads a piece's orientation from `canonical_walk` alone, so
     the module a resolver gives a walk must have the walk's canonical walk as
-    its word: a `_Resolver` over a field, and the one that
-    `radical._standard_morphism` fills with a knitted quiver's modules."""
-    seen = []
-
-    def spy(p, v, resolve, projective):
-        seen.append(resolve)
-        return artheory.standard_arrows(p, v, resolve, projective)
-
-    monkeypatch.setattr(radical, "standard_arrows", spy)
+    its word: a `_Resolver` over a field, and one filled, as knit fills it,
+    with a knitted quiver's modules."""
     for p in _ladder_or_stress(name):
         q = knit(p)
-        seen.clear()
-        for u in p.quiver.vertices:
-            for standard in (radical.iota_morphism, radical.theta_morphism):
-                try:
-                    standard(q, u)
-                except NotIrreducibleError:
-                    pass
-        resolvers = [seen[0], artheory._Resolver(p, field_for_characteristic(0))]
+        resolvers = [artheory._Resolver(p, q.field, [n.module for n in q.nodes]),
+                     artheory._Resolver(p, field_for_characteristic(0))]
         for sw in enumerate_strings(p):
             for walk in (sw.walk, sw.walk.inverse()):
                 canon = strings.canonical_walk(p, walk)

@@ -60,8 +60,8 @@ def test_the_oracle_accepts_every_mesh_and_arrow_of_the_engine(name, char):
 
 
 def _pieces(p, resolve, seq):
-    """The pieces of the mesh starting at seq's left term, as `ar_sequence`
-    makes them (knit's are the same pieces shifted, or mirrored)."""
+    """The pieces of the mesh starting at seq's left term, as `ar_sequence(...,
+    "startingAt")` makes them (knit's are the same pieces shifted, or mirrored)."""
     t, mids, far = _surgery(p, seq.left_term.word.walk, "start")
     return _RawPiece(resolve, *t), [_RawPiece(resolve, *m) for m in mids], _RawPiece(resolve, *far)
 

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 
@@ -15,9 +16,15 @@ from stringar import (
     walk_from_text,
     walk_to_text,
 )
+from stringar.artheory import _Resolver
 from stringar.errors import NotIrreducibleError
+from stringar.fields import field_for_characteristic
+from stringar.modules import standard_word
 from stringar.radical import RadicalTable
+from tests.conftest import LADDER
 from tests.morphisms import identity_morphism, zero_morphism
+from tests.oracles import round_trip
+from tests.test_stress import _ladder_or_stress
 
 
 def _arrow(G, src, dst):
@@ -130,6 +137,44 @@ def test_degree_formula_u21(u21_quiver, u21_table):
     assert left.value == 3 and right.value == 3  # m + n - 1 with m = n = 2
     assert left.witness is not None
     assert u21_table.depth(left.witness, left.witness_node, s1) == left.value
+
+
+def test_theta_and_iota_are_the_oracles_standard_maps_up_to_sign():
+    """On the ladder and S0-S7 over QQ, GF(2) and GF(3), at every vertex u:
+    `iota_morphism` is the inclusion rad P(u) -> P(u) that the oracle makes
+    from the standard word, and `theta_morphism` the projection
+    I(u) -> I(u)/soc or its negative, as r_2 of the mesh ending at I(u)/soc
+    (-1 is 1 in GF(2)).  Each raises NotIrreducibleError exactly when the
+    node has other than one arrow on that side, as many as the oracle's maps."""
+    seen = Counter()
+    for char in (0, 2, 3):
+        field = field_for_characteristic(char)
+        minus_one = field.of(-1)
+        for p in [p for name in [*LADDER, "S0-S7"] for p in _ladder_or_stress(name)]:
+            G = knit(p, field)
+            resolve = _Resolver(p, field, [n.module for n in G.nodes])
+            for u in p.quiver.vertices:
+                for projective, standard in ((True, iota_morphism), (False, theta_morphism)):
+                    maps = round_trip.standard_maps(p, u, resolve, projective)
+                    node = G.node_of(standard_word(p, u, projective)).index
+                    arrows = G.arrows_into(node) if projective else G.arrows_from(node)
+                    assert len(arrows) == len(maps)
+                    if len(maps) != 1:
+                        with pytest.raises(NotIrreducibleError, match=f"has {len(maps)} indecomposable"):
+                            standard(G, u)
+                        seen["not irreducible"] += 1
+                        continue
+                    f, src, dst = standard(G, u)
+                    want_src, want_dst, want = maps[0]
+                    assert (src.module, dst.module) == (want_src, want_dst)
+                    got, want = sorted(f.nonzeros), sorted(want.nonzeros)
+                    if got == want:
+                        seen[standard.__name__] += 1
+                    else:
+                        assert got == [(v, i, j, minus_one) for v, i, j, _ in want]
+                        seen[standard.__name__, "negated"] += 1
+    assert seen == {"iota_morphism": 132, "theta_morphism": 164,
+                    ("theta_morphism", "negated"): 28, "not irreducible": 186}
 
 
 def test_degree_f_L_to_N_is_n_minus_one(u21_quiver, u21_table):
