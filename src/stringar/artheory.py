@@ -42,6 +42,7 @@ from .errors import (
 )
 from .fields import Mat, QQ, Subspace, nullspace, solve
 from .modules import (
+    GraphMap,
     MorphismMatrix,
     Representation,
     StringModule,
@@ -281,30 +282,28 @@ class _RawPiece:
 
 
 def _graph_map(src, dst):
-    """Inclusion or projection between pieces whose position ranges nest, in
-    canonical coordinates, with its `check_intertwining` verdict read off the
-    letters (see `AlmostSplitSequence`) and its `run` in the modules' bases.
+    """Inclusion or projection between pieces whose position ranges nest, as a
+    `GraphMap` of their canonical modules, with its `check_intertwining`
+    verdict read off the letters (see `AlmostSplitSequence`).
 
     Position j of src is position j + src.start - dst.start of dst; the map
     sends each shared position's basis vector of src to that of dst, so it
     must lie over the same vertex in both.
     """
-    off = src.start - dst.start
-    a, b = (src.coord, dst.coord[off:]) if off >= 0 else (src.coord[-off:], dst.coord)
-    k = min(len(a), len(b))
-    if k != min(len(src.coord), len(dst.coord)):
+    off, a, b = src.start - dst.start, src.coord, dst.coord
+    i, j = (0, off) if off >= 0 else (-off, 0)  # the run's first position in src and in dst
+    k = min(len(a) - i, len(b) - j)
+    if k != min(len(a), len(b)):
         raise MeshInconsistencyError("mesh words do not nest")
-    s, t = src.module.rep, dst.module.rep
-    one = s.field.one()
-    f = MorphismMatrix._adopt(s, t, [(v, row, col, one) for (v, col), (_, row) in zip(a, b)])
-    i, j, n = max(-off, 0), max(off, 0), k - 1  # the run: n letters, from src's i and dst's j
-    fs, fd = src.coord is not src.module.basis, dst.coord is not dst.module.basis  # reversed
-    first = len(src.coord) - i - k if fs else i  # src's first module position in the run
+    n = k - 1  # the run's letters
+    fs, fd = a is not src.module.basis, b is not dst.module.basis  # reversed
+    first = len(a) - i - k if fs else i  # src's first module position in the run
     e = j + n if fs else j  # and its partner's position in dst's piece
-    f.run = first, len(dst.coord) - 1 - e if fd else e, -1 if fs != fd else 1, k
+    run = first, len(b) - 1 - e if fd else e, -1 if fs != fd else 1, k
+    f = GraphMap(src.module, dst.module, run, src.module.rep.field.one(), fs)
     ls, ld = src.walk.letters, dst.walk.letters
-    if ls[i : i + n] != ld[j : j + n] or a[0][0] != b[0][0]:
-        if [v for v, _ in a[:k]] != [v for v, _ in b[:k]]:
+    if ls[i : i + n] != ld[j : j + n] or a[i][0] != b[j][0]:
+        if any(a[i + u][0] != b[j + u][0] for u in range(k)):
             raise MeshInconsistencyError("mesh pieces differ at a shared vertex")
         f._verdict = False
     else:  # an inverse letter points left
@@ -340,9 +339,8 @@ class AlmostSplitSequence:
         self.middle = [m.module for m in middle]
         self.left_maps = [_graph_map(left, m) for m in middle]
         self.right_maps = [_graph_map(m, right) for m in middle]
-        if self.verify():  # negate r_2 in place; its verdict stands
-            f, c = self.right_maps[1], left.module.rep.field.of(-1)
-            f.nonzeros = [(v, i, j, c) for v, i, j, _ in f.nonzeros]
+        if self.verify():  # negate r_2, not yet read; its verdict stands
+            self.right_maps[1].coefficient = left.module.rep.field.of(-1)
 
     @property
     def alpha(self):

@@ -4,14 +4,16 @@ A walk c_1...c_n is realized on basis positions z_0..z_n lying over the
 visited vertices; every letter's arrow carries the position at its source
 endpoint to the one at its target endpoint, all other actions are zero
 (Butler-Ringel).  Relations annihilate automatically because a string
-contains no relation factor.  So a string module is kept as its letter
-actions, one nonzero per letter (`Representation.nonzeros`); its dense
-arrow matrices are written out only on request.
+contains no relation factor.  So a string module is kept as its dims and
+coordinates; its letter actions, one nonzero per letter
+(`Representation.nonzeros`), are built on first read, its dense arrow
+matrices only on request.
 
 A morphism is kept as its nonzeros only (`MorphismMatrix`).  Hom spaces are
 solved in flat coordinates, every block row-major in vertex order, with
 equations read from the modules' nonzeros; `morphism_from_flat` reads a
-flat vector straight into nonzeros, with no block built.
+flat vector straight into nonzeros, with no block built.  A `GraphMap`
+builds them on first read, and two compose by `compose_runs`.
 """
 
 from __future__ import annotations
@@ -38,8 +40,9 @@ class Representation:
     (target-dim x source-dim) arrow matrices that are not zero, in no fixed
     order; `actions` indexes them, built on first read.  The constructor
     takes dense `Mat`s (arrows given none act as zero) and converts them
-    once; `_adopt` wraps nonzeros, unchecked.  `maps` writes the dense
-    matrices out on each read, for output, the DTr oracle and tests.
+    once; `_adopt` wraps nonzeros, unchecked; a string module's are built on
+    first read.  `maps` writes the dense matrices out on each read, for
+    output, the DTr oracle and tests.
     """
 
     def __init__(self, p, field, dims, maps):
@@ -60,6 +63,16 @@ class Representation:
         rep = object.__new__(cls)
         rep.p, rep.field, rep.dims, rep.nonzeros = p, field, dims, nonzeros
         return rep
+
+    @functools.cached_property
+    def nonzeros(self):
+        """A string module's, from its walk and coordinates (see `realize`)."""
+        walk, coord = self._string
+        one, out = self.field.one(), []
+        for i, letter in enumerate(walk.letters, start=1):
+            (_, col), (_, row) = (coord[i], coord[i - 1]) if letter.inverse else (coord[i - 1], coord[i])
+            out.append((letter.arrow, row, col, one))
+        return out
 
     @functools.cached_property
     def actions(self):
@@ -150,11 +163,9 @@ def _string_module(p, sw, field):
     for v in walk_vertices(p, walk):
         coord.append((v, dims[v]))
         dims[v] += 1
-    one, nonzeros = field.one(), []
-    for i, letter in enumerate(walk.letters, start=1):
-        (_, col), (_, row) = (coord[i], coord[i - 1]) if letter.inverse else (coord[i - 1], coord[i])
-        nonzeros.append((letter.arrow, row, col, one))
-    return StringModule(sw, Representation._adopt(p, field, dims, nonzeros), coord)
+    rep = object.__new__(Representation)
+    rep.p, rep.field, rep.dims, rep._string = p, field, dims, (walk, coord)
+    return StringModule(sw, rep, coord)
 
 
 def _maximal_path(p, arrow, forward):
@@ -237,12 +248,11 @@ class MorphismMatrix:
     blocks out on each read, for output, the DTr oracle and tests.  The
     constructor takes blocks and checks them; `_adopt` wraps nonzeros,
     unchecked.  A map also keeps what `compose` joins on and its
-    `check_intertwining` verdict, which a graph map of `knit` gets when made
-    together with its `run` (s, t, d, k): it sends basis position s + i of
-    the source's string module to t + d * i of the target's, i < k, d = +-1.
+    `check_intertwining` verdict, which a graph map of `knit` gets when made.
     """
 
-    __slots__ = ("source", "target", "nonzeros", "run", "_by_middle", "_verdict")
+    __slots__ = ("source", "target", "nonzeros", "_by_middle", "_verdict")
+    run = None
 
     def __init__(self, source, target, blocks):
         field, dims, nonzeros = source.field, source.dims, []
@@ -255,14 +265,14 @@ class MorphismMatrix:
                 raise CompositionError(f"block at {v} is over {b.field!r}, not {field!r}")
             nonzeros += [(v, i, j, a) for i, row in enumerate(b.rows) for j, a in enumerate(row) if a]
         self.source, self.target, self.nonzeros = source, target, nonzeros
-        self.run = self._by_middle = self._verdict = None
+        self._by_middle = self._verdict = None
 
     @classmethod
     def _adopt(cls, source, target, nonzeros):
         """Wrap a list of nonzeros (vertex, row, column, coefficient), unchecked."""
         f = object.__new__(cls)
         f.source, f.target, f.nonzeros = source, target, nonzeros
-        f.run = f._by_middle = f._verdict = None
+        f._by_middle = f._verdict = None
         return f
 
     @property
@@ -303,12 +313,18 @@ class MorphismMatrix:
 
     def compose(self, first):
         """self o first (apply `first`, then self): first's nonzero (v, k, j) meets
-        self's nonzeros (v, i, k) on the middle coordinate (v, k)."""
+        self's nonzeros (v, i, k) on the middle coordinate (v, k); graph maps
+        through one module meet by `compose_runs`."""
         if first.target.dims != self.source.dims:
             raise CompositionError("composition shape mismatch")
         src, tgt = first.source, self.target
         if src.field is not tgt.field:
             _same_field(src, tgt)
+        if self.run and first.run and first.modules[1] is self.modules[0]:
+            run, c = compose_runs(first.run, self.run), first.coefficient * self.coefficient
+            if run is None:
+                return MorphismMatrix._adopt(src, tgt, [])
+            return GraphMap(first.modules[0], self.modules[1], run, src.field.of(c), first.flip)
         if self._by_middle is None:
             self._by_middle = {}
             for v, i, k, b in self.nonzeros:
@@ -380,6 +396,46 @@ class MorphismMatrix:
         return f"MorphismMatrix({self.source.dim_vector()} -> {self.target.dim_vector()})"
 
 
+class GraphMap(MorphismMatrix):
+    """A map of string modules M -> N kept as its `run` (s, t, d, k), M, N and
+    c: basis position s + i of M goes to c times t + d * i of N, i < k,
+    d = +-1; `nonzeros` is built on first read, backwards if `flip`."""
+
+    __slots__ = ("run", "modules", "coefficient", "flip")
+
+    def __init__(self, M, N, run, coefficient, flip):
+        self.source, self.target, self.modules = M.rep, N.rep, (M, N)
+        self.run, self.coefficient, self.flip = run, coefficient, flip
+        self._by_middle = self._verdict = None
+
+    def __getattr__(self, name):  # reached only while the `nonzeros` slot is unset
+        if name != "nonzeros":
+            raise AttributeError(name)
+        (s, t, d, k), (M, N), c = self.run, self.modules, self.coefficient
+        self.nonzeros = [(M.basis[s + i][0], N.basis[t + d * i][1], M.basis[s + i][1], c)
+                         for i in (range(k - 1, -1, -1) if self.flip else range(k))]
+        return self.nonzeros
+
+    def is_zero(self):
+        return False
+
+
+def compose_runs(f, g):
+    """The run of g o f for runs f: X -> Z and g: Z -> Y, or None for zero: the
+    positions [lo, hi] of Z in f's target interval and g's source interval,
+    read from the end z that f reaches first.  Exact: a run's matrix is a
+    partial injection, and a product of two is the one on the intersection."""
+    s, t, d, k = f
+    s2, t2, d2, k2 = g
+    lo, hi = (t, t + k - 1) if d > 0 else (t - k + 1, t)  # f's target interval
+    e = s2 + k2 - 1
+    lo, hi = s2 if s2 > lo else lo, e if e < hi else hi
+    if lo > hi:
+        return None
+    z = lo if d > 0 else hi
+    return s + d * (z - t), t2 + d2 * (z - s2), d * d2, hi - lo + 1
+
+
 def _entries(acc, field):
     """The nonzeros (*key, x) of a dict of sums x by key, reduced mod p."""
     char = field.characteristic
@@ -408,20 +464,6 @@ def morphism_from_flat(M, N, vec):
         c = M.dims[v]
         nonzeros += [(v, *divmod(k, c), a) for k, a in enumerate(vec[o : o + N.dims[v] * c]) if a]
     return MorphismMatrix._adopt(M, N, nonzeros)
-
-
-def flat_runs(M, N, runs):
-    """The flat vectors (`MorphismMatrix.flatten`) of the unit graph maps from
-    the string module M to N, one per run (s, t, d, k) (`MorphismMatrix.run`)."""
-    offsets, size = flat_offsets(M.rep, N.rep)
-    dims, one, out = M.rep.dims, M.rep.field.one(), []
-    for s, t, d, k in runs:
-        vec = [0] * size
-        for i in range(k):
-            (v, j), (_, r) = M.basis[s + i], N.basis[t + d * i]
-            vec[offsets[v] + r * dims[v] + j] = one
-        out.append(vec)
-    return out
 
 
 def hom_flat_dim(M, N):

@@ -9,33 +9,29 @@ echelon basis per ordered pair whose rows (m, pivot, row) carry their depth
 tag m; the identity joins the diagonal last with tag 0.  rad^n is the span
 of the rows tagged n or more.
 
-T_m grows from either end.  `_build(x, "source")` fills the pairs (X, .)
+T_m grows from either end.  `_build(x, "source")` finds the pairs (X, .)
 with T_{m+1}(X, Y) = a o T_m(X, Z) over the arrows a: Z -> Y, and
 `_build(y, "target")` the column (., Y) with T_{m+1}(X, Y) = T_m(Z, Y) o a
-over the arrows a: X -> Z.  The fold reads each T_m in RREF, which is
+over the arrows a: X -> Z.  A build keeps each pair's levels {m: runs}
+and folds only the diagonal, whose identity check it raises; `_rows`
+folds a pair on first read.  The fold reads each T_m in RREF, which is
 canonical, so a pair's rows do not depend on the end or the order of the
-builds.  A query builds what it reads, once: `nilpotency` the projective
-sources, one per vertex; `profile(x, y)` x and those; a right degree of
-f: X -> Y the sources Y and X and those, a left one the source X, those and
-the columns X and Y; `_tagged` every source.
+builds.  `reaches` reads levels only (proof there).  A query builds what
+it reads, once: `nilpotency` the projective sources; `profile(x, y)` x
+and those; a right degree of f: X -> Y the sources Y and X and those, a
+left one the source X, those and the columns X and Y; `_tagged` every
+source and pair.
 
-`_build` carries runs, not maps.  Every arrow map of `knit` is a graph
-map and records its `run` (s, t, d, k): basis position s + i of its
-source's string module goes to t + d * i of its target's, i < k, d = +-1,
-with coefficient 1, or -1 on r_2 of a mesh.  `_compose` intersects f's
-target interval with g's source interval, which gives the run of g o f or
-zero.  This is exact: a run's matrix is a partial injection, one nonzero
-+-1 in each row and column of its support, and a product of two is the
-partial injection on the intersected run, with the product sign.  A sign
-changes no span, so T_m is the span of the unit vectors of its runs;
-`flat_runs` writes them only at the fold, and no graph-map basis theorem is
-used.  So no morphism and no flat vector is made before the fold; the arrow
-maps are checked to be morphisms when the table is made.
+`_build` carries runs, not maps: every arrow map of `knit` is a
+`modules.GraphMap` with its `run` and coefficient 1, or -1 on r_2 of a
+mesh, and `compose_runs` gives the run of g o f, or zero, up to the
+product sign.  A sign changes no span, so T_m is the span of the unit
+vectors of its runs, which `_fold` writes; no graph-map basis theorem is
+used.  No morphism is made; the arrow maps are checked to be morphisms
+when the table is made.
 
-The definitional recursion rad^{n+1}(X, Y) = sum over Z of
-rad(Z, Y) o rad^n(X, Z), on solved Hom spaces with the endomorphism
-radical on the diagonal, is kept only as the cross-check
-`layers_equal_to_span`.
+The definitional recursion (`_recursion_layers`) is kept only as the
+cross-check `layers_equal_to_span`.
 """
 
 from __future__ import annotations
@@ -45,7 +41,7 @@ import math
 from .errors import BandFoundError, MeshInconsistencyError, NotIrreducibleError
 from .fields import Mat, Subspace, append, combination, nullspace, reduce, rref
 from .modules import end_radical, hom_basis  # the cross-check only
-from .modules import flat_runs, hom_flat_dim, morphism_from_flat, standard_word
+from .modules import compose_runs, flat_offsets, hom_flat_dim, morphism_from_flat, standard_word
 from .strings import (
     Letter,
     Walk,
@@ -115,20 +111,6 @@ class Degree:
         return f"Degree({self.value} via {self.witness_node.text})"
 
 
-def _compose(f, g):
-    """The run of g o f for runs f: X -> Z and g: Z -> Y, or None for zero: the
-    positions of Z in both f's target interval and g's source interval,
-    [lo, hi], read from the end z that f reaches first."""
-    s, t, d, k = f
-    s2, t2, d2, k2 = g
-    lo, hi = (t, t + k - 1) if d > 0 else (t - k + 1, t)  # f's target interval
-    lo, hi = max(lo, s2), min(hi, s2 + k2 - 1)
-    if lo > hi:
-        return None
-    z = lo if d > 0 else hi
-    return s + d * (z - t), t2 + d2 * (z - s2), d * d2, hi - lo + 1
-
-
 class RadicalTable:
     """All radical layers of a knitted AR quiver, one depth-tagged basis per pair.
 
@@ -141,7 +123,7 @@ class RadicalTable:
         self.quiver = quiver
         self.field = quiver.field
         self.nodes = nodes = quiver.nodes
-        self._pair_rows = {}  # (source index, target index) -> [(tag, pivot, row)], deepest first
+        self._pairs = {}  # (source, target index) -> {m: runs}, once read [(tag, pivot, row)]
         self._levels = {}  # built source index -> its number of nonzero T_m
         self._columns = set()  # built target (column) indices
         self._nilpotency = None  # set once the projective sources are built
@@ -166,50 +148,65 @@ class RadicalTable:
     # -- construction ------------------------------------------------------
 
     def _build(self, ci, side):
-        """Store the tagged rows of every pair (c, .) (side "source") or (., c)
-        (side "target"), c the node of index ci, as the module docstring says.
+        """Keep the levels of every pair (c, .) (side "source") or (., c) (side
+        "target"), c the node of index ci, as the module docstring says.
 
         Raises before storing anything, so a failed build stays unbuilt.
         """
-        field, nodes, source = self.field, self.nodes, side == "source"
+        source = side == "source"
         step = self._out if source else self._in
         runs = {}
         for zi, a in step[ci]:
             runs.setdefault(zi, set()).add(a)
-        levels = []  # levels[m - 1]: the runs of the nonzero composites of m arrow maps, by z
+        pairs, m = {}, 0  # pair -> {m: runs of the nonzero composites of m arrow maps}
         while runs:
-            levels.append(runs)
-            if len(levels) > self._limit:
+            m += 1
+            if m > self._limit:
                 raise MeshInconsistencyError("radical filtration does not terminate")
             nxt = {}
             for zi, level in runs.items():
+                pairs.setdefault((ci, zi) if source else (zi, ci), {})[m] = level
                 for yi, a in step[zi]:
                     for r in level:
-                        c = _compose(r, a) if source else _compose(a, r)
+                        c = compose_runs(r, a) if source else compose_runs(a, r)
                         if c:
                             nxt.setdefault(yi, set()).add(c)
             runs = nxt
-        fixed = nodes[ci].module
-        tagged = {}
-        for m in range(len(levels), 0, -1):
-            for zi, found in levels[m - 1].items():
-                key = (ci, zi) if source else (zi, ci)
-                ends = (fixed, nodes[zi].module) if source else (nodes[zi].module, fixed)
-                pivots, level = rref(flat_runs(*ends, found), field)
-                rows = tagged.get(key)
-                if rows is None:  # the deepest level: RREF with unit pivots, as `append` keeps it
-                    tagged[key] = [(m, p, r) for p, r in zip(pivots, level)]
-                else:
-                    for r in level:
-                        append(field, rows, r, m)
-        [ident] = flat_runs(fixed, fixed, [(0, 0, 1, fixed.total_dim)])
-        if not append(field, tagged.setdefault((ci, ci), []), ident, 0):
-            raise MeshInconsistencyError(f"the identity of {nodes[ci].text} lies in the radical")
-        self._pair_rows.update(tagged)
+        self._pairs[ci, ci] = self._fold((ci, ci), pairs.pop((ci, ci), {}))
+        for key, levels in pairs.items():
+            self._pairs.setdefault(key, levels)
         if source:
-            self._levels[ci] = len(levels)
+            self._levels[ci] = m
         else:
             self._columns.add(ci)
+
+    def _fold(self, key, levels):
+        """The rows of the pair key from its levels (module docstring); the
+        diagonal's identity must not be spanned."""
+        (xi, yi), field = key, self.field
+        M, N = self.nodes[xi].module, self.nodes[yi].module
+        (offsets, size), dims, one = flat_offsets(M.rep, N.rep), M.rep.dims, field.one()
+
+        def flat(runs):  # the runs' unit graph maps, flattened
+            out = []
+            for s, t, d, k in runs:
+                out.append([0] * size)
+                for i in range(k):
+                    (v, j), (_, r) = M.basis[s + i], N.basis[t + d * i]
+                    out[-1][offsets[v] + r * dims[v] + j] = one
+            return out
+
+        rows = []
+        for m in sorted(levels, reverse=True):
+            pivots, level = rref(flat(levels[m]), field)
+            if not rows:  # the deepest level: RREF with unit pivots, as `append` keeps it
+                rows = [(m, p, r) for p, r in zip(pivots, level)]
+            else:
+                for r in level:
+                    append(field, rows, r, m)
+        if xi == yi and not append(field, rows, *flat([(0, 0, 1, M.total_dim)]), 0):
+            raise MeshInconsistencyError(f"the identity of {self.nodes[xi].text} lies in the radical")
+        return rows
 
     @property
     def nilpotency(self):
@@ -229,10 +226,12 @@ class RadicalTable:
 
     @property
     def _tagged(self):
-        """(source index, target index) -> [(tag, pivot, row)], every source built."""
+        """(source index, target index) -> [(tag, pivot, row)], all folded."""
         for x in self.nodes:
             self._level(x.index)
-        return self._pair_rows
+        for xi, yi in list(self._pairs):
+            self._rows(xi, yi)
+        return self._pairs
 
     def _level(self, xi):
         """The number of nonzero T_m(x, .), source xi built first."""
@@ -247,21 +246,28 @@ class RadicalTable:
 
     # -- queries -----------------------------------------------------------
 
-    def _rows(self, xi, yi):
-        """The tagged rows of the pair of node indices (xi, yi), from column yi
-        if it is built, else from source xi, built first."""
+    def _rows(self, xi, yi, fold=True):
+        """The rows of (xi, yi), folded on first read unless fold=False, from
+        column yi if built, else source xi, built first."""
         if yi not in self._columns:
             self._level(xi)
-        return self._pair_rows.get((xi, yi), ())
+        kept = self._pairs.get((xi, yi), ())
+        if fold and type(kept) is dict:
+            kept = self._pairs[xi, yi] = self._fold((xi, yi), kept)
+        return kept
 
     def reaches(self, xi, yi, n=0):
-        """True when rad^n(x, y) != 0, for node indices xi, yi; n=0 asks Hom(x, y) != 0.
+        """True when rad^n(x, y) != 0 for node indices xi, yi; n=0 asks
+        Hom(x, y) != 0; it folds nothing.
 
-        `_build` stores each pair's rows deepest tag first, so the first
-        stored row carries the pair's largest tag and one lookup decides.
+        rad^n(x, y), the span of the rows tagged n or more, is nonzero iff
+        the largest tag is n or more.  `_fold` starts with the RREF of the
+        deepest level m, nonzero as `compose_runs` keeps only runs of k >= 1
+        positions.  So a folded pair's first row, and an unfolded pair's
+        deepest level, carry its largest tag.
         """
-        rows = self._rows(xi, yi)
-        return bool(rows) and rows[0][0] >= n
+        kept = self._rows(xi, yi, fold=False)
+        return bool(kept) and (max(kept) if type(kept) is dict else kept[0][0]) >= n
 
     def tags(self, xi, yi, among):
         """The tags in among of the pair (xi, yi): the depths in among that a

@@ -525,8 +525,9 @@ def test_verify_leaves_the_mesh_maps_alone(corruptible):
 def test_knit_leaves_no_compose_index_on_its_arrows(monkeypatch):
     """verify reads each mesh from its pieces: knit composes, adds, tests for
     zero, runs the intertwining equations and ranks nothing, over QQ, GF(2)
-    and GF(3), so no arrow carries a compose index (a search that composes
-    with it builds one)."""
+    and GF(3), so no arrow carries a compose index.  Composing two arrow maps
+    intersects their runs and builds none; composing an arrow map with a map
+    that is not a graph map (a sum) builds one."""
     def refuse(*args):
         raise AssertionError("knit did arithmetic on a map")
 
@@ -541,7 +542,10 @@ def test_knit_leaves_no_compose_index_on_its_arrows(monkeypatch):
         assert all(a.morphism._by_middle is None for a in q.arrows)
     q = quivers[0]
     a, b = next((a, b) for a in q.arrows for b in q.arrows_from(a.target))
-    b.morphism.compose(a.morphism)
+    assert b.morphism.compose(a.morphism).run is not None and b.morphism._by_middle is None
+    summed = a.morphism.add(a.morphism)
+    assert summed.run is None
+    b.morphism.compose(summed)
     assert b.morphism._by_middle is not None
 
 

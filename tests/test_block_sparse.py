@@ -14,8 +14,8 @@ from stringar import audit_theorems, field_for_characteristic, knit, witness
 from stringar.errors import CompositionError
 from stringar.families import make_family
 from stringar.fields import Mat
-from stringar.radical import RadicalTable, _compose
-from stringar.modules import MorphismMatrix, hom_flat_dim, morphism_from_flat
+from stringar.radical import RadicalTable
+from stringar.modules import MorphismMatrix, compose_runs, hom_flat_dim, morphism_from_flat
 from tests.conftest import LADDER
 from tests.morphisms import identity_morphism
 from tests.oracles import dense_maps
@@ -220,9 +220,10 @@ def _positions(f):
 @pytest.mark.parametrize("name", [*LADDER, "S0-S7"])
 def test_arrow_runs_compose_as_their_morphisms(name, char):
     """Each arrow map's `run`, and each mesh's left map's, gives its nonzeros
-    up to sign, and the run that `radical._compose` makes for a path of 2-4
+    up to sign, and the run that `modules.compose_runs` makes for a path of 2-4
     arrows has the support of the path's composite morphism, the zero one
-    included; many are nonzero."""
+    included; many are nonzero.  The composite joins the maps' nonzeros
+    (maps with no run), as `compose` of two graph maps reads runs itself."""
     field = field_for_characteristic(char)
     signs, arrows, composites = {field.one(), field.of(-1)}, 0, 0
     for p in _ladder_or_stress(name):
@@ -241,8 +242,9 @@ def test_arrow_runs_compose_as_their_morphisms(name, char):
                 longer = []
                 for zi, g, run in paths:
                     for b in quiver.arrows_from(zi):
-                        h = b.morphism.compose(g)
-                        r = run and _compose(run, b.morphism.run)
+                        c = b.morphism
+                        h = MorphismMatrix._adopt(c.source, c.target, c.nonzeros).compose(g)
+                        r = run and compose_runs(run, b.morphism.run)
                         assert _positions(h) == _run_support(x, module[b.target], r)
                         longer.append((b.target, h, r))
                 composites += sum(r is not None for *_, r in longer)

@@ -157,7 +157,7 @@ def test_engine_solves_no_hom_space(monkeypatch):
 def test_table_build_builds_no_composite_morphism(monkeypatch, char):
     """The table composes the arrow maps' runs: no MorphismMatrix.compose, no
     morphism_from_flat and no MorphismMatrix.flatten while its sources and
-    columns are built; `flat_runs` writes flat vectors at the fold only.  What
+    columns are built; flat vectors are written when a pair is folded.  What
     it builds is pinned by the digests of test_pinned_outputs."""
     G = knit(_spec("V2_3").presentation, field_for_characteristic(char))
 
@@ -288,12 +288,13 @@ def test_first_row_carries_the_largest_tag(name):
 @pytest.mark.parametrize("name", sorted(LADDER))
 def test_sources_built_in_any_order_give_the_complete_table(name, char):
     """Queries read some sources in a shuffled order; each builds its source
-    only, and the rows seen equal those of a table built in full."""
+    only, keeps every pair of it, and the rows `_rows` reads for each pair of
+    a built source equal those of a table built in full."""
     family, m, n = LADDER[name]
     quiver = knit(make_family(family, m=m, n=n).presentation, field_for_characteristic(char))
     complete = RadicalTable(quiver)._tagged
     T = RadicalTable(quiver)
-    assert T._levels == {} and T._pair_rows == {}
+    assert T._levels == {} and T._pairs == {}
     rng = random.Random(f"lazy:{name}:{char}")
     order = [x.index for x in T.nodes]
     rng.shuffle(order)
@@ -307,9 +308,9 @@ def test_sources_built_in_any_order_give_the_complete_table(name, char):
         else:
             T.depth(identity_morphism(x.module.rep), x, x)
         assert set(T._levels) == set(queried[: k + 1])
-        assert set(T._pair_rows) == {key for key in complete if key[0] in T._levels}
-        for key, rows in T._pair_rows.items():
-            assert rows == complete[key]
+        assert set(T._pairs) == {key for key in complete if key[0] in T._levels}
+        for key in list(T._pairs):
+            assert T._rows(*key) == complete[key]
     assert T._tagged == complete
     assert set(T._levels) == {x.index for x in T.nodes}
 
@@ -318,8 +319,8 @@ def test_sources_built_in_any_order_give_the_complete_table(name, char):
 @pytest.mark.parametrize("name", [*LADDER, *(f"S{i}" for i in range(8))])
 def test_columns_equal_the_source_build(name, char):
     """T_m(x, y) is the span of the composites of m arrows from either end and
-    is kept in RREF, so building every column stores the rows of building
-    every source, entry types included."""
+    is kept in RREF, so building every column keeps the pairs of building
+    every source, and `_rows` reads the same rows, entry types included."""
     [p] = _ladder_or_stress(name)
     quiver = knit(p, field_for_characteristic(char))
     complete = RadicalTable(quiver)._tagged
@@ -327,16 +328,15 @@ def test_columns_equal_the_source_build(name, char):
     for y in T.nodes:
         T._column(y.index)
     assert T._levels == {} and T._columns == {y.index for y in T.nodes}
-    assert {k: repr(rows) for k, rows in T._pair_rows.items()} == {
-        k: repr(rows) for k, rows in complete.items()
-    }
+    assert set(T._pairs) == set(complete)
+    assert {k: repr(T._rows(*k)) for k in complete} == {k: repr(rows) for k, rows in complete.items()}
 
 
 @pytest.mark.parametrize("char", [0, 2, 3])
 @pytest.mark.parametrize("name", sorted(LADDER))
 def test_sources_and_columns_built_in_any_order_give_the_complete_table(name, char):
-    """Half of all sources and columns, built shuffled and interleaved, store
-    exactly the complete table's rows of their pairs."""
+    """Half of all sources and columns, built shuffled and interleaved, keep
+    exactly their pairs, and `_rows` reads the complete table's rows of each."""
     [p] = _ladder_or_stress(name)
     quiver = knit(p, field_for_characteristic(char))
     complete = RadicalTable(quiver)._tagged
@@ -346,8 +346,8 @@ def test_sources_and_columns_built_in_any_order_give_the_complete_table(name, ch
     for xi, side in builds[: len(builds) // 2]:
         T._level(xi) if side == "source" else T._column(xi)
         built = {k for k in complete if k[0] in T._levels or k[1] in T._columns}
-        assert set(T._pair_rows) == built
-        assert all(rows == complete[k] for k, rows in T._pair_rows.items())
+        assert set(T._pairs) == built
+        assert all(T._rows(*k) == complete[k] for k in built)
     assert T._columns and T._tagged == complete
 
 
@@ -394,24 +394,24 @@ def test_errors_of_a_source_raise_from_the_query_that_builds_it(monkeypatch):
     limit, T._limit = T._limit, 0
     with pytest.raises(MeshInconsistencyError, match="radical filtration does not terminate"):
         T.reaches(x.index, x.index)
-    assert x.index not in T._levels
+    assert x.index not in T._levels and T._pairs == {}
     message = re.escape(f"the identity of {x.text} lies in the radical")
     for cut, patch, error in ((0, False, "radical filtration does not terminate"),
                               (limit, True, message)):
         T = RadicalTable(G)
         T.depth(f, x, y), T.nilpotency
-        T._limit = cut
+        T._limit, kept = cut, dict(T._pairs)
         with monkeypatch.context() as m:
             if patch:
                 m.setattr(radical, "append", lambda field, rows, vec, tag: bool(tag))
             with pytest.raises(MeshInconsistencyError, match=error):
                 T.degree(f, "left", source=x, target=y)
-        assert T._columns == set()
+        assert T._columns == set() and T._pairs == kept
     T = RadicalTable(G)
     monkeypatch.setattr(radical, "append", lambda field, rows, vec, tag: bool(tag))
     with pytest.raises(MeshInconsistencyError, match=message):
         T.depth(f, x, y)
-    assert T._levels == {}
+    assert T._levels == {} and T._pairs == {}
 
 
 def test_the_table_checks_only_the_arrows_that_knit_left_unchecked(monkeypatch):
