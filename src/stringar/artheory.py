@@ -1,33 +1,42 @@
 """Auslander-Reiten translates, almost split sequences, and knitting.
 
-The translate of a string module is computed by surgery on its word, one
-operation per word end.  For the sequence ending at M(C) an end either
-loses its hook (the outer inverse run and the following direct letter, on
-the left) or gains a cohook (a new inverse letter plus a maximal direct
-run); for the sequence starting at M(C) the operations are the formal
-inverses.  Middle terms apply one end's operation, the far term applies
-both; additions are applied before deletions and deletions inspect the
-current word, which is what makes single-middle meshes come out right.
+The translate of a string module is computed by surgery on its word C, one
+operation per end.  For the sequence ending at M(C) an end either loses
+its hook (the outer inverse run and the next direct letter, on the left)
+or gains a cohook (a new inverse letter plus a maximal direct run); for
+the sequence starting at M(C) the operations are the formal inverses.
+Middle terms apply one end's operation, the far term both: additions
+first, then deletions reading the current word, which makes single-middle
+meshes come out right.
+
+One cut (`_cut`) makes each piece: a slice of the additions and C
+concatenated, a deletion dropping its end run r of C and the next letter.
+This is the rule.  The letter an addition puts next to C has the direction
+opposite to the run a deletion strips at the other end, so that run
+reaches into the hook only when C is one run, and then stops at (and
+drops) the hook's first letter.  Two deletions strip runs of opposite
+directions, which are disjoint; after the first cut the second run is the
+shorter of r and what is left, so both cut the same letters and leave no
+piece exactly when the cuts cross.
 
 `_hook` climbs each addition once per side, direction and arrow
-(Butler-Ringel): past its first letter l, a climb step reads only the
-end vertex, the adjacent letter and the new letter's one-direction run
-(`attach_candidates`), and that run stops at l, so no step reads past l.
+(Butler-Ringel): past its first letter l, a climb step reads only the end
+vertex, the adjacent letter and the new letter's run (`attach_candidates`),
+which stops at l.
 
-Surgery only adds and strips letters at the two ends, so the pieces of a
-mesh are runs of one line of positions: a piece is a pair (walk, start),
-its position j lying at start + j.  The mesh maps and the standard arrows
-at projectives are graph maps along the positions two pieces share.  A
-mesh is checked exact from its pieces' positions and letters, with no
-arithmetic on its maps, then non-split by its words (Miyata).  A mesh
-comes from one surgery at the end it is asked for (`_mesh`): `knit`, each
-step of `tau_orbit` and `ar_sequence(..., "endingAt")` build the mesh ending
-at M(C) from one "end" surgery and rest on that check, `knit` also on its
+Surgery only adds and strips letters at the ends, so a mesh's pieces are
+runs of one line of positions: a piece (walk, start) has its position j
+at start + j.  The mesh maps and the standard arrows at projectives are
+graph maps along the positions two pieces share.  A mesh is checked exact
+from its pieces' positions and letters, with no arithmetic on its maps,
+then non-split by its words (Miyata).  `knit`, each step of `tau_orbit`
+and `ar_sequence(..., "endingAt")` build the mesh ending at M(C) from one
+"end" surgery (`_mesh`) and rest on that check, `knit` also on its
 translate pairing.
 
-The independent DTr computation (minimal projective presentation,
-transpose over the opposite quiver, linear dual) is the test oracle for
-the surgery; no engine path calls it.
+The DTr computation (minimal projective presentation, transpose over the
+opposite quiver, linear dual) is the test oracle for the surgery; no
+engine path calls it.
 """
 
 from __future__ import annotations
@@ -64,10 +73,11 @@ from .strings import (
     canonical_walk,
     enumerate_strings,
     has_band,
+    letter_source,
+    letter_target,
     require_string,
     string_word,
     walk_to_text,
-    walk_vertices,
 )
 
 _CLIMB_CAP = 10000
@@ -108,26 +118,9 @@ def _end_run(walk, inverse, side):
     return n
 
 
-def _outer_inverse(direction, side):
-    """Is the letter an addition attaches at this end, or the run a deletion strips, inverse?
-
-    For the sequence ending at M(C) ("end") it is on the left and not on the
-    right; for the sequence starting at M(C) ("start") the other way round.
-    """
-    return direction == ("end" if side == "left" else "start")
-
-
-def _segment(p, piece, lo, hi):
-    """The run of a piece on its positions lo..hi-1; one position is a trivial walk."""
-    walk, start = piece
-    letters = walk.letters[lo : hi - 1]
-    sub = Walk(letters) if letters else Walk(basepoint=walk_vertices(p, walk)[lo])
-    return sub, start + lo
-
-
-def _unique(cands, what):
+def _unique(cands, side, kind):
     if len(cands) > 1:
-        raise MeshInconsistencyError(f"ambiguous {what}: {[a.label for a in cands]}")
+        raise MeshInconsistencyError(f"ambiguous {side} {kind}: {[a.label for a in cands]}")
     return cands[0] if cands else None
 
 
@@ -145,23 +138,24 @@ def _side_ops(p, walk, direction):
         pool = p.quiver.arrows_into(v) if direction == "start" else p.quiver.arrows_from(v)
         if len(pool) > 2:
             raise MeshInconsistencyError(f"vertex {v} breaks the two-arrow bound")
-        arrows = [*pool, None, None][:2]
+        a, b = [*pool, None, None][:2]
     else:
-        kind = "hook" if direction == "start" else "cohook"
-        arrows = [_unique(attach_candidates(p, walk, side, _outer_inverse(direction, side)),
-                          f"{side} {kind}") for side in ("left", "right")]
-    return [a and _hook(p, side, direction, a) for side, a in zip(("left", "right"), arrows)]
+        kind, start = ("hook", True) if direction == "start" else ("cohook", False)
+        a = _unique(attach_candidates(p, walk, "left", not start), "left", kind)
+        b = _unique(attach_candidates(p, walk, "right", start), "right", kind)
+    return a and _hook(p, "left", direction, a), b and _hook(p, "right", direction, b)
 
 
 def _hook(p, side, direction, arrow):
     """The letters an addition of the arrow attaches at one end, in walk order:
     its letter and the run climbed behind it (memoised)."""
     key = (side, direction, arrow.label)
-    if key not in p.hooks:
-        inverse = _outer_inverse(direction, side)
+    hook = p.hooks.get(key)
+    if hook is None:
+        inverse = (side == "left") != (direction == "start")  # the outer letter's direction
         hook = (Letter(arrow.label, inverse),)
         for _ in range(_CLIMB_CAP):
-            cand = _unique(attach_candidates(p, Walk(hook), side, not inverse), f"{side} climb")
+            cand = _unique(attach_candidates(p, Walk(hook), side, not inverse), side, "climb")
             if cand is None:
                 break
             new = Letter(cand.label, not inverse)
@@ -169,30 +163,32 @@ def _hook(p, side, direction, arrow):
         else:
             raise MeshInconsistencyError(f"{side} climb did not terminate")
         p.hooks[key] = hook
-    return p.hooks[key]
+    return hook
 
 
-def _apply(p, walk, direction, hooks):
-    """The piece (walk, start) the ends' operations make of M(walk), or None;
-    a hook () attaches nothing."""
-    left, right = (hook or () for hook in hooks)
-    cur = (Walk(left + walk.letters + right), -len(left)) if left or right else (walk, 0)
-    for side, hook in zip(("left", "right"), hooks):
-        if hook is None:
-            n, run = len(cur[0].letters), _end_run(cur[0], _outer_inverse(direction, side), side)
-            if run >= n:
-                return None
-            lo = run + 1 if side == "left" else 0
-            cur = _segment(p, cur, lo, lo + n - run)
-    return cur
+def _cut(p, walk, left, right, lo, drop):
+    """The piece (walk, start) of M(walk) with the hooks left and right added,
+    then lo letters dropped on the left and drop on the right, as one slice
+    (module docstring); None when the cuts cross."""
+    word = left + walk.letters + right
+    hi, start = len(word) - drop, lo - len(left)
+    if hi < lo:
+        return None
+    if lo < hi:
+        return Walk(word[lo:hi]), start
+    return Walk(basepoint=letter_target(p, word[lo - 1]) if lo else letter_source(p, word[0])), start
 
 
 def _surgery(p, walk, direction):
     """The pieces of the mesh on the given side of M(walk): the word at start
     0, the middles (one end's operation each) and the far term (both)."""
-    left, right = hooks = _side_ops(p, walk, direction)
-    middles = [_apply(p, walk, direction, (left, ())), _apply(p, walk, direction, ((), right))]
-    return (walk, 0), [m for m in middles if m is not None], _apply(p, walk, direction, hooks)
+    left, right = _side_ops(p, walk, direction)
+    start = direction == "start"
+    lo = 0 if left else _end_run(walk, not start, "left") + 1  # a deletion drops its run + 1
+    drop = 0 if right else _end_run(walk, start, "right") + 1
+    left, right = left or (), right or ()
+    middles = [q for q in (_cut(p, walk, left, (), lo, 0), _cut(p, walk, (), right, 0, drop)) if q]
+    return (walk, 0), middles, _cut(p, walk, left, right, lo, drop)
 
 
 _STANDARD = {"end": (IsProjectiveError, "projective"), "start": (IsInjectiveError, "injective")}
@@ -209,9 +205,11 @@ def _require_side(p, walk, direction):
 
 
 def _translate_word(p, walk, direction):
-    """Far term of the mesh ending ("end") or starting ("start") at M(walk)."""
-    _require_side(p, walk, direction)
-    far = _apply(p, walk, direction, _side_ops(p, walk, direction))
+    """Far term of the mesh ending ("end") or starting ("start") at M(walk);
+    NotAStringError unless the walk is a string."""
+    require_string_algebra(p)
+    _require_side(p, require_string(p, walk), direction)
+    far = _surgery(p, walk, direction)[2]
     if far is None:
         raise MeshInconsistencyError(f"translate of a non-{_STANDARD[direction][1]} word vanished")
     return far[0]
@@ -222,15 +220,11 @@ def tau_word(p, walk):
 
     NotAStringError unless the walk is a string; IsProjectiveError on projectives.
     """
-    require_string_algebra(p)
-    string_word(p, walk)
     return _translate_word(p, walk, "end")
 
 
 def tau_inverse_word(p, walk):
     """Word of the inverse translate; NotAStringError, IsInjectiveError likewise."""
-    require_string_algebra(p)
-    string_word(p, walk)
     return _translate_word(p, walk, "start")
 
 
@@ -290,17 +284,16 @@ def _graph_map(src, dst):
     sends each shared position's basis vector of src to that of dst, so it
     must lie over the same vertex in both.
     """
-    off, a, b = src.start - dst.start, src.coord, dst.coord
+    M, N, a, b, off = src.module, dst.module, src.coord, dst.coord, src.start - dst.start
+    na, nb = len(a), len(b)
     i, j = (0, off) if off >= 0 else (-off, 0)  # the run's first position in src and in dst
-    k = min(len(a) - i, len(b) - j)
-    if k != min(len(a), len(b)):
+    k = min(na - i, nb - j)
+    if k != min(na, nb):
         raise MeshInconsistencyError("mesh words do not nest")
-    n = k - 1  # the run's letters
-    fs, fd = a is not src.module.basis, b is not dst.module.basis  # reversed
-    first = len(a) - i - k if fs else i  # src's first module position in the run
-    e = j + n if fs else j  # and its partner's position in dst's piece
-    run = first, len(b) - 1 - e if fd else e, -1 if fs != fd else 1, k
-    f = GraphMap(src.module, dst.module, run, src.module.rep.field.one(), fs)
+    n, fs, fd = k - 1, a is not M.basis, b is not N.basis  # the run's letters; reversed
+    e = j + n if fs else j  # the dst piece position of src's first module position in the run
+    run = na - i - k if fs else i, nb - 1 - e if fd else e, -1 if fs != fd else 1, k
+    f = GraphMap(M, N, run, M.rep.field.one(), fs)
     ls, ld = src.walk.letters, dst.walk.letters
     if ls[i : i + n] != ld[j : j + n] or a[i][0] != b[j][0]:
         if any(a[i + u][0] != b[j + u][0] for u in range(k)):
@@ -334,7 +327,7 @@ class AlmostSplitSequence:
     """
 
     def __init__(self, left, middle, right):
-        self._spans = [range(q.start, q.start + len(q.coord)) for q in (left, *middle, right)]
+        self._spans = [(q.start, q.start + len(q.coord)) for q in (left, *middle, right)]
         self.left_term, self.right_term = left.module, right.module
         self.middle = [m.module for m in middle]
         self.left_maps = [_graph_map(left, m) for m in middle]
@@ -349,7 +342,7 @@ class AlmostSplitSequence:
     def verify(self):
         """Raise MeshInconsistencyError unless the pieces give an almost split
         sequence; True when r_2 takes the sign -1 (the constructor gives it)."""
-        left, *middle, right = self._spans  # the pieces' positions
+        (l0, l1), *middle, (r0, r1) = self._spans  # the pieces' positions [start, stop)
         if not 1 <= len(middle) <= 2:
             raise MeshInconsistencyError(f"{len(middle)} middle terms")
         lt, rt = self.left_term.rep, self.right_term.rep
@@ -357,23 +350,22 @@ class AlmostSplitSequence:
         ends = map(add, lt.dims.values(), rt.dims.values())
         if list(ends) != list(map(add, *mids) if mids[1:] else mids[0]):
             raise MeshInconsistencyError("middle dimension mismatch")
-        meets = [range(max(left.start, m.start, right.start), min(left.stop, m.stop, right.stop))
-                 for m in middle]
-        if any(meets) and meets[1:] != meets[:1]:
+        meets = [(max(l0, m0, r0), min(l1, m1, r1)) for m0, m1 in middle]  # I_k
+        meet = meets[0][0] < meets[0][1] or meets[-1][0] < meets[-1][1]
+        if meet and meets[1:] != meets[:1]:  # one middle, or two unequal I_k
             raise MeshInconsistencyError("mesh composite is not zero")
         for f in self.left_maps + self.right_maps:
             if not f.check_intertwining():
                 raise MeshInconsistencyError("mesh map is not a morphism")
-        for end, what in ((left, "left mesh map not mono"), (right, "right mesh map not epi")):
-            x = end.start  # the first position of end that no middle read so far covers
-            for m in sorted(middle, key=lambda m: m.start):
-                if m.start <= x:
-                    x = max(x, m.stop)
-            if x < end.stop:
+        for x, stop, what in ((l0, l1, "left mesh map not mono"), (r0, r1, "right mesh map not epi")):
+            for m0, m1 in (*middle, middle[0]):  # both orders of the middles, so no sort
+                if m0 <= x < m1:
+                    x = m1  # the first position of the end no middle read so far covers
+            if x < stop:
                 raise MeshInconsistencyError(what)
         if self._splits():
             raise MeshInconsistencyError("almost split sequence splits")
-        return any(meets) and lt.field.characteristic != 2
+        return meet and lt.field.characteristic != 2
 
     def _splits(self):
         """An exact sequence splits iff its middle is the sum of its ends (Miyata);
@@ -394,42 +386,38 @@ class AlmostSplitSequence:
 def _mesh(p, walk, direction, resolve):
     """The almost split sequence starting ("start") or ending ("end") at
     M(walk), a string that is not injective (not projective), from one
-    surgery on walk.  For "start" the pieces come in surgery order.
+    surgery on walk; for "start" the pieces come in surgery order.
 
-    For "end", the "start" operation at an end is the formal inverse of the
+    For "end": the "start" operation at an end is the formal inverse of the
     "end" one, so the "start" surgery on the far piece (tau, s) makes these
-    pieces on this line, each shifted by -s: its left middle restores tau's
-    left end, leaving walk with only its right end operated, which is this
-    surgery's right middle.  So the middles come in reverse surgery order,
-    and every map, read off the pieces' relative positions (`_graph_map`),
-    is the one the "start" mesh at tau has.
+    pieces shifted by -s: its left middle restores tau's left end, leaving
+    walk with only its right end operated, this surgery's right middle.  So
+    the middles come in reverse order, and every map, read off relative
+    positions (`_graph_map`), is the one the "start" mesh at tau has.
 
-    A trivial tau = e(v) has no ends, and so no orientation, of its own:
-    the "start" line is this one shifted, or mirrored and shifted.
-    `_side_ops` orients it: a = arrows_into(v)[0] is attached on the left,
-    its letter a just left of v, and a second arrow b on the right, its
-    letter b^- just right of v; no other letter is next to v.  Mirroring
-    puts b (not a, as b != a) or no letter just left of v.  So the line is
-    mirrored iff the letter just left of v here is not a, and then the
-    pieces are mirrored, (w, start) -> (w^-1, -start - len(w)), which also
-    swaps the middles back into surgery order.  `verify` checks the mesh
-    either way; the rule only keeps every map, and the sign of r_2, as the
-    "start" mesh at tau has them.
+    A trivial tau = e(v) has no orientation of its own: the "start" line is
+    this one shifted, or mirrored and shifted.  `_side_ops` attaches
+    a = arrows_into(v)[0] on the left, its letter a just left of v, and a
+    second arrow b on the right, b^- just right of v; no other letter is
+    next to v.  Mirroring puts b (b != a) or nothing just left of v, so the
+    line is mirrored iff the letter just left of v here is not a; then the
+    pieces are mirrored, (w, start) -> (w^-1, -start - len(w)), which swaps
+    the middles back into surgery order.  `verify` checks the mesh either
+    way; the rule keeps every map, and r_2's sign, as at tau's "start" mesh.
     """
     t, mids, far = _surgery(p, walk, direction)
     if far is None or not mids:
         raise MeshInconsistencyError("degenerate mesh")
-    pieces = [t, *mids, far]
     if direction == "end":
-        pieces.reverse()
-        tau, s = far
+        (tau, s), pieces = far, (far, *mids[::-1], t)
         into = tau.is_trivial and p.quiver.arrows_into(tau.basepoint)
         if into:
             covering = (w.letters[s - 1 - st] for w, st in (*mids, t) if st < s <= st + len(w))
             if next(covering, None) is not Letter(into[0].label):
                 pieces = [(w.inverse(), -st - len(w)) for w, st in (far, *mids, t)]
-    left, *middle, right = (_RawPiece(resolve, *q) for q in pieces)
-    return AlmostSplitSequence(left, middle, right)
+        t, *mids, far = pieces
+    return AlmostSplitSequence(_RawPiece(resolve, *t), [_RawPiece(resolve, *m) for m in mids],
+                               _RawPiece(resolve, *far))
 
 
 def ar_sequence(p, M, side, field=None):
@@ -449,10 +437,10 @@ def standard_arrows(p, v, resolve):
     the top of P(v), the summands are the subwalks before and after position k.
     """
     raw = projective_word(p, v)
-    k, n = _end_run(raw, inverse=True, side="left"), len(raw.letters)
-    whole = _RawPiece(resolve, raw, 0)
-    runs = [_segment(p, (raw, 0), lo, hi) for lo, hi in ((0, k), (k + 1, n + 1)) if hi > lo]
-    return [(q.module, _graph_map(q, whole)) for q in (_RawPiece(resolve, *r) for r in runs)]
+    k = _end_run(raw, inverse=True, side="left")
+    whole, n = _RawPiece(resolve, raw, 0), len(raw.letters)
+    cuts = [q for q in (_cut(p, raw, (), (), 0, n - k + 1), _cut(p, raw, (), (), k + 1, 0)) if q]
+    return [(q.module, _graph_map(q, whole)) for q in (_RawPiece(resolve, *c) for c in cuts)]
 
 
 def _arrows_into(p, walk, resolve, tops):
@@ -469,10 +457,7 @@ class ARNode:
     __slots__ = ("index", "module", "projective", "injective")
 
     def __init__(self, index, module, projective, injective):
-        self.index = index
-        self.module = module
-        self.projective = projective
-        self.injective = injective
+        self.index, self.module, self.projective, self.injective = index, module, projective, injective
 
     @property
     def word(self):
@@ -491,9 +476,7 @@ class ARArrow:
     __slots__ = ("source", "target", "morphism")
 
     def __init__(self, source, target, morphism):
-        self.source = source
-        self.target = target
-        self.morphism = morphism
+        self.source, self.target, self.morphism = source, target, morphism
 
     def __repr__(self):
         return f"ARArrow({self.source} -> {self.target})"
@@ -503,9 +486,7 @@ class ARQuiver:
     """The knitted translation quiver of a band-free presentation."""
 
     def __init__(self, p, field, nodes):
-        self.p = p
-        self.field = field
-        self.nodes = nodes
+        self.p, self.field, self.nodes = p, field, nodes
         self.arrows, self.tau_pairs, self.meshes = [], {}, {}  # `knit` fills them
         self._by_walk = {n.module.word.walk: n.index for n in nodes}
         self._into = {n.index: [] for n in nodes}
@@ -549,33 +530,18 @@ class ARQuiver:
         return self.tau_pairs.get(idx)
 
     def to_json(self):
+        text = [n.text for n in self.nodes]
         return {
-            "nodes": [
-                {
-                    "word": n.text,
-                    "dims": n.module.rep.dim_vector(),
-                    "projective": n.projective,
-                    "injective": n.injective,
-                }
-                for n in self.nodes
-            ],
-            "arrows": [
-                {"source": self.nodes[a.source].text, "target": self.nodes[a.target].text}
-                for a in self.arrows
-            ],
-            "tauPairs": {
-                self.nodes[i].text: self.nodes[j].text for i, j in sorted(self.tau_pairs.items())
-            },
+            "nodes": [{"word": text[n.index], "dims": n.module.rep.dim_vector(),
+                       "projective": n.projective, "injective": n.injective} for n in self.nodes],
+            "arrows": [{"source": text[a.source], "target": text[a.target]} for a in self.arrows],
+            "tauPairs": {text[i]: text[j] for i, j in sorted(self.tau_pairs.items())},
         }
 
     def to_dot(self):
         lines = ["digraph ar_quiver {", "  rankdir=LR;"]
         for n in self.nodes:
-            label = n.text
-            if n.projective:
-                label = "|" + label
-            if n.injective:
-                label = label + "|"
+            label = "|" * n.projective + n.text + "|" * n.injective
             lines.append(f'  n{n.index} [label="{label}" shape=plaintext];')
         for a in self.arrows:
             lines.append(f"  n{a.source} -> n{a.target};")
@@ -642,9 +608,7 @@ class OrbitResult:
     __slots__ = ("modules", "hit_projective", "steps")
 
     def __init__(self, modules, hit_projective, steps):
-        self.modules = modules
-        self.hit_projective = hit_projective
-        self.steps = steps
+        self.modules, self.hit_projective, self.steps = modules, hit_projective, steps
 
     def __repr__(self):
         tail = " (stopped at projective)" if self.hit_projective else ""

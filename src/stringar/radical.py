@@ -57,6 +57,18 @@ from .strings import (
 ZERO_DEPTH = math.inf  # the zero morphism sits below every radical layer
 
 
+def _flat_runs(M, N, flat, runs, c):
+    """`flatten()` of the graph map M -> N of each run, with coefficient c;
+    flat is `flat_offsets(M.rep, N.rep)`."""
+    (offsets, size), dims, out = flat, M.rep.dims, []
+    for s, t, d, k in runs:
+        out.append([0] * size)
+        for i in range(k):
+            (v, j), (_, r) = M.basis[s + i], N.basis[t + d * i]
+            out[-1][offsets[v] + r * dims[v] + j] = c
+    return out
+
+
 class RadicalProfile:
     """The chain Hom = rad^0 >= rad^1 >= ... >= 0 for one ordered node pair."""
 
@@ -185,26 +197,17 @@ class RadicalTable:
         diagonal's identity must not be spanned."""
         (xi, yi), field = key, self.field
         M, N = self.nodes[xi].module, self.nodes[yi].module
-        (offsets, size), dims, one = flat_offsets(M.rep, N.rep), M.rep.dims, field.one()
-
-        def flat(runs):  # the runs' unit graph maps, flattened
-            out = []
-            for s, t, d, k in runs:
-                out.append([0] * size)
-                for i in range(k):
-                    (v, j), (_, r) = M.basis[s + i], N.basis[t + d * i]
-                    out[-1][offsets[v] + r * dims[v] + j] = one
-            return out
-
+        flat, one = flat_offsets(M.rep, N.rep), field.one()
         rows = []
         for m in sorted(levels, reverse=True):
-            pivots, level = rref(flat(levels[m]), field)
+            pivots, level = rref(_flat_runs(M, N, flat, levels[m], one), field)
             if not rows:  # the deepest level: RREF with unit pivots, as `append` keeps it
                 rows = [(m, p, r) for p, r in zip(pivots, level)]
             else:
                 for r in level:
                     append(field, rows, r, m)
-        if xi == yi and not append(field, rows, *flat([(0, 0, 1, M.total_dim)]), 0):
+        identity = xi == yi and _flat_runs(M, N, flat, [(0, 0, 1, M.total_dim)], one)
+        if identity and not append(field, rows, *identity, 0):
             raise MeshInconsistencyError(f"the identity of {self.nodes[xi].text} lies in the radical")
         return rows
 
@@ -317,7 +320,8 @@ class RadicalTable:
         """
         if f.source is not source.module.rep or f.target is not target.module.rep:
             raise ValueError(f"not a map {source.text} -> {target.text}")
-        vec = f.flatten()
+        vec = f.flatten() if f.run is None else _flat_runs(  # a graph map's nonzeros stay unbuilt
+            *f.modules, flat_offsets(f.source, f.target), [f.run], f.coefficient)[0]
         if not any(vec):
             return ZERO_DEPTH
         rest, d = reduce(self._rows(source.index, target.index), vec, self.field.characteristic)

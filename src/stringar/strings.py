@@ -5,7 +5,12 @@ concatenated in diagram order: each letter ends where the next starts.
 A string is a reduced walk none of whose direct subwalks, nor their
 inverses, lies in the relation ideal.  The canonical representative of
 a string is the lexicographic minimum of the walk and its inverse under
-the letter order (arrow declaration order, direct before inverse).
+the letter order (arrow declaration order, direct before inverse).  No
+string w = l_1...l_n is its own inverse: else l_i = l_{n+1-i}^-1, so for
+odd n the middle letter is its own inverse, but inverting turns a letter
+round, and for even n the middle pair is a backtrack l l^-1.  So
+`enumerate_strings`, growing both orientations, keeps a word iff it is
+below its inverse and lists each string once.
 
 Letters are interned, so walks compare and hash their letters by identity;
 whether a letter attaches at a string end is decided once per end window
@@ -67,12 +72,9 @@ class Walk:
 
     def __init__(self, letters=(), basepoint=None):
         self.letters = tuple(letters)
-        if self.letters:
-            self.basepoint = None
-        else:
-            if basepoint is None:
-                raise ValueError("a trivial walk needs a basepoint")
-            self.basepoint = basepoint
+        if not self.letters and basepoint is None:
+            raise ValueError("a trivial walk needs a basepoint")
+        self.basepoint = None if self.letters else basepoint
         self._hash = hash((self.letters, self.basepoint))
 
     def __len__(self):
@@ -123,10 +125,7 @@ def walk_vertices(p, w):
     """The n+1 vertices visited by a length-n walk."""
     if w.is_trivial:
         return [w.basepoint]
-    verts = [letter_source(p, w.letters[0])]
-    for l in w.letters:
-        verts.append(letter_target(p, l))
-    return verts
+    return [letter_source(p, w.letters[0])] + [letter_target(p, l) for l in w.letters]
 
 
 class StringCheck:
@@ -160,22 +159,15 @@ def is_string(p, w):
             return StringCheck(False, "not reduced", i)
     # relation factors live inside maximal one-direction runs
     i = 0
-    n = len(w.letters)
-    while i < n:
-        j = i
-        inv = w.letters[i].inverse
-        while j < n and w.letters[j].inverse == inv:
-            j += 1
-        labels = tuple(l.arrow for l in w.letters[i:j])
-        if inv:
-            labels = tuple(reversed(labels))
+    for inv, run in itertools.groupby(w.letters, lambda l: l.inverse):
+        labels = tuple(l.arrow for l in run)[:: -1 if inv else 1]
         hit = _first_factor(p.relations, labels)
         if hit is not None:
             off, rel = hit
-            idx = i + off if not inv else i + (len(labels) - off - len(rel))
+            idx = i + (len(labels) - off - len(rel) if inv else off)
             kind = "inverse of a relation" if inv else "relation"
             return StringCheck(False, f"subwalk is the {kind} {' '.join(rel)}", idx)
-        i = j
+        i += len(labels)
     return StringCheck(True)
 
 
@@ -247,32 +239,16 @@ def canonicalize(p, word):
 
 
 class StringFlags:
-    __slots__ = (
-        "starts_in_deep",
-        "starts_on_peak",
-        "ends_in_deep",
-        "ends_on_peak",
-        "is_direct",
-        "is_inverse",
-    )
+    __slots__ = ("starts_in_deep", "starts_on_peak", "ends_in_deep", "ends_on_peak", "is_direct",
+                 "is_inverse")
 
-    def __init__(self, sid, sop, eid, eop, d, i):
-        self.starts_in_deep = sid
-        self.starts_on_peak = sop
-        self.ends_in_deep = eid
-        self.ends_on_peak = eop
-        self.is_direct = d
-        self.is_inverse = i
+    def __init__(self, *flags):
+        for name, flag in zip(self.__slots__, flags):
+            setattr(self, name, flag)
 
     def as_dict(self):
-        return {
-            "startsInDeep": self.starts_in_deep,
-            "startsOnPeak": self.starts_on_peak,
-            "endsInDeep": self.ends_in_deep,
-            "endsOnPeak": self.ends_on_peak,
-            "isDirect": self.is_direct,
-            "isInverse": self.is_inverse,
-        }
+        """The flags by camelCase name, in slot order."""
+        return {re.sub("_(.)", lambda m: m[1].upper(), k): getattr(self, k) for k in self.__slots__}
 
 
 def attach_candidates(p, w, side, inverse):
@@ -290,12 +266,19 @@ def attach_candidates(p, w, side, inverse):
     max(max_relation_length - 1, 1) letters, and is memoised on the
     presentation under them, as a tuple.
     """
-    left, letters, k = side == "left", w.letters, max(p.max_relation_length - 1, 1)
-    key = (left, inverse, w.basepoint, letters[:k] if left else letters[-k:])
+    return _candidates(p, w.letters, w.basepoint, side == "left", inverse)
+
+
+def _candidates(p, letters, basepoint, left, inverse):
+    """`attach_candidates` of the walk with these letters, or this basepoint if none."""
+    k = max(p.max_relation_length - 1, 1)
+    key = (left, inverse, basepoint, letters[:k] if left else letters[-k:])
     out = p.end_candidates.get(key)
     if out is not None:
         return out
-    v = walk_source(p, w) if left else walk_target(p, w)
+    v = basepoint
+    if letters:
+        v = letter_source(p, letters[0]) if left else letter_target(p, letters[-1])
     pool = p.quiver.arrows_from(v) if inverse == left else p.quiver.arrows_into(v)
     near = letters if left else letters[::-1]  # read away from the new letter
     run = []
@@ -321,12 +304,12 @@ def string_flags(p, word):
     """Which ends of a string can still grow; NotAStringError unless it is a string."""
     w = word.walk if isinstance(word, StringWord) else require_string(p, word)
     return StringFlags(
-        sid=not attach_candidates(p, w, "left", inverse=True),
-        sop=not attach_candidates(p, w, "left", inverse=False),
-        eid=not attach_candidates(p, w, "right", inverse=False),
-        eop=not attach_candidates(p, w, "right", inverse=True),
-        d=all(not l.inverse for l in w.letters),
-        i=all(l.inverse for l in w.letters),
+        not attach_candidates(p, w, "left", inverse=True),
+        not attach_candidates(p, w, "left", inverse=False),
+        not attach_candidates(p, w, "right", inverse=False),
+        not attach_candidates(p, w, "right", inverse=True),
+        all(not l.inverse for l in w.letters),
+        all(l.inverse for l in w.letters),
     )
 
 
@@ -337,12 +320,8 @@ def _letters(p):
 
 def _grow(p, word):
     """The strings word l for a letter l: direct letters first, each kind in pool order."""
-    w = Walk(word)
-    return [
-        word + (Letter(b.label, inv),)
-        for inv in (False, True)
-        for b in attach_candidates(p, w, "right", inv)
-    ]
+    return [word + (Letter(b.label, inv),) for inv in (False, True)
+            for b in _candidates(p, word, None, False, inv)]
 
 
 def _string_layers(p):
@@ -357,19 +336,23 @@ def enumerate_strings(p, max_len=None):
     """All canonical strings up to max_len, in (length, lex) order.
 
     Unbounded enumeration demands a band-free presentation, otherwise the
-    walk language is infinite and we refuse with BandFoundError.
+    walk language is infinite and we refuse with BandFoundError.  A word
+    is kept iff it is below its inverse under `walk_key` (module docstring).
     """
     require_string_algebra(p)
-    if max_len is None:
-        if has_band(p):
-            raise BandFoundError(
-                "unbounded string enumeration on a presentation with bands"
-            )
+    if max_len is None and has_band(p):
+        raise BandFoundError("unbounded string enumeration on a presentation with bands")
     out = [StringWord(Walk(basepoint=v)) for v in p.quiver.vertices]
+    rank = {l: r for r, (l,) in enumerate(_letters(p))}  # orders letters as `letter_key`
     lengths = itertools.count() if max_len is None else range(max_len)
     for _, words in zip(lengths, _string_layers(p)):  # zip stops before growing past max_len
-        canon = {canonical_walk(p, Walk(word)) for word in words}
-        out.extend(StringWord(c) for c in sorted(canon, key=lambda c: walk_key(p, c)))
+        kept = []
+        for word in words:
+            key = [rank[l] for l in word]
+            if key < [rank[l._inverted] for l in reversed(word)]:
+                kept.append((key, word))
+        kept.sort()  # the keys differ, so no two words are compared
+        out += [StringWord(Walk(word)) for _, word in kept]
     return out
 
 
@@ -382,17 +365,9 @@ def has_band(p):
     return _pumps(p, _letters(p), functools.partial(_grow, p))
 
 
-def _rotations(letters):
-    n = len(letters)
-    return [letters[i:] + letters[:i] for i in range(n)]
-
-
 def _is_primitive(letters):
     n = len(letters)
-    for d in range(1, n):
-        if n % d == 0 and letters[:d] * (n // d) == letters:
-            return False
-    return True
+    return not any(n % d == 0 and letters[:d] * (n // d) == letters for d in range(1, n))
 
 
 def _is_band(p, letters):
@@ -409,13 +384,9 @@ def _is_band(p, letters):
 
 def canonical_band(p, letters):
     """Minimal rotation over the word and its inverse."""
-    best = None
-    for seq in (letters, Walk(letters).inverse().letters):
-        for rot in _rotations(tuple(seq)):
-            key = tuple(letter_key(p, l) for l in rot)
-            if best is None or key < best[0]:
-                best = (key, rot)
-    return Walk(best[1])
+    rots = [w[i:] + w[:i] for w in (tuple(letters), Walk(letters).inverse().letters)
+            for i in range(len(w))]
+    return Walk(min(rots, key=lambda rot: [letter_key(p, l) for l in rot]))
 
 
 def find_bands(p, max_len):

@@ -20,6 +20,7 @@ from stringar.errors import IsInjectiveError, MeshInconsistencyError
 from stringar.modules import StringModule, standard_word
 from stringar.presentation import require_finite_dimensional, require_string_algebra
 from stringar.strings import StringWord, canonical_walk, string_word, walk_to_text
+from tests.oracles.surgery import _segment
 
 
 def _word(p, M):
@@ -71,7 +72,7 @@ def standard_maps(p, v, resolve, projective):
         return []
     n = len(raw.letters)
     k = artheory._end_run(raw, inverse=projective, side="left")
-    segments = [artheory._segment(p, (raw, 0), lo, hi)
+    segments = [_segment(p, (raw, 0), lo, hi)
                 for lo, hi in ((0, k), (k + 1, n + 1)) if hi > lo]
     whole = _RawPiece(resolve, raw, 0)
     out = []

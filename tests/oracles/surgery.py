@@ -4,14 +4,33 @@ The library climbs each hook once, on the hook alone, and memoises it on
 the presentation (`artheory._hook`).  This is the surgery it replaced: every
 addition attaches its arrow's letter to the whole walk and climbs behind
 it one letter at a time, asking `attach_candidates` of the whole walk at
-each step; every deletion strips the end run of the current word.  It
-picks each end's arrow as the library did before its hooks were memoised
-(`side_arrows`), with the same ambiguity checks.
+each step; every deletion strips the end run of the current word, one
+`_segment` after another, where the library cuts each piece once from
+one letter tuple (`artheory._cut`).  It picks each end's arrow as the
+library did before its hooks were memoised (`side_arrows`), with the
+same ambiguity checks.
 """
 
-from stringar.artheory import _CLIMB_CAP, _end_run, _outer_inverse, _segment, _unique
+from stringar.artheory import _CLIMB_CAP, _end_run, _unique
 from stringar.errors import MeshInconsistencyError
-from stringar.strings import Letter, Walk, attach_candidates
+from stringar.strings import Letter, Walk, attach_candidates, walk_vertices
+
+
+def _outer_inverse(direction, side):
+    """Is the letter an addition attaches at this end, or the run a deletion strips, inverse?
+
+    For the sequence ending at M(C) ("end") it is on the left and not on the
+    right; for the sequence starting at M(C) ("start") the other way round.
+    """
+    return direction == ("end" if side == "left" else "start")
+
+
+def _segment(p, piece, lo, hi):
+    """The run of a piece on its positions lo..hi-1; one position is a trivial walk."""
+    walk, start = piece
+    letters = walk.letters[lo : hi - 1]
+    sub = Walk(letters) if letters else Walk(basepoint=walk_vertices(p, walk)[lo])
+    return sub, start + lo
 
 
 def side_arrows(p, walk, direction):
@@ -34,8 +53,7 @@ def side_arrows(p, walk, direction):
     kind = "hook" if direction == "start" else "cohook"
     return [
         _unique(
-            attach_candidates(p, walk, side, _outer_inverse(direction, side)),
-            f"{side} {kind}",
+            attach_candidates(p, walk, side, _outer_inverse(direction, side)), side, kind
         )
         for side in ("left", "right")
     ]
@@ -47,7 +65,7 @@ def _apply_add(p, piece, direction, side, arrow):
     cur = _attach((Letter(arrow.label, first_inverse),), piece, side)
     for _ in range(_CLIMB_CAP):
         cand = _unique(
-            attach_candidates(p, cur[0], side, inverse=not first_inverse), f"{side} climb"
+            attach_candidates(p, cur[0], side, inverse=not first_inverse), side, "climb"
         )
         if cand is None:
             return cur

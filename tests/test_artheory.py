@@ -39,6 +39,7 @@ from tests.conftest import EX3_SOURCE, KRONECKER_SOURCE, LADDER, LOOP_IN_SOURCE
 from tests.morphisms import identity_morphism, zero_morphism
 from tests.oracles import dense_maps, mesh_maps, round_trip
 from tests.oracles.split_oracle import splits
+from tests.oracles.surgery import _segment
 from tests.test_pinned_outputs import KNIT_MAP_DIGESTS, knit_map_digest
 from tests.test_stress import _band_free_algebras, _ladder_or_stress
 
@@ -963,10 +964,10 @@ def _walk_piece(name):
 @pytest.mark.parametrize("name", ["W5", "U3_3", "V3_4"])
 @pytest.mark.parametrize("inverse", [False, True], ids=["canonical", "inverse"])
 def test_a_graph_map_reads_shared_positions_at_both_extreme_offsets(name, inverse):
-    """A run of `size` positions of a walk, cut by `_segment` at offset 0 or at
-    the length difference, maps into the whole walk and the whole walk onto
-    it: position j of the run goes to position lo + j of the walk, over the
-    walk's vertex there, both ways round."""
+    """A run of `size` positions of a walk, cut by the oracle's `_segment` at
+    offset 0 or at the length difference, maps into the whole walk and the
+    whole walk onto it: position j of the run goes to position lo + j of the
+    walk, over the walk's vertex there, both ways round."""
     p, walk, resolve = _walk_piece(name)
     walk = walk.inverse() if inverse else walk
     verts = strings.walk_vertices(p, walk)
@@ -976,7 +977,7 @@ def test_a_graph_map_reads_shared_positions_at_both_extreme_offsets(name, invers
     one = field_for_characteristic(0).one()
     for size in range(1, n + 1):
         for lo in (0, n - size):
-            run = artheory._RawPiece(resolve, *artheory._segment(p, (walk, 0), lo, lo + size))
+            run = artheory._RawPiece(resolve, *_segment(p, (walk, 0), lo, lo + size))
             assert run.start == lo
             shared = [(run.coord[j], whole.coord[lo + j], verts[lo + j]) for j in range(size)]
             assert all(r[0] == w[0] == v for r, w, v in shared)
@@ -994,7 +995,7 @@ def test_a_graph_map_refuses_disjoint_and_crossing_ranges(name):
     p, walk, resolve = _walk_piece(name)
     n = len(walk.letters) + 1
     whole = artheory._RawPiece(resolve, walk, 0)
-    head = artheory._segment(p, (walk, 0), 0, 2)[0]
+    head = _segment(p, (walk, 0), 0, 2)[0]
     crossing = [(walk, 1), (walk, -1), (head, n - 1), (head, -1)]
     disjoint = [(walk, n), (walk, -n), (head, n), (head, -2), (head, 100)]
     for piece in crossing + disjoint:

@@ -196,3 +196,43 @@ def test_run_composed_composites_equal_the_joined_ones(name, char):
             paths = [(z, h) for z, h in paths if not h.is_zero()]
     assert composites and nonzero
     assert all(a.morphism._by_middle is None for a in G.arrows)
+
+
+@pytest.mark.parametrize("char", [0, 3])
+@pytest.mark.parametrize("name", NAMES)
+def test_depth_writes_a_graph_map_from_its_run(name, char, monkeypatch):
+    """`depth` writes a graph map's flat vector from its run and builds no
+    nonzeros: every map it is passed (by the witness search on the ladder,
+    then on every input each arrow map and each nonzero composite of two)
+    gets the depth of its `MorphismMatrix._adopt` copy, and a run-composed
+    composite stays unbuilt."""
+    depth, calls = RadicalTable.depth, []
+
+    def recorded(T, f, x, y):
+        built = _built(f)
+        d = depth(T, f, x, y)
+        calls.append((T, f, x, y, d))
+        assert _built(f) == built
+        return d
+
+    monkeypatch.setattr(RadicalTable, "depth", recorded)
+    field = field_for_characteristic(char)
+    if name in LADDER:
+        family, m, n = LADDER[name]
+        w = witness(make_family(family, m=m, n=n), field)
+        G, T = w.quiver, w.table
+    else:
+        [p] = _ladder_or_stress(name)
+        G = knit(p, field)
+        T = RadicalTable(G)
+    composites = []
+    for a in G.arrows:
+        T.depth(a.morphism, G.nodes[a.source], G.nodes[a.target])
+        for b in G.arrows_from(a.target):
+            h = b.morphism.compose(a.morphism)
+            if not h.is_zero():
+                composites.append(h)
+                T.depth(h, G.nodes[a.source], G.nodes[b.target])
+    assert composites and not any(_built(h) for h in composites)
+    for T, f, x, y, d in calls:
+        assert depth(T, _joined(f), x, y) == d

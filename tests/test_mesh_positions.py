@@ -21,12 +21,12 @@ from stringar.artheory import (
     _Resolver,
     _graph_map,
     _RawPiece,
-    _segment,
     _surgery,
 )
 from stringar.strings import Letter, Walk, is_string
 from tests.conftest import LADDER
 from tests.oracles import mesh_maps
+from tests.oracles.surgery import _segment
 from tests.test_stress import _ladder_or_stress
 
 NAMES = [*LADDER, *(f"S{i}" for i in range(8))]
@@ -171,3 +171,40 @@ def test_a_graph_map_between_runs_of_a_string_has_the_verdict_of_its_equations(n
         # just that end, as source (projection) or as target (inclusion)
         for projection in (True, False):
             assert {(projection, True, False, False), (projection, False, True, False)} <= verdicts
+
+
+def _composite_message(seq, spans):
+    """What `verify` says of seq with its pieces' positions [start, stop)
+    replaced by spans, its modules and maps kept."""
+    seq._spans, kept = spans, seq._spans
+    try:
+        return mesh_maps.message(seq.verify)
+    finally:
+        seq._spans = kept
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_nonempty_meet_of_a_mesh_is_caught(name):
+    """r_k l_k is the graph map on I_k = L & M_k & R, so `verify` refuses a
+    nonempty I_1 when there is one middle, and one empty and one nonempty
+    I_k when there are two.  A one-middle mesh's L and R share no position
+    (their dimensions add up to the middle's, and both lie in it), so no
+    shift of the middle alone meets both: R is moved onto L's positions,
+    which the middle holds.  A two-middle mesh of knit has I_1 = I_2
+    nonempty; moving either middle past L empties its I_k only."""
+    ones = twos = 0
+    for _, G in _quivers(name, 0):
+        for seq in G.meshes.values():
+            (l0, l1), *middle, _ = seq._spans
+            assert _composite_message(seq, seq._spans) is None
+            if len(middle) == 1:
+                spans = [(l0, l1), *middle, (l0, l1)]
+                assert _composite_message(seq, spans) == "mesh composite is not zero"
+                ones += 1
+                continue
+            for k, (m0, m1) in enumerate(middle):
+                moved = list(seq._spans)
+                moved[1 + k] = (l1, l1 + m1 - m0)
+                assert _composite_message(seq, moved) == "mesh composite is not zero"
+                twos += 1
+    assert ones and twos

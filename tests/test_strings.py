@@ -21,10 +21,11 @@ from stringar import (
     walk_to_text,
 )
 from stringar.errors import NotAStringError, UnknownLabelError
-from stringar.strings import attach_candidates, canonical_walk, walk_key
+from stringar.strings import _is_band, attach_candidates, canonical_band, canonical_walk, walk_key
 from tests.conftest import LADDER
 from tests.oracles import whole_word_strings
 from tests.test_stress import _generated_string_algebras
+from tests.test_surgery import _algebras
 
 
 def test_is_string_backtrack_not_reduced(w3):
@@ -139,30 +140,38 @@ def test_prefix_closure(w3, u22):
                 assert is_string(p, Walk(sw.walk.letters[: k + 1])).ok
 
 
-def _brute_census(p, length):
-    """Independent oracle: depth-first walk generation over raw letter tuples."""
-    letters = [Letter(a.label, inv) for a in p.quiver.arrows for inv in (False, True)]
-    found = set()
-
-    def grow(seq):
-        if len(seq) == length:
-            found.add(canonical_walk(p, Walk(seq)))
-            return
-        for l in letters:
-            cand = seq + (l,)
-            if is_string(p, Walk(cand)).ok:
-                grow(cand)
-
-    if length == 0:
-        return len(p.quiver.vertices)
-    grow(())
-    return len(found)
-
-
 @pytest.mark.parametrize("length", range(7))
 def test_census_matches_brute_force(w3, length):
-    words = enumerate_strings(w3)
-    assert sum(1 for w in words if len(w.walk) == length) == _brute_census(w3, length)
+    words, oracle = enumerate_strings(w3), whole_word_strings.enumerate_strings(w3)
+    assert sum(1 for w in words if len(w.walk) == length) == sum(1 for w in oracle if len(w) == length)
+
+
+@pytest.mark.parametrize("name", [*LADDER, "S0-S7", "generated"])
+def test_enumeration_is_the_whole_word_enumeration(name):
+    """The full ordered list `enumerate_strings` gives, unbounded and for
+    max_len 0-3, is the brute-force one: every letter tuple grown by every
+    letter and checked whole, canonicalized and sorted by `walk_key`."""
+    count = 0
+    for p in _algebras(name):
+        for max_len in (None, 0, 1, 2, 3):
+            got = [sw.walk for sw in enumerate_strings(p, max_len)]
+            assert got == whole_word_strings.enumerate_strings(p, max_len), (p, max_len)
+            count += 1
+    assert count >= 5
+
+
+def test_band_search_finds_the_bands_among_the_brute_force_strings():
+    """`find_bands` grows strings by `_grow`, as `enumerate_strings` and
+    `has_band` do: on the seeded string algebras, banded or not, its bands
+    up to 4 letters are the canonical bands among the brute-force strings."""
+    banded = 0
+    for p in _generated_string_algebras(400):
+        layers = whole_word_strings.string_layers(p, 4)
+        want = {canonical_band(p, w).letters for layer in layers for w in layer if _is_band(p, w)}
+        got = find_bands(p, 4)
+        assert [b.letters for b in got] == sorted(want, key=lambda w: walk_key(p, Walk(w)))
+        banded += bool(got)
+    assert banded > 20
 
 
 def test_find_bands_w3_empty(w3):
