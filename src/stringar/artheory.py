@@ -41,8 +41,6 @@ engine path calls it.
 
 from __future__ import annotations
 
-from operator import add
-
 from .errors import (
     BandFoundError,
     IsInjectiveError,
@@ -292,7 +290,7 @@ def _graph_map(src, dst):
         raise MeshInconsistencyError("mesh words do not nest")
     n, fs, fd = k - 1, a is not M.basis, b is not N.basis  # the run's letters; reversed
     e = j + n if fs else j  # the dst piece position of src's first module position in the run
-    run = na - i - k if fs else i, nb - 1 - e if fd else e, -1 if fs != fd else 1, k
+    run = na - i - k if fs else i, nb - 1 - e if fd else e, -1 if fs != fd and n else 1, k
     f = GraphMap(M, N, run, M.rep.field.one(), fs)
     ls, ld = src.walk.letters, dst.walk.letters
     if ls[i : i + n] != ld[j : j + n] or a[i][0] != b[j][0]:
@@ -345,11 +343,12 @@ class AlmostSplitSequence:
         (l0, l1), *middle, (r0, r1) = self._spans  # the pieces' positions [start, stop)
         if not 1 <= len(middle) <= 2:
             raise MeshInconsistencyError(f"{len(middle)} middle terms")
-        lt, rt = self.left_term.rep, self.right_term.rep
-        mids = [m.rep.dims.values() for m in self.middle]  # dims list every vertex in order
-        ends = map(add, lt.dims.values(), rt.dims.values())
-        if list(ends) != list(map(add, *mids) if mids[1:] else mids[0]):
-            raise MeshInconsistencyError("middle dimension mismatch")
+        # if starts and stops cancel, each position is in as many ends as middles, over one vertex
+        if sorted((l0, r0, *(m1 for _, m1 in middle))) != sorted((l1, r1, *(m0 for m0, _ in middle))):
+            ends, mids = (sorted(v for m in terms for v, _ in m.basis)
+                          for terms in ((self.left_term, self.right_term), self.middle))
+            if ends != mids:
+                raise MeshInconsistencyError("middle dimension mismatch")
         meets = [(max(l0, m0, r0), min(l1, m1, r1)) for m0, m1 in middle]  # I_k
         meet = meets[0][0] < meets[0][1] or meets[-1][0] < meets[-1][1]
         if meet and meets[1:] != meets[:1]:  # one middle, or two unequal I_k
@@ -365,7 +364,7 @@ class AlmostSplitSequence:
                 raise MeshInconsistencyError(what)
         if self._splits():
             raise MeshInconsistencyError("almost split sequence splits")
-        return meet and lt.field.characteristic != 2
+        return meet and self.left_term.rep.field.characteristic != 2
 
     def _splits(self):
         """An exact sequence splits iff its middle is the sum of its ends (Miyata);

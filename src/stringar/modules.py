@@ -399,7 +399,7 @@ class MorphismMatrix:
 class GraphMap(MorphismMatrix):
     """A map of string modules M -> N kept as its `run` (s, t, d, k), M, N and
     c: basis position s + i of M goes to c times t + d * i of N, i < k,
-    d = +-1; `nonzeros` is built on first read, backwards if `flip`."""
+    d = +-1 (+1 if k = 1); `nonzeros` is built on first read, backwards if `flip`."""
 
     __slots__ = ("run", "modules", "coefficient", "flip")
 
@@ -424,7 +424,8 @@ def compose_runs(f, g):
     """The run of g o f for runs f: X -> Z and g: Z -> Y, or None for zero: the
     positions [lo, hi] of Z in f's target interval and g's source interval,
     read from the end z that f reaches first.  Exact: a run's matrix is a
-    partial injection, and a product of two is the one on the intersection."""
+    partial injection, and a product of two is the one on the intersection.
+    A one-position run steps +1, so one map has one run."""
     s, t, d, k = f
     s2, t2, d2, k2 = g
     lo, hi = (t, t + k - 1) if d > 0 else (t - k + 1, t)  # f's target interval
@@ -433,7 +434,7 @@ def compose_runs(f, g):
     if lo > hi:
         return None
     z = lo if d > 0 else hi
-    return s + d * (z - t), t2 + d2 * (z - s2), d * d2, hi - lo + 1
+    return s + d * (z - t), t2 + d2 * (z - s2), d * d2 if hi > lo else 1, hi - lo + 1
 
 
 def _entries(acc, field):

@@ -1,34 +1,34 @@
 """Radical powers of the module category, depth, degrees, counting quivers.
 
-All layers live in flattened Hom coordinates per ordered node pair.  A
-band-free string algebra is representation-finite, so rad^n(X, Y) is
+A band-free string algebra is representation-finite, so rad^n(X, Y) is
 spanned by composites of at least n irreducible maps in any characteristic
-(Auslander-Reiten-Smalo, ch. V.7).  The engine spans T_m, the composites of
-m arrow maps, then folds T_m, deepest m first, with `fields.append` into one
-echelon basis per ordered pair whose rows (m, pivot, row) carry their depth
-tag m; the identity joins the diagonal last with tag 0.  rad^n is the span
-of the rows tagged n or more.
+(Auslander-Reiten-Smalo, ch. V.7).  Each arrow map of `knit` is a
+`modules.GraphMap` with its run and coefficient +-1, and `compose_runs`
+gives the run of g o f, or zero, up to sign; so T_m, the composites of m
+arrow maps, is spanned by runs.  Per node pair the table keeps each run
+with its level, the deepest m with the run in T_m; the identity, the run
+of every position, has level 0.
 
-T_m grows from either end.  `_build(x, "source")` finds the pairs (X, .)
+The runs of level n or more are a basis of rad^n(X, Y).  A run is a
+morphism (the arrow maps are checked when the table is made) on an
+interval S of positions, so a graph map M(C) ->> M(S) >-> M(D)
+(Crawley-Boevey 1989, Krause 1991; see `artheory.AlmostSplitSequence`):
+past an end of S, C's next letter points out of S and D's into it.  Two
+distinct ones share no coordinate (z_x, z'_y).  If both have one direction,
+or one has one position, one ends inside the other at a letter that must
+point out of it in C and into it in D, which the other reads alike in C
+and D; else the letters next to a shared position give C or D a
+non-reduced word such as l^-1 l.  So the runs' unit vectors, by pivot, are
+independent and in RREF; f = sum c_r r has the least level of an r with
+c_r != 0 as depth; and levels, tags and profiles do not depend on the field.
+
+T_m grows from either end: `_build(x, "source")` finds the pairs (X, .)
 with T_{m+1}(X, Y) = a o T_m(X, Z) over the arrows a: Z -> Y, and
 `_build(y, "target")` the column (., Y) with T_{m+1}(X, Y) = T_m(Z, Y) o a
-over the arrows a: X -> Z.  A build keeps each pair's levels {m: runs}
-and folds only the diagonal, whose identity check it raises; `_rows`
-folds a pair on first read.  The fold reads each T_m in RREF, which is
-canonical, so a pair's rows do not depend on the end or the order of the
-builds.  `reaches` reads levels only (proof there).  A query builds what
-it reads, once: `nilpotency` the projective sources; `profile(x, y)` x
-and those; a right degree of f: X -> Y the sources Y and X and those, a
-left one the source X, those and the columns X and Y; `_tagged` every
-source and pair.
-
-`_build` carries runs, not maps: every arrow map of `knit` is a
-`modules.GraphMap` with its `run` and coefficient 1, or -1 on r_2 of a
-mesh, and `compose_runs` gives the run of g o f, or zero, up to the
-product sign.  A sign changes no span, so T_m is the span of the unit
-vectors of its runs, which `_fold` writes; no graph-map basis theorem is
-used.  No morphism is made; the arrow maps are checked to be morphisms
-when the table is made.
+over a: X -> Z; runs have canonical keys, so the ends agree.  A query
+builds what it reads, once: `nilpotency` the projective sources;
+`profile(x, y)` x and those; a right degree of f: X -> Y the sources Y and
+X and those, a left one the source X, those and the columns X and Y.
 
 The definitional recursion (`_recursion_layers`) is kept only as the
 cross-check `layers_equal_to_span`.
@@ -36,12 +36,13 @@ cross-check `layers_equal_to_span`.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .errors import BandFoundError, MeshInconsistencyError, NotIrreducibleError
-from .fields import Mat, Subspace, append, combination, nullspace, reduce, rref
+from .fields import Mat, Subspace, combination, nullspace
 from .modules import end_radical, hom_basis  # the cross-check only
-from .modules import compose_runs, flat_offsets, hom_flat_dim, morphism_from_flat, standard_word
+from .modules import GraphMap, compose_runs, flat_offsets, hom_flat_dim, morphism_from_flat, standard_word
 from .strings import (
     Letter,
     Walk,
@@ -57,16 +58,11 @@ from .strings import (
 ZERO_DEPTH = math.inf  # the zero morphism sits below every radical layer
 
 
-def _flat_runs(M, N, flat, runs, c):
-    """`flatten()` of the graph map M -> N of each run, with coefficient c;
-    flat is `flat_offsets(M.rep, N.rep)`."""
-    (offsets, size), dims, out = flat, M.rep.dims, []
-    for s, t, d, k in runs:
-        out.append([0] * size)
-        for i in range(k):
-            (v, j), (_, r) = M.basis[s + i], N.basis[t + d * i]
-            out[-1][offsets[v] + r * dims[v] + j] = c
-    return out
+def _cells(M, N, offsets, run):
+    """The flat indices where the graph map M -> N of a run is 1."""
+    s, t, d, k = run
+    return [offsets[v] + N.basis[t + d * i][1] * M.rep.dims[v] + j
+            for i, (v, j) in enumerate(M.basis[s : s + k])]
 
 
 class RadicalProfile:
@@ -124,18 +120,15 @@ class Degree:
 
 
 class RadicalTable:
-    """All radical layers of a knitted AR quiver, one depth-tagged basis per pair.
-
-    A query builds the source x, the pairs (x, .), or the column y, the
-    pairs (., y), when it first reads a pair of it; `_rows(x, y)` reads a
-    built column y, else builds the source x.
-    """
+    """All radical layers of a knitted AR quiver: each pair's runs with their
+    levels, built by source or column when a query first reads them."""
 
     def __init__(self, quiver):
         self.quiver = quiver
         self.field = quiver.field
         self.nodes = nodes = quiver.nodes
-        self._pairs = {}  # (source, target index) -> {m: runs}, once read [(tag, pivot, row)]
+        self._pairs = {}  # (source, target index) -> {run: its deepest level}
+        self._owners = {}  # read pair -> {flat index: the run that sets it}
         self._levels = {}  # built source index -> its number of nonzero T_m
         self._columns = set()  # built target (column) indices
         self._nilpotency = None  # set once the projective sources are built
@@ -149,7 +142,7 @@ class RadicalTable:
             return MeshInconsistencyError(text)
 
         for a in quiver.arrows:
-            # every row is then a composite of morphisms, which depth() relies on
+            # every run is then a morphism, which depth() relies on
             if not a.morphism.check_intertwining():
                 raise refuse(a, "is not a morphism")
             if a.morphism.run is None:
@@ -160,56 +153,35 @@ class RadicalTable:
     # -- construction ------------------------------------------------------
 
     def _build(self, ci, side):
-        """Keep the levels of every pair (c, .) (side "source") or (., c) (side
-        "target"), c the node of index ci, as the module docstring says.
-
-        Raises before storing anything, so a failed build stays unbuilt.
-        """
+        """Keep the runs of every pair (c, .) (side "source") or (., c) (side
+        "target"), c the node of index ci, with their levels; raises before
+        storing anything, so a failed build stays unbuilt."""
         source = side == "source"
         step = self._out if source else self._in
         runs = {}
         for zi, a in step[ci]:
             runs.setdefault(zi, set()).add(a)
-        pairs, m = {}, 0  # pair -> {m: runs of the nonzero composites of m arrow maps}
+        pairs, m = {(ci, ci): {}}, 0  # pair -> {run: its last, so deepest, m}
         while runs:
             m += 1
             if m > self._limit:
                 raise MeshInconsistencyError("radical filtration does not terminate")
             nxt = {}
             for zi, level in runs.items():
-                pairs.setdefault((ci, zi) if source else (zi, ci), {})[m] = level
+                pairs.setdefault((ci, zi) if source else (zi, ci), {}).update(dict.fromkeys(level, m))
                 for yi, a in step[zi]:
                     for r in level:
                         c = compose_runs(r, a) if source else compose_runs(a, r)
                         if c:
                             nxt.setdefault(yi, set()).add(c)
             runs = nxt
-        self._pairs[ci, ci] = self._fold((ci, ci), pairs.pop((ci, ci), {}))
+        pairs[ci, ci][0, 0, 1, self.nodes[ci].module.total_dim] = 0  # the identity
         for key, levels in pairs.items():
             self._pairs.setdefault(key, levels)
         if source:
             self._levels[ci] = m
         else:
             self._columns.add(ci)
-
-    def _fold(self, key, levels):
-        """The rows of the pair key from its levels (module docstring); the
-        diagonal's identity must not be spanned."""
-        (xi, yi), field = key, self.field
-        M, N = self.nodes[xi].module, self.nodes[yi].module
-        flat, one = flat_offsets(M.rep, N.rep), field.one()
-        rows = []
-        for m in sorted(levels, reverse=True):
-            pivots, level = rref(_flat_runs(M, N, flat, levels[m], one), field)
-            if not rows:  # the deepest level: RREF with unit pivots, as `append` keeps it
-                rows = [(m, p, r) for p, r in zip(pivots, level)]
-            else:
-                for r in level:
-                    append(field, rows, r, m)
-        identity = xi == yi and _flat_runs(M, N, flat, [(0, 0, 1, M.total_dim)], one)
-        if identity and not append(field, rows, *identity, 0):
-            raise MeshInconsistencyError(f"the identity of {self.nodes[xi].text} lies in the radical")
-        return rows
 
     @property
     def nilpotency(self):
@@ -227,14 +199,12 @@ class RadicalTable:
             self._nilpotency = max(levels, default=0) + 1
         return self._nilpotency
 
-    @property
+    @functools.cached_property
     def _tagged(self):
-        """(source index, target index) -> [(tag, pivot, row)], all folded."""
+        """(source index, target index) -> its `_rows`, every source built."""
         for x in self.nodes:
             self._level(x.index)
-        for xi, yi in list(self._pairs):
-            self._rows(xi, yi)
-        return self._pairs
+        return {key: self._rows(*key) for key in self._pairs}
 
     def _level(self, xi):
         """The number of nonzero T_m(x, .), source xi built first."""
@@ -249,87 +219,105 @@ class RadicalTable:
 
     # -- queries -----------------------------------------------------------
 
-    def _rows(self, xi, yi, fold=True):
-        """The rows of (xi, yi), folded on first read unless fold=False, from
-        column yi if built, else source xi, built first."""
+    def _runs(self, xi, yi):
+        """{run: level} of (xi, yi), from column yi if built, else source xi, built first."""
         if yi not in self._columns:
             self._level(xi)
-        kept = self._pairs.get((xi, yi), ())
-        if fold and type(kept) is dict:
-            kept = self._pairs[xi, yi] = self._fold((xi, yi), kept)
-        return kept
+        return self._pairs.get((xi, yi), {})
+
+    def _owner(self, xi, yi):
+        """{flat index: the run of (xi, yi) that sets it}, made on first read;
+        raises if two runs share one, as no sound table has."""
+        owner = self._owners.get((xi, yi))
+        if owner is None:
+            levels, owner, (x, y) = self._runs(xi, yi), {}, (self.nodes[xi], self.nodes[yi])
+            offsets, _ = flat_offsets(x.module.rep, y.module.rep)
+            for run in levels:
+                for c in _cells(x.module, y.module, offsets, run):
+                    other = owner.setdefault(c, run)
+                    if other != run:
+                        text = f"{x.text} -> {y.text}: runs {other} and {run} share an entry"
+                        if 0 in (levels[run], levels[other]):
+                            text = f"the identity of {x.text} lies in the radical"
+                        raise MeshInconsistencyError(text)
+            self._owners[xi, yi] = owner
+        return owner
+
+    def _rows(self, xi, yi):
+        """The rows (level, pivot, unit vector) of the runs of (xi, yi), deepest
+        level first, then by pivot: each layer's RREF basis."""
+        M, N, rows = self.nodes[xi].module, self.nodes[yi].module, []
+        offsets, size = flat_offsets(M.rep, N.rep)
+        for run, m in self._runs(xi, yi).items():
+            row, cells = [0] * size, _cells(M, N, offsets, run)
+            for c in cells:
+                row[c] = 1
+            rows.append((m, min(cells), row))
+        return sorted(rows, key=lambda row: (-row[0], row[1]))
 
     def reaches(self, xi, yi, n=0):
         """True when rad^n(x, y) != 0 for node indices xi, yi; n=0 asks
-        Hom(x, y) != 0; it folds nothing.
-
-        rad^n(x, y), the span of the rows tagged n or more, is nonzero iff
-        the largest tag is n or more.  `_fold` starts with the RREF of the
-        deepest level m, nonzero as `compose_runs` keeps only runs of k >= 1
-        positions.  So a folded pair's first row, and an unfolded pair's
-        deepest level, carry its largest tag.
-        """
-        kept = self._rows(xi, yi, fold=False)
-        return bool(kept) and (max(kept) if type(kept) is dict else kept[0][0]) >= n
+        Hom(x, y) != 0.  Its basis is the runs of level n or more."""
+        levels = self._runs(xi, yi)
+        return bool(levels) and max(levels.values()) >= n
 
     def tags(self, xi, yi, among):
-        """The tags in among of the pair (xi, yi): the depths in among that a
-        nonzero map x -> y can have.  A pair whose y ends no AR-quiver path
-        from x of a length in among (0 counts when x = y) answers the empty
-        set with no source built.
+        """The levels in among of the pair (xi, yi), which are the depths in among
+        of its nonzero maps.  A pair whose y ends no AR-quiver path from x of a
+        length in among (0 counts when x = y) answers the empty set with no
+        source built.
 
-        A map is one combination of the pair's rows, which `depth` reads off
-        deepest tag first; its depth is the tag of the last row used.  So
-        `depth` returns one of the pair's tags, or ZERO_DEPTH for the zero map.
-
-        The path test loses no tag.  Tag 0 is the identity's, on the diagonal
-        only.  `_build` tags a row m > 0 only where T_m(x, y) != 0, and
-        T_m(x, y) is spanned by composites of m arrow maps: T_1(x, y) by the
-        arrow maps x -> y, T_{m+1}(x, y) by a o T_m(x, z) over the arrows
-        a: z -> y (or T_m(z, y) o a over a: x -> z, from the other end).  By
-        induction on m, T_m(x, y) != 0 only if the AR quiver has a path of m
-        arrows from x to y.  So every tag is 0 with x = y or the length of a
-        path from x to y, and y ends none of length in among only when the
-        pair has no tag in among.
+        The path test loses no level.  Level 0 is the identity's, on the
+        diagonal only.  A run has level m > 0 only if it lies in T_m(x, y),
+        spanned by composites of m arrow maps: T_1(x, y) by the arrow maps
+        x -> y, T_{m+1}(x, y) by a o T_m(x, z) over the arrows a: z -> y (or
+        T_m(z, y) o a over a: x -> z).  By induction, T_m(x, y) != 0 only if
+        the AR quiver has a path of m arrows from x to y.
         """
         ends = self.quiver.reach(xi, max(among))  # ends[m]: the nodes m arrows from x
         if not any(yi in ends[m] for m in among):
             return set()
-        return {t for t, _, _ in self._rows(xi, yi) if t in among}
+        return {t for t in self._runs(xi, yi).values() if t in among}
 
     def _deep_rows(self, x, y, n):
         return [row for t, _, row in self._rows(x.index, y.index) if t >= n]
 
     def layer(self, x, y, n):
-        """rad^n(x, y) as a Subspace: the span of the rows tagged n or more."""
+        """rad^n(x, y) as a Subspace: the span of the rows of level n or more."""
         return Subspace(self.field, hom_flat_dim(x.module.rep, y.module.rep), self._deep_rows(x, y, n))
 
     def profile(self, x, y):
-        tags = [t for t, _, _ in self._rows(x.index, y.index)]
-        dims = [sum(1 for t in tags if t >= n) for n in range(self.nilpotency + 1)]
+        levels = self._runs(x.index, y.index).values()
+        dims = [sum(1 for t in levels if t >= n) for n in range(self.nilpotency + 1)]
         return RadicalProfile(self, x, y, dims)
 
     def depth(self, f, source, target):
-        """Largest n with f: source -> target in rad^n; ZERO_DEPTH for the zero morphism.
-
-        Every row of the table is a morphism (the arrow maps are checked at
-        construction) and the rows span Hom(source, target), so f reduces to
-        zero exactly when it is a morphism; the intertwining check runs only on
-        a nonzero residue.  f must be a map between the nodes' modules, else
-        this raises ValueError before any reduce.
-        """
+        """Largest n with f: source -> target in rad^n, the least level of its
+        `_terms`; ZERO_DEPTH for the zero morphism.  Raises ValueError before
+        the table is read if f is not a map between the nodes' modules."""
         if f.source is not source.module.rep or f.target is not target.module.rep:
             raise ValueError(f"not a map {source.text} -> {target.text}")
-        vec = f.flatten() if f.run is None else _flat_runs(  # a graph map's nonzeros stay unbuilt
-            *f.modules, flat_offsets(f.source, f.target), [f.run], f.coefficient)[0]
-        if not any(vec):
-            return ZERO_DEPTH
-        rest, d = reduce(self._rows(source.index, target.index), vec, self.field.characteristic)
-        if any(rest):
-            if not f.check_intertwining():
-                raise MeshInconsistencyError("depth of a non-morphism")
-            raise MeshInconsistencyError(f"{source.text} -> {target.text}: morphism outside the table")
-        return d
+        terms, levels = self._terms(f, source, target), self._pairs.get((source.index, target.index))
+        return min((levels[r] for r in terms), default=ZERO_DEPTH)
+
+    def _terms(self, f, x, y):
+        """f: x -> y as {run: nonzero coefficient}, each flat nonzero read at the
+        run that owns it.  The runs span Hom(x, y): f is a morphism iff every
+        nonzero is owned and fills its run with one coefficient."""
+        if f.run is not None and f.run in self._runs(x.index, y.index):
+            return {f.run: f.coefficient}
+        vec, char = f.flatten(), self.field.characteristic
+        terms, cells = {}, [(c, a) for c, a in enumerate([a % char for a in vec] if char else vec) if a]
+        owner = cells and self._owner(x.index, y.index)
+        for c, a in cells:
+            if terms.setdefault(owner.get(c), a) != a:
+                break
+        else:
+            if None not in terms and sum(run[3] for run in terms) == len(cells):
+                return terms
+        if not f.check_intertwining():
+            raise MeshInconsistencyError("depth of a non-morphism")
+        raise MeshInconsistencyError(f"{x.text} -> {y.text}: morphism outside the table")
 
     def degree(self, f, side, source, target, bound=None):
         """Least m such that composing with f: X -> Y (the nodes source and
@@ -364,25 +352,26 @@ class RadicalTable:
         f o g (left) or g o f (right) in rad^{m+2}; None if there is none.
 
         f is in rad, so it sends rad^{m+1} into rad^{m+2}: g works exactly
-        when its part on the rows tagged m does.  Those rows are independent
-        modulo rad^{m+1}, so every nonzero combination of them lies outside
-        it, and the witness is the first one whose composite reduces to zero
-        against the rows tagged m+2 or more.
+        when its part on the runs of level m does, and each nonzero combination
+        of those lies outside rad^{m+1}.  The witness is the first kernel vector
+        of their composites' terms below level m + 2.
         """
         src, mid = (z, x) if left else (y, z)
-        rows = [row for t, _, row in self._rows(src.index, mid.index) if t == m]
-        if not rows:
+        if m not in self._runs(src.index, mid.index).values():
             return None
-        far_pair = (z.index, y.index) if left else (x.index, z.index)
-        far = [r for r in self._rows(*far_pair) if r[0] >= m + 2]  # a prefix: deepest first
-        field, src_rep, mid_rep = self.field, src.module.rep, mid.module.rep
-        morphs = [morphism_from_flat(src_rep, mid_rep, v) for v in rows]
-        composites = [(f.compose(g) if left else g.compose(f)).flatten() for g in morphs]
-        residues = [reduce(far, h, field.characteristic)[0] for h in composites]
-        kernel = nullspace(Mat(field, zip(*residues), len(rows)))
+        rows = [(p, row) for t, p, row in self._rows(src.index, mid.index) if t == m]
+        far, owner = ((z, y) if left else (x, z)), self._owner(src.index, mid.index)
+        levels, shallow = self._runs(far[0].index, far[1].index), []
+        for p, _ in rows:
+            g = GraphMap(src.module, mid.module, owner[p], 1, False)
+            terms = self._terms(f.compose(g) if left else g.compose(f), *far)
+            shallow.append({r: c for r, c in terms.items() if levels[r] < m + 2})
+        keys = dict.fromkeys(r for terms in shallow for r in terms)
+        kernel = nullspace(Mat(self.field, [[terms.get(r, 0) for terms in shallow] for r in keys], len(rows)))
         if not kernel:
             return None
-        return morphism_from_flat(src_rep, mid_rep, combination(field, kernel[0], rows))
+        flat = combination(self.field, kernel[0], [row for _, row in rows])
+        return morphism_from_flat(src.module.rep, mid.module.rep, flat)
 
     # -- definitional-recursion cross-check ------------------------------
 

@@ -1,25 +1,26 @@
 """What the engine builds only when it is read, against eager oracles.
 
-A radical-table build keeps each pair's run levels and folds only its
-diagonal; `_rows` folds a pair on its first read, and `reaches` answers from
-the levels.  A graph map of `knit` keeps its run and builds its nonzeros on
-first read, two graph maps compose by intersecting their runs, and a string
-module builds its letter nonzeros on first read.  Each is compared here
-with the eager form: a table folded in full, the nonzeros `_graph_map` and
-`realize` wrote when they made a map or a module, and the composite that
-joins nonzeros (`MorphismMatrix._adopt` maps, which carry no run).
+A radical-table build keeps each pair's runs with their levels and writes
+no row; `reaches`, `tags`, `profile` and `depth` read the levels, and no
+query eliminates.  A graph map of `knit` keeps its run and builds its
+nonzeros on first read, two graph maps compose by intersecting their runs,
+and a string module builds its letter nonzeros on first read.  Each is
+compared here with the eager form: the old per-level fold of a table, the
+nonzeros `_graph_map` and `realize` wrote when they made a map or a module,
+and the composite that joins nonzeros (`MorphismMatrix._adopt` maps, which
+carry no run).
 """
 
 import functools
 
 import pytest
 
-from stringar import artheory, field_for_characteristic, knit, radical, witness
+from stringar import artheory, field_for_characteristic, fields, knit, witness
 from stringar.families import make_family
 from stringar.modules import GraphMap, MorphismMatrix, Representation
-from stringar.radical import RadicalTable
+from stringar.radical import ZERO_DEPTH, RadicalTable
 from tests.conftest import LADDER
-from tests.oracles import dense_maps
+from tests.oracles import dense_maps, fold
 from tests.test_stress import _ladder_or_stress
 
 NAMES = [*LADDER, *(f"S{i}" for i in range(8))]
@@ -55,33 +56,41 @@ def _joined(f):
     return MorphismMatrix._adopt(f.source, f.target, list(f.nonzeros))
 
 
-# --- the radical table: a pair is folded when it is first read -------------
+# --- the radical table: runs and levels, no elimination ----------------------
+
+
+@pytest.fixture
+def no_elimination(monkeypatch):
+    """Make every call of `fields.rref`, `append` or `reduce` fail; `Subspace`,
+    `nullspace` and `entry_rank` reach them there."""
+    for name in ("rref", "append", "reduce"):
+        monkeypatch.setattr(fields, name, lambda *args, name=name: pytest.fail(f"{name} called"))
 
 
 @pytest.mark.parametrize("name", NAMES)
-def test_a_build_folds_only_its_diagonal(name, monkeypatch):
-    """Building a source, or a column, folds the pair (c, c) and keeps every
-    other pair it finds as its levels {m: runs}."""
+def test_a_build_keeps_each_pair_as_its_run_levels(name, no_elimination):
+    """Building a source, or a column, keeps every pair it finds as a dict
+    {run: level}, the identity at level 0 on the diagonal alone; it writes no
+    row and makes no entry owner map."""
     G = _quiver(name, 0)
-    folded, fold = [], RadicalTable._fold
-    monkeypatch.setattr(RadicalTable, "_fold", lambda T, key, levels: folded.append(key) or fold(T, key, levels))
     for side in ("source", "target"):
         T = RadicalTable(G)
         for c in G.nodes:
-            folded.clear()
             T._level(c.index) if side == "source" else T._column(c.index)
-            assert folded == [(c.index, c.index)]
-        assert all((type(kept) is list) == (x == y) for (x, y), kept in T._pairs.items())
-        assert any(type(kept) is dict for kept in T._pairs.values())
+            assert T._pairs[c.index, c.index][0, 0, 1, c.module.total_dim] == 0
+        for (x, y), kept in T._pairs.items():
+            assert type(kept) is dict and all(type(m) is int for m in kept.values())
+            assert (0 in kept.values()) == (x == y) and list(kept.values()).count(0) <= 1
+        assert T._owners == {}
 
 
 @pytest.mark.parametrize("char", CHARS)
 @pytest.mark.parametrize("name", NAMES)
-def test_reaches_reads_the_levels_as_the_folded_rows(name, char):
-    """For every pair and every n, `reaches` on the levels answers as the first
-    row of the table folded in full, and it folds nothing."""
+def test_reaches_reads_the_levels_as_the_oracle_rows(name, char):
+    """For every pair and every n, `reaches` answers as the first row of the
+    old per-level fold, and it writes no row and makes no owner map."""
     G = _quiver(name, char)
-    complete = RadicalTable(G)._tagged
+    complete = fold.table(G)
     T = RadicalTable(G)
     top = max(rows[0][0] for rows in complete.values()) + 1
     for x in G.nodes:
@@ -89,33 +98,28 @@ def test_reaches_reads_the_levels_as_the_folded_rows(name, char):
             rows = complete.get((x.index, y.index), ())
             for n in range(top + 1):
                 assert T.reaches(x.index, y.index, n) == (bool(rows) and rows[0][0] >= n)
-    assert all(type(kept) is dict for (x, y), kept in T._pairs.items() if x != y)
+    assert T._owners == {}
 
 
 @pytest.mark.parametrize("name", sorted(LADDER))
-def test_a_witness_folds_at_most_the_pairs_that_depth_reads(name, monkeypatch):
-    """A ladder witness folds the diagonals its builds fold and the pairs that
-    `depth` reads, no other; each fold runs `rref` once per level, so the
-    `rref` calls are the levels of those pairs, fewer than a full fold makes."""
+def test_a_witness_and_the_level_queries_eliminate_nothing(name, no_elimination):
+    """A ladder witness calls no `rref`, `append` or `reduce`, and makes an
+    owner map only for pairs that `depth` reads.  On its quiver, `depth` of
+    each arrow map and of its `MorphismMatrix._adopt` copy, and `tags`,
+    `reaches` and `profile` of every pair, call none either."""
     family, m, n = LADDER[name]
-    read, folds, rrefs = set(), [], [0]
-    depth, fold, rref = RadicalTable.depth, RadicalTable._fold, radical.rref
-
-    def counted(vectors, field):
-        rrefs[0] += 1
-        return rref(vectors, field)
-
-    monkeypatch.setattr(radical, "rref", counted)
-    monkeypatch.setattr(RadicalTable, "depth", lambda T, f, x, y: read.add((x.index, y.index)) or depth(T, f, x, y))
-    monkeypatch.setattr(RadicalTable, "_fold", lambda T, key, levels: folds.append((key, len(levels))) or fold(T, key, levels))
-    w = witness(make_family(family, m=m, n=n))
-    off_diagonal = {key for key, _ in folds if key[0] != key[1]}
-    assert read and off_diagonal <= read
-    assert rrefs[0] == sum(levels for _, levels in folds)
-    assert {key for key, kept in w.table._pairs.items() if type(kept) is list} == {key for key, _ in folds}
-    lazy, rrefs[0] = rrefs[0], 0
-    RadicalTable(w.quiver)._tagged
-    assert lazy < rrefs[0]
+    read, depth = set(), RadicalTable.depth
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RadicalTable, "depth", lambda T, f, x, y: read.add((x.index, y.index)) or depth(T, f, x, y))
+        w = witness(make_family(family, m=m, n=n))
+    assert read and set(w.table._owners) <= read
+    G, T = w.quiver, RadicalTable(w.quiver)
+    for a in G.arrows:
+        x, y = G.nodes[a.source], G.nodes[a.target]
+        assert T.depth(a.morphism, x, y) == T.depth(_joined(a.morphism), x, y) == 1
+    for x in G.nodes:
+        for y in G.nodes:
+            T.tags(x.index, y.index, (4, 5, 6)), T.reaches(x.index, y.index, 2), T.profile(x, y)
 
 
 # --- graph maps and string modules: built on first read ----------------------
@@ -200,12 +204,12 @@ def test_run_composed_composites_equal_the_joined_ones(name, char):
 
 @pytest.mark.parametrize("char", [0, 3])
 @pytest.mark.parametrize("name", NAMES)
-def test_depth_writes_a_graph_map_from_its_run(name, char, monkeypatch):
-    """`depth` writes a graph map's flat vector from its run and builds no
-    nonzeros: every map it is passed (by the witness search on the ladder,
-    then on every input each arrow map and each nonzero composite of two)
-    gets the depth of its `MorphismMatrix._adopt` copy, and a run-composed
-    composite stays unbuilt."""
+def test_depth_reads_a_graph_map_at_its_run(name, char, monkeypatch):
+    """`depth` reads a graph map's level at its run and builds no nonzeros:
+    every map it is passed (by the witness search on the ladder, then on
+    every input each arrow map and each nonzero composite of two) gets the
+    depth that reducing it against the old fold's rows gives, and that of
+    its `MorphismMatrix._adopt` copy; a run-composed composite stays unbuilt."""
     depth, calls = RadicalTable.depth, []
 
     def recorded(T, f, x, y):
@@ -234,5 +238,7 @@ def test_depth_writes_a_graph_map_from_its_run(name, char, monkeypatch):
                 composites.append(h)
                 T.depth(h, G.nodes[a.source], G.nodes[b.target])
     assert composites and not any(_built(h) for h in composites)
+    rows = fold.table(G)
     for T, f, x, y, d in calls:
+        assert fold.depth(rows.get((x.index, y.index), []), f, char) == (None if d == ZERO_DEPTH else d)
         assert depth(T, _joined(f), x, y) == d

@@ -173,6 +173,28 @@ def test_a_graph_map_between_runs_of_a_string_has_the_verdict_of_its_equations(n
             assert {(projection, True, False, False), (projection, False, True, False)} <= verdicts
 
 
+@pytest.mark.parametrize("name", NAMES)
+def test_the_dimension_check_counts_positions_before_vertices(name):
+    """Each mesh of knit covers every position as often by its ends as by its
+    middles, which `verify` reads off the starts and stops, counting no
+    vertex.  A middle whose positions and module are the left end's does
+    not, and its own vertices, too few by the right end's, raise the
+    dimension mismatch."""
+    meshes = 0
+    for _, G in _quivers(name, 0):
+        for seq in G.meshes.values():
+            (l0, l1), *middle, (r0, r1) = seq._spans
+            assert sorted((l0, r0, *(m1 for _, m1 in middle))) == sorted((l1, r1, *(m0 for m0, _ in middle)))
+            kept = seq.middle, seq._spans
+            seq.middle, seq._spans = [seq.left_term], [(l0, l1), (l0, l1), (r0, r1)]
+            try:
+                assert mesh_maps.message(seq.verify) == "middle dimension mismatch"
+            finally:
+                seq.middle, seq._spans = kept
+            meshes += 1
+    assert meshes
+
+
 def _composite_message(seq, spans):
     """What `verify` says of seq with its pieces' positions [start, stop)
     replaced by spans, its modules and maps kept."""

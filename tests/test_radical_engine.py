@@ -30,7 +30,7 @@ from stringar.modules import MorphismMatrix
 from stringar.radical import ZERO_DEPTH, RadicalTable
 from tests.conftest import LADDER
 from tests.morphisms import identity_morphism
-from tests.oracles import dense_maps, gauss_jordan
+from tests.oracles import dense_maps, fold, gauss_jordan
 from tests.test_stress import _band_free_algebras, _ladder_or_stress, random_presentations
 
 FAMILIES = {"W3": ("W", None, 3), "U2_2": ("U", 2, 2), "V2_3": ("V", 2, 3)}
@@ -157,7 +157,7 @@ def test_engine_solves_no_hom_space(monkeypatch):
 def test_table_build_builds_no_composite_morphism(monkeypatch, char):
     """The table composes the arrow maps' runs: no MorphismMatrix.compose, no
     morphism_from_flat and no MorphismMatrix.flatten while its sources and
-    columns are built; flat vectors are written when a pair is folded.  What
+    columns are built; flat vectors are written when a pair's rows are.  What
     it builds is pinned by the digests of test_pinned_outputs."""
     G = knit(_spec("V2_3").presentation, field_for_characteristic(char))
 
@@ -188,9 +188,9 @@ def test_recursion_equals_span_over_prime_fields(name, char):
 def test_cross_check_sees_a_wrong_tag():
     T = RadicalTable(knit(_spec("W3").presentation))
     assert T.layers_equal_to_span()
-    rows = next(rows for rows in T._tagged.values() if rows[0][0] > 1)
-    tag, pivot, row = rows[0]
-    rows[0] = (tag - 1, pivot, row)
+    levels = next(levels for levels in T._pairs.values() if max(levels.values()) > 1)
+    run = max(levels, key=levels.get)
+    levels[run] -= 1
     assert not T.layers_equal_to_span()
 
 
@@ -242,9 +242,10 @@ def test_depth_rejects_a_non_morphism():
 
 def test_depth_rejects_the_nodes_of_another_pair(monkeypatch):
     """Each arrow map of W(3) read with the nodes of another arrow raises
-    ValueError before any reduce, from `depth` and from `degree` through it."""
+    ValueError before the table is read, from `depth` and from `degree`
+    through it."""
     T = _table("W3", 0)
-    monkeypatch.setattr(radical, "reduce", None)  # any reduce fails with TypeError
+    monkeypatch.setattr(RadicalTable, "_terms", None)  # any read fails with TypeError
     arrows = T.quiver.arrows
     pairs = [(a, b) for a in arrows for b in arrows if (a.source, a.target) != (b.source, b.target)]
     assert len(pairs) == 240
@@ -383,35 +384,25 @@ def test_a_left_degree_builds_the_columns_of_its_ends(monkeypatch, char):
             assert (d.value, d.witness_node, d.witness) == (e.value, e.witness_node, e.witness)
 
 
-def test_errors_of_a_source_raise_from_the_query_that_builds_it(monkeypatch):
-    """The filtration limit and the identity check run per source and per
-    column: a query that reads one raises them, and it stays unbuilt.  A left
-    degree builds its columns after the sources that depth and nilpotency read."""
+def test_errors_of_a_source_raise_from_the_query_that_builds_it():
+    """The filtration limit runs per source and per column: a query that
+    reads one raises it, and it stays unbuilt.  A left degree builds its
+    columns after the sources that depth and nilpotency read.  (The identity
+    check reads a diagonal's entries: `test_graph_map_table`.)"""
     G = knit(_spec("W3").presentation)
     T = RadicalTable(G)
     a = G.arrows[0]
     f, x, y = a.morphism, G.nodes[a.source], G.nodes[a.target]
-    limit, T._limit = T._limit, 0
+    T._limit = 0
     with pytest.raises(MeshInconsistencyError, match="radical filtration does not terminate"):
         T.reaches(x.index, x.index)
     assert x.index not in T._levels and T._pairs == {}
-    message = re.escape(f"the identity of {x.text} lies in the radical")
-    for cut, patch, error in ((0, False, "radical filtration does not terminate"),
-                              (limit, True, message)):
-        T = RadicalTable(G)
-        T.depth(f, x, y), T.nilpotency
-        T._limit, kept = cut, dict(T._pairs)
-        with monkeypatch.context() as m:
-            if patch:
-                m.setattr(radical, "append", lambda field, rows, vec, tag: bool(tag))
-            with pytest.raises(MeshInconsistencyError, match=error):
-                T.degree(f, "left", source=x, target=y)
-        assert T._columns == set() and T._pairs == kept
     T = RadicalTable(G)
-    monkeypatch.setattr(radical, "append", lambda field, rows, vec, tag: bool(tag))
-    with pytest.raises(MeshInconsistencyError, match=message):
-        T.depth(f, x, y)
-    assert T._levels == {} and T._pairs == {}
+    T.depth(f, x, y), T.nilpotency
+    T._limit, kept = 0, dict(T._pairs)
+    with pytest.raises(MeshInconsistencyError, match="radical filtration does not terminate"):
+        T.degree(f, "left", source=x, target=y)
+    assert T._columns == set() and T._pairs == kept
 
 
 def test_the_table_checks_only_the_arrows_that_knit_left_unchecked(monkeypatch):
@@ -436,23 +427,24 @@ def test_the_table_checks_only_the_arrows_that_knit_left_unchecked(monkeypatch):
 @pytest.mark.parametrize("char", [0, 3])
 def test_level_rows_are_the_rref_of_their_span(char):
     """Two independent vectors leave two echelon rows that are not yet reduced,
-    so the level builder's `rref` must clear above each pivot to give the
-    Gauss-Jordan RREF; one vector is only scaled."""
+    so the old fold's level `rref` (`tests/oracles/fold.py`) must clear above
+    each pivot to give the Gauss-Jordan RREF; one vector is only scaled."""
     field = field_for_characteristic(char)
     vecs = [[2, 4, 1, 0], [1, 1, 1, 1]]
     cases = [vecs, vecs + [[3, 5, 2, 1]], [[0, 2, 0, 0], [0, 1, 0, 0]], [[0, 2, 1, 0]],
              [[0, 0, 0, 0]]]
-    spans = [radical.rref(case, field) for case in cases]
+    spans = [fold.rref(case, field) for case in cases]
     assert spans == [gauss_jordan.rref([list(v) for v in case], field) for case in cases]
     assert spans[1] == spans[0] and spans[2] == ([1], [[0, 1, 0, 0]]) and spans[4] == ([], [])
 
 
 @pytest.mark.parametrize("char", [0, 2, 3])
 def test_knitted_levels_of_two_rows_are_rref(monkeypatch, char):
-    """S3 has levels T_m(x, y) of dimension 2: each level the table keeps is
-    the RREF basis of its span, as Gauss-Jordan gives it."""
+    """S3 has levels T_m(x, y) of dimension 2: each level the old fold
+    (`tests/oracles/fold.py`) puts in RREF is the RREF basis of its span, as
+    Gauss-Jordan gives it."""
     field = field_for_characteristic(char)
-    span = radical.rref
+    span = fold.rref
     dims = []
 
     def checked(vecs, field):
@@ -461,8 +453,8 @@ def test_knitted_levels_of_two_rows_are_rref(monkeypatch, char):
         dims.append(len(rows))
         return pivots, rows
 
-    monkeypatch.setattr(radical, "rref", checked)
-    assert RadicalTable(knit(_band_free_algebras()[3], field))._tagged  # builds every source
+    monkeypatch.setattr(fold, "rref", checked)
+    assert fold.table(knit(_band_free_algebras()[3], field))
     assert max(dims) >= 2
 
 
