@@ -41,6 +41,8 @@ engine path calls it.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .errors import (
     BandFoundError,
     IsInjectiveError,
@@ -343,9 +345,11 @@ class AlmostSplitSequence:
         (l0, l1), *middle, (r0, r1) = self._spans  # the pieces' positions [start, stop)
         if not 1 <= len(middle) <= 2:
             raise MeshInconsistencyError(f"{len(middle)} middle terms")
-        # if starts and stops cancel, each position is in as many ends as middles, over one vertex
-        if sorted((l0, r0, *(m1 for _, m1 in middle))) != sorted((l1, r1, *(m0 for m0, _ in middle))):
-            ends, mids = (sorted(v for m in terms for v, _ in m.basis)
+        # nested pieces agree at shared positions (`_graph_map`), so cancelling
+        # starts and stops put each vertex as often in the ends as in the middles
+        m0s, m1s = zip(*middle)
+        if sorted((l0, r0, *m1s)) != sorted((l1, r1, *m0s)):
+            ends, mids = (Counter(v for m in terms for v, _ in m.basis)
                           for terms in ((self.left_term, self.right_term), self.middle))
             if ends != mids:
                 raise MeshInconsistencyError("middle dimension mismatch")

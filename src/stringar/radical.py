@@ -36,11 +36,10 @@ cross-check `layers_equal_to_span`.
 
 from __future__ import annotations
 
-import functools
 import math
 
 from .errors import BandFoundError, MeshInconsistencyError, NotIrreducibleError
-from .fields import Mat, Subspace, combination, nullspace
+from .fields import Mat, Subspace, nullspace
 from .modules import end_radical, hom_basis  # the cross-check only
 from .modules import GraphMap, compose_runs, flat_offsets, hom_flat_dim, morphism_from_flat, standard_word
 from .strings import (
@@ -154,8 +153,9 @@ class RadicalTable:
 
     def _build(self, ci, side):
         """Keep the runs of every pair (c, .) (side "source") or (., c) (side
-        "target"), c the node of index ci, with their levels; raises before
-        storing anything, so a failed build stays unbuilt."""
+        "target"), c the node of index ci, with their levels.  A diagonal run
+        fixing a position is the identity (module docstring), so it raises;
+        a failed build stores nothing."""
         source = side == "source"
         step = self._out if source else self._in
         runs = {}
@@ -168,6 +168,8 @@ class RadicalTable:
                 raise MeshInconsistencyError("radical filtration does not terminate")
             nxt = {}
             for zi, level in runs.items():
+                if zi == ci and any(s + j == t + d * j for s, t, d, k in level for j in range(k)):
+                    raise MeshInconsistencyError(f"the identity of {self.nodes[ci].text} lies in the radical")
                 pairs.setdefault((ci, zi) if source else (zi, ci), {}).update(dict.fromkeys(level, m))
                 for yi, a in step[zi]:
                     for r in level:
@@ -199,13 +201,6 @@ class RadicalTable:
             self._nilpotency = max(levels, default=0) + 1
         return self._nilpotency
 
-    @functools.cached_property
-    def _tagged(self):
-        """(source index, target index) -> its `_rows`, every source built."""
-        for x in self.nodes:
-            self._level(x.index)
-        return {key: self._rows(*key) for key in self._pairs}
-
     def _level(self, xi):
         """The number of nonzero T_m(x, .), source xi built first."""
         if xi not in self._levels:
@@ -230,15 +225,13 @@ class RadicalTable:
         raises if two runs share one, as no sound table has."""
         owner = self._owners.get((xi, yi))
         if owner is None:
-            levels, owner, (x, y) = self._runs(xi, yi), {}, (self.nodes[xi], self.nodes[yi])
+            owner, x, y = {}, self.nodes[xi], self.nodes[yi]
             offsets, _ = flat_offsets(x.module.rep, y.module.rep)
-            for run in levels:
+            for run in self._runs(xi, yi):
                 for c in _cells(x.module, y.module, offsets, run):
                     other = owner.setdefault(c, run)
                     if other != run:
                         text = f"{x.text} -> {y.text}: runs {other} and {run} share an entry"
-                        if 0 in (levels[run], levels[other]):
-                            text = f"the identity of {x.text} lies in the radical"
                         raise MeshInconsistencyError(text)
             self._owners[xi, yi] = owner
         return owner
@@ -357,21 +350,27 @@ class RadicalTable:
         of their composites' terms below level m + 2.
         """
         src, mid = (z, x) if left else (y, z)
-        if m not in self._runs(src.index, mid.index).values():
+        runs = [r for r, t in self._runs(src.index, mid.index).items() if t == m]
+        if not runs:
             return None
-        rows = [(p, row) for t, p, row in self._rows(src.index, mid.index) if t == m]
-        far, owner = ((z, y) if left else (x, z)), self._owner(src.index, mid.index)
+        M, N = src.module, mid.module
+        offsets, size = flat_offsets(M.rep, N.rep)
+        runs.sort(key=lambda r: min(_cells(M, N, offsets, r)))  # by pivot
+        far = (z, y) if left else (x, z)
         levels, shallow = self._runs(far[0].index, far[1].index), []
-        for p, _ in rows:
-            g = GraphMap(src.module, mid.module, owner[p], 1, False)
+        for run in runs:
+            g = GraphMap(M, N, run, 1, False)
             terms = self._terms(f.compose(g) if left else g.compose(f), *far)
             shallow.append({r: c for r, c in terms.items() if levels[r] < m + 2})
         keys = dict.fromkeys(r for terms in shallow for r in terms)
-        kernel = nullspace(Mat(self.field, [[terms.get(r, 0) for terms in shallow] for r in keys], len(rows)))
+        kernel = nullspace(Mat(self.field, [[terms.get(r, 0) for terms in shallow] for r in keys], len(runs)))
         if not kernel:
             return None
-        flat = combination(self.field, kernel[0], [row for _, row in rows])
-        return morphism_from_flat(src.module.rep, mid.module.rep, flat)
+        flat = [0] * size
+        for c, run in zip(kernel[0], runs):
+            for i in _cells(M, N, offsets, run):
+                flat[i] = c
+        return morphism_from_flat(M.rep, N.rep, flat)
 
     # -- definitional-recursion cross-check ------------------------------
 

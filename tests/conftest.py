@@ -8,6 +8,14 @@ from stringar import knit, parse_presentation
 from stringar.families import make_family
 from stringar.radical import RadicalTable
 
+def table_rows(T):
+    """{(source, target index): its rows `T._rows`} of the RadicalTable T,
+    every source built: the whole table as the row pins read it."""
+    for x in T.nodes:
+        T._level(x.index)
+    return {key: T._rows(*key) for key in T._pairs}
+
+
 W3_SOURCE = """\
 algebra W3
 vertices 1 2 3 4

@@ -20,7 +20,7 @@ from stringar.fields import (
 )
 from stringar.modules import end_radical, hom_basis
 from stringar.radical import RadicalTable
-from tests.conftest import LADDER
+from tests.conftest import LADDER, table_rows
 from tests.oracles import gauss_jordan
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "stringar"
@@ -248,7 +248,7 @@ def test_prime_field_entries_are_ints_below_p(char):
     matrices = [b for a in T.quiver.arrows for b in a.morphism.blocks.values()]
     matrices += list(tau_oracle(p, M, field).maps.values())
     entries = [x for m in matrices for r in m.rows for x in r]
-    entries += [x for rows in T._tagged.values() for _, _, row in rows for x in row]
+    entries += [x for rows in table_rows(T).values() for _, _, row in rows for x in row]
     entries += [x for f in end_radical(M.rep) for x in f.flatten()]
     entries += [x for f in hom_basis(M.rep, T.nodes[7].module.rep).basis for x in f.flatten()]
     degrees = [T.degree(a.morphism, side, T.nodes[a.source], T.nodes[a.target])
@@ -290,7 +290,7 @@ def test_ladder_entries_are_ints_over_qq(name):
     T = RadicalTable(knit(make_family(family, m=m, n=n).presentation))
     arrows = [x for a in T.quiver.arrows for b in a.morphism.blocks.values()
               for row in b.rows for x in row]
-    rows = [x for rows in T._tagged.values() for _, _, row in rows for x in row]
+    rows = [x for rows in table_rows(T).values() for _, _, row in rows for x in row]
     assert arrows and rows
     assert {type(x) for x in arrows} == {type(x) for x in rows} == {int}
 

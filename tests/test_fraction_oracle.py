@@ -22,7 +22,7 @@ from stringar import (
     walk_to_text,
     witness,
 )
-from tests.conftest import LADDER
+from tests.conftest import LADDER, table_rows
 from tests.oracles.fraction_rationals import FractionRationals
 from tests.test_stress import _band_free_algebras
 
@@ -40,7 +40,7 @@ def _answers(p, field, spec=None):
         "arrows": [a.morphism.as_dict() for a in G.arrows],
         "rows": {
             key: [(t, pivot, [field.to_str(x) for x in row]) for t, pivot, row in rows]
-            for key, rows in T._tagged.items()
+            for key, rows in table_rows(T).items()
         },
         "dims": [T.profile(x, y).as_dict() for x in T.nodes for y in T.nodes],
         "audit": audit_theorems(p, samples=AUDIT_SAMPLES, field=field).as_dict(),

@@ -18,6 +18,7 @@ from stringar import field_for_characteristic, hom_basis, knit
 from stringar.errors import MeshInconsistencyError
 from stringar.modules import GraphMap, MorphismMatrix
 from stringar.radical import RadicalTable
+from tests.conftest import table_rows
 from tests.morphisms import identity_morphism
 from tests.oracles import fold
 from tests.test_radical_engine import _ladder_and_stress, _shortcut_algebras
@@ -29,7 +30,7 @@ CHARS = [0, 2, 3, 5]
 def _table(i, char):
     """The full table of `_shortcut_algebras()[i]` over the field of char."""
     T = RadicalTable(knit(_shortcut_algebras()[i], field_for_characteristic(char)))
-    T._tagged  # builds every source
+    table_rows(T)  # builds every source
     return T
 
 
@@ -45,7 +46,7 @@ def test_the_rows_are_the_old_fold(char):
     """Every pair's rows, and the set of pairs, equal the per-level fold's."""
     for i in range(len(_shortcut_algebras())):
         T = _table(i, char)
-        assert T._tagged == fold.table(T.quiver), i
+        assert table_rows(T) == fold.table(T.quiver), i
 
 
 @pytest.mark.parametrize("char", CHARS)
@@ -108,15 +109,25 @@ def test_a_run_that_overlaps_another_is_refused_naming_the_pair():
     assert (a.source, a.target) not in T._owners
 
 
-def test_a_radical_run_on_the_identity_is_refused():
-    """On the diagonal, a radical run that shares an entry with the identity
-    makes the identity a radical map; the pair's first entry read refuses it,
-    and so does the next."""
-    T = RadicalTable(_table(0, 0).quiver)
-    x = next(x for x in T.nodes if x.module.total_dim > 1)
-    T._runs(x.index, x.index)[0, 0, 1, 1] = 1
+@pytest.mark.parametrize("dim, run", [(1, (0, 0, 1, 1)), (3, (0, 2, -1, 2))])
+def test_a_radical_run_on_the_identity_is_refused(dim, run):
+    """A loop arrow on x whose run sends a position of x to itself puts the
+    identity in the radical: each query that builds x's source or column
+    refuses it, and nothing is stored.  On a node of dimension 1 the run is
+    the identity's own key; on one of dimension 3 it fixes position 1 only."""
+    G = _table(0, 0).quiver
+    x = next(x for x in G.nodes if x.module.total_dim == dim)
+    xi = x.index
     message = re.escape(f"the identity of {x.text} lies in the radical")
-    for _ in range(2):
-        with pytest.raises(MeshInconsistencyError, match=message):
-            T.depth(identity_morphism(x.module.rep), x, x)
-    assert T._owners == {}
+    queries = [lambda T: T.reaches(xi, xi), lambda T: T.tags(xi, xi, (0, 1)),
+               lambda T: T.profile(x, x), lambda T: T.layer(x, x, 1),
+               lambda T: T.depth(identity_morphism(x.module.rep), x, x),
+               lambda T: T._build(xi, "target")]
+    for query in queries:
+        T = RadicalTable(G)
+        T._out[xi].append((xi, run))
+        T._in[xi].append((xi, run))
+        for _ in range(2):
+            with pytest.raises(MeshInconsistencyError, match=message):
+                query(T)
+        assert T._pairs == {} and T._levels == {} and T._columns == set()

@@ -31,7 +31,7 @@ from stringar.presentation import (
     validate_string_algebra,
 )
 from stringar.strings import enumerate_strings, find_bands, has_band, walk_to_text
-from tests.conftest import EX3_SOURCE, KRONECKER_SOURCE, W3_SOURCE
+from tests.conftest import EX3_SOURCE, KRONECKER_SOURCE, W3_SOURCE, table_rows
 from tests.test_stress import _band_free_algebras, random_presentations
 
 
@@ -227,8 +227,9 @@ def table_digest(name, char):
 
     p = _band_free_algebras()[int(name[1:])] if name.startswith("S") else _presentation(name)
     T = RadicalTable(knit(p, field_for_characteristic(char)))
-    rows = {f"{xi},{yi}": [[t, pv, [str(x) for x in row]] for t, pv, row in T._tagged[(xi, yi)]]
-            for xi, yi in sorted(T._tagged)}
+    tagged = table_rows(T)
+    rows = {f"{xi},{yi}": [[t, pv, [str(x) for x in row]] for t, pv, row in tagged[(xi, yi)]]
+            for xi, yi in sorted(tagged)}
     return _digest([T.nilpotency, rows])
 
 

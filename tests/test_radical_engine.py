@@ -28,7 +28,7 @@ from stringar.errors import MeshInconsistencyError
 from stringar.families import make_family
 from stringar.modules import MorphismMatrix
 from stringar.radical import ZERO_DEPTH, RadicalTable
-from tests.conftest import LADDER
+from tests.conftest import LADDER, table_rows
 from tests.morphisms import identity_morphism
 from tests.oracles import dense_maps, fold, gauss_jordan
 from tests.test_stress import _band_free_algebras, _ladder_or_stress, random_presentations
@@ -171,7 +171,7 @@ def test_table_build_builds_no_composite_morphism(monkeypatch, char):
         T = RadicalTable(G)
         for y in G.nodes:
             T._column(y.index)
-        T._tagged  # builds every source
+        table_rows(T)  # builds every source
         assert len(T._levels) == len(T._columns) == len(G.nodes) and T.nilpotency > 2
 
 
@@ -275,7 +275,7 @@ def test_first_row_carries_the_largest_tag(name):
     """`reaches` reads one row per pair; that is sound only under this invariant."""
     family, m, n = LADDER[name]
     table = RadicalTable(knit(make_family(family, m=m, n=n).presentation))
-    for rows in table._tagged.values():
+    for rows in table_rows(table).values():
         assert rows and rows[0][0] == max(t for t, _, _ in rows)
     for x in table.nodes:
         for y in table.nodes:
@@ -293,7 +293,7 @@ def test_sources_built_in_any_order_give_the_complete_table(name, char):
     a built source equal those of a table built in full."""
     family, m, n = LADDER[name]
     quiver = knit(make_family(family, m=m, n=n).presentation, field_for_characteristic(char))
-    complete = RadicalTable(quiver)._tagged
+    complete = table_rows(RadicalTable(quiver))
     T = RadicalTable(quiver)
     assert T._levels == {} and T._pairs == {}
     rng = random.Random(f"lazy:{name}:{char}")
@@ -312,7 +312,7 @@ def test_sources_built_in_any_order_give_the_complete_table(name, char):
         assert set(T._pairs) == {key for key in complete if key[0] in T._levels}
         for key in list(T._pairs):
             assert T._rows(*key) == complete[key]
-    assert T._tagged == complete
+    assert table_rows(T) == complete
     assert set(T._levels) == {x.index for x in T.nodes}
 
 
@@ -324,7 +324,7 @@ def test_columns_equal_the_source_build(name, char):
     every source, and `_rows` reads the same rows, entry types included."""
     [p] = _ladder_or_stress(name)
     quiver = knit(p, field_for_characteristic(char))
-    complete = RadicalTable(quiver)._tagged
+    complete = table_rows(RadicalTable(quiver))
     T = RadicalTable(quiver)
     for y in T.nodes:
         T._column(y.index)
@@ -340,7 +340,7 @@ def test_sources_and_columns_built_in_any_order_give_the_complete_table(name, ch
     exactly their pairs, and `_rows` reads the complete table's rows of each."""
     [p] = _ladder_or_stress(name)
     quiver = knit(p, field_for_characteristic(char))
-    complete = RadicalTable(quiver)._tagged
+    complete = table_rows(RadicalTable(quiver))
     T = RadicalTable(quiver)
     builds = [(x.index, side) for x in T.nodes for side in ("source", "target")]
     random.Random(f"ends:{name}:{char}").shuffle(builds)
@@ -349,7 +349,7 @@ def test_sources_and_columns_built_in_any_order_give_the_complete_table(name, ch
         built = {k for k in complete if k[0] in T._levels or k[1] in T._columns}
         assert set(T._pairs) == built
         assert all(T._rows(*k) == complete[k] for k in built)
-    assert T._columns and T._tagged == complete
+    assert T._columns and table_rows(T) == complete
 
 
 @pytest.mark.parametrize("char", [0, 2])
@@ -369,7 +369,7 @@ def test_a_left_degree_builds_the_columns_of_its_ends(monkeypatch, char):
         G = knit(p, field)
         projective = {(x.index, "source") for x in G.nodes if x.projective}
         complete = RadicalTable(G)
-        complete._tagged
+        table_rows(complete)
         for a in G.arrows[:3]:
             x, y = G.nodes[a.source], G.nodes[a.target]
             T = RadicalTable(G)
@@ -385,24 +385,36 @@ def test_a_left_degree_builds_the_columns_of_its_ends(monkeypatch, char):
 
 
 def test_errors_of_a_source_raise_from_the_query_that_builds_it():
-    """The filtration limit runs per source and per column: a query that
-    reads one raises it, and it stays unbuilt.  A left degree builds its
-    columns after the sources that depth and nilpotency read.  (The identity
-    check reads a diagonal's entries: `test_graph_map_table`.)"""
+    """The filtration limit and the identity check run per source and per
+    column: a query that reads one raises them, and it stays unbuilt.  A left
+    degree builds its columns after the sources that depth and nilpotency read.
+    A loop arrow on x whose run fixes x's first position puts the identity in
+    the radical."""
     G = knit(_spec("W3").presentation)
     T = RadicalTable(G)
     a = G.arrows[0]
     f, x, y = a.morphism, G.nodes[a.source], G.nodes[a.target]
-    T._limit = 0
+    limit, T._limit = T._limit, 0
     with pytest.raises(MeshInconsistencyError, match="radical filtration does not terminate"):
         T.reaches(x.index, x.index)
     assert x.index not in T._levels and T._pairs == {}
+    message = re.escape(f"the identity of {x.text} lies in the radical")
+    loop = (x.index, (0, 0, 1, 1))
+    for cut, looped, error in ((0, False, "radical filtration does not terminate"),
+                               (limit, True, message)):
+        T = RadicalTable(G)
+        T.depth(f, x, y), T.nilpotency
+        T._limit, kept = cut, dict(T._pairs)
+        if looped:
+            T._in[x.index].append(loop)  # read by the column x only
+        with pytest.raises(MeshInconsistencyError, match=error):
+            T.degree(f, "left", source=x, target=y)
+        assert T._columns == set() and T._pairs == kept
     T = RadicalTable(G)
-    T.depth(f, x, y), T.nilpotency
-    T._limit, kept = 0, dict(T._pairs)
-    with pytest.raises(MeshInconsistencyError, match="radical filtration does not terminate"):
-        T.degree(f, "left", source=x, target=y)
-    assert T._columns == set() and T._pairs == kept
+    T._out[x.index].append(loop)
+    with pytest.raises(MeshInconsistencyError, match=message):
+        T.depth(f, x, y)
+    assert T._levels == {} and T._pairs == {}
 
 
 def test_the_table_checks_only_the_arrows_that_knit_left_unchecked(monkeypatch):
@@ -491,7 +503,7 @@ def test_queries_build_only_the_projective_sources_and_their_own(char):
         T = RadicalTable(G)
         nilpotency = T.nilpotency
         assert set(T._levels) == projective
-        T._tagged  # builds every source
+        table_rows(T)  # builds every source
         assert nilpotency == 1 + max(T._levels.values())
         for x, y in ((G.nodes[0], G.nodes[-1]), (G.nodes[-1], G.nodes[0])):
             T = RadicalTable(G)
@@ -554,7 +566,7 @@ def test_tags_are_path_lengths_and_the_path_test_keeps_them(char):
     for p in _shortcut_algebras():
         G = knit(p, field)
         T = RadicalTable(G)
-        stored = T._tagged
+        stored = table_rows(T)
         longest = max(t for rows in stored.values() for t, _, _ in rows)
         for x in G.nodes:
             lengths = _path_lengths(G, x.index, longest)
