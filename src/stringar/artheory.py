@@ -246,23 +246,24 @@ def tau_inverse(p, M, field=None):
 
 
 class _Resolver(dict):
-    """Indexed by a raw walk: the module of its canonical walk (one of
+    """Indexed by a raw walk's `key`: the module of its canonical walk (one of
     `modules`, else realized) and its coordinates, `module.basis`, reversed
     unless the walk is canonical, as its inverse visits the vertices in reverse."""
 
     def __init__(self, p, field, modules=()):
         self.p, self.field = p, field
-        self.update((m.word.walk, (m, m.basis)) for m in modules)
+        self.update((m.word.walk.key, (m, m.basis)) for m in modules)
 
-    def __missing__(self, walk):
+    def __missing__(self, key):
+        walk = Walk(key) if type(key) is tuple else Walk(basepoint=key)
         canon = canonical_walk(self.p, walk)
         if canon is walk:
             module = realize(self.p, walk, self.field)
-            self[walk] = module, module.basis
+            self[key] = module, module.basis
         else:
-            module, coord = self[canon]
-            self[walk] = module, coord[::-1]
-        return self[walk]
+            module, coord = self[canon.key]
+            self[key] = module, coord[::-1]
+        return self[key]
 
 
 class _RawPiece:
@@ -272,7 +273,7 @@ class _RawPiece:
 
     def __init__(self, resolve, walk, start):
         self.walk, self.start = walk, start
-        self.module, self.coord = resolve[walk]
+        self.module, self.coord = resolve[walk.key]
 
 
 def _graph_map(src, dst):
@@ -293,7 +294,7 @@ def _graph_map(src, dst):
     n, fs, fd = k - 1, a is not M.basis, b is not N.basis  # the run's letters; reversed
     e = j + n if fs else j  # the dst piece position of src's first module position in the run
     run = na - i - k if fs else i, nb - 1 - e if fd else e, -1 if fs != fd and n else 1, k
-    f = GraphMap(M, N, run, M.rep.field.one(), fs)
+    f = GraphMap(M, N, {run: M.rep.field.one()}, fs)
     ls, ld = src.walk.letters, dst.walk.letters
     if ls[i : i + n] != ld[j : j + n] or a[i][0] != b[j][0]:
         if any(a[i + u][0] != b[j + u][0] for u in range(k)):
@@ -333,7 +334,7 @@ class AlmostSplitSequence:
         self.left_maps = [_graph_map(left, m) for m in middle]
         self.right_maps = [_graph_map(m, right) for m in middle]
         if self.verify():  # negate r_2, not yet read; its verdict stands
-            self.right_maps[1].coefficient = left.module.rep.field.of(-1)
+            self.right_maps[1].terms = dict.fromkeys(self.right_maps[1].terms, left.module.rep.field.of(-1))
 
     @property
     def alpha(self):
@@ -450,8 +451,8 @@ def _arrows_into(p, walk, resolve, tops):
     """The mesh ending at M(walk), None at a projective, and the irreducible
     maps into M(walk) as (source module, map): the mesh's middles and right
     maps, or `standard_arrows`.  walk is canonical; tops is `_projective_tops(p)`."""
-    if walk in tops:
-        return None, standard_arrows(p, tops[walk], resolve)
+    if walk.key in tops:
+        return None, standard_arrows(p, tops[walk.key], resolve)
     seq = _mesh(p, walk, "end", resolve)
     return seq, list(zip(seq.middle, seq.right_maps))
 
@@ -491,7 +492,7 @@ class ARQuiver:
     def __init__(self, p, field, nodes):
         self.p, self.field, self.nodes = p, field, nodes
         self.arrows, self.tau_pairs, self.meshes = [], {}, {}  # `knit` fills them
-        self._by_walk = {n.module.word.walk: n.index for n in nodes}
+        self._by_walk = {n.module.word.walk.key: n.index for n in nodes}
         self._into = {n.index: [] for n in nodes}
         self._from = {n.index: [] for n in nodes}
         self._reach = {}  # (node index, into) -> [the nodes k arrows from (to) it, by k]
@@ -506,7 +507,7 @@ class ARQuiver:
         """The node of a string; bad labels and non-strings raise their domain errors."""
         walk = word_or_walk.walk if isinstance(word_or_walk, StringWord) else word_or_walk
         canon = string_word(self.p, walk).walk
-        idx = self._by_walk.get(canon)
+        idx = self._by_walk.get(canon.key)
         if idx is None:
             raise MeshInconsistencyError(f"{walk_to_text(canon)} is not a node")
         return self.nodes[idx]
@@ -562,9 +563,9 @@ def knit(p, field=QQ):
     modules = [_string_module(p, w, field) for w in enumerate_strings(p)]  # canonical: unchecked
     resolve = _Resolver(p, field, modules)
     proj_tops = _projective_tops(p)
-    inj_walks = {canonical_walk(p, injective_word(p, v)) for v in p.quiver.vertices}
+    inj_walks = {canonical_walk(p, injective_word(p, v)).key for v in p.quiver.vertices}
     nodes = [
-        ARNode(i, m, m.word.walk in proj_tops, m.word.walk in inj_walks)
+        ARNode(i, m, m.word.walk.key in proj_tops, m.word.walk.key in inj_walks)
         for i, m in enumerate(modules)
     ]
     quiver = ARQuiver(p, field, nodes)
@@ -573,11 +574,11 @@ def knit(p, field=QQ):
         seq, arrows = _arrows_into(p, n.module.word.walk, resolve, proj_tops)
         if seq is not None:
             quiver.meshes[n.index] = seq
-            tau_idx = tau_pairs[n.index] = by_walk[seq.left_term.word.walk]
+            tau_idx = tau_pairs[n.index] = by_walk[seq.left_term.word.walk.key]
             if nodes[tau_idx].injective:
                 raise MeshInconsistencyError("translate landed on an injective")
         for src, mor in arrows:
-            quiver._add_arrow(by_walk[src.word.walk], n.index, mor)
+            quiver._add_arrow(by_walk[src.word.walk.key], n.index, mor)
     if len(set(tau_pairs.values())) != len(tau_pairs):
         raise MeshInconsistencyError("translate pairing is not injective")
     non_inj = {n.index for n in nodes if not n.injective}
@@ -588,8 +589,8 @@ def knit(p, field=QQ):
 
 
 def _projective_tops(p):
-    """{canonical walk of P(v): v} over the vertices v."""
-    return {canonical_walk(p, projective_word(p, v)): v for v in p.quiver.vertices}
+    """{`key` of the canonical walk of P(v): v} over the vertices v."""
+    return {canonical_walk(p, projective_word(p, v)).key: v for v in p.quiver.vertices}
 
 
 def _check_mesh_symmetry(quiver):

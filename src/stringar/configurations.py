@@ -14,8 +14,8 @@ import random
 
 from .artheory import _Resolver, _arrows_into, _is_standard_word, _projective_tops, knit, tau_word
 from .errors import BandFoundError, MeshInconsistencyError
-from .fields import QQ, combination
-from .modules import morphism_from_flat
+from .fields import QQ
+from .modules import GraphMap
 from .presentation import require_string_algebra
 from .radical import ZERO_DEPTH, RadicalTable
 from .strings import canonical_walk, has_band
@@ -229,7 +229,7 @@ def find_tau_arrows(p, quiver=None, candidates=None, field=QQ):
         t_walk = canonical_walk(p, tau_word(p, M.word.walk))
         _, arrows = _arrows_into(p, t_walk, resolve, tops)
         if any(src.word.walk == M.word.walk for src, _ in arrows):
-            out.append((M, resolve[t_walk][0]))
+            out.append((M, resolve[t_walk.key][0]))
     return out
 
 
@@ -321,7 +321,7 @@ def audit_theorems(p, samples=32, seed=0, field=QQ):
     (C) every 3-cycle carries a block-mono and a block-epi;
     (D) 3-cycles exist iff some irreducible M -> tau M exists.
 
-    A and B read sampled irreducibles a + r, r drawn in rad^2.  A triple
+    A and B read sampled irreducibles a + r, r a graph-map sum in rad^2.  A triple
     x -> y -> z -> w is first read from `table.tags(x, w, (4, 5, 6))`: every
     composite f: x -> w has depth(f) in the pair's tags or ZERO_DEPTH, A
     fires only at depth 6 and B only at 4 or 5.  So a triple whose pair
@@ -334,7 +334,7 @@ def audit_theorems(p, samples=32, seed=0, field=QQ):
     its generator with its index among all triples; sample 0 is the bare
     triple.  Each distinct draw (arrow index and coefficients) is built,
     composed and reduced once per audit, so the report is the same as
-    recomposing every sample; a triple whose arrows have no rad^2 row draws
+    recomposing every sample; a triple whose arrows have no rad^2 run draws
     the bare triple every time, and a violation of it is reported for every
     sample index.
     samples < 1 is a ValueError: an audit that draws nothing passes vacuously.
@@ -359,18 +359,18 @@ def audit_theorems(p, samples=32, seed=0, field=QQ):
         (t_ix, triple) for t_ix, triple in enumerate(triples)
         if table.tags(arrows[triple[0]].source, arrows[triple[2]].target, (4, 5, 6))
     ]
-    rad2 = {i: table.layer(*ends[i], 2).rows for i in {i for _, triple in kept for i in triple}}
+    rad2 = {i: table.layer(*ends[i], 2) for i in {i for _, triple in kept for i in triple}}
     a_violations, b_violations = [], []
     zero = field.zero()
     draw = [field.of(c) for c in range(-3, 4)]  # draw[rng.randrange(7)] is randint(-3, 3)
 
     @functools.cache
     def perturbed(key):
-        """Arrow i plus each coefficient times its rad^2 row, for key = (i, coefficients)."""
+        """Arrow i plus each coefficient times its rad^2 basis map, for key = (i, coefficients)."""
         i, cs = key
         f = arrows[i].morphism
         if any(cs):
-            f = f.add(morphism_from_flat(f.source, f.target, combination(field, cs, rad2[i])))
+            f = f.add(GraphMap(*f.modules, {r: c for g, c in zip(rad2[i], cs) if c for r in g.terms}))
         return f
 
     @functools.cache
@@ -392,7 +392,7 @@ def audit_theorems(p, samples=32, seed=0, field=QQ):
     for t_ix, triple in kept:
         rng = random.Random(f"{seed}:{t_ix}")
         for s_ix in range(samples):
-            # one draw from -3..3 per rad^2 row; sample 0 is the bare canonical triple
+            # one draw from -3..3 per rad^2 run; sample 0 is the bare canonical triple
             key = tuple((i, tuple(draw[rng.randrange(7)] if s_ix else zero for _ in rad2[i]))
                         for i in triple)
             *ds, hit = evaluate(key)

@@ -36,16 +36,6 @@ def scaled_row(row, c, char):
     return [a * c for a in row]
 
 
-def combination(field, coeffs, rows):
-    """The sum of c * row over the pairs of coeffs and rows, reduced once; rows nonempty."""
-    vec = [field.zero()] * len(rows[0])
-    for c, row in zip(coeffs, rows):
-        if c:
-            vec = [a + c * b for a, b in zip(vec, row)]
-    char = field.characteristic
-    return [a % char for a in vec] if char else vec
-
-
 class _Field:
     """What both descriptors share: 0 and 1 are ints, an element prints as `str`."""
 

@@ -12,8 +12,8 @@ matrices only on request.
 A morphism is kept as its nonzeros only (`MorphismMatrix`).  Hom spaces are
 solved in flat coordinates, every block row-major in vertex order, with
 equations read from the modules' nonzeros; `morphism_from_flat` reads a
-flat vector straight into nonzeros, with no block built.  A `GraphMap`
-builds them on first read, and two compose by `compose_runs`.
+flat vector straight into nonzeros, with no block built.  A `GraphMap` (a sum
+of graph maps) builds them on first read; sums compose by `compose_runs`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 
 from .errors import CompositionError, UnknownLabelError
-from .fields import Mat, QQ, combination, entry_rank, nullspace
+from .fields import Mat, QQ, entry_rank, nullspace
 from .presentation import require_finite_dimensional, require_string_algebra
 from .strings import (
     Letter,
@@ -242,8 +242,8 @@ class MorphismMatrix:
     """A representation morphism, kept as its nonzeros.
 
     `nonzeros` lists the entries (vertex, row, column, coefficient) that are
-    not zero, in no fixed order; all arithmetic reads and makes them, so no
-    engine path builds a block.  `blocks` (each vertex where both source
+    not zero, in no fixed order; the arithmetic reads and makes them (a
+    `GraphMap`'s, its terms), so no engine path builds a block.  `blocks` (each vertex where both source
     and target are nonzero, in vertex order) and `block(v)` write the dense
     blocks out on each read, for output, the DTr oracle and tests.  The
     constructor takes blocks and checks them; `_adopt` wraps nonzeros,
@@ -252,7 +252,7 @@ class MorphismMatrix:
     """
 
     __slots__ = ("source", "target", "nonzeros", "_by_middle", "_verdict")
-    run = None
+    terms = None
 
     def __init__(self, source, target, blocks):
         field, dims, nonzeros = source.field, source.dims, []
@@ -315,16 +315,22 @@ class MorphismMatrix:
         """self o first (apply `first`, then self): first's nonzero (v, k, j) meets
         self's nonzeros (v, i, k) on the middle coordinate (v, k); graph maps
         through one module meet by `compose_runs`."""
+        src, tgt = first.source, self.target
+        f, g = first.terms, self.terms
+        if f and g and first.modules[1] is self.modules[0] and src.field is tgt.field:
+            M, N = first.modules[0], self.modules[1]
+            if len(f) == 1 == len(g):  # knit's and the search's case
+                [r], [q] = f, g
+                run = compose_runs(r, q)  # f[r] * g[q] is nonzero mod p
+                if run:
+                    return GraphMap(M, N, {run: src.field.of(f[r] * g[q])}, first.flip)
+                return MorphismMatrix._adopt(src, tgt, [])
+            terms = [(compose_runs(r, q), x * y) for r, x in f.items() for q, y in g.items()]
+            return _graph_sum(M, N, terms, first.flip)
         if first.target.dims != self.source.dims:
             raise CompositionError("composition shape mismatch")
-        src, tgt = first.source, self.target
         if src.field is not tgt.field:
             _same_field(src, tgt)
-        if self.run and first.run and first.modules[1] is self.modules[0]:
-            run, c = compose_runs(first.run, self.run), first.coefficient * self.coefficient
-            if run is None:
-                return MorphismMatrix._adopt(src, tgt, [])
-            return GraphMap(first.modules[0], self.modules[1], run, src.field.of(c), first.flip)
         if self._by_middle is None:
             self._by_middle = {}
             for v, i, k, b in self.nonzeros:
@@ -340,6 +346,10 @@ class MorphismMatrix:
             _same_field(self.source, other.source)
         if self.source.dims != other.source.dims or self.target.dims != other.target.dims:
             raise CompositionError("sum of maps between different modules")
+        if self.terms and other.terms and self.modules == other.modules:
+            return _graph_sum(*self.modules, [*self.terms.items(), *other.terms.items()], self.flip)
+        if self.terms and other.is_zero():
+            return self
         acc = _by_position(self.nonzeros)
         for v, i, j, a in other.nonzeros:
             acc[v, i, j] = acc.get((v, i, j), 0) + a
@@ -353,7 +363,7 @@ class MorphismMatrix:
         return self.scale(-1)
 
     def is_zero(self):
-        return not self.nonzeros
+        return not (self.terms or self.nonzeros)
 
     def rank(self):
         """The sum of the blocks' ranks, counted from the nonzeros by `entry_rank`."""
@@ -397,27 +407,37 @@ class MorphismMatrix:
 
 
 class GraphMap(MorphismMatrix):
-    """A map of string modules M -> N kept as its `run` (s, t, d, k), M, N and
-    c: basis position s + i of M goes to c times t + d * i of N, i < k,
-    d = +-1 (+1 if k = 1); `nonzeros` is built on first read, backwards if `flip`."""
+    """A sum of graph maps M -> N of string modules, `terms` {run: c != 0}: a run
+    (s, t, d, k) sends basis position s + i of M to t + d * i of N, i < k, d = +-1
+    (+1 if k = 1); knit's maps have one term, and sums compose and add to sums.
+    `nonzeros` is built on first read, each run backwards if `flip`."""
 
-    __slots__ = ("run", "modules", "coefficient", "flip")
+    __slots__ = ("terms", "modules", "flip")
 
-    def __init__(self, M, N, run, coefficient, flip):
+    def __init__(self, M, N, terms, flip=False):
         self.source, self.target, self.modules = M.rep, N.rep, (M, N)
-        self.run, self.coefficient, self.flip = run, coefficient, flip
+        self.terms, self.flip = terms, flip
         self._by_middle = self._verdict = None
 
     def __getattr__(self, name):  # reached only while the `nonzeros` slot is unset
         if name != "nonzeros":
             raise AttributeError(name)
-        (s, t, d, k), (M, N), c = self.run, self.modules, self.coefficient
+        (M, N), flip = self.modules, self.flip
         self.nonzeros = [(M.basis[s + i][0], N.basis[t + d * i][1], M.basis[s + i][1], c)
-                         for i in (range(k - 1, -1, -1) if self.flip else range(k))]
+                         for (s, t, d, k), c in self.terms.items()
+                         for i in (range(k - 1, -1, -1) if flip else range(k))]
         return self.nonzeros
 
-    def is_zero(self):
-        return False
+
+def _graph_sum(M, N, terms, flip):
+    """The sum M -> N of the terms (run, c), runs None dropped; the plain zero map
+    if all cancel."""
+    acc, of = {}, M.rep.field.of
+    for r, c in terms:
+        if r:
+            acc[r] = of(acc.get(r, 0) + c)
+    acc = {r: c for r, c in acc.items() if c}
+    return GraphMap(M, N, acc, flip) if acc else MorphismMatrix._adopt(M.rep, N.rep, [])
 
 
 def compose_runs(f, g):
@@ -465,10 +485,6 @@ def morphism_from_flat(M, N, vec):
         c = M.dims[v]
         nonzeros += [(v, *divmod(k, c), a) for k, a in enumerate(vec[o : o + N.dims[v] * c]) if a]
     return MorphismMatrix._adopt(M, N, nonzeros)
-
-
-def hom_flat_dim(M, N):
-    return sum(N.dims[v] * M.dims[v] for v in M.p.quiver.vertices)
 
 
 def flat_offsets(M, N):
@@ -583,8 +599,7 @@ def end_radical(M):
     else:
         inv = field.inv(field.of(n))
         form = [field.of(inv * sum(a for _, i, j, a in f.nonzeros if i == j)) for f in basis]
-    flat = [f.flatten() for f in basis]
     return [
-        morphism_from_flat(M, M, combination(field, coeffs, flat))
+        functools.reduce(MorphismMatrix.add, [f.scale(c) for c, f in zip(coeffs, basis) if c])
         for coeffs in nullspace(Mat(field, [form], len(basis)))
     ]

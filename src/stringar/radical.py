@@ -3,7 +3,7 @@
 A band-free string algebra is representation-finite, so rad^n(X, Y) is
 spanned by composites of at least n irreducible maps in any characteristic
 (Auslander-Reiten-Smalo, ch. V.7).  Each arrow map of `knit` is a
-`modules.GraphMap` with its run and coefficient +-1, and `compose_runs`
+`modules.GraphMap` of one run with coefficient +-1, and `compose_runs`
 gives the run of g o f, or zero, up to sign; so T_m, the composites of m
 arrow maps, is spanned by runs.  Per node pair the table keeps each run
 with its level, the deepest m with the run in T_m; the identity, the run
@@ -21,6 +21,8 @@ and D; else the letters next to a shared position give C or D a
 non-reduced word such as l^-1 l.  So the runs' unit vectors, by pivot, are
 independent and in RREF; f = sum c_r r has the least level of an r with
 c_r != 0 as depth; and levels, tags and profiles do not depend on the field.
+`layer` lists it as graph maps; the engine's maps and degree witnesses are
+`GraphMap` sums on it, and `depth` reads their terms.
 
 T_m grows from either end: `_build(x, "source")` finds the pairs (X, .)
 with T_{m+1}(X, Y) = a o T_m(X, Z) over the arrows a: Z -> Y, and
@@ -40,8 +42,8 @@ import math
 
 from .errors import BandFoundError, MeshInconsistencyError, NotIrreducibleError
 from .fields import Mat, Subspace, nullspace
-from .modules import end_radical, hom_basis  # the cross-check only
-from .modules import GraphMap, compose_runs, flat_offsets, hom_flat_dim, morphism_from_flat, standard_word
+from .modules import end_radical, hom_basis, morphism_from_flat  # the cross-check only
+from .modules import GraphMap, compose_runs, flat_offsets, standard_word
 from .strings import (
     Letter,
     Walk,
@@ -67,25 +69,12 @@ def _cells(M, N, offsets, run):
 class RadicalProfile:
     """The chain Hom = rad^0 >= rad^1 >= ... >= 0 for one ordered node pair."""
 
-    __slots__ = ("source", "target", "dims", "_table")
+    __slots__ = ("source", "target", "dims")
 
-    def __init__(self, table, source, target, dims):
-        self._table = table
+    def __init__(self, source, target, dims):
         self.source = source
         self.target = target
         self.dims = dims
-
-    @property
-    def layers(self):
-        """Every layer as a Subspace, built on demand."""
-        return [self._table.layer(self.source, self.target, n) for n in range(len(self.dims))]
-
-    def basis(self, n):
-        """The n-th layer as a list of MorphismMatrix (empty beyond the chain)."""
-        return [
-            morphism_from_flat(self.source.module.rep, self.target.module.rep, v)
-            for v in self._table.layer(self.source, self.target, n).rows
-        ]
 
     def as_dict(self):
         return {
@@ -144,10 +133,11 @@ class RadicalTable:
             # every run is then a morphism, which depth() relies on
             if not a.morphism.check_intertwining():
                 raise refuse(a, "is not a morphism")
-            if a.morphism.run is None:
+            runs = [*(a.morphism.terms or ())]
+            if len(runs) != 1:
                 raise refuse(a, "has no run: knit did not make it")
-            self._out[a.source].append((a.target, a.morphism.run))
-            self._in[a.target].append((a.source, a.morphism.run))
+            self._out[a.source].append((a.target, runs[0]))
+            self._in[a.target].append((a.source, runs[0]))
 
     # -- construction ------------------------------------------------------
 
@@ -236,18 +226,6 @@ class RadicalTable:
             self._owners[xi, yi] = owner
         return owner
 
-    def _rows(self, xi, yi):
-        """The rows (level, pivot, unit vector) of the runs of (xi, yi), deepest
-        level first, then by pivot: each layer's RREF basis."""
-        M, N, rows = self.nodes[xi].module, self.nodes[yi].module, []
-        offsets, size = flat_offsets(M.rep, N.rep)
-        for run, m in self._runs(xi, yi).items():
-            row, cells = [0] * size, _cells(M, N, offsets, run)
-            for c in cells:
-                row[c] = 1
-            rows.append((m, min(cells), row))
-        return sorted(rows, key=lambda row: (-row[0], row[1]))
-
     def reaches(self, xi, yi, n=0):
         """True when rad^n(x, y) != 0 for node indices xi, yi; n=0 asks
         Hom(x, y) != 0.  Its basis is the runs of level n or more."""
@@ -272,17 +250,19 @@ class RadicalTable:
             return set()
         return {t for t in self._runs(xi, yi).values() if t in among}
 
-    def _deep_rows(self, x, y, n):
-        return [row for t, _, row in self._rows(x.index, y.index) if t >= n]
-
     def layer(self, x, y, n):
-        """rad^n(x, y) as a Subspace: the span of the rows of level n or more."""
-        return Subspace(self.field, hom_flat_dim(x.module.rep, y.module.rep), self._deep_rows(x, y, n))
+        """The basis of rad^n(x, y) as graph maps: the runs of level n or more,
+        deepest level first, then by pivot."""
+        levels, M, N = self._runs(x.index, y.index), x.module, y.module
+        offsets, one = flat_offsets(M.rep, N.rep)[0], self.field.one()
+        runs = sorted((r for r, t in levels.items() if t >= n),
+                      key=lambda r: (-levels[r], min(_cells(M, N, offsets, r))))
+        return [GraphMap(M, N, {r: one}) for r in runs]
 
     def profile(self, x, y):
         levels = self._runs(x.index, y.index).values()
         dims = [sum(1 for t in levels if t >= n) for n in range(self.nilpotency + 1)]
-        return RadicalProfile(self, x, y, dims)
+        return RadicalProfile(x, y, dims)
 
     def depth(self, f, source, target):
         """Largest n with f: source -> target in rad^n, the least level of its
@@ -294,11 +274,14 @@ class RadicalTable:
         return min((levels[r] for r in terms), default=ZERO_DEPTH)
 
     def _terms(self, f, x, y):
-        """f: x -> y as {run: nonzero coefficient}, each flat nonzero read at the
-        run that owns it.  The runs span Hom(x, y): f is a morphism iff every
-        nonzero is owned and fills its run with one coefficient."""
-        if f.run is not None and f.run in self._runs(x.index, y.index):
-            return {f.run: f.coefficient}
+        """f: x -> y as {run: nonzero coefficient}: a graph-map sum's terms, else
+        (a map made outside the engine) each flat nonzero read at the run that
+        owns it.  The runs span Hom(x, y): f is a morphism iff every nonzero is
+        owned and fills its run with one coefficient."""
+        if f.terms and self._runs(x.index, y.index).keys() >= f.terms.keys():
+            return f.terms
+        if f.is_zero():
+            return {}
         vec, char = f.flatten(), self.field.characteristic
         terms, cells = {}, [(c, a) for c, a in enumerate([a % char for a in vec] if char else vec) if a]
         owner = cells and self._owner(x.index, y.index)
@@ -347,42 +330,37 @@ class RadicalTable:
         f is in rad, so it sends rad^{m+1} into rad^{m+2}: g works exactly
         when its part on the runs of level m does, and each nonzero combination
         of those lies outside rad^{m+1}.  The witness is the first kernel vector
-        of their composites' terms below level m + 2.
+        of their composites' terms below level m + 2, as a graph-map sum.
         """
         src, mid = (z, x) if left else (y, z)
         runs = [r for r, t in self._runs(src.index, mid.index).items() if t == m]
         if not runs:
             return None
-        M, N = src.module, mid.module
-        offsets, size = flat_offsets(M.rep, N.rep)
+        M, N, one = src.module, mid.module, self.field.one()
+        offsets, _ = flat_offsets(M.rep, N.rep)
         runs.sort(key=lambda r: min(_cells(M, N, offsets, r)))  # by pivot
         far = (z, y) if left else (x, z)
         levels, shallow = self._runs(far[0].index, far[1].index), []
         for run in runs:
-            g = GraphMap(M, N, run, 1, False)
+            g = GraphMap(M, N, {run: one})
             terms = self._terms(f.compose(g) if left else g.compose(f), *far)
             shallow.append({r: c for r, c in terms.items() if levels[r] < m + 2})
         keys = dict.fromkeys(r for terms in shallow for r in terms)
         kernel = nullspace(Mat(self.field, [[terms.get(r, 0) for terms in shallow] for r in keys], len(runs)))
         if not kernel:
             return None
-        flat = [0] * size
-        for c, run in zip(kernel[0], runs):
-            for i in _cells(M, N, offsets, run):
-                flat[i] = c
-        return morphism_from_flat(M.rep, N.rep, flat)
+        return GraphMap(M, N, {run: c for c, run in zip(kernel[0], runs) if c})
 
     # -- definitional-recursion cross-check ------------------------------
 
     def layers_equal_to_span(self):
         """Exact equality with the definitional recursion, all pairs, all n.
 
-        The engine's rows tagged n or more span rad^n; they equal the
-        recursion's space when the dimensions agree and every row lies in
-        it.
+        The flat rows of `layer` span rad^n; they equal the recursion's
+        space when the dimensions agree and every row lies in it.
         """
         def same(space, xi, yi, n):
-            rows = self._deep_rows(self.nodes[xi], self.nodes[yi], n)
+            rows = [g.flatten() for g in self.layer(self.nodes[xi], self.nodes[yi], n)]
             return space.dim == len(rows) and all(map(space.contains, rows))
 
         layers = zip(range(self.nilpotency + 1), self._recursion_layers())
@@ -404,7 +382,7 @@ class RadicalTable:
         pairs = [(x, y) for x in nodes for y in nodes]
 
         def span(x, y, maps):
-            dim = hom_flat_dim(x.module.rep, y.module.rep)
+            dim = flat_offsets(x.module.rep, y.module.rep)[1]
             return Subspace(field, dim, [f.flatten() for f in maps])
 
         def maps(spaces):

@@ -65,17 +65,17 @@ class Letter:
 class Walk:
     """A possibly-trivial walk; trivial walks carry an explicit basepoint.
 
-    Walks are never mutated, so the hash is computed once, at construction.
+    Walks are never mutated; two are equal iff their `key`s are, which hash in C.
     """
 
-    __slots__ = ("letters", "basepoint", "_hash")
+    __slots__ = ("letters", "basepoint", "key")
 
     def __init__(self, letters=(), basepoint=None):
         self.letters = tuple(letters)
         if not self.letters and basepoint is None:
             raise ValueError("a trivial walk needs a basepoint")
         self.basepoint = None if self.letters else basepoint
-        self._hash = hash((self.letters, self.basepoint))
+        self.key = self.letters or basepoint
 
     def __len__(self):
         return len(self.letters)
@@ -90,14 +90,10 @@ class Walk:
         return Walk(tuple(l.inverted() for l in reversed(self.letters)))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Walk)
-            and self.letters == other.letters
-            and self.basepoint == other.basepoint
-        )
+        return isinstance(other, Walk) and self.key == other.key
 
     def __hash__(self):
-        return self._hash
+        return hash(self.key)
 
     def __repr__(self):
         return f"Walk({walk_to_text(self)})"

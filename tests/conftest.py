@@ -6,14 +6,37 @@ import pytest
 
 from stringar import knit, parse_presentation
 from stringar.families import make_family
-from stringar.radical import RadicalTable
+from stringar.fields import Subspace
+from stringar.modules import flat_offsets
+from stringar.radical import RadicalTable, _cells
+
+
+def pair_rows(T, xi, yi):
+    """The rows (level, pivot, unit vector) of the runs of the pair (xi, yi) of
+    the RadicalTable T, deepest level first, then by pivot: each layer's RREF
+    basis, written from the runs with no `flatten`."""
+    M, N, rows = T.nodes[xi].module, T.nodes[yi].module, []
+    offsets, size = flat_offsets(M.rep, N.rep)
+    for run, m in T._runs(xi, yi).items():
+        row, cells = [0] * size, _cells(M, N, offsets, run)
+        for c in cells:
+            row[c] = 1
+        rows.append((m, min(cells), row))
+    return sorted(rows, key=lambda row: (-row[0], row[1]))
+
 
 def table_rows(T):
-    """{(source, target index): its rows `T._rows`} of the RadicalTable T,
-    every source built: the whole table as the row pins read it."""
+    """{(source, target index): its `pair_rows`} of the RadicalTable T, every
+    source built: the whole table as the row pins read it."""
     for x in T.nodes:
         T._level(x.index)
-    return {key: T._rows(*key) for key in T._pairs}
+    return {key: pair_rows(T, *key) for key in T._pairs}
+
+
+def layer_space(T, x, y, n):
+    """rad^n(x, y) as a Subspace: the span of the flat vectors of `T.layer`."""
+    rows = [g.flatten() for g in T.layer(x, y, n)]
+    return Subspace(T.field, flat_offsets(x.module.rep, y.module.rep)[1], rows)
 
 
 W3_SOURCE = """\

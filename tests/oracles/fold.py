@@ -1,8 +1,8 @@
 """The per-level fold the radical table once ran, kept as the oracle for its rows.
 
-The table keeps each pair's runs with their deepest level and writes them
-as unit vectors, with no elimination (`RadicalTable._rows`).  This is the
-computation it replaced: build every level T_m(x, .), the runs of the
+The table keeps each pair's runs with their deepest level, and
+`tests.conftest.pair_rows` writes them as unit vectors, with no
+elimination.  This is the computation it replaced: build every level T_m(x, .), the runs of the
 composites of m arrow maps, from the source end; write each level's runs
 as flat unit vectors, take their RREF, and fold the levels, deepest first,
 into one echelon basis with `fields.append`, the identity last on the
@@ -33,7 +33,7 @@ def levels(quiver, xi):
     over r in T_m(x, z) and the arrows a: z -> y."""
     out, runs = {}, {}
     for a in quiver.arrows:
-        out.setdefault(a.source, []).append((a.target, a.morphism.run))
+        out.setdefault(a.source, []).append((a.target, next(iter(a.morphism.terms))))
     for yi, a in out.get(xi, ()):
         runs.setdefault(yi, set()).add(a)
     got, m = {}, 0

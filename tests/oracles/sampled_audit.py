@@ -14,6 +14,7 @@ import random
 from stringar.artheory import knit
 from stringar.modules import morphism_from_flat
 from stringar.radical import ZERO_DEPTH, RadicalTable
+from tests.conftest import layer_space
 
 
 def sampled_audit(p, samples, seed, field):
@@ -29,7 +30,7 @@ def sampled_audit(p, samples, seed, field):
 
     def perturbed(rng, f, x, y):
         """f plus one draw from -3..3 per row of rad^2(x, y) times that row."""
-        space = table.layer(x, y, 2)
+        space = layer_space(table, x, y, 2)
         vec, drawn, coefficients = [field.zero()] * space.n, False, []
         for row in space.rows:
             c = rng.randint(-3, 3)
@@ -50,7 +51,7 @@ def sampled_audit(p, samples, seed, field):
                 if s_ix:
                     f, coefficients = perturbed(rng, arrow.morphism, x, y)
                 else:
-                    rows = table.layer(x, y, 2).rows
+                    rows = table.layer(x, y, 2)
                     f, coefficients = arrow.morphism, tuple(field.zero() for _ in rows)
                 hs.append(f)
                 key.append((index[arrow], coefficients))

@@ -34,7 +34,7 @@ from stringar.errors import (
 )
 from stringar.families import make_family
 from stringar.fields import QQ, field_for_characteristic
-from stringar.modules import hom_flat_dim, morphism_from_flat
+from stringar.modules import flat_offsets, morphism_from_flat
 from tests.conftest import EX3_SOURCE, KRONECKER_SOURCE, LADDER, LOOP_IN_SOURCE
 from tests.morphisms import identity_morphism, zero_morphism
 from tests.oracles import dense_maps, mesh_maps, round_trip
@@ -470,7 +470,7 @@ def _bumped_right_maps(seq):
     """Each right-map list with one flat entry of one right map raised by one."""
     for i, r in enumerate(seq.right_maps):
         field = r.source.field
-        for j in range(hom_flat_dim(r.source, r.target)):
+        for j in range(flat_offsets(r.source, r.target)[1]):
             vec = r.flatten()
             vec[j] = field.of(vec[j] + 1)
             bumped = morphism_from_flat(r.source, r.target, vec)
@@ -527,14 +527,15 @@ def test_knit_leaves_no_compose_index_on_its_arrows(monkeypatch):
     """verify reads each mesh from its pieces: knit composes, adds, tests for
     zero, runs the intertwining equations and ranks nothing, over QQ, GF(2)
     and GF(3), so no arrow carries a compose index.  Composing two arrow maps
-    intersects their runs and builds none; composing an arrow map with a map
-    that is not a graph map (a sum) builds one."""
+    intersects their runs and builds none, and so does composing an arrow map
+    with a graph-map sum: an arrow map added to itself."""
     def refuse(*args):
         raise AssertionError("knit did arithmetic on a map")
 
     with monkeypatch.context() as m:
-        for name in ("compose", "add", "is_zero", "_intertwines", "rank"):
-            m.setattr(modules.MorphismMatrix, name, refuse)
+        for cls in (modules.MorphismMatrix, modules.GraphMap):
+            for name in {"compose", "add", "is_zero", "_intertwines", "rank"} & set(vars(cls)):
+                m.setattr(cls, name, refuse)
         m.setattr(fields, "entry_rank", refuse)
         m.setattr(modules, "entry_rank", refuse)
         quivers = [knit(make_family("W", n=9).presentation, field_for_characteristic(c))
@@ -543,11 +544,10 @@ def test_knit_leaves_no_compose_index_on_its_arrows(monkeypatch):
         assert all(a.morphism._by_middle is None for a in q.arrows)
     q = quivers[0]
     a, b = next((a, b) for a in q.arrows for b in q.arrows_from(a.target))
-    assert b.morphism.compose(a.morphism).run is not None and b.morphism._by_middle is None
+    assert b.morphism.compose(a.morphism).terms and b.morphism._by_middle is None
     summed = a.morphism.add(a.morphism)
-    assert summed.run is None
-    b.morphism.compose(summed)
-    assert b.morphism._by_middle is not None
+    assert summed.terms == {run: 2 * c for run, c in a.morphism.terms.items()}
+    assert b.morphism.compose(summed).terms and b.morphism._by_middle is None
 
 
 
@@ -665,7 +665,7 @@ def test_knit_rejects_a_translate_pairing_that_misses_a_node(monkeypatch, w3):
     node is nobody's translate."""
     x = next(n for n in knit(w3).nodes if not n.projective)
     real = artheory._projective_tops
-    monkeypatch.setattr(artheory, "_projective_tops", lambda p: {**real(p), x.word.walk: "1"})
+    monkeypatch.setattr(artheory, "_projective_tops", lambda p: {**real(p), x.word.walk.key: "1"})
     with pytest.raises(MeshInconsistencyError, match="translate pairing is not onto"):
         knit(w3)
 
@@ -867,7 +867,7 @@ def test_a_module_basis_lies_along_its_walk(name):
     for p in _ladder_or_stress(name):
         resolve = artheory._Resolver(p, field_for_characteristic(0))
         for sw in enumerate_strings(p):
-            M = resolve[sw.walk][0]
+            M = resolve[sw.walk.key][0]
             verts = strings.walk_vertices(p, M.word.walk)
             assert [v for v, _ in M.basis] == verts
             assert [i for v, i in M.basis] == [verts[:j].count(v) for j, v in enumerate(verts)]
@@ -891,8 +891,8 @@ def test_both_resolvers_return_the_module_of_the_walk_they_are_given(name):
             for walk in (sw.walk, sw.walk.inverse()):
                 canon = strings.canonical_walk(p, walk)
                 for resolve in resolvers:
-                    assert resolve[canon][0].word.walk == canon
-                    assert resolve[walk][0] is resolve[canon][0]
+                    assert resolve[canon.key][0].word.walk == canon
+                    assert resolve[walk.key][0] is resolve[canon.key][0]
 
 
 def test_knit_validates_no_enumerated_string_again(monkeypatch):

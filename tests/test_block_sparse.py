@@ -15,8 +15,8 @@ from stringar.errors import CompositionError
 from stringar.families import make_family
 from stringar.fields import Mat
 from stringar.radical import RadicalTable
-from stringar.modules import MorphismMatrix, compose_runs, hom_flat_dim, morphism_from_flat
-from tests.conftest import LADDER
+from stringar.modules import MorphismMatrix, compose_runs, flat_offsets, morphism_from_flat
+from tests.conftest import LADDER, layer_space
 from tests.morphisms import identity_morphism
 from tests.oracles import dense_maps
 from tests.test_stress import _ladder_or_stress
@@ -126,7 +126,7 @@ def test_flat_morphisms_store_the_common_support(quiver):
     for x in quiver.nodes:
         for y in quiver.nodes:
             M, N = x.module.rep, y.module.rep
-            n = hom_flat_dim(M, N)
+            n = flat_offsets(M, N)[1]
             vec = [field.of(rng.randint(-2, 2)) for _ in range(n)]
             f = morphism_from_flat(M, N, vec)
             assert list(f.blocks) == _support(M, N)
@@ -175,8 +175,8 @@ def test_constructor_refuses_a_block_over_another_field(chars):
 
 
 def test_compose_multiplies_no_block(monkeypatch):
-    """compose joins nonzeros: in the witness search and in an audit, whose
-    perturbed maps come from flat vectors, it builds no block.  knit composes
+    """compose, of graph-map sums or of nonzeros, builds no block in the witness
+    search nor in an audit, whose perturbed maps are graph-map sums.  knit composes
     nothing, so every counted call is the search's (73) or the audit's (25)."""
     composed, made = [0], []
     zeros, init, compose = Mat.zeros.__func__, Mat.__init__, MorphismMatrix.compose
@@ -216,10 +216,16 @@ def _positions(f):
     return {(v, i, j) for v, i, j, _ in f.nonzeros}
 
 
+def _run(f):
+    """The run of a one-term graph map."""
+    (run,) = f.terms
+    return run
+
+
 @pytest.mark.parametrize("char", [0, 2, 3, 5])
 @pytest.mark.parametrize("name", [*LADDER, "S0-S7"])
 def test_arrow_runs_compose_as_their_morphisms(name, char):
-    """Each arrow map's `run`, and each mesh's left map's, gives its nonzeros
+    """Each arrow map's one run, and each mesh's left map's, gives its nonzeros
     up to sign, and the run that `modules.compose_runs` makes for a path of 2-4
     arrows has the support of the path's composite morphism, the zero one
     included; many are nonzero.  The composite joins the maps' nonzeros
@@ -231,20 +237,20 @@ def test_arrow_runs_compose_as_their_morphisms(name, char):
         module = [x.module for x in quiver.nodes]
         for seq in quiver.meshes.values():
             for y, f in zip(seq.middle, seq.left_maps):
-                assert _positions(f) == _run_support(seq.left_term, y, f.run)
+                assert _positions(f) == _run_support(seq.left_term, y, _run(f))
         for a in quiver.arrows:
             f, x = a.morphism, module[a.source]
-            assert _positions(f) == _run_support(x, module[a.target], f.run)
+            assert _positions(f) == _run_support(x, module[a.target], _run(f))
             assert {c for *_, c in f.nonzeros} <= signs
             arrows += 1
-            paths = [(a.target, f, f.run)]
+            paths = [(a.target, f, _run(f))]
             for _ in range(3):
                 longer = []
                 for zi, g, run in paths:
                     for b in quiver.arrows_from(zi):
                         c = b.morphism
                         h = MorphismMatrix._adopt(c.source, c.target, c.nonzeros).compose(g)
-                        r = run and compose_runs(run, b.morphism.run)
+                        r = run and compose_runs(run, _run(b.morphism))
                         assert _positions(h) == _run_support(x, module[b.target], r)
                         longer.append((b.target, h, r))
                 composites += sum(r is not None for *_, r in longer)
@@ -260,7 +266,7 @@ def _maps_to_check(quiver, rng):
         maps += seq.left_maps + seq.right_maps
     for a in quiver.arrows:
         x, y = quiver.nodes[a.source], quiver.nodes[a.target]
-        for row in table.layer(x, y, 2).rows:
+        for row in layer_space(table, x, y, 2).rows:
             c = field.of(rng.choice([-1, 1, 2]))
             maps.append(a.morphism.add(morphism_from_flat(x.module.rep, y.module.rep, row).scale(c)))
     return maps

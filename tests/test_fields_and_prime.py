@@ -16,11 +16,11 @@ from stringar import (
 from stringar.artheory import tau_oracle
 from stringar.families import make_family
 from stringar.fields import (
-    Mat, QQ, PrimeField, Subspace, append, combination, nullspace, reduce, rref, solve,
+    Mat, QQ, PrimeField, Subspace, append, nullspace, reduce, rref, solve,
 )
 from stringar.modules import end_radical, hom_basis
 from stringar.radical import RadicalTable
-from tests.conftest import LADDER, table_rows
+from tests.conftest import LADDER, layer_space, pair_rows, table_rows
 from tests.oracles import gauss_jordan
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "stringar"
@@ -191,12 +191,12 @@ def test_a_subspace_owns_its_rows(w3):
     assert s.rows == [[1, 0]]
     T = RadicalTable(knit(w3))
     pairs = [(x, y, n) for x in T.nodes for y in T.nodes for n in range(1, 4)
-             if len(T.layer(x, y, n).rows) == 1]
+             if len(T.layer(x, y, n)) == 1]
     assert pairs
     for x, y, n in pairs:
-        before = repr(T._rows(x.index, y.index))
-        T.layer(x, y, n).rows[0][0] = 99
-        assert repr(T._rows(x.index, y.index)) == before
+        before = repr(pair_rows(T, x.index, y.index))
+        layer_space(T, x, y, n).rows[0][0] = 99
+        assert repr(pair_rows(T, x.index, y.index)) == before
 
 
 def _integral_fractions(rows):
@@ -234,8 +234,6 @@ def test_prime_field_residues_are_reduced():
     assert not s.insert([2, 1]) and s.rows == [[1, 2]]
     assert reduce([(1, 0, [1, 2])], [2, 1], 3) == ([0, 0], 1)
     assert not append(F, [(1, 0, [1, 2])], [2, 1], 0)
-    assert combination(F, [2, 2], [[1, 2], [2, 2]]) == [0, 2]
-    assert combination(QQ, [2, Fraction(1, 2)], [[1, 2], [2, 2]]) == [3, 5]
 
 
 @pytest.mark.parametrize("char", [2, 3, 5])

@@ -103,16 +103,16 @@ def test_reaches_reads_the_levels_as_the_oracle_rows(name, char):
 
 @pytest.mark.parametrize("name", sorted(LADDER))
 def test_a_witness_and_the_level_queries_eliminate_nothing(name, no_elimination):
-    """A ladder witness calls no `rref`, `append` or `reduce`, and makes an
-    owner map only for pairs that `depth` reads.  On its quiver, `depth` of
-    each arrow map and of its `MorphismMatrix._adopt` copy, and `tags`,
-    `reaches` and `profile` of every pair, call none either."""
+    """A ladder witness calls no `rref`, `append` or `reduce`, and makes no
+    owner map: every map `depth` reads is a graph-map sum.  On its quiver,
+    `depth` of each arrow map and of its `MorphismMatrix._adopt` copy, and
+    `tags`, `reaches` and `profile` of every pair, call none either."""
     family, m, n = LADDER[name]
     read, depth = set(), RadicalTable.depth
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(RadicalTable, "depth", lambda T, f, x, y: read.add((x.index, y.index)) or depth(T, f, x, y))
         w = witness(make_family(family, m=m, n=n))
-    assert read and set(w.table._owners) <= read
+    assert read and w.table._owners == {}
     G, T = w.quiver, RadicalTable(w.quiver)
     for a in G.arrows:
         x, y = G.nodes[a.source], G.nodes[a.target]

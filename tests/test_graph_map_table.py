@@ -37,7 +37,7 @@ def _table(i, char):
 def _support(T, xi, yi, run):
     """The entries (vertex, row, column) that the graph map of a run sets,
     from its nonzeros."""
-    f = GraphMap(T.nodes[xi].module, T.nodes[yi].module, run, T.field.one(), False)
+    f = GraphMap(T.nodes[xi].module, T.nodes[yi].module, {run: T.field.one()})
     return {(v, i, j) for v, i, j, _ in f.nonzeros}
 
 
@@ -96,8 +96,8 @@ def test_a_run_that_overlaps_another_is_refused_naming_the_pair():
     reaches the table, and `depth`'s first read of the pair's entries
     refuses it."""
     G = _table(0, 0).quiver
-    a = next(a for a in G.arrows if a.morphism.run[3] > 1)
-    s, t, d, k = a.morphism.run
+    a = next(a for a in G.arrows if next(iter(a.morphism.terms))[3] > 1)
+    [(s, t, d, k)] = a.morphism.terms
     T = RadicalTable(G)
     T._out[a.source].append((a.target, (s, t, d, k - 1)))
     T._in[a.target].append((a.source, (s, t, d, k - 1)))

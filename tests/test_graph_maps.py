@@ -20,7 +20,7 @@ from stringar.families import make_family
 from stringar.fields import entry_rank
 from stringar.modules import MorphismMatrix, morphism_from_flat
 from stringar.radical import RadicalTable
-from tests.conftest import LADDER
+from tests.conftest import LADDER, layer_space
 from tests.oracles import dense_maps, mesh_maps
 from tests.test_artheory import _bumped_right_maps
 from tests.test_stress import _band_free_algebras
@@ -194,7 +194,7 @@ def test_ranks_of_non_graph_maps_fall_back_to_rref(char, rref_calls):
         table, field = RadicalTable(G), G.field
         for a in G.arrows:
             x, y = G.nodes[a.source], G.nodes[a.target]
-            for row in table.layer(x, y, 2).rows:
+            for row in layer_space(table, x, y, 2).rows:
                 f = a.morphism.add(morphism_from_flat(x.module.rep, y.module.rep, row))
                 ranks = _oracle_ranks(f)
                 before = len(rref_calls)

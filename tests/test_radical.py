@@ -21,7 +21,7 @@ from stringar.errors import NotIrreducibleError
 from stringar.fields import field_for_characteristic
 from stringar.modules import standard_word
 from stringar.radical import RadicalTable
-from tests.conftest import LADDER
+from tests.conftest import LADDER, layer_space
 from tests.morphisms import identity_morphism, zero_morphism
 from tests.oracles import round_trip
 from tests.test_stress import _ladder_or_stress
@@ -38,9 +38,9 @@ def test_layer_zero_is_hom_and_identity_not_radical(w3_quiver, w3_table):
     G, T = w3_quiver, w3_table
     x = G.node_of(walk_from_text("b1^- a b1"))
     H = hom_basis(x.module.rep, x.module.rep)
-    assert T.layer(x, x, 0).dim == H.dimension
+    assert layer_space(T, x, x, 0).dim == H.dimension
     ident = identity_morphism(x.module.rep)
-    assert not T.layer(x, x, 1).contains(ident.flatten())
+    assert not layer_space(T, x, x, 1).contains(ident.flatten())
     assert T.depth(ident, x, x) == 0
 
 
@@ -258,10 +258,10 @@ def test_profile_of_a_node_pair(w3_quiver, w3_table):
     x, y = w3_quiver.node_of(walk_from_text("b2")), w3_quiver.node_of(walk_from_text("a b1"))
     prof = w3_table.profile(x, y)
     assert prof.dims[0] == 1
-    basis6 = prof.basis(6)
+    basis6 = w3_table.layer(x, y, 6)
     assert len(basis6) == 1
     assert basis6[0].check_intertwining()
-    assert prof.basis(len(prof.layers) + 3) == []
+    assert w3_table.layer(x, y, len(prof.dims) + 3) == []
 
 
 def test_cg_degree_agreement_u32_algebra():

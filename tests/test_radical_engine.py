@@ -28,7 +28,7 @@ from stringar.errors import MeshInconsistencyError
 from stringar.families import make_family
 from stringar.modules import MorphismMatrix
 from stringar.radical import ZERO_DEPTH, RadicalTable
-from tests.conftest import LADDER, table_rows
+from tests.conftest import LADDER, layer_space, pair_rows, table_rows
 from tests.morphisms import identity_morphism
 from tests.oracles import dense_maps, fold, gauss_jordan
 from tests.test_stress import _band_free_algebras, _ladder_or_stress, random_presentations
@@ -76,7 +76,7 @@ def test_layer_zero_is_the_solved_hom_space(name, char):
     for x in T.nodes:
         for y in T.nodes:
             dim = hom_basis(x.module.rep, y.module.rep).dimension
-            assert T.layer(x, y, 0).dim == T.profile(x, y).dims[0] == dim
+            assert layer_space(T, x, y, 0).dim == T.profile(x, y).dims[0] == dim
 
 
 def _composites(quiver):
@@ -132,7 +132,7 @@ def test_profile_counts_the_layers(name):
         for y in T.nodes:
             dims = T.profile(x, y).dims
             assert len(dims) == T.nilpotency + 1
-            assert dims == [T.layer(x, y, n).dim for n in range(len(dims))]
+            assert dims == [layer_space(T, x, y, n).dim for n in range(len(dims))]
     # the nilpotency index is the first layer that is 0 for every pair
     assert any(T.profile(x, y).dims[-2] for x in T.nodes for y in T.nodes)
 
@@ -148,7 +148,7 @@ def test_engine_solves_no_hom_space(monkeypatch):
     a = G.arrows[0]
     x, y = G.nodes[a.source], G.nodes[a.target]
     assert T.depth(a.morphism, x, y) == 1
-    assert T.profile(x, y).dims[1] == T.layer(x, y, 1).dim
+    assert T.profile(x, y).dims[1] == layer_space(T, x, y, 1).dim
     for side in ("left", "right"):
         T.degree(a.morphism, side, source=x, target=y)
 
@@ -311,7 +311,7 @@ def test_sources_built_in_any_order_give_the_complete_table(name, char):
         assert set(T._levels) == set(queried[: k + 1])
         assert set(T._pairs) == {key for key in complete if key[0] in T._levels}
         for key in list(T._pairs):
-            assert T._rows(*key) == complete[key]
+            assert pair_rows(T, *key) == complete[key]
     assert table_rows(T) == complete
     assert set(T._levels) == {x.index for x in T.nodes}
 
@@ -330,7 +330,7 @@ def test_columns_equal_the_source_build(name, char):
         T._column(y.index)
     assert T._levels == {} and T._columns == {y.index for y in T.nodes}
     assert set(T._pairs) == set(complete)
-    assert {k: repr(T._rows(*k)) for k in complete} == {k: repr(rows) for k, rows in complete.items()}
+    assert {k: repr(pair_rows(T, *k)) for k in complete} == {k: repr(rows) for k, rows in complete.items()}
 
 
 @pytest.mark.parametrize("char", [0, 2, 3])
@@ -348,7 +348,7 @@ def test_sources_and_columns_built_in_any_order_give_the_complete_table(name, ch
         T._level(xi) if side == "source" else T._column(xi)
         built = {k for k in complete if k[0] in T._levels or k[1] in T._columns}
         assert set(T._pairs) == built
-        assert all(T._rows(*k) == complete[k] for k in built)
+        assert all(pair_rows(T, *k) == complete[k] for k in built)
     assert T._columns and table_rows(T) == complete
 
 

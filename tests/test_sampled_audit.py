@@ -137,7 +137,7 @@ def _draw_free(p, field):
         for a2 in quiver.arrows_from(a1.target)
         for a3 in quiver.arrows_from(a2.target)
     ]
-    rad2 = {id(a): table.layer(x, y, 2).rows for a, (x, y) in zip(quiver.arrows, ends)}
+    rad2 = {id(a): table.layer(x, y, 2) for a, (x, y) in zip(quiver.arrows, ends)}
     texts = [[quiver.nodes[a.source].text for a in t] + [quiver.nodes[t[2].target].text]
              for t in triples]
     return [text for t, text in zip(triples, texts) if not any(rad2[id(a)] for a in t)], triples
