@@ -52,7 +52,7 @@ def test_sum_arithmetic_is_the_nonzero_join(name, char):
     its negative, and over GF(p) p copies of it, cancel to the plain zero map,
     whose depth is ZERO_DEPTH; a sum plus that zero map is the sum itself."""
     G = _quiver(name, char)
-    T, field, p = RadicalTable(G), G.field, G.field.characteristic
+    T, p = RadicalTable(G), G.field.characteristic
     rng = random.Random(f"sums:{name}:{char}")
     sums, checked, multi, cancelled = {}, 0, 0, 0
 
