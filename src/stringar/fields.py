@@ -1,12 +1,13 @@
 """Exact linear algebra over the rationals or a prime field.
 
-Everything downstream (homomorphism spaces, radical layers, the DTr
+Everything downstream (homomorphism spaces, the degree witness, the DTr
 oracle) reduces to rank/kernel/echelon computations on small dense
-matrices.  One elimination does them all: `append` adds a vector's residue
-under `reduce` to an echelon basis of rows (tag, pivot, row), and `rref` is
-`append` per vector, a sort by pivot and a clearing pass.  `Mat` is only
-the dense matrix that elimination reads; maps and modules are kept as their
-nonzeros (see `modules`).  In characteristic 0 an entry is a Python `int`
+matrices.  One elimination does them all: `Subspace.insert` reduces a
+vector against RREF rows (`reduce`), scales it to a unit pivot, clears that
+column and inserts it by pivot, and `rref` is the basis of a `Subspace`
+its vectors are inserted into.  `Mat` is only the dense matrix that
+elimination reads; maps and modules are kept as their nonzeros (see
+`modules`).  In characteristic 0 an entry is a Python `int`
 when it is integral and a `fractions.Fraction` otherwise; mod p it is an
 `int` in [0, p), and each accumulated row is reduced with `% p` once,
 inline on `field.characteristic`.  Division is the exception (`int / int`
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 from bisect import bisect
 from fractions import Fraction
-from operator import itemgetter
 
 
 def _exact(q):
@@ -175,51 +175,22 @@ def pivot(v):
     return None
 
 
-def reduce(rows, vec, char):
-    """Subtract each echelon row (tag, pivot, row) at its pivot, in order.
-
-    Returns the residue and the tag of the last row used (None if none was).
-    Each row is zero at the pivots of the rows before it, so the residue is
-    zero exactly when vec lies in the span of the rows.  In characteristic
-    char > 0 each pivot entry is reduced on the way and the residue once.
-    """
+def reduce(pivots, rows, vec, char):
+    """The residue of vec against RREF rows with those pivots: each row is
+    subtracted at its pivot, where the others are zero, so the residue is
+    zero exactly when vec lies in their span.  In characteristic char > 0
+    each pivot entry is reduced on the way and the residue once."""
     v = list(vec)
-    tag = None
-    for t, p, row in rows:
+    for p, row in zip(pivots, rows):
         c = v[p] % char if char else v[p]
         if c:
             v = [a - c * b for a, b in zip(v, row)]
-            tag = t
-    return ([a % char for a in v] if char else v), tag
-
-
-def append(field, rows, vec, tag):
-    """Add vec to the echelon rows as (tag, pivot, row), scaled to a unit pivot;
-    False if vec is spanned."""
-    char = field.characteristic
-    v, _ = reduce(rows, vec, char)
-    p = pivot(v)
-    if p is None:
-        return False
-    rows.append((tag, p, scaled_row(v, field.inv(v[p]), char)))
-    return True
-
-
-def _clear(rows, p, prow, char):
-    """Clear column p of each row with prow, whose entry there is 1; over QQ a
-    row is made exact where a Fraction enters it."""
-    exact = not char and type(sum(prow)) is Fraction
-    for i, row in enumerate(rows):
-        f = row[p]
-        if f:
-            row = [a - f * b for a, b in zip(row, prow)]
-            if char or exact or type(f) is Fraction:
-                row = [a % char for a in row] if char else [_exact(a) for a in row]
-            rows[i] = row
+    return [a % char for a in v] if char else v
 
 
 def rref(vectors, field):
-    """(pivot columns, rows) of the RREF basis of the span of vectors; a row may be one of them.
+    """(pivot columns, rows) of the RREF basis of the span of vectors: those of
+    a `Subspace` they are inserted into; a row may be one of them.
 
     Given entries in the field's form, the rows are in it too: over QQ a row
     is made exact where a Fraction enters it.
@@ -229,16 +200,8 @@ def rref(vectors, field):
         p = pivot(v)
         if p is not None and type(v[p]) is int:  # its inverse is +-1 or a Fraction: v stays exact
             return [p], [v if v[p] == 1 else scaled_row(v, field.inv(v[p]), field.characteristic)]
-    echelon = []
-    for v in vectors:
-        append(field, echelon, v, None)
-    echelon.sort(key=itemgetter(1))
-    pivots, rows = [], []
-    for _, p, prow in echelon:
-        _clear(rows, p, prow, field.characteristic)
-        pivots.append(p)
-        rows.append(prow)
-    return pivots, rows
+    space = Subspace(field, len(vectors[0]) if vectors else 0, vectors)
+    return space.pivots, space.rows
 
 
 def entry_rank(field, entries):
@@ -299,36 +262,42 @@ class Subspace:
 
     RREF is unique per subspace, so equality of `rows` is equality of
     subspaces and every basis below is canonical no matter the insertion
-    order.
+    order.  `insert` is the one way rows are made, here and in `rref`.
     """
 
     __slots__ = ("field", "n", "rows", "pivots")
 
     def __init__(self, field, n, vectors=()):
-        self.field = field
-        self.n = n
-        self.pivots, self.rows = rref([list(v) for v in vectors], field)
+        self.field, self.n, self.pivots, self.rows = field, n, [], []
+        for v in vectors:
+            self.insert(v)
 
     @property
     def dim(self):
         return len(self.rows)
 
-    def _residue(self, vec):
-        rows = zip(self.pivots, self.pivots, self.rows)  # `reduce` reads (tag, pivot, row)
-        return reduce(rows, vec, self.field.characteristic)[0]
-
     def contains(self, vec):
-        return not any(self._residue(vec))
+        return not any(reduce(self.pivots, self.rows, vec, self.field.characteristic))
 
     def insert(self, vec):
-        """Add a vector; returns True if the dimension grew.  The residue is
-        zero at every pivot: it goes in by its pivot, the rows above cleared there."""
-        v = self._residue(vec)
-        if not any(v):
+        """Add a vector; returns True if the dimension grew.  Its residue is zero
+        at every pivot: scaled to a unit pivot p, it clears column p of the rows
+        (only those above p can be nonzero there) and goes in by p.  Over QQ a
+        row is made exact where a Fraction enters it."""
+        char = self.field.characteristic
+        v = reduce(self.pivots, self.rows, vec, char)
+        p = pivot(v)
+        if p is None:
             return False
-        p, char = pivot(v), self.field.characteristic
         row = scaled_row(v, self.field.inv(v[p]), char)
-        _clear(self.rows, p, row, char)
+        exact = not char and type(sum(row)) is Fraction
+        for i, other in enumerate(self.rows):
+            f = other[p]
+            if f:
+                other = [a - f * b for a, b in zip(other, row)]
+                if char or exact or type(f) is Fraction:
+                    other = [a % char for a in other] if char else [_exact(a) for a in other]
+                self.rows[i] = other
         k = bisect(self.pivots, p)
         self.pivots.insert(k, p)
         self.rows.insert(k, row)

@@ -13,7 +13,8 @@ A morphism is kept as its nonzeros only (`MorphismMatrix`).  Hom spaces are
 solved in flat coordinates, every block row-major in vertex order, with
 equations read from the modules' nonzeros; `morphism_from_flat` reads a
 flat vector straight into nonzeros, with no block built.  A `GraphMap` (a sum
-of graph maps) builds them on first read; sums compose by `compose_runs`.
+of graph maps) builds them on first read; sums compose by `compose_runs`,
+and a sum scaled, negated, or added to a sum or a zero map stays a sum.
 """
 
 from __future__ import annotations
@@ -350,12 +351,16 @@ class MorphismMatrix:
             return _graph_sum(*self.modules, [*self.terms.items(), *other.terms.items()], self.flip)
         if self.terms and other.is_zero():
             return self
+        if other.terms and self.is_zero():
+            return other
         acc = _by_position(self.nonzeros)
         for v, i, j, a in other.nonzeros:
             acc[v, i, j] = acc.get((v, i, j), 0) + a
         return MorphismMatrix._adopt(self.source, self.target, _entries(acc, self.source.field))
 
     def scale(self, c):
+        if self.terms:
+            return _graph_sum(*self.modules, [(r, c * a) for r, a in self.terms.items()], self.flip)
         acc = {(v, i, j): c * a for v, i, j, a in self.nonzeros}
         return MorphismMatrix._adopt(self.source, self.target, _entries(acc, self.source.field))
 
@@ -409,7 +414,7 @@ class MorphismMatrix:
 class GraphMap(MorphismMatrix):
     """A sum of graph maps M -> N of string modules, `terms` {run: c != 0}: a run
     (s, t, d, k) sends basis position s + i of M to t + d * i of N, i < k, d = +-1
-    (+1 if k = 1); knit's maps have one term, and sums compose and add to sums.
+    (+1 if k = 1); knit's maps have one term, and sums compose, add and scale to sums.
     `nonzeros` is built on first read, each run backwards if `flip`."""
 
     __slots__ = ("terms", "modules", "flip")

@@ -21,7 +21,8 @@ and D; else the letters next to a shared position give C or D a
 non-reduced word such as l^-1 l.  So the runs' unit vectors, by pivot, are
 independent and in RREF; f = sum c_r r has the least level of an r with
 c_r != 0 as depth; and levels, tags and profiles do not depend on the field.
-`layer` lists it as graph maps; the engine's maps and degree witnesses are
+`layer` lists it as graph maps by pivot, a run's least entry (vertex rank,
+row, column) in block order; the engine's maps and degree witnesses are
 `GraphMap` sums on it, and `depth` reads their terms.
 
 T_m grows from either end: `_build(x, "source")` finds the pairs (X, .)
@@ -42,8 +43,8 @@ import math
 
 from .errors import BandFoundError, MeshInconsistencyError, NotIrreducibleError
 from .fields import Mat, Subspace, nullspace
-from .modules import end_radical, hom_basis, morphism_from_flat  # the cross-check only
-from .modules import GraphMap, compose_runs, flat_offsets, standard_word
+from .modules import end_radical, flat_offsets, hom_basis, morphism_from_flat  # the cross-check only
+from .modules import GraphMap, compose_runs, standard_word
 from .strings import (
     Letter,
     Walk,
@@ -59,11 +60,12 @@ from .strings import (
 ZERO_DEPTH = math.inf  # the zero morphism sits below every radical layer
 
 
-def _cells(M, N, offsets, run):
-    """The flat indices where the graph map M -> N of a run is 1."""
+def _cells(M, N, run):
+    """The entries (vertex rank, row, column) where the graph map M -> N of a
+    run is 1.  That is block order, so the least is the run's flat pivot."""
     s, t, d, k = run
-    return [offsets[v] + N.basis[t + d * i][1] * M.rep.dims[v] + j
-            for i, (v, j) in enumerate(M.basis[s : s + k])]
+    rank = M.rep.p.quiver.vertex_index
+    return [(rank[v], N.basis[t + d * i][1], j) for i, (v, j) in enumerate(M.basis[s : s + k])]
 
 
 class RadicalProfile:
@@ -116,7 +118,6 @@ class RadicalTable:
         self.field = quiver.field
         self.nodes = nodes = quiver.nodes
         self._pairs = {}  # (source, target index) -> {run: its deepest level}
-        self._owners = {}  # read pair -> {flat index: the run that sets it}
         self._levels = {}  # built source index -> its number of nonzero T_m
         self._columns = set()  # built target (column) indices
         self._nilpotency = None  # set once the projective sources are built
@@ -211,19 +212,15 @@ class RadicalTable:
         return self._pairs.get((xi, yi), {})
 
     def _owner(self, xi, yi):
-        """{flat index: the run of (xi, yi) that sets it}, made on first read;
+        """{entry (vertex rank, row, column): the run of (xi, yi) that sets it};
         raises if two runs share one, as no sound table has."""
-        owner = self._owners.get((xi, yi))
-        if owner is None:
-            owner, x, y = {}, self.nodes[xi], self.nodes[yi]
-            offsets, _ = flat_offsets(x.module.rep, y.module.rep)
-            for run in self._runs(xi, yi):
-                for c in _cells(x.module, y.module, offsets, run):
-                    other = owner.setdefault(c, run)
-                    if other != run:
-                        text = f"{x.text} -> {y.text}: runs {other} and {run} share an entry"
-                        raise MeshInconsistencyError(text)
-            self._owners[xi, yi] = owner
+        owner, x, y = {}, self.nodes[xi], self.nodes[yi]
+        for run in self._runs(xi, yi):
+            for c in _cells(x.module, y.module, run):
+                other = owner.setdefault(c, run)
+                if other != run:
+                    text = f"{x.text} -> {y.text}: runs {other} and {run} share an entry"
+                    raise MeshInconsistencyError(text)
         return owner
 
     def reaches(self, xi, yi, n=0):
@@ -253,10 +250,9 @@ class RadicalTable:
     def layer(self, x, y, n):
         """The basis of rad^n(x, y) as graph maps: the runs of level n or more,
         deepest level first, then by pivot."""
-        levels, M, N = self._runs(x.index, y.index), x.module, y.module
-        offsets, one = flat_offsets(M.rep, N.rep)[0], self.field.one()
+        levels, M, N, one = self._runs(x.index, y.index), x.module, y.module, self.field.one()
         runs = sorted((r for r, t in levels.items() if t >= n),
-                      key=lambda r: (-levels[r], min(_cells(M, N, offsets, r))))
+                      key=lambda r: (-levels[r], min(_cells(M, N, r))))
         return [GraphMap(M, N, {r: one}) for r in runs]
 
     def profile(self, x, y):
@@ -275,15 +271,16 @@ class RadicalTable:
 
     def _terms(self, f, x, y):
         """f: x -> y as {run: nonzero coefficient}: a graph-map sum's terms, else
-        (a map made outside the engine) each flat nonzero read at the run that
-        owns it.  The runs span Hom(x, y): f is a morphism iff every nonzero is
-        owned and fills its run with one coefficient."""
+        (a map made outside the engine) each nonzero read at the run that owns
+        its entry.  The runs span Hom(x, y): f is a morphism iff every nonzero
+        is owned and fills its run with one coefficient."""
         if f.terms and self._runs(x.index, y.index).keys() >= f.terms.keys():
             return f.terms
         if f.is_zero():
             return {}
-        vec, char = f.flatten(), self.field.characteristic
-        terms, cells = {}, [(c, a) for c, a in enumerate([a % char for a in vec] if char else vec) if a]
+        char, rank = self.field.characteristic, f.source.p.quiver.vertex_index
+        entries = {(rank[v], i, j): a % char if char else a for v, i, j, a in f.nonzeros}
+        terms, cells = {}, [(c, a) for c, a in entries.items() if a]
         owner = cells and self._owner(x.index, y.index)
         for c, a in cells:
             if terms.setdefault(owner.get(c), a) != a:
@@ -337,8 +334,7 @@ class RadicalTable:
         if not runs:
             return None
         M, N, one = src.module, mid.module, self.field.one()
-        offsets, _ = flat_offsets(M.rep, N.rep)
-        runs.sort(key=lambda r: min(_cells(M, N, offsets, r)))  # by pivot
+        runs.sort(key=lambda r: min(_cells(M, N, r)))  # by pivot
         far = (z, y) if left else (x, z)
         levels, shallow = self._runs(far[0].index, far[1].index), []
         for run in runs:

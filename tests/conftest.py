@@ -8,17 +8,26 @@ from stringar import knit, parse_presentation
 from stringar.families import make_family
 from stringar.fields import Subspace
 from stringar.modules import flat_offsets
-from stringar.radical import RadicalTable, _cells
+from stringar.radical import RadicalTable
+
+
+def _flat_cells(M, N, offsets, run):
+    """The flat indices where the graph map M -> N of a run is 1; offsets is
+    `flat_offsets(M.rep, N.rep)[0]`."""
+    s, t, d, k = run
+    return [offsets[v] + N.basis[t + d * i][1] * M.rep.dims[v] + j
+            for i, (v, j) in enumerate(M.basis[s : s + k])]
 
 
 def pair_rows(T, xi, yi):
     """The rows (level, pivot, unit vector) of the runs of the pair (xi, yi) of
     the RadicalTable T, deepest level first, then by pivot: each layer's RREF
-    basis, written from the runs with no `flatten`."""
+    basis, written from the runs with no `flatten`, so an oracle for the order
+    of `T.layer`."""
     M, N, rows = T.nodes[xi].module, T.nodes[yi].module, []
     offsets, size = flat_offsets(M.rep, N.rep)
     for run, m in T._runs(xi, yi).items():
-        row, cells = [0] * size, _cells(M, N, offsets, run)
+        row, cells = [0] * size, _flat_cells(M, N, offsets, run)
         for c in cells:
             row[c] = 1
         rows.append((m, min(cells), row))

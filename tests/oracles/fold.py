@@ -5,14 +5,46 @@ The table keeps each pair's runs with their deepest level, and
 elimination.  This is the computation it replaced: build every level T_m(x, .), the runs of the
 composites of m arrow maps, from the source end; write each level's runs
 as flat unit vectors, take their RREF, and fold the levels, deepest first,
-into one echelon basis with `fields.append`, the identity last on the
+into one echelon basis with `append`, the identity last on the
 diagonal.  A row (m, pivot, row) then carries the level m of the deepest
 T_m that adds it.  `depth` reduces a flat vector against those rows.
+The tagged `reduce` and `append` are the echelon primitives `fields` once
+had; the library now inserts into a `Subspace` only.
 """
 
 from stringar.errors import MeshInconsistencyError
-from stringar.fields import append, reduce, rref
+from stringar.fields import pivot, rref, scaled_row
 from stringar.modules import compose_runs, flat_offsets
+
+
+def reduce(rows, vec, char):
+    """Subtract each echelon row (tag, pivot, row) at its pivot, in order.
+
+    Returns the residue and the tag of the last row used (None if none was).
+    Each row is zero at the pivots of the rows before it, so the residue is
+    zero exactly when vec lies in the span of the rows.  In characteristic
+    char > 0 each pivot entry is reduced on the way and the residue once.
+    """
+    v = list(vec)
+    tag = None
+    for t, p, row in rows:
+        c = v[p] % char if char else v[p]
+        if c:
+            v = [a - c * b for a, b in zip(v, row)]
+            tag = t
+    return ([a % char for a in v] if char else v), tag
+
+
+def append(field, rows, vec, tag):
+    """Add vec to the echelon rows as (tag, pivot, row), scaled to a unit pivot;
+    False if vec is spanned."""
+    char = field.characteristic
+    v, _ = reduce(rows, vec, char)
+    p = pivot(v)
+    if p is None:
+        return False
+    rows.append((tag, p, scaled_row(v, field.inv(v[p]), char)))
+    return True
 
 
 def _flat_runs(M, N, flat, runs, c):

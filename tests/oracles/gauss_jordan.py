@@ -1,11 +1,12 @@
 """In-place Gauss-Jordan elimination, kept as the oracle for `fields.rref`.
 
-The library builds a reduced row echelon basis from its echelon primitives
-(`fields.append`, then a sort by pivot and a clearing pass).  This is the
-textbook elimination it replaced: column by column, swap a pivot row up,
-scale it to a unit pivot and clear its column in every other row.  Both
-must give the same pivots, the same rows and the same entry types (over QQ
-an `int` where an entry is integral, a `Fraction` otherwise).
+The library builds a reduced row echelon basis by inserting one vector at
+a time (`fields.Subspace.insert`: reduce, scale to a unit pivot, clear that
+column and insert by pivot).  This is the textbook elimination it
+replaced: column by column, swap a pivot row up, scale it to a unit pivot
+and clear its column in every other row.  Both must give the same pivots,
+the same rows and the same entry types (over QQ an `int` where an entry is
+integral, a `Fraction` otherwise).
 """
 
 from fractions import Fraction

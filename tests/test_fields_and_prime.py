@@ -16,12 +16,12 @@ from stringar import (
 from stringar.artheory import tau_oracle
 from stringar.families import make_family
 from stringar.fields import (
-    Mat, QQ, PrimeField, Subspace, append, nullspace, reduce, rref, solve,
+    Mat, QQ, PrimeField, Subspace, nullspace, reduce, rref, solve,
 )
 from stringar.modules import end_radical, hom_basis
 from stringar.radical import RadicalTable
 from tests.conftest import LADDER, layer_space, pair_rows, table_rows
-from tests.oracles import gauss_jordan
+from tests.oracles import fold, gauss_jordan
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "stringar"
 
@@ -100,13 +100,13 @@ def test_fraction_pivots_leave_integral_entries_as_ints():
     _, rows = rref([[2, 1], [4, 3]], QQ)
     s = Subspace(QQ, 2, [[2, 1], [4, 3]])
     t = Subspace(QQ, 3, [[2, 4, 1], [0, 3, 6]])
-    tagged = []
-    for tag, vec in enumerate([[3, 0, 6], [0, 2, 1]]):
-        append(QQ, tagged, vec, tag)
+    inserted = Subspace(QQ, 3)
+    for vec in [[3, 0, 6], [0, 2, 1]]:
+        inserted.insert(vec)
     assert rows == s.rows == [[1, 0], [0, 1]]
     assert t.rows == [[1, 0, Fraction(-7, 2)], [0, 1, 2]]
-    assert [row for _, _, row in tagged] == [[1, 0, 2], [0, 1, Fraction(1, 2)]]
-    entries = [x for m in (rows, s.rows, t.rows, [r for _, _, r in tagged]) for r in m for x in r]
+    assert inserted.rows == [[1, 0, 2], [0, 1, Fraction(1, 2)]]
+    entries = [x for m in (rows, s.rows, t.rows, inserted.rows) for r in m for x in r]
     assert {type(x) for x in entries if x == int(x)} == {int}
 
 
@@ -137,13 +137,17 @@ def test_rref_matches_gauss_jordan(char, count):
         assert [list(map(type, r)) for r in got[1]] == [list(map(type, r)) for r in want[1]], rows
 
 
-def test_append_stores_an_integral_fraction_as_an_int():
+def test_insert_stores_an_integral_fraction_as_an_int():
     """A residue that picks up an integral Fraction by elimination and has a unit
-    pivot is stored as `rref` stores it: an int."""
+    pivot is stored as an int, by `Subspace.insert`, by `rref` and by the
+    oracle's tagged `append`."""
+    s = Subspace(QQ, 3, [[1, 0, Fraction(1, 2)]])
+    assert s.insert([1, 1, Fraction(3, 2)])
+    assert s.rows == [[1, 0, Fraction(1, 2)], [0, 1, 1]] and type(s.rows[1][2]) is int
+    assert rref([[1, 0, Fraction(1, 2)], [1, 1, Fraction(3, 2)]], QQ) == (s.pivots, s.rows)
     rows = [(None, 0, [1, 0, Fraction(1, 2)])]
-    assert append(QQ, rows, [1, 1, Fraction(3, 2)], None)
-    assert rows[1] == (None, 1, [0, 1, 1]) and type(rows[1][2][2]) is int
-    assert rref([[1, 0, Fraction(1, 2)], [1, 1, Fraction(3, 2)]], QQ) == ([0, 1], [rows[0][2], rows[1][2]])
+    assert fold.append(QQ, rows, [1, 1, Fraction(3, 2)], None)
+    assert rows[1] == (None, 1, s.rows[1]) and type(rows[1][2][2]) is int
 
 
 @pytest.mark.parametrize("char", [0, 2, 3, 5])
@@ -232,8 +236,9 @@ def test_prime_field_residues_are_reduced():
     s = Subspace(F, 2, [[1, 2]])
     assert s.contains([2, 1])
     assert not s.insert([2, 1]) and s.rows == [[1, 2]]
-    assert reduce([(1, 0, [1, 2])], [2, 1], 3) == ([0, 0], 1)
-    assert not append(F, [(1, 0, [1, 2])], [2, 1], 0)
+    assert reduce([0], [[1, 2]], [2, 1], 3) == [0, 0]
+    assert fold.reduce([(1, 0, [1, 2])], [2, 1], 3) == ([0, 0], 1)
+    assert not fold.append(F, [(1, 0, [1, 2])], [2, 1], 0)
 
 
 @pytest.mark.parametrize("char", [2, 3, 5])

@@ -13,6 +13,7 @@ every flat writer and reader made to raise.
 import contextlib
 import io
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -22,7 +23,7 @@ from stringar.families import make_family
 from stringar.modules import GraphMap, MorphismMatrix
 from stringar.radical import ZERO_DEPTH, RadicalTable
 from tests.conftest import LADDER, W3_SOURCE
-from tests.test_first_read import CHARS, NAMES, _joined, _quiver
+from tests.test_first_read import CHARS, NAMES, _joined, _quiver, no_owner
 
 
 def _drawn(T, a, rng):
@@ -91,6 +92,36 @@ def test_sum_arithmetic_is_the_nonzero_join(name, char):
     assert checked and cancelled and (multi or name in ("S0", "S1"))
 
 
+def _entries(f):
+    """{(vertex, row, column): (coefficient, its type)} of f's nonzeros."""
+    return {(v, i, j): (a, type(a)) for v, i, j, a in f.nonzeros}
+
+
+@pytest.mark.parametrize("char", CHARS)
+@pytest.mark.parametrize("name", NAMES)
+def test_scaled_negated_and_zero_added_sums_stay_sums(name, char, monkeypatch):
+    """For each arrow map g and each basis map g of rad^2 of every pair,
+    `g.scale(c)`, `g.neg()` and the plain zero map plus g are `GraphMap`s
+    equal entry by entry, types included, to the same arithmetic on g's
+    `_adopt`ed nonzeros; `depth` reads them with no owner map, and a nonzero
+    scalar keeps g's depth.  A zero scalar gives the plain zero map."""
+    G = _quiver(name, char)
+    T = RadicalTable(G)
+    scalars = range(1, char) if char else (2, -1, Fraction(1, 2), Fraction(-3, 2))
+    maps = [(a.morphism, G.nodes[a.source], G.nodes[a.target]) for a in G.arrows]
+    maps += [(g, x, y) for x in G.nodes for y in G.nodes for g in T.layer(x, y, 2)]
+    monkeypatch.setattr(RadicalTable, "_owner", no_owner)
+    for g, x, y in maps:
+        plain, zero, depth = _joined(g), MorphismMatrix._adopt(g.source, g.target, []), T.depth(g, x, y)
+        made = [(g.scale(c), plain.scale(c)) for c in scalars]
+        made += [(g.neg(), plain.neg()), (zero.add(g), zero.add(plain))]
+        for h, want in made:
+            assert isinstance(h, GraphMap) and _entries(h) == _entries(want)
+            assert T.depth(h, x, y) == depth
+        assert _is_plain_zero(g.scale(char or 0))
+    assert len(maps) > len(G.arrows) or name in ("S0", "S1")
+
+
 @pytest.mark.parametrize("char", [0, 3])
 def test_a_sum_outside_the_table_is_read_by_the_boundary_reader(char):
     """A `GraphMap` with a run the pair does not hold goes to the flat reader,
@@ -108,14 +139,15 @@ def test_a_sum_outside_the_table_is_read_by_the_boundary_reader(char):
 @pytest.fixture
 def no_flat(monkeypatch):
     """Make every flat writer and reader raise: `MorphismMatrix.flatten`,
-    `RadicalTable._owner` and `morphism_from_flat`."""
+    `RadicalTable._owner`, `morphism_from_flat` and `flat_offsets`."""
     def refuse(*_):
         raise AssertionError("a flat vector was written or read")
 
     monkeypatch.setattr(MorphismMatrix, "flatten", refuse)
     monkeypatch.setattr(RadicalTable, "_owner", refuse)
-    monkeypatch.setattr(modules, "morphism_from_flat", refuse)
-    monkeypatch.setattr(radical, "morphism_from_flat", refuse)
+    for name in ("morphism_from_flat", "flat_offsets"):
+        monkeypatch.setattr(modules, name, refuse)
+        monkeypatch.setattr(radical, name, refuse)
     assert not hasattr(configurations, "morphism_from_flat")
 
 
@@ -125,7 +157,7 @@ def test_the_engine_writes_and_reads_no_flat_vector(no_flat, tmp_path):
     flat vector; a zero composite gets ZERO_DEPTH."""
     for family, m, n in LADDER.values():
         w = witness(make_family(family, m=m, n=n))
-        assert w.depths["total"] == w.expected_depth and w.table._owners == {}
+        assert w.depths["total"] == w.expected_depth
     for name, char in (("U3_4", 0), ("W5", 3), ("V2_3", 3)):
         fam, nums = name[0], [int(v) for v in name[1:].split("_")]
         spec = make_family(fam, n=nums[0]) if fam == "W" else make_family(fam, m=nums[0], n=nums[1])

@@ -16,6 +16,7 @@ import pytest
 
 from stringar import field_for_characteristic, hom_basis, knit
 from stringar.errors import MeshInconsistencyError
+from stringar.families import make_family
 from stringar.modules import GraphMap, MorphismMatrix
 from stringar.radical import RadicalTable
 from tests.conftest import table_rows
@@ -77,6 +78,24 @@ def test_run_levels_do_not_depend_on_the_field():
         assert all(levels(_table(i, char)) == over_qq for char in CHARS[1:]), i
 
 
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_layer_lists_the_runs_in_pivot_order(char):
+    """For every pair and every n of the ladder, S0-S7 and W(18), `layer`
+    lists its runs as `pair_rows` orders their unit vectors, written from
+    flat indices: deepest level first, then by flat pivot.  `layer` reads
+    the least entry (vertex rank, row, column) instead."""
+    field, multi = field_for_characteristic(char), 0
+    for p in [*_ladder_and_stress(), make_family("W", n=18).presentation]:
+        T = RadicalTable(knit(p, field))
+        for (xi, yi), rows in table_rows(T).items():
+            x, y = T.nodes[xi], T.nodes[yi]
+            for n in range(rows[0][0] + 2):
+                got = [g.flatten() for g in T.layer(x, y, n)]
+                assert got == [row for m, _, row in rows if m >= n], (p.name, x.text, y.text, n)
+            multi += len(rows) > 1
+    assert multi == 2273
+
+
 @pytest.mark.parametrize("char", [0, 2])
 def test_hom_dimension_is_the_number_of_runs(char):
     """dim Hom(x, y), solved by `hom_basis`, is the number of the pair's runs
@@ -106,7 +125,6 @@ def test_a_run_that_overlaps_another_is_refused_naming_the_pair():
     name = re.escape(f"{x.text} -> {y.text}: runs ")
     with pytest.raises(MeshInconsistencyError, match=name + ".* share an entry"):
         T.depth(MorphismMatrix._adopt(a.morphism.source, a.morphism.target, a.morphism.nonzeros), x, y)
-    assert (a.source, a.target) not in T._owners
 
 
 @pytest.mark.parametrize("dim, run", [(1, (0, 0, 1, 1)), (3, (0, 2, -1, 2))])

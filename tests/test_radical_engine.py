@@ -261,7 +261,7 @@ def test_depth_rejects_the_nodes_of_another_pair(monkeypatch):
 def test_a_corrupted_arrow_map_fails_at_build():
     """A non-morphism, and a morphism that knit did not make, which has no run."""
     for corrupt, error in [(_non_morphism, "is not a morphism"),
-                           (lambda f: f.scale(1), "has no run")]:
+                           (lambda f: MorphismMatrix._adopt(f.source, f.target, f.nonzeros), "has no run")]:
         G = knit(_spec("U2_2").presentation)
         arrow = next(a for a in G.arrows if _non_morphism(a.morphism) is not None)
         arrow.morphism = corrupt(arrow.morphism)
