@@ -264,6 +264,10 @@ def _parser():
 
     @cmd("degree", help="left/right degree of an irreducible morphism")
     def _degree(args, p, field):
+        given = [flag for flag, v in (("--theta", args.theta), ("--iota", args.iota),
+                                      ("--source/--target", args.source or args.target)) if v]
+        if len(given) > 1:
+            raise _UsageError(f"give one of --theta, --iota or --source/--target, not {' and '.join(given)}")
         G, T = _quiver_and_table(p, field)
         if args.theta:
             f, src, dst = theta_morphism(G, args.theta)

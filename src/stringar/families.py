@@ -166,7 +166,7 @@ def _cycles(quiver, length, node):
 def _into_paths(quiver, node):
     """k -> [(path, composite)] for the paths of k arrows into `node` with a nonzero
     composite, memoised: those of k - 1 extended at their start along arrows_into,
-    in depth-first order.  No Hom lookup: a nonzero composite shows Hom is nonzero."""
+    in depth-first order."""
 
     @functools.cache
     def paths(k):
@@ -224,29 +224,6 @@ def _perturber():
     return perturb
 
 
-def _plain_deep(table, expected):
-    """path -> whether the plain composite of the path lies in rad^expected.
-
-    A candidate's composite is the plain one plus a composite through the
-    cycle of `expected` arrows, which lies in rad^expected.  That layer is a
-    subspace, so the sum has depth `expected` only if the plain composite
-    lies in it too (the zero map does).  Each path is tested once, whatever
-    the cycle.
-    """
-
-    @functools.cache
-    def composite(path):
-        f = path[-1].morphism
-        return f if len(path) == 1 else f.compose(composite(path[:-1]))
-
-    @functools.cache
-    def deep(path):
-        x, y = table.nodes[path[0].source], table.nodes[path[-1].target]
-        return table.depth(composite(path), x, y) >= expected
-
-    return deep
-
-
 def _chain_depths(table, perturb, rho, path, perturb_at, prefix, expected, suffix_ok, prefix_ok):
     """The path's chain with the cycle added after position perturb_at, checked.
 
@@ -292,8 +269,7 @@ def witness(spec, field=QQ):
     The search tries the candidates of a fixed order and returns the first
     that passes `_chain_depths`.  Before composing anything it skips only
     candidates that provably fail: no end y ahead with rad^expected(x, y) != 0,
-    a partial composite that is zero (or whose Hom space is), and a path whose
-    plain composite is shallower than `expected` (see _plain_deep).
+    and a partial composite that is zero.
     """
     require_witness_parameters(spec)
     quiver = knit(spec.presentation, field)
@@ -308,16 +284,15 @@ def _search(spec, quiver, table):
     The order is: anchor, position j, rho, into-path, forward path.  W(n): the
     anchors are the rotations of the three-cycles, j = 2..n.  U and V: the
     anchors are the nodes L, the distinguished L first, with their cycles of
-    2m (V: 2m + 1) arrows, those through the simple S first; j = n.  An
-    anchor's cycles are listed only once one of its into-paths is live.
+    2m (V: 2m + 1) arrows, those through the simple S first; j = n.
     """
     n = spec.n
     if spec.family == "W":
         from .configurations import find_three_cycles
 
         expected, positions = n + 3, range(2, n + 1)
-        anchors = [(rho[0].source, lambda rho=rho: [rho]) for cyc in find_three_cycles(quiver)
-                   for rho in (cyc[r:] + cyc[:r] for r in range(3))]
+        anchors = ((rho[0].source, [rho]) for cyc in find_three_cycles(quiver)
+                   for rho in (cyc[r:] + cyc[:r] for r in range(3)))
         suffix_ok, prefix_ok = (lambda d: d >= n), (lambda d: True)
         distinguished = lambda b_node, nodes: {}
     else:
@@ -326,8 +301,8 @@ def _search(spec, quiver, table):
         s_node = quiver.node_of(Walk(basepoint=v))
         first = quiver.node_of(_ell_walk(m, n - 1 if spec.family == "U" else n - 2)).index
         avoids_s = lambda c: not any(a.source == s_node.index for a in c)
-        anchors = [(li, lambda li=li: sorted(_cycles(quiver, expected - n, li), key=avoids_s))
-                   for li in [first] + [x.index for x in quiver.nodes if x.index != first]]
+        anchors = ((li, sorted(_cycles(quiver, expected - n, li), key=avoids_s))
+                   for li in [first] + [x.index for x in quiver.nodes if x.index != first])
         suffix_ok = prefix_ok = lambda d: d <= n - 1
 
         def distinguished(b_node, nodes):
@@ -336,18 +311,17 @@ def _search(spec, quiver, table):
             return {"P": P, "S": s_node, "I": I, "L": quiver.nodes[b_node], "N": nodes[-1]}
 
     perturb = _perturber()
-    plain_deep = _plain_deep(table, expected)
     intos = functools.cache(lambda b_node: _into_paths(quiver, b_node))
 
     @functools.cache
     def kept(start, b_node, steps):
-        """keep[i]: the nodes i arrows past b_node, with Hom(start, .) != 0, on a
-        path of `steps` arrows to a y with rad^expected(start, y) != 0."""
+        """keep[i]: the nodes i arrows past b_node on a path of `steps` arrows
+        to a y with rad^expected(start, y) != 0."""
         layers = quiver.reach(b_node, steps)  # layers[i]: the nodes i arrows past b_node
         keep = [{y for y in layers[steps] if table.reaches(start, y, expected)}]
         for layer in layers[steps - 1::-1]:
             keep.append({a.source for y in keep[-1] for a in quiver.arrows_into(y)
-                         if a.source in layer and table.reaches(start, a.source)})
+                         if a.source in layer})
         return keep[::-1]
 
     def live(b_node, j):
@@ -359,17 +333,13 @@ def _search(spec, quiver, table):
 
     for b_node, cycles in anchors:
         for j in positions:  # the cycle sits at chain position j
-            if next(live(b_node, j), None) is None:
-                continue
-            for rho in cycles():
+            for rho in cycles:
                 for into, plain, keep in live(b_node, j):
                     tails = _forward_paths(quiver, b_node, keep, perturb(rho, plain))
                     for tail, prefix in tails:  # tail: h_j ... h_n; prefix: h_{n-1} ... h_1
                         path = into + tail
-                        hit = plain_deep(path) and _chain_depths(
-                            table, perturb, rho, path, j - 2, prefix, expected,
-                            suffix_ok, prefix_ok,
-                        )
+                        hit = _chain_depths(table, perturb, rho, path, j - 2, prefix, expected,
+                                            suffix_ok, prefix_ok)
                         if hit:
                             chain, nodes, depths = hit
                             return FamilyWitness(

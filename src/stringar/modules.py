@@ -47,6 +47,14 @@ class Representation:
     """
 
     def __init__(self, p, field, dims, maps):
+        for v, d in dims.items():
+            if v not in p.quiver.vertex_index:
+                raise CompositionError(f"dimension at unknown vertex {v!r}")
+            if d < 0:
+                raise CompositionError(f"dimension {d} at vertex {v!r} is negative")
+        for label in maps:
+            if label not in p.quiver.arrow_by_label:
+                raise CompositionError(f"map for unknown arrow {label!r}")
         dims = {v: dims.get(v, 0) for v in p.quiver.vertices}
         nonzeros = []
         for a in p.quiver.arrows:
@@ -55,6 +63,8 @@ class Representation:
                 continue
             if m.shape != shape:
                 raise CompositionError(f"map for arrow {a.label} has shape {m.shape}, expected {shape}")
+            if m.field is not field and m.field != field:
+                raise CompositionError(f"map for arrow {a.label} is over {m.field!r}, not {field!r}")
             nonzeros += [(a.label, k, j, c) for k, row in enumerate(m.rows) for j, c in enumerate(row) if c]
         self.p, self.field, self.dims, self.nonzeros = p, field, dims, nonzeros
 

@@ -223,8 +223,8 @@ class RadicalTable:
                     raise MeshInconsistencyError(text)
         return owner
 
-    def reaches(self, xi, yi, n=0):
-        """True when rad^n(x, y) != 0 for node indices xi, yi; n=0 asks
+    def reaches(self, xi, yi, n):
+        """True when rad^n(x, y) != 0 for node indices xi, yi; n = 0 asks
         Hom(x, y) != 0.  Its basis is the runs of level n or more."""
         levels = self._runs(xi, yi)
         return bool(levels) and max(levels.values()) >= n

@@ -13,9 +13,9 @@ import pytest
 from stringar import audit_theorems, field_for_characteristic, knit, witness
 from stringar.errors import CompositionError
 from stringar.families import make_family
-from stringar.fields import Mat
+from stringar.fields import QQ, Mat
 from stringar.radical import RadicalTable
-from stringar.modules import MorphismMatrix, compose_runs, flat_offsets, morphism_from_flat
+from stringar.modules import MorphismMatrix, Representation, compose_runs, flat_offsets, morphism_from_flat
 from tests.conftest import LADDER, layer_space
 from tests.morphisms import identity_morphism
 from tests.oracles import dense_maps
@@ -174,10 +174,25 @@ def test_constructor_refuses_a_block_over_another_field(chars):
     assert MorphismMatrix(f.source, f.target, {**f.blocks, v: same}) == f
 
 
+@pytest.mark.parametrize("dims, maps, message", [
+    ({"1": 1, "zz": 5}, {}, "dimension at unknown vertex 'zz'"),
+    ({"1": -2}, {}, "dimension -2 at vertex '1' is negative"),
+    ({"1": 1}, {"nope": Mat(QQ, [[1]])}, "map for unknown arrow 'nope'"),
+    ({"1": 1}, {"a": Mat(field_for_characteristic(3), [[1]])}, "map for arrow a is over GF(3), not QQ"),
+], ids=["unknown-vertex", "negative-dimension", "unknown-arrow", "foreign-field"])
+def test_representation_constructor_refuses_what_it_would_drop(dims, maps, message):
+    """Representation's checked constructor refuses a dimension or a map it would
+    otherwise drop or misread, as MorphismMatrix's does a block."""
+    p = make_family("W", n=3).presentation
+    with pytest.raises(CompositionError, match=re.escape(message)):
+        Representation(p, QQ, dims, maps)
+    assert Representation(p, QQ, {"1": 1}, {"a": Mat(QQ, [[0]])}).dims == {"1": 1, "2": 0, "3": 0, "4": 0}
+
+
 def test_compose_multiplies_no_block(monkeypatch):
     """compose, of graph-map sums or of nonzeros, builds no block in the witness
     search nor in an audit, whose perturbed maps are graph-map sums.  knit composes
-    nothing, so every counted call is the search's (73) or the audit's (25)."""
+    nothing, so every counted call is the search's (69) or the audit's (25)."""
     composed, made = [0], []
     zeros, init, compose = Mat.zeros.__func__, Mat.__init__, MorphismMatrix.compose
 
@@ -198,9 +213,9 @@ def test_compose_multiplies_no_block(monkeypatch):
 
     monkeypatch.setattr(MorphismMatrix, "compose", watched_compose)
     w = witness(make_family("W", n=5))
-    assert w.depths["total"] == 8 and composed[0] == 73
+    assert w.depths["total"] == 8 and composed[0] == 69
     assert audit_theorems(make_family("W", n=5).presentation, samples=8).passed
-    assert composed[0] == 73 + 25 and made == []
+    assert composed[0] == 69 + 25 and made == []
 
 
 def _run_support(X, Y, run):

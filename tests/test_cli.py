@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from stringar import families, knit, parse_presentation
+from stringar import cli, families, knit, parse_presentation
 from stringar.cli import main
 from stringar.radical import RadicalTable
 from stringar.strings import walk_from_text
@@ -248,6 +248,23 @@ def test_degree_bound_below_nilpotency_is_a_usage_error(capsys, bound):
         f"stringar: usage error: degree bound {bound} is below the nilpotency index 7; "
         "no witness found, result inconclusive\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, given",
+    [
+        (("--iota", "2", "--theta", "2"), "--theta and --iota"),
+        (("--theta", "2", "--source", "b2", "--target", "b3"), "--theta and --source/--target"),
+        (("--iota", "2", "--source", "b2"), "--iota and --source/--target"),
+        (("--theta", "2", "--iota", "2", "--target", "b3"), "--theta and --iota and --source/--target"),
+    ],
+)
+def test_degree_with_two_selectors_is_a_usage_error(capsys, monkeypatch, argv, given):
+    """degree takes one map: two selectors are refused, not resolved by flag order."""
+    monkeypatch.setattr(cli, "knit", lambda *a: pytest.fail("knitted a rejected command"))
+    code, out, err = run(capsys, "degree", "--family", "W", "--n", "3", *argv, "--side", "left")
+    assert (code, out) == (3, "")
+    assert err == f"stringar: usage error: give one of --theta, --iota or --source/--target, not {given}\n"
 
 
 @pytest.mark.parametrize("side", ["left", "right"])

@@ -212,6 +212,7 @@ def test_pruned_search_agrees_with_the_unpruned_oracle(monkeypatch, family, m, n
         if depths is not None:
             break
     assert nxt is None, "the pruned search checked a candidate out of the oracle's order"
+    assert len(checked) == (2 if family == "V" else 1)
     rho, path, _ = cand
     assert [x.index for x in w.node_path] == [path[0].source] + [a.target for a in path]
     assert [x.index for x in w.rho_nodes] == [rho[0].source] + [a.target for a in rho]

@@ -137,7 +137,7 @@ def test_a_radical_run_on_the_identity_is_refused(dim, run):
     x = next(x for x in G.nodes if x.module.total_dim == dim)
     xi = x.index
     message = re.escape(f"the identity of {x.text} lies in the radical")
-    queries = [lambda T: T.reaches(xi, xi), lambda T: T.tags(xi, xi, (0, 1)),
+    queries = [lambda T: T.reaches(xi, xi, 0), lambda T: T.tags(xi, xi, (0, 1)),
                lambda T: T.profile(x, x), lambda T: T.layer(x, x, 1),
                lambda T: T.depth(identity_morphism(x.module.rep), x, x),
                lambda T: T._build(xi, "target")]

@@ -396,7 +396,7 @@ def test_errors_of_a_source_raise_from_the_query_that_builds_it():
     f, x, y = a.morphism, G.nodes[a.source], G.nodes[a.target]
     limit, T._limit = T._limit, 0
     with pytest.raises(MeshInconsistencyError, match="radical filtration does not terminate"):
-        T.reaches(x.index, x.index)
+        T.reaches(x.index, x.index, 0)
     assert x.index not in T._levels and T._pairs == {}
     message = re.escape(f"the identity of {x.text} lies in the radical")
     loop = (x.index, (0, 0, 1, 1))
