@@ -13,7 +13,7 @@ One cut (`_cut`) makes each piece: a slice of the additions and C
 concatenated, a deletion dropping its end run r of C and the next letter.
 This is the rule.  The letter an addition puts next to C has the direction
 opposite to the run a deletion strips at the other end, so that run
-reaches into the hook only when C is one run, and then stops at (and
+extends into the hook only when C is one run, and then stops at (and
 drops) the hook's first letter.  Two deletions strip runs of opposite
 directions, which are disjoint; after the first cut the second run is the
 shorter of r and what is left, so both cut the same letters and leave no

@@ -268,17 +268,17 @@ def _parser():
                                       ("--source/--target", args.source or args.target)) if v]
         if len(given) > 1:
             raise _UsageError(f"give one of --theta, --iota or --source/--target, not {' and '.join(given)}")
+        if not (args.theta or args.iota or args.source and args.target):
+            raise _UsageError("give --theta V, --iota V, or --source/--target")
         G, T = _quiver_and_table(p, field)
         if args.theta:
             f, src, dst = theta_morphism(G, args.theta)
         elif args.iota:
             f, src, dst = iota_morphism(G, args.iota)
-        elif args.source and args.target:
+        else:
             src = G.node_of(walk_from_text(args.source))
             dst = G.node_of(walk_from_text(args.target))
             f = _first_arrow(G, src, dst)
-        else:
-            raise StringAlgebraError("give --theta V, --iota V, or --source/--target")
         deg = _checked(T.degree, f, args.side, bound=args.bound, source=src, target=dst)
         payload = {
             "side": args.side,

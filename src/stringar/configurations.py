@@ -154,7 +154,7 @@ def detect_local_patterns(p):
         one, z = alpha.source, alpha.target
         for m in range(1, len(q.arrows) + 1):
             for route in _simple_paths(p, one, m):
-                # the vertices the route reaches after `one`; it must reach z only at its end
+                # the vertices the route visits after `one`; it must visit z only at its end
                 stops = [q.arrow(lab).target for lab in route]
                 if alpha.label in route or stops[-1] != z or z in stops[:-1]:
                     continue

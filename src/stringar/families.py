@@ -1,23 +1,23 @@
 """The three named algebra families and their deep-composite witnesses.
 
-Witness chains are assembled from canonical irreducible matrices of the
-knitted quiver by one search for all three families: a path into an anchor
-module (a three-cycle's node for W, a module L for U and V), a cycle at the
-anchor, and a path out of it; the last map into the anchor gets the cycle
-added on top.  Every candidate is verified by exact radical depth before it
-is returned, so a successful witness is a checked one.
+A witness chain is the paper's construction, written out as node words by
+`chain_words` from the family parameters alone: a path into an anchor
+module (a three-cycle's node for W, a module L for U and V), a cycle rho at
+the anchor, and a path out of it.  `witness` resolves the words to nodes of
+the knitted quiver, takes the one irreducible map of each step, adds
+rho o f on top of the map f into the anchor, and verifies the chain by exact
+radical depth before it is returned, so a successful witness is a checked
+one.  The search these words were read off is kept as a test oracle.
 """
 
 from __future__ import annotations
 
-import functools
-
 from .artheory import knit
-from .errors import WitnessConstructionError
+from .errors import StringAlgebraError, WitnessConstructionError
 from .fields import QQ
 from .modules import compose_chain, standard_module
 from .radical import ZERO_DEPTH, RadicalTable
-from .strings import Letter, Walk
+from .strings import Walk, walk_from_text
 
 
 class FamilySpec:
@@ -132,125 +132,82 @@ class FamilyWitness:
         }
 
 
-def _ell_walk(m, betas):
-    """The distinguished L of U(m, n-1) (betas = n - 1) or V(m, n-2) (betas = n - 2),
-    straight from its definition: g_m b_betas^- ... b_1^- g_1 ... g_{m-1}."""
-    return Walk(
-        (Letter(f"g{m}"),)
-        + tuple(Letter(f"b{i}", True) for i in range(betas, 0, -1))
-        + tuple(Letter(f"g{i}") for i in range(1, m))
-    )
+def chain_words(spec):
+    """(chain words, rho words, j) of the family's witness, from its parameters.
 
-
-def _cycles(quiver, length, node):
-    """Arrow paths of the given length from `node` back to it, depth-first along arrows_from;
-    each step goes only to nodes in back[k], those with a path of the k arrows left to `node`."""
-    back = quiver.reach(node, length - 1, into=True)
-    out = []
-
-    def grow(path):
-        if len(path) == length:
-            out.append(tuple(path))
-            return
-        live = back[length - len(path) - 1]
-        for a in quiver.arrows_from(path[-1].target if path else node):
-            if a.target in live:
-                path.append(a)
-                grow(path)
-                path.pop()
-
-    grow([])
-    return out
-
-
-def _into_paths(quiver, node):
-    """k -> [(path, composite)] for the paths of k arrows into `node` with a nonzero
-    composite, memoised: those of k - 1 extended at their start along arrows_into,
-    in depth-first order."""
-
-    @functools.cache
-    def paths(k):
-        out = []
-        for path, f in paths(k - 1) if k > 1 else [((), None)]:
-            for a in quiver.arrows_into(path[0].source if path else node):
-                g = f.compose(a.morphism) if path else a.morphism
-                if not g.is_zero():
-                    out.append(((a,) + path, g))
-        return out
-
-    return paths
-
-
-def _forward_paths(quiver, node, keep, f):
-    """(path, a_{k-1} ... a_1 f) for each path a_1 ... a_k from `node`, k = len(keep) - 1,
-    whose i-th arrow ends in keep[i] and whose composite up to a_{k-1} is nonzero;
-    depth-first along arrows_from, a branch cut before composing when it leaves `keep`.
+    The paper's construction: the chain h_1, ..., h_n runs through the n + 1
+    chain words, and the cycle rho through the rho words sits at the anchor,
+    the j-th chain word, so rho o h_{j-1} is added on top of h_{j-1}.  W(n):
+    b2 ... b(n-1) shrinks to e(2), then the three-cycle's node b1^- a b1 and
+    a b1, with j = n.  U and V, beta = n - 1 (U) or n - 2 (V): g_m grows by
+    b_beta^- ... b_2^- (V: on to b_1^- g_1 ... g_{m-1} al), then L, then N;
+    rho is the cycle of 2m (V: 2m + 1) arrows at L through the simple at a_m.
     """
-    path = []
+    n = spec.n
+    if spec.family == "W":
+        chain = [" ".join(f"b{i}" for i in range(2, k)) for k in range(n, 2, -1)]
+        return chain + ["e(2)", "b1^- a b1", "a b1"], ["b1^- a b1", "a^- b1", "b1", "b1^- a b1"], n
+    m, v = spec.m, spec.family == "V"
+    beta = n - 2 if v else n - 1
 
-    def grow(g):
-        for a in quiver.arrows_from(path[-1].target if path else node):
-            if a.target not in keep[len(path) + 1]:
-                continue
-            if len(path) == len(keep) - 2:
-                yield (*path, a), g
-                continue
-            h = a.morphism.compose(g)
-            if not h.is_zero():
-                path.append(a)
-                yield from grow(h)
-                path.pop()
+    def word(*runs):
+        return " ".join(x for run in runs for x in run)
 
-    return grow(f)
-
-
-def _path_nodes(quiver, path):
-    """The nodes visited by a nonempty arrow path."""
-    return [quiver.nodes[path[0].source]] + [quiver.nodes[a.target] for a in path]
+    g_down = lambda k: [f"g{i}^-" for i in range(k, 0, -1)]  # g_k^- ... g_1^-
+    b_up = lambda k: [f"b{i}" for i in range(1, k + 1)]  # b_1 ... b_k
+    b_down = lambda k: [f"b{i}^-" for i in range(beta, k - 1, -1)]  # b_beta^- ... b_k^-
+    g_m, ell = f"g{m}", word(g_down(m - 1), b_up(beta), [f"g{m}^-"])
+    chain = [g_m] + [word([g_m], b_down(k)) for k in range(beta, 1, -1)]
+    chain += [word([g_m], b_down(1), [f"g{i}" for i in range(1, m)], ["al"])] if v else []
+    chain += [ell, word(g_down(m - 1), b_up(beta - 1))]
+    rho = [ell] + [word(g_down(k), b_up(beta), [f"g{m}^-"]) for k in range(m - 2, -1, -1)]
+    rho += [f"e(a{m})"] + [word([f"g{i}" for i in range(k, m)]) for k in range(m - 1, 1, -1)]
+    rho += [word(g_down(m - 1), b_up(beta))] + ([ell + " al"] if v else []) + [ell]
+    return chain, rho, n
 
 
-def _perturber():
-    """(rho, f) -> f + rho o f for a map f into the cycle's node.
+def _nodes(quiver, words):
+    """The node of each word; raises WitnessConstructionError naming a word that is none."""
+    nodes = []
+    for word in words:
+        try:
+            nodes.append(quiver.node_of(walk_from_text(word)))
+        except StringAlgebraError as exc:
+            raise WitnessConstructionError(f"witness word {word} names no node: {exc}") from None
+    return nodes
 
-    Each cycle is composed once per search.  f + rho o f = (1 + rho) o f and
-    1 + rho is invertible (rho is radical), so the result is zero exactly
-    when f is: a path's plain composite decides a zero prefix for every rho.
+
+def _arrow_maps(quiver, nodes):
+    """The map of the one arrow of each step of the node path; raises
+    WitnessConstructionError naming a step with no arrow or several."""
+    maps = []
+    for x, y in zip(nodes, nodes[1:]):
+        arrows = quiver.arrows_between(x.index, y.index)
+        if len(arrows) != 1:
+            raise WitnessConstructionError(
+                f"witness step {x.text} -> {y.text} has {len(arrows)} arrows, not one")
+        maps.append(arrows[0].morphism)
+    return maps
+
+
+def _chain_depths(table, chain, nodes, expected, suffix_ok, prefix_ok):
+    """{"total", "prefix", "suffix"}: the depths of the chain h_1, ..., h_n
+    between the nodes, of its prefix h_{n-1}...h_1 and of its suffix
+    h_n...h_2.  Raises WitnessConstructionError unless the whole chain has
+    depth `expected` and the suffix and the prefix pass their checks, checked
+    in that order.
     """
-    cycle = functools.cache(lambda rho: compose_chain([a.morphism for a in rho]))
-
-    def perturb(rho, f):
-        return f.add(cycle(rho).compose(f))
-
-    return perturb
-
-
-def _chain_depths(table, perturb, rho, path, perturb_at, prefix, expected, suffix_ok, prefix_ok):
-    """The path's chain with the cycle added after position perturb_at, checked.
-
-    `prefix` is the composite h_{n-1}...h_1 of that chain, built by the
-    caller.  Returns (chain, nodes, depths) with the depths of the chain, its
-    suffix h_n...h_2 and its prefix; None unless the whole chain has depth
-    `expected` and the suffix and the prefix pass their checks.  The suffix
-    is checked first.
-    """
-    chain = [a.morphism for a in path]
-    chain[perturb_at] = perturb(rho, chain[perturb_at])
-    nodes = _path_nodes(table.quiver, path)
+    prefix = compose_chain(chain[:-1])
     d_total = table.depth(chain[-1].compose(prefix), nodes[0], nodes[-1])
     if d_total != expected:
-        return None
+        raise WitnessConstructionError(f"witness chain has depth {d_total}, not {expected}")
     d_suffix = table.depth(compose_chain(chain[1:]), nodes[1], nodes[-1])
     if not suffix_ok(d_suffix):
-        return None
+        raise WitnessConstructionError(f"witness suffix h_n...h_2 has depth {d_suffix}")
     d_prefix = table.depth(prefix, nodes[0], nodes[-2])
     if not prefix_ok(d_prefix):
-        return None
-    depths = {
-        "total": d_total,
-        "prefix": _depth_or_none(d_prefix),
-        "suffix": _depth_or_none(d_suffix),
-    }
-    return chain, nodes, depths
+        raise WitnessConstructionError(f"witness prefix h_(n-1)...h_1 has depth {d_prefix}")
+    return {"total": d_total, "prefix": _depth_or_none(d_prefix), "suffix": _depth_or_none(d_suffix)}
 
 
 def _depth_or_none(d):
@@ -264,88 +221,31 @@ def require_witness_parameters(spec):
 
 
 def witness(spec, field=QQ):
-    """A verified witness chain of the family; see _search.
-
-    The search tries the candidates of a fixed order and returns the first
-    that passes `_chain_depths`.  Before composing anything it skips only
-    candidates that provably fail: no end y ahead with rad^expected(x, y) != 0,
-    and a partial composite that is zero.
+    """The verified witness chain of the family: `chain_words` resolved to
+    nodes, each step's irreducible map, rho o f added to the map f into the
+    anchor, and the depths checked by `_chain_depths`.  W(n) has depth n + 3
+    and a suffix of depth at least n; U(m, n) has depth n + 2m, V(m, n)
+    n + 2m + 1, and both a prefix and a suffix of depth at most n - 1.
+    Raises WitnessConstructionError naming the word, step or check that fails.
     """
     require_witness_parameters(spec)
     quiver = knit(spec.presentation, field)
-    return _search(spec, quiver, RadicalTable(quiver))
-
-
-def _search(spec, quiver, table):
-    """The first chain, in a fixed order, that passes `_chain_depths`.
-
-    A chain is an into-path of j - 1 arrows to an anchor node b, then a path of
-    n - j + 1 arrows from b; a cycle rho at b is added after the into-path.
-    The order is: anchor, position j, rho, into-path, forward path.  W(n): the
-    anchors are the rotations of the three-cycles, j = 2..n.  U and V: the
-    anchors are the nodes L, the distinguished L first, with their cycles of
-    2m (V: 2m + 1) arrows, those through the simple S first; j = n.
-    """
+    table = RadicalTable(quiver)
+    words, rho_words, j = chain_words(spec)
+    nodes, rho_nodes = _nodes(quiver, words), _nodes(quiver, rho_words)
+    chain, rho = _arrow_maps(quiver, nodes), compose_chain(_arrow_maps(quiver, rho_nodes))
+    chain[j - 2] = chain[j - 2].add(rho.compose(chain[j - 2]))
     n = spec.n
     if spec.family == "W":
-        from .configurations import find_three_cycles
-
-        expected, positions = n + 3, range(2, n + 1)
-        anchors = ((rho[0].source, [rho]) for cyc in find_three_cycles(quiver)
-                   for rho in (cyc[r:] + cyc[:r] for r in range(3)))
-        suffix_ok, prefix_ok = (lambda d: d >= n), (lambda d: True)
-        distinguished = lambda b_node, nodes: {}
+        expected, suffix_ok, prefix_ok, distinguished = n + 3, (lambda d: d >= n), (lambda d: True), {}
     else:
-        m, v = spec.m, f"a{spec.m}"
-        expected, positions = n + 2 * m + (1 if spec.family == "V" else 0), (n,)
-        s_node = quiver.node_of(Walk(basepoint=v))
-        first = quiver.node_of(_ell_walk(m, n - 1 if spec.family == "U" else n - 2)).index
-        avoids_s = lambda c: not any(a.source == s_node.index for a in c)
-        anchors = ((li, sorted(_cycles(quiver, expected - n, li), key=avoids_s))
-                   for li in [first] + [x.index for x in quiver.nodes if x.index != first])
+        v = f"a{spec.m}"
+        expected = n + 2 * spec.m + (1 if spec.family == "V" else 0)
         suffix_ok = prefix_ok = lambda d: d <= n - 1
-
-        def distinguished(b_node, nodes):
-            P, I = (quiver.node_of(standard_module(spec.presentation, v, kind, quiver.field).word)
-                    for kind in ("projective", "injective"))
-            return {"P": P, "S": s_node, "I": I, "L": quiver.nodes[b_node], "N": nodes[-1]}
-
-    perturb = _perturber()
-    intos = functools.cache(lambda b_node: _into_paths(quiver, b_node))
-
-    @functools.cache
-    def kept(start, b_node, steps):
-        """keep[i]: the nodes i arrows past b_node on a path of `steps` arrows
-        to a y with rad^expected(start, y) != 0."""
-        layers = quiver.reach(b_node, steps)  # layers[i]: the nodes i arrows past b_node
-        keep = [{y for y in layers[steps] if table.reaches(start, y, expected)}]
-        for layer in layers[steps - 1::-1]:
-            keep.append({a.source for y in keep[-1] for a in quiver.arrows_into(y)
-                         if a.source in layer})
-        return keep[::-1]
-
-    def live(b_node, j):
-        """The into-paths of j - 1 arrows to b_node through which a candidate can pass."""
-        for into, plain in intos(b_node)(j - 1):
-            keep = kept(into[0].source, b_node, n - j + 1)
-            if keep[0]:
-                yield into, plain, keep
-
-    for b_node, cycles in anchors:
-        for j in positions:  # the cycle sits at chain position j
-            for rho in cycles:
-                for into, plain, keep in live(b_node, j):
-                    tails = _forward_paths(quiver, b_node, keep, perturb(rho, plain))
-                    for tail, prefix in tails:  # tail: h_j ... h_n; prefix: h_{n-1} ... h_1
-                        path = into + tail
-                        hit = _chain_depths(table, perturb, rho, path, j - 2, prefix, expected,
-                                            suffix_ok, prefix_ok)
-                        if hit:
-                            chain, nodes, depths = hit
-                            return FamilyWitness(
-                                spec, chain, nodes, nodes[:j], _path_nodes(quiver, rho),
-                                distinguished(b_node, nodes), expected, depths, quiver, table,
-                            )
-    raise WitnessConstructionError(
-        f"no verified witness chain found for {spec!r}; flagging as an open discrepancy"
-    )
+        P, I = (quiver.node_of(standard_module(spec.presentation, v, kind, field).word)
+                for kind in ("projective", "injective"))
+        S = quiver.node_of(Walk(basepoint=v))
+        distinguished = {"P": P, "S": S, "I": I, "L": nodes[-2], "N": nodes[-1]}
+    depths = _chain_depths(table, chain, nodes, expected, suffix_ok, prefix_ok)
+    return FamilyWitness(spec, chain, nodes, nodes[:j], rho_nodes, distinguished, expected,
+                         depths, quiver, table)

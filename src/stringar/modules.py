@@ -50,6 +50,8 @@ class Representation:
         for v, d in dims.items():
             if v not in p.quiver.vertex_index:
                 raise CompositionError(f"dimension at unknown vertex {v!r}")
+            if not isinstance(d, int):
+                raise CompositionError(f"dimension {d!r} at vertex {v!r} is not an int")
             if d < 0:
                 raise CompositionError(f"dimension {d} at vertex {v!r} is negative")
         for label in maps:
@@ -330,7 +332,7 @@ class MorphismMatrix:
         f, g = first.terms, self.terms
         if f and g and first.modules[1] is self.modules[0] and src.field is tgt.field:
             M, N = first.modules[0], self.modules[1]
-            if len(f) == 1 == len(g):  # knit's and the search's case
+            if len(f) == 1 == len(g):  # the case of knit and of the witness chain
                 [r], [q] = f, g
                 run = compose_runs(r, q)  # f[r] * g[q] is nonzero mod p
                 if run:
@@ -458,7 +460,7 @@ def _graph_sum(M, N, terms, flip):
 def compose_runs(f, g):
     """The run of g o f for runs f: X -> Z and g: Z -> Y, or None for zero: the
     positions [lo, hi] of Z in f's target interval and g's source interval,
-    read from the end z that f reaches first.  Exact: a run's matrix is a
+    read from the end z that f meets first.  Exact: a run's matrix is a
     partial injection, and a product of two is the one on the intersection.
     A one-position run steps +1, so one map has one run."""
     s, t, d, k = f
@@ -534,7 +536,7 @@ def hom_basis(M, N):
     a: s -> t, the equation at entry (i, j) of f_t M(a) - N(a) f_s reads
     each nonzero c = M(a)[k][j] as the coefficient c of f_t[i][k], and each
     nonzero c = N(a)[i][k] as the coefficient -c of f_s[k][j]; only the
-    equations some nonzero reaches are written.
+    equations some nonzero appears in are written.
     """
     if M.p != N.p or M.field != N.field:
         raise CompositionError("Hom spaces need a common presentation and field")

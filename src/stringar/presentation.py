@@ -343,7 +343,7 @@ def _layers(words, grow):
 
 
 def _pumps(p, words, grow):
-    """True iff growing the one-letter words by grow reaches every length.
+    """True iff growing the one-letter words by grow attains every length.
 
     The one finiteness argument, for direct paths and for strings: every
     factor either kind of word forbids (two letters that do not compose, a

@@ -223,12 +223,6 @@ class RadicalTable:
                     raise MeshInconsistencyError(text)
         return owner
 
-    def reaches(self, xi, yi, n):
-        """True when rad^n(x, y) != 0 for node indices xi, yi; n = 0 asks
-        Hom(x, y) != 0.  Its basis is the runs of level n or more."""
-        levels = self._runs(xi, yi)
-        return bool(levels) and max(levels.values()) >= n
-
     def tags(self, xi, yi, among):
         """The levels in among of the pair (xi, yi), which are the depths in among
         of its nonzero maps.  A pair whose y ends no AR-quiver path from x of a

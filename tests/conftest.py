@@ -34,6 +34,12 @@ def pair_rows(T, xi, yi):
     return sorted(rows, key=lambda row: (-row[0], row[1]))
 
 
+def reaches(T, xi, yi, n):
+    """True when rad^n(x, y) != 0 for node indices xi, yi of the RadicalTable
+    T; n = 0 asks Hom(x, y) != 0.  Its basis is the runs of level n or more."""
+    return any(m >= n for m in T._runs(xi, yi).values())
+
+
 def table_rows(T):
     """{(source, target index): its `pair_rows`} of the RadicalTable T, every
     source built: the whole table as the row pins read it."""

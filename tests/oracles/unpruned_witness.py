@@ -1,18 +1,29 @@
-"""The unpruned witness search, kept as the oracle for the pruned one.
+"""The unpruned witness search, kept as the oracle for the construction of
+`stringar.families.chain_words`.
 
-It lists every arrow path of the chain's length, in the order of
-`stringar.families`, and composes and checks each candidate in full: no
-Hom lookup, no zero-prefix cut, no depth test before composing.  It takes
-seconds where the pruned search takes milliseconds beyond W(9) or V(3,4).
+It lists every arrow path of the chain's length, anchor by anchor, and
+composes and checks each candidate in full: no Hom lookup, no zero-prefix
+cut, no depth test before composing.  Its first passing candidate is the
+witness the construction must build.  It takes seconds where the
+construction takes milliseconds beyond W(9) or V(3,4).
 """
 
 import functools
 
 from stringar.configurations import find_three_cycles
-from stringar.families import _ell_walk
 from stringar.modules import compose_chain
 from stringar.radical import ZERO_DEPTH
-from stringar.strings import Walk
+from stringar.strings import Letter, Walk
+
+
+def _ell_walk(m, betas):
+    """The distinguished L of U(m, n-1) (betas = n - 1) or V(m, n-2) (betas = n - 2),
+    straight from its definition: g_m b_betas^- ... b_1^- g_1 ... g_{m-1}."""
+    return Walk(
+        (Letter(f"g{m}"),)
+        + tuple(Letter(f"b{i}", True) for i in range(betas, 0, -1))
+        + tuple(Letter(f"g{i}") for i in range(1, m))
+    )
 
 
 def _paths(quiver, length, node, forward):
@@ -78,9 +89,11 @@ def candidates(spec, quiver, table):
     """Yield ((rho, path, perturb_at), depths) for every candidate in search order.
 
     The order is: anchor b with its cycles, position j, cycle rho, every path
-    of j - 1 arrows into b, every path of n - j + 1 arrows out of b.  The L
-    candidates of V run in plain node order, not with V's distinguished L
-    first as in the search, so a first L that changed the witness shows here.
+    of j - 1 arrows into b, every path of n - j + 1 arrows out of b.  W's
+    anchors are the rotations of the three-cycles, j = 2..n; U's are the
+    nodes with the distinguished L first, V's the nodes in plain node order,
+    each with its closed paths of 2m (V: 2m + 1) arrows, those through the
+    simple S first; j = n.
     depths is None for a candidate that fails; the first one that passes is
     the witness.  The caller stops reading there.
     """

@@ -177,9 +177,10 @@ def test_constructor_refuses_a_block_over_another_field(chars):
 @pytest.mark.parametrize("dims, maps, message", [
     ({"1": 1, "zz": 5}, {}, "dimension at unknown vertex 'zz'"),
     ({"1": -2}, {}, "dimension -2 at vertex '1' is negative"),
+    ({"1": "2"}, {}, "dimension '2' at vertex '1' is not an int"),
     ({"1": 1}, {"nope": Mat(QQ, [[1]])}, "map for unknown arrow 'nope'"),
     ({"1": 1}, {"a": Mat(field_for_characteristic(3), [[1]])}, "map for arrow a is over GF(3), not QQ"),
-], ids=["unknown-vertex", "negative-dimension", "unknown-arrow", "foreign-field"])
+], ids=["unknown-vertex", "negative-dimension", "text-dimension", "unknown-arrow", "foreign-field"])
 def test_representation_constructor_refuses_what_it_would_drop(dims, maps, message):
     """Representation's checked constructor refuses a dimension or a map it would
     otherwise drop or misread, as MorphismMatrix's does a block."""
@@ -191,8 +192,10 @@ def test_representation_constructor_refuses_what_it_would_drop(dims, maps, messa
 
 def test_compose_multiplies_no_block(monkeypatch):
     """compose, of graph-map sums or of nonzeros, builds no block in the witness
-    search nor in an audit, whose perturbed maps are graph-map sums.  knit composes
-    nothing, so every counted call is the search's (69) or the audit's (25)."""
+    nor in an audit, whose perturbed maps are graph-map sums.  knit composes
+    nothing, so every counted call is the witness's or the audit's (25).  The
+    W(5) witness composes 10 times: 2 for its three-arrow cycle, 1 for rho o f,
+    3 for the prefix h_4...h_1, 1 for the whole chain and 3 for the suffix."""
     composed, made = [0], []
     zeros, init, compose = Mat.zeros.__func__, Mat.__init__, MorphismMatrix.compose
 
@@ -213,9 +216,9 @@ def test_compose_multiplies_no_block(monkeypatch):
 
     monkeypatch.setattr(MorphismMatrix, "compose", watched_compose)
     w = witness(make_family("W", n=5))
-    assert w.depths["total"] == 8 and composed[0] == 69
+    assert w.depths["total"] == 8 and composed[0] == 10
     assert audit_theorems(make_family("W", n=5).presentation, samples=8).passed
-    assert composed[0] == 69 + 25 and made == []
+    assert composed[0] == 10 + 25 and made == []
 
 
 def _run_support(X, Y, run):

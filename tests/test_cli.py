@@ -267,6 +267,15 @@ def test_degree_with_two_selectors_is_a_usage_error(capsys, monkeypatch, argv, g
     assert err == f"stringar: usage error: give one of --theta, --iota or --source/--target, not {given}\n"
 
 
+@pytest.mark.parametrize("argv", [(), ("--source", "b2")], ids=["no-selector", "source-only"])
+def test_degree_with_no_map_is_a_usage_error(capsys, monkeypatch, argv):
+    """degree without a whole selector is refused before knitting, like every missing argument."""
+    monkeypatch.setattr(cli, "knit", lambda *a: pytest.fail("knitted a rejected command"))
+    code, out, err = run(capsys, "degree", "--family", "W", "--n", "3", "--side", "left", *argv)
+    assert (code, out) == (3, "")
+    assert err == "stringar: usage error: give --theta V, --iota V, or --source/--target\n"
+
+
 @pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize(
     "argv, message",

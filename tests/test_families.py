@@ -10,10 +10,10 @@ from stringar import (
     walk_from_text,
     walk_to_text,
 )
-from stringar import families, knit
+from stringar import families
+from stringar.errors import WitnessConstructionError
 from stringar.families import make_family, witness
 from stringar.fields import field_for_characteristic
-from stringar.modules import MorphismMatrix, compose_chain
 from stringar.radical import RadicalTable
 from tests.conftest import LADDER
 from tests.oracles import unpruned_witness
@@ -182,37 +182,18 @@ ORACLE_CASES["V6_7-0"] = ("V", 6, 7, 0)
 
 
 @pytest.mark.parametrize("family, m, n, char", ORACLE_CASES.values(), ids=list(ORACLE_CASES))
-def test_pruned_search_agrees_with_the_unpruned_oracle(monkeypatch, family, m, n, char):
-    """Same witness; the candidates it checks are an ordered subsequence of the
-    oracle's, and every candidate it skips fails in the oracle.  The oracle
-    tries V's L candidates in node order, so V's distinguished L first must not
-    change the witness."""
+def test_construction_agrees_with_the_unpruned_oracle(family, m, n, char):
+    """The witness built from `chain_words` is the oracle's first passing
+    candidate: same node path, cycle nodes, depths, and L and N; every
+    earlier candidate of the oracle fails."""
     spec = make_family(family, m=m, n=n)
-    quiver = knit(spec.presentation, field_for_characteristic(char))
-    table = RadicalTable(quiver)
-    checked = []
-    chain_depths = families._chain_depths
-
-    def recorded(table, perturb, rho, path, perturb_at, *rest, **kw):
-        hit = chain_depths(table, perturb, rho, path, perturb_at, *rest, **kw)
-        checked.append(((rho, path, perturb_at), hit and hit[2]))
-        return hit
-
-    monkeypatch.setattr(families, "_chain_depths", recorded)
-    w = families._search(spec, quiver, table)
-
-    pending = iter(checked)
-    nxt = next(pending)
-    for cand, depths in unpruned_witness.candidates(spec, quiver, table):
-        if nxt is not None and cand == nxt[0]:
-            assert depths == nxt[1]
-            nxt = next(pending, None)
-        else:
-            assert depths is None, "the pruned search skipped a passing candidate"
+    w = witness(spec, field_for_characteristic(char))
+    quiver = w.quiver
+    for cand, depths in unpruned_witness.candidates(spec, quiver, RadicalTable(quiver)):
         if depths is not None:
             break
-    assert nxt is None, "the pruned search checked a candidate out of the oracle's order"
-    assert len(checked) == (2 if family == "V" else 1)
+    else:
+        pytest.fail("the oracle found no witness")
     rho, path, _ = cand
     assert [x.index for x in w.node_path] == [path[0].source] + [a.target for a in path]
     assert [x.index for x in w.rho_nodes] == [rho[0].source] + [a.target for a in rho]
@@ -338,83 +319,65 @@ def test_large_witnesses_match_the_unpruned_search(family, m, n, depths, chain, 
     assert [x.text for x in w.rho_nodes] == rho
 
 
-def test_witness_w9_builds_fewer_than_half_the_sources(monkeypatch):
-    """The search reads the table through queries, so only the sources they
-    read are built; it composes only what a candidate that can pass reads."""
-    spec = make_family("W", n=9)
-    quiver = knit(spec.presentation)
-    table = RadicalTable(quiver)
-    composes = []
-    compose = MorphismMatrix.compose
-
-    def counted(self, first):
-        composes.append(1)
-        return compose(self, first)
-
-    monkeypatch.setattr(MorphismMatrix, "compose", counted)
-    w = families._search(spec, quiver, table)
-    assert w.depths["total"] == 12
-    built, nodes = len(w.table._levels), len(w.quiver.nodes)
-    assert 0 < built <= 14 < nodes / 2
-    assert 0 < len(composes) <= 150
+# W(3..15), U(2..4, 2..6) and V(2..4, 3..6) off the ladder: about 0.1 s in all
+GRID = {
+    name: args
+    for name, args in [(f"W{n}", ("W", None, n)) for n in range(3, 16)]
+    + [(f"U{m}_{n}", ("U", m, n)) for m in range(2, 5) for n in range(2, 7)]
+    + [(f"V{m}_{n}", ("V", m, n)) for m in range(2, 5) for n in range(3, 7)]
+    if name not in LADDER
+}
 
 
-def test_witness_v8_9_lists_the_cycles_of_one_l(monkeypatch):
-    """V tries its distinguished L first and lists an L's cycles only once one
-    of its into-paths is live, so the V(8,9) search lists the cycles of the L
-    it answers at, and reads few table sources and composites."""
-    spec = make_family("V", m=8, n=9)
-    quiver = knit(spec.presentation)
-    table = RadicalTable(quiver)
-    cycles, composes = [], []
-    list_cycles, compose = families._cycles, MorphismMatrix.compose
-
-    def counted_cycles(*args):
-        cycles.append(args)
-        return list_cycles(*args)
-
-    def counted(self, first):
-        composes.append(1)
-        return compose(self, first)
-
-    monkeypatch.setattr(families, "_cycles", counted_cycles)
-    monkeypatch.setattr(MorphismMatrix, "compose", counted)
-    w = families._search(spec, quiver, table)
-    assert w.depths == {"total": 26, "prefix": 8, "suffix": 8}
-    assert len(cycles) == 1 and cycles[0][2] == w.distinguished["L"].index
-    assert 0 < len(table._levels) <= 10
-    assert 0 < len(composes) <= 300
+@pytest.mark.parametrize("family, m, n", GRID.values(), ids=list(GRID))
+def test_construction_verifies_across_the_parameter_grid(family, m, n):
+    """`chain_words` builds a verified witness off the ladder too: n + 1 chain
+    nodes, rho a closed path at the anchor (the n-th node) of 3 arrows on W and
+    2m (V: 2m + 1) through S on U and V, and the depths of one formula."""
+    w = witness(make_family(family, m=m, n=n))
+    assert len(w.node_path) == n + 1
+    assert w.rho_nodes[0] == w.rho_nodes[-1] == w.node_path[n - 1]
+    if family == "W":
+        assert len(w.rho_nodes) == 4
+        assert w.depths == {"total": n + 3, "prefix": n - 1, "suffix": n + 2}
+    else:
+        v = 1 if family == "V" else 0
+        assert len(w.rho_nodes) == 2 * m + v + 1
+        assert w.distinguished["S"] in w.rho_nodes
+        assert w.depths == {"total": n + 2 * m + v, "prefix": n - 1, "suffix": n - 1}
 
 
-@pytest.mark.parametrize("name", sorted(LADDER))
-def test_into_paths_are_the_depth_first_live_paths(name):
-    """Each length extends the last, in the order of a depth-first walk along
-    arrows_into, and keeps exactly the paths with a nonzero composite."""
-    family, m, n = LADDER[name]
-    quiver = knit(make_family(family, m=m, n=n).presentation)
-    for x in quiver.nodes:
-        paths = families._into_paths(quiver, x.index)
-        for k in range(1, 6):
-            every = unpruned_witness._paths(quiver, k, x.index, forward=False)
-            live = [(p, compose_chain([a.morphism for a in p])) for p in every]
-            assert paths(k) == [(p, f) for p, f in live if not f.is_zero()]
+SOURCE_INPUTS = {**LADDER, "V8_9": ("V", 8, 9)}
 
 
-CYCLE_INPUTS = {k: v for k, v in LADDER.items() if v[0] != "W"}
-CYCLE_INPUTS.update(V4_5=("V", 4, 5), V5_6=("V", 5, 6))
+@pytest.mark.parametrize("family, m, n", SOURCE_INPUTS.values(), ids=list(SOURCE_INPUTS))
+def test_witness_builds_the_two_sources_the_depth_checks_read(family, m, n):
+    """The chain's depths are read from its first two nodes, the sources of
+    the whole chain and the prefix, and of the suffix; nothing else is built."""
+    w = witness(make_family(family, m=m, n=n))
+    assert set(w.table._levels) == {w.node_path[0].index, w.node_path[1].index}
+    assert w.table._columns == set()
 
 
-@pytest.mark.parametrize("family, m, n", CYCLE_INPUTS.values(), ids=list(CYCLE_INPUTS))
-def test_pruned_cycles_are_the_unpruned_closed_paths(family, m, n):
-    """The cycles through each node, pruned by backward layers, are the closed
-    arrow paths of the unpruned depth-first listing, in its order: the
-    ladder's U and V inputs, V(4,5) and V(5,6)."""
-    quiver = knit(make_family(family, m=m, n=n).presentation)
-    length = 2 * m + (1 if family == "V" else 0)
-    closed = 0
-    for x in quiver.nodes:
-        every = unpruned_witness._paths(quiver, length, x.index, forward=True)
-        want = [c for c in every if c[-1].target == x.index]
-        assert families._cycles(quiver, length, x.index) == want
-        closed += len(want)
-    assert closed
+def _w4_with_the_words_of_w3(spec, chain_words=families.chain_words):
+    return chain_words(make_family("W", n=3))
+
+
+@pytest.mark.parametrize("words, message", [
+    (lambda spec: (["b2", "b1 b2", "b1^- a b1", "a b1"], ["b1^- a b1", "a^- b1", "b1", "b1^- a b1"], 4),
+     "witness word b1 b2 names no node"),
+    (lambda spec: (["b2 b3", "b2", "e(2)", "b1^- a b1", "a b1"], ["b1^- a b1", "b1", "a^- b1", "b1^- a b1"], 4),
+     "witness step b1^- a b1 -> b1 has 0 arrows, not one"),
+    (lambda spec: (["b2 b3", "e(2)", "b2", "b1^- a b1", "a b1"], ["b1^- a b1", "a^- b1", "b1", "b1^- a b1"], 4),
+     "witness step b2 b3 -> e(2) has 0 arrows, not one"),
+    (_w4_with_the_words_of_w3, "witness chain has depth 6, not 7"),
+], ids=["not-a-node", "rho-step", "chain-step", "depth"])
+def test_wrong_chain_words_raise_witness_construction_error(monkeypatch, words, message):
+    """A word that names no node, a step without exactly one arrow and a chain
+    that fails its depth check are witness-construction errors, named, and
+    never mesh inconsistencies."""
+    monkeypatch.setattr(families, "chain_words", words)
+    with pytest.raises(WitnessConstructionError) as info:
+        witness(make_family("W", n=4))
+    assert info.value.code == "witness-construction"
+    assert str(info.value).startswith(message)

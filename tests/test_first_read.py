@@ -1,8 +1,8 @@
 """What the engine builds only when it is read, against eager oracles.
 
 A radical-table build keeps each pair's runs with their levels and writes
-no row; `reaches`, `tags`, `profile` and `depth` read the levels, and no
-query eliminates.  A graph map of `knit` keeps its run and builds its
+no row; `tags`, `profile`, `depth` and the `reaches` helper read the levels,
+and no query eliminates.  A graph map of `knit` keeps its run and builds its
 nonzeros on first read, two graph maps compose by intersecting their runs,
 and a string module builds its letter nonzeros on first read.  Each is
 compared here with the eager form: the old per-level fold of a table, the
@@ -19,7 +19,7 @@ from stringar import artheory, field_for_characteristic, fields, knit, witness
 from stringar.families import make_family
 from stringar.modules import GraphMap, MorphismMatrix, Representation
 from stringar.radical import ZERO_DEPTH, RadicalTable
-from tests.conftest import LADDER
+from tests.conftest import LADDER, reaches
 from tests.oracles import dense_maps, fold
 from tests.test_stress import _ladder_or_stress
 
@@ -104,7 +104,7 @@ def test_reaches_reads_the_levels_as_the_oracle_rows(name, char, monkeypatch):
         for y in G.nodes:
             rows = complete.get((x.index, y.index), ())
             for n in range(top + 1):
-                assert T.reaches(x.index, y.index, n) == (bool(rows) and rows[0][0] >= n)
+                assert reaches(T, x.index, y.index, n) == (bool(rows) and rows[0][0] >= n)
 
 
 @pytest.mark.parametrize("name", sorted(LADDER))
@@ -126,7 +126,7 @@ def test_a_witness_and_the_level_queries_eliminate_nothing(name, no_elimination)
         assert T.depth(a.morphism, x, y) == T.depth(_joined(a.morphism), x, y) == 1
     for x in G.nodes:
         for y in G.nodes:
-            T.tags(x.index, y.index, (4, 5, 6)), T.reaches(x.index, y.index, 2), T.profile(x, y)
+            T.tags(x.index, y.index, (4, 5, 6)), reaches(T, x.index, y.index, 2), T.profile(x, y)
 
 
 # --- graph maps and string modules: built on first read ----------------------
@@ -213,7 +213,7 @@ def test_run_composed_composites_equal_the_joined_ones(name, char):
 @pytest.mark.parametrize("name", NAMES)
 def test_depth_reads_a_graph_map_at_its_run(name, char, monkeypatch):
     """`depth` reads a graph map's level at its run and builds no nonzeros:
-    every map it is passed (by the witness search on the ladder, then on
+    every map it is passed (by the witness on the ladder, then on
     every input each arrow map and each nonzero composite of two) gets the
     depth that reducing it against the old fold's rows gives, and that of
     its `MorphismMatrix._adopt` copy; a run-composed composite stays unbuilt."""

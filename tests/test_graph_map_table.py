@@ -19,7 +19,7 @@ from stringar.errors import MeshInconsistencyError
 from stringar.families import make_family
 from stringar.modules import GraphMap, MorphismMatrix
 from stringar.radical import RadicalTable
-from tests.conftest import table_rows
+from tests.conftest import reaches, table_rows
 from tests.morphisms import identity_morphism
 from tests.oracles import fold
 from tests.test_radical_engine import _ladder_and_stress, _shortcut_algebras
@@ -121,7 +121,7 @@ def test_a_run_that_overlaps_another_is_refused_naming_the_pair():
     T._out[a.source].append((a.target, (s, t, d, k - 1)))
     T._in[a.target].append((a.source, (s, t, d, k - 1)))
     x, y = G.nodes[a.source], G.nodes[a.target]
-    assert T.reaches(a.source, a.target, 1)  # the levels are read, no entry
+    assert reaches(T, a.source, a.target, 1)  # the levels are read, no entry
     name = re.escape(f"{x.text} -> {y.text}: runs ")
     with pytest.raises(MeshInconsistencyError, match=name + ".* share an entry"):
         T.depth(MorphismMatrix._adopt(a.morphism.source, a.morphism.target, a.morphism.nonzeros), x, y)
@@ -137,7 +137,7 @@ def test_a_radical_run_on_the_identity_is_refused(dim, run):
     x = next(x for x in G.nodes if x.module.total_dim == dim)
     xi = x.index
     message = re.escape(f"the identity of {x.text} lies in the radical")
-    queries = [lambda T: T.reaches(xi, xi, 0), lambda T: T.tags(xi, xi, (0, 1)),
+    queries = [lambda T: reaches(T, xi, xi, 0), lambda T: T.tags(xi, xi, (0, 1)),
                lambda T: T.profile(x, x), lambda T: T.layer(x, x, 1),
                lambda T: T.depth(identity_morphism(x.module.rep), x, x),
                lambda T: T._build(xi, "target")]

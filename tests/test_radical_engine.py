@@ -28,7 +28,7 @@ from stringar.errors import MeshInconsistencyError
 from stringar.families import make_family
 from stringar.modules import MorphismMatrix
 from stringar.radical import ZERO_DEPTH, RadicalTable
-from tests.conftest import LADDER, layer_space, pair_rows, table_rows
+from tests.conftest import LADDER, layer_space, pair_rows, reaches, table_rows
 from tests.morphisms import identity_morphism
 from tests.oracles import dense_maps, fold, gauss_jordan
 from tests.test_stress import _band_free_algebras, _ladder_or_stress, random_presentations
@@ -280,7 +280,7 @@ def test_first_row_carries_the_largest_tag(name):
     for x in table.nodes:
         for y in table.nodes:
             dims = table.profile(x, y).dims
-            assert [table.reaches(x.index, y.index, k) for k in range(len(dims))] == [
+            assert [reaches(table, x.index, y.index, k) for k in range(len(dims))] == [
                 d > 0 for d in dims
             ]
 
@@ -303,7 +303,7 @@ def test_sources_built_in_any_order_give_the_complete_table(name, char):
     for k, xi in enumerate(queried):
         x, y = T.nodes[xi], rng.choice(T.nodes)
         if k % 3 == 0:
-            T.reaches(xi, y.index, 1)
+            reaches(T, xi, y.index, 1)
         elif k % 3 == 1:
             T.layer(x, y, 1)
         else:
@@ -396,7 +396,7 @@ def test_errors_of_a_source_raise_from_the_query_that_builds_it():
     f, x, y = a.morphism, G.nodes[a.source], G.nodes[a.target]
     limit, T._limit = T._limit, 0
     with pytest.raises(MeshInconsistencyError, match="radical filtration does not terminate"):
-        T.reaches(x.index, x.index, 0)
+        reaches(T, x.index, x.index, 0)
     assert x.index not in T._levels and T._pairs == {}
     message = re.escape(f"the identity of {x.text} lies in the radical")
     loop = (x.index, (0, 0, 1, 1))
